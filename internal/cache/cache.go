@@ -21,13 +21,20 @@ type Line struct {
 	MInst  []uint64 // per-word memory-fetch instance ids (Figure 4.3)
 	Region uint8    // region id of the request that allocated the line
 	lru    uint64
-	way    int
+	idx    int // position in Cache.lines and Cache.tags
 }
 
-// Cache is a set-associative array.
+// noTag marks an invalid way in the tag array. Line addresses are byte
+// addresses shifted right by the line size, so no line has this tag.
+const noTag = ^uint32(0)
+
+// Cache is a set-associative array. Lines and tags are stored set-major:
+// set s occupies indices [s*assoc, (s+1)*assoc). A lookup scans one set's
+// tags, a few contiguous words, instead of hashing into an index.
 type Cache struct {
-	sets      [][]*Line
-	index     map[uint32]*Line // line address -> resident line
+	lines     []Line
+	tags      []uint32 // tags[i] == lines[i].Tag when lines[i] is valid, noTag otherwise
+	valid     int      // valid lines
 	assoc     int
 	numSets   uint32
 	wordsPer  int
@@ -37,33 +44,38 @@ type Cache struct {
 
 // New creates a cache of sizeBytes capacity with the given associativity
 // and line size. sizeBytes/assoc/lineBytes must divide evenly and the set
-// count must be a power of two.
+// count must be a power of two. Every line's per-word slices are carved
+// from one backing array per field.
 func New(sizeBytes, assoc, lineBytes int) *Cache {
 	lines := sizeBytes / lineBytes
 	numSets := lines / assoc
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
+	wp := lineBytes / 4
 	c := &Cache{
+		lines:    make([]Line, lines),
+		tags:     make([]uint32, lines),
 		assoc:    assoc,
 		numSets:  uint32(numSets),
-		wordsPer: lineBytes / 4,
-		index:    make(map[uint32]*Line, lines),
+		wordsPer: wp,
 	}
-	c.sets = make([][]*Line, numSets)
-	for s := range c.sets {
-		ways := make([]*Line, assoc)
-		for w := range ways {
-			ways[w] = &Line{
-				WState: make([]uint8, c.wordsPer),
-				Data:   make([]uint32, c.wordsPer),
-				Owner:  make([]uint8, c.wordsPer),
-				Inst:   make([]uint64, c.wordsPer),
-				MInst:  make([]uint64, c.wordsPer),
-				way:    w,
-			}
+	wstate := make([]uint8, lines*wp)
+	data := make([]uint32, lines*wp)
+	owner := make([]uint8, lines*wp)
+	inst := make([]uint64, lines*wp)
+	minst := make([]uint64, lines*wp)
+	for i := range c.lines {
+		lo, hi := i*wp, (i+1)*wp
+		c.lines[i] = Line{
+			WState: wstate[lo:hi:hi],
+			Data:   data[lo:hi:hi],
+			Owner:  owner[lo:hi:hi],
+			Inst:   inst[lo:hi:hi],
+			MInst:  minst[lo:hi:hi],
+			idx:    i,
 		}
-		c.sets[s] = ways
+		c.tags[i] = noTag
 	}
 	return c
 }
@@ -77,12 +89,19 @@ func (c *Cache) Sets() int { return int(c.numSets) }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-func (c *Cache) setOf(lineAddr uint32) []*Line { return c.sets[lineAddr&(c.numSets-1)] }
+// setBase returns the index of the first way of lineAddr's set.
+func (c *Cache) setBase(lineAddr uint32) int { return int(lineAddr&(c.numSets-1)) * c.assoc }
 
 // Lookup returns the resident line for lineAddr, or nil. It does not touch
 // LRU state; call Touch on a hit that should refresh recency.
 func (c *Cache) Lookup(lineAddr uint32) *Line {
-	return c.index[lineAddr]
+	base := c.setBase(lineAddr)
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == lineAddr {
+			return &c.lines[base+i]
+		}
+	}
+	return nil
 }
 
 // Touch marks a line most recently used.
@@ -96,9 +115,11 @@ func (c *Cache) Touch(l *Line) {
 // It never allocates. Callers use it to initiate writebacks before calling
 // Allocate.
 func (c *Cache) Victim(lineAddr uint32) *Line {
-	set := c.setOf(lineAddr)
+	base := c.setBase(lineAddr)
+	set := c.lines[base : base+c.assoc]
 	var victim *Line
-	for _, l := range set {
+	for i := range set {
+		l := &set[i]
 		if !l.Valid {
 			return l
 		}
@@ -114,9 +135,11 @@ func (c *Cache) Victim(lineAddr uint32) *Line {
 // An invalid way is always acceptable. It returns nil when every way is
 // valid and rejected.
 func (c *Cache) VictimWhere(lineAddr uint32, ok func(*Line) bool) *Line {
-	set := c.setOf(lineAddr)
+	base := c.setBase(lineAddr)
+	set := c.lines[base : base+c.assoc]
 	var victim *Line
-	for _, l := range set {
+	for i := range set {
+		l := &set[i]
 		if !l.Valid {
 			return l
 		}
@@ -135,27 +158,26 @@ func (c *Cache) VictimWhere(lineAddr uint32, ok func(*Line) bool) *Line {
 // for the victim first (see Victim). Word state, data, owner and instance
 // slices are zeroed; Valid is set and LRU refreshed.
 func (c *Cache) Allocate(lineAddr uint32) *Line {
-	if l := c.index[lineAddr]; l != nil {
+	if l := c.Lookup(lineAddr); l != nil {
 		c.Touch(l)
 		return l
 	}
 	l := c.Victim(lineAddr)
 	if l.Valid {
-		delete(c.index, l.Tag)
 		c.Evictions++
+	} else {
+		c.valid++
 	}
 	l.Tag = lineAddr
 	l.Valid = true
 	l.State = 0
 	l.Region = 0
-	for i := 0; i < c.wordsPer; i++ {
-		l.WState[i] = 0
-		l.Data[i] = 0
-		l.Owner[i] = 0
-		l.Inst[i] = 0
-		l.MInst[i] = 0
-	}
-	c.index[lineAddr] = l
+	clear(l.WState)
+	clear(l.Data)
+	clear(l.Owner)
+	clear(l.Inst)
+	clear(l.MInst)
+	c.tags[l.idx] = lineAddr
 	c.Touch(l)
 	return l
 }
@@ -165,21 +187,21 @@ func (c *Cache) Remove(l *Line) {
 	if !l.Valid {
 		return
 	}
-	delete(c.index, l.Tag)
+	c.tags[l.idx] = noTag
 	l.Valid = false
+	c.valid--
 }
 
 // Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int { return len(c.index) }
+func (c *Cache) Occupancy() int { return c.valid }
 
-// ForEach visits every valid line. The visitor must not allocate or remove
-// lines; it may mutate word state (used for self-invalidation sweeps).
+// ForEach visits every valid line, set by set. The visitor must not
+// allocate or remove lines; it may mutate word state (used for
+// self-invalidation sweeps).
 func (c *Cache) ForEach(f func(*Line)) {
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.Valid {
-				f(l)
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.Valid {
+			f(l)
 		}
 	}
 }

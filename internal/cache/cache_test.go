@@ -181,12 +181,20 @@ func TestReferenceModelProperty(t *testing.T) {
 					r.order = append(r.order[:i:i], r.order[i+1:]...)
 				}
 			}
-			// Check residency agreement.
-			for _, rr := range refs {
-				for _, a := range rr.order {
-					if c.Lookup(a) == nil {
+			// Check residency agreement both ways: every resident address
+			// finds a valid line tagged with that address (a stale tag
+			// would hand back the wrong line), and every other address
+			// misses.
+			for a := uint32(0); a < 16; a++ {
+				l := c.Lookup(a)
+				if find(&refs[a%sets], a) == -1 {
+					if l != nil {
 						return false
 					}
+					continue
+				}
+				if l == nil || !l.Valid || l.Tag != a {
+					return false
 				}
 			}
 			total := 0

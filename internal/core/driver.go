@@ -51,6 +51,17 @@ type coreState struct {
 	storeAddr    uint32
 	storeVal     uint32
 	active       bool
+
+	// The core's continuations, built once by NewRunner so that stepping
+	// and completing a load schedule no closure.
+	step     func()
+	loadDone func(val uint32, s memsys.Sample)
+
+	// The in-flight load (loads block, so a core has at most one): its
+	// address, the oracle's expected value and its issue cycle.
+	loadAddr   uint32
+	loadExpect uint32
+	loadT0     int64
 }
 
 // NewRunner wires a program and protocol onto an environment. The
@@ -64,8 +75,9 @@ func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Run
 		oracle: make([]uint32, len(env.Mem)),
 		cores:  make([]coreState, prog.Threads()),
 	}
-	for c := 0; c < prog.Threads(); c++ {
-		c := c
+	for c := range r.cores {
+		r.cores[c].step = func() { r.step(c) }
+		r.cores[c].loadDone = func(val uint32, s memsys.Sample) { r.loadDone(c, val, s) }
 		proto.SetStoreUnstall(c, func() { r.retryStore(c) })
 	}
 	return r
@@ -115,8 +127,7 @@ func (r *Runner) beginPhase(p int) {
 		r.prog.EmitOps(p, c, func(o memsys.Op) { cs.ops = append(cs.ops, o) })
 		cs.pc = 0
 		cs.active = true
-		c := c
-		r.env.K.After(0, func() { r.step(c) })
+		r.env.K.After(0, cs.step)
 	}
 }
 
@@ -134,29 +145,13 @@ func (r *Runner) step(c int) {
 		switch op.Kind {
 		case memsys.OpCompute:
 			r.Times[c].Busy += int64(op.Cycles)
-			r.env.K.After(int64(op.Cycles), func() { r.step(c) })
+			r.env.K.After(int64(op.Cycles), cs.step)
 			return
 		case memsys.OpLoad:
-			t0 := r.env.K.Now()
-			expect := r.oracle[op.Addr>>2]
-			r.proto.Load(c, op.Addr, func(val uint32, s memsys.Sample) {
-				if val != expect && r.oracleErr == nil {
-					r.oracleErr = fmt.Errorf(
-						"core: oracle violation %s/%s: core %d load %#x = %d, want %d (phase %d, cycle %d)",
-						r.proto.Name(), r.prog.Name(), c, op.Addr, val, expect, r.phase, r.env.K.Now())
-					r.ViolationAddr = op.Addr
-					if r.OnViolation != nil {
-						r.OnViolation(op.Addr)
-					}
-				}
-				stall := r.env.K.Now() - t0
-				if s.Point == memsys.PointL1 {
-					r.Times[c].Busy += stall // pipelined L1 hit
-				} else {
-					r.Times[c].AddStall(stall, s)
-				}
-				r.step(c)
-			})
+			cs.loadAddr = op.Addr
+			cs.loadExpect = r.oracle[op.Addr>>2]
+			cs.loadT0 = r.env.K.Now()
+			r.proto.Load(c, op.Addr, cs.loadDone)
 			return
 		case memsys.OpStore:
 			r.valCounter++
@@ -170,6 +165,28 @@ func (r *Runner) step(c int) {
 			}
 		}
 	}
+}
+
+// loadDone completes core c's in-flight load: check the value against the
+// oracle, charge the stall to the Figure 5.2 breakdown, and resume.
+func (r *Runner) loadDone(c int, val uint32, s memsys.Sample) {
+	cs := &r.cores[c]
+	if val != cs.loadExpect && r.oracleErr == nil {
+		r.oracleErr = fmt.Errorf(
+			"core: oracle violation %s/%s: core %d load %#x = %d, want %d (phase %d, cycle %d)",
+			r.proto.Name(), r.prog.Name(), c, cs.loadAddr, val, cs.loadExpect, r.phase, r.env.K.Now())
+		r.ViolationAddr = cs.loadAddr
+		if r.OnViolation != nil {
+			r.OnViolation(cs.loadAddr)
+		}
+	}
+	stall := r.env.K.Now() - cs.loadT0
+	if s.Point == memsys.PointL1 {
+		r.Times[c].Busy += stall // pipelined L1 hit
+	} else {
+		r.Times[c].AddStall(stall, s)
+	}
+	r.step(c)
 }
 
 // retryStore resumes a core blocked on a full store buffer.

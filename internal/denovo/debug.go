@@ -15,8 +15,8 @@ func (s *System) DebugState() string {
 		fmt.Fprintf(&b, "L1[%d]: wc=%d pendingRegs=%d wbBuf=%d drain=%v\n",
 			t, l1.wc.Len(), l1.pendingRegs, l1.wbBuf.Len(), l1.drainGate.Armed())
 		l1.mshrs.Range(func(key uint32, m *mshr) {
-			fmt.Fprintf(&b, "  mshr %#x wanted=%d waiters=%d\n", key, len(m.wanted), len(m.waiters))
-			for a := range m.wanted {
+			fmt.Fprintf(&b, "  mshr %#x wanted=%d waiters=%d\n", key, m.wanted.len(), len(m.waiters))
+			for _, a := range m.wanted.w {
 				fmt.Fprintf(&b, "    want %#x\n", a)
 			}
 		})

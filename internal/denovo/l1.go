@@ -19,9 +19,45 @@ type loadWaiter struct {
 // line. Under Flex the wanted set may span lines.
 type mshr struct {
 	key     uint32
-	wanted  map[uint32]bool
+	wanted  wordSet
 	waiters []loadWaiter
+	waitBuf [1]loadWaiter // waiters' backing: loads block, so one waiter is the norm
 	tIssue  int64
+}
+
+// wordSet is an MSHR's set of wanted word addresses, kept in the MSHR
+// itself. A request wants at most MaxDataWords words plus the rest of the
+// critical line, so the inline capacity covers the default four-flit
+// packets; a larger packet size spills to the heap. Order is not
+// meaningful: every reader that sends messages sorts first.
+type wordSet struct {
+	w   []uint32
+	buf [2 * lineWords]uint32
+}
+
+func (s *wordSet) len() int { return len(s.w) }
+
+func (s *wordSet) has(a uint32) bool { return coher.ContainsU32(s.w, a) }
+
+func (s *wordSet) add(a uint32) {
+	if s.has(a) {
+		return
+	}
+	if s.w == nil {
+		s.w = s.buf[:0]
+	}
+	s.w = append(s.w, a)
+}
+
+func (s *wordSet) remove(a uint32) {
+	for i, x := range s.w {
+		if x == a {
+			last := len(s.w) - 1
+			s.w[i] = s.w[last]
+			s.w = s.w[:last]
+			return
+		}
+	}
 }
 
 // wbEntry is a victim-buffer entry: registered words in flight to the L2,
@@ -35,6 +71,7 @@ type wbEntry struct {
 	mask    uint16
 	vals    [lineWords]uint32
 	pending int
+	next    *wbEntry // free-list link while recycled
 }
 
 type l1Cache struct {
@@ -42,9 +79,13 @@ type l1Cache struct {
 	tile int
 	c    *cache.Cache
 
+	loads coher.Deferred[coher.Load] // core loads waiting out the hit latency
 	mshrs coher.Table[mshr]
 	wc    coher.WriteCombiner
 	wbBuf coher.Table[wbEntry]
+
+	wbFree      *wbEntry // recycled victim-buffer entries (linked by next)
+	wcTimerFree *wcTimer
 
 	pendingRegs int
 	drainGate   coher.DrainGate
@@ -67,17 +108,15 @@ func newL1(s *System, tile int) *l1Cache {
 		l.blooms = bloom.NewL1Bank(cfg.Bloom)
 		l.bloomWait = make(map[int][]func())
 	}
+	l.loads = coher.NewDeferred(s.Env.K, cfg.L1Latency, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, s.Env.K.Now(), ld.Done)
+	})
 	return l
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
 
 // --- loads ---
-
-func (l *l1Cache) load(addr uint32, done func(uint32, memsys.Sample)) {
-	env := l.env()
-	env.K.After(env.Cfg.L1Latency, func() { l.loadAttempt(addr, env.K.Now(), done) })
-}
 
 func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsys.Sample)) {
 	env := l.env()
@@ -95,21 +134,24 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	}
 	if m := l.mshrs.Get(line); m != nil {
 		m.waiters = append(m.waiters, loadWaiter{addr, done})
-		if !m.wanted[addr] {
+		if !m.wanted.has(addr) {
 			// The in-flight request did not cover this word; ask again.
-			m.wanted[addr] = true
+			m.wanted.add(addr)
 			l.sendLoadReq(m, []uint32{addr}, nil)
 		}
 		return
 	}
-	m := &mshr{key: line, wanted: map[uint32]bool{}, tIssue: tIssue}
-	m.waiters = append(m.waiters, loadWaiter{addr, done})
+	m := &mshr{key: line, tIssue: tIssue}
+	m.waiters = append(m.waitBuf[:0], loadWaiter{addr, done})
 	l.mshrs.Put(line, m)
 
 	region := env.Regions.ByAddr(addr)
 	flex := l.sys.opt.FlexL1 && region != nil && region.InComm(addr)
+	// wants travels in the request message, so it gets its own array,
+	// sized for the largest request up front (the critical word included).
 	var wants []uint32
 	if flex {
+		wants = make([]uint32, 0, env.Cfg.MaxDataWords()+1)
 		for _, wa := range region.CommWords(addr) {
 			if len(wants) >= env.Cfg.MaxDataWords() {
 				break
@@ -120,6 +162,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 			wants = append(wants, wa)
 		}
 	} else {
+		wants = make([]uint32, 0, lineWords)
 		ln := l.c.Lookup(line)
 		for i := 0; i < lineWords; i++ {
 			if ln != nil && ln.WState[i] != wInvalid {
@@ -133,7 +176,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		wants = append(wants, memsys.WordAddr(addr))
 	}
 	for _, wa := range wants {
-		m.wanted[wa] = true
+		m.wanted.add(wa)
 	}
 
 	bypass := l.sys.opt.BypassResp && region != nil && region.Bypass
@@ -243,16 +286,40 @@ func (l *l1Cache) wcAdd(line uint32, w int) {
 			l.flushOldestWC()
 		}
 		e = l.wc.Add(line, env.K.Now())
-		entry := e
-		env.K.After(env.Cfg.WriteCombineTimeout, func() {
-			if l.wc.Get(line) == entry {
-				l.flushWC(entry)
-			}
-		})
+		t := l.wcTimerFree
+		if t == nil {
+			t = &wcTimer{l: l}
+		} else {
+			l.wcTimerFree = t.next
+		}
+		t.line, t.id = line, e.ID
+		env.K.AtArg(env.K.Now()+env.Cfg.WriteCombineTimeout, runWCTimeout, t)
 	}
 	e.Mask |= 1 << w
 	if e.Mask == 0xffff {
 		l.flushWC(e) // the entire line has been written
+	}
+}
+
+// wcTimer is a pending write-combining timeout for one table entry,
+// free-listed on the L1 and scheduled with Kernel.AtArg.
+type wcTimer struct {
+	l    *l1Cache
+	line uint32
+	id   uint64 // the WCEntry.ID the timeout was armed for
+	next *wcTimer
+}
+
+// runWCTimeout flushes the entry the timer was armed for, unless that
+// entry already left the table (a newer entry for the line has another
+// ID). The record is recycled first; flushing never arms a timer.
+func runWCTimeout(a any) {
+	t := a.(*wcTimer)
+	l, line, id := t.l, t.line, t.id
+	t.next = l.wcTimerFree
+	l.wcTimerFree = t
+	if e := l.wc.Get(line); e != nil && e.ID == id {
+		l.flushWC(e)
 	}
 }
 
@@ -263,11 +330,12 @@ func (l *l1Cache) flushOldestWC() {
 }
 
 func (l *l1Cache) flushWC(e *coher.WCEntry) {
-	l.wc.Remove(e.Line)
+	line, mask := e.Line, e.Mask
+	l.wc.Remove(line) // invalidates e
 	l.pendingRegs++
-	home := l.env().Cfg.HomeTile(e.Line)
+	home := l.env().Cfg.HomeTile(line)
 	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home,
-		&dvnRegister{line: e.Line, from: l.tile, mask: e.Mask})
+		&dvnRegister{line: line, from: l.tile, mask: mask})
 }
 
 func (l *l1Cache) handleRegAck(m *dvnRegAck) {
@@ -280,7 +348,8 @@ func (l *l1Cache) handleRegAck(m *dvnRegAck) {
 func (l *l1Cache) handleData(m *dvnData) {
 	env := l.env()
 	ms := l.mshrs.Get(m.key)
-	insts := make([]uint64, 0, len(m.words))
+	var buf [2 * lineWords]uint64 // Traffic.Data does not keep insts
+	insts := buf[:0]
 	for i, addr := range m.words {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		ln := l.c.Lookup(line)
@@ -302,7 +371,7 @@ func (l *l1Cache) handleData(m *dvnData) {
 			env.Prof.MemAddRef(m.minsts[i])
 		}
 		if ms != nil {
-			delete(ms.wanted, addr)
+			ms.wanted.remove(addr)
 		}
 	}
 	env.Traffic.Data(memsys.ClassLD, m.hops, insts)
@@ -338,7 +407,7 @@ func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 		wtr.done(ln.Data[w], sample)
 	}
 	ms.waiters = kept
-	if len(ms.wanted) == 0 {
+	if ms.wanted.len() == 0 {
 		if len(ms.waiters) != 0 {
 			panic(fmt.Sprintf("denovo: tile %d mshr %#x closed with %d waiters", l.tile, ms.key, len(ms.waiters)))
 		}
@@ -355,7 +424,7 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 	}
 	var reissue []uint32
 	for _, addr := range m.words {
-		if !ms.wanted[addr] {
+		if !ms.wanted.has(addr) {
 			continue
 		}
 		needed := false
@@ -368,7 +437,7 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 		if needed {
 			reissue = append(reissue, addr)
 		} else {
-			delete(ms.wanted, addr)
+			ms.wanted.remove(addr)
 		}
 	}
 	if len(reissue) > 0 {
@@ -383,13 +452,10 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 		return
 	}
 	l.sys.NackBackoff(m.from, l.tile, func() {
-		if l.mshrs.Get(m.key) != ms || len(ms.wanted) == 0 {
+		if l.mshrs.Get(m.key) != ms || ms.wanted.len() == 0 {
 			return
 		}
-		wants := make([]uint32, 0, len(ms.wanted))
-		for a := range ms.wanted {
-			wants = append(wants, a)
-		}
+		wants := append([]uint32(nil), ms.wanted.w...)
 		coher.SortU32(wants)
 		l.sendLoadReq(ms, wants, &reqMeta{crit: wants[0]})
 	})
@@ -473,7 +539,10 @@ func (l *l1Cache) handleWBAck(m *dvnWBAck) {
 	if wb := l.wbBuf.Get(m.line); wb != nil {
 		wb.pending--
 		if wb.pending <= 0 {
+			// The table was the entry's only holder.
 			l.wbBuf.Delete(m.line)
+			wb.next = l.wbFree
+			l.wbFree = wb
 		}
 	}
 	l.drainGate.TryFire(l.drained())
@@ -515,7 +584,14 @@ func (l *l1Cache) evictFor(line uint32) {
 		old.mask |= regMask
 		old.pending++
 	} else {
-		l.wbBuf.Put(vline, &wbEntry{line: vline, mask: regMask, vals: vals, pending: 1})
+		wb := l.wbFree
+		if wb == nil {
+			wb = &wbEntry{}
+		} else {
+			l.wbFree = wb.next
+		}
+		*wb = wbEntry{line: vline, mask: regMask, vals: vals, pending: 1}
+		l.wbBuf.Put(vline, wb)
 	}
 	home := env.Cfg.HomeTile(vline)
 	dirty := coher.Popcount16(regMask)

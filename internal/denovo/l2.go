@@ -18,6 +18,7 @@ type l2Fetch struct {
 	tAtMC  int64
 	tDram  int64
 	filled bool
+	next   *l2Fetch // free-list link while recycled
 }
 
 // memStamp carries DRAM timing to re-dispatched requests so their loads
@@ -38,6 +39,21 @@ type l2Slice struct {
 	dirtyCnt  map[uint32]int // words per line that are registered or dirty
 	blooms    *bloom.L2Bank
 	pred      *bypassPredictor
+
+	// Arriving requests, registrations, writebacks and fills wait out the
+	// L2 access latency here before their handler runs.
+	loadReqs  coher.Deferred[*dvnLoadReq]
+	registers coher.Deferred[*dvnRegister]
+	wbs       coher.Deferred[*dvnWB]
+	fills     coher.Deferred[*dvnL2Fill]
+
+	fetchFree *l2Fetch
+}
+
+// fwdWord is a requested word registered at a remote owner.
+type fwdWord struct {
+	owner uint8
+	addr  uint32
 }
 
 // evictState tracks an eviction waiting on owner recalls.
@@ -64,7 +80,25 @@ func newL2(s *System, tile int) *l2Slice {
 	if s.opt.PredictBypass {
 		sl.pred = newBypassPredictor()
 	}
+	k, lat := s.Env.K, cfg.L2Latency
+	sl.loadReqs = coher.NewDeferred(k, lat, func(m *dvnLoadReq) { sl.serve(m, nil) })
+	sl.registers = coher.NewDeferred(k, lat, sl.handleRegister)
+	sl.wbs = coher.NewDeferred(k, lat, sl.handleWB)
+	sl.fills = coher.NewDeferred(k, lat, sl.handleL2Fill)
 	return sl
+}
+
+// newFetch returns an empty fetch record for line. Records are recycled
+// by fillInstalled once the retries they hold were re-dispatched.
+func (sl *l2Slice) newFetch(line uint32) *l2Fetch {
+	f := sl.fetchFree
+	if f == nil {
+		f = &l2Fetch{}
+	} else {
+		sl.fetchFree = f.next
+	}
+	*f = l2Fetch{line: line, retry: f.retry[:0]}
+	return f
 }
 
 func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
@@ -72,14 +106,22 @@ func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 // lockLine serializes state mutations per line in arrival order. Timed
 // retries would let an old writeback overtake a newer registration from
 // the same L1; the FIFO gate preserves per-source message order instead.
-// op must arrange for unlockLine to run when its mutation completes.
-func (sl *l2Slice) lockLine(line uint32, op func()) {
-	if q, gated := sl.gate[line]; gated {
-		sl.gate[line] = append(q, op)
-		return
+// lockLine takes a free gate and returns true: the caller runs its
+// mutation at once. On a gated line it returns false and the caller
+// queues the mutation with waitLine. Either way the mutation must arrange
+// for unlockLine to run when it completes.
+func (sl *l2Slice) lockLine(line uint32) bool {
+	if _, gated := sl.gate[line]; gated {
+		return false
 	}
 	sl.gate[line] = nil
-	op()
+	return true
+}
+
+// waitLine queues op behind line's gate; it runs when the gate passes to
+// it.
+func (sl *l2Slice) waitLine(line uint32, op func()) {
+	sl.gate[line] = append(sl.gate[line], op)
 }
 
 func (sl *l2Slice) unlockLine(line uint32) {
@@ -137,19 +179,17 @@ func (sl *l2Slice) dirtyMask(line uint32) uint16 {
 
 // --- load requests ---
 
-func (sl *l2Slice) handleLoadReq(m *dvnLoadReq) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() { sl.serve(m, nil) })
-}
-
-// serve satisfies a request from the L2 array, remote owners, and memory.
-// stamp is non-nil when the request was re-dispatched after a fill, so
-// loads keep their memory-time attribution.
+// serve satisfies a request from the L2 array, remote owners, and memory;
+// it runs L2Latency cycles after the request arrives (loadReqs). stamp is
+// non-nil when the request was re-dispatched after a fill, so loads keep
+// their memory-time attribution.
 func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	env := sl.env()
-	var direct, nacked, denied []uint32
-	fwd := map[uint8][]uint32{}
-	mem := map[uint32][]uint32{}
+	// The word lists travel in messages, so each gets its own array, sized
+	// for the whole request on first use.
+	var direct, denied, memWords []uint32
+	var fwd []fwdWord
+	nacked := false
 
 	critLine := memsys.LineOf(m.crit)
 	bypass := m.bypass
@@ -159,23 +199,23 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	for _, addr := range m.wants {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		if sl.busyEvict[line] {
-			nacked = append(nacked, addr)
+			nacked = true
 			continue
 		}
 		ln := sl.c.Lookup(line)
 		if ln != nil {
 			switch ln.WState[w] & l2StateMask {
 			case l2Valid:
-				direct = append(direct, addr)
+				direct = appendWord(direct, addr, len(m.wants))
 				continue
 			case l2Registered:
 				if int(ln.Owner[w]) != m.from {
-					fwd[ln.Owner[w]] = append(fwd[ln.Owner[w]], addr)
+					fwd = append(fwd, fwdWord{ln.Owner[w], addr})
 					continue
 				}
 				// Registered to the requestor itself: nothing to send
 				// (it already owns the word); drop from the want set.
-				denied = append(denied, addr)
+				denied = appendWord(denied, addr, len(m.wants))
 				continue
 			}
 		}
@@ -183,25 +223,30 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		if line != critLine && !(bypass && sl.sys.opt.FlexL2) {
 			// Cross-line Flex prefetch is only fetched from memory by the
 			// bypass+FlexL2 path; otherwise only on-chip copies serve it.
-			denied = append(denied, addr)
+			denied = appendWord(denied, addr, len(m.wants))
 			continue
 		}
-		mem[line] = append(mem[line], addr)
+		memWords = appendWord(memWords, addr, len(m.wants))
 	}
 
 	if len(direct) > 0 {
 		sl.sendFromArray(m, direct, stamp)
 	}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		words, ok := fwd[uint8(owner)]
-		if !ok {
+	for owner := 0; len(fwd) > 0 && owner < env.Cfg.Tiles; owner++ { // deterministic order
+		var words []uint32
+		for _, f := range fwd {
+			if int(f.owner) == owner {
+				words = append(words, f.addr)
+			}
+		}
+		if words == nil {
 			continue
 		}
 		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, &dvnFwdRead{
 			key: m.key, requestor: m.from, words: words, tIssue: m.tIssue,
 		})
 	}
-	if len(nacked) > 0 {
+	if nacked {
 		// NACK: the requestor retries the whole remainder (§5.2.4).
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, m.from,
 			&dvnNack{key: m.key, from: sl.tile})
@@ -210,13 +255,8 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		sl.sys.SendCtl(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from,
 			&dvnDeny{key: m.key, words: denied})
 	}
-	if len(mem) == 0 {
+	if len(memWords) == 0 {
 		return
-	}
-
-	var memWords []uint32
-	for _, words := range mem {
-		memWords = append(memWords, words...)
 	}
 	coher.SortU32(memWords)
 
@@ -242,7 +282,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		return
 	}
 
-	f := &l2Fetch{line: critLine}
+	f := sl.newFetch(critLine)
 	sl.fetch.Put(critLine, f)
 	if sl.sys.opt.MemToL1 {
 		// §3.1 Memory Controller to L1 Transfer: data goes to the L1 and
@@ -256,6 +296,14 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	rest.wants = memWords
 	f.retry = append(f.retry, &rest)
 	sl.sendMemRead(m, critLine, nil, false)
+}
+
+// appendWord appends a to s, giving a nil s an array for n words.
+func appendWord(s []uint32, a uint32, n int) []uint32 {
+	if s == nil {
+		s = make([]uint32, 0, n)
+	}
+	return append(s, a)
 }
 
 func (sl *l2Slice) sendMemRead(m *dvnLoadReq, critLine uint32, wants []uint32, direct bool) {
@@ -302,11 +350,14 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 
 // --- registration (§2) ---
 
+// handleRegister runs L2Latency cycles after a registration arrives
+// (registers).
 func (sl *l2Slice) handleRegister(m *dvnRegister) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() { sl.register(m) })
-	})
+	if sl.lockLine(m.line) {
+		sl.register(m)
+		return
+	}
+	sl.waitLine(m.line, func() { sl.register(m) })
 }
 
 func (sl *l2Slice) register(m *dvnRegister) {
@@ -385,7 +436,7 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 	if !need {
 		return
 	}
-	sl.fetch.Put(line, &l2Fetch{line: line})
+	sl.fetch.Put(line, sl.newFetch(line))
 	mc := sl.env().Cfg.MCTile(line)
 	sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, &dvnMemRead{
 		key: line, critLine: line,
@@ -397,11 +448,13 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 
 // --- writebacks ---
 
+// handleWB runs L2Latency cycles after a writeback arrives (wbs).
 func (sl *l2Slice) handleWB(m *dvnWB) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() { sl.writeback(m) })
-	})
+	if sl.lockLine(m.line) {
+		sl.writeback(m)
+		return
+	}
+	sl.waitLine(m.line, func() { sl.writeback(m) })
 }
 
 func (sl *l2Slice) writeback(m *dvnWB) {
@@ -451,17 +504,21 @@ func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 
 // --- fills ---
 
+// handleL2Fill runs L2Latency cycles after a fill arrives (fills).
 func (sl *l2Slice) handleL2Fill(m *dvnL2Fill) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() {
-			if sl.c.Lookup(m.line) == nil {
-				sl.ensureWay(m.line, func() { sl.fillInstalled(m) })
-				return
-			}
-			sl.fillInstalled(m)
-		})
-	})
+	if sl.lockLine(m.line) {
+		sl.fill(m)
+		return
+	}
+	sl.waitLine(m.line, func() { sl.fill(m) })
+}
+
+func (sl *l2Slice) fill(m *dvnL2Fill) {
+	if sl.c.Lookup(m.line) == nil {
+		sl.ensureWay(m.line, func() { sl.fillInstalled(m) })
+		return
+	}
+	sl.fillInstalled(m)
 }
 
 func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
@@ -499,6 +556,10 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 	for _, req := range f.retry {
 		sl.serve(req, stamp)
 	}
+	// The table no longer holds f and its retries are dispatched: recycle.
+	clear(f.retry)
+	f.next = sl.fetchFree
+	sl.fetchFree = f
 }
 
 // --- eviction ---
@@ -530,7 +591,7 @@ func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
 	line := ln.Tag
 	// The victim is ungated (VictimWhere guarantees it); take its gate so
 	// arriving registrations/writebacks queue behind the eviction.
-	sl.lockLine(line, func() {})
+	sl.lockLine(line)
 	sl.busyEvict[line] = true
 	owners := map[uint8]uint16{}
 	for w := 0; w < lineWords; w++ {
@@ -582,11 +643,11 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 	env := sl.env()
 	line := ln.Tag
 	var dirty uint16
-	msg := &msgMemWBPartial{line: line}
+	var vals [lineWords]uint32
 	for w := 0; w < lineWords; w++ {
 		if ln.WState[w]&l2Dirty != 0 {
 			dirty |= 1 << w
-			msg.vals[w] = ln.Data[w]
+			vals[w] = ln.Data[w]
 		}
 		env.Prof.L2Evict(ln.Inst[w])
 		if ln.MInst[w] != 0 {
@@ -594,7 +655,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 		}
 	}
 	if dirty != 0 {
-		msg.mask = dirty
+		msg := &msgMemWBPartial{line: line, mask: dirty, vals: vals}
 		mc := env.Cfg.MCTile(line)
 		nDirty := coher.Popcount16(dirty)
 		clean := 0

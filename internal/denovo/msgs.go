@@ -169,7 +169,9 @@ type dvnBloomResp struct {
 // --- dispatch (coher.Msg) ---
 //
 // Each message routes itself to the right component of the destination
-// tile; the coher substrate invokes Dispatch on delivery.
+// tile; the coher substrate invokes Dispatch on delivery. Load requests,
+// registrations, writebacks and fills enter their slice's Deferred queue,
+// which runs the handler after the L2 access latency.
 
 func (m *dvnData) Dispatch(s *System, tile int)       { s.l1s[tile].handleData(m) }
 func (m *dvnDeny) Dispatch(s *System, tile int)       { s.l1s[tile].handleDeny(m) }
@@ -180,11 +182,11 @@ func (m *dvnRegAck) Dispatch(s *System, tile int)     { s.l1s[tile].handleRegAck
 func (m *dvnWBAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleWBAck(m) }
 func (m *dvnNack) Dispatch(s *System, tile int)       { s.l1s[tile].handleNack(m) }
 func (m *dvnBloomResp) Dispatch(s *System, tile int)  { s.l1s[tile].handleBloomResp(m) }
-func (m *dvnLoadReq) Dispatch(s *System, tile int)    { s.l2s[tile].handleLoadReq(m) }
-func (m *dvnRegister) Dispatch(s *System, tile int)   { s.l2s[tile].handleRegister(m) }
-func (m *dvnWB) Dispatch(s *System, tile int)         { s.l2s[tile].handleWB(m) }
+func (m *dvnLoadReq) Dispatch(s *System, tile int)    { s.l2s[tile].loadReqs.Add(m) }
+func (m *dvnRegister) Dispatch(s *System, tile int)   { s.l2s[tile].registers.Add(m) }
+func (m *dvnWB) Dispatch(s *System, tile int)         { s.l2s[tile].wbs.Add(m) }
 func (m *dvnRecallResp) Dispatch(s *System, tile int) { s.l2s[tile].handleRecallResp(m) }
-func (m *dvnL2Fill) Dispatch(s *System, tile int)     { s.l2s[tile].handleL2Fill(m) }
+func (m *dvnL2Fill) Dispatch(s *System, tile int)     { s.l2s[tile].fills.Add(m) }
 func (m *dvnBloomReq) Dispatch(s *System, tile int)   { s.l2s[tile].handleBloomReq(m) }
 func (m *dvnMemRead) Dispatch(s *System, tile int)    { s.handleMemRead(tile, m) }
 func (m *msgMemWBPartial) Dispatch(s *System, tile int) {

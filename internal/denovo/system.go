@@ -25,6 +25,7 @@ package denovo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
@@ -97,6 +98,8 @@ type System struct {
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
+
+	memOpFree *memOp
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -121,7 +124,7 @@ func (s *System) Name() string { return s.opt.Name }
 
 // Load implements memsys.Protocol.
 func (s *System) Load(core int, addr uint32, done func(uint32, memsys.Sample)) {
-	s.l1s[core].load(addr, done)
+	s.l1s[core].loads.Add(coher.Load{Addr: addr, Done: done})
 }
 
 // Store implements memsys.Protocol. DeNovo stores are write-validate:
@@ -176,72 +179,125 @@ func (s *System) rowOf(line uint32) uint32 {
 	return (line << memsys.LineShift) / s.Env.Cfg.DRAM.RowBytes
 }
 
+// memOp is one access at a memory controller: the MCLatency wait, then
+// one DRAM burst per line. Records are free-listed on the System and
+// scheduled with Kernel.AtArg; the last burst-completion callback is the
+// record's last reader and recycles it.
+type memOp struct {
+	s         *System
+	tile      int
+	rd        *dvnMemRead      // the fetch being served; nil for a writeback
+	wb        *msgMemWBPartial // the writeback being committed; nil for a fetch
+	tAtMC     int64
+	lines     []uint32       // lines to read; backing reused across fetches
+	reqs      []dram.Request // one per line; never resized while submitted
+	remaining int            // bursts still outstanding
+	finish    int64          // latest burst completion so far
+	done      func(int64)    // op.burstDone, bound once per record
+	next      *memOp
+}
+
+func (s *System) newMemOp(tile int) *memOp {
+	op := s.memOpFree
+	if op == nil {
+		op = &memOp{s: s}
+		op.done = op.burstDone
+	} else {
+		s.memOpFree = op.next
+	}
+	op.tile, op.tAtMC, op.finish = tile, s.Env.K.Now(), 0
+	return op
+}
+
 // handleMemRead services a fetch at an MC tile. It may read several lines
 // from DRAM (Flex prefetch within one row), filters dirty on-chip words,
 // applies the Flex communication region (dropping unsent words as Excess),
 // and responds to the L1 and/or the home L2.
 func (s *System) handleMemRead(tile int, m *dvnMemRead) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.critLine)]
-	tAtMC := env.K.Now()
-
+	op := s.newMemOp(tile)
+	op.rd = m
 	// Decide which lines to fetch: always the critical line; with Flex at
 	// the MC, also other lines holding wanted words if they share the
 	// critical line's DRAM row (row activation is expensive, §3.1).
-	lines := []uint32{m.critLine}
+	op.lines = append(op.lines[:0], m.critLine)
 	if m.flex {
 		critRow := s.rowOf(m.critLine)
-		seen := map[uint32]bool{m.critLine: true}
 		for _, w := range m.wants {
 			ln := memsys.LineOf(w)
-			if !seen[ln] && s.rowOf(ln) == critRow {
-				seen[ln] = true
-				lines = append(lines, ln)
+			if !coher.ContainsU32(op.lines, ln) && s.rowOf(ln) == critRow {
+				op.lines = append(op.lines, ln)
 			}
 		}
 	}
-	// Deny wanted words on lines we will not fetch.
-	var denied []uint32
-	fetched := map[uint32]bool{}
-	for _, ln := range lines {
-		fetched[ln] = true
-	}
-	for _, w := range m.wants {
-		if !fetched[memsys.LineOf(w)] {
-			denied = append(denied, w)
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
+}
+
+// handleMemWB commits dirty words to DRAM.
+func (s *System) handleMemWB(tile int, m *msgMemWBPartial) {
+	op := s.newMemOp(tile)
+	op.wb = m
+	op.lines = append(op.lines[:0], m.line)
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
+}
+
+// runMemOp presents an access's bursts to the channel once the MC latency
+// elapsed; a writeback's values reach the backing store at that point.
+func runMemOp(a any) {
+	op := a.(*memOp)
+	env := op.s.Env
+	write := op.wb != nil
+	if write {
+		for w := 0; w < lineWords; w++ {
+			if op.wb.mask&(1<<w) != 0 {
+				env.MemWrite(memsys.AddrOf(op.wb.line, w), op.wb.vals[w])
+			}
 		}
 	}
+	ch := env.Chans[env.Cfg.Channel(op.lines[0])] // the critical line's channel
 
-	wantSet := map[uint32]bool{}
-	for _, w := range m.wants {
-		wantSet[w] = true
+	op.reqs = slices.Grow(op.reqs[:0], len(op.lines))[:len(op.lines)]
+	op.remaining = len(op.lines)
+	for i, ln := range op.lines {
+		op.reqs[i] = dram.Request{Addr: ln << memsys.LineShift, Write: write, Done: op.done}
+		ch.Submit(&op.reqs[i])
 	}
+}
 
-	env.K.After(env.Cfg.MCLatency, func() {
-		remaining := len(lines)
-		var finish int64
-		for _, ln := range lines {
-			ln := ln
-			ch.Submit(&dram.Request{Addr: ln << memsys.LineShift, Done: func(f int64) {
-				if f > finish {
-					finish = f
-				}
-				remaining--
-				if remaining == 0 {
-					s.memReadDone(tile, m, lines, wantSet, denied, tAtMC, finish)
-				}
-			}})
-		}
-	})
+// burstDone counts a completed burst; after the last one it answers a
+// fetch, then recycles the record.
+func (op *memOp) burstDone(f int64) {
+	if f > op.finish {
+		op.finish = f
+	}
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	s := op.s
+	if op.rd != nil {
+		s.memReadDone(op)
+	}
+	op.rd, op.wb = nil, nil
+	op.next = s.memOpFree
+	s.memOpFree = op
 }
 
 // memReadDone assembles and sends the responses once DRAM delivers.
-func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet map[uint32]bool, denied []uint32, tAtMC, tDram int64) {
+func (s *System) memReadDone(op *memOp) {
 	env := s.Env
-	var words []uint32
-	var vals []uint32
+	tile, m, lines := op.tile, op.rd, op.lines
+	tAtMC, tDram := op.tAtMC, op.finish
+	// Words for the requestor travel in the response message; size their
+	// arrays once for every wanted word.
+	var words, vals []uint32
 	var minsts []uint64
-	var fillOrder []*dvnL2Fill
+	if m.direct {
+		words = make([]uint32, 0, len(m.wants))
+		vals = make([]uint32, 0, len(m.wants))
+		minsts = make([]uint64, 0, len(m.wants))
+	}
+	var fillBuf [4]*dvnL2Fill
+	fillOrder := fillBuf[:0]
 
 	for _, ln := range lines {
 		var fill *dvnL2Fill
@@ -254,8 +310,9 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
 				continue // dirty on-chip: memory's copy is stale
 			}
-			sendL1 := wantSet[a] && m.direct
-			sendL2 := fill != nil && (!m.flex || wantSet[a])
+			wanted := coher.ContainsU32(m.wants, a)
+			sendL1 := wanted && m.direct
+			sendL2 := fill != nil && (!m.flex || wanted)
 			if !sendL1 && !sendL2 {
 				if m.flex {
 					env.Prof.MemExcess(a) // fetched from DRAM, dropped here
@@ -282,6 +339,13 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 			key: m.key, words: words, vals: vals, minsts: minsts,
 			fromMem: true, tAtMC: tAtMC, tDram: tDram, hops: hops,
 		})
+		// Deny wanted words on lines that were not fetched.
+		var denied []uint32
+		for _, w := range m.wants {
+			if !coher.ContainsU32(lines, memsys.LineOf(w)) {
+				denied = append(denied, w)
+			}
+		}
 		if len(denied) > 0 {
 			env.Traffic.Ctl(m.class, memsys.BRespCtl, 1, hops)
 			s.Send(tile, m.requestor, 1, &dvnDeny{key: m.key, words: denied})
@@ -294,20 +358,6 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 		fill.hops = hops
 		s.SendData(tile, m.home, coher.Popcount16(fill.mask), fill)
 	}
-}
-
-// handleMemWB commits dirty words to DRAM.
-func (s *System) handleMemWB(tile int, m *msgMemWBPartial) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	env.K.After(env.Cfg.MCLatency, func() {
-		for w := 0; w < lineWords; w++ {
-			if m.mask&(1<<w) != 0 {
-				env.MemWrite(memsys.AddrOf(m.line, w), m.vals[w])
-			}
-		}
-		ch.Submit(&dram.Request{Addr: m.line << memsys.LineShift, Write: true})
-	})
 }
 
 // CheckInvariants verifies protocol sanity at quiescence: every word

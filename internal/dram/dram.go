@@ -30,12 +30,16 @@ func DefaultConfig() Config {
 }
 
 // Request is one line-granularity access presented to the controller.
+// The submitter owns the record: the channel holds it from Submit until
+// just before Done runs and never touches it afterwards, so Done may
+// recycle it.
 type Request struct {
 	Addr  uint32 // byte address (line-aligned by convention)
 	Write bool
 	Done  func(finish int64) // invoked when the burst completes
 
 	arrive int64
+	ch     *Channel // set by Submit; the burst-completion event's owner
 }
 
 type bank struct {
@@ -58,6 +62,7 @@ type Channel struct {
 	wakeAt       int64 // cycle of the armed wakeup; 0 = none armed
 	rowShift     uint  // log2(RowBytes)
 	bankMask     uint32
+	bankBits     uint // log2(Banks)
 	schedPending bool
 
 	// Stats.
@@ -82,6 +87,7 @@ func NewChannel(k *sim.Kernel, cfg Config) *Channel {
 	return &Channel{
 		cfg: cfg, k: k, banks: make([]bank, cfg.Banks),
 		rowShift: shift, bankMask: uint32(cfg.Banks - 1),
+		bankBits: uintTrailing(uint32(cfg.Banks - 1)),
 	}
 }
 
@@ -93,14 +99,45 @@ func (c *Channel) QueueLen() int { return len(c.queue) }
 // that all same-cycle arrivals compete in one FR-FCFS pick.
 func (c *Channel) Submit(r *Request) {
 	r.arrive = c.k.Now()
+	r.ch = c
 	c.queue = append(c.queue, r)
 	if !c.schedPending {
 		c.schedPending = true
-		c.k.After(0, func() {
-			c.schedPending = false
-			c.schedule()
-		})
+		c.k.AtArg(c.k.Now(), runPendingSchedule, c)
 	}
+}
+
+// The channel's events are package-level functions scheduled with
+// Kernel.AtArg on the channel or the request itself, so the controller
+// builds no closure per request.
+
+// runPendingSchedule makes the end-of-cycle FR-FCFS pick Submit deferred.
+func runPendingSchedule(a any) {
+	c := a.(*Channel)
+	c.schedPending = false
+	c.schedule()
+}
+
+// runWakeup fires the wakeup armed for the earliest bank-free time. A
+// wakeup is always armed in the future, so it fires at exactly the cycle
+// wakeAt recorded, unless a later arm moved wakeAt.
+func runWakeup(a any) {
+	c := a.(*Channel)
+	if c.wakeAt == c.k.Now() {
+		c.wakeAt = 0
+	}
+	c.schedule()
+}
+
+// runBurstDone completes a request's burst (always armed in the future, so
+// it fires at the finish cycle) and lets blocked requests issue.
+func runBurstDone(a any) {
+	r := a.(*Request)
+	c, done := r.ch, r.Done
+	if done != nil {
+		done(c.k.Now()) // may recycle r
+	}
+	c.schedule()
 }
 
 // bankRow maps an address to (bank index, row id). Consecutive rows stripe
@@ -108,7 +145,7 @@ func (c *Channel) Submit(r *Request) {
 // within one row share an open page.
 func (c *Channel) bankRow(addr uint32) (int, uint32) {
 	rowID := addr >> c.rowShift
-	return int(rowID & c.bankMask), rowID >> uintTrailing(c.bankMask)
+	return int(rowID & c.bankMask), rowID >> c.bankBits
 }
 
 // uintTrailing returns log2(mask+1) for an all-ones mask.
@@ -176,12 +213,7 @@ func (c *Channel) schedule() {
 		return // an earlier (or equal) wakeup is already armed
 	}
 	c.wakeAt = earliest
-	c.k.At(earliest, func() {
-		if c.wakeAt == earliest {
-			c.wakeAt = 0
-		}
-		c.schedule()
-	})
+	c.k.AtArg(earliest, runWakeup, c)
 }
 
 func (c *Channel) issue(r *Request, now int64) {
@@ -215,11 +247,5 @@ func (c *Channel) issue(r *Request, now int64) {
 		c.Reads++
 		c.BytesRead += 64
 	}
-	done := r.Done
-	c.k.At(finish, func() {
-		if done != nil {
-			done(finish)
-		}
-		c.schedule()
-	})
+	c.k.AtArg(finish, runBurstDone, r)
 }

@@ -15,9 +15,9 @@ func TestCornerTiles(t *testing.T) {
 		{8, 8, []int{0, 7, 56, 63}},
 		{16, 16, []int{0, 15, 240, 255}},
 		{2, 8, []int{0, 1, 14, 15}},
-		{1, 4, []int{0, 3}},  // 1-wide: left and right corners coincide
-		{4, 1, []int{0, 3}},  // 1-tall: top and bottom coincide
-		{1, 1, []int{0}},     // degenerate, rejected elsewhere
+		{1, 4, []int{0, 3}}, // 1-wide: left and right corners coincide
+		{4, 1, []int{0, 3}}, // 1-tall: top and bottom coincide
+		{1, 1, []int{0}},    // degenerate, rejected elsewhere
 	}
 	for _, c := range cases {
 		if got := CornerTiles(c.w, c.h); !reflect.DeepEqual(got, c.want) {

@@ -19,13 +19,13 @@ import (
 // corpus under testdata/fuzz seeds the edge geometries (1-wide grids,
 // hotspot schedules, single-packet runs).
 func FuzzDeflectionPermutation(f *testing.F) {
-	f.Add(uint64(1), 0, 4, 4, 32)   // paper mesh, mixed traffic
-	f.Add(uint64(7), 1, 4, 4, 48)   // ring under load
-	f.Add(uint64(9), 2, 4, 4, 48)   // torus wrap contention
-	f.Add(uint64(3), 0, 1, 6, 16)   // degenerate 1-wide mesh (single axis)
-	f.Add(uint64(11), 2, 1, 7, 24)  // degenerate 1-wide torus
-	f.Add(uint64(42), 0, 6, 6, 64)  // bigger grid, heavier schedule
-	f.Add(uint64(5), 1, 16, 1, 1)   // long ring, lone packet
+	f.Add(uint64(1), 0, 4, 4, 32)  // paper mesh, mixed traffic
+	f.Add(uint64(7), 1, 4, 4, 48)  // ring under load
+	f.Add(uint64(9), 2, 4, 4, 48)  // torus wrap contention
+	f.Add(uint64(3), 0, 1, 6, 16)  // degenerate 1-wide mesh (single axis)
+	f.Add(uint64(11), 2, 1, 7, 24) // degenerate 1-wide torus
+	f.Add(uint64(42), 0, 6, 6, 64) // bigger grid, heavier schedule
+	f.Add(uint64(5), 1, 16, 1, 1)  // long ring, lone packet
 	f.Fuzz(func(t *testing.T, seed uint64, kindIdx, w, h, npkts int) {
 		kinds := TopologyKinds()
 		kind := kinds[((kindIdx%len(kinds))+len(kinds))%len(kinds)]

@@ -167,7 +167,7 @@ type vcRouter struct {
 	m        *Mesh
 	vcs      int
 	depth    int
-	eject    int // pseudo output port index = topo.Ports()
+	eject    int  // pseudo output port index = topo.Ports()
 	wide     bool // candidate ids exceed 64 bits; use the linear scan
 	nodes    []vcNode
 	inFlight int

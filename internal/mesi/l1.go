@@ -27,6 +27,7 @@ type mshr struct {
 	tIssue  int64
 
 	loadWaiters []loadWaiter
+	waitBuf     [1]loadWaiter // loadWaiters' backing: loads block, so one waiter is the norm
 
 	dataArrived bool
 	needAcks    int
@@ -58,6 +59,7 @@ type l1Cache struct {
 	tile int
 	c    *cache.Cache
 
+	loads coher.Deferred[coher.Load] // core loads waiting out the hit latency
 	mshrs coher.Table[mshr]
 	wbBuf coher.Table[wbEntry]
 
@@ -69,7 +71,7 @@ type l1Cache struct {
 
 func newL1(s *System, tile int) *l1Cache {
 	cfg := s.Env.Cfg
-	return &l1Cache{
+	l := &l1Cache{
 		sys:   s,
 		tile:  tile,
 		c:     cache.New(cfg.L1Bytes, cfg.L1Assoc, memsys.LineBytes),
@@ -77,17 +79,15 @@ func newL1(s *System, tile int) *l1Cache {
 		wbBuf: coher.NewTable[wbEntry](),
 		sb:    coher.NewStoreBuffer(cfg.StoreBufferEntries),
 	}
+	l.loads = coher.NewDeferred(s.Env.K, cfg.L1Latency, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, s.Env.K.Now(), ld.Done)
+	})
+	return l
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
 
 // --- core-facing operations ---
-
-// load begins a blocking load. done fires when the value is available.
-func (l *l1Cache) load(addr uint32, done func(uint32, memsys.Sample)) {
-	env := l.env()
-	env.K.After(env.Cfg.L1Latency, func() { l.loadAttempt(addr, env.K.Now(), done) })
-}
 
 func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsys.Sample)) {
 	env := l.env()
@@ -115,7 +115,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		return
 	}
 	m := &mshr{line: line, tIssue: tIssue}
-	m.loadWaiters = append(m.loadWaiters, loadWaiter{w, done})
+	m.loadWaiters = append(m.waitBuf[:0], loadWaiter{w, done})
 	l.mshrs.Put(line, m)
 	l.sendGetS(m)
 }
@@ -138,14 +138,15 @@ func (l *l1Cache) storePush(addr, val uint32) bool {
 // concurrency bound.
 func (l *l1Cache) pumpStores() {
 	env := l.env()
-	seen := map[uint32]bool{}
+	var seenBuf [32]uint32 // the default store buffer's size
+	seen := seenBuf[:0]    // lines already visited
 	entries := l.sb.Entries()
 	for i := 0; i < len(entries); i++ {
 		line := memsys.LineOf(entries[i].Addr)
-		if seen[line] {
+		if coher.ContainsU32(seen, line) {
 			continue
 		}
-		seen[line] = true
+		seen = append(seen, line)
 		if l.mshrs.Has(line) {
 			continue // a transaction for this line is already in flight
 		}
@@ -156,7 +157,7 @@ func (l *l1Cache) pumpStores() {
 			l.applyStores(ln)
 			i = -1 // sb mutated; restart scan
 			entries = l.sb.Entries()
-			seen = map[uint32]bool{}
+			seen = seen[:0]
 			continue
 		}
 		if l.storeTxns >= maxStoreTxns {

@@ -40,7 +40,15 @@ type dirEntry struct {
 	owner   int8 // owning L1 tile (E or M), -1 if none
 	sharers uint16
 	hasData bool // L2 data array holds valid data (false for MMemL1 store fills)
-	busy    *txn
+	busy    *txn // the transaction in flight (points at txn), nil if none
+	txn     txn
+}
+
+// begin starts a transaction on the entry. The directory is blocking, so
+// an entry has at most one in flight and its record lives in the entry.
+func (e *dirEntry) begin(t txn) {
+	e.txn = t
+	e.busy = &e.txn
 }
 
 type l2Slice struct {
@@ -48,16 +56,31 @@ type l2Slice struct {
 	tile int
 	c    *cache.Cache
 	dir  map[uint32]*dirEntry
+
+	// Arriving requests, memory data and puts wait out the L2 access
+	// latency here before their handler runs.
+	getS    coher.Deferred[*msgGetS]
+	getX    coher.Deferred[*msgGetX]
+	upgrade coher.Deferred[*msgUpgrade]
+	memData coher.Deferred[*msgMemData]
+	put     coher.Deferred[*msgPut]
 }
 
 func newL2(s *System, tile int) *l2Slice {
 	cfg := s.Env.Cfg
-	return &l2Slice{
+	sl := &l2Slice{
 		sys:  s,
 		tile: tile,
 		c:    cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
 		dir:  make(map[uint32]*dirEntry),
 	}
+	k, lat := s.Env.K, cfg.L2Latency
+	sl.getS = coher.NewDeferred(k, lat, sl.handleGetS)
+	sl.getX = coher.NewDeferred(k, lat, sl.handleGetX)
+	sl.upgrade = coher.NewDeferred(k, lat, sl.handleUpgrade)
+	sl.memData = coher.NewDeferred(k, lat, sl.handleMemData)
+	sl.put = coher.NewDeferred(k, lat, sl.handlePut)
+	return sl
 }
 
 func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
@@ -79,94 +102,85 @@ func (sl *l2Slice) nack(line uint32, to int, isStore, isPut bool) {
 // --- request handlers ---
 
 func (sl *l2Slice) handleGetS(m *msgGetS) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		e := sl.dir[m.line]
-		if e != nil && e.busy != nil {
-			sl.nack(m.line, m.from, false, false)
-			return
+	e := sl.dir[m.line]
+	if e != nil && e.busy != nil {
+		sl.nack(m.line, m.from, false, false)
+		return
+	}
+	ln := sl.c.Lookup(m.line)
+	switch {
+	case ln == nil:
+		sl.startFetch(m.line, m.from, memsys.ClassLD, stE, false)
+	case e.owner >= 0:
+		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassLD,
+			needUnblock: true, needDowngrade: true})
+		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, int(e.owner),
+			&msgFwd{line: m.line, requestor: m.from})
+	default:
+		grant := stS
+		if e.sharers == 0 {
+			grant = stE
+			e.owner = int8(m.from)
+		} else {
+			e.sharers |= 1 << m.from
 		}
-		ln := sl.c.Lookup(m.line)
-		switch {
-		case ln == nil:
-			sl.startFetch(m.line, m.from, memsys.ClassLD, stE, false)
-		case e.owner >= 0:
-			e.busy = &txn{kind: txFwd, requestor: m.from, class: memsys.ClassLD,
-				needUnblock: true, needDowngrade: true}
-			sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, int(e.owner),
-				&msgFwd{line: m.line, requestor: m.from})
-		default:
-			grant := stS
-			if e.sharers == 0 {
-				grant = stE
-				e.owner = int8(m.from)
-			} else {
-				e.sharers |= 1 << m.from
-			}
-			sl.serveFromL2(ln, e, m.from, memsys.ClassLD, grant, 0)
-		}
-	})
+		sl.serveFromL2(ln, e, m.from, memsys.ClassLD, grant, 0)
+	}
 }
 
 func (sl *l2Slice) handleGetX(m *msgGetX) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		e := sl.dir[m.line]
-		if e != nil && e.busy != nil {
-			sl.nack(m.line, m.from, true, false)
-			return
-		}
-		ln := sl.c.Lookup(m.line)
-		switch {
-		case ln == nil:
-			sl.startFetch(m.line, m.from, memsys.ClassST, stM, true)
-		case e.owner >= 0:
-			e.busy = &txn{kind: txFwd, requestor: m.from, class: memsys.ClassST,
-				isStore: true, needUnblock: true}
-			sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner),
-				&msgFwd{line: m.line, requestor: m.from, excl: true})
-			e.owner = int8(m.from)
-		default:
-			others := e.sharers &^ (1 << m.from)
-			acks := coher.Popcount16(others)
-			sl.sendInvs(m.line, others, m.from, false)
-			e.sharers = 0
-			e.owner = int8(m.from)
-			sl.serveFromL2(ln, e, m.from, memsys.ClassST, stM, acks)
-		}
-	})
-}
-
-func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		e := sl.dir[m.line]
-		if e == nil || e.busy != nil || e.owner >= 0 || e.sharers&(1<<m.from) == 0 {
-			// Raced with an invalidation (or the line left the L2): the
-			// requestor will convert to a full GetX.
-			sl.nack(m.line, m.from, true, false)
-			return
-		}
+	e := sl.dir[m.line]
+	if e != nil && e.busy != nil {
+		sl.nack(m.line, m.from, true, false)
+		return
+	}
+	ln := sl.c.Lookup(m.line)
+	switch {
+	case ln == nil:
+		sl.startFetch(m.line, m.from, memsys.ClassST, stM, true)
+	case e.owner >= 0:
+		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassST,
+			isStore: true, needUnblock: true})
+		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner),
+			&msgFwd{line: m.line, requestor: m.from, excl: true})
+		e.owner = int8(m.from)
+	default:
 		others := e.sharers &^ (1 << m.from)
 		acks := coher.Popcount16(others)
 		sl.sendInvs(m.line, others, m.from, false)
 		e.sharers = 0
 		e.owner = int8(m.from)
-		e.busy = &txn{kind: txHit, requestor: m.from, class: memsys.ClassST,
-			isStore: true, needUnblock: true}
-		sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
-			&msgUpgAck{line: m.line, acks: acks})
-		if ln := sl.c.Lookup(m.line); ln != nil {
-			sl.c.Touch(ln)
-		}
-	})
+		sl.serveFromL2(ln, e, m.from, memsys.ClassST, stM, acks)
+	}
+}
+
+func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
+	e := sl.dir[m.line]
+	if e == nil || e.busy != nil || e.owner >= 0 || e.sharers&(1<<m.from) == 0 {
+		// Raced with an invalidation (or the line left the L2): the
+		// requestor will convert to a full GetX.
+		sl.nack(m.line, m.from, true, false)
+		return
+	}
+	others := e.sharers &^ (1 << m.from)
+	acks := coher.Popcount16(others)
+	sl.sendInvs(m.line, others, m.from, false)
+	e.sharers = 0
+	e.owner = int8(m.from)
+	e.begin(txn{kind: txHit, requestor: m.from, class: memsys.ClassST,
+		isStore: true, needUnblock: true})
+	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
+		&msgUpgAck{line: m.line, acks: acks})
+	if ln := sl.c.Lookup(m.line); ln != nil {
+		sl.c.Touch(ln)
+	}
 }
 
 // serveFromL2 answers a request from the L2 data array: this is genuine L2
 // reuse, so the served words classify as Used at the L2 (Figure 4.2).
 func (sl *l2Slice) serveFromL2(ln *cache.Line, e *dirEntry, to int, class memsys.Class, grant uint8, acks int) {
 	env := sl.env()
-	e.busy = &txn{kind: txHit, requestor: to, class: class, needUnblock: true}
+	e.begin(txn{kind: txHit, requestor: to, class: class, needUnblock: true})
 	var data [lineWords]uint32
 	var minst [lineWords]uint64
 	for w := 0; w < lineWords; w++ {
@@ -198,8 +212,8 @@ func (sl *l2Slice) sendInvs(line uint32, sharers uint16, ackTo int, toL2 bool) {
 func (sl *l2Slice) startFetch(line uint32, requestor int, class memsys.Class, grant uint8, isStore bool) {
 	env := sl.env()
 	e := sl.entry(line)
-	e.busy = &txn{kind: txFetch, requestor: requestor, class: class, grant: grant,
-		isStore: isStore, needUnblock: true, tIssue: env.K.Now()}
+	e.begin(txn{kind: txFetch, requestor: requestor, class: class, grant: grant,
+		isStore: isStore, needUnblock: true, tIssue: env.K.Now()})
 	sl.ensureWay(line, func() {
 		mc := env.Cfg.MCTile(line)
 		sl.sys.SendCtl(class, memsys.BReqCtl, sl.tile, mc, &msgMemRead{
@@ -233,7 +247,7 @@ func (sl *l2Slice) ensureWay(line uint32, cont func()) {
 func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
 	line := ln.Tag
 	e := sl.entry(line)
-	e.busy = &txn{kind: txEvict, cont: cont}
+	e.begin(txn{kind: txEvict, cont: cont})
 	switch {
 	case e.owner >= 0:
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, int(e.owner),
@@ -303,36 +317,34 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 // usefulness is decided by later reuse, so no Used marking happens here.
 func (sl *l2Slice) handleMemData(m *msgMemData) {
 	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		e := sl.dir[m.line]
-		if e == nil || e.busy == nil || e.busy.kind != txFetch {
-			panic(fmt.Sprintf("mesi: memory data without fetch txn for line %#x", m.line))
+	e := sl.dir[m.line]
+	if e == nil || e.busy == nil || e.busy.kind != txFetch {
+		panic(fmt.Sprintf("mesi: memory data without fetch txn for line %#x", m.line))
+	}
+	sl.ensureWay(m.line, func() {
+		ln := sl.c.Allocate(m.line)
+		insts := make([]uint64, lineWords)
+		for w := 0; w < lineWords; w++ {
+			a := memsys.AddrOf(m.line, w)
+			ln.Data[w] = m.data[w]
+			ln.MInst[w] = m.minst[w]
+			id := env.Prof.L2Arrival(a, false)
+			ln.Inst[w] = id
+			insts[w] = id
+			env.Prof.MemAddRef(m.minst[w])
 		}
-		sl.ensureWay(m.line, func() {
-			ln := sl.c.Allocate(m.line)
-			insts := make([]uint64, lineWords)
-			for w := 0; w < lineWords; w++ {
-				a := memsys.AddrOf(m.line, w)
-				ln.Data[w] = m.data[w]
-				ln.MInst[w] = m.minst[w]
-				id := env.Prof.L2Arrival(a, false)
-				ln.Inst[w] = id
-				insts[w] = id
-				env.Prof.MemAddRef(m.minst[w])
-			}
-			env.Traffic.Data(m.class, m.hops, insts)
-			e.hasData = true
-			if m.grant == stE || m.grant == stM {
-				e.owner = int8(m.req)
-			} else {
-				e.sharers |= 1 << m.req
-			}
-			hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
-			sl.sys.SendData(sl.tile, m.req, lineWords, &msgData{
-				line: m.line, state: m.grant, data: m.data, minst: m.minst,
-				fromMem: true, tIssue: m.tIssue, tAtMC: m.tAtMC, tDram: m.tDram,
-				hops: hops, class: m.class,
-			})
+		env.Traffic.Data(m.class, m.hops, insts)
+		e.hasData = true
+		if m.grant == stE || m.grant == stM {
+			e.owner = int8(m.req)
+		} else {
+			e.sharers |= 1 << m.req
+		}
+		hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
+		sl.sys.SendData(sl.tile, m.req, lineWords, &msgData{
+			line: m.line, state: m.grant, data: m.data, minst: m.minst,
+			fromMem: true, tIssue: m.tIssue, tAtMC: m.tAtMC, tDram: m.tDram,
+			hops: hops, class: m.class,
 		})
 	})
 }
@@ -430,43 +442,40 @@ func (sl *l2Slice) mergeDirty(ln *cache.Line, data [lineWords]uint32, wmask uint
 
 // handlePut processes writebacks and clean replacement notices.
 func (sl *l2Slice) handlePut(m *msgPut) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		e := sl.dir[m.line]
-		busy := e != nil && e.busy != nil
-		fromOwner := e != nil && e.owner >= 0 && int(e.owner) == m.from
-		// A put can also race with the sender's own in-flight fill: under
-		// MMemL1 the directory records ownership only when the unblock is
-		// processed, and ensureWay can defer that past the put's arrival
-		// (the L1 already has the data straight from the MC, so it may have
-		// evicted the line again by then). Acking such a put would destroy
-		// the victim buffer and leave a stale owner behind, so the pending
-		// requestor is treated exactly like the registered owner.
-		fromPending := busy && e.busy.kind != txEvict && e.busy.requestor == m.from
-		if busy && (fromOwner || fromPending) {
-			// A forward may be racing to this L1; it must keep its victim
-			// buffer alive and retry.
-			sl.nack(m.line, m.from, false, true)
-			return
-		}
-		if e != nil && !busy {
-			ln := sl.c.Lookup(m.line)
-			switch {
-			case m.dirty && fromOwner:
-				sl.mergeDirty(ln, m.data, m.wmask)
-				e.hasData = true
-				e.owner = -1
-			case !m.dirty && fromOwner:
-				e.owner = -1 // clean E replacement; L2 data stays valid
-			default:
-				e.sharers &^= 1 << m.from
-			}
-		} else if e != nil {
-			// Busy, but from a mere sharer: safe to drop the sharer now.
+	e := sl.dir[m.line]
+	busy := e != nil && e.busy != nil
+	fromOwner := e != nil && e.owner >= 0 && int(e.owner) == m.from
+	// A put can also race with the sender's own in-flight fill: under
+	// MMemL1 the directory records ownership only when the unblock is
+	// processed, and ensureWay can defer that past the put's arrival
+	// (the L1 already has the data straight from the MC, so it may have
+	// evicted the line again by then). Acking such a put would destroy
+	// the victim buffer and leave a stale owner behind, so the pending
+	// requestor is treated exactly like the registered owner.
+	fromPending := busy && e.busy.kind != txEvict && e.busy.requestor == m.from
+	if busy && (fromOwner || fromPending) {
+		// A forward may be racing to this L1; it must keep its victim
+		// buffer alive and retry.
+		sl.nack(m.line, m.from, false, true)
+		return
+	}
+	if e != nil && !busy {
+		ln := sl.c.Lookup(m.line)
+		switch {
+		case m.dirty && fromOwner:
+			sl.mergeDirty(ln, m.data, m.wmask)
+			e.hasData = true
+			e.owner = -1
+		case !m.dirty && fromOwner:
+			e.owner = -1 // clean E replacement; L2 data stays valid
+		default:
 			e.sharers &^= 1 << m.from
 		}
-		// Stale puts (line already evicted/transferred) are acked and
-		// ignored.
-		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, &msgWBAck{line: m.line})
-	})
+	} else if e != nil {
+		// Busy, but from a mere sharer: safe to drop the sharer now.
+		e.sharers &^= 1 << m.from
+	}
+	// Stale puts (line already evicted/transferred) are acked and
+	// ignored.
+	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, &msgWBAck{line: m.line})
 }

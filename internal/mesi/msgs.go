@@ -173,7 +173,9 @@ type msgMemWB struct {
 // --- dispatch (coher.Msg) ---
 //
 // Each message routes itself to the right component of the destination
-// tile; the coher substrate invokes Dispatch on delivery.
+// tile; the coher substrate invokes Dispatch on delivery. Requests, puts
+// and memory data enter their slice's Deferred queue, which runs the
+// handler after the L2 access latency.
 
 func (m *msgData) Dispatch(s *System, tile int)        { s.l1s[tile].handleData(m) }
 func (m *msgUpgAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleUpgAck(m) }
@@ -183,14 +185,14 @@ func (m *msgInvAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleInvAc
 func (m *msgFwd) Dispatch(s *System, tile int)         { s.l1s[tile].handleFwd(m) }
 func (m *msgRecall) Dispatch(s *System, tile int)      { s.l1s[tile].handleRecall(m) }
 func (m *msgWBAck) Dispatch(s *System, tile int)       { s.l1s[tile].handleWBAck(m) }
-func (m *msgGetS) Dispatch(s *System, tile int)        { s.l2s[tile].handleGetS(m) }
-func (m *msgGetX) Dispatch(s *System, tile int)        { s.l2s[tile].handleGetX(m) }
-func (m *msgUpgrade) Dispatch(s *System, tile int)     { s.l2s[tile].handleUpgrade(m) }
-func (m *msgPut) Dispatch(s *System, tile int)         { s.l2s[tile].handlePut(m) }
+func (m *msgGetS) Dispatch(s *System, tile int)        { s.l2s[tile].getS.Add(m) }
+func (m *msgGetX) Dispatch(s *System, tile int)        { s.l2s[tile].getX.Add(m) }
+func (m *msgUpgrade) Dispatch(s *System, tile int)     { s.l2s[tile].upgrade.Add(m) }
+func (m *msgPut) Dispatch(s *System, tile int)         { s.l2s[tile].put.Add(m) }
 func (m *msgUnblock) Dispatch(s *System, tile int)     { s.l2s[tile].handleUnblock(m) }
 func (m *msgRecallResp) Dispatch(s *System, tile int)  { s.l2s[tile].handleRecallResp(m) }
 func (m *msgDowngradeWB) Dispatch(s *System, tile int) { s.l2s[tile].handleDowngradeWB(m) }
-func (m *msgMemData) Dispatch(s *System, tile int)     { s.l2s[tile].handleMemData(m) }
+func (m *msgMemData) Dispatch(s *System, tile int)     { s.l2s[tile].memData.Add(m) }
 func (m *msgMemRead) Dispatch(s *System, tile int)     { s.handleMemRead(tile, m) }
 func (m *msgMemWB) Dispatch(s *System, tile int)       { s.handleMemWB(tile, m) }
 

@@ -50,6 +50,8 @@ type System struct {
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
+
+	memOpFree *memOp
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -79,7 +81,7 @@ func (s *System) Name() string {
 
 // Load implements memsys.Protocol.
 func (s *System) Load(core int, addr uint32, done func(uint32, memsys.Sample)) {
-	s.l1s[core].load(addr, done)
+	s.l1s[core].loads.Add(coher.Load{Addr: addr, Done: done})
 }
 
 // Store implements memsys.Protocol.
@@ -158,58 +160,107 @@ func (s *System) l2HasWord(addr uint32) bool {
 
 // --- memory controller ---
 
+// memOp is one line access at a memory controller: the MCLatency wait,
+// then the DRAM burst. Records are free-listed on the System and scheduled
+// with Kernel.AtArg; the burst-completion callback is the record's last
+// reader and recycles it.
+type memOp struct {
+	s     *System
+	tile  int
+	rd    *msgMemRead // the read being served; nil for a writeback
+	wb    *msgMemWB   // the writeback being committed; nil for a read
+	tAtMC int64
+	req   dram.Request
+	done  func(int64) // op.burstDone, bound once per record
+	next  *memOp
+}
+
+func (s *System) newMemOp(tile int) *memOp {
+	op := s.memOpFree
+	if op == nil {
+		op = &memOp{s: s}
+		op.done = op.burstDone
+	} else {
+		s.memOpFree = op.next
+	}
+	op.tile, op.tAtMC = tile, s.Env.K.Now()
+	return op
+}
+
 // handleMemRead services a line read at an MC tile: DRAM timing via the
 // channel model, values from the backing store, fresh memory-level waste
 // instances for every word shipped.
 func (s *System) handleMemRead(tile int, m *msgMemRead) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	tAtMC := env.K.Now()
-	env.K.After(env.Cfg.MCLatency, func() {
-		ch.Submit(dramReq(m.line, false, func(finish int64) {
-			var data [lineWords]uint32
-			var minst [lineWords]uint64
-			for w := 0; w < lineWords; w++ {
-				a := memsys.AddrOf(m.line, w)
-				data[w] = env.MemRead(a)
-				minst[w] = env.Prof.MemFetch(a, s.l2HasWord(a))
-			}
-			if m.direct {
-				// MMemL1: straight to the requesting L1.
-				hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-				s.SendData(tile, m.requestor, lineWords, &msgData{
-					line: m.line, state: m.grant, data: data, minst: minst,
-					fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
-					hops: hops, class: m.class,
-				})
-				return
-			}
-			hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
-			s.SendData(tile, m.home, lineWords, &msgMemData{
-				line: m.line, data: data, minst: minst, class: m.class,
-				grant: m.grant, req: m.requestor,
-				tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
-			})
-		}))
-	})
+	op := s.newMemOp(tile)
+	op.rd = m
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
 }
 
 // handleMemWB writes a full line back to DRAM (MESI always writes whole
 // lines; partial-write support is a DeNovo optimization).
 func (s *System) handleMemWB(tile int, m *msgMemWB) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	env.K.After(env.Cfg.MCLatency, func() {
-		for w := 0; w < lineWords; w++ {
-			if m.wmask&(1<<w) != 0 {
-				env.MemWrite(memsys.AddrOf(m.line, w), m.data[w])
-			}
-		}
-		ch.Submit(dramReq(m.line, true, nil))
-	})
+	op := s.newMemOp(tile)
+	op.wb = m
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
 }
 
-// dramReq builds a line-granularity DRAM request.
-func dramReq(line uint32, write bool, done func(int64)) *dram.Request {
-	return &dram.Request{Addr: line << memsys.LineShift, Write: write, Done: done}
+// runMemOp presents an access to its channel once the MC latency elapsed;
+// a writeback's values reach the backing store at that point.
+func runMemOp(a any) {
+	op := a.(*memOp)
+	env := op.s.Env
+	line, write := uint32(0), op.wb != nil
+	if write {
+		line = op.wb.line
+		for w := 0; w < lineWords; w++ {
+			if op.wb.wmask&(1<<w) != 0 {
+				env.MemWrite(memsys.AddrOf(line, w), op.wb.data[w])
+			}
+		}
+	} else {
+		line = op.rd.line
+	}
+	op.req = dram.Request{Addr: line << memsys.LineShift, Write: write, Done: op.done}
+	env.Chans[env.Cfg.Channel(line)].Submit(&op.req)
+}
+
+// burstDone answers a read once its burst completes, then recycles the
+// record.
+func (op *memOp) burstDone(finish int64) {
+	s := op.s
+	if op.rd != nil {
+		s.memReadDone(op.tile, op.rd, op.tAtMC, finish)
+	}
+	op.rd, op.wb = nil, nil
+	op.next = s.memOpFree
+	s.memOpFree = op
+}
+
+// memReadDone ships a line read from DRAM to the requesting L1 (MMemL1)
+// or the home slice.
+func (s *System) memReadDone(tile int, m *msgMemRead, tAtMC, finish int64) {
+	env := s.Env
+	var data [lineWords]uint32
+	var minst [lineWords]uint64
+	for w := 0; w < lineWords; w++ {
+		a := memsys.AddrOf(m.line, w)
+		data[w] = env.MemRead(a)
+		minst[w] = env.Prof.MemFetch(a, s.l2HasWord(a))
+	}
+	if m.direct {
+		// MMemL1: straight to the requesting L1.
+		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
+		s.SendData(tile, m.requestor, lineWords, &msgData{
+			line: m.line, state: m.grant, data: data, minst: minst,
+			fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
+			hops: hops, class: m.class,
+		})
+		return
+	}
+	hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
+	s.SendData(tile, m.home, lineWords, &msgMemData{
+		line: m.line, data: data, minst: minst, class: m.class,
+		grant: m.grant, req: m.requestor,
+		tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
+	})
 }

@@ -5,11 +5,15 @@
 // fire in scheduling order, which makes every simulation run fully
 // deterministic for a given input.
 //
-// The event queue is a hand-rolled 4-ary min-heap over a flat []event
-// slice: no container/heap interface boxing (which allocated on every
-// Push/Pop), and sift paths touch one cache line per level. Components on
-// allocation-free hot paths schedule with AtArg, which carries a
-// pointer-sized argument instead of forcing a closure per event.
+// The event queue is a hand-rolled 4-ary min-heap of pointer-free
+// (cycle, seq, slot) keys: no container/heap interface boxing, sift paths
+// move 24-byte keys into a hole instead of swapping, and because the keys
+// hold no pointers the sifts never trip the garbage collector's write
+// barrier. Each key's callback lives in a free-listed payload slab at
+// slot, written once when the event is pushed and cleared once when it
+// fires. Components on allocation-free hot paths schedule with AtArg,
+// which carries a pointer-sized argument instead of forcing a closure per
+// event.
 //
 // A component that needs to run every cycle (the vc router's network tick)
 // registers itself once with SetTicker and re-arms with TickNext or
@@ -20,13 +24,18 @@
 // ordering of the per-cycle schedule (see the seq accounting below).
 package sim
 
-// event is a callback scheduled to run at a simulated cycle. Exactly one
-// of fn and fna is set; fna receives arg, so hot paths can reuse a
-// package-level function value plus a free-listed argument instead of
-// allocating a closure.
-type event struct {
-	at  int64
-	seq uint64
+// key orders one pending heap event by (at, seq); seq is unique, so slot
+// never decides the order. slot indexes the event's payload.
+type key struct {
+	at   int64
+	seq  uint64
+	slot int32
+}
+
+// payload is the callback of a pending event. Exactly one of fn and fna is
+// set; fna receives arg, so hot paths can reuse a package-level function
+// value plus a free-listed argument instead of allocating a closure.
+type payload struct {
 	fn  func()
 	fna func(any)
 	arg any
@@ -34,7 +43,9 @@ type event struct {
 
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
 type Kernel struct {
-	pq      []event
+	pq      []key     // 4-ary min-heap by (at, seq)
+	slab    []payload // callbacks, indexed by key.slot
+	free    []int32   // slab slots not held by a pending event
 	now     int64
 	seq     uint64
 	steps   uint64
@@ -77,8 +88,7 @@ func (k *Kernel) At(t int64, fn func()) {
 		t = k.now
 		k.clamped++
 	}
-	k.push(event{at: t, seq: k.seq, fn: fn})
-	k.seq++
+	k.push(t, payload{fn: fn})
 }
 
 // AtArg schedules fn(arg) at absolute cycle t. It is the allocation-free
@@ -90,8 +100,7 @@ func (k *Kernel) AtArg(t int64, fn func(any), arg any) {
 		t = k.now
 		k.clamped++
 	}
-	k.push(event{at: t, seq: k.seq, fna: fn, arg: arg})
-	k.seq++
+	k.push(t, payload{fna: fn, arg: arg})
 }
 
 // Clamped returns how many events were scheduled in the past and clamped
@@ -163,8 +172,8 @@ func (k *Kernel) TickSkipTo(t int64) {
 		}
 		u = k.now + 1
 	}
-	d := uint64(u - k.now)       // cycles the chain would have re-armed across
-	k.tickSeq = k.seq + d - 1    // the seq the arm at cycle u-1 would draw
+	d := uint64(u - k.now)    // cycles the chain would have re-armed across
+	k.tickSeq = k.seq + d - 1 // the seq the arm at cycle u-1 would draw
 	k.seq += d
 	k.tickAt = u
 	k.tickArmed = true
@@ -208,13 +217,13 @@ func (k *Kernel) Step() bool {
 	if len(k.pq) == 0 {
 		return false
 	}
-	e := k.pop()
-	k.now = e.at
+	at, p := k.pop()
+	k.now = at
 	k.steps++
-	if e.fn != nil {
-		e.fn()
+	if p.fn != nil {
+		p.fn()
 	} else {
-		e.fna(e.arg)
+		p.fna(p.arg)
 	}
 	return true
 }
@@ -253,60 +262,84 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 	return i
 }
 
-// The event queue: a 4-ary min-heap ordered by (at, seq) on a flat slice.
-// Four children per node halve the tree depth of the binary layout, and
-// sift loops compare siblings within one or two cache lines — the classic
-// d-ary trade of slightly more comparisons for far fewer cache misses.
+// The event queue: a 4-ary min-heap ordered by (at, seq) on a flat slice
+// of keys. Four children per node halve the tree depth of the binary
+// layout, and sift loops compare siblings within one or two cache lines —
+// the classic d-ary trade of slightly more comparisons for far fewer cache
+// misses. Both sifts hold the moving key aside and shift parents or
+// children into the hole, one store per level.
 
 const heapArity = 4
 
-func eventLess(a, b *event) bool {
+func keyLess(a, b *key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (k *Kernel) push(e event) {
-	k.pq = append(k.pq, e)
+// push stores p in a free slab slot and inserts its key at cycle at with
+// the next sequence number.
+func (k *Kernel) push(at int64, p payload) {
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+		k.slab[slot] = p
+	} else {
+		slot = int32(len(k.slab))
+		k.slab = append(k.slab, p)
+	}
+	e := key{at: at, seq: k.seq, slot: slot}
+	k.seq++
+	k.pq = append(k.pq, key{})
 	i := len(k.pq) - 1
 	for i > 0 {
-		p := (i - 1) / heapArity
-		if !eventLess(&k.pq[i], &k.pq[p]) {
+		parent := (i - 1) / heapArity
+		if !keyLess(&e, &k.pq[parent]) {
 			break
 		}
-		k.pq[i], k.pq[p] = k.pq[p], k.pq[i]
-		i = p
+		k.pq[i] = k.pq[parent]
+		i = parent
 	}
+	k.pq[i] = e
 }
 
-func (k *Kernel) pop() event {
+// pop removes the earliest event and returns its cycle and callback. The
+// slab slot is cleared, releasing the callback's references, and freed
+// before the callback runs, so the callback's own schedules reuse it.
+func (k *Kernel) pop() (int64, payload) {
 	root := k.pq[0]
 	n := len(k.pq) - 1
-	k.pq[0] = k.pq[n]
-	k.pq[n] = event{} // release fn/arg references
+	last := k.pq[n]
 	k.pq = k.pq[:n]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(&k.pq[c], &k.pq[min]) {
-				min = c
+	if n > 0 {
+		i := 0
+		for {
+			first := heapArity*i + 1
+			if first >= n {
+				break
 			}
+			min := first
+			end := first + heapArity
+			if end > n {
+				end = n
+			}
+			for c := first + 1; c < end; c++ {
+				if keyLess(&k.pq[c], &k.pq[min]) {
+					min = c
+				}
+			}
+			if !keyLess(&k.pq[min], &last) {
+				break
+			}
+			k.pq[i] = k.pq[min]
+			i = min
 		}
-		if !eventLess(&k.pq[min], &k.pq[i]) {
-			break
-		}
-		k.pq[i], k.pq[min] = k.pq[min], k.pq[i]
-		i = min
+		k.pq[i] = last
 	}
-	return root
+	p := k.slab[root.slot]
+	k.slab[root.slot] = payload{}
+	k.free = append(k.free, root.slot)
+	return root.at, p
 }

@@ -134,32 +134,105 @@ func TestSteps(t *testing.T) {
 }
 
 // Property: events fire in nondecreasing timestamp order, and equal
-// timestamps fire in insertion order, for random schedules.
+// timestamps fire in scheduling order, for random schedules that mix At,
+// AtArg and After(0, ...) — the last scheduled from inside running events,
+// so order must hold across the payload slab's slot reuse too.
 func TestEventOrderProperty(t *testing.T) {
-	f := func(times []uint8) bool {
+	type rec struct {
+		at  int64
+		ins int
+	}
+	f := func(times []uint8, kinds []uint8) bool {
 		var k Kernel
-		type rec struct {
-			at  int64
-			ins int
-		}
 		var fired []rec
+		ins := 0
+		record := func(a any) { fired = append(fired, *a.(*rec)) }
 		for i, ti := range times {
-			at, ins := int64(ti), i
-			k.At(at, func() { fired = append(fired, rec{at, ins}) })
+			at := int64(ti)
+			kind := uint8(0)
+			if i < len(kinds) {
+				kind = kinds[i] % 3
+			}
+			r := &rec{at, ins}
+			ins++
+			switch kind {
+			case 0:
+				k.At(at, func() { fired = append(fired, *r) })
+			case 1:
+				k.AtArg(at, record, r)
+			case 2:
+				// An event at at that schedules a same-cycle follow-up: the
+				// follow-up draws its sequence number when the outer event
+				// runs, so it orders after everything scheduled up front.
+				k.At(at, func() {
+					fired = append(fired, *r)
+					k.After(0, func() { fired = append(fired, rec{at, -1}) })
+				})
+			}
 		}
 		k.Run()
-		if len(fired) != len(times) {
+		want := len(times)
+		for _, kd := range kinds[:min(len(kinds), len(times))] {
+			if kd%3 == 2 {
+				want++
+			}
+		}
+		if len(fired) != want {
 			return false
 		}
-		return sort.SliceIsSorted(fired, func(i, j int) bool {
-			if fired[i].at != fired[j].at {
-				return fired[i].at < fired[j].at
+		var up []rec // the events scheduled before Run, in firing order
+		for i, r := range fired {
+			if i > 0 && r.at < fired[i-1].at {
+				return false
 			}
-			return fired[i].ins < fired[j].ins
+			if r.ins >= 0 {
+				up = append(up, r)
+			}
+		}
+		return sort.SliceIsSorted(up, func(i, j int) bool {
+			if up[i].at != up[j].at {
+				return up[i].at < up[j].at
+			}
+			return up[i].ins < up[j].ins
 		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tickArg is a free-listed event argument for TestKernelAtArgZeroAlloc.
+type tickArg struct{ n int }
+
+func bump(a any) { a.(*tickArg).n++ }
+
+// A steady AtArg -> Step loop allocates nothing: keys and payload slots are
+// recycled, and a package-level function plus a pointer argument build no
+// closure.
+func TestKernelAtArgZeroAlloc(t *testing.T) {
+	var k Kernel
+	args := make([]*tickArg, 16)
+	for i := range args {
+		args[i] = &tickArg{}
+		k.AtArg(int64(i), bump, args[i]) // warm up heap and slab capacity
+	}
+	for k.Step() {
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		for j := 0; j < 8; j++ {
+			k.AtArg(k.Now()+int64(j%3), bump, args[i%len(args)])
+			i++
+		}
+		for j := 0; j < 8; j++ {
+			k.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AtArg->Step loop allocated %.1f times per run, want 0", allocs)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after balanced loop, want 0", k.Pending())
 	}
 }
 

@@ -109,16 +109,24 @@ const (
 // in fixed-size chunks so growth never copies existing records.
 type Profiler struct {
 	chunks     [][]inst
-	n          uint64              // instances allocated, including the reserved id 0
-	openByAddr map[uint32][]uint64 // word addr -> open LevelMem instance ids
+	n          uint64 // instances allocated, including the reserved id 0
 	counts     [numLevels][numCategories]uint64
 	measuring  bool
 	onClassify ClassifyFunc
+
+	// The open LevelMem instances of each word address, in the order
+	// MemStore classifies them. openSlot maps a word index (addr>>2) to
+	// 1 + the index of its list in openLists, 0 for none; it grows to the
+	// highest word fetched. An emptied list's slot goes on openFree with
+	// its array, so a fetch allocates only when every free list is full.
+	openSlot  []int32
+	openLists [][]uint64
+	openFree  []int32
 }
 
 // NewProfiler creates an empty profiler (warm-up mode: not measuring).
 func NewProfiler() *Profiler {
-	p := &Profiler{openByAddr: make(map[uint32][]uint64)}
+	p := &Profiler{}
 	p.chunks = append(p.chunks, make([]inst, chunkSize))
 	p.n = 1 // id 0 reserved as "none"
 	return p
@@ -260,8 +268,35 @@ func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
 		p.classify(id, Fetch)
 		return id
 	}
-	p.openByAddr[addr] = append(p.openByAddr[addr], id)
+	w := int(addr >> 2)
+	if w >= len(p.openSlot) {
+		p.openSlot = append(p.openSlot, make([]int32, w+1-len(p.openSlot))...)
+	}
+	slot := p.openSlot[w]
+	if slot == 0 {
+		if n := len(p.openFree); n > 0 {
+			slot = p.openFree[n-1]
+			p.openFree = p.openFree[:n-1]
+		} else {
+			p.openLists = append(p.openLists, nil)
+			slot = int32(len(p.openLists))
+		}
+		p.openSlot[w] = slot
+	}
+	p.openLists[slot-1] = append(p.openLists[slot-1], id)
 	return id
+}
+
+// openList returns the open LevelMem instance ids of a word address (nil
+// when none are open) and their slot. Only word-aligned addresses are
+// ever fetched.
+func (p *Profiler) openList(addr uint32) ([]uint64, int32) {
+	w := int(addr >> 2)
+	if addr&3 != 0 || w >= len(p.openSlot) || p.openSlot[w] == 0 {
+		return nil, 0
+	}
+	slot := p.openSlot[w]
+	return p.openLists[slot-1], slot
 }
 
 // MemExcess records a word fetched from DRAM and dropped at the MC by the
@@ -308,19 +343,25 @@ func (p *Profiler) MemLoad(id uint64) { p.classify(id, Used) }
 // writes the address, the coherence protocol will invalidate or overwrite
 // every other on-chip copy (§4.1).
 func (p *Profiler) MemStore(addr uint32) {
-	ids := p.openByAddr[addr]
+	ids, _ := p.openList(addr)
 	if len(ids) == 0 {
 		return
 	}
-	// classify() mutates the map entry; iterate over a stable copy.
-	stable := append([]uint64(nil), ids...)
-	for _, id := range stable {
+	// classify() swap-removes from the list; iterate over a stable copy.
+	var buf [8]uint64
+	for _, id := range append(buf[:0], ids...) {
 		p.classify(id, Write)
 	}
 }
 
+// dropOpenMem removes a classified instance from its address's open list
+// by swapping the last id into its place; an emptied list frees its slot.
+// Instances classified at creation (Fetch, Excess) were never listed.
 func (p *Profiler) dropOpenMem(addr uint32, id uint64) {
-	ids := p.openByAddr[addr]
+	ids, slot := p.openList(addr)
+	if slot == 0 {
+		return
+	}
 	for i, x := range ids {
 		if x == id {
 			ids[i] = ids[len(ids)-1]
@@ -328,10 +369,10 @@ func (p *Profiler) dropOpenMem(addr uint32, id uint64) {
 			break
 		}
 	}
+	p.openLists[slot-1] = ids
 	if len(ids) == 0 {
-		delete(p.openByAddr, addr)
-	} else {
-		p.openByAddr[addr] = ids
+		p.openSlot[addr>>2] = 0
+		p.openFree = append(p.openFree, slot)
 	}
 }
 

@@ -126,6 +126,57 @@ func TestMemStoreClassifiesAllOpenInstances(t *testing.T) {
 	}
 }
 
+// MemStore classifies an address's open instances in their list order,
+// and releasing one swaps the last into its place. The traffic recorder
+// sums float shares in OnClassify order, so that order is part of the
+// results and is pinned here: open 1,2,3,4; release 2 -> 1,4,3; also a
+// slot freed by one address and reused by another keeps the order.
+func TestMemStoreClassifyOrder(t *testing.T) {
+	p := newMeasuring()
+	var got []uint8
+	p.OnClassify(func(level Level, class uint8, cat Category, share float64, measured bool) {
+		if cat == Write {
+			got = append(got, class)
+		}
+	})
+	fetch := func(addr uint32, tag uint8) uint64 {
+		id := p.MemFetch(addr, false)
+		p.MemAddRef(id)
+		p.SetTraffic(id, tag, 1) // the class tag names the instance
+		return id
+	}
+	check := func(want ...uint8) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("Write order %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Write order %v, want %v", got, want)
+			}
+		}
+		got = got[:0]
+	}
+
+	var ids [5]uint64
+	for i := 1; i <= 4; i++ {
+		ids[i] = fetch(128, uint8(i))
+	}
+	p.MemRelease(ids[2], false) // Evict: 4 moves into 2's place
+	p.MemStore(128)
+	check(1, 4, 3)
+
+	// 128's emptied list is reused for 256; the order must not leak.
+	for i := 5; i <= 7; i++ {
+		fetch(256, uint8(i))
+	}
+	p.MemStore(256)
+	check(5, 6, 7)
+	p.MemStore(128) // nothing open any more
+	p.MemStore(130) // unaligned addresses are never fetched
+	check()
+}
+
 func TestMemFetchPresentInL2(t *testing.T) {
 	p := newMeasuring()
 	p.MemFetch(0, true)
