@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,7 +34,11 @@ var (
 func sharedMatrix(b *testing.B) *core.Matrix {
 	b.Helper()
 	matrixOnce.Do(func() {
-		matrix, matrixErr = core.RunMatrix(core.MatrixOptions{Size: workloads.Small})
+		var res *core.SweepResult
+		res, matrixErr = core.Run(context.Background(), core.MatrixOptions{Size: workloads.Small}, core.RunOptions{})
+		if matrixErr == nil {
+			matrix = res.Points[0].Matrix
+		}
 	})
 	if matrixErr != nil {
 		b.Fatal(matrixErr)
@@ -215,8 +220,8 @@ func BenchmarkSimThroughputDBypFull(b *testing.B) {
 // Cycle-level vc-router throughput: the same end-to-end runs under the vc
 // wormhole model, whose per-cycle kernel tick dominates simulator cost.
 // These pin the hot-path optimizations (kernel recurring-tick slot, idle
-// skip-ahead, allocation-free flit paths); compare against BENCH_pr5-era
-// numbers via scripts/benchjson -compare.
+// skip-ahead, allocation-free flit paths); the before/after numbers are
+// recorded in CHANGES.md ("Made the cycle loop fast").
 func vcRun(c *memsys.Config) { c.Router = "vc" }
 
 func BenchmarkSimThroughputVCMESI(b *testing.B) {
@@ -319,7 +324,7 @@ func sweepBench(b *testing.B, opt core.MatrixOptions, spec string) {
 	b.Helper()
 	var table *core.SweepTable
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunSweep(opt, spec)
+		res, err := core.Run(context.Background(), opt, core.RunOptions{Sweep: spec})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -203,18 +203,20 @@ func run() (code int) {
 
 	// One renderer over the unified event stream reproduces both progress
 	// vocabularies: per-cell "running bench / proto" lines for matrix runs,
-	// per-point "sweep point i/N" lines for sweeps. Cache corruption and
-	// store failures are loud even under -q — the point's result is still
-	// correct, but silent self-healing would hide a real problem (disk,
-	// tampering) and a later -resume will resimulate an unpersisted point.
+	// per-point "sweep point i/N" lines for sweeps (a matrix is a one-point
+	// sweep too, but its single point gets no line of its own). Cache
+	// corruption and store failures are loud even under -q — the point's
+	// result is still correct, but silent self-healing would hide a real
+	// problem (disk, tampering) and a later -resume will resimulate an
+	// unpersisted point.
 	isSweep := req.IsSweep()
 	rc := job.RunConfig{Events: func(ev job.Event) {
-		switch ev.Kind {
-		case job.KindCell:
+		switch {
+		case ev.Kind == job.KindCell:
 			if !isSweep && !*quiet {
 				fmt.Fprintf(os.Stderr, "running %s / %s...\n", ev.Bench, ev.Protocol)
 			}
-		case job.KindPoint:
+		case ev.Kind == job.KindPoint && isSweep:
 			switch ev.Status {
 			case job.StatusCacheCorrupt:
 				fmt.Fprintf(os.Stderr, "sweep point %d/%d %s=%s: cache entry corrupt, resimulating: %s\n",

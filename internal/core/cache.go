@@ -97,17 +97,6 @@ func pointKeyFor(p *matrixPlan) (PointKey, error) {
 	return PointKey{Hash: hex.EncodeToString(sum[:]), Preimage: pre}, nil
 }
 
-// PointKeyFor resolves opt like the engine would (registry normalization,
-// defaults applied) and returns the point's content address, or
-// ErrUncacheable for configurations the cache must not serve.
-func PointKeyFor(opt MatrixOptions) (PointKey, error) {
-	p, err := planMatrix(opt)
-	if err != nil {
-		return PointKey{}, err
-	}
-	return pointKeyFor(p)
-}
-
 // PointCache is an on-disk, content-addressed store of completed sweep
 // points: one JSON entry per PointKey, named by its hash.
 type PointCache struct {

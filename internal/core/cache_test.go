@@ -34,7 +34,8 @@ func runCachedSweep(t *testing.T, dir string) (*core.SweepResult, []core.SweepPo
 	}
 	var statuses []core.SweepPointStatus
 	opt, spec := cacheSweepOptions()
-	res, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	res, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep:    spec,
 		Cache:    cache,
 		Progress: func(ev core.SweepProgress) { statuses = append(statuses, ev.Status) },
 	})
@@ -145,7 +146,7 @@ func TestPointKeyReplayUncacheable(t *testing.T) {
 // and all.
 func TestPointCacheRoundTrip(t *testing.T) {
 	opt := core.MatrixOptions{Size: workloads.Tiny, Benchmarks: []string{"LU"}, Protocols: []string{"MESI"}}
-	m, err := core.RunMatrix(opt)
+	m, err := runMatrix(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,8 @@ func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 	var corrupt []error
 	var started int
 	opt, spec := cacheSweepOptions()
-	res, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	res, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep: spec,
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {

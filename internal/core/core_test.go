@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestRunOneProducesResult(t *testing.T) {
 
 func tinyMatrix(t *testing.T, protocols, benches []string) *core.Matrix {
 	t.Helper()
-	m, err := core.RunMatrix(core.MatrixOptions{
+	m, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  protocols,
 		Benchmarks: benches,
@@ -136,12 +137,15 @@ func TestSummaryDirections(t *testing.T) {
 
 func TestMatrixProgressCallback(t *testing.T) {
 	calls := 0
-	_, err := core.RunMatrix(core.MatrixOptions{
+	_, err := core.Run(context.Background(), core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},
-		Progress:   func(b, p string) { calls++ },
-	})
+	}, core.RunOptions{Progress: func(ev core.SweepProgress) {
+		if ev.Status == core.SweepCellStarted {
+			calls++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,7 @@ func TestMatrixProgressCallback(t *testing.T) {
 }
 
 func TestUnknownBenchmarkRejected(t *testing.T) {
-	_, err := core.RunMatrix(core.MatrixOptions{
+	_, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: []string{"nope"},
 		Protocols:  []string{"MESI"},

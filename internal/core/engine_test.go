@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -18,11 +17,11 @@ func TestParallelMatrixMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 9x6 matrix twice is slow; run without -short")
 	}
-	serial, err := core.RunMatrix(core.MatrixOptions{Size: workloads.Tiny, Workers: 1})
+	serial, err := runMatrix(core.MatrixOptions{Size: workloads.Tiny, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunMatrix(core.MatrixOptions{Size: workloads.Tiny, Workers: 4})
+	parallel, err := runMatrix(core.MatrixOptions{Size: workloads.Tiny, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +53,21 @@ func TestParallelMatrixMatchesSerial(t *testing.T) {
 	}
 }
 
-// The parallel engine must fire Progress once per cell, like the serial
-// loop did.
+// The parallel engine must fire a cell event once per cell, like the
+// serial loop did. The callback takes no lock: Run delivers progress one
+// event at a time, and the race detector holds it to that.
 func TestParallelProgressCount(t *testing.T) {
-	var mu sync.Mutex
 	seen := map[string]int{}
-	_, err := core.RunMatrix(core.MatrixOptions{
+	_, err := core.Run(context.Background(), core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI", "DeNovo"},
 		Benchmarks: []string{"LU", "FFT"},
 		Workers:    4,
-		Progress: func(b, p string) {
-			mu.Lock()
-			seen[b+"/"+p]++
-			mu.Unlock()
-		},
-	})
+	}, core.RunOptions{Progress: func(ev core.SweepProgress) {
+		if ev.Status == core.SweepCellStarted {
+			seen[ev.Bench+"/"+ev.Protocol]++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +85,12 @@ func TestRunMatrixContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := core.RunMatrixContext(ctx, core.MatrixOptions{
+		_, err := core.Run(ctx, core.MatrixOptions{
 			Size:       workloads.Tiny,
 			Protocols:  []string{"MESI"},
 			Benchmarks: []string{"LU"},
 			Workers:    workers,
-		})
+		}, core.RunOptions{})
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -105,7 +103,7 @@ func TestRunMatrixContextCancel(t *testing.T) {
 func TestMatrixTopologies(t *testing.T) {
 	totals := map[string]float64{}
 	for _, topo := range []string{"mesh", "ring", "torus"} {
-		m, err := core.RunMatrix(core.MatrixOptions{
+		m, err := runMatrix(core.MatrixOptions{
 			Size:       workloads.Tiny,
 			Protocols:  []string{"MESI"},
 			Benchmarks: []string{"FFT"},
@@ -135,7 +133,7 @@ func TestMatrixTopologies(t *testing.T) {
 // congestion telemetry, and the matrix records the router it ran.
 func TestVCMatrixMatchesSerial(t *testing.T) {
 	run := func(workers int) *core.Matrix {
-		m, err := core.RunMatrix(core.MatrixOptions{
+		m, err := runMatrix(core.MatrixOptions{
 			Size:       workloads.Tiny,
 			Protocols:  []string{"MESI", "DBypFull"},
 			Benchmarks: []string{"FFT"},
@@ -194,7 +192,7 @@ func TestVCLatencyAboveIdealEndToEnd(t *testing.T) {
 }
 
 func TestBadRouterRejected(t *testing.T) {
-	_, err := core.RunMatrix(core.MatrixOptions{
+	_, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},
@@ -206,7 +204,7 @@ func TestBadRouterRejected(t *testing.T) {
 }
 
 func TestBadTopologyRejected(t *testing.T) {
-	_, err := core.RunMatrix(core.MatrixOptions{
+	_, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,16 +30,18 @@ func ExampleRunOne() {
 }
 
 // ExampleMatrix_Figure regenerates a figure table from an experiment
-// matrix, exactly as cmd/trafficsim does.
+// matrix, exactly as cmd/trafficsim does: without a sweep spec, Run runs
+// the matrix as its single point.
 func ExampleMatrix_Figure() {
-	m, err := core.RunMatrix(core.MatrixOptions{
+	res, err := core.Run(context.Background(), core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI", "DBypFull"},
 		Benchmarks: []string{"radix"},
-	})
+	}, core.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
+	m := res.Points[0].Matrix
 	tab, _ := m.Figure("5.1a")
 	fmt.Println(tab.ID, "rows:", len(tab.Rows))
 	mesi := tab.Rows[0]

@@ -130,15 +130,19 @@ func (m *Matrix) Get(bench, proto string) *Result {
 	return nil
 }
 
-// MatrixOptions configures RunMatrix / RunMatrixContext.
+// MatrixOptions configures one matrix: the run's single point, or the base
+// every sweep point is stamped from (see Run).
 type MatrixOptions struct {
-	Size      workloads.Size
-	Threads   int      // 0 = 16 (the paper's tile count)
-	Protocols []string // nil = all nine
+	Size    workloads.Size
+	Threads int // 0 = 16 (the paper's tile count)
+	// Protocols selects the protocol specs. nil = all nine; an empty
+	// non-nil list is an error (it would run no cells).
+	Protocols []string
 	// Benchmarks selects the workloads, as registry specs: ported
 	// benchmark names, synthetic patterns with optional parameters
 	// ("uniform(p=0.1)", "hotspot(t=2)"), or trace replays
-	// ("replay(file=x.trc)"). nil = the paper's six benchmarks.
+	// ("replay(file=x.trc)"). nil = the paper's six benchmarks; an empty
+	// non-nil list is an error.
 	Benchmarks []string
 	// Topology selects the NoC topology for every cell: "mesh" (default),
 	// "ring", or "torus".
@@ -165,8 +169,4 @@ type MatrixOptions struct {
 	// the calling goroutine. Cells are independent simulations, so the
 	// assembled Matrix is bit-identical at every worker count.
 	Workers int
-	// Progress, if set, is called before each cell starts. With
-	// Workers > 1 the calls come from worker goroutines (serialized, but
-	// in completion-race order rather than matrix order).
-	Progress func(bench, proto string)
 }

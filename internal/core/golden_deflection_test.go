@@ -43,7 +43,7 @@ func TestGoldenTinyDeflection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Tiny deflection matrix is slow; run without -short")
 	}
-	m, err := core.RunMatrix(goldenDeflOptions())
+	m, err := runMatrix(goldenDeflOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestGoldenTinyDeflection(t *testing.T) {
 // counter, deflected hops included.
 func TestDeflectionMatrixMatchesSerial(t *testing.T) {
 	run := func(workers int) *core.Matrix {
-		m, err := core.RunMatrix(core.MatrixOptions{
+		m, err := runMatrix(core.MatrixOptions{
 			Size:       workloads.Tiny,
 			Protocols:  []string{"MESI", "DBypFull"},
 			Benchmarks: []string{"FFT"},
@@ -212,7 +212,7 @@ func TestDeflectionSweepDivergesFromVC(t *testing.T) {
 		t.Skip("two 3-point sweeps are slow; run without -short")
 	}
 	sweep := func(router string) *core.SweepTable {
-		res, err := core.RunSweep(core.MatrixOptions{
+		res, err := runSweep(core.MatrixOptions{
 			Size:      workloads.Tiny,
 			Protocols: []string{"MESI"},
 			Router:    router,

@@ -41,7 +41,7 @@ func TestGoldenTinyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 6x9 matrix is slow; run without -short")
 	}
-	m, err := core.RunMatrix(core.MatrixOptions{Size: workloads.Tiny})
+	m, err := runMatrix(core.MatrixOptions{Size: workloads.Tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestMatrixMeshValidation(t *testing.T) {
 
 	half := opt
 	half.MeshWidth = 8 // height left unset
-	if _, err := core.RunMatrix(half); err == nil {
+	if _, err := runMatrix(half); err == nil {
 		t.Error("half-set mesh dimensions ran without error")
 	} else if !strings.Contains(err.Error(), "both MeshWidth and MeshHeight") {
 		t.Errorf("half-set dims error %q does not name the pair", err)
@@ -116,7 +116,7 @@ func TestMatrixMeshValidation(t *testing.T) {
 	tiny := opt
 	tiny.MeshWidth, tiny.MeshHeight = 2, 2
 	tiny.Threads = 16 // 16 cores cannot map one-per-tile onto 4 tiles
-	if _, err := core.RunMatrix(tiny); err == nil {
+	if _, err := runMatrix(tiny); err == nil {
 		t.Error("threads > tiles ran without error")
 	} else if !strings.Contains(err.Error(), "threads 16 > tiles 4") {
 		t.Errorf("threads-vs-tiles error %q does not quote the counts", err)
@@ -124,7 +124,7 @@ func TestMatrixMeshValidation(t *testing.T) {
 
 	// The same shape with a fitting thread count is fine.
 	tiny.Threads = 4
-	if _, err := core.RunMatrix(tiny); err != nil {
+	if _, err := runMatrix(tiny); err != nil {
 		t.Errorf("2x2 mesh with 4 threads: %v", err)
 	}
 }
@@ -149,7 +149,8 @@ func TestSweepMeshCacheResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.Run(ctx, opt, core.RunOptions{
+		Sweep: spec,
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
@@ -165,7 +166,8 @@ func TestSweepMeshCacheResume(t *testing.T) {
 	}
 
 	var cachedN, simulatedN int
-	resumed, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	resumed, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep: spec,
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {
@@ -183,7 +185,7 @@ func TestSweepMeshCacheResume(t *testing.T) {
 		t.Errorf("resume served %d points from cache and simulated %d, want 1 and 1", cachedN, simulatedN)
 	}
 
-	fresh, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	fresh, err := core.Run(context.Background(), opt, core.RunOptions{Sweep: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestRegistryInventory(t *testing.T) {
 func TestRegistryProtocolsRunViaMatrix(t *testing.T) {
 	// A composed spec flows through the matrix engine exactly like a
 	// canonical name (this is what -protocols on cmd/trafficsim does).
-	m, err := core.RunMatrix(core.MatrixOptions{
+	m, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI", "DeNovo+BypL2"},
 		Benchmarks: []string{"LU"},

@@ -1,17 +1,23 @@
 package core
 
-// The two-level scheduler. A sweep is a list of points; a point is a batch
-// of matrix cells; every cell of every point feeds one shared worker pool.
-// Workers claim (point, cell) jobs from a single cursor in point-major
-// order, so early points finish (and persist, and stream to callers)
-// first, while idle workers spill into later points instead of waiting at
-// a per-point barrier. Each cell is an independent, fully deterministic
-// simulation, so the schedule cannot change any result — only wall-clock
-// time — and results are always assembled in point-major matrix order,
-// which keeps the assembled output bit-identical at every worker count.
+// The sharded experiment engine and its two-level scheduler. Every
+// (benchmark, protocol) cell of a matrix is an independent simulation
+// with its own Env (kernel, mesh, caches, DRAM), so cells can run on as
+// many OS threads as the host offers. The discrete-event kernel is fully
+// deterministic and workload Programs are immutable after construction,
+// which makes a parallel run bit-identical to the serial one — only
+// wall-clock time changes.
 //
-// The same pool runs a single matrix (RunMatrixContext: one plan) and a
-// sweep (RunSweepOpt: one plan per non-cached point).
+// A run is a list of points (a matrix is one point; Run in sweep.go plans
+// them); a point is a batch of matrix cells; every cell of every point
+// feeds one shared worker pool. Workers claim (point, cell) jobs from a
+// single cursor in point-major order, so early points finish (and
+// persist, and stream to callers) first, while idle workers spill into
+// later points instead of waiting at a per-point barrier. Each cell is an
+// independent, fully deterministic simulation, so the schedule cannot
+// change any result — only wall-clock time — and results are always
+// assembled in point-major matrix order, which keeps the assembled output
+// bit-identical at every worker count.
 
 import (
 	"context"
@@ -23,6 +29,10 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/workloads"
 )
+
+// matrixCell indexes one simulation job in matrix order (benchmark-major,
+// the order the old serial double loop used).
+type matrixCell struct{ bench, proto int }
 
 // matrixPlan is one fully resolved simulation batch — a matrix, or one
 // sweep point: normalized options, the validated system config, the cell
@@ -53,6 +63,14 @@ type matrixPlan struct {
 func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	if opt.Threads == 0 {
 		opt.Threads = 16
+	}
+	// An explicitly empty list (JSON "[]", unlike an omitted field) would
+	// plan zero cells: a point that can never complete.
+	switch {
+	case opt.Protocols != nil && len(opt.Protocols) == 0:
+		return nil, fmt.Errorf("core: empty protocol list; name at least one protocol, or leave the list unset for the paper's nine")
+	case opt.Benchmarks != nil && len(opt.Benchmarks) == 0:
+		return nil, fmt.Errorf("core: empty benchmark list; name at least one benchmark, or leave the list unset for the paper's six")
 	}
 	if opt.Protocols == nil {
 		opt.Protocols = ProtocolNames()
@@ -232,7 +250,7 @@ type schedJob struct{ point, cell int }
 // the point's first cellStarted); pointDone fires exactly once per
 // completed point, on whichever worker finished its last cell.
 type poolHooks struct {
-	cellStarted  func(p *matrixPlan, cell int)
+	cellStarted  func(point, cell int)
 	pointStarted func(point int)
 	pointDone    func(point int, p *matrixPlan)
 }
@@ -275,7 +293,7 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 			}
 		}
 		if hooks.cellStarted != nil {
-			hooks.cellStarted(p, j.cell)
+			hooks.cellStarted(j.point, j.cell)
 		}
 		progMu.Unlock()
 	}

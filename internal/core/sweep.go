@@ -1,6 +1,6 @@
 package core
 
-// The third-axis sweep engine. RunMatrix crosses two axes — workloads x
+// The third-axis sweep engine. A matrix crosses two axes — workloads x
 // protocols — and every other knob (topology, router, VC geometry, a
 // synthetic pattern's parameters) is a single value per run. A sweep
 // crosses one more: a SweepSpec names an axis and an ordered value list,
@@ -8,7 +8,9 @@ package core
 // sharded engine (inheriting its cancellation and bit-identical-at-any-
 // worker-count guarantees), and assembles the per-point results into one
 // table — the data behind the classic NoC load-latency saturation curves
-// and the paper's waste-vs-load question.
+// and the paper's waste-vs-load question. Run is the only way in: a matrix
+// is the one-point sweep, so both share one planner, one pool, one cache
+// path and one progress stream.
 //
 // Two spellings, mirroring the registries the axes come from:
 //
@@ -611,10 +613,11 @@ type SweepResult struct {
 	Points []*SweepPoint
 }
 
-// SweepPointStatus tags a sweep-level progress event.
+// SweepPointStatus tags a progress event: a sweep point's lifecycle
+// step, or a cell starting inside a point.
 type SweepPointStatus int
 
-// The sweep-level progress states, in the order a point can report them.
+// The progress states, in the order a point can report them.
 const (
 	// SweepPointCached: the point was served from the cache; it will not
 	// simulate.
@@ -625,6 +628,9 @@ const (
 	SweepPointCacheCorrupt
 	// SweepPointStarted: the point's first cell was claimed by a worker.
 	SweepPointStarted
+	// SweepCellStarted: a worker claimed the point's (Bench, Protocol)
+	// cell and its simulation is starting.
+	SweepCellStarted
 	// SweepPointDone: the point's last cell finished and its matrix is
 	// assembled (and stored, when a cache is attached).
 	SweepPointDone
@@ -643,6 +649,8 @@ func (s SweepPointStatus) String() string {
 		return "cache-corrupt"
 	case SweepPointStarted:
 		return "simulating"
+	case SweepCellStarted:
+		return "cell-started"
 	case SweepPointDone:
 		return "done"
 	case SweepPointStoreFailed:
@@ -651,10 +659,12 @@ func (s SweepPointStatus) String() string {
 	return fmt.Sprintf("SweepPointStatus(%d)", int(s))
 }
 
-// SweepProgress is one sweep-level progress event: which point (i of N,
-// with its axis value), and what just happened to it. Events for one
-// point arrive in status order; events for different points interleave
-// when the pool runs points concurrently. Callbacks are serialized.
+// SweepProgress is one event of a run's progress stream: which point (i
+// of N, with its axis value), and what just happened to it — a lifecycle
+// step, or one of its cells starting. Events for one point arrive in
+// lifecycle order (cached alone; or cache-corrupt, then simulating, its
+// cells, done); events for different points interleave when the pool runs
+// points concurrently. A matrix run is one point with Axis and Value "".
 type SweepProgress struct {
 	// Point is the 0-based index of the point in sweep order; Total is
 	// the sweep's point count.
@@ -665,10 +675,16 @@ type SweepProgress struct {
 	// and SweepPointStoreFailed.
 	Status SweepPointStatus
 	Err    error
+	// Bench and Protocol name the cell of a SweepCellStarted event.
+	Bench, Protocol string
 }
 
-// SweepOptions configures RunSweepOpt beyond the per-point MatrixOptions.
-type SweepOptions struct {
+// RunOptions configures Run beyond the per-point MatrixOptions.
+type RunOptions struct {
+	// Sweep, if non-empty, is the sweep spec (see ParseSweep) expanded
+	// over the base MatrixOptions. Empty runs the base options as a
+	// one-point sweep: one point with Value "", under Axis "".
+	Sweep string
 	// Cache, if non-nil, serves repeated points from disk and persists
 	// each point as it completes — which is also what makes a killed
 	// sweep resumable: rerunning the same sweep skips the finished
@@ -678,24 +694,63 @@ type SweepOptions struct {
 	// MaxPoints raises the sweep expansion cap (<= 0 means
 	// DefaultSweepPointCap).
 	MaxPoints int
-	// Progress, if set, receives sweep-level events (serialized).
+	// Progress, if set, receives the run's progress stream: cell-start
+	// and point events, delivered one at a time, never concurrently,
+	// whatever the worker count.
 	Progress func(SweepProgress)
 }
 
-// RunSweep expands and runs a sweep over a base configuration; see
-// RunSweepContext.
-func RunSweep(opt MatrixOptions, spec string) (*SweepResult, error) {
-	return RunSweepContext(context.Background(), opt, spec)
+// Plan is the planning half of Run, callable on its own: it expands the
+// sweep (a matrix is one point), resolves every point's protocol and
+// workload specs through their registries and validates each point's
+// system configuration, without building or simulating anything. Run
+// plans through the same code, so a run Plan accepts cannot fail planning
+// inside Run.
+func Plan(opt MatrixOptions, ro RunOptions) error {
+	_, _, err := plan(opt, ro)
+	return err
 }
 
-// RunSweepContext is RunSweepOpt with default SweepOptions (no cache, the
-// default point cap, no sweep-level progress).
-func RunSweepContext(ctx context.Context, opt MatrixOptions, spec string) (*SweepResult, error) {
-	return RunSweepOpt(ctx, opt, spec, SweepOptions{})
+// plan expands and plans every point of a run before anything runs, so
+// registry resolution and config validation fail here, loudly, never
+// mid-sweep; programs build lazily per point, so planning 10,000 points
+// stays cheap. The sweep comes back whenever the spec expanded, even when
+// a point then fails to plan, so Run can report the sweep's shape beside
+// the error.
+func plan(opt MatrixOptions, ro RunOptions) (*SweepSpec, []*matrixPlan, error) {
+	s, pts := &SweepSpec{Values: []string{""}}, []MatrixOptions{opt}
+	if ro.Sweep != "" {
+		var err error
+		if s, err = ParseSweepLimit(ro.Sweep, ro.MaxPoints); err != nil {
+			return nil, nil, err
+		}
+		if pts, err = s.PointOptions(opt); err != nil {
+			return nil, nil, err
+		}
+	}
+	plans := make([]*matrixPlan, len(pts))
+	for i, po := range pts {
+		p, err := planMatrix(po)
+		if err != nil {
+			return s, nil, s.pointErr(i, err)
+		}
+		plans[i] = p
+	}
+	return s, plans, nil
 }
 
-// RunSweepOpt parses spec, expands it into per-point MatrixOptions on top
-// of opt, and feeds every point's cells through one shared worker pool
+// pointErr names the failing point of a sweep. A matrix run (no spec)
+// keeps the error's own text: its single point has no axis to name.
+func (s *SweepSpec) pointErr(i int, err error) error {
+	if s.Spec == "" {
+		return err
+	}
+	return fmt.Errorf("core: sweep point %s = %s: %w", s.Axis, s.Values[i], err)
+}
+
+// Run is the one way to run simulations. It plans opt — expanded by
+// ro.Sweep into per-point options, or as a one-point sweep when ro.Sweep
+// is empty — and feeds every point's cells through one shared worker pool
 // (opt.Workers wide; see scheduler.go): a point is a batch of cells, the
 // pool claims cells in point-major order, and each point's matrix is
 // assembled the moment its last cell finishes. Scheduling cannot change
@@ -705,52 +760,36 @@ func RunSweepContext(ctx context.Context, opt MatrixOptions, spec string) (*Swee
 //
 // With a cache attached, points whose configuration is already stored are
 // served from disk up front (verified against the key's preimage) and
-// completed points are persisted as the sweep runs. A failure to persist
-// a point is reported through the sweep progress callback
-// (SweepPointStoreFailed), never as the sweep's error: the result is
-// already in hand, and only a later resume pays for the missing entry by
-// resimulating that point. Cancelling ctx stops
-// the pool at the next cell boundary; the returned SweepResult then holds
-// every point that completed, alongside the error — nothing finished is
-// discarded, and a cached rerun of the same sweep resumes from there.
-func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt SweepOptions) (*SweepResult, error) {
-	s, err := ParseSweepLimit(spec, sopt.MaxPoints)
-	if err != nil {
+// completed points are persisted as the run goes. A failure to persist a
+// point is reported through the progress stream (SweepPointStoreFailed),
+// never as the run's error: the result is already in hand, and only a
+// later resume pays for the missing entry by resimulating that point.
+// Cancelling ctx stops the pool at the next cell boundary; the returned
+// SweepResult then holds every point that completed, alongside the error
+// — nothing finished is discarded, and a cached rerun of the same sweep
+// resumes from there.
+func Run(ctx context.Context, opt MatrixOptions, ro RunOptions) (*SweepResult, error) {
+	s, plans, err := plan(opt, ro)
+	if s == nil {
 		return nil, err
 	}
-	pts, err := s.PointOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	n := len(pts)
+	n := len(s.Values)
 	res := &SweepResult{Spec: s.Spec, Axis: s.Axis, Expected: n}
+	if err != nil {
+		return res, err
+	}
 
 	var emitMu sync.Mutex
 	emit := func(ev SweepProgress) {
-		if sopt.Progress == nil {
+		if ro.Progress == nil {
 			return
 		}
 		ev.Total = n
 		ev.Axis = s.Axis
 		ev.Value = s.Values[ev.Point]
 		emitMu.Lock()
-		sopt.Progress(ev)
+		ro.Progress(ev)
 		emitMu.Unlock()
-	}
-	pointErr := func(i int, err error) error {
-		return fmt.Errorf("core: sweep point %s = %s: %w", s.Axis, s.Values[i], err)
-	}
-
-	// Plan every point before anything runs: registry resolution and
-	// config validation fail here, loudly, never mid-sweep. Programs are
-	// built lazily per point, so planning 10,000 points stays cheap.
-	plans := make([]*matrixPlan, n)
-	for i, po := range pts {
-		p, err := planMatrix(po)
-		if err != nil {
-			return res, pointErr(i, err)
-		}
-		plans[i] = p
 	}
 
 	// Serve cached points up front, in sweep order. A corrupt entry is
@@ -760,17 +799,17 @@ func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt Sweep
 	cached := make([]bool, n)
 	keys := make([]PointKey, n)
 	haveKey := make([]bool, n)
-	if sopt.Cache != nil {
+	if ro.Cache != nil {
 		for i, p := range plans {
 			key, err := pointKeyFor(p)
 			if err != nil {
 				if errors.Is(err, ErrUncacheable) {
 					continue
 				}
-				return res, pointErr(i, err)
+				return res, s.pointErr(i, err)
 			}
 			keys[i], haveKey[i] = key, true
-			m, err := sopt.Cache.Load(key)
+			m, err := ro.Cache.Load(key)
 			if err != nil {
 				emit(SweepProgress{Point: i, Status: SweepPointCacheCorrupt, Err: err})
 				continue
@@ -794,11 +833,10 @@ func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt Sweep
 	}
 
 	var hooks poolHooks
-	if opt.Progress != nil {
-		hooks.cellStarted = func(p *matrixPlan, cell int) {
-			c := p.cells[cell]
-			opt.Progress(p.opt.Benchmarks[c.bench], p.opt.Protocols[c.proto])
-		}
+	hooks.cellStarted = func(pi, cell int) {
+		p, c := toRun[pi], toRun[pi].cells[cell]
+		emit(SweepProgress{Point: runIdx[pi], Status: SweepCellStarted,
+			Bench: p.opt.Benchmarks[c.bench], Protocol: p.opt.Protocols[c.proto]})
 	}
 	hooks.pointStarted = func(pi int) {
 		emit(SweepProgress{Point: runIdx[pi], Status: SweepPointStarted})
@@ -813,11 +851,11 @@ func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt Sweep
 			return
 		}
 		matrices[i] = m
-		if sopt.Cache != nil && haveKey[i] {
+		if ro.Cache != nil && haveKey[i] {
 			// A store failure must not fail the sweep — the point's result
 			// is in hand; only a later resume pays (it resimulates). Report
 			// it loudly and keep going.
-			if err := sopt.Cache.Store(keys[i], m); err != nil {
+			if err := ro.Cache.Store(keys[i], m); err != nil {
 				emit(SweepProgress{Point: i, Status: SweepPointStoreFailed, Err: err})
 			}
 		}
@@ -850,7 +888,7 @@ func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt Sweep
 		}
 		for _, cerr := range p.errs {
 			if cerr != nil {
-				return res, pointErr(i, cerr)
+				return res, s.pointErr(i, cerr)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestGoldenTinySweep(t *testing.T) {
 		t.Skip("5-point sweep x 3 protocols is slow; run without -short")
 	}
 	opt, spec := goldenSweepOptions()
-	res, err := core.RunSweep(opt, spec)
+	res, err := runSweep(opt, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

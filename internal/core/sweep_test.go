@@ -216,11 +216,11 @@ func sweepTestOptions(workers int) core.MatrixOptions {
 // (Workers: 0), field for field.
 func TestSweepWorkersDeterminism(t *testing.T) {
 	const spec = "hotspot(t=1,2)"
-	serial, err := core.RunSweep(sweepTestOptions(1), spec)
+	serial, err := runSweep(sweepTestOptions(1), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunSweep(sweepTestOptions(0), spec)
+	parallel, err := runSweep(sweepTestOptions(0), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestSweepOrderingStable(t *testing.T) {
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},
 	}
-	first, err := core.RunSweep(opt, spec)
+	first, err := runSweep(opt, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := core.RunSweep(opt, spec)
+	second, err := runSweep(opt, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,8 @@ func TestSweepCancelReturnsPartial(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.Run(ctx, opt, core.RunOptions{
+		Sweep: spec,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
 				cancel() // first point finished; the serial pool stops at the next job
@@ -299,7 +300,7 @@ func TestSweepCancelReturnsPartial(t *testing.T) {
 		t.Errorf("partial point value %q, want %q (sweep order)", partial.Points[0].Value, "1")
 	}
 
-	full, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	full, err := core.Run(context.Background(), opt, core.RunOptions{Sweep: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,8 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.Run(ctx, opt, core.RunOptions{
+		Sweep: spec,
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
@@ -338,7 +340,8 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 	}
 
 	var cachedN, simulatedN int
-	resumed, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	resumed, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep: spec,
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {
@@ -356,7 +359,7 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 		t.Errorf("resume served %d points from cache and simulated %d, want 1 and 2", cachedN, simulatedN)
 	}
 
-	fresh, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	fresh, err := core.Run(context.Background(), opt, core.RunOptions{Sweep: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +388,8 @@ func TestSweepPointFailureReturnsPartial(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope.trc")
 
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	res, err := core.RunSweepOpt(context.Background(), opt,
-		"replay(file="+good+","+missing+")", core.SweepOptions{})
+	res, err := core.Run(context.Background(), opt,
+		core.RunOptions{Sweep: "replay(file=" + good + "," + missing + ")"})
 	if err == nil {
 		t.Fatal("sweep with a missing trace file ran without error")
 	}
@@ -429,8 +432,8 @@ func TestSweepMultiCellPointFailure(t *testing.T) {
 				Protocols: []string{"MESI", "DeNovo"}, // two cells per point
 				Workers:   workers,
 			}
-			res, err := core.RunSweepOpt(context.Background(), opt,
-				"replay(file="+good+","+missing+")", core.SweepOptions{})
+			res, err := core.Run(context.Background(), opt,
+				core.RunOptions{Sweep: "replay(file=" + good + "," + missing + ")"})
 			if err == nil {
 				t.Fatal("multi-cell point failure returned a nil error (partial result passed off as complete)")
 			}
@@ -466,7 +469,8 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 
 	var storeFailed []core.SweepProgress
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	res, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
+	res, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep: "hotspot(t=1,2)",
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointStoreFailed {
@@ -490,7 +494,7 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 	}
 
 	// The unpersisted sweep must still match an uncached fresh run.
-	fresh, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{})
+	fresh, err := core.Run(context.Background(), opt, core.RunOptions{Sweep: "hotspot(t=1,2)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,13 +503,15 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 	}
 }
 
-// TestSweepProgressPointIdentity pins the sweep-level progress contract in
-// serial mode: per point, Started then Done, in sweep order, each event
-// carrying the point's index, the sweep total, and the axis value.
+// TestSweepProgressPointIdentity pins the progress contract in serial
+// mode: per point, Started, the point's cells, then Done, in sweep order,
+// each event carrying the point's index, the sweep total, and the axis
+// value.
 func TestSweepProgressPointIdentity(t *testing.T) {
 	var events []core.SweepProgress
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	_, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
+	_, err := core.Run(context.Background(), opt, core.RunOptions{
+		Sweep:    "hotspot(t=1,2)",
 		Progress: func(ev core.SweepProgress) { events = append(events, ev) },
 	})
 	if err != nil {
@@ -513,8 +519,10 @@ func TestSweepProgressPointIdentity(t *testing.T) {
 	}
 	want := []core.SweepProgress{
 		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepPointStarted},
+		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepCellStarted, Bench: "hotspot(t=1)", Protocol: "MESI"},
 		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepPointDone},
 		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepPointStarted},
+		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepCellStarted, Bench: "hotspot(t=2)", Protocol: "MESI"},
 		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepPointDone},
 	}
 	if !reflect.DeepEqual(events, want) {
@@ -590,7 +598,7 @@ func TestSweepPointFailureIsLoud(t *testing.T) {
 		Benchmarks: []string{"FTT"}, // typo: engine rejects it per point
 		Protocols:  []string{"MESI"},
 	}
-	_, err := core.RunSweep(opt, "topology=mesh,ring")
+	_, err := runSweep(opt, "topology=mesh,ring")
 	if err == nil {
 		t.Fatal("sweep with an unknown benchmark ran without error")
 	}

@@ -17,7 +17,7 @@ func TestRegistryWorkloadsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x protocol sweep is slow; run without -short")
 	}
-	m, err := core.RunMatrix(core.MatrixOptions{
+	m, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: workloads.RegistryWorkloads(),
 		Protocols:  []string{"MESI", "DeNovo", "DBypFull"},
@@ -57,7 +57,7 @@ func TestRegistryWorkloadsEndToEnd(t *testing.T) {
 // worker count, like the ported benchmarks.
 func TestSyntheticMatrixWorkerEquality(t *testing.T) {
 	run := func(workers int) *core.Matrix {
-		m, err := core.RunMatrix(core.MatrixOptions{
+		m, err := runMatrix(core.MatrixOptions{
 			Size:       workloads.Tiny,
 			Benchmarks: []string{"uniform", "hotspot(t=2)", "prodcons"},
 			Protocols:  []string{"MESI", "DBypFull"},
@@ -90,7 +90,7 @@ func TestSyntheticMatrixWorkerEquality(t *testing.T) {
 // Spelling variants of one workload spec must collapse to one matrix key,
 // and unknown specs must fail before any cell runs.
 func TestMatrixNormalizesWorkloadSpecs(t *testing.T) {
-	m, err := core.RunMatrix(core.MatrixOptions{
+	m, err := runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: []string{" uniform( p = 0.05 ) "},
 		Protocols:  []string{"MESI"},
@@ -105,7 +105,7 @@ func TestMatrixNormalizesWorkloadSpecs(t *testing.T) {
 	if res == nil || res.Benchmark != "uniform" {
 		t.Fatalf("canonical cell missing or mislabeled: %+v", res)
 	}
-	_, err = core.RunMatrix(core.MatrixOptions{
+	_, err = runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: []string{"uniform(p=nope)"},
 		Protocols:  []string{"MESI"},
@@ -115,7 +115,7 @@ func TestMatrixNormalizesWorkloadSpecs(t *testing.T) {
 	}
 	// Two spellings of one configuration must be rejected, not silently
 	// simulated twice into duplicate figure rows — on both axes.
-	_, err = core.RunMatrix(core.MatrixOptions{
+	_, err = runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: []string{"uniform", "uniform(p=0.05)"},
 		Protocols:  []string{"MESI"},
@@ -123,7 +123,7 @@ func TestMatrixNormalizesWorkloadSpecs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "same workload") {
 		t.Fatalf("duplicate workload specs error = %v", err)
 	}
-	_, err = core.RunMatrix(core.MatrixOptions{
+	_, err = runMatrix(core.MatrixOptions{
 		Size:       workloads.Tiny,
 		Benchmarks: []string{"FFT"},
 		Protocols:  []string{"MMemL1", " MMemL1 "},
@@ -155,7 +155,7 @@ func TestKernelNeverClampsTinyMatrix(t *testing.T) {
 		t.Skip("three full Tiny matrices are slow; run without -short")
 	}
 	for _, router := range []string{"ideal", "vc", "deflection"} {
-		m, err := core.RunMatrix(core.MatrixOptions{Size: workloads.Tiny, Router: router})
+		m, err := runMatrix(core.MatrixOptions{Size: workloads.Tiny, Router: router})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,8 +48,9 @@ var (
 type Progress struct {
 	// CellsStarted counts matrix cells claimed by workers so far.
 	CellsStarted int `json:"cells_started"`
-	// PointsTotal is the sweep's expansion size (0 for matrix jobs,
-	// until the first point event for sweeps).
+	// PointsTotal is the run's point count: the sweep's expansion size,
+	// or 1 for a matrix job (a one-point sweep). It is 0 until the first
+	// point event.
 	PointsTotal int `json:"points_total,omitempty"`
 	// PointsDone counts completed points — simulated and cache-served
 	// alike.
@@ -171,10 +172,11 @@ func NewQueue(opts QueueOptions) *Queue {
 	return q
 }
 
-// Submit validates req (strictly: every registry spec, including
-// protocols, fails here with the same loud message the CLIs print) and
-// enqueues it. It returns the job id, ErrQueueFull when the FIFO is at
-// its bound, ErrShutdown after Shutdown, or the validation UsageError.
+// Submit validates req (strictly: Validate plus core.Plan, the planner
+// the run itself uses, so anything the run would reject fails here with
+// the same loud message) and enqueues it. It returns the job id,
+// ErrQueueFull when the FIFO is at its bound, ErrShutdown after
+// Shutdown, or the validation UsageError.
 func (q *Queue) Submit(req Request) (string, error) {
 	if err := req.ValidateStrict(); err != nil {
 		return "", err

@@ -195,8 +195,8 @@ func TestQueueShutdownDrainPartials(t *testing.T) {
 }
 
 // Submit validates strictly: malformed requests never enter the queue,
-// and the error text is the registries' own (the same message the CLIs
-// print and the HTTP transport returns as a 400).
+// and the error text is the registries' and the planner's own (the same
+// message the CLIs print and the HTTP transport returns as a 400).
 func TestQueueSubmitValidation(t *testing.T) {
 	q := NewQueue(QueueOptions{})
 	defer q.Shutdown(context.Background())
@@ -209,6 +209,15 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Sweep: "hotspot(t=4)"}, "no parameter has multiple values"},
 		{Request{Sweep: "hotspot(t=1,2)", Benchmarks: []string{"FFT"}}, "sets the benchmark axis"},
 		{Request{Protocols: []string{"NOPE"}}, "NOPE"},
+		{Request{Protocols: []string{}, Benchmarks: []string{"FFT"}, Figures: []string{"5.1a"}}, "core: empty protocol list"},
+		{Request{Benchmarks: []string{}, Protocols: []string{"MESI"}}, "core: empty benchmark list"},
+		{Request{Sweep: "hotspot(t=1,2)", Protocols: []string{}}, "core: sweep point hotspot.t = 1: core: empty protocol list"},
+		{Request{Threads: 100, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads 100 > tiles 16"},
+		{Request{Router: "vc", VCs: 3}, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
+		{Request{Router: "vc", VCDepth: -2}, "memsys: VCDepth = -2 must not be negative"},
+		{Request{Mesh: "2x2"}, "core: threads 16 > tiles 4"},
+		{Request{Protocols: []string{"MESI", "MESI"}}, `core: protocols "MESI" and "MESI" are the same configuration`},
+		{Request{Benchmarks: []string{"FFT", " FFT "}}, `core: benchmarks "FFT" and " FFT " are the same workload`},
 	}
 	for _, c := range cases {
 		id, err := q.Submit(c.req)

@@ -160,10 +160,12 @@ func (r *Request) FigureIDs() []string {
 // knob conflicts, the input scale, figure ids, workload specs, the mesh
 // shape, and — for sweeps — the spec itself plus axis-ownership
 // conflicts. Every error is a UsageError (CLI exit 2, HTTP 400).
-// Deliberately NOT checked here: protocol specs, which the engine
-// validates when the run starts (the CLIs historically reported those at
-// run time with exit 1, and byte-identical behavior is pinned) — the
-// HTTP transport closes that gap with ValidateStrict.
+// Deliberately NOT checked here: what only planning finds — protocol
+// specs, duplicate or empty lists, threads past the tile count, router
+// geometry — which the engine reports when the run starts (the CLIs
+// historically reported those at run time with exit 1, and byte-identical
+// behavior is pinned); the HTTP transport closes that gap with
+// ValidateStrict.
 func (r *Request) Validate() error {
 	if (r.VCs != 0 || r.VCDepth != 0) && r.Router != "vc" {
 		return usagef("-vcs/-vcdepth configure the vc router and are dead under any other model; add -router vc")
@@ -212,36 +214,33 @@ func (r *Request) Validate() error {
 }
 
 // ValidateStrict is Validate plus the checks the CLIs defer to run time:
-// protocol specs are resolved through the registry here, so a transport
-// that wants every malformed request rejected at submission (the HTTP
-// server's 400 contract) catches them before the job queues.
+// the request is planned by core.Plan, the planner core.Run itself runs,
+// so a transport that wants every malformed request rejected at
+// submission (the HTTP server's 400 contract) catches whatever Run would
+// reject — protocol specs, duplicate or empty lists, threads past the
+// tile count, a bad router geometry — before the job queues, with the
+// planner's own message.
 func (r *Request) ValidateStrict() error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	for _, spec := range r.Protocols {
-		if _, err := core.ParseProtocol(spec); err != nil {
-			return usage(err)
-		}
+	opt, err := r.matrixOptions()
+	if err != nil {
+		return usage(err)
+	}
+	if err := core.Plan(opt, r.runOptions()); err != nil {
+		return usage(err)
 	}
 	return nil
 }
 
-// ParsedSweep returns the request's validated sweep spec (nil for matrix
-// requests) — the axis name and expanded point values, for renderers
-// that need them before the run completes.
-func (r *Request) ParsedSweep() (*core.SweepSpec, error) {
-	if !r.IsSweep() {
-		return nil, nil
-	}
-	s, err := core.ParseSweepLimit(r.Sweep, r.MaxPoints)
-	if err != nil {
-		return nil, usage(err)
-	}
-	return s, nil
+// runOptions maps the request's sweep onto the engine's run options (an
+// empty Sweep runs the matrix as a one-point sweep).
+func (r *Request) runOptions() core.RunOptions {
+	return core.RunOptions{Sweep: r.Sweep, MaxPoints: r.MaxPoints}
 }
 
-// matrixOptions maps the request onto the engine's per-run options: zero
+// matrixOptions maps the request onto the engine's per-point options: zero
 // fields stay zero so the engine applies its own defaults and sweeps can
 // still claim unpinned axes.
 func (r *Request) matrixOptions() (core.MatrixOptions, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -114,9 +115,10 @@ func TestRunStoreFailedEvent(t *testing.T) {
 	}
 }
 
-// Whole-matrix runs are cached too: an identical second Run is served
-// from the store bit-identically, announced by a single cached event, and
-// renders exactly the same text.
+// Whole-matrix runs are cached too: a matrix is point 0 of a one-point
+// sweep, so an identical second Run is served from the store
+// bit-identically, announced by a single cached point event with no cell
+// events, and renders exactly the same text.
 func TestRunMatrixCache(t *testing.T) {
 	cache, err := core.OpenPointCache(t.TempDir())
 	if err != nil {
@@ -136,29 +138,32 @@ func TestRunMatrixCache(t *testing.T) {
 		}
 		return sb.String()
 	}
-
-	first, err := Run(context.Background(), req, RunConfig{Cache: cache})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if first.Cached {
-		t.Fatal("first run claims to be cached")
-	}
-
-	var matrixEvents []Event
-	second, err := Run(context.Background(), req, RunConfig{Cache: cache, Events: func(ev Event) {
-		if ev.Kind == KindMatrix {
-			matrixEvents = append(matrixEvents, ev)
+	run := func() (*Outcome, []Event) {
+		t.Helper()
+		var events []Event
+		out, err := Run(context.Background(), req, RunConfig{Cache: cache, Events: func(ev Event) {
+			events = append(events, ev)
+		}})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-	}})
-	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		return out, events
 	}
-	if !second.Cached {
-		t.Fatal("identical second run was not served from the cache")
+
+	first, events := run()
+	want := []Event{
+		{Seq: 0, Kind: KindPoint, Status: StatusSimulating, Total: 1},
+		{Seq: 1, Kind: KindCell, Bench: "uniform", Protocol: "MESI"}, // the canonical spelling: p=0.05 is the default
+		{Seq: 2, Kind: KindPoint, Status: StatusDone, Total: 1},
 	}
-	if len(matrixEvents) != 1 || matrixEvents[0].Status != StatusCached {
-		t.Fatalf("matrix events = %+v, want one cached event", matrixEvents)
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("first run events = %+v, want %+v (simulated, not cached)", events, want)
+	}
+
+	second, events := run()
+	want = []Event{{Seq: 0, Kind: KindPoint, Status: StatusCached, Total: 1}}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("second run events = %+v, want one cached point event and no cells", events)
 	}
 	if a, b := render(first), render(second); a != b {
 		t.Fatalf("cache-served matrix rendered differently:\n--- simulated\n%s\n--- cached\n%s", a, b)

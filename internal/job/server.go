@@ -187,7 +187,8 @@ type matrixResultBody struct {
 	Figures []*core.Table `json:"figures,omitempty"`
 	// Summary is the headline paper-vs-measured averages, when requested.
 	Summary *core.Summary `json:"summary,omitempty"`
-	// Cached reports that the whole matrix was served from the cache.
+	// Cached reports that the matrix (the run's single point) was served
+	// from the cache.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -256,7 +257,7 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Sweep = body
 	} else if out.Matrix != nil {
-		body := &matrixResultBody{Cached: out.Cached}
+		body := &matrixResultBody{Cached: st.Progress.PointsCached == 1}
 		for _, fid := range req.FigureIDs() {
 			t, err := out.Matrix.Figure(fid)
 			if err != nil {

@@ -54,6 +54,20 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{`{"sweep":"hotspot(t=1,2)","benchmarks":["FFT"]}`, "sets the benchmark axis"},
 		{`{"size":"huge"}`, `unknown size "huge"`},
 		{`{"protocols":["NOPE"]}`, "NOPE"},
+		// Explicitly empty lists ([] is not an omitted field) would run
+		// zero cells: a matrix with nothing to render, a sweep that never
+		// completes a point.
+		{`{"protocols":[],"benchmarks":["FFT"],"figures":["5.1a"]}`, "core: empty protocol list"},
+		{`{"benchmarks":[],"protocols":["MESI"]}`, "core: empty benchmark list"},
+		{`{"sweep":"hotspot(t=1,2)","protocols":[]}`, "core: sweep point hotspot.t = 1: core: empty protocol list"},
+		// What only the planner catches is rejected at submit with the
+		// planner's own message, never queued to fail as a 500.
+		{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
+		{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
+		{`{"router":"vc","vcdepth":-2}`, "memsys: VCDepth = -2 must not be negative"},
+		{`{"mesh":"2x2"}`, "core: threads 16 > tiles 4"},
+		{`{"protocols":["MESI","MESI"]}`, `core: protocols "MESI" and "MESI" are the same configuration`},
+		{`{"benchmarks":["FFT"," FFT "]}`, `core: benchmarks "FFT" and " FFT " are the same workload`},
 		{`{"bogus":1}`, "invalid request JSON"},
 		{`not json`, "invalid request JSON"},
 	}
@@ -218,6 +232,63 @@ func TestServerJobLifecycle(t *testing.T) {
 	}
 	if text2 := httpResultText(t, ts, sub2.ID); text2 != text {
 		t.Fatalf("cache-served result differs:\n--- first\n%s\n--- second\n%s", text, text2)
+	}
+}
+
+// A matrix job is a one-point sweep: it reports the point lifecycle as
+// point 0 of 1, so a cache-served resubmission shows points_cached 1, and
+// the JSON result's matrix.cached comes from that count.
+func TestServerMatrixCachedResubmission(t *testing.T) {
+	cache, err := core.OpenPointCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(QueueOptions{Cache: cache})
+	defer q.Shutdown(context.Background())
+	ts := httptest.NewServer(NewServer(q))
+	defer ts.Close()
+
+	submit := func() (Status, resultResponse) {
+		t.Helper()
+		resp := postJob(t, ts, `{"figures":["5.1a"],"benchmarks":["FFT"],"protocols":["MESI"],"workers":1}`)
+		var sub submitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := q.Wait(ctx, sub.ID); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + sub.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res resultResponse
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if res.Matrix == nil || len(res.Matrix.Figures) != 1 {
+			t.Fatalf("result JSON = %+v, want one matrix figure", res)
+		}
+		return httpStatus(t, ts, sub.ID), res
+	}
+
+	st, res := submit()
+	if want := (Progress{CellsStarted: 1, PointsTotal: 1, PointsDone: 1}); st.State != StateDone || st.Progress != want {
+		t.Fatalf("first matrix job = %+v, want done with progress %+v", st, want)
+	}
+	if res.Matrix.Cached {
+		t.Fatal("first matrix result claims to be cached")
+	}
+	st, res = submit()
+	if want := (Progress{PointsTotal: 1, PointsDone: 1, PointsCached: 1}); st.State != StateDone || st.Progress != want {
+		t.Fatalf("resubmitted matrix job = %+v, want done with progress %+v", st, want)
+	}
+	if !res.Matrix.Cached {
+		t.Fatal("cache-served matrix result is not marked cached")
 	}
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for cmd/simserver: the HTTP transport must serve
-# the exact bytes the CLI prints (the byte-identity contract across the
-# shared orchestration layer), serve identical resubmissions from the
-# cache with zero simulated points, reject malformed specs loudly with
-# the CLI's own validation message, and drain cleanly on SIGTERM.
+# the exact bytes the CLI prints for a sweep and for a matrix (the
+# byte-identity contract across the shared orchestration layer), serve
+# identical resubmissions of either from the cache with zero simulated
+# points, reject malformed specs loudly with the CLI's own validation
+# message, and drain cleanly on SIGTERM.
 #
 # Usage: scripts/simserver_smoke.sh  (from the repo root; needs curl + jq)
 set -euo pipefail
@@ -23,8 +24,9 @@ echo "== build"
 go build -o "$WORK/trafficsim" ./cmd/trafficsim
 go build -o "$WORK/simserver" ./cmd/simserver
 
-echo "== golden: the CLI's table for the sweep"
+echo "== golden: the CLI's tables for the sweep and the matrix"
 "$WORK/trafficsim" -sweep "$SWEEP" -protocols MESI -q > "$WORK/cli.out"
+"$WORK/trafficsim" -fig 5.1a -benchmarks FFT -protocols MESI -q > "$WORK/cli-matrix.out"
 
 echo "== start simserver"
 "$WORK/simserver" -addr "$ADDR" -cachedir "$WORK/cache" -grace 20s &
@@ -77,6 +79,33 @@ if [[ "$CACHED" != 2 || "$DONE" != 2 ]]; then
 fi
 curl -fsS "$BASE/v1/jobs/$ID2/result?format=text" > "$WORK/http2.out"
 cmp "$WORK/cli.out" "$WORK/http2.out" || { echo "cached result differs"; exit 1; }
+
+# A matrix is a one-point sweep: it runs, caches and reports progress
+# through the same path, so a resubmission is point 0 of 1, cache-served.
+MATRIX='{"figures":["5.1a"],"benchmarks":["FFT"],"protocols":["MESI"]}'
+
+echo "== submit a matrix over HTTP"
+MID=$(curl -fsS "$BASE/v1/jobs" -d "$MATRIX" | jq -r .id)
+wait_done "$MID"
+curl -fsS "$BASE/v1/jobs/$MID/result?format=text" > "$WORK/http-matrix.out"
+if ! cmp "$WORK/cli-matrix.out" "$WORK/http-matrix.out"; then
+  echo "HTTP matrix result is not byte-identical to the CLI table"
+  diff "$WORK/cli-matrix.out" "$WORK/http-matrix.out" || true
+  exit 1
+fi
+echo "   byte-identical to trafficsim -fig 5.1a"
+
+echo "== identical matrix resubmission is served from the cache (0 simulated)"
+MID2=$(curl -fsS "$BASE/v1/jobs" -d "$MATRIX" | jq -r .id)
+wait_done "$MID2"
+STATUS=$(curl -fsS "$BASE/v1/jobs/$MID2")
+CACHED=$(echo "$STATUS" | jq .progress.points_cached)
+DONE=$(echo "$STATUS" | jq .progress.points_done)
+if [[ "$CACHED" != 1 || "$DONE" != 1 ]]; then
+  echo "matrix resubmission was not cache-served: $STATUS"; exit 1
+fi
+curl -fsS "$BASE/v1/jobs/$MID2/result?format=text" > "$WORK/http-matrix2.out"
+cmp "$WORK/cli-matrix.out" "$WORK/http-matrix2.out" || { echo "cached matrix result differs"; exit 1; }
 
 echo "== malformed spec is a loud 400 with the CLI's message"
 CODE=$(curl -s -o "$WORK/err.json" -w '%{http_code}' "$BASE/v1/jobs" \
