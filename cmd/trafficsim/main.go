@@ -89,8 +89,8 @@ func run() (code int) {
 		strings.Join(core.MeshPresets(), ", ")+"); tiles, corner MC placement and Bloom banks follow, and -threads must not exceed the tile count")
 	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
 	router := flag.String("router", "ideal", "router model: "+routerHelp())
-	vcs := flag.Int("vcs", 0, "vc router: virtual channels per input port (0 = model default; even, >= 2)")
-	vcdepth := flag.Int("vcdepth", 0, "vc router: flit buffer depth per VC (0 = model default)")
+	vcs := flag.Int("vcs", 0, "vc router: virtual channels per input port (0 = model default; even, 2..64)")
+	vcdepth := flag.Int("vcdepth", 0, "vc router: flit buffer depth per VC (0 = model default; at most 64)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = one per CPU, 1 = serial)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")

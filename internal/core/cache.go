@@ -44,8 +44,10 @@ import (
 // generation. Bump it whenever simulated results change — i.e. whenever
 // the golden snapshots are regenerated — OR whenever the preimage gains a
 // field, so entries written before the field existed can never alias a
-// point that pins it. v2 added the mesh dimensions.
-const cacheModelVersion = 2
+// point that pins it. v2 added the mesh dimensions; v3 made the vc router
+// deliver each (src, dst) channel in order, which changes results at
+// VCs >= 4.
+const cacheModelVersion = 3
 
 // ErrUncacheable marks a point whose results depend on state the
 // configuration hash cannot see (a trace replay's file contents); such

@@ -215,6 +215,8 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Threads: 100, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads 100 > tiles 16"},
 		{Request{Router: "vc", VCs: 3}, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
 		{Request{Router: "vc", VCDepth: -2}, "memsys: VCDepth = -2 must not be negative"},
+		{Request{Router: "vc", VCs: 20000000}, "memsys: VCs = 20000000 exceeds the maximum 64"},
+		{Request{Router: "vc", VCDepth: 200000000}, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
 		{Request{Mesh: "2x2"}, "core: threads 16 > tiles 4"},
 		{Request{Protocols: []string{"MESI", "MESI"}}, `core: protocols "MESI" and "MESI" are the same configuration`},
 		{Request{Benchmarks: []string{"FFT", " FFT "}}, `core: benchmarks "FFT" and " FFT " are the same workload`},

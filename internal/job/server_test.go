@@ -65,6 +65,10 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
 		{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
 		{`{"router":"vc","vcdepth":-2}`, "memsys: VCDepth = -2 must not be negative"},
+		// Unbounded VC geometry used to be accepted and then run the
+		// process out of memory building the router.
+		{`{"router":"vc","vcs":20000000}`, "memsys: VCs = 20000000 exceeds the maximum 64"},
+		{`{"router":"vc","vcdepth":200000000}`, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
 		{`{"mesh":"2x2"}`, "core: threads 16 > tiles 4"},
 		{`{"protocols":["MESI","MESI"]}`, `core: protocols "MESI" and "MESI" are the same configuration`},
 		{`{"benchmarks":["FFT"," FFT "]}`, `core: benchmarks "FFT" and " FFT " are the same workload`},

@@ -62,9 +62,11 @@ type Config struct {
 	// deadlock-avoidance scheme splits the VCs into two equal classes, so
 	// an odd count would silently give class 0 fewer buffers and skew
 	// both fairness and the torus deadlock margin. Validate rejects odd
-	// values rather than letting that imbalance happen.
+	// values rather than letting that imbalance happen, and values above
+	// mesh.MaxVCs.
 	VCs int
-	// VCDepth is the vc router's flit buffer depth per VC (0 = default 4).
+	// VCDepth is the vc router's flit buffer depth per VC (0 = default 4,
+	// at most mesh.MaxVCDepth).
 	VCDepth int
 
 	L1Bytes int // private L1 data cache per tile
@@ -230,8 +232,14 @@ func (c Config) Validate() error {
 	if c.VCs != 0 && (c.VCs < 2 || c.VCs%2 != 0) {
 		return fmt.Errorf("memsys: VCs = %d; the dateline split needs an even count >= 2", c.VCs)
 	}
+	if c.VCs > mesh.MaxVCs {
+		return fmt.Errorf("memsys: VCs = %d exceeds the maximum %d", c.VCs, mesh.MaxVCs)
+	}
 	if c.VCDepth < 0 {
 		return fmt.Errorf("memsys: VCDepth = %d must not be negative", c.VCDepth)
+	}
+	if c.VCDepth > mesh.MaxVCDepth {
+		return fmt.Errorf("memsys: VCDepth = %d exceeds the maximum %d", c.VCDepth, mesh.MaxVCDepth)
 	}
 	if len(c.MCTiles) == 0 {
 		return fmt.Errorf("memsys: no memory controllers")

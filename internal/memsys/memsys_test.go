@@ -1,9 +1,11 @@
 package memsys
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mesh"
 	"repro/internal/waste"
 )
 
@@ -357,7 +359,7 @@ func TestConfigTopologyValidation(t *testing.T) {
 func TestConfigVCValidation(t *testing.T) {
 	cfg := Default()
 	cfg.Router = "vc"
-	for _, vcs := range []int{0, 2, 4, 8} {
+	for _, vcs := range []int{0, 2, 4, 8, mesh.MaxVCs} {
 		cfg.VCs = vcs
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("VCs=%d rejected: %v", vcs, err)
@@ -369,10 +371,30 @@ func TestConfigVCValidation(t *testing.T) {
 			t.Errorf("VCs=%d accepted; the dateline split needs an even count >= 2", vcs)
 		}
 	}
+	// The geometry is bounded: router state grows with VCs x VCDepth, and
+	// an unbounded request used to run the process out of memory.
+	for _, vcs := range []int{mesh.MaxVCs + 2, 20000000} {
+		cfg.VCs = vcs
+		want := fmt.Sprintf("memsys: VCs = %d exceeds the maximum %d", vcs, mesh.MaxVCs)
+		if err := cfg.Validate(); err == nil || err.Error() != want {
+			t.Errorf("VCs=%d: err %v, want %q", vcs, err, want)
+		}
+	}
 	cfg.VCs = 0
 	cfg.VCDepth = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative VCDepth accepted")
+	}
+	cfg.VCDepth = mesh.MaxVCDepth
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("VCDepth=%d rejected: %v", mesh.MaxVCDepth, err)
+	}
+	for _, depth := range []int{mesh.MaxVCDepth + 1, 200000000} {
+		cfg.VCDepth = depth
+		want := fmt.Sprintf("memsys: VCDepth = %d exceeds the maximum %d", depth, mesh.MaxVCDepth)
+		if err := cfg.Validate(); err == nil || err.Error() != want {
+			t.Errorf("VCDepth=%d: err %v, want %q", depth, err, want)
+		}
 	}
 }
 

@@ -1,17 +1,17 @@
 package mesh
 
-// The cycle-level deflection router (Config.Router = "deflection"): a
-// minimally-buffered (bufferless-style) forwarding model in the
-// BLESS/CHIPPER/MinBD lineage. Routers hold no packet buffers on the
-// links: every flit that arrives at a router this cycle must leave it
-// this cycle — through its productive output port when it wins
-// arbitration, through any free non-productive port (a *deflection*)
-// when it loses, or into the node's small local side buffer in the one
-// case per cycle where every output is taken. The model trades buffer
-// area for extra link traversals, which is exactly the tradeoff the
-// paper's waste accounting can measure: the extra traversals surface as
-// NetStats.DeflectedHops, a waste category neither "ideal" nor "vc" can
-// express.
+// The cycle-level deflection router (Config.Router = "deflection"), on
+// the cycle-level skeleton in cycle.go: a minimally-buffered
+// (bufferless-style) forwarding model in the BLESS/CHIPPER/MinBD lineage.
+// Routers hold no packet buffers on the links: every flit that arrives at
+// a router this cycle must leave it this cycle — through its productive
+// output port when it wins arbitration, through any free non-productive
+// port (a *deflection*) when it loses, or into the node's small local
+// side buffer in the one case per cycle where every output is taken. The
+// model trades buffer area for extra link traversals, which is exactly
+// the tradeoff the paper's waste accounting can measure: the extra
+// traversals surface as NetStats.DeflectedHops, a waste category neither
+// "ideal" nor "vc" can express.
 //
 // Flit-level forwarding and reassembly: packets are split into flits at
 // injection and every flit routes independently (deflections reorder
@@ -20,16 +20,6 @@ package mesh
 // injection to last-flit ejection, directly comparable with the vc
 // router's header-to-tail window (both models deliver an uncontended
 // packet in hops*LinkLatency + flits cycles; one flit in hops*L + 1).
-//
-// Point-to-point ordering: deflections can let a younger packet reach
-// the destination before an older one from the same source (the older
-// one took a detour), but the coherence protocols — like every fabric
-// client built against the ideal and vc routers — assume each (src, dst)
-// channel delivers in injection order. The destination therefore keeps a
-// small reorder buffer per ordered pair: a packet whose flits have all
-// ejected is held until every earlier packet of its channel has
-// delivered, and its latency window runs to the release cycle, so the
-// reordering cost is measured rather than leaked into the protocol.
 //
 // Priority and livelock freedom: contention is resolved oldest-first by
 // the strict total order (packet injection cycle, packet sequence
@@ -51,14 +41,13 @@ package mesh
 // injection queue, so an old parked flit displaces younger injections
 // and cannot starve.
 //
-// Determinism, O(active) ticks, skip-ahead and the allocation-free
-// steady state all follow the vc router's scheme (see vc.go): the whole
-// network advances inside the kernel's recurring-tick slot in ascending
-// node order over an active-node bitmask, a no-progress tick proves
-// every staged flit waits on a future link arrival and skips the kernel
-// to the earliest one, and packets, flits and queue backing arrays are
-// recycled through free lists so a steady-state tick performs zero heap
-// allocations (deflect_alloc_test.go pins that).
+// A node is active while it holds a staged flit: on an arrival ring, in
+// its injection backlog or in its side buffer. Every in-flight flit keeps
+// its downstream node active, so a frozen network waits only on link
+// arrivals (the per-node horizon) or on a same-cycle injection gated to
+// its first arbitration next cycle (the skip bound). Packets may complete
+// out of order on a channel (a detour delays an older one); the
+// skeleton's in-order delivery holds them (see cycle.go).
 //
 // Waste accounting: every link traversal is charged to the per-link
 // utilization telemetry as it happens, and when a flit ejects, the hops
@@ -67,49 +56,13 @@ package mesh
 // minimal flit-hops the fabric charges at injection plus
 // NetStats.DeflectedHops (FuzzDeflectionPermutation pins the identity).
 
-import (
-	"math"
-	"math/bits"
-)
-
-// deflPkt is one packet in flight on the deflection network: flit
-// bookkeeping plus the reassembly count. Recycled through the router's
-// free list once the last flit ejects.
-type deflPkt struct {
-	dst, flits int
-	minHops    int // minimal route length, for deflected-hop accounting
-	payload    any
-	injectAt   int64
-	seq        uint64 // per-router injection sequence, the priority tiebreak
-	arrived    int    // flits ejected at dst so far
-
-	// The (src, dst) channel's in-order delivery state: pairSeq is this
-	// packet's position on the channel and pair the shared channel record
-	// (see deliver).
-	pairSeq uint64
-	pair    *deflPair
-
-	// next links the packet on the free list, or on its channel's reorder
-	// buffer while it waits for earlier packets to deliver.
-	next *deflPkt
-}
-
-// deflPair is one (src, dst) ordered channel: the injection-side sequence
-// counter, the delivery-side cursor, and the reorder buffer of completed
-// packets held for an earlier one (sorted by pairSeq, almost always
-// empty). Records are created on a channel's first packet and kept for
-// the life of the router, so the steady state allocates nothing.
-type deflPair struct {
-	nextInject  uint64
-	nextDeliver uint64
-	pending     *deflPkt
-}
+import "math"
 
 // deflFlit is one independently-routed flit. Flits outlive their order:
 // deflections reorder them, so each carries its index (the final
 // priority tiebreak) and its own hop counter for waste accounting.
 type deflFlit struct {
-	pkt  *deflPkt
+	pkt  *packet
 	idx  int
 	hops int // links traversed so far (>= pkt.minHops at ejection)
 	next *deflFlit
@@ -168,9 +121,7 @@ func (r *deflRing) push(at int64, f *deflFlit) {
 
 // deflNode is one router of the deflection network.
 type deflNode struct {
-	rings  []deflRing // arrival ring per input port
-	downTo []int      // downstream node per output port; -1 = no link
-	downIn []int      // downstream input-port index per output port
+	rings []deflRing // arrival ring per input port
 
 	// The local queue: injQ is the injection backlog (appended in
 	// priority order, so its head is its oldest flit) and sideQ holds
@@ -180,8 +131,6 @@ type deflNode struct {
 	injQ    []*deflFlit
 	injHead int
 	sideQ   []*deflFlit
-
-	staged int // flits at this node: ring occupancy + local queue
 }
 
 // localLen returns the local-queue occupancy (injection backlog plus
@@ -203,74 +152,43 @@ const (
 )
 
 type deflRouter struct {
-	m        *Mesh
-	ports    int
-	nodes    []deflNode
-	inFlight int    // packets not yet fully ejected
-	flits    int    // flit records currently on the network
-	seq      uint64 // next packet sequence number
-
-	// activeMask has bit n set exactly while nodes[n].staged > 0; tick
-	// and nextArrival iterate it instead of scanning every node (same
-	// scheme as the vc router, pinned by TestDeflectionActiveMaskInvariant).
-	activeMask []uint64
-
-	// tickVisits counts nodes visited by tick since construction — the
-	// work counter behind the O(active) test.
-	tickVisits uint64
-
-	// wake is the cycle before which no staged flit can make progress
-	// (set by a no-progress tick; 0 = the next tick must do a full scan).
-	wake int64
+	cycleNet
+	nodes []deflNode
+	flits int    // flit records currently on the network
+	seq   uint64 // next packet sequence number
 
 	// Per-tick scratch, reused across nodes so arbitration allocates
 	// nothing: the candidate list (at most in-degree + 1 entries) and
 	// the output-port claim flags.
 	cands     []deflCand
 	portTaken []bool
-	sideIdx   int  // index in sideQ of the current local candidate
-	injGated  bool // this tick skipped a same-cycle injection (see tickNode)
+	sideIdx   int   // index in sideQ of the current local candidate
+	gatedAt   int64 // last cycle a node step gated a same-cycle injection
 
-	// pairs holds the per-(src, dst) in-order delivery records, keyed
-	// src<<32|dst (see deliver).
-	pairs map[uint64]*deflPair
-
-	pktFree  *deflPkt
 	flitFree *deflFlit
 }
 
 func newDeflRouter(m *Mesh) *deflRouter {
 	ports := m.topo.Ports()
-	r := &deflRouter{m: m, ports: ports}
+	r := &deflRouter{gatedAt: -1}
+	r.init(m, r)
 	r.nodes = make([]deflNode, m.topo.Tiles())
-	r.activeMask = make([]uint64, (len(r.nodes)+63)/64)
 	r.cands = make([]deflCand, 0, ports+1)
 	r.portTaken = make([]bool, ports)
-	r.pairs = make(map[uint64]*deflPair)
-	for i := range r.nodes {
-		nd := &r.nodes[i]
-		nd.downTo = make([]int, ports)
-		for p := range nd.downTo {
-			nd.downTo[p] = -1
-		}
-		nd.downIn = make([]int, ports)
-	}
 	ringCap := int(m.cfg.LinkLatency) + 1
-	for _, l := range m.topo.Links() {
-		to := &r.nodes[l.To]
-		idx := len(to.rings)
-		to.rings = append(to.rings, deflRing{s: make([]deflSlot, ringCap)})
-		from := &r.nodes[l.From]
-		from.downTo[l.Port] = l.To
-		from.downIn[l.Port] = idx
+	for n := range r.nodes {
+		nd := &r.nodes[n]
+		nd.rings = make([]deflRing, len(r.up[n]))
+		for i := range nd.rings {
+			nd.rings[i].s = make([]deflSlot, ringCap)
+		}
 	}
-	m.k.SetTicker(r.tick)
 	return r
 }
 
 func (r *deflRouter) kind() string { return "deflection" }
 
-func (r *deflRouter) newFlit(pkt *deflPkt, idx int) *deflFlit {
+func (r *deflRouter) newFlit(pkt *packet, idx int) *deflFlit {
 	f := r.flitFree
 	if f == nil {
 		f = &deflFlit{}
@@ -283,138 +201,54 @@ func (r *deflRouter) newFlit(pkt *deflPkt, idx int) *deflFlit {
 }
 
 func (r *deflRouter) inject(src, dst, flits int, payload any) int {
-	pkt := r.pktFree
-	if pkt == nil {
-		pkt = &deflPkt{}
-	} else {
-		r.pktFree = pkt.next
-		pkt.next = nil
-	}
+	pkt := r.admit(src, dst, flits, payload)
 	hops := r.m.topo.Hops(src, dst)
-	pkt.dst, pkt.flits, pkt.minHops = dst, flits, hops
-	pkt.payload, pkt.injectAt, pkt.arrived = payload, r.m.k.Now(), 0
+	pkt.minHops, pkt.arrived = hops, 0
 	pkt.seq = r.seq
 	r.seq++
-	key := uint64(src)<<32 | uint64(dst)
-	pair := r.pairs[key]
-	if pair == nil {
-		pair = &deflPair{}
-		r.pairs[key] = pair
-	}
-	pkt.pair, pkt.pairSeq = pair, pair.nextInject
-	pair.nextInject++
 	nd := &r.nodes[src]
 	for i := 0; i < flits; i++ {
 		nd.injQ = append(nd.injQ, r.newFlit(pkt, i))
 	}
-	r.addStaged(src, flits)
+	r.addActive(src, flits)
 	r.flits += flits
 	if occ := nd.localLen(); occ > r.m.peakVC {
 		r.m.peakVC = occ
 	}
-	r.inFlight++
-	r.wake = 0 // fresh flits invalidate any frozen-state proof
-	if !r.m.k.TickArmed() {
-		r.m.k.TickNext()
-	}
 	return hops
 }
 
-// addStaged and subStaged maintain a node's staged-flit count and the
-// active-node bitmask; they are the only writers.
-func (r *deflRouter) addStaged(n, k int) {
-	nd := &r.nodes[n]
-	if nd.staged == 0 {
-		r.activeMask[n>>6] |= 1 << uint(n&63)
-	}
-	nd.staged += k
-}
-
-func (r *deflRouter) subStaged(n, k int) {
-	nd := &r.nodes[n]
-	nd.staged -= k
-	if nd.staged == 0 {
-		r.activeMask[n>>6] &^= 1 << uint(n&63)
-	}
-}
-
-// tick advances the whole network by one cycle, or proves the cycle idle
-// and skips ahead (exactly the vc router's tick discipline).
-func (r *deflRouter) tick() {
-	now := r.m.k.Now()
-	if now < r.wake {
-		r.m.k.TickSkipTo(r.wake)
-		return
-	}
-	progressed := false
-	r.injGated = false
-	// Ascending node order over the active mask. Each word is read when
-	// the range reaches it; bits set mid-tick belong to nodes whose only
-	// new state is a future-stamped link arrival, so visiting them or
-	// not is behavior-neutral (same argument as the vc router's).
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			r.tickVisits++
-			if r.tickNode(i, now) {
-				progressed = true
-			}
-		}
-	}
-	if r.inFlight == 0 {
-		return // network drained; the next inject re-arms the tick
-	}
-	if progressed {
-		r.wake = 0
-		r.m.k.TickNext()
-		return
-	}
-	// Nothing moved, so no arrival was due and every arbitrable local
-	// queue is empty (a node with a local flit always finds a free
-	// output): every staged flit is in flight on a link — or was injected
-	// this very cycle and gated to its first arbitration next cycle, in
-	// which case the skip horizon is capped at now+1.
-	wake := r.nextArrival(now)
-	if r.injGated && now+1 < wake {
-		wake = now + 1
-	}
-	if wake == math.MaxInt64 {
-		// Unreachable while flits exist (they are all on links with
-		// finite stamps), but keep the vc router's defensive shape: tick
-		// per-cycle and let the driver's livelock watchdog report.
-		r.wake = 0
-		r.m.k.TickNext()
-		return
-	}
-	r.wake = wake
-	r.m.k.TickSkipTo(wake)
-}
-
-// nextArrival returns the earliest strictly-future link-arrival cycle
-// across the active nodes, or MaxInt64 if nothing is in flight.
-func (r *deflRouter) nextArrival(now int64) int64 {
+// horizon returns the earliest strictly-future link arrival at node n.
+func (r *deflRouter) horizon(n int, now int64) int64 {
 	min := int64(math.MaxInt64)
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			nd := &r.nodes[w<<6+bits.TrailingZeros64(word)]
-			for p := range nd.rings {
-				ring := &nd.rings[p]
-				if ring.n > 0 {
-					if t := ring.front().at; t > now && t < min {
-						min = t
-					}
-				}
+	nd := &r.nodes[n]
+	for p := range nd.rings {
+		ring := &nd.rings[p]
+		if ring.n > 0 {
+			if t := ring.front().at; t > now && t < min {
+				min = t
 			}
 		}
 	}
 	return min
 }
 
-// tickNode runs one node's cycle: gather this cycle's candidates, rank
+// skipBound caps the skip at next cycle when this cycle gated a fresh
+// injection (see stepNode). Otherwise a tick that moved nothing had no
+// arrival due and no arbitrable local flit (a node with one always finds
+// a free output), so every staged flit is on a link.
+func (r *deflRouter) skipBound(now int64) int64 {
+	if r.gatedAt == now {
+		return now + 1
+	}
+	return math.MaxInt64
+}
+
+// stepNode runs one node's cycle: gather this cycle's candidates, rank
 // them oldest-first, and place every one — ejection, productive port,
 // deflection, or (for at most one) the side buffer. Reports whether any
 // flit moved.
-func (r *deflRouter) tickNode(n int, now int64) bool {
+func (r *deflRouter) stepNode(n int, now int64) bool {
 	nd := &r.nodes[n]
 	cands := r.cands[:0]
 
@@ -444,7 +278,7 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 		if f := nd.injQ[nd.injHead]; f.pkt.injectAt < now {
 			local = f
 		} else {
-			r.injGated = true
+			r.gatedAt = now
 		}
 	}
 	for i, f := range nd.sideQ {
@@ -477,6 +311,7 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 	for p := range r.portTaken {
 		r.portTaken[p] = false
 	}
+	down := r.down[n]
 	ejected := false
 	progressed := false
 	for _, c := range cands {
@@ -503,8 +338,8 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 			// Deflect: the lowest-numbered free output. The detour is
 			// not charged here — deflected waste is the flit's actual
 			// hops beyond its minimal route, settled at ejection.
-			for p := 0; p < r.ports; p++ {
-				if nd.downTo[p] >= 0 && !r.portTaken[p] {
+			for p := range down {
+				if down[p].node >= 0 && !r.portTaken[p] {
 					out = p
 					break
 				}
@@ -517,9 +352,9 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 				removed++
 			}
 			f.hops++
-			d := nd.downTo[out]
-			r.nodes[d].rings[nd.downIn[out]].push(now+r.m.cfg.LinkLatency, f)
-			r.addStaged(d, 1)
+			l := down[out]
+			r.nodes[l.node].rings[l.port].push(now+r.m.cfg.LinkLatency, f)
+			r.addActive(l.node, 1)
 			r.m.linkBusy[n][out]++
 			progressed = true
 			continue
@@ -540,7 +375,7 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 		}
 	}
 	if removed > 0 {
-		r.subStaged(n, removed)
+		r.subActive(n, removed)
 	}
 	return progressed
 }
@@ -577,37 +412,5 @@ func (r *deflRouter) ejectFlit(n int, f *deflFlit, now int64) {
 	pkt.arrived++
 	if pkt.arrived == pkt.flits {
 		r.deliver(n, pkt, now)
-	}
-}
-
-// deliver completes a fully-ejected packet in channel order: if earlier
-// packets of its (src, dst) channel are still in flight it parks on the
-// channel's reorder buffer, otherwise it delivers now — and releases any
-// parked successors its delivery unblocks, at the same cycle. Liveness is
-// inductive: the channel's earliest undelivered packet is never parked,
-// so its flits are on the fabric and the livelock-free tick delivers it.
-func (r *deflRouter) deliver(n int, pkt *deflPkt, now int64) {
-	pair := pkt.pair
-	if pkt.pairSeq != pair.nextDeliver {
-		pp := &pair.pending
-		for *pp != nil && (*pp).pairSeq < pkt.pairSeq {
-			pp = &(*pp).next
-		}
-		pkt.next = *pp
-		*pp = pkt
-		return
-	}
-	for {
-		pair.nextDeliver++
-		r.m.complete(n, pkt.payload, pkt.injectAt, now)
-		r.inFlight--
-		pkt.payload, pkt.pair = nil, nil
-		pkt.next = r.pktFree
-		r.pktFree = pkt
-		if pair.pending == nil || pair.pending.pairSeq != pair.nextDeliver {
-			return
-		}
-		pkt = pair.pending
-		pair.pending = pkt.next
 	}
 }

@@ -13,11 +13,11 @@ import (
 // by strictly increasing arrival-ring stamps), no flit may be dropped or
 // duplicated (the global flit ledger balances), and the active-node mask
 // must track exactly the staged nodes. After the drain every injected
-// packet must have been delivered, none earlier than its minimal route
-// allows, and the link-traversal ledger must balance: actual traversals
-// equal minimal flit-hops plus reported deflected hops. The checked-in
-// corpus under testdata/fuzz seeds the edge geometries (1-wide grids,
-// hotspot schedules, single-packet runs).
+// packet must have been delivered, in channel order and none earlier than
+// its minimal route allows, and the link-traversal ledger must balance:
+// actual traversals equal minimal flit-hops plus reported deflected hops.
+// The checked-in corpus under testdata/fuzz seeds the edge geometries
+// (1-wide grids, hotspot schedules, single-packet runs).
 func FuzzDeflectionPermutation(f *testing.F) {
 	f.Add(uint64(1), 0, 4, 4, 32)  // paper mesh, mixed traffic
 	f.Add(uint64(7), 1, 4, 4, 48)  // ring under load
@@ -33,51 +33,11 @@ func FuzzDeflectionPermutation(f *testing.F) {
 		height := ((h%6)+6)%6 + 1
 		npkts = ((npkts%64)+64)%64 + 1
 
-		// splitmix64: a tiny deterministic PRNG so the schedule is a pure
-		// function of the fuzz input (no math/rand state to leak between
-		// runs).
-		next := func() uint64 {
-			seed += 0x9e3779b97f4a7c15
-			z := seed
-			z ^= z >> 30
-			z *= 0xbf58476d1ce4e5b9
-			z ^= z >> 27
-			z *= 0x94d049bb133111eb
-			return z ^ (z >> 31)
-		}
-
 		k := &sim.Kernel{}
 		m := New(k, Config{Width: width, Height: height, Topology: kind,
 			Router: "deflection", LinkLatency: 3, LocalLatency: 1})
 		r := m.r.(*deflRouter)
-		n := m.Tiles()
-		delivered := 0
-		for tile := 0; tile < n; tile++ {
-			m.Register(tile, func(p any) {
-				if minAt := p.(int64); k.Now() < minAt {
-					t.Fatalf("%s %dx%d: delivery at %d beats minimal-route bound %d",
-						kind, width, height, k.Now(), minAt)
-				}
-				delivered++
-			})
-		}
-
-		// A pseudo-random timed schedule: packets injected over a 200-cycle
-		// window from random sources to random destinations, so arbitration
-		// sees every mix of ages and the side buffer gets real traffic.
-		for i := 0; i < npkts; i++ {
-			src := int(next() % uint64(n))
-			dst := int(next() % uint64(n))
-			flits := 1 + int(next()%5)
-			at := int64(next() % 200)
-			k.At(at, func() {
-				minAt := k.Now() + int64(m.Hops(src, dst))*3 + int64(flits)
-				if src == dst {
-					minAt = k.Now() + 1 // LocalLatency path, no fabric involved
-				}
-				m.Send(src, dst, flits, minAt)
-			})
-		}
+		delivered := randomSchedule(t, k, m, seed, npkts, 1)
 
 		steps := 0
 		for k.Step() {
@@ -88,8 +48,8 @@ func FuzzDeflectionPermutation(f *testing.F) {
 					kind, width, height, npkts)
 			}
 		}
-		if delivered != npkts {
-			t.Fatalf("%s %dx%d: delivered %d of %d packets", kind, width, height, delivered, npkts)
+		if *delivered != npkts {
+			t.Fatalf("%s %dx%d: delivered %d of %d packets", kind, width, height, *delivered, npkts)
 		}
 		checkDeflDrained(t, r)
 		var traversals uint64

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -9,8 +10,8 @@ import (
 // checkDeflConservation is the white-box no-drop/no-duplicate audit the
 // deflection property and fuzz tests run after every kernel step: every
 // live flit record sits in exactly one place (a link arrival ring, an
-// injection queue, or a side buffer), per-node staged counts and the
-// active-node bitmask agree with the structures, and each ring's arrival
+// injection queue, or a side buffer), per-node counts and the active-node
+// bitmask agree with the structures, and each ring's arrival
 // stamps are strictly increasing (at most one flit enters a link per
 // cycle — the per-tick output-port assignment was a permutation).
 func checkDeflConservation(t *testing.T, r *deflRouter) {
@@ -45,32 +46,25 @@ func checkDeflConservation(t *testing.T, r *deflRouter) {
 			}
 		}
 		staged += nd.localLen()
-		if staged != nd.staged {
-			t.Fatalf("node %d: staged = %d but %d flits present", n, nd.staged, staged)
-		}
-		bit := r.activeMask[n>>6]>>uint(n&63)&1 == 1
-		if bit != (nd.staged > 0) {
-			t.Fatalf("node %d: activeMask bit %v but staged = %d", n, bit, nd.staged)
+		if staged != r.count[n] {
+			t.Fatalf("node %d: count = %d but %d flits present", n, r.count[n], staged)
 		}
 		total += staged
 	}
+	checkMaskCount(t, &r.cycleNet)
 	if total != r.flits {
 		t.Fatalf("%d flit records on the network, router accounts %d (drop or duplicate)", total, r.flits)
 	}
 }
 
 // checkDeflDrained asserts a fully drained network: no live flits, no
-// in-flight packets, no active bits.
+// in-flight or parked packets, no active bits.
 func checkDeflDrained(t *testing.T, r *deflRouter) {
 	t.Helper()
-	if r.flits != 0 || r.inFlight != 0 {
-		t.Fatalf("drained network still accounts %d flits / %d packets", r.flits, r.inFlight)
+	if r.flits != 0 {
+		t.Fatalf("drained network still accounts %d flits", r.flits)
 	}
-	for w, word := range r.activeMask {
-		if word != 0 {
-			t.Fatalf("drained network still has active bits in word %d: %#x", w, word)
-		}
-	}
+	checkDrained(t, &r.cycleNet)
 }
 
 // An uncontended flit pays one arbitration cycle at injection plus
@@ -234,42 +228,64 @@ func TestDeflectionHotspotCannotStarveCrossFlow(t *testing.T) {
 }
 
 // Point-to-point ordering: packets between one (src, dst) pair must
-// deliver in injection order even when deflections reorder their flits
-// on the fabric — the endpoint reorder buffer is what lets the coherence
-// protocols run unchanged on the deflection router. The hotspot cross
-// traffic makes detours (and therefore out-of-order ejections) likely.
+// deliver in injection order even when the fabric reorders them — the
+// skeleton's per-channel in-order delivery is what lets the coherence
+// protocols run unchanged on both cycle-level routers. Deflections
+// reorder flits on detours; the vc router reorders packets once a
+// dateline class holds more than one VC (VCs >= 4), because its
+// round-robin allocators let a younger packet on one VC overtake an older
+// one stalled on another. The background cross traffic makes detours and
+// stalls likely.
 func TestDeflectionDeliveryInOrderPerPair(t *testing.T) {
-	k := &sim.Kernel{}
-	m := New(k, Config{Width: 4, Height: 4, Topology: "mesh", Router: "deflection",
-		LinkLatency: 3, LocalLatency: 1})
-	lastSeq := make([]int, m.Tiles()) // per source, at the one destination
-	for tile := 0; tile < m.Tiles(); tile++ {
-		m.Register(tile, func(p any) {
-			if p == nil {
-				return
+	type config struct {
+		router, topo string
+		vcs          int
+	}
+	cases := []config{{"deflection", "mesh", 0}}
+	for _, topo := range TopologyKinds() {
+		for _, vcs := range []int{2, 4, 8} {
+			cases = append(cases, config{"vc", topo, vcs})
+		}
+	}
+	for _, c := range cases {
+		name := c.router + "/" + c.topo
+		if c.vcs != 0 {
+			name += fmt.Sprintf("/vcs%d", c.vcs)
+		}
+		t.Run(name, func(t *testing.T) {
+			k := &sim.Kernel{}
+			m := New(k, Config{Width: 4, Height: 4, Topology: c.topo, Router: c.router, VCs: c.vcs,
+				LinkLatency: 3, LocalLatency: 1})
+			lastSeq := make([]int, m.Tiles()) // per source, at the one destination
+			for tile := 0; tile < m.Tiles(); tile++ {
+				m.Register(tile, func(p any) {
+					if p == nil {
+						return
+					}
+					v := p.([2]int)
+					src, seq := v[0], v[1]
+					if seq != lastSeq[src]+1 {
+						t.Fatalf("packet %d from tile %d delivered after %d", seq, src, lastSeq[src])
+					}
+					lastSeq[src] = seq
+				})
 			}
-			v := p.([2]int)
-			src, seq := v[0], v[1]
-			if seq != lastSeq[src]+1 {
-				t.Fatalf("packet %d from tile %d delivered after %d", seq, src, lastSeq[src])
+			for round := 1; round <= 10; round++ {
+				for src := 1; src < 16; src++ {
+					m.Send(src, 0, 1+(src+round)%5, [2]int{src, round})
+					// Background cross traffic to force detours and stalls.
+					m.Send((src+5)%16, (src*3)%16, 2, nil)
+				}
 			}
-			lastSeq[src] = seq
+			if steps := k.RunLimit(2_000_000); steps == 2_000_000 {
+				t.Fatal("network did not drain")
+			}
+			for src := 1; src < 16; src++ {
+				if lastSeq[src] != 10 {
+					t.Fatalf("tile %d delivered %d of 10 ordered packets", src, lastSeq[src])
+				}
+			}
 		})
-	}
-	for round := 1; round <= 10; round++ {
-		for src := 1; src < 16; src++ {
-			m.Send(src, 0, 1+(src+round)%5, [2]int{src, round})
-			// Background cross traffic to force deflections on the way.
-			m.Send((src+5)%16, (src*3)%16, 2, nil)
-		}
-	}
-	if steps := k.RunLimit(2_000_000); steps == 2_000_000 {
-		t.Fatal("network did not drain")
-	}
-	for src := 1; src < 16; src++ {
-		if lastSeq[src] != 10 {
-			t.Fatalf("tile %d delivered %d of 10 ordered packets", src, lastSeq[src])
-		}
 	}
 }
 

@@ -54,31 +54,33 @@ func TestRouterRegistry(t *testing.T) {
 	New(&sim.Kernel{}, Config{Width: 2, Height: 2, Router: "bufferless"})
 }
 
-// A single flit through an idle vc network pays exactly one allocation
-// cycle at injection plus LinkLatency per hop: hops*L + 1, one cycle more
-// than the ideal router's hops*L.
 // Regression for the silent dateline imbalance: an odd VC count used to
 // be accepted and split unevenly between the two dateline classes. The vc
 // router now refuses to construct (user input is validated earlier by
-// memsys.Config.Validate; reaching New with a bad count is a bug).
+// memsys.Config.Validate; reaching New with a bad count is a bug). The
+// same holds above MaxVCs, where an unbounded count could exhaust memory.
 func TestVCOddCountPanics(t *testing.T) {
-	for _, vcs := range []int{1, 3, 5, -2} {
-		vcs := vcs
+	for _, cfg := range []Config{{VCs: 1}, {VCs: 3}, {VCs: 5}, {VCs: -2}, {VCs: MaxVCs + 2}, {VCDepth: MaxVCDepth + 1}} {
+		cfg.Width, cfg.Height, cfg.Router, cfg.LinkLatency = 2, 2, "vc", 1
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("VCs=%d accepted; want panic on the uneven dateline split", vcs)
+					t.Errorf("VCs=%d VCDepth=%d accepted; want a construction panic", cfg.VCs, cfg.VCDepth)
 				}
 			}()
-			New(&sim.Kernel{}, Config{Width: 2, Height: 2, Router: "vc", VCs: vcs, LinkLatency: 1})
+			New(&sim.Kernel{}, cfg)
 		}()
 	}
-	// Even counts and the zero default still construct.
-	for _, vcs := range []int{0, 2, 6} {
+	// Even counts up to the bound and the zero default still construct.
+	for _, vcs := range []int{0, 2, 6, MaxVCs} {
 		New(&sim.Kernel{}, Config{Width: 2, Height: 2, Router: "vc", VCs: vcs, LinkLatency: 1})
 	}
+	New(&sim.Kernel{}, Config{Width: 2, Height: 2, Router: "vc", VCDepth: MaxVCDepth, LinkLatency: 1})
 }
 
+// A single flit through an idle vc network pays exactly one allocation
+// cycle at injection plus LinkLatency per hop: hops*L + 1, one cycle more
+// than the ideal router's hops*L.
 func TestVCUncontendedSingleFlitLatency(t *testing.T) {
 	k, m, delivered := newRouterTest(t, "vc", "mesh", 4, 4)
 	m.Send(0, 15, 1, nil) // 6 hops

@@ -1,12 +1,13 @@
 package mesh
 
-// The cycle-level virtual-channel wormhole router (Config.Router = "vc").
+// The cycle-level virtual-channel wormhole router (Config.Router = "vc"),
+// on the cycle-level skeleton in cycle.go.
 //
 // Every router has, per incoming link, VCs flit buffers of VCDepth entries
 // each, managed with credit-based flow control: a flit may leave upstream
 // only while the downstream buffer has a free slot, and the credit returns
-// one link latency after the slot frees. Each cycle every router performs,
-// in fixed tile/port order:
+// one link latency after the slot frees. Each cycle every active router
+// performs, in fixed port order:
 //
 //   - VC allocation: a header flit at the front of an input VC (or the
 //     source queue) claims a free downstream VC in its dateline class,
@@ -18,49 +19,25 @@ package mesh
 //   - link traversal: the winning flit reaches the downstream buffer
 //     LinkLatency cycles later.
 //
-// Determinism: the whole network advances inside the kernel's recurring-
-// tick slot, one tick per cycle while packets are in flight, and every
-// allocation scan uses fixed iteration order plus per-port round-robin
-// pointers. Two runs that inject the same packets at the same cycles
-// therefore produce identical deliveries.
+// A node is active while it holds a staged packet stage: an input VC or
+// the head of its source queue. A stage is staged at the downstream node
+// when its VC is allocated, before any of its flits arrive, so an
+// uncontended packet keeps at most two nodes active (the stage it streams
+// from and the stage allocated downstream) and its traversal costs
+// O(hops) node steps. A frozen network waits on a buffered-flit arrival
+// (the per-node horizon) or a credit return (the skip bound).
 //
-// Idle skip-ahead: a tick that forwards nothing proves the network frozen
-// — every staged flit is blocked on a future buffered-flit arrival, a
-// pending credit return, or (transitively) another blocked flit — so the
-// next tick is armed with Kernel.TickSkipTo at the earliest arrival or
-// credit time instead of next cycle. The kernel clamps the jump to its
-// next pending event (which may inject new packets, resetting the wake
-// horizon via inject), and TickSkipTo's sequence accounting keeps
-// equal-timestamp event ordering bit-identical to per-cycle ticking, so
-// the optimization is invisible except to the wall clock.
+// Candidates: each output port keeps a bitmask over stage ids (inPort*VCs
+// + vc; the source queue is numIn*VCs) of the stages staged toward it, as
+// many 64-bit words as the largest id needs, and each node keeps a summary
+// of the outputs with any candidate, so switch allocation visits only
+// live candidates in round-robin order.
 //
-// Allocation-free steady state: packets come from a free list, per-VC
-// arrival queues are fixed-capacity rings (credits bound occupancy by
-// VCDepth), credit returns ride a router-global time-ordered ring drained
-// at tick start (every credit takes exactly LinkLatency cycles, so pushes
-// are monotone) instead of a kernel closure per flit, and the injection
-// queues recycle their backing arrays. A steady-state tick performs zero
-// heap allocations; vc_alloc_test.go pins that with testing.AllocsPerRun.
-//
-// O(active) ticks: a tick visits only the nodes that hold staged packets,
-// found through activeMask — a bitmask with bit n set exactly while
-// nodes[n].active > 0 (set in startInjection and allocVC when a node
-// gains its first stage, cleared in release when its last stage retires).
-// Iteration goes word by word via bits.TrailingZeros64, i.e. in the same
-// ascending node order as the old full scan, which is what keeps the
-// cross-node allocation coupling deterministic (a release at node i frees
-// a downstream VC that a later node j > i can claim in the same cycle,
-// exactly as before). A bit set mid-tick by allocVC is behavior-neutral
-// either way: the newly staged stage has no buffered flits yet (its
-// arrival ring is empty until forward pushes with a future timestamp), so
-// visiting it or not forwards nothing and moves no round-robin pointer.
-// Link advancement is batched by construction: an in-flight flit lives in
-// a downstream arrival ring with a future arrival stamp and costs nothing
-// per cycle, so an uncontended packet keeps at most two nodes active (the
-// stage it streams from and the stage allocated downstream) and its full
-// traversal costs O(hops) node visits total — not O(hops·tiles) as under
-// the full scan. The skip-ahead horizon composes: an idle fabric still
-// jumps the kernel, and a sparse fabric now ticks in O(active).
+// Buffers: per-VC arrival queues are fixed-capacity rings (credits bound
+// occupancy by VCDepth), credit returns ride a router-global time-ordered
+// ring (every credit takes exactly LinkLatency cycles, so pushes are
+// monotone) instead of a kernel event per flit, and the injection queues
+// recycle their backing arrays.
 //
 // Deadlock freedom: routing is minimal and dimension-ordered, and the VCs
 // are split into two dateline classes — packets start in class 0 and move
@@ -78,21 +55,19 @@ import (
 const (
 	defaultVCs     = 2
 	defaultVCDepth = 4
-)
 
-// vcPkt is one packet traveling the VC network. Packets are recycled
-// through the router's free list once their tail flit ejects.
-type vcPkt struct {
-	dst, flits int
-	payload    any
-	injectAt   int64
-	next       *vcPkt // free list link
-}
+	// MaxVCs bounds Config.VCs: router state grows with VCs x VCDepth
+	// per input port, and at both bounds a 16x16 torus already holds
+	// about 41 MB of it.
+	MaxVCs = 64
+	// MaxVCDepth bounds Config.VCDepth (see MaxVCs).
+	MaxVCDepth = 64
+)
 
 // hopState tracks a packet streaming through one router stage: an input VC
 // or the head of a source (injection) queue.
 type hopState struct {
-	pkt     *vcPkt
+	pkt     *packet
 	id      int // candidate bit index at this node (inPort*vcs+vc; numIn*vcs = source)
 	outPort int // output port at this node; topo.Ports() means ejection
 	class   int // dateline VC class held at this node (0 or 1)
@@ -140,63 +115,37 @@ type creditRet struct {
 	vc   int16
 }
 
-type linkEnd struct{ node, port int }
-
 type vcNode struct {
-	injQ    []*vcPkt // pending source packets; injQ[injHead:] is live
+	injQ    []*packet // pending source packets; injQ[injHead:] is live
 	injHead int
 	inj     hopState
-	in      [][]inVC  // [input port][vc]
-	ups     []linkEnd // upstream (node, output port) feeding each input port
-	downTo  []int     // downstream node per output port; -1 = no link
-	downIn  []int     // downstream input-port index per output port
-	wrap    []bool    // per output port: wraparound (dateline-crossing) link
-	credits [][]int   // [output port][downstream vc]: free buffer slots
-	outRR   []int     // switch-allocation round-robin pointer per output port
-	vcRR    []int     // VC-allocation round-robin pointer per output port
-	usedIn  []bool    // input port already supplied a flit this cycle
-	active  int       // packets currently staged at this node
-	// cand[out] has bit s.id set for every stage staged toward output out
-	// (s.pkt != nil && s.outPort == out), so switch allocation scans only
-	// live candidates instead of every (input, vc) slot. Unused when the
-	// router falls back to wide mode (candidate ids beyond 63).
+	in      [][]inVC // [input port][vc]
+	credits [][]int  // [output port][downstream vc]: free buffer slots
+	outRR   []int    // switch-allocation round-robin pointer per output port
+	vcRR    []int    // VC-allocation round-robin pointer per output port
+	usedIn  []bool   // input port already supplied a flit this cycle
+	wrap    []bool   // per output port: wraparound (dateline-crossing) link
+	// cand[out*words+id>>6] has bit id&63 set for every stage staged
+	// toward output out (s.pkt != nil && s.outPort == out), and outs has
+	// bit out set while any of out's words is nonzero.
 	cand []uint64
+	outs uint
 }
 
 type vcRouter struct {
-	m        *Mesh
-	vcs      int
-	depth    int
-	eject    int  // pseudo output port index = topo.Ports()
-	wide     bool // candidate ids exceed 64 bits; use the linear scan
-	nodes    []vcNode
-	inFlight int
-
-	// activeMask has bit n set exactly while nodes[n].active > 0; tick and
-	// nextArrival iterate it instead of scanning every node. The invariant
-	// is maintained by startInjection/allocVC (set) and release (clear)
-	// and pinned by TestVCActiveMaskInvariant.
-	activeMask []uint64
-
-	// tickVisits counts nodes visited by tick since construction — the
-	// work counter behind the O(active) test (per-tick visits on a sparse
-	// mesh are bounded by the traffic's footprint, not the tile count).
-	tickVisits uint64
-
-	// wake is the cycle before which no staged flit can make progress
-	// (set by a no-progress tick; 0 = the next tick must do a full scan).
-	// inject resets it: a new header invalidates the frozen-state proof.
-	wake int64
+	cycleNet
+	vcs   int
+	depth int
+	eject int // pseudo output port index = topo.Ports()
+	words int // candidate-mask words per output port
+	nodes []vcNode
 
 	// Pending credit returns, a time-ordered ring (constant LinkLatency
-	// makes pushes monotone). Drained at the start of every tick, exactly
-	// matching the old per-credit kernel events, which always fired before
-	// the same cycle's tick.
+	// makes pushes monotone), applied before the first node step of the
+	// first tick at or after their cycle.
 	credQ    []creditRet
 	credHead int
 	credLen  int
-
-	pktFree *vcPkt // recycled packets
 }
 
 func newVCRouter(m *Mesh) *vcRouter {
@@ -208,94 +157,85 @@ func newVCRouter(m *Mesh) *vcRouter {
 	// count would silently short class 0 (e.g. VCs=3 -> classes of 1 and
 	// 2), skewing fairness and the torus deadlock margin. User-facing
 	// paths validate via memsys.Config.Validate; reaching here with a bad
-	// count is a programmer error, same as an unknown topology in New.
-	if vcs < 2 || vcs%2 != 0 {
-		panic(fmt.Sprintf("mesh: VCs = %d; the dateline split needs an even count >= 2", m.cfg.VCs))
+	// geometry is a programmer error, same as an unknown topology in New.
+	if vcs < 2 || vcs%2 != 0 || vcs > MaxVCs {
+		panic(fmt.Sprintf("mesh: VCs = %d; the dateline split needs an even count in [2, %d]", m.cfg.VCs, MaxVCs))
 	}
 	depth := m.cfg.VCDepth
 	if depth <= 0 {
 		depth = defaultVCDepth
 	}
+	if depth > MaxVCDepth {
+		panic(fmt.Sprintf("mesh: VCDepth = %d exceeds %d", depth, MaxVCDepth))
+	}
 	ports := m.topo.Ports()
-	r := &vcRouter{m: m, vcs: vcs, depth: depth, eject: ports}
+	r := &vcRouter{vcs: vcs, depth: depth, eject: ports}
+	r.init(m, r)
+	r.words = (ports*vcs + 1 + 63) / 64 // ids 0..numIn*vcs, numIn <= ports
 	r.nodes = make([]vcNode, m.topo.Tiles())
-	r.activeMask = make([]uint64, (len(r.nodes)+63)/64)
-	for i := range r.nodes {
-		nd := &r.nodes[i]
-		nd.downTo = make([]int, ports)
-		for p := range nd.downTo {
-			nd.downTo[p] = -1
+	for n := range r.nodes {
+		nd := &r.nodes[n]
+		nd.in = make([][]inVC, len(r.up[n]))
+		for i := range nd.in {
+			row := make([]inVC, vcs)
+			for v := range row {
+				row[v].id = i*vcs + v
+				row[v].downVC = -1
+				row[v].arr = make([]int64, depth)
+			}
+			nd.in[i] = row
 		}
-		nd.downIn = make([]int, ports)
-		nd.wrap = make([]bool, ports)
 		nd.credits = make([][]int, ports)
+		nd.wrap = make([]bool, ports)
+		for p := range nd.credits {
+			if r.down[n][p].node < 0 {
+				continue
+			}
+			nd.wrap[p] = m.topo.Wraparound(n, p)
+			cr := make([]int, vcs)
+			for v := range cr {
+				cr[v] = depth
+			}
+			nd.credits[p] = cr
+		}
 		nd.outRR = make([]int, ports+1)
 		nd.vcRR = make([]int, ports)
-		nd.inj.downVC = -1
-	}
-	for _, l := range m.topo.Links() {
-		to := &r.nodes[l.To]
-		idx := len(to.in)
-		row := make([]inVC, vcs)
-		for v := range row {
-			row[v].id = idx*vcs + v
-			row[v].downVC = -1
-			row[v].arr = make([]int64, depth)
-		}
-		to.in = append(to.in, row)
-		to.ups = append(to.ups, linkEnd{l.From, l.Port})
-		from := &r.nodes[l.From]
-		from.downTo[l.Port] = l.To
-		from.downIn[l.Port] = idx
-		from.wrap[l.Port] = m.topo.Wraparound(l.From, l.Port)
-		cr := make([]int, vcs)
-		for v := range cr {
-			cr[v] = depth
-		}
-		from.credits[l.Port] = cr
-	}
-	for i := range r.nodes {
-		nd := &r.nodes[i]
 		nd.usedIn = make([]bool, len(nd.in)+1)
 		nd.inj.id = len(nd.in) * vcs
-		nd.cand = make([]uint64, ports+1)
-		if nd.inj.id >= 64 {
-			r.wide = true
-		}
+		nd.inj.downVC = -1
+		nd.cand = make([]uint64, (ports+1)*r.words)
 	}
-	m.k.SetTicker(r.tick)
 	return r
 }
 
 func (r *vcRouter) kind() string { return "vc" }
 
 func (r *vcRouter) inject(src, dst, flits int, payload any) int {
-	pkt := r.pktFree
-	if pkt == nil {
-		pkt = &vcPkt{}
-	} else {
-		r.pktFree = pkt.next
-		pkt.next = nil
-	}
-	pkt.dst, pkt.flits, pkt.payload, pkt.injectAt = dst, flits, payload, r.m.k.Now()
 	nd := &r.nodes[src]
-	nd.injQ = append(nd.injQ, pkt)
+	nd.injQ = append(nd.injQ, r.admit(src, dst, flits, payload))
 	if len(nd.injQ)-nd.injHead == 1 {
 		r.startInjection(src, nd)
-	}
-	r.inFlight++
-	r.wake = 0 // a fresh header invalidates any frozen-state proof
-	if !r.m.k.TickArmed() {
-		r.m.k.TickNext()
 	}
 	return r.m.topo.Hops(src, dst)
 }
 
-// markActive and clearActive maintain the active-node bitmask; they are
-// the only writers, called exactly on a node's 0->1 and 1->0 stage-count
-// transitions.
-func (r *vcRouter) markActive(n int)  { r.activeMask[n>>6] |= 1 << uint(n&63) }
-func (r *vcRouter) clearActive(n int) { r.activeMask[n>>6] &^= 1 << uint(n&63) }
+// setCand and clearCand maintain a node's candidate masks and their
+// per-output summary.
+func (r *vcRouter) setCand(nd *vcNode, out, id int) {
+	nd.cand[out*r.words+id>>6] |= 1 << uint(id&63)
+	nd.outs |= 1 << uint(out)
+}
+
+func (r *vcRouter) clearCand(nd *vcNode, out, id int) {
+	words := nd.cand[out*r.words : (out+1)*r.words]
+	words[id>>6] &^= 1 << uint(id&63)
+	for _, w := range words {
+		if w != 0 {
+			return
+		}
+	}
+	nd.outs &^= 1 << uint(out)
+}
 
 // startInjection stages the head of a source queue for switch allocation.
 func (r *vcRouter) startInjection(n int, nd *vcNode) {
@@ -306,11 +246,8 @@ func (r *vcRouter) startInjection(n int, nd *vcNode) {
 	s.axis = -1
 	s.downVC = -1
 	s.outPort, _ = r.m.topo.NextPort(n, s.pkt.dst)
-	nd.cand[s.outPort] |= 1 << uint(s.id)
-	nd.active++
-	if nd.active == 1 {
-		r.markActive(n)
-	}
+	r.setCand(nd, s.outPort, s.id)
+	r.addActive(n, 1)
 }
 
 // pushCredit queues a credit return for cycle at (always now+LinkLatency,
@@ -348,97 +285,41 @@ func (r *vcRouter) drainCredits(now int64) {
 	}
 }
 
-// tick advances the whole network by one cycle, or proves the current
-// cycle (and possibly a run of following ones) idle and skips ahead.
-func (r *vcRouter) tick() {
-	now := r.m.k.Now()
+// stepNode runs VC and switch allocation at node n for every output port
+// with a candidate. The credits due by now are applied first: the tick's
+// first node step applies them all (credits returned during the tick are
+// due at least a cycle later), so every node sees the same credit state a
+// tick-start drain would give it.
+func (r *vcRouter) stepNode(n int, now int64) bool {
 	r.drainCredits(now)
-	if now < r.wake {
-		// Still inside a proven-frozen window (the kernel pulled the tick
-		// earlier for a heap event that turned out not to inject).
-		r.m.k.TickSkipTo(r.wake)
-		return
+	nd := &r.nodes[n]
+	for j := range nd.usedIn {
+		nd.usedIn[j] = false
 	}
 	progressed := false
-	// Visit only active nodes, in ascending node order (the same order as
-	// the old full scan — required, since a release at node i can free a
-	// downstream VC that a later node j claims this same cycle). Each mask
-	// word is snapshotted when reached: bits set into it mid-tick by
-	// allocVC belong to stages with empty arrival rings that cannot
-	// forward this cycle, so skipping them is bit-identical (see the
-	// package comment).
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			nd := &r.nodes[i]
-			r.tickVisits++
-			for j := range nd.usedIn {
-				nd.usedIn[j] = false
-			}
-			if r.wide {
-				for out := 0; out <= r.eject; out++ {
-					if r.serviceOutputScan(i, nd, out, now) {
-						progressed = true
-					}
-				}
-				continue
-			}
-			for out := 0; out <= r.eject; out++ {
-				if nd.cand[out] == 0 {
-					continue
-				}
-				if r.serviceOutput(i, nd, out, now) {
-					progressed = true
-				}
-			}
+	// outs is read once. An output can gain a candidate mid-step only
+	// from the next source packet, staged when the last one's tail left,
+	// and the source port has already supplied this cycle's flit.
+	for outs := nd.outs; outs != 0; outs &= outs - 1 {
+		if r.serviceOutput(n, nd, bits.TrailingZeros(outs), now) {
+			progressed = true
 		}
 	}
-	if r.inFlight == 0 {
-		return // network drained; the next inject re-arms the tick
-	}
-	if progressed {
-		r.wake = 0
-		r.m.k.TickNext()
-		return
-	}
-	// Nothing moved: every staged flit waits on a future arrival, a
-	// pending credit, or a flit that is itself frozen. The state cannot
-	// change before the earliest arrival/credit lands, so skip there.
-	wake := r.nextArrival(now)
-	if r.credLen > 0 && r.credQ[r.credHead].at < wake {
-		wake = r.credQ[r.credHead].at
-	}
-	if wake == math.MaxInt64 {
-		// No future arrival or credit either: a true deadlock. Keep
-		// ticking so the behavior matches the per-cycle model exactly;
-		// the driver's livelock watchdog reports it.
-		r.wake = 0
-		r.m.k.TickNext()
-		return
-	}
-	r.wake = wake
-	r.m.k.TickSkipTo(wake)
+	return progressed
 }
 
-// nextArrival returns the earliest strictly-future buffered-flit arrival
-// cycle, or MaxInt64 if none is in flight. Arrivals already due (a flit
-// buffered but blocked on credits or a downstream VC) don't bound the
-// wake horizon — whatever unblocks them is a credit return or another
-// flit's arrival, which the caller accounts separately.
-func (r *vcRouter) nextArrival(now int64) int64 {
+// horizon returns the earliest strictly-future buffered-flit arrival at
+// node n.
+func (r *vcRouter) horizon(n int, now int64) int64 {
 	min := int64(math.MaxInt64)
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			nd := &r.nodes[w<<6+bits.TrailingZeros64(word)]
-			for p := range nd.in {
-				row := nd.in[p]
-				for v := range row {
-					b := &row[v]
-					if b.pkt != nil && b.arrLen > 0 {
-						if t := b.arrFront(); t > now && t < min {
-							min = t
-						}
-					}
+	nd := &r.nodes[n]
+	for p := range nd.in {
+		row := nd.in[p]
+		for v := range row {
+			b := &row[v]
+			if b.pkt != nil && b.arrLen > 0 {
+				if t := b.arrFront(); t > now && t < min {
+					min = t
 				}
 			}
 		}
@@ -446,23 +327,45 @@ func (r *vcRouter) nextArrival(now int64) int64 {
 	return min
 }
 
+// skipBound caps the skip at the next credit return: a frozen flit may be
+// waiting on it. The tick's node steps have already applied every credit
+// due by now, so the head of the ring is in the future.
+func (r *vcRouter) skipBound(now int64) int64 {
+	if r.credLen > 0 {
+		return r.credQ[r.credHead].at
+	}
+	return math.MaxInt64
+}
+
 // serviceOutput runs VC + switch allocation for one output port: visit the
-// staged (input port, VC) candidates in round-robin order via the port's
-// candidate bitmask and forward the first winner. It reports whether a flit
-// moved. The mask holds exactly the stages with s.pkt != nil and
-// s.outPort == out, so skipping unset bits examines the same eligible
-// candidates, in the same order, as the exhaustive scan.
+// staged candidates in round-robin order from the id after the last
+// winner and forward the first that can move. It reports whether a flit
+// moved. The order walks the mask words from the one holding start+1,
+// wrapping around, and visits that word twice: its ids above start first,
+// its ids up to start last.
 func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64) bool {
-	mask := nd.cand[out]
+	cand := nd.cand[out*r.words : (out+1)*r.words]
 	numIn := len(nd.in)
 	start := nd.outRR[out]
-	// Round-robin order from start+1: ids above start ascending, then ids
-	// from 0 through start. A shift count of 64 (start == 63) yields 0 in
-	// Go, correctly leaving no "above" half.
-	above := mask &^ (1<<uint(start+1) - 1)
-	for _, half := range [2]uint64{above, mask &^ above} {
-		for m := half; m != 0; m &= m - 1 {
-			id := bits.TrailingZeros64(m)
+	first := (start + 1) >> 6
+	if first == len(cand) {
+		first = 0
+	}
+	above := ^uint64(0) << uint((start+1)&63) // ids above start in word first
+	for i := 0; i <= len(cand); i++ {
+		w := first + i
+		if w >= len(cand) {
+			w -= len(cand)
+		}
+		word := cand[w]
+		switch i {
+		case 0:
+			word &= above
+		case len(cand):
+			word &^= above
+		}
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 + bits.TrailingZeros64(word)
 			var s *hopState
 			var buf *inVC
 			inPort, vcIdx := numIn, -1 // defaults: the source queue
@@ -480,7 +383,7 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64) bool {
 				continue
 			}
 			if out != r.eject {
-				if s.downVC < 0 && !r.allocVC(nd, s, out) {
+				if s.downVC < 0 && !r.allocVC(n, nd, s, out) {
 					continue // no free downstream VC for this header
 				}
 				if nd.credits[out][s.downVC] == 0 {
@@ -495,49 +398,9 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64) bool {
 	return false
 }
 
-// serviceOutputScan is the exhaustive-order fallback used in wide mode
-// (candidate ids beyond 63, i.e. VCs >= 16 on a 4-port topology): scan
-// every (input port, VC) slot round-robin and forward the first winner.
-func (r *vcRouter) serviceOutputScan(n int, nd *vcNode, out int, now int64) bool {
-	numIn := len(nd.in)
-	total := numIn*r.vcs + 1 // +1: the source queue head
-	start := nd.outRR[out]
-	for k := 1; k <= total; k++ {
-		id := (start + k) % total
-		var s *hopState
-		var buf *inVC
-		inPort, vcIdx := numIn, -1 // defaults: the source queue
-		if id < numIn*r.vcs {
-			inPort, vcIdx = id/r.vcs, id%r.vcs
-			buf = &nd.in[inPort][vcIdx]
-			s = &buf.hopState
-			if buf.arrLen == 0 || buf.arrFront() > now {
-				continue
-			}
-		} else {
-			s = &nd.inj
-		}
-		if s.pkt == nil || s.outPort != out || nd.usedIn[inPort] {
-			continue
-		}
-		if out != r.eject {
-			if s.downVC < 0 && !r.allocVC(nd, s, out) {
-				continue // no free downstream VC for this header
-			}
-			if nd.credits[out][s.downVC] == 0 {
-				continue // downstream buffer full
-			}
-		}
-		r.forward(n, nd, out, inPort, vcIdx, s, buf, now)
-		nd.outRR[out] = id
-		return true
-	}
-	return false
-}
-
 // allocVC claims a free downstream input VC in the packet's dateline class
 // and stages the packet's streaming state at the downstream node.
-func (r *vcRouter) allocVC(nd *vcNode, s *hopState, out int) bool {
+func (r *vcRouter) allocVC(n int, nd *vcNode, s *hopState, out int) bool {
 	class := s.class
 	if r.m.topo.PortAxis(out) != s.axis {
 		class = 0 // a new dimension starts a new dateline ring
@@ -550,13 +413,13 @@ func (r *vcRouter) allocVC(nd *vcNode, s *hopState, out int) bool {
 	if class == 1 {
 		lo, hi = half, r.vcs
 	}
-	d := nd.downTo[out]
-	down := &r.nodes[d]
+	l := r.down[n][out]
+	down := &r.nodes[l.node]
 	width := hi - lo
 	start := nd.vcRR[out]
 	for k := 0; k < width; k++ {
 		w := lo + (start+k)%width
-		tgt := &down.in[nd.downIn[out]][w]
+		tgt := &down.in[l.port][w]
 		if tgt.pkt != nil {
 			continue
 		}
@@ -568,16 +431,13 @@ func (r *vcRouter) allocVC(nd *vcNode, s *hopState, out int) bool {
 		tgt.axis = r.m.topo.PortAxis(out)
 		tgt.downVC = -1
 		tgt.arrHead, tgt.arrLen = 0, 0
-		if d == s.pkt.dst {
+		if l.node == s.pkt.dst {
 			tgt.outPort = r.eject
 		} else {
-			tgt.outPort, _ = r.m.topo.NextPort(d, s.pkt.dst)
+			tgt.outPort, _ = r.m.topo.NextPort(l.node, s.pkt.dst)
 		}
-		down.cand[tgt.outPort] |= 1 << uint(tgt.id)
-		down.active++
-		if down.active == 1 {
-			r.markActive(d)
-		}
+		r.setCand(down, tgt.outPort, tgt.id)
+		r.addActive(l.node, 1)
 		return true
 	}
 	return false
@@ -593,22 +453,18 @@ func (r *vcRouter) forward(n int, nd *vcNode, out, inPort, vcIdx int, s *hopStat
 		// The flit frees a buffer slot; the credit reaches the upstream
 		// router one link traversal later.
 		buf.arrPop()
-		up := nd.ups[inPort]
+		up := r.up[n][inPort]
 		r.pushCredit(now+r.m.cfg.LinkLatency, up.node, up.port, vcIdx)
 	}
 	if out == r.eject {
 		if tail {
-			pkt := s.pkt
-			r.m.complete(n, pkt.payload, pkt.injectAt, now)
-			r.inFlight--
+			r.deliver(n, s.pkt, now)
 			r.release(n, nd, s)
-			pkt.payload = nil
-			pkt.next = r.pktFree
-			r.pktFree = pkt
 		}
 		return
 	}
-	tgt := &r.nodes[nd.downTo[out]].in[nd.downIn[out]][s.downVC]
+	l := r.down[n][out]
+	tgt := &r.nodes[l.node].in[l.port][s.downVC]
 	tgt.arrPush(now + r.m.cfg.LinkLatency)
 	if tgt.arrLen > r.m.peakVC {
 		r.m.peakVC = tgt.arrLen
@@ -623,11 +479,8 @@ func (r *vcRouter) forward(n int, nd *vcNode, out, inPort, vcIdx int, s *hopStat
 // release retires a packet's stage at this node once its tail has left,
 // freeing the VC (or advancing the source queue) for the next packet.
 func (r *vcRouter) release(n int, nd *vcNode, s *hopState) {
-	nd.cand[s.outPort] &^= 1 << uint(s.id)
-	nd.active--
-	if nd.active == 0 {
-		r.clearActive(n)
-	}
+	r.clearCand(nd, s.outPort, s.id)
+	r.subActive(n, 1)
 	if s == &nd.inj {
 		nd.injQ[nd.injHead] = nil // drop the reference for the free list
 		nd.injHead++

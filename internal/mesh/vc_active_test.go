@@ -57,16 +57,15 @@ func TestVCTickWorkIsOActive(t *testing.T) {
 }
 
 // checkActiveMask verifies the membership invariant the O(active) tick
-// relies on: activeMask bit n is set exactly while nodes[n].active > 0,
-// and a node's stage count matches its live stages.
+// relies on: activeMask bit n is set exactly while node n's count is
+// positive, the count matches the node's live stages, and the candidate
+// masks and their per-output summary are the per-output view of the same
+// stages — at every VC count, however many words the masks take.
 func checkActiveMask(t *testing.T, r *vcRouter) {
 	t.Helper()
+	checkMaskCount(t, &r.cycleNet)
 	for n := range r.nodes {
 		nd := &r.nodes[n]
-		bit := r.activeMask[n>>6]>>uint(n&63)&1 == 1
-		if bit != (nd.active > 0) {
-			t.Fatalf("node %d: activeMask bit %v but active = %d", n, bit, nd.active)
-		}
 		staged := 0
 		if nd.inj.pkt != nil {
 			staged++
@@ -78,29 +77,44 @@ func checkActiveMask(t *testing.T, r *vcRouter) {
 				}
 			}
 		}
-		if staged != nd.active {
-			t.Fatalf("node %d: active = %d but %d stages hold packets", n, nd.active, staged)
+		if staged != r.count[n] {
+			t.Fatalf("node %d: count = %d but %d stages hold packets", n, r.count[n], staged)
 		}
-		// The candidate masks are the per-output view of the same stages.
 		cand := 0
-		for _, w := range nd.cand {
-			cand += bits.OnesCount64(w)
+		for out := 0; out <= r.eject; out++ {
+			words := nd.cand[out*r.words : (out+1)*r.words]
+			nonzero := false
+			for _, w := range words {
+				cand += bits.OnesCount64(w)
+				nonzero = nonzero || w != 0
+			}
+			if summary := nd.outs>>uint(out)&1 == 1; summary != nonzero {
+				t.Fatalf("node %d: output %d summary bit %v but candidate words %#x", n, out, summary, words)
+			}
 		}
-		if !r.wide && cand != nd.active {
-			t.Fatalf("node %d: active = %d but %d candidate bits set", n, nd.active, cand)
+		if cand != r.count[n] {
+			t.Fatalf("node %d: count = %d but %d candidate bits set", n, r.count[n], cand)
 		}
 	}
 }
 
 // TestVCActiveMaskInvariant steps busy bursts on a 16x16 mesh and torus
 // and checks the mask invariant after every kernel step — including the
-// dateline (wraparound) allocation path the torus exercises. Run under
-// -race in CI.
+// dateline (wraparound) allocation path the torus exercises, and 32 VCs,
+// whose candidate masks take three words. Run under -race in CI.
 func TestVCActiveMaskInvariant(t *testing.T) {
-	for _, topo := range []string{"mesh", "torus"} {
-		t.Run(topo, func(t *testing.T) {
+	for _, c := range []struct {
+		name, topo string
+		vcs        int
+	}{
+		{"mesh", "mesh", 0},
+		{"torus", "torus", 0},
+		{"torus-vcs32", "torus", 32},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			k := &sim.Kernel{}
-			m := New(k, Config{Width: 16, Height: 16, Topology: topo, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+			m := New(k, Config{Width: 16, Height: 16, Topology: c.topo, Router: "vc", VCs: c.vcs,
+				LinkLatency: 3, LocalLatency: 1})
 			for tile := 0; tile < m.Tiles(); tile++ {
 				m.Register(tile, func(any) {})
 			}

@@ -3,8 +3,9 @@
 # the exact bytes the CLI prints for a sweep and for a matrix (the
 # byte-identity contract across the shared orchestration layer), serve
 # identical resubmissions of either from the cache with zero simulated
-# points, reject malformed specs loudly with the CLI's own validation
-# message, and drain cleanly on SIGTERM.
+# points, finish a vc job with several VCs per dateline class on a ring,
+# reject malformed specs loudly with the CLI's own validation message,
+# and drain cleanly on SIGTERM.
 #
 # Usage: scripts/simserver_smoke.sh  (from the repo root; needs curl + jq)
 set -euo pipefail
@@ -106,6 +107,13 @@ if [[ "$CACHED" != 1 || "$DONE" != 1 ]]; then
 fi
 curl -fsS "$BASE/v1/jobs/$MID2/result?format=text" > "$WORK/http-matrix2.out"
 cmp "$WORK/cli-matrix.out" "$WORK/http-matrix2.out" || { echo "cached matrix result differs"; exit 1; }
+
+# Four VCs split into dateline classes of two, which reorder a channel
+# unless the fabric restores its order; MESI on a ring trips over a
+# reordered channel, and the panic used to kill the server.
+echo "== a vc job with 4 VCs on a ring finishes"
+VID=$(curl -fsS "$BASE/v1/jobs" -d '{"figures":["5.1a"],"benchmarks":["radix"],"protocols":["MESI"],"router":"vc","vcs":4,"topology":"ring"}' | jq -r .id)
+wait_done "$VID"
 
 echo "== malformed spec is a loud 400 with the CLI's message"
 CODE=$(curl -s -o "$WORK/err.json" -w '%{http_code}' "$BASE/v1/jobs" \
