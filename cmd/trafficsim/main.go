@@ -85,7 +85,7 @@ func run() (code int) {
 	maxpoints := flag.Int("maxpoints", core.DefaultSweepPointCap, "sweep expansion cap; a sweep that expands past it is an error (raise deliberately for large sweeps, ideally with -cachedir)")
 	record := flag.String("record", "", "record the single workload in -benchmarks to this trace file and exit (run it later with replay(file=...))")
 	threads := flag.Int("threads", 16, "worker threads (= cores used)")
-	meshDims := flag.String("mesh", "4x4", "tile-grid dimensions WxH (e.g. "+
+	meshDims := flag.String("mesh", "4x4", "tile-grid dimensions WxH, each side at most 16 (e.g. "+
 		strings.Join(core.MeshPresets(), ", ")+"); tiles, corner MC placement and Bloom banks follow, and -threads must not exceed the tile count")
 	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
 	router := flag.String("router", "ideal", "router model: "+routerHelp())

@@ -43,7 +43,8 @@ import (
 // MeshPresets are the mesh-dimension values the inventory advertises for
 // the mesh axis (the paper's 4x4 plus the 64- and 256-tile scaling
 // points). The axis itself accepts any WxH that memsys.ParseMeshDims
-// does — these are the catalog entries, not a closed vocabulary.
+// does (up to mesh.MaxSide per side) — these are the catalog entries,
+// not a closed vocabulary.
 func MeshPresets() []string {
 	return []string{"4x4", "8x8", "16x16"}
 }

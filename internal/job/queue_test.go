@@ -218,6 +218,9 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Router: "vc", VCs: 20000000}, "memsys: VCs = 20000000 exceeds the maximum 64"},
 		{Request{Router: "vc", VCDepth: 200000000}, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
 		{Request{Mesh: "2x2"}, "core: threads 16 > tiles 4"},
+		{Request{Mesh: "2000x2000", Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "memsys: mesh dimensions 2000x2000: each side must be at most 16"},
+		{Request{Mesh: "4x17"}, "memsys: mesh dimensions 4x17: each side must be at most 16"},
+		{Request{Mesh: "4294967297x4294967297"}, "memsys: mesh dimensions 4294967297x4294967297: each side must be at most 16"},
 		{Request{Protocols: []string{"MESI", "MESI"}}, `core: protocols "MESI" and "MESI" are the same configuration`},
 		{Request{Benchmarks: []string{"FFT", " FFT "}}, `core: benchmarks "FFT" and " FFT " are the same workload`},
 	}

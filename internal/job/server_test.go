@@ -70,6 +70,10 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{`{"router":"vc","vcs":20000000}`, "memsys: VCs = 20000000 exceeds the maximum 64"},
 		{`{"router":"vc","vcdepth":200000000}`, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
 		{`{"mesh":"2x2"}`, "core: threads 16 > tiles 4"},
+		// So were unbounded mesh dimensions.
+		{`{"mesh":"2000x2000","benchmarks":["FFT"],"protocols":["MESI"]}`, "memsys: mesh dimensions 2000x2000: each side must be at most 16"},
+		{`{"mesh":"17x4"}`, "memsys: mesh dimensions 17x4: each side must be at most 16"},
+		{`{"mesh":"4294967297x4294967297"}`, "memsys: mesh dimensions 4294967297x4294967297: each side must be at most 16"},
 		{`{"protocols":["MESI","MESI"]}`, `core: protocols "MESI" and "MESI" are the same configuration`},
 		{`{"benchmarks":["FFT"," FFT "]}`, `core: benchmarks "FFT" and " FFT " are the same workload`},
 		{`{"bogus":1}`, "invalid request JSON"},

@@ -122,7 +122,8 @@ func CornerTiles(width, height int) []int {
 // "16x16") into its width and height. Degenerate shapes fail loudly:
 // missing parts ("3x"), non-integers, and non-positive dimensions ("0x4")
 // are errors, and so is a single-tile 1x1 grid (no second tile to talk
-// to — every NoC quantity would be degenerate).
+// to — every NoC quantity would be degenerate). So is a side longer than
+// mesh.MaxSide.
 func ParseMeshDims(s string) (width, height int, err error) {
 	parts := strings.Split(strings.TrimSpace(s), "x")
 	if len(parts) != 2 {
@@ -136,10 +137,22 @@ func ParseMeshDims(s string) (width, height int, err error) {
 	if w < 1 || h < 1 {
 		return 0, 0, fmt.Errorf("memsys: mesh dimensions %dx%d: both must be >= 1", w, h)
 	}
+	if err := checkSides(w, h); err != nil {
+		return 0, 0, err
+	}
 	if w*h < 2 {
 		return 0, 0, fmt.Errorf("memsys: mesh dimensions %dx%d: a 1-tile network has no links; use at least 2 tiles", w, h)
 	}
 	return w, h, nil
+}
+
+// checkSides bounds both sides of a tile grid by mesh.MaxSide; it runs
+// before anything multiplies them.
+func checkSides(w, h int) error {
+	if w > mesh.MaxSide || h > mesh.MaxSide {
+		return fmt.Errorf("memsys: mesh dimensions %dx%d: each side must be at most %d", w, h, mesh.MaxSide)
+	}
+	return nil
 }
 
 // FormatMeshDims renders mesh dimensions in the canonical "WxH" spelling.
@@ -220,6 +233,9 @@ func (c Config) Scaled(div int) Config {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
+	if err := checkSides(c.MeshWidth, c.MeshHeight); err != nil {
+		return err
+	}
 	if c.Tiles != c.MeshWidth*c.MeshHeight {
 		return fmt.Errorf("memsys: tiles %d != mesh %dx%d", c.Tiles, c.MeshWidth, c.MeshHeight)
 	}

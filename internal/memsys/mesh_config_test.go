@@ -1,9 +1,12 @@
 package memsys
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/mesh"
 )
 
 func TestCornerTiles(t *testing.T) {
@@ -40,6 +43,35 @@ func TestParseMeshDims(t *testing.T) {
 	for _, s := range []string{"", "4", "3x", "x4", "0x4", "4x0", "-1x4", "1x1", "4x4x4", "axb", "4.5x4"} {
 		if _, _, err := ParseMeshDims(s); err == nil {
 			t.Errorf("ParseMeshDims(%q) accepted a degenerate shape", s)
+		}
+	}
+	// Each side is bounded, checked before the sides are multiplied (the
+	// last row's product overflows int64). These used to be accepted and
+	// then run the process out of memory.
+	for _, s := range []string{"17x4", "4x17", "17x17", "2000x2000", "4294967297x4294967297"} {
+		w, h, _ := strings.Cut(s, "x")
+		want := fmt.Sprintf("memsys: mesh dimensions %sx%s: each side must be at most %d", w, h, mesh.MaxSide)
+		if _, _, err := ParseMeshDims(s); err == nil || err.Error() != want {
+			t.Errorf("ParseMeshDims(%q): err %v, want %q", s, err, want)
+		}
+	}
+	for _, s := range []string{"16x16", "1x16", "16x1"} {
+		if _, _, err := ParseMeshDims(s); err != nil {
+			t.Errorf("ParseMeshDims(%q) at the bound: %v", s, err)
+		}
+	}
+}
+
+// Validate applies the same side bound to a config built without the
+// parser.
+func TestValidateMeshSide(t *testing.T) {
+	if err := Default().WithMesh(mesh.MaxSide, mesh.MaxSide).Validate(); err != nil {
+		t.Errorf("%dx%d rejected: %v", mesh.MaxSide, mesh.MaxSide, err)
+	}
+	for _, d := range [][2]int{{mesh.MaxSide + 1, 4}, {4, mesh.MaxSide + 1}, {2000, 2000}} {
+		want := fmt.Sprintf("memsys: mesh dimensions %dx%d: each side must be at most %d", d[0], d[1], mesh.MaxSide)
+		if err := Default().WithMesh(d[0], d[1]).Validate(); err == nil || err.Error() != want {
+			t.Errorf("%dx%d: err %v, want %q", d[0], d[1], err, want)
 		}
 	}
 }

@@ -255,7 +255,7 @@ func (c *cycleNet) tick() {
 	now := c.m.k.Now()
 	if now < c.wake {
 		// Still inside a proven-frozen window (the kernel pulled the tick
-		// earlier for a heap event that turned out not to inject).
+		// earlier for a queued event that turned out not to inject).
 		c.m.k.TickSkipTo(c.wake)
 		return
 	}

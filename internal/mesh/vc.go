@@ -62,6 +62,14 @@ const (
 	MaxVCs = 64
 	// MaxVCDepth bounds Config.VCDepth (see MaxVCs).
 	MaxVCDepth = 64
+
+	// MaxSide bounds each side of the tile grid. Memory grows faster
+	// than the tile count: every DBypFull L1 keeps a copy of every L2
+	// bank's Bloom filter. At the bound, the heaviest Tiny cell (radix
+	// under DBypFull on a 16x16 torus through the vc router at MaxVCs x
+	// MaxVCDepth) peaks at 321 MB resident in 2.0 s, and at Small at
+	// 533 MB in 22 s; a 20x20 Tiny cell already takes 680 MB.
+	MaxSide = 16
 )
 
 // hopState tracks a packet streaming through one router stage: an input VC

@@ -5,26 +5,35 @@
 // fire in scheduling order, which makes every simulation run fully
 // deterministic for a given input.
 //
-// The event queue is a hand-rolled 4-ary min-heap of pointer-free
-// (cycle, seq, slot) keys: no container/heap interface boxing, sift paths
-// move 24-byte keys into a hole instead of swapping, and because the keys
-// hold no pointers the sifts never trip the garbage collector's write
-// barrier. Each key's callback lives in a free-listed payload slab at
-// slot, written once when the event is pushed and cleared once when it
-// fires. Components on allocation-free hot paths schedule with AtArg,
-// which carries a pointer-sized argument instead of forcing a closure per
-// event.
+// The event queue has two tiers. Events due less than wheelSpan cycles
+// ahead (nearly all of them) go into a timing wheel: one FIFO bucket per
+// cycle, kept as an intrusive list through the payload slab, with an
+// occupancy bitmap, so push and pop are O(1). Events due further ahead go
+// into a hand-rolled 4-ary min-heap of pointer-free (cycle, seq, slot)
+// keys, and move into their bucket, in heap order, as soon as the clock
+// comes within a span of them. Each event's callback lives in a free-listed
+// payload slab at slot, written once when the event is pushed and cleared
+// once when it fires. Components on allocation-free hot paths schedule with
+// AtArg, which carries a pointer-sized argument instead of forcing a
+// closure per event.
 //
 // A component that needs to run every cycle (the vc router's network tick)
 // registers itself once with SetTicker and re-arms with TickNext or
 // TickSkipTo. The recurring tick lives in a dedicated slot beside the
-// heap, so the most frequent event in the simulator costs O(1) integer
-// updates per cycle instead of a heap push+pop — and TickSkipTo can elide
+// queue, so the most frequent event in the simulator costs O(1) integer
+// updates per cycle instead of a queue push+pop — and TickSkipTo can elide
 // provably idle cycles entirely while preserving the exact equal-timestamp
 // ordering of the per-cycle schedule (see the seq accounting below).
 package sim
 
-// key orders one pending heap event by (at, seq); seq is unique, so slot
+import "math/bits"
+
+// wheelSpan is the near tier's reach: an event due fewer than wheelSpan
+// cycles ahead goes into the timing wheel, any later one into the far heap.
+// A power of two, so a cycle's bucket is its low bits.
+const wheelSpan = 1024
+
+// key orders one pending far-tier event by (at, seq); seq is unique, so slot
 // never decides the order. slot indexes the event's payload.
 type key struct {
 	at   int64
@@ -32,19 +41,30 @@ type key struct {
 	slot int32
 }
 
-// payload is the callback of a pending event. Exactly one of fn and fna is
-// set; fna receives arg, so hot paths can reuse a package-level function
-// value plus a free-listed argument instead of allocating a closure.
+// payload is one pending event. Exactly one of fn and fna is set; fna
+// receives arg, so hot paths can reuse a package-level function value plus a
+// free-listed argument instead of allocating a closure. seq is the event's
+// sequence number and next its successor in its wheel bucket.
 type payload struct {
-	fn  func()
-	fna func(any)
-	arg any
+	fn   func()
+	fna  func(any)
+	arg  any
+	seq  uint64
+	next int32
 }
 
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
 type Kernel struct {
-	pq      []key     // 4-ary min-heap by (at, seq)
-	slab    []payload // callbacks, indexed by key.slot
+	// Near tier: bucket at%wheelSpan lists the events of cycle at, oldest
+	// first, for every at in [now, now+wheelSpan); occ marks the non-empty
+	// buckets (head and tail are meaningless while a bucket's bit is clear)
+	// and near counts their events.
+	head, tail [wheelSpan]int32
+	occ        [wheelSpan / 64]uint64
+	near       int
+
+	pq      []key     // far tier: 4-ary min-heap by (at, seq), every at >= now+wheelSpan
+	slab    []payload // events, indexed by slot
 	free    []int32   // slab slots not held by a pending event
 	now     int64
 	seq     uint64
@@ -52,9 +72,9 @@ type Kernel struct {
 	clamped uint64
 
 	// The dedicated recurring-tick slot (SetTicker / TickNext /
-	// TickSkipTo). tickSeq orders the slot against heap events with the
+	// TickSkipTo). tickSeq orders the slot against queued events with the
 	// same timestamp through the shared seq counter, so slot scheduling is
-	// indistinguishable from an equivalent heap schedule.
+	// indistinguishable from an equivalent queue schedule.
 	tickFn    func()
 	tickAt    int64
 	tickSeq   uint64
@@ -71,7 +91,7 @@ func (k *Kernel) Steps() uint64 { return k.steps }
 // Pending returns the number of events waiting to run, counting an armed
 // recurring tick.
 func (k *Kernel) Pending() int {
-	n := len(k.pq)
+	n := k.near + len(k.pq)
 	if k.tickArmed {
 		n++
 	}
@@ -88,7 +108,7 @@ func (k *Kernel) At(t int64, fn func()) {
 		t = k.now
 		k.clamped++
 	}
-	k.push(t, payload{fn: fn})
+	k.push(t, fn, nil, nil)
 }
 
 // AtArg schedules fn(arg) at absolute cycle t. It is the allocation-free
@@ -100,7 +120,7 @@ func (k *Kernel) AtArg(t int64, fn func(any), arg any) {
 		t = k.now
 		k.clamped++
 	}
-	k.push(t, payload{fna: fn, arg: arg})
+	k.push(t, nil, fn, arg)
 }
 
 // Clamped returns how many events were scheduled in the past and clamped
@@ -114,7 +134,7 @@ func (k *Kernel) After(d int64, fn func()) { k.At(k.now+d, fn) }
 // callback. Only one component per kernel may own the slot (in this
 // simulator, the vc router's network tick); registering twice panics.
 // The ticker is armed with TickNext or TickSkipTo and fires like any
-// other event, interleaved with heap events by (cycle, sequence) order.
+// other event, interleaved with queued events by (cycle, sequence) order.
 func (k *Kernel) SetTicker(fn func()) {
 	if k.tickFn != nil {
 		panic("sim: SetTicker called twice; the kernel has one recurring-tick slot")
@@ -128,7 +148,7 @@ func (k *Kernel) TickArmed() bool { return k.tickArmed }
 // TickNext arms the recurring tick for the next cycle. It is equivalent to
 // After(1, ticker) — it consumes one sequence number, so equal-timestamp
 // ordering against other events is identical — but costs O(1) with no
-// heap traffic and no allocation.
+// queue traffic and no allocation.
 func (k *Kernel) TickNext() {
 	if k.tickFn == nil {
 		panic("sim: TickNext without SetTicker")
@@ -145,7 +165,7 @@ func (k *Kernel) TickNext() {
 // TickSkipTo arms the recurring tick for cycle t, skipping the cycles in
 // between. The caller asserts that a tick on any elided cycle would be a
 // no-op (the vc router proves this from its arrival/credit horizon); the
-// kernel additionally clamps t to the next pending heap event, since that
+// kernel additionally clamps t to the next pending queued event, since that
 // event may invalidate the caller's proof (e.g. by injecting a packet).
 //
 // Ordering is exact, not approximate: a per-cycle ticker that re-arms with
@@ -163,8 +183,8 @@ func (k *Kernel) TickSkipTo(t int64) {
 		panic("sim: recurring tick armed twice")
 	}
 	u := t
-	if len(k.pq) > 0 && k.pq[0].at < u {
-		u = k.pq[0].at // a pending event may change what the tick can do
+	if at, _, ok := k.earliest(); ok && at < u {
+		u = at // a pending event may change what the tick can do
 	}
 	if u <= k.now {
 		if t <= k.now {
@@ -179,51 +199,63 @@ func (k *Kernel) TickSkipTo(t int64) {
 	k.tickArmed = true
 }
 
-// NextEventAt returns the cycle of the earliest pending event (heap or
+// NextEventAt returns the cycle of the earliest pending event (queued or
 // armed recurring tick), so drivers can see the next wakeup. ok is false
 // when nothing is scheduled.
 func (k *Kernel) NextEventAt() (int64, bool) {
-	if k.tickArmed {
-		if len(k.pq) == 0 || !k.heapBeforeTick() {
-			return k.tickAt, true
-		}
-		return k.pq[0].at, true
+	at, seq, ok := k.earliest()
+	if k.tickArmed && (!ok || k.tickBefore(at, seq)) {
+		return k.tickAt, true
 	}
-	if len(k.pq) == 0 {
-		return 0, false
-	}
-	return k.pq[0].at, true
+	return at, ok
 }
 
-// heapBeforeTick reports whether the heap root fires before the armed
-// tick; both must exist.
-func (k *Kernel) heapBeforeTick() bool {
-	r := &k.pq[0]
-	if r.at != k.tickAt {
-		return r.at < k.tickAt
+// tickBefore reports whether the armed tick fires before the queued event
+// (at, seq).
+func (k *Kernel) tickBefore(at int64, seq uint64) bool {
+	if k.tickAt != at {
+		return k.tickAt < at
 	}
-	return r.seq < k.tickSeq
+	return k.tickSeq < seq
 }
 
 // Step runs the earliest pending event and returns false if none remain.
 func (k *Kernel) Step() bool {
-	if k.tickArmed && (len(k.pq) == 0 || !k.heapBeforeTick()) {
-		k.now = k.tickAt
+	at, seq, ok := k.earliest()
+	if k.tickArmed && (!ok || k.tickBefore(at, seq)) {
 		k.tickArmed = false
+		k.advance(k.tickAt)
 		k.steps++
 		k.tickFn()
 		return true
 	}
-	if len(k.pq) == 0 {
+	if !ok {
 		return false
 	}
-	at, p := k.pop()
-	k.now = at
-	k.steps++
-	if p.fn != nil {
-		p.fn()
+	if at != k.now {
+		k.advance(at) // brings the far root into its bucket if the wheel was empty
+	}
+	b := uint(at) % wheelSpan
+	slot := k.head[b]
+	if slot == k.tail[b] {
+		k.occ[b/64] &^= 1 << (b % 64)
 	} else {
-		p.fna(p.arg)
+		k.head[b] = k.slab[slot].next
+	}
+	k.near--
+	// The slot is cleared, releasing the callback's references, and freed
+	// before the callback runs, so the callback's own schedules reuse it.
+	// Field-wise stores keep the garbage collector's write barrier off its
+	// bulk path.
+	e := &k.slab[slot]
+	fn, fna, arg := e.fn, e.fna, e.arg
+	e.fn, e.fna, e.arg = nil, nil, nil
+	k.free = append(k.free, slot)
+	k.steps++
+	if fn != nil {
+		fn()
+	} else {
+		fna(arg)
 	}
 	return true
 }
@@ -245,7 +277,7 @@ func (k *Kernel) RunUntil(t int64) {
 		k.Step()
 	}
 	if k.now < t {
-		k.now = t
+		k.advance(t)
 	}
 }
 
@@ -262,12 +294,95 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 	return i
 }
 
-// The event queue: a 4-ary min-heap ordered by (at, seq) on a flat slice
-// of keys. Four children per node halve the tree depth of the binary
-// layout, and sift loops compare siblings within one or two cache lines —
-// the classic d-ary trade of slightly more comparisons for far fewer cache
+// push stores an event in a free slab slot with the next sequence number
+// and queues it at cycle at: in at's wheel bucket when at is less than a
+// span ahead, in the far heap otherwise.
+func (k *Kernel) push(at int64, fn func(), fna func(any), arg any) {
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = int32(len(k.slab))
+		k.slab = append(k.slab, payload{})
+	}
+	e := &k.slab[slot]
+	e.fn, e.fna, e.arg, e.seq = fn, fna, arg, k.seq
+	k.seq++
+	if at-k.now < wheelSpan {
+		k.link(at, slot)
+	} else {
+		k.heapPush(key{at: at, seq: e.seq, slot: slot})
+	}
+}
+
+// link appends slot to the tail of cycle at's bucket.
+func (k *Kernel) link(at int64, slot int32) {
+	b := uint(at) % wheelSpan
+	if bit := uint64(1) << (b % 64); k.occ[b/64]&bit == 0 {
+		k.occ[b/64] |= bit
+		k.head[b] = slot
+	} else {
+		k.slab[k.tail[b]].next = slot
+	}
+	k.tail[b] = slot
+	k.near++
+}
+
+// earliest returns the cycle and sequence number of the first queued event
+// (the recurring tick aside). Every wheel event precedes every far one, so
+// the far heap is consulted only when the wheel is empty; in the wheel, the
+// first occupied bucket at or after now's holds it.
+func (k *Kernel) earliest() (int64, uint64, bool) {
+	if k.near == 0 {
+		if len(k.pq) == 0 {
+			return 0, 0, false
+		}
+		return k.pq[0].at, k.pq[0].seq, true
+	}
+	start := uint(k.now) % wheelSpan
+	w := start / 64
+	m := k.occ[w] &^ (uint64(1)<<(start%64) - 1)
+	for m == 0 { // near > 0, so some bucket is set; at worst we wrap to w
+		w = (w + 1) % uint(len(k.occ))
+		m = k.occ[w]
+	}
+	b := w*64 + uint(bits.TrailingZeros64(m))
+	return k.now + int64((b-start)%wheelSpan), k.slab[k.head[b]].seq, true
+}
+
+// advance moves the clock to t and, before anything can be scheduled at the
+// new time, moves every far event now less than a span ahead into its
+// bucket, in (at, seq) order.
+//
+// This keeps each bucket in seq order, which is the whole ordering
+// argument. A far event for cycle c was pushed while now <= c-wheelSpan; a
+// direct push into c's bucket needs now > c-wheelSpan, so it comes later
+// and has a larger seq. advance runs on every clock move (a wheel event, a
+// far root, the recurring tick, RunUntil's final jump), so the far events
+// for c reach their bucket the moment now passes c-wheelSpan, ahead of
+// every direct push.
+func (k *Kernel) advance(t int64) {
+	k.now = t
+	for len(k.pq) > 0 && k.pq[0].at-t < wheelSpan {
+		k.migrate()
+	}
+}
+
+// migrate moves the far heap's root into its wheel bucket. It is advance's
+// loop body, kept out of line so that advance inlines into Step.
+func (k *Kernel) migrate() {
+	e := k.heapPop()
+	k.link(e.at, e.slot)
+}
+
+// The far tier: a 4-ary min-heap ordered by (at, seq) on a flat slice of
+// keys. Four children per node halve the tree depth of the binary layout,
+// and sift loops compare siblings within one or two cache lines — the
+// classic d-ary trade of slightly more comparisons for far fewer cache
 // misses. Both sifts hold the moving key aside and shift parents or
-// children into the hole, one store per level.
+// children into the hole, one store per level. The keys hold no pointers,
+// so the sifts never trip the garbage collector's write barrier.
 
 const heapArity = 4
 
@@ -278,20 +393,8 @@ func keyLess(a, b *key) bool {
 	return a.seq < b.seq
 }
 
-// push stores p in a free slab slot and inserts its key at cycle at with
-// the next sequence number.
-func (k *Kernel) push(at int64, p payload) {
-	var slot int32
-	if n := len(k.free); n > 0 {
-		slot = k.free[n-1]
-		k.free = k.free[:n-1]
-		k.slab[slot] = p
-	} else {
-		slot = int32(len(k.slab))
-		k.slab = append(k.slab, p)
-	}
-	e := key{at: at, seq: k.seq, slot: slot}
-	k.seq++
+// heapPush inserts e into the far heap.
+func (k *Kernel) heapPush(e key) {
 	k.pq = append(k.pq, key{})
 	i := len(k.pq) - 1
 	for i > 0 {
@@ -305,10 +408,8 @@ func (k *Kernel) push(at int64, p payload) {
 	k.pq[i] = e
 }
 
-// pop removes the earliest event and returns its cycle and callback. The
-// slab slot is cleared, releasing the callback's references, and freed
-// before the callback runs, so the callback's own schedules reuse it.
-func (k *Kernel) pop() (int64, payload) {
+// heapPop removes and returns the far heap's earliest key.
+func (k *Kernel) heapPop() key {
 	root := k.pq[0]
 	n := len(k.pq) - 1
 	last := k.pq[n]
@@ -338,8 +439,5 @@ func (k *Kernel) pop() (int64, payload) {
 		}
 		k.pq[i] = last
 	}
-	p := k.slab[root.slot]
-	k.slab[root.slot] = payload{}
-	k.free = append(k.free, root.slot)
-	return root.at, p
+	return root
 }

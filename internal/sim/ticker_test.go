@@ -69,7 +69,7 @@ func TestTickNextWhileArmedPanics(t *testing.T) {
 	k.TickNext()
 }
 
-// TickSkipTo must not jump past a pending heap event: that event may change
+// TickSkipTo must not jump past a pending event: that event may change
 // what the tick can do (in the simulator, injecting a packet).
 func TestTickSkipToClampsToHeapEvent(t *testing.T) {
 	var k Kernel
@@ -149,7 +149,7 @@ func TestRunUntilWithArmedTick(t *testing.T) {
 }
 
 // RunLimit is the driver's livelock watchdog: recurring-slot ticks must
-// count against the budget exactly like heap events, or a spinning router
+// count against the budget exactly like queued events, or a spinning router
 // could starve the watchdog forever.
 func TestRunLimitCountsSlotTicks(t *testing.T) {
 	var k Kernel
@@ -189,10 +189,12 @@ func TestNextEventAt(t *testing.T) {
 // The exactness contract of the recurring-tick slot: a slot ticker that
 // skips provably idle cycles with TickSkipTo must produce the exact global
 // event order of a reference ticker that re-arms every cycle with
-// After(1, tick) — including every equal-timestamp interleaving with heap
-// events, and with events scheduling further events mid-run.
+// After(1, tick) — including every equal-timestamp interleaving with queued
+// events, and with events scheduling further events mid-run. A quarter of
+// the spawns are one to three wheel spans ahead, so far-tier events migrate
+// into buckets the chain's per-cycle ticks and the slot's skips both reach.
 func TestSlotOrderingMatchesPerCycleChain(t *testing.T) {
-	const horizon = 400
+	const horizon = 4 * wheelSpan
 	// "Work" cycles are the ones where the tick does something observable;
 	// on all other cycles the tick is a no-op, which is what licenses the
 	// slot version to skip them.
@@ -233,7 +235,11 @@ func TestSlotOrderingMatchesPerCycleChain(t *testing.T) {
 		spawn = func(depth int) {
 			me := int64(id)
 			id++
-			k.At(k.Now()+int64(rng.Intn(25)), func() {
+			d := int64(rng.Intn(25))
+			if rng.Intn(4) == 0 {
+				d += int64(1+rng.Intn(3)) * wheelSpan
+			}
+			k.At(k.Now()+d, func() {
 				log = append(log, -(me + 1))
 				if depth < 3 {
 					spawn(depth + 1)
@@ -271,8 +277,9 @@ func noop() {}
 
 func noopArg(any) {}
 
-// BenchmarkEventPushPop measures raw heap traffic: 64 out-of-order pushes
-// followed by 64 pops per iteration.
+// BenchmarkEventPushPop measures near-tier (timing wheel) traffic: 64
+// out-of-order pushes less than 64 cycles ahead, then 64 pops, per
+// iteration.
 func BenchmarkEventPushPop(b *testing.B) {
 	var k Kernel
 	b.ReportAllocs()
@@ -288,7 +295,7 @@ func BenchmarkEventPushPop(b *testing.B) {
 }
 
 // BenchmarkRecurringTickSlot measures the dedicated slot: one tick per
-// cycle with TickNext re-arming, no heap traffic at all.
+// cycle with TickNext re-arming, no queue traffic at all.
 func BenchmarkRecurringTickSlot(b *testing.B) {
 	var k Kernel
 	b.ReportAllocs()
@@ -304,8 +311,8 @@ func BenchmarkRecurringTickSlot(b *testing.B) {
 }
 
 // BenchmarkRecurringTickChain is the pre-slot baseline: a per-cycle ticker
-// that re-arms through the heap with After(1, ...), paying a push+pop and a
-// closure per cycle.
+// that re-arms through the queue with After(1, ...), paying a push+pop and
+// a closure per cycle.
 func BenchmarkRecurringTickChain(b *testing.B) {
 	var k Kernel
 	b.ReportAllocs()
@@ -333,4 +340,34 @@ func BenchmarkRunUntil(b *testing.B) {
 		}
 	}
 	k.Run()
+}
+
+// BenchmarkEventMix replays the queue shape of the paper's Tiny figure
+// matrix: about 730 events pending, 96.6% of pushes less than 256 cycles
+// ahead, 2.9% at the 10,000-cycle DeNovo write-combining timeout (nearly
+// all of which fire long after their entry left) and the rest between 256
+// cycles and two wheel spans. One op is one pop plus one push.
+func BenchmarkEventMix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]int64, 4096)
+	for i := range delays {
+		switch r := rng.Intn(1000); {
+		case r < 29:
+			delays[i] = 10_000
+		case r < 34:
+			delays[i] = 256 + rng.Int63n(2*wheelSpan-256)
+		default:
+			delays[i] = rng.Int63n(1 + rng.Int63n(256)) // skewed toward near
+		}
+	}
+	var k Kernel
+	for i := 0; i < 730; i++ {
+		k.AtArg(delays[i%len(delays)], noopArg, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+		k.AtArg(k.Now()+delays[i%len(delays)], noopArg, nil)
+	}
 }
