@@ -17,7 +17,8 @@
 // The command is a flag-parsing shim over internal/job: flags become a
 // job.Request, job.Run executes it, and the renderers here turn the
 // unified event stream back into the exact progress lines and tables this
-// tool has always printed.
+// tool has always printed. Exit status 2 means the request is wrong and
+// nothing ran; 1 means a simulation (or writing its output) failed.
 //
 // Examples:
 //
@@ -143,6 +144,10 @@ func run() (code int) {
 		req.Figures = []string{*fig}
 	}
 	if explicit["threads"] {
+		if *threads < 1 {
+			fmt.Fprintf(os.Stderr, "-threads %d: the thread count must be >= 1 (default 16)\n", *threads)
+			return 2
+		}
 		req.Threads = *threads
 	}
 	if explicit["mesh"] {
@@ -154,10 +159,11 @@ func run() (code int) {
 	if explicit["router"] {
 		req.Router = *router
 	}
-	// Fail fast — unknown names, malformed specs, axis-ownership conflicts
-	// — before paying for any simulation; validation errors keep their
-	// usage-error exit code.
-	if err := req.Validate(); err != nil {
+	// Fail fast — unknown names, malformed specs, axis-ownership conflicts,
+	// bad geometry — before paying for any simulation: every error the
+	// planner can find is a usage error (exit 2), so exit 1 means a
+	// simulation failed.
+	if err := req.ValidateStrict(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}

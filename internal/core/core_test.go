@@ -165,6 +165,39 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 	}
 }
 
+// TestBloomGeometry pins the §4.4 Bloom-geometry study: filters x entries
+// per L2 slice for the request-bypass filters, DBypFull on FFT at Tiny.
+// Smaller filters do not erode the bypass benefit here. Bloom-copy
+// traffic halves with the entry count (7,680 -> 3,840 flit-hops) and total
+// traffic and exec cycles fall with it; the filter count does not move
+// FFT at all. BenchmarkAblationBloom* shows the same on radix.
+func TestBloomGeometry(t *testing.T) {
+	cases := []struct {
+		filters, entries int
+		total, bloom     float64
+		cycles           int64
+	}{
+		{32, 512, 38893, 7680, 7817},
+		{8, 512, 38893, 7680, 7817},
+		{32, 64, 35031, 3840, 7620},
+		{4, 64, 35031, 3840, 7620},
+	}
+	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
+	for _, c := range cases {
+		cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
+		cfg.Bloom.FiltersPerSlice, cfg.Bloom.Entries = c.filters, c.entries
+		res, err := core.RunOne(cfg, "DBypFull", prog)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", c.filters, c.entries, err)
+		}
+		total, bloom := res.Total(), res.FlitHops[memsys.ClassOVH][memsys.BOvhBloom]
+		if total != c.total || bloom != c.bloom || res.ExecCycles != c.cycles {
+			t.Errorf("%dx%d: total %.0f, bloom %.0f, cycles %d; want %.0f, %.0f, %d",
+				c.filters, c.entries, total, bloom, res.ExecCycles, c.total, c.bloom, c.cycles)
+		}
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	// Two identical runs must produce bit-identical traffic and timing:
 	// the whole simulator is deterministic (no map-order leakage).

@@ -134,7 +134,7 @@ func (m *Matrix) Get(bench, proto string) *Result {
 // every sweep point is stamped from (see Run).
 type MatrixOptions struct {
 	Size    workloads.Size
-	Threads int // 0 = 16 (the paper's tile count)
+	Threads int // 0 = 16 (the paper's tile count); negative is an error
 	// Protocols selects the protocol specs. nil = all nine; an empty
 	// non-nil list is an error (it would run no cells).
 	Protocols []string
@@ -159,14 +159,15 @@ type MatrixOptions struct {
 	Router string
 	// VCs overrides the vc router's virtual-channel count per input port
 	// for every cell (0 = the model default; must be even and >= 2, see
-	// memsys.Config.VCs).
+	// memsys.Config.VCs). Nonzero needs Router "vc".
 	VCs int
 	// VCDepth overrides the vc router's flit buffer depth per VC for every
-	// cell (0 = the model default).
+	// cell (0 = the model default). Nonzero needs Router "vc".
 	VCDepth int
 	// Workers bounds the number of simulations running concurrently:
-	// 0 = one per available CPU (GOMAXPROCS), 1 = serial reference mode on
-	// the calling goroutine. Cells are independent simulations, so the
-	// assembled Matrix is bit-identical at every worker count.
+	// 0 = one per available CPU (GOMAXPROCS), 1 = the serial reference
+	// run, one pool worker claiming cells in order. Cells are independent
+	// simulations, so the assembled Matrix is bit-identical at every
+	// worker count.
 	Workers int
 }

@@ -31,7 +31,7 @@ import (
 )
 
 // matrixCell indexes one simulation job in matrix order (benchmark-major,
-// the order the old serial double loop used).
+// the order the serial reference run claims cells in).
 type matrixCell struct{ bench, proto int }
 
 // matrixPlan is one fully resolved simulation batch — a matrix, or one
@@ -61,7 +61,10 @@ type matrixPlan struct {
 // a key and unknown names fail before any simulation, and the system
 // config is validated with the axis overrides applied.
 func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
-	if opt.Threads == 0 {
+	switch {
+	case opt.Threads < 0:
+		return nil, fmt.Errorf("core: threads %d must be >= 1 (0 means the default, 16)", opt.Threads)
+	case opt.Threads == 0:
 		opt.Threads = 16
 	}
 	// An explicitly empty list (JSON "[]", unlike an omitted field) would
@@ -110,7 +113,7 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 		for i, spec := range opt.Benchmarks {
 			s, err := workloads.ParseSpec(spec)
 			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
+				return nil, err
 			}
 			if prev, dup := seen[s.Canonical]; dup {
 				return nil, fmt.Errorf("core: benchmarks %q and %q are the same workload %q", prev, spec, s.Canonical)
@@ -152,6 +155,12 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	// Only the vc router reads VC geometry; under any other model the
+	// knobs would be a silent no-op (and every point of a vcs= or
+	// vcdepth= sweep identical).
+	if (opt.VCs != 0 || opt.VCDepth != 0) && cfg.Router != "vc" {
+		return nil, fmt.Errorf("core: VCs/VCDepth configure only the vc router and do nothing under the %s router; set Router/-router to vc", cfg.Router)
 	}
 
 	cells := make([]matrixCell, 0, len(opt.Benchmarks)*len(opt.Protocols))
@@ -257,11 +266,11 @@ type poolHooks struct {
 
 // runPlans drives every cell of every plan through one shared worker pool.
 // workers <= 0 means one per available CPU; workers == 1 is the serial
-// reference mode, running jobs in point-major order on the calling
-// goroutine. The first cell error stops the pool from claiming new work
-// (in-flight cells finish; their points may still complete); cancelling
-// ctx does the same and is reported as the returned error. Per-point
-// success or failure is read off each plan afterwards.
+// reference run, one pool goroutine claiming jobs in point-major order.
+// The first cell error stops the pool from claiming new work (in-flight
+// cells finish; their points may still complete); cancelling ctx does the
+// same and is reported as the returned error. Per-point success or
+// failure is read off each plan afterwards.
 func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolHooks) error {
 	var jobs []schedJob
 	for pi, p := range plans {
@@ -277,8 +286,10 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 	}
 
 	var (
-		failed atomic.Bool // a cell errored: stop claiming new work
-		progMu sync.Mutex  // serializes the started hooks
+		failed atomic.Bool  // a cell errored: stop claiming new work
+		progMu sync.Mutex   // serializes the started hooks
+		cursor atomic.Int64 // next job to claim
+		wg     sync.WaitGroup
 	)
 	announce := func(j schedJob) {
 		if hooks.pointStarted == nil && hooks.cellStarted == nil {
@@ -297,37 +308,6 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 		}
 		progMu.Unlock()
 	}
-	runJob := func(j schedJob) {
-		p := plans[j.point]
-		p.runCell(j.cell)
-		if p.errs[j.cell] != nil {
-			failed.Store(true)
-		}
-		if p.remaining.Add(-1) == 0 && hooks.pointDone != nil {
-			hooks.pointDone(j.point, p)
-		}
-	}
-
-	if workers <= 1 {
-		// Serial reference mode: jobs run in point-major order on the
-		// calling goroutine, exactly like the original nested loops.
-		for _, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if failed.Load() {
-				break
-			}
-			announce(j)
-			runJob(j)
-		}
-		return ctx.Err()
-	}
-
-	var (
-		cursor atomic.Int64 // next job to claim
-		wg     sync.WaitGroup
-	)
 	cursor.Store(-1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -338,8 +318,16 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				announce(jobs[i])
-				runJob(jobs[i])
+				j := jobs[i]
+				p := plans[j.point]
+				announce(j)
+				p.runCell(j.cell)
+				if p.errs[j.cell] != nil {
+					failed.Store(true)
+				}
+				if p.remaining.Add(-1) == 0 && hooks.pointDone != nil {
+					hooks.pointDone(j.point, p)
+				}
 			}
 		}()
 	}

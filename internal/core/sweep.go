@@ -80,20 +80,7 @@ type sweepAxisDef struct {
 	// conflicts reports whether the base options already pin this axis
 	// explicitly (a sweep owns its axis; overriding would be silent).
 	conflicts func(o MatrixOptions) bool
-	// requires rejects base options under which the axis has no effect —
-	// a sweep whose points are all identical is a silent no-op, the
-	// failure class this codebase errors on rather than prints.
-	requires func(o MatrixOptions) error
-	apply    func(o *MatrixOptions, value string) // set the axis on one point's options
-}
-
-// requiresVCRouter gates the VC-geometry axes: under the ideal router the
-// VC knobs are dead and every sweep point would be bit-identical.
-func requiresVCRouter(o MatrixOptions) error {
-	if o.Router != "vc" {
-		return fmt.Errorf("only the vc router reads VC geometry (every point would be identical); set Router/-router to vc")
-	}
-	return nil
+	apply     func(o *MatrixOptions, value string) // set the axis on one point's options
 }
 
 // sweepAxes is the engine-axis registry, in presentation order. Workload
@@ -142,7 +129,6 @@ var sweepAxes = []sweepAxisDef{
 			return strconv.Itoa(n), nil
 		},
 		conflicts: func(o MatrixOptions) bool { return o.VCs != 0 },
-		requires:  requiresVCRouter,
 		apply:     func(o *MatrixOptions, v string) { o.VCs = mustAtoi(v) },
 	},
 	{
@@ -150,7 +136,6 @@ var sweepAxes = []sweepAxisDef{
 		hint:      "int >= 1",
 		norm:      normPositiveInt,
 		conflicts: func(o MatrixOptions) bool { return o.VCDepth != 0 },
-		requires:  requiresVCRouter,
 		apply:     func(o *MatrixOptions, v string) { o.VCDepth = mustAtoi(v) },
 	},
 	{
@@ -563,11 +548,6 @@ func (s *SweepSpec) PointOptions(base MatrixOptions) ([]MatrixOptions, error) {
 	}
 	if s.axis != nil && s.axis.conflicts != nil && s.axis.conflicts(base) {
 		return nil, fmt.Errorf("core: sweep %q sets the %s axis; drop the explicit %s value", s.Spec, s.Axis, s.Axis)
-	}
-	if s.axis != nil && s.axis.requires != nil {
-		if err := s.axis.requires(base); err != nil {
-			return nil, fmt.Errorf("core: sweep %q: %v", s.Spec, err)
-		}
 	}
 	out := make([]MatrixOptions, len(s.Values))
 	for i, v := range s.Values {

@@ -125,9 +125,7 @@ func TestSweepPointOptionsConflicts(t *testing.T) {
 	if _, err := p.PointOptions(core.MatrixOptions{Protocols: []string{"MESI"}}); err == nil {
 		t.Error("protocol sweep with explicit protocols: no error")
 	}
-	// Every engine axis owns its MatrixOptions field the same way. The VC
-	// geometry axes additionally require the vc router — under ideal every
-	// point would be identical, the silent-no-op class.
+	// Every engine axis owns its MatrixOptions field the same way.
 	engineAxes := []struct {
 		spec   string
 		pinned core.MatrixOptions
@@ -152,16 +150,45 @@ func TestSweepPointOptionsConflicts(t *testing.T) {
 		}
 	}
 	// A VC-geometry sweep under the (default) ideal router is a silent
-	// no-op and must be rejected.
+	// no-op and must be rejected by the planner every run goes through.
 	for _, spec := range []string{"vcs=2,4", "vcdepth=1,2"} {
-		sw, err := core.ParseSweep(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.PointOptions(core.MatrixOptions{}); err == nil {
+		if err := core.Plan(core.MatrixOptions{}, core.RunOptions{Sweep: spec}); err == nil {
 			t.Errorf("sweep %q under the ideal router: no error", spec)
 		} else if !strings.Contains(err.Error(), "vc router") {
 			t.Errorf("sweep %q under ideal: error %q does not mention the vc router", spec, err)
+		}
+	}
+}
+
+// TestPlanKnobRules: the planner every run goes through rejects a
+// negative thread count (0 means the default, 16) and VC geometry under
+// any router but vc, where the setting would silently do nothing; under
+// vc the same geometry plans.
+func TestPlanKnobRules(t *testing.T) {
+	cases := []struct {
+		opt  core.MatrixOptions
+		want string // error substring; "" = accepted
+	}{
+		{core.MatrixOptions{Threads: -3}, "core: threads -3 must be >= 1"},
+		{core.MatrixOptions{Threads: 0}, ""},
+		{core.MatrixOptions{VCs: 4}, "vc router"},
+		{core.MatrixOptions{VCDepth: 9}, "vc router"},
+		{core.MatrixOptions{Router: "ideal", VCs: 4}, "vc router"},
+		{core.MatrixOptions{Router: "deflection", VCs: 4}, "vc router"},
+		{core.MatrixOptions{Router: "deflection", VCDepth: 9}, "vc router"},
+		{core.MatrixOptions{Router: "vc", VCs: 4}, ""},
+		{core.MatrixOptions{Router: "vc", VCDepth: 9}, ""},
+	}
+	for _, c := range cases {
+		c.opt.Benchmarks, c.opt.Protocols = []string{"FFT"}, []string{"MESI"}
+		err := core.Plan(c.opt, core.RunOptions{})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("Plan(%+v): %v, want accepted", c.opt, err)
+		case c.want != "" && err == nil:
+			t.Errorf("Plan(%+v) accepted, want an error containing %q", c.opt, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("Plan(%+v): error %q does not contain %q", c.opt, err, c.want)
 		}
 	}
 }

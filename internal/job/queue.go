@@ -172,9 +172,9 @@ func NewQueue(opts QueueOptions) *Queue {
 	return q
 }
 
-// Submit validates req (strictly: Validate plus core.Plan, the planner
-// the run itself uses, so anything the run would reject fails here with
-// the same loud message) and enqueues it. It returns the job id,
+// Submit validates req with ValidateStrict (which ends in core.Plan, the
+// planner the run itself uses, so anything the run would reject fails
+// here with the same loud message) and enqueues it. It returns the job id,
 // ErrQueueFull when the FIFO is at its bound, ErrShutdown after
 // Shutdown, or the validation UsageError.
 func (q *Queue) Submit(req Request) (string, error) {

@@ -213,6 +213,8 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Benchmarks: []string{}, Protocols: []string{"MESI"}}, "core: empty benchmark list"},
 		{Request{Sweep: "hotspot(t=1,2)", Protocols: []string{}}, "core: sweep point hotspot.t = 1: core: empty protocol list"},
 		{Request{Threads: 100, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads 100 > tiles 16"},
+		{Request{Threads: -3, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads -3 must be >= 1"},
+		{Request{VCs: 4}, "vc router"},
 		{Request{Router: "vc", VCs: 3}, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
 		{Request{Router: "vc", VCDepth: -2}, "memsys: VCDepth = -2 must not be negative"},
 		{Request{Router: "vc", VCs: 20000000}, "memsys: VCs = 20000000 exceeds the maximum 64"},

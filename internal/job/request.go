@@ -1,21 +1,21 @@
-// Package job is the run-orchestration layer between a validated request
-// and an assembled result. It factors everything the one-shot CLIs used
-// to hand-wire — registry validation, matrix/sweep execution, progress
-// plumbing, cache/resume policy, cancellation — into three reusable
-// pieces layered under any transport:
+// Package job is the run-orchestration layer between a request and an
+// assembled result. It factors everything the front ends share —
+// request validation, matrix/sweep execution, progress plumbing,
+// cache/resume policy, cancellation — into three pieces layered under
+// any transport:
 //
-//	Request  one matrix or sweep run, as plain serializable strings
-//	         (every axis is already a registry spec with loud
-//	         validation, which is what makes the API nearly free)
+//	Request  one matrix or sweep run, as plain serializable strings;
+//	         ValidateStrict is its one validator, and it ends in
+//	         core.Plan, the planner core.Run itself runs
 //	Run      executes a Request via the core engine with ONE serialized
 //	         progress-event stream (events.go) and a content-addressed
 //	         result cache
 //	Queue    a bounded FIFO of Requests with per-job states, streamed
 //	         events, cancellation and graceful drain
 //
-// cmd/trafficsim, cmd/papertables and examples/loadsweep are flag-parsing
-// shims over this package; cmd/simserver is an HTTP/JSON transport over
-// Queue (server.go). See DESIGN.md "The layered run pipeline".
+// cmd/trafficsim and cmd/papertables are flag-parsing shims over this
+// package; cmd/simserver is an HTTP/JSON transport over Queue
+// (server.go). See DESIGN.md "The layered run pipeline".
 package job
 
 import (
@@ -155,25 +155,19 @@ func (r *Request) FigureIDs() []string {
 	return ids
 }
 
-// Validate checks everything the pre-refactor CLIs checked before paying
-// for any simulation, in the same order and with the same loud messages:
-// knob conflicts, the input scale, figure ids, workload specs, the mesh
-// shape, and — for sweeps — the spec itself plus axis-ownership
-// conflicts. Every error is a UsageError (CLI exit 2, HTTP 400).
-// Deliberately NOT checked here: what only planning finds — protocol
-// specs, duplicate or empty lists, threads past the tile count, router
-// geometry — which the engine reports when the run starts (the CLIs
-// historically reported those at run time with exit 1, and byte-identical
-// behavior is pinned); the HTTP transport closes that gap with
-// ValidateStrict.
-func (r *Request) Validate() error {
-	if (r.VCs != 0 || r.VCDepth != 0) && r.Router != "vc" {
-		return usagef("-vcs/-vcdepth configure the vc router and are dead under any other model; add -router vc")
-	}
+// ValidateStrict is the one request validator; every entry point calls
+// it before anything simulates. It checks what only the request knows —
+// MaxPoints, the input scale and mesh spellings, figure ids, and figures
+// or a summary beside a sweep — then plans the request with core.Plan,
+// the planner core.Run itself runs, so a request it accepts cannot fail
+// planning inside Run. Every error is a UsageError (CLI exit 2, HTTP 400)
+// carrying the parser's, the registry's or the planner's own message.
+func (r *Request) ValidateStrict() error {
 	if r.MaxPoints < 0 {
 		return usagef("-maxpoints %d: the sweep cap must be >= 1 (default %d)", r.MaxPoints, core.DefaultSweepPointCap)
 	}
-	if _, err := SizeFromName(r.Size); err != nil {
+	opt, err := r.matrixOptions()
+	if err != nil {
 		return usage(err)
 	}
 	for _, id := range r.Figures {
@@ -184,49 +178,8 @@ func (r *Request) Validate() error {
 			return usage(err)
 		}
 	}
-	for _, spec := range r.Benchmarks {
-		if _, err := workloads.ParseSpec(spec); err != nil {
-			return usage(err)
-		}
-	}
-	if r.Mesh != "" {
-		if _, _, err := memsys.ParseMeshDims(r.Mesh); err != nil {
-			return usage(err)
-		}
-	}
-	if r.IsSweep() {
-		if len(r.Figures) > 0 || r.Summary {
-			return usagef("-sweep prints its own assembled table; drop -fig/-summary")
-		}
-		s, err := core.ParseSweepLimit(r.Sweep, r.MaxPoints)
-		if err != nil {
-			return usage(err)
-		}
-		opt, err := r.matrixOptions()
-		if err != nil {
-			return usage(err)
-		}
-		if _, err := s.PointOptions(opt); err != nil {
-			return usage(err)
-		}
-	}
-	return nil
-}
-
-// ValidateStrict is Validate plus the checks the CLIs defer to run time:
-// the request is planned by core.Plan, the planner core.Run itself runs,
-// so a transport that wants every malformed request rejected at
-// submission (the HTTP server's 400 contract) catches whatever Run would
-// reject — protocol specs, duplicate or empty lists, threads past the
-// tile count, a bad router geometry — before the job queues, with the
-// planner's own message.
-func (r *Request) ValidateStrict() error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	opt, err := r.matrixOptions()
-	if err != nil {
-		return usage(err)
+	if r.IsSweep() && (len(r.Figures) > 0 || r.Summary) {
+		return usagef("-sweep prints its own assembled table; drop -fig/-summary")
 	}
 	if err := core.Plan(opt, r.runOptions()); err != nil {
 		return usage(err)

@@ -34,27 +34,23 @@ type Outcome struct {
 	Sweep *core.SweepResult `json:"sweep,omitempty"`
 }
 
-// Run executes a validated Request through core.Run — a matrix request
-// is the engine's one-point sweep, so both kinds share the worker pool,
-// the bit-identical-at-any-worker-count assembly, the cache/resume
-// machinery and context cancellation. The engine's progress stream
-// (cell starts and point lifecycles, already serialized) is numbered and
-// forwarded to rc.Events.
+// Run validates req with ValidateStrict and executes it through core.Run
+// — a matrix request is the engine's one-point sweep, so both kinds share
+// the worker pool, the bit-identical-at-any-worker-count assembly, the
+// cache/resume machinery and context cancellation. The engine's progress
+// stream (cell starts and point lifecycles, already serialized) is
+// numbered and forwarded to rc.Events.
 //
-// Errors: a UsageError means the request itself is wrong (callers
-// usually Validate first, making that unreachable); anything else is a
-// run failure. A cancelled or failing sweep returns the partial Outcome
-// alongside the error — with a cache attached, those points are already
-// persisted, so resubmitting the same request resumes instead of
-// restarting.
+// Errors: a UsageError means the request itself is wrong and nothing
+// ran; anything else is a run failure. A cancelled or failing sweep
+// returns the partial Outcome alongside the error — with a cache
+// attached, those points are already persisted, so resubmitting the same
+// request resumes instead of restarting.
 func Run(ctx context.Context, req Request, rc RunConfig) (*Outcome, error) {
-	if err := req.Validate(); err != nil {
+	if err := req.ValidateStrict(); err != nil {
 		return nil, err
 	}
-	opt, err := req.matrixOptions()
-	if err != nil {
-		return nil, usage(err)
-	}
+	opt, _ := req.matrixOptions() // validated above
 	ro := req.runOptions()
 	ro.Cache = rc.Cache
 	if rc.Events != nil {

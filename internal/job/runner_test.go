@@ -171,11 +171,14 @@ func TestRunMatrixCache(t *testing.T) {
 }
 
 // Run validates before simulating, and the errors keep their usage-error
-// type so transports map them to exit 2 / HTTP 400.
+// type so transports map them to exit 2 / HTTP 400 — what only the
+// planner finds (threads past the tile count) included.
 func TestRunValidates(t *testing.T) {
-	_, err := Run(context.Background(), Request{Size: "huge"}, RunConfig{})
-	if err == nil || !IsUsageError(err) {
-		t.Fatalf("Run with a bad size: err = %v, want a UsageError", err)
+	for _, req := range []Request{{Size: "huge"}, {Mesh: "2x2"}} {
+		_, err := Run(context.Background(), req, RunConfig{})
+		if err == nil || !IsUsageError(err) {
+			t.Fatalf("Run(%+v): err = %v, want a UsageError", req, err)
+		}
 	}
 }
 

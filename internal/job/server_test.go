@@ -63,6 +63,9 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		// What only the planner catches is rejected at submit with the
 		// planner's own message, never queued to fail as a 500.
 		{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
+		{`{"threads":-3,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads -3 must be >= 1"},
+		// VC geometry does nothing outside the vc router.
+		{`{"vcs":4}`, "vc router"},
 		{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
 		{`{"router":"vc","vcdepth":-2}`, "memsys: VCDepth = -2 must not be negative"},
 		// Unbounded VC geometry used to be accepted and then run the
