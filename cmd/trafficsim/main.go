@@ -34,11 +34,13 @@
 //	trafficsim -fig net -router vc -benchmarks 'uniform(p=0.1),hotspot(t=2),transpose'
 //	trafficsim -record /tmp/fft.trc -benchmarks FFT -size tiny
 //	trafficsim -fig 5.1a -benchmarks 'replay(file=/tmp/fft.trc)'
+//	trafficsim -record /tmp/fft32.trc -benchmarks FFT -threads 32 -mesh 8x8
+//	trafficsim -fig 5.1a -benchmarks 'replay(file=/tmp/fft32.trc)' -protocols DeNovo -mesh 8x8
 //	trafficsim -sweep 'hotspot(t=1..16)' -size tiny -protocols MESI,DeNovo,DBypFull
 //	trafficsim -sweep 'uniform(p=0.01..0.09..0.02)' -router vc
 //	trafficsim -sweep topology=mesh,ring,torus -benchmarks FFT
-//	trafficsim -sweep 'hotspot(t=1..16)' -cachedir /tmp/points   # persists each point
-//	trafficsim -sweep 'hotspot(t=1..16)' -cachedir /tmp/points -resume
+//	trafficsim -sweep 'hotspot(t=1..16)' -cachedir /tmp/points   # persists each point; rerun to resume
+//	trafficsim -fig all -size small -cachedir /tmp/points         # a matrix is one cached point
 //	trafficsim -sweep 'uniform(p=0.001..0.1..0.0002)' -maxpoints 500 -cachedir /tmp/points
 package main
 
@@ -81,8 +83,7 @@ func run() (code int) {
 		strings.Join(workloads.SpecNames(), ", ")+" (default: the paper's six)")
 	sweep := flag.String("sweep", "", "sweep one axis and print the assembled curve table: 'axis=v1,v2,...' over "+
 		strings.Join(core.SweepAxisNames(), "|")+", or a workload parameter range like 'hotspot(t=1..16)'")
-	cachedir := flag.String("cachedir", "", "content-addressed sweep-point cache directory: completed points persist here as the sweep runs, and points already present (from any earlier sweep) are served without simulating")
-	resume := flag.Bool("resume", false, "resume an interrupted sweep from -cachedir (rerun the same sweep command; finished points load from the cache)")
+	cachedir := flag.String("cachedir", "", "content-addressed result cache directory: completed points (a matrix is one) persist here as the run goes, and points already present (from any earlier run) are served without simulating; rerunning an interrupted command with the same -cachedir resumes it")
 	maxpoints := flag.Int("maxpoints", core.DefaultSweepPointCap, "sweep expansion cap; a sweep that expands past it is an error (raise deliberately for large sweeps, ideally with -cachedir)")
 	record := flag.String("record", "", "record the single workload in -benchmarks to this trace file and exit (run it later with replay(file=...))")
 	threads := flag.Int("threads", 16, "worker threads (= cores used)")
@@ -102,12 +103,8 @@ func run() (code int) {
 		*fig = "all"
 		*summary = true
 	}
-	if *record != "" && (*sweep != "" || *fig != "" || *summary) {
-		fmt.Fprintln(os.Stderr, "-record only records a trace; drop -sweep/-fig/-summary (replay the trace in a later run)")
-		return 2
-	}
-	if *resume && *cachedir == "" {
-		fmt.Fprintln(os.Stderr, "-resume loads finished points from the point cache; add -cachedir (the same one the interrupted run used)")
+	if *record != "" && (*sweep != "" || *fig != "" || *summary || *cachedir != "") {
+		fmt.Fprintln(os.Stderr, "-record only records a trace; drop -sweep/-fig/-summary/-cachedir (replay the trace in a later run)")
 		return 2
 	}
 	if *maxpoints < 1 {
@@ -115,13 +112,9 @@ func run() (code int) {
 		return 2
 	}
 	explicit := job.Explicit(flag.CommandLine)
-	if *sweep == "" {
-		for _, name := range []string{"cachedir", "resume", "maxpoints"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "-%s configures sweep runs and is dead without one; add -sweep\n", name)
-				return 2
-			}
-		}
+	if *sweep == "" && explicit["maxpoints"] {
+		fmt.Fprintln(os.Stderr, "-maxpoints configures sweep runs and is dead without one; add -sweep")
+		return 2
 	}
 
 	// Only pin the axis knobs the user actually passed: the engine applies
@@ -203,7 +196,11 @@ func run() (code int) {
 		}
 		fmt.Printf("recorded %s (%s scale, %d threads, %d phases, %d ops) to %s\n",
 			prog.Name(), size, prog.Threads(), tr.Phases(), tr.TotalOps(), *record)
-		fmt.Printf("replay with: -benchmarks 'replay(file=%s)'\n", *record)
+		hint := fmt.Sprintf("-benchmarks 'replay(file=%s)'", *record)
+		if explicit["mesh"] {
+			hint += " -mesh " + *meshDims // a trace replays only on a mesh with a tile per thread
+		}
+		fmt.Println("replay with:", hint)
 		return
 	}
 
@@ -211,89 +208,74 @@ func run() (code int) {
 	// vocabularies: per-cell "running bench / proto" lines for matrix runs,
 	// per-point "sweep point i/N" lines for sweeps (a matrix is a one-point
 	// sweep too, but its single point gets no line of its own). Cache
-	// corruption and store failures are loud even under -q — the point's
-	// result is still correct, but silent self-healing would hide a real
-	// problem (disk, tampering) and a later -resume will resimulate an
-	// unpersisted point.
+	// corruption and store failures are loud for both kinds, even under
+	// -q — the point's result is still correct, but silent self-healing
+	// would hide a real problem (disk, tampering) and a rerun will
+	// resimulate an unpersisted point.
 	isSweep := req.IsSweep()
+	where := func(ev job.Event) string {
+		if !isSweep {
+			return "matrix"
+		}
+		return fmt.Sprintf("sweep point %d/%d %s=%s", ev.Point+1, ev.Total, ev.Axis, ev.Value)
+	}
 	rc := job.RunConfig{Events: func(ev job.Event) {
 		switch {
 		case ev.Kind == job.KindCell:
 			if !isSweep && !*quiet {
 				fmt.Fprintf(os.Stderr, "running %s / %s...\n", ev.Bench, ev.Protocol)
 			}
-		case ev.Kind == job.KindPoint && isSweep:
-			switch ev.Status {
-			case job.StatusCacheCorrupt:
-				fmt.Fprintf(os.Stderr, "sweep point %d/%d %s=%s: cache entry corrupt, resimulating: %s\n",
-					ev.Point+1, ev.Total, ev.Axis, ev.Value, ev.Error)
-			case job.StatusStoreFailed:
-				fmt.Fprintf(os.Stderr, "sweep point %d/%d %s=%s: completed but not persisted to the cache: %s\n",
-					ev.Point+1, ev.Total, ev.Axis, ev.Value, ev.Error)
-			default:
-				if !*quiet {
-					fmt.Fprintf(os.Stderr, "sweep point %d/%d %s=%s: %s\n",
-						ev.Point+1, ev.Total, ev.Axis, ev.Value, ev.Status)
-				}
-			}
+		case ev.Status == job.StatusCacheCorrupt:
+			fmt.Fprintf(os.Stderr, "%s: cache entry corrupt, resimulating: %s\n", where(ev), ev.Error)
+		case ev.Status == job.StatusStoreFailed:
+			fmt.Fprintf(os.Stderr, "%s: completed but not persisted to the cache: %s\n", where(ev), ev.Error)
+		case isSweep && !*quiet:
+			fmt.Fprintf(os.Stderr, "%s: %s\n", where(ev), ev.Status)
 		}
 	}}
-
-	if isSweep {
-		if *cachedir != "" {
-			if rc.Cache, err = core.OpenPointCache(*cachedir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-		}
-		// Interrupts cancel the pool at the next cell boundary instead of
-		// killing the process: completed points are kept (and, with
-		// -cachedir, already persisted), so ^C on a long sweep loses at
-		// most the cells in flight.
-		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stopSignals()
-		out, err := job.Run(ctx, req, rc)
-		var res *core.SweepResult
-		if out != nil {
-			res = out.Sweep
-		}
-		if res != nil && !*quiet {
-			ncached := 0
-			for _, p := range res.Points {
-				if p.Cached {
-					ncached++
-				}
-			}
-			fmt.Fprintf(os.Stderr, "sweep %s: %d/%d points complete (%d cached, %d simulated)\n",
-				res.Spec, len(res.Points), res.Expected, ncached, len(res.Points)-ncached)
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "sweep interrupted")
-			} else {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			if res != nil && len(res.Points) > 0 {
-				if *cachedir != "" {
-					fmt.Fprintf(os.Stderr, "%d/%d points are persisted in %s; rerun the same sweep with -resume to continue\n",
-						len(res.Points), res.Expected, *cachedir)
-				} else {
-					fmt.Fprintf(os.Stderr, "%d/%d points completed but are not persisted; rerun with -cachedir to make sweeps resumable\n",
-						len(res.Points), res.Expected)
-				}
-			}
-			return 1
-		}
-		if err := out.RenderText(os.Stdout, req); err != nil {
+	if *cachedir != "" {
+		if rc.Cache, err = core.OpenPointCache(*cachedir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return 2
 		}
-		return
 	}
 
-	out, err := job.Run(context.Background(), req, rc)
+	// Interrupts cancel the pool at the next cell boundary instead of
+	// killing the process: completed sweep points are kept (and, with
+	// -cachedir, already persisted), so ^C on a long run loses at most the
+	// cells in flight.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	out, err := job.Run(ctx, req, rc)
+	var res *core.SweepResult
+	if out != nil {
+		res = out.Sweep
+	}
+	if res != nil && !*quiet {
+		ncached := 0
+		for _, p := range res.Points {
+			if p.Cached {
+				ncached++
+			}
+		}
+		fmt.Fprintf(os.Stderr, "sweep %s: %d/%d points complete (%d cached, %d simulated)\n",
+			res.Spec, len(res.Points), res.Expected, ncached, len(res.Points)-ncached)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, req.Kind(), "interrupted")
+		} else {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		if res != nil && len(res.Points) > 0 {
+			if *cachedir != "" {
+				fmt.Fprintf(os.Stderr, "%d/%d points are persisted in %s; rerun the same sweep to continue\n",
+					len(res.Points), res.Expected, *cachedir)
+			} else {
+				fmt.Fprintf(os.Stderr, "%d/%d points completed but are not persisted; rerun with -cachedir to make sweeps resumable\n",
+					len(res.Points), res.Expected)
+			}
+		}
 		return 1
 	}
 	if err := out.RenderText(os.Stdout, req); err != nil {

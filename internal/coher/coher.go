@@ -15,6 +15,8 @@
 //     needs;
 //   - store-buffer and write-combining-table management (§4.2);
 //   - NACK/retry-backoff handling and barrier drain gates;
+//   - the memory-controller front end (MemCtl): MC latency, DRAM bursts
+//     and writeback commit;
 //   - the per-word waste-attribution release hooks into memsys/waste.
 //
 // A protocol family built on this substrate is a state machine plus a

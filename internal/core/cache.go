@@ -17,7 +17,7 @@ package core
 //   - Reuse is cross-run and cross-sweep: any sweep (or rerun) whose
 //     points resolve to a cached configuration is served from disk, which
 //     is both the "second identical sweep simulates nothing" fast path
-//     and the -resume story — a killed sweep's completed points are
+//     and the resume story — a killed sweep's completed points are
 //     already entries, so rerunning the same command restarts where it
 //     stopped.
 //   - Points that depend on state outside the configuration (trace

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
+	"repro/internal/trace"
 	"repro/internal/waste"
 	"repro/internal/workloads"
 )
@@ -135,6 +137,31 @@ func TestSummaryDirections(t *testing.T) {
 	}
 }
 
+// A summary over a protocol subset must not print the averages it cannot
+// compute as 0.0%: each line that needs a protocol the matrix did not run
+// says n/a and names what is missing, and the lines it can compute keep
+// their numbers.
+func TestSummaryNotRun(t *testing.T) {
+	m := tinyMatrix(t, []string{"MESI", "DeNovo"}, []string{"FFT"})
+	out := m.Summarize().String()
+	for _, want := range []string{
+		"traffic: DBypFull vs MESI                  measured n/a (DBypFull not run)   paper   39.5%",
+		"traffic: DBypFull vs MMemL1                measured n/a (DBypFull, MMemL1 not run)   paper   35.2%",
+		"exec time: MMemL1 vs MESI                  measured n/a (MMemL1 not run)   paper    3.8%",
+		"DBypFull remaining waste share             measured n/a (DBypFull not run)   paper    8.8%",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("summary lacks the line %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "measured    0.0%") {
+		t.Errorf("summary reports an average it never computed as 0.0%%:\n%s", out)
+	}
+	if n := strings.Count(out, "n/a"); n != 8 {
+		t.Errorf("%d n/a lines, want 8 (every traffic and time line but DeNovo vs MESI, and the DBypFull waste share):\n%s", n, out)
+	}
+}
+
 func TestMatrixProgressCallback(t *testing.T) {
 	calls := 0
 	_, err := core.Run(context.Background(), core.MatrixOptions{
@@ -162,6 +189,38 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// A replayed trace fixes its own thread count, which the planner cannot
+// see: a 32-thread trace on the default 16-tile mesh must fail its cell
+// with an error that names the mismatch once (not panic in a pool
+// worker), and the same trace runs on a mesh with a tile per thread.
+func TestReplayMoreThreadsThanTiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fft32.trc")
+	if err := trace.WriteFile(path, trace.Record(workloads.MustByName("FFT", workloads.Tiny, 32))); err != nil {
+		t.Fatal(err)
+	}
+	opt := core.MatrixOptions{
+		Size:       workloads.Tiny,
+		Benchmarks: []string{"replay(file=" + path + ")"},
+		Protocols:  []string{"DeNovo"},
+	}
+	_, err := runMatrix(opt)
+	if err == nil {
+		t.Fatal("a 32-thread trace ran on a 16-tile mesh")
+	}
+	for _, want := range []string{"has 32 threads", "4x4 mesh has 16 tiles", "at least 32 tiles"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	if n := strings.Count(err.Error(), "core:"); n != 1 {
+		t.Errorf("error %q carries the core: prefix %d times, want once", err, n)
+	}
+	opt.MeshWidth, opt.MeshHeight = 8, 8
+	if _, err := runMatrix(opt); err != nil {
+		t.Fatalf("8x8 replay: %v", err)
 	}
 }
 

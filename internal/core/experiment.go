@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/memsys"
 	"repro/internal/mesh"
 	"repro/internal/waste"
@@ -76,8 +78,14 @@ func (r *Result) WasteTotal(level waste.Level) uint64 {
 }
 
 // RunOne simulates one benchmark under one protocol configuration and
-// returns the detached measurement.
+// returns the detached measurement. Cores map one per tile, so a program
+// with more threads than cfg has tiles is an error; the planner bounds
+// built workloads, but a replayed trace fixes its own thread count.
 func RunOne(cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
+	if n := prog.Threads(); n > cfg.Tiles {
+		return nil, fmt.Errorf("%s has %d threads but the %dx%d mesh has %d tiles; run it on a mesh with at least %d tiles",
+			prog.Name(), n, cfg.MeshWidth, cfg.MeshHeight, cfg.Tiles, n)
+	}
 	env, err := memsys.NewEnv(cfg, prog.FootprintBytes(), prog.Regions())
 	if err != nil {
 		return nil, err

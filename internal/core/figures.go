@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/memsys"
@@ -361,6 +362,10 @@ type Summary struct {
 	MESIOverheadWBCtl   float64
 	MESIOverheadInval   float64
 	MESIOverheadAck     float64
+	// NotRun lists the headline protocols the matrix did not run, in
+	// figure order; every average that needs one of them reads 0 and
+	// renders as "n/a".
+	NotRun []string `json:",omitempty"`
 }
 
 // avgReduction averages 1 - a/b across benchmarks for a metric.
@@ -411,6 +416,11 @@ func (m *Matrix) Summarize() *Summary {
 		TimeMMemL1VsMESI:         m.avgReduction("MMemL1", "MESI", time),
 		DBypFullWasteShare:       m.avgOf("DBypFull", func(r *Result) float64 { return r.WasteShare }),
 	}
+	for _, p := range []string{"MESI", "MMemL1", "DeNovo", "DFlexL1", "DBypFull"} {
+		if !slices.Contains(m.Protocols, p) {
+			s.NotRun = append(s.NotRun, p)
+		}
+	}
 	s.MESIOverheadShare = m.avgOf("MESI", func(r *Result) float64 {
 		t := r.Total()
 		if t == 0 {
@@ -437,26 +447,32 @@ func (m *Matrix) Summarize() *Summary {
 	return s
 }
 
-// String renders the summary as paper-vs-measured lines.
+// String renders the summary as paper-vs-measured lines. A line that
+// needs a protocol the matrix did not run says so instead of a number.
 func (s *Summary) String() string {
 	var b strings.Builder
-	line := func(name string, measured, paper float64) {
-		fmt.Fprintf(&b, "%-42s measured %6.1f%%   paper %6.1f%%\n", name, measured*100, paper*100)
+	line := func(name string, measured, paper float64, needs ...string) {
+		val := fmt.Sprintf("%6.1f%%", measured*100)
+		missing := slices.DeleteFunc(needs, func(p string) bool { return !slices.Contains(s.NotRun, p) })
+		if len(missing) > 0 {
+			val = "n/a (" + strings.Join(missing, ", ") + " not run)"
+		}
+		fmt.Fprintf(&b, "%-42s measured %s   paper %6.1f%%\n", name, val, paper*100)
 	}
 	b.WriteString("Headline averages (paper §5.1, §5.2.4, §7):\n")
-	line("traffic: DBypFull vs MESI", s.TrafficDBypFullVsMESI, 0.395)
-	line("traffic: DBypFull vs MMemL1", s.TrafficDBypFullVsMMemL1, 0.352)
-	line("traffic: DBypFull vs DFlexL1", s.TrafficDBypFullVsDFlexL1, 0.189)
-	line("traffic: DeNovo vs MESI", s.TrafficDeNovoVsMESI, 0.139)
-	line("traffic: MMemL1 vs MESI", s.TrafficMMemL1VsMESI, 0.062)
-	line("exec time: DBypFull vs MESI", s.TimeDBypFullVsMESI, 0.105)
-	line("exec time: DBypFull vs MMemL1", s.TimeDBypFullVsMMemL1, 0.071)
-	line("exec time: MMemL1 vs MESI", s.TimeMMemL1VsMESI, 0.038)
-	line("DBypFull remaining waste share", s.DBypFullWasteShare, 0.088)
-	line("MESI overhead share of traffic", s.MESIOverheadShare, 0.136)
-	line("MESI overhead: unblock", s.MESIOverheadUnblock, 0.653)
-	line("MESI overhead: WB control", s.MESIOverheadWBCtl, 0.261)
-	line("MESI overhead: invalidations", s.MESIOverheadInval, 0.044)
-	line("MESI overhead: acks", s.MESIOverheadAck, 0.043)
+	line("traffic: DBypFull vs MESI", s.TrafficDBypFullVsMESI, 0.395, "DBypFull", "MESI")
+	line("traffic: DBypFull vs MMemL1", s.TrafficDBypFullVsMMemL1, 0.352, "DBypFull", "MMemL1")
+	line("traffic: DBypFull vs DFlexL1", s.TrafficDBypFullVsDFlexL1, 0.189, "DBypFull", "DFlexL1")
+	line("traffic: DeNovo vs MESI", s.TrafficDeNovoVsMESI, 0.139, "DeNovo", "MESI")
+	line("traffic: MMemL1 vs MESI", s.TrafficMMemL1VsMESI, 0.062, "MMemL1", "MESI")
+	line("exec time: DBypFull vs MESI", s.TimeDBypFullVsMESI, 0.105, "DBypFull", "MESI")
+	line("exec time: DBypFull vs MMemL1", s.TimeDBypFullVsMMemL1, 0.071, "DBypFull", "MMemL1")
+	line("exec time: MMemL1 vs MESI", s.TimeMMemL1VsMESI, 0.038, "MMemL1", "MESI")
+	line("DBypFull remaining waste share", s.DBypFullWasteShare, 0.088, "DBypFull")
+	line("MESI overhead share of traffic", s.MESIOverheadShare, 0.136, "MESI")
+	line("MESI overhead: unblock", s.MESIOverheadUnblock, 0.653, "MESI")
+	line("MESI overhead: WB control", s.MESIOverheadWBCtl, 0.261, "MESI")
+	line("MESI overhead: invalidations", s.MESIOverheadInval, 0.044, "MESI")
+	line("MESI overhead: acks", s.MESIOverheadAck, 0.043, "MESI")
 	return b.String()
 }

@@ -42,7 +42,7 @@ type matrixCell struct{ bench, proto int }
 type matrixPlan struct {
 	opt        MatrixOptions
 	cfg        memsys.Config
-	benchSpecs []*workloads.Spec // non-nil when opt.Benchmarks was explicit
+	benchSpecs []*workloads.Spec // parsed opt.Benchmarks, one per benchmark
 	cells      []matrixCell
 
 	buildOnce sync.Once
@@ -98,32 +98,30 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 		}
 		opt.Protocols = normalized
 	}
-	var benchSpecs []*workloads.Spec
 	if opt.Benchmarks == nil {
 		opt.Benchmarks = workloads.Names()
-	} else {
-		// Normalize workload specs like protocol specs: spelling variants
-		// of one configuration share a matrix key, and unknown benchmarks
-		// fail loudly before any cell runs (the old path silently skipped
-		// them via a nil program). Duplicate canonical specs are an error
-		// for the same reason as duplicate protocols.
-		normalized := make([]string, len(opt.Benchmarks))
-		benchSpecs = make([]*workloads.Spec, len(opt.Benchmarks))
-		seen := make(map[string]string, len(opt.Benchmarks))
-		for i, spec := range opt.Benchmarks {
-			s, err := workloads.ParseSpec(spec)
-			if err != nil {
-				return nil, err
-			}
-			if prev, dup := seen[s.Canonical]; dup {
-				return nil, fmt.Errorf("core: benchmarks %q and %q are the same workload %q", prev, spec, s.Canonical)
-			}
-			seen[s.Canonical] = spec
-			normalized[i] = s.Canonical
-			benchSpecs[i] = s
-		}
-		opt.Benchmarks = normalized
 	}
+	// Normalize workload specs like protocol specs: spelling variants of
+	// one configuration share a matrix key, and unknown benchmarks fail
+	// loudly before any cell runs (the old path silently skipped them via
+	// a nil program). Duplicate canonical specs are an error for the same
+	// reason as duplicate protocols.
+	normalized := make([]string, len(opt.Benchmarks))
+	benchSpecs := make([]*workloads.Spec, len(opt.Benchmarks))
+	seen := make(map[string]string, len(opt.Benchmarks))
+	for i, spec := range opt.Benchmarks {
+		s, err := workloads.ParseSpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		if prev, dup := seen[s.Canonical]; dup {
+			return nil, fmt.Errorf("core: benchmarks %q and %q are the same workload %q", prev, spec, s.Canonical)
+		}
+		seen[s.Canonical] = spec
+		normalized[i] = s.Canonical
+		benchSpecs[i] = s
+	}
+	opt.Benchmarks = normalized
 
 	cfg := memsys.Default().Scaled(opt.Size.ScaleDiv())
 	if opt.MeshWidth != 0 || opt.MeshHeight != 0 {
@@ -188,14 +186,9 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 func (p *matrixPlan) build() error {
 	p.buildOnce.Do(func() {
 		progs := make([]memsys.Program, len(p.opt.Benchmarks))
-		for i, bench := range p.opt.Benchmarks {
+		for i, spec := range p.benchSpecs {
 			var err error
-			if p.benchSpecs != nil {
-				progs[i], err = p.benchSpecs[i].Build(p.opt.Size, p.opt.Threads)
-			} else {
-				progs[i], err = workloads.ByName(bench, p.opt.Size, p.opt.Threads)
-			}
-			if err != nil {
+			if progs[i], err = spec.Build(p.opt.Size, p.opt.Threads); err != nil {
 				p.buildErr = fmt.Errorf("core: %w", err)
 				return
 			}

@@ -190,7 +190,7 @@ func (m *dvnL2Fill) Dispatch(s *System, tile int)     { s.l2s[tile].fills.Add(m)
 func (m *dvnBloomReq) Dispatch(s *System, tile int)   { s.l2s[tile].handleBloomReq(m) }
 func (m *dvnMemRead) Dispatch(s *System, tile int)    { s.handleMemRead(tile, m) }
 func (m *msgMemWBPartial) Dispatch(s *System, tile int) {
-	s.handleMemWB(tile, m)
+	s.mc.Write(tile, m.line, m.mask, &m.vals)
 }
 
 // Compile-time check that the whole vocabulary dispatches.

@@ -20,16 +20,14 @@
 // Like internal/mesi, the package is a state machine plus a message
 // vocabulary over the internal/coher substrate, which owns transport,
 // dispatch, the pending-transaction tables, the write-combining table
-// bookkeeping and the drain gates.
+// bookkeeping, the drain gates and the memory-controller front end.
 package denovo
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
-	"repro/internal/dram"
 	"repro/internal/memsys"
 )
 
@@ -98,8 +96,9 @@ type System struct {
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
+	mc  coher.MemCtl[*dvnMemRead]
 
-	memOpFree *memOp
+	memLines []uint32 // handleMemRead's line list, copied by mc.Read
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -108,6 +107,7 @@ func New(env *memsys.Env, opt Options) *System {
 		opt.Name = "DeNovo"
 	}
 	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s.mc = coher.NewMemCtl(env, s.memReadDone)
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
@@ -179,114 +179,31 @@ func (s *System) rowOf(line uint32) uint32 {
 	return (line << memsys.LineShift) / s.Env.Cfg.DRAM.RowBytes
 }
 
-// memOp is one access at a memory controller: the MCLatency wait, then
-// one DRAM burst per line. Records are free-listed on the System and
-// scheduled with Kernel.AtArg; the last burst-completion callback is the
-// record's last reader and recycles it.
-type memOp struct {
-	s         *System
-	tile      int
-	rd        *dvnMemRead      // the fetch being served; nil for a writeback
-	wb        *msgMemWBPartial // the writeback being committed; nil for a fetch
-	tAtMC     int64
-	lines     []uint32       // lines to read; backing reused across fetches
-	reqs      []dram.Request // one per line; never resized while submitted
-	remaining int            // bursts still outstanding
-	finish    int64          // latest burst completion so far
-	done      func(int64)    // op.burstDone, bound once per record
-	next      *memOp
-}
-
-func (s *System) newMemOp(tile int) *memOp {
-	op := s.memOpFree
-	if op == nil {
-		op = &memOp{s: s}
-		op.done = op.burstDone
-	} else {
-		s.memOpFree = op.next
-	}
-	op.tile, op.tAtMC, op.finish = tile, s.Env.K.Now(), 0
-	return op
-}
-
-// handleMemRead services a fetch at an MC tile. It may read several lines
-// from DRAM (Flex prefetch within one row), filters dirty on-chip words,
-// applies the Flex communication region (dropping unsent words as Excess),
-// and responds to the L1 and/or the home L2.
+// handleMemRead picks the lines a fetch reads at an MC tile: always the
+// critical line; with Flex at the MC, also other lines holding wanted
+// words if they share the critical line's DRAM row (row activation is
+// expensive, §3.1).
 func (s *System) handleMemRead(tile int, m *dvnMemRead) {
-	op := s.newMemOp(tile)
-	op.rd = m
-	// Decide which lines to fetch: always the critical line; with Flex at
-	// the MC, also other lines holding wanted words if they share the
-	// critical line's DRAM row (row activation is expensive, §3.1).
-	op.lines = append(op.lines[:0], m.critLine)
+	lines := append(s.memLines[:0], m.critLine)
 	if m.flex {
 		critRow := s.rowOf(m.critLine)
 		for _, w := range m.wants {
 			ln := memsys.LineOf(w)
-			if !coher.ContainsU32(op.lines, ln) && s.rowOf(ln) == critRow {
-				op.lines = append(op.lines, ln)
+			if !coher.ContainsU32(lines, ln) && s.rowOf(ln) == critRow {
+				lines = append(lines, ln)
 			}
 		}
 	}
-	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
+	s.memLines = lines
+	s.mc.Read(tile, m, lines...)
 }
 
-// handleMemWB commits dirty words to DRAM.
-func (s *System) handleMemWB(tile int, m *msgMemWBPartial) {
-	op := s.newMemOp(tile)
-	op.wb = m
-	op.lines = append(op.lines[:0], m.line)
-	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
-}
-
-// runMemOp presents an access's bursts to the channel once the MC latency
-// elapsed; a writeback's values reach the backing store at that point.
-func runMemOp(a any) {
-	op := a.(*memOp)
-	env := op.s.Env
-	write := op.wb != nil
-	if write {
-		for w := 0; w < lineWords; w++ {
-			if op.wb.mask&(1<<w) != 0 {
-				env.MemWrite(memsys.AddrOf(op.wb.line, w), op.wb.vals[w])
-			}
-		}
-	}
-	ch := env.Chans[env.Cfg.Channel(op.lines[0])] // the critical line's channel
-
-	op.reqs = slices.Grow(op.reqs[:0], len(op.lines))[:len(op.lines)]
-	op.remaining = len(op.lines)
-	for i, ln := range op.lines {
-		op.reqs[i] = dram.Request{Addr: ln << memsys.LineShift, Write: write, Done: op.done}
-		ch.Submit(&op.reqs[i])
-	}
-}
-
-// burstDone counts a completed burst; after the last one it answers a
-// fetch, then recycles the record.
-func (op *memOp) burstDone(f int64) {
-	if f > op.finish {
-		op.finish = f
-	}
-	op.remaining--
-	if op.remaining > 0 {
-		return
-	}
-	s := op.s
-	if op.rd != nil {
-		s.memReadDone(op)
-	}
-	op.rd, op.wb = nil, nil
-	op.next = s.memOpFree
-	s.memOpFree = op
-}
-
-// memReadDone assembles and sends the responses once DRAM delivers.
-func (s *System) memReadDone(op *memOp) {
+// memReadDone assembles and sends the responses once DRAM delivers: it
+// filters words dirty on chip, applies the Flex communication region
+// (dropping unsent words as Excess), and responds to the L1 and/or the
+// home L2.
+func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDram int64) {
 	env := s.Env
-	tile, m, lines := op.tile, op.rd, op.lines
-	tAtMC, tDram := op.tAtMC, op.finish
 	// Words for the requestor travel in the response message; size their
 	// arrays once for every wanted word.
 	var words, vals []uint32

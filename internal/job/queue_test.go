@@ -3,11 +3,14 @@ package job
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // blockingRunner is a controllable fake for the queue's runFn seam: it
@@ -291,5 +294,37 @@ func TestQueueCachedResubmissionBitIdentical(t *testing.T) {
 	}
 	if a, b := render(first), render(second); a != b {
 		t.Fatalf("cached resubmission rendered differently:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+}
+
+// A trace's thread count is read only when its cell builds the program,
+// so a 32-thread replay on the 16-tile default mesh passes Submit. The job
+// must then end failed with the tile message, and the queue must keep
+// serving: the old panic in a pool goroutine ended the whole process.
+func TestQueueReplayMoreThreadsThanTilesFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fft32.trc")
+	if err := trace.WriteFile(path, trace.Record(workloads.MustByName("FFT", workloads.Tiny, 32))); err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(QueueOptions{})
+	defer q.Shutdown(context.Background())
+
+	req := Request{Figures: []string{"5.1a"}, Protocols: []string{"DeNovo"}, Workers: 1}
+	req.Benchmarks = []string{"replay(file=" + path + ")"}
+	bad, err := q.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitTerminal(t, q, bad); st.State != StateFailed || !strings.Contains(st.Error, "has 16 tiles") {
+		t.Fatalf("32-thread replay on 4x4: %s (%q), want failed with the tile count", st.State, st.Error)
+	}
+
+	req.Benchmarks = []string{"FFT"}
+	good, err := q.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit after the failed job: %v", err)
+	}
+	if st := waitTerminal(t, q, good); st.State != StateDone {
+		t.Fatalf("job after the failed one: %s (%s), want done", st.State, st.Error)
 	}
 }

@@ -193,8 +193,8 @@ func (m *msgUnblock) Dispatch(s *System, tile int)     { s.l2s[tile].handleUnblo
 func (m *msgRecallResp) Dispatch(s *System, tile int)  { s.l2s[tile].handleRecallResp(m) }
 func (m *msgDowngradeWB) Dispatch(s *System, tile int) { s.l2s[tile].handleDowngradeWB(m) }
 func (m *msgMemData) Dispatch(s *System, tile int)     { s.l2s[tile].memData.Add(m) }
-func (m *msgMemRead) Dispatch(s *System, tile int)     { s.handleMemRead(tile, m) }
-func (m *msgMemWB) Dispatch(s *System, tile int)       { s.handleMemWB(tile, m) }
+func (m *msgMemRead) Dispatch(s *System, tile int)     { s.mc.Read(tile, m, m.line) }
+func (m *msgMemWB) Dispatch(s *System, tile int)       { s.mc.Write(tile, m.line, m.wmask, &m.data) }
 
 // Compile-time check that the whole vocabulary dispatches.
 var _ = []coher.Msg[*System]{

@@ -5,9 +5,9 @@
 //
 // The package is a state machine plus a message vocabulary over the
 // internal/coher substrate: coher owns tile registration, transport and
-// traffic bookkeeping, the store buffer, the pending-transaction tables
-// and the drain gates; this package owns the MESI states, the directory,
-// and the handlers.
+// traffic bookkeeping, the store buffer, the pending-transaction tables,
+// the drain gates and the memory-controller front end; this package owns
+// the MESI states, the directory, and the handlers.
 //
 // Protocol shape reproduced here:
 //   - line-granularity coherence, fetch-on-write everywhere;
@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coher"
-	"repro/internal/dram"
 	"repro/internal/memsys"
 )
 
@@ -50,13 +49,13 @@ type System struct {
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
-
-	memOpFree *memOp
+	mc  coher.MemCtl[*msgMemRead]
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
 func New(env *memsys.Env, opt Options) *System {
 	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s.mc = coher.NewMemCtl(env, s.memReadDone)
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
@@ -158,87 +157,10 @@ func (s *System) l2HasWord(addr uint32) bool {
 	return e != nil && e.hasData
 }
 
-// --- memory controller ---
-
-// memOp is one line access at a memory controller: the MCLatency wait,
-// then the DRAM burst. Records are free-listed on the System and scheduled
-// with Kernel.AtArg; the burst-completion callback is the record's last
-// reader and recycles it.
-type memOp struct {
-	s     *System
-	tile  int
-	rd    *msgMemRead // the read being served; nil for a writeback
-	wb    *msgMemWB   // the writeback being committed; nil for a read
-	tAtMC int64
-	req   dram.Request
-	done  func(int64) // op.burstDone, bound once per record
-	next  *memOp
-}
-
-func (s *System) newMemOp(tile int) *memOp {
-	op := s.memOpFree
-	if op == nil {
-		op = &memOp{s: s}
-		op.done = op.burstDone
-	} else {
-		s.memOpFree = op.next
-	}
-	op.tile, op.tAtMC = tile, s.Env.K.Now()
-	return op
-}
-
-// handleMemRead services a line read at an MC tile: DRAM timing via the
-// channel model, values from the backing store, fresh memory-level waste
-// instances for every word shipped.
-func (s *System) handleMemRead(tile int, m *msgMemRead) {
-	op := s.newMemOp(tile)
-	op.rd = m
-	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
-}
-
-// handleMemWB writes a full line back to DRAM (MESI always writes whole
-// lines; partial-write support is a DeNovo optimization).
-func (s *System) handleMemWB(tile int, m *msgMemWB) {
-	op := s.newMemOp(tile)
-	op.wb = m
-	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, runMemOp, op)
-}
-
-// runMemOp presents an access to its channel once the MC latency elapsed;
-// a writeback's values reach the backing store at that point.
-func runMemOp(a any) {
-	op := a.(*memOp)
-	env := op.s.Env
-	line, write := uint32(0), op.wb != nil
-	if write {
-		line = op.wb.line
-		for w := 0; w < lineWords; w++ {
-			if op.wb.wmask&(1<<w) != 0 {
-				env.MemWrite(memsys.AddrOf(line, w), op.wb.data[w])
-			}
-		}
-	} else {
-		line = op.rd.line
-	}
-	op.req = dram.Request{Addr: line << memsys.LineShift, Write: write, Done: op.done}
-	env.Chans[env.Cfg.Channel(line)].Submit(&op.req)
-}
-
-// burstDone answers a read once its burst completes, then recycles the
-// record.
-func (op *memOp) burstDone(finish int64) {
-	s := op.s
-	if op.rd != nil {
-		s.memReadDone(op.tile, op.rd, op.tAtMC, finish)
-	}
-	op.rd, op.wb = nil, nil
-	op.next = s.memOpFree
-	s.memOpFree = op
-}
-
 // memReadDone ships a line read from DRAM to the requesting L1 (MMemL1)
-// or the home slice.
-func (s *System) memReadDone(tile int, m *msgMemRead, tAtMC, finish int64) {
+// or the home slice, with values from the backing store and fresh
+// memory-level waste instances for every word.
+func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish int64) {
 	env := s.Env
 	var data [lineWords]uint32
 	var minst [lineWords]uint64

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"repro/internal/memsys"
 )
@@ -131,95 +130,6 @@ func Record(p memsys.Program) *Trace {
 			var ops []memsys.Op
 			p.EmitOps(ph, th, func(o memsys.Op) { ops = append(ops, o) })
 			t.Ops[ph][th] = ops
-		}
-	}
-	return t
-}
-
-// Recorder wraps a Program and captures each (phase, thread) stream the
-// first time the simulator pulls it, so a live run records its own
-// workload as a side effect. It implements memsys.Program and forwards
-// ops unchanged; captures are mutex-guarded because the engine shares one
-// program across concurrent cells.
-type Recorder struct {
-	prog memsys.Program
-
-	mu  sync.Mutex
-	ops [][][]memsys.Op
-	got [][]bool
-}
-
-// NewRecorder wraps a program for live capture.
-func NewRecorder(p memsys.Program) *Recorder {
-	phases := p.Phases()
-	r := &Recorder{
-		prog: p,
-		ops:  make([][][]memsys.Op, phases),
-		got:  make([][]bool, phases),
-	}
-	for ph := range r.ops {
-		r.ops[ph] = make([][]memsys.Op, p.Threads())
-		r.got[ph] = make([]bool, p.Threads())
-	}
-	return r
-}
-
-// Name implements memsys.Program.
-func (r *Recorder) Name() string { return r.prog.Name() }
-
-// Threads implements memsys.Program.
-func (r *Recorder) Threads() int { return r.prog.Threads() }
-
-// FootprintBytes implements memsys.Program.
-func (r *Recorder) FootprintBytes() uint32 { return r.prog.FootprintBytes() }
-
-// Regions implements memsys.Program.
-func (r *Recorder) Regions() []memsys.Region { return r.prog.Regions() }
-
-// Phases implements memsys.Program.
-func (r *Recorder) Phases() int { return r.prog.Phases() }
-
-// WarmupPhases implements memsys.Program.
-func (r *Recorder) WarmupPhases() int { return r.prog.WarmupPhases() }
-
-// WrittenRegions implements memsys.Program.
-func (r *Recorder) WrittenRegions(p int) []uint8 { return r.prog.WrittenRegions(p) }
-
-// EmitOps implements memsys.Program, teeing the stream into the capture
-// buffer on first pull.
-func (r *Recorder) EmitOps(p, t int, emit func(memsys.Op)) {
-	r.mu.Lock()
-	captured := r.got[p][t]
-	r.mu.Unlock()
-	if captured {
-		r.prog.EmitOps(p, t, emit)
-		return
-	}
-	var buf []memsys.Op
-	r.prog.EmitOps(p, t, func(o memsys.Op) {
-		buf = append(buf, o)
-		emit(o)
-	})
-	r.mu.Lock()
-	if !r.got[p][t] {
-		r.got[p][t] = true
-		r.ops[p][t] = buf
-	}
-	r.mu.Unlock()
-}
-
-// Trace materializes the capture. Streams the simulation never pulled
-// (e.g. when recording was cut short) are filled by direct enumeration,
-// which is bit-identical because EmitOps is pure.
-func (r *Recorder) Trace() *Trace {
-	t := Record(r.prog)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for ph := range r.got {
-		for th := range r.got[ph] {
-			if r.got[ph][th] {
-				t.Ops[ph][th] = r.ops[ph][th]
-			}
 		}
 	}
 	return t

@@ -60,20 +60,6 @@ func TestRoundTripEveryRegistryWorkload(t *testing.T) {
 	}
 }
 
-// The recording wrapper must capture, during a real simulation, exactly
-// the stream direct enumeration records — the record -> replay golden pin.
-func TestRecorderLiveCaptureMatchesDirectRecord(t *testing.T) {
-	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	rec := trace.NewRecorder(prog)
-	cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
-	if _, err := core.RunOne(cfg, "MESI", rec); err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Trace().Equal(trace.Record(prog)) {
-		t.Fatal("live capture differs from direct enumeration")
-	}
-}
-
 // A replayed trace must drive a protocol to the same measurement as the
 // program it was recorded from (only the benchmark label may differ).
 func TestReplayedRunBitIdentical(t *testing.T) {

@@ -9,14 +9,15 @@ import (
 
 // The replay spec re-drives a recorded op-stream trace (internal/trace)
 // through the Program contract, bit-identically to the program it was
-// captured from. Record traces with `trafficsim -record <file>` or the
-// trace package's Recorder, then run them like any benchmark:
+// captured from. Record traces with `trafficsim -record <file>` or
+// trace.Record, then run them like any benchmark:
 //
 //	trafficsim -record /tmp/fft.trc -benchmarks FFT -size tiny
 //	trafficsim -fig 5.1a -benchmarks 'replay(file=/tmp/fft.trc)'
 //
 // The trace fixes the thread count, footprint and phase structure, so the
-// size and threads arguments are ignored (a trace records one scale).
+// size and threads arguments are ignored (a trace records one scale). A
+// trace with more threads than the mesh has tiles fails in core.RunOne.
 func replaySpec() specDef {
 	return specDef{
 		name: "replay", synthetic: true,

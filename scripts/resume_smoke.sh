@@ -2,10 +2,11 @@
 # Kill-and-resume + cache-reuse smoke for the sweep point cache.
 #
 # Three runs of one sweep: an uncached reference, a cached run killed
-# (SIGINT) as soon as its first point lands on disk, and the resumed run
-# that must (a) print a table byte-identical to the reference and (b) only
-# simulate the points the killed run didn't finish. A fourth identical run
-# must simulate nothing at all — the cache-reuse guarantee.
+# (SIGINT) as soon as its first point lands on disk, and the resumed run —
+# the same command with the same -cachedir — that must (a) print a table
+# byte-identical to the reference and (b) only simulate the points the
+# killed run didn't finish. A fourth identical run must simulate nothing
+# at all — the cache-reuse guarantee.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,13 +59,13 @@ done
 echo "   killed with $persisted point(s) persisted"
 
 echo "== resumed run: table must be byte-identical to the reference"
-"$work/trafficsim" "${ARGS[@]}" -cachedir "$cache" -resume > "$work/resumed.txt" 2>"$work/resumed.err"
+"$work/trafficsim" "${ARGS[@]}" -cachedir "$cache" > "$work/resumed.txt" 2>"$work/resumed.err"
 diff -u "$work/ref.txt" "$work/resumed.txt"
 grep -F "$NPOINTS/$NPOINTS points complete ($persisted cached, $((NPOINTS - persisted)) simulated)" "$work/resumed.err" \
   || { echo "resumed run did not reuse the $persisted persisted point(s):"; cat "$work/resumed.err"; exit 1; }
 
 echo "== rerun: a fully cached sweep must simulate zero points"
-"$work/trafficsim" "${ARGS[@]}" -cachedir "$cache" -resume > "$work/cached.txt" 2>"$work/cached.err"
+"$work/trafficsim" "${ARGS[@]}" -cachedir "$cache" > "$work/cached.txt" 2>"$work/cached.err"
 diff -u "$work/ref.txt" "$work/cached.txt"
 grep -F "$NPOINTS/$NPOINTS points complete ($NPOINTS cached, 0 simulated)" "$work/cached.err" \
   || { echo "rerun simulated points it should have served from cache:"; cat "$work/cached.err"; exit 1; }
@@ -80,7 +81,7 @@ MARGS=(-sweep mesh=4x4,8x8 -router vc -size tiny -benchmarks 'hotspot(t=1)' -pro
 diff -u "$work/mesh-ref.txt" "$work/mesh-first.txt"
 grep -F "2/2 points complete (0 cached, 2 simulated)" "$work/mesh-first.err" \
   || { echo "first mesh sweep did not simulate both points:"; cat "$work/mesh-first.err"; exit 1; }
-"$work/trafficsim" "${MARGS[@]}" -cachedir "$mcache" -resume > "$work/mesh-cached.txt" 2>"$work/mesh-cached.err"
+"$work/trafficsim" "${MARGS[@]}" -cachedir "$mcache" > "$work/mesh-cached.txt" 2>"$work/mesh-cached.err"
 diff -u "$work/mesh-ref.txt" "$work/mesh-cached.txt"
 grep -F "2/2 points complete (2 cached, 0 simulated)" "$work/mesh-cached.err" \
   || { echo "mesh rerun simulated points it should have served from cache:"; cat "$work/mesh-cached.err"; exit 1; }
