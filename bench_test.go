@@ -92,8 +92,8 @@ func BenchmarkTable4_2_Inputs(b *testing.B) {
 	var total uint32
 	for i := 0; i < b.N; i++ {
 		total = 0
-		for _, p := range workloads.Catalog(workloads.Small, 16) {
-			total += p.FootprintBytes()
+		for _, name := range workloads.Names() {
+			total += workloads.MustByName(name, workloads.Small, 16).FootprintBytes()
 		}
 	}
 	b.ReportMetric(float64(total)/1024/1024, "small_total_MB")
@@ -146,7 +146,7 @@ func ablationRunSized(b *testing.B, size workloads.Size, proto, bench string, mu
 			mutate(&cfg)
 		}
 		var err error
-		res, err = core.RunOne(cfg, proto, workloads.MustByName(bench, size, 16))
+		res, err = core.RunOne(context.Background(), cfg, proto, workloads.MustByName(bench, size, 16))
 		if err != nil {
 			b.Fatal(err)
 		}

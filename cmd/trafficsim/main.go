@@ -77,7 +77,7 @@ func run() (code int) {
 	summary := flag.Bool("summary", false, "print the headline paper-vs-measured averages")
 	sizeName := flag.String("size", "tiny", "input scale: tiny, small, paper (caches scale with inputs; see DESIGN.md)")
 	protoCSV := flag.String("protocols", "", "comma-separated protocol specs: canonical names ("+
-		strings.Join(core.ProtocolNames(), ", ")+", DBypHW) or base+Option compositions with options "+
+		strings.Join(core.ProtocolAliases(), ", ")+") or base+Option compositions with options "+
 		optionTokens()+" (default: the paper's nine)")
 	benchCSV := flag.String("benchmarks", "", "comma-separated workload specs, name(key=value,...) over: "+
 		strings.Join(workloads.SpecNames(), ", ")+" (default: the paper's six)")
@@ -99,10 +99,6 @@ func run() (code int) {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken at exit, to this file")
 	flag.Parse()
 
-	if *fig == "" && !*summary && *record == "" && *sweep == "" {
-		*fig = "all"
-		*summary = true
-	}
 	if *record != "" && (*sweep != "" || *fig != "" || *summary || *cachedir != "") {
 		fmt.Fprintln(os.Stderr, "-record only records a trace; drop -sweep/-fig/-summary/-cachedir (replay the trace in a later run)")
 		return 2
@@ -203,6 +199,7 @@ func run() (code int) {
 		fmt.Println("replay with:", hint)
 		return
 	}
+	req.Normalize()
 
 	// One renderer over the unified event stream reproduces both progress
 	// vocabularies: per-cell "running bench / proto" lines for matrix runs,
@@ -240,10 +237,10 @@ func run() (code int) {
 		}
 	}
 
-	// Interrupts cancel the pool at the next cell boundary instead of
-	// killing the process: completed sweep points are kept (and, with
-	// -cachedir, already persisted), so ^C on a long run loses at most the
-	// cells in flight.
+	// Interrupts cancel the pool and its running cells (within a million
+	// events each) instead of killing the process: completed sweep points
+	// are kept (and, with -cachedir, already persisted), so ^C on a long
+	// run loses at most the cells in flight.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	out, err := job.Run(ctx, req, rc)

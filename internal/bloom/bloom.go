@@ -107,17 +107,6 @@ func (f *Filter) Union(other *Filter) {
 	}
 }
 
-// PopCount returns the number of set entries (used to estimate occupancy).
-func (f *Filter) PopCount() int {
-	n := 0
-	for _, w := range f.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // Counting is a Bloom filter with 8-bit saturating counters, used at the L2
 // so that entries can be removed when lines are cleaned or evicted.
 type Counting struct {

@@ -107,17 +107,3 @@ func TestDrainGate(t *testing.T) {
 		t.Fatal("gate still armed after firing")
 	}
 }
-
-func TestPopcountAndSort(t *testing.T) {
-	if Popcount16(0) != 0 || Popcount16(0xffff) != 16 || Popcount16(0b1011) != 3 {
-		t.Fatal("Popcount16 wrong")
-	}
-	s := []uint32{5, 1, 4, 1, 3}
-	SortU32(s)
-	if !reflect.DeepEqual(s, []uint32{1, 1, 3, 4, 5}) {
-		t.Fatalf("SortU32 = %v", s)
-	}
-	if !ContainsU32(s, 4) || ContainsU32(s, 2) {
-		t.Fatal("ContainsU32 wrong")
-	}
-}

@@ -1,10 +1,6 @@
 package coher
 
-import (
-	"math/bits"
-	"slices"
-	"sort"
-)
+import "sort"
 
 // Table is a pending-transaction table keyed by line address: MSHRs,
 // victim (writeback) buffers, write-combining entries, L2 fetch tables.
@@ -52,12 +48,3 @@ func (t Table[V]) Range(f func(line uint32, v *V)) {
 		f(line, v)
 	}
 }
-
-// Popcount16 counts the set bits of a word mask.
-func Popcount16(m uint16) int { return bits.OnesCount16(m) }
-
-// SortU32 sorts a slice of word addresses in place.
-func SortU32(s []uint32) { slices.Sort(s) }
-
-// ContainsU32 reports whether s contains v.
-func ContainsU32(s []uint32, v uint32) bool { return slices.Contains(s, v) }

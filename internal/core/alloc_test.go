@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func TestTinyCellAllocBudget(t *testing.T) {
 		prog := workloads.MustByName(tc.bench, workloads.Tiny, 16)
 		var err error
 		allocs := testing.AllocsPerRun(1, func() {
-			_, err = core.RunOne(cfg, tc.proto, prog)
+			_, err = core.RunOne(context.Background(), cfg, tc.proto, prog)
 		})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", tc.proto, tc.bench, err)

@@ -46,8 +46,9 @@ import (
 // field, so entries written before the field existed can never alias a
 // point that pins it. v2 added the mesh dimensions; v3 made the vc router
 // deliver each (src, dst) channel in order, which changes results at
-// VCs >= 4.
-const cacheModelVersion = 3
+// VCs >= 4; v4 made the MESI directory track sharers on every tile, which
+// changes MESI results past 16 threads.
+const cacheModelVersion = 4
 
 // ErrUncacheable marks a point whose results depend on state the
 // configuration hash cannot see (a trace replay's file contents); such

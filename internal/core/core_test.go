@@ -40,7 +40,7 @@ func TestProtocolRegistry(t *testing.T) {
 
 func TestRunOneProducesResult(t *testing.T) {
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	res, err := core.RunOne(memsys.Default().Scaled(64), "MESI", prog)
+	res, err := core.RunOne(context.Background(), memsys.Default().Scaled(64), "MESI", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBloomGeometry(t *testing.T) {
 	for _, c := range cases {
 		cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
 		cfg.Bloom.FiltersPerSlice, cfg.Bloom.Entries = c.filters, c.entries
-		res, err := core.RunOne(cfg, "DBypFull", prog)
+		res, err := core.RunOne(context.Background(), cfg, "DBypFull", prog)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", c.filters, c.entries, err)
 		}
@@ -261,12 +261,12 @@ func TestDeterministicRuns(t *testing.T) {
 	// Two identical runs must produce bit-identical traffic and timing:
 	// the whole simulator is deterministic (no map-order leakage).
 	for _, proto := range []string{"MESI", "DBypFull"} {
-		a, err := core.RunOne(memsys.Default().Scaled(64), proto,
+		a, err := core.RunOne(context.Background(), memsys.Default().Scaled(64), proto,
 			workloads.MustByName("barnes", workloads.Tiny, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := core.RunOne(memsys.Default().Scaled(64), proto,
+		b, err := core.RunOne(context.Background(), memsys.Default().Scaled(64), proto,
 			workloads.MustByName("barnes", workloads.Tiny, 16))
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/memsys"
@@ -20,6 +21,7 @@ type Runner struct {
 	env   *memsys.Env
 	proto memsys.Protocol
 	prog  memsys.Program
+	ctx   context.Context // cancels Run between event batches
 
 	Times []memsys.TimeBreakdown // per-core Figure 5.2 accounting
 
@@ -71,6 +73,7 @@ func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Run
 		env:    env,
 		proto:  proto,
 		prog:   prog,
+		ctx:    context.Background(),
 		Times:  make([]memsys.TimeBreakdown, prog.Threads()),
 		oracle: make([]uint32, len(env.Mem)),
 		cores:  make([]coreState, prog.Threads()),
@@ -88,12 +91,16 @@ var MaxSteps uint64 = 2_000_000_000
 
 // Run executes every phase to completion. It returns an error if the
 // simulation deadlocks, livelocks, or the functional oracle detects a
-// wrong value.
+// wrong value, and the context's error if the run's context (RunOne's)
+// is cancelled: Run checks it after every million events.
 func (r *Runner) Run() error {
 	r.beginPhase(0)
 	for !r.finished {
 		if r.env.K.RunLimit(1_000_000) == 0 {
 			break // queue drained
+		}
+		if err := r.ctx.Err(); err != nil {
+			return err
 		}
 		if r.env.K.Steps() > MaxSteps {
 			return fmt.Errorf("core: livelock in %s/%s at phase %d (cycle %d, %d events, %d clamped)",

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
@@ -97,6 +98,36 @@ func TestRunMatrixContextCancel(t *testing.T) {
 	}
 }
 
+// TestRunCancelStopsRunningCell cancels a single-cell run (a Small radix
+// cell that simulates for about 7 s, ten times that under -race) the
+// moment its cell starts: Run must return context.Canceled promptly, not
+// when the cell would have ended.
+func TestRunCancelStopsRunningCell(t *testing.T) {
+	bound := time.Second
+	if raceEnabled {
+		bound = 10 * time.Second
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelled time.Time
+	_, err := core.Run(ctx, core.MatrixOptions{
+		Size:       workloads.Small,
+		Protocols:  []string{"MESI"},
+		Benchmarks: []string{"radix"},
+	}, core.RunOptions{Progress: func(ev core.SweepProgress) {
+		if ev.Status == core.SweepCellStarted {
+			cancelled = time.Now()
+			cancel()
+		}
+	}})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(cancelled); d > bound {
+		t.Fatalf("Run returned %v after the cancel, want under %v", d, bound)
+	}
+}
+
 // Topologies thread end-to-end: the same workload/protocol cell produces
 // valid results on every topology, shorter-routed networks carry fewer
 // flit-hops, and the matrix records which topology it ran on.
@@ -173,12 +204,12 @@ func TestVCMatrixMatchesSerial(t *testing.T) {
 func TestVCLatencyAboveIdealEndToEnd(t *testing.T) {
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
 	cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
-	ideal, err := core.RunOne(cfg, "MESI", prog)
+	ideal, err := core.RunOne(context.Background(), cfg, "MESI", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Router = "vc"
-	vc, err := core.RunOne(cfg, "MESI", prog)
+	vc, err := core.RunOne(context.Background(), cfg, "MESI", prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func ExampleRunOne() {
 	cfg := memsys.Default().Scaled(size.ScaleDiv())
 	prog := workloads.MustByName("LU", size, 16)
 
-	res, err := core.RunOne(cfg, "MESI", prog)
+	res, err := core.RunOne(context.Background(), cfg, "MESI", prog)
 	if err != nil {
 		panic(err)
 	}

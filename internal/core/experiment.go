@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/memsys"
@@ -8,16 +9,6 @@ import (
 	"repro/internal/waste"
 	"repro/internal/workloads"
 )
-
-// ProtocolNames lists the nine configurations of §3.2/§3.3 in the paper's
-// figure order. The registry (registry.go) accepts these as canonical
-// aliases alongside composable "base+Option" specs.
-func ProtocolNames() []string {
-	return []string{
-		"MESI", "MMemL1",
-		"DeNovo", "DFlexL1", "DValidateL2", "DMemL1", "DFlexL2", "DBypL2", "DBypFull",
-	}
-}
 
 // NewProtocol instantiates a protocol engine by configuration spec on an
 // environment (registering its tiles on the mesh). The spec is resolved
@@ -81,7 +72,9 @@ func (r *Result) WasteTotal(level waste.Level) uint64 {
 // returns the detached measurement. Cores map one per tile, so a program
 // with more threads than cfg has tiles is an error; the planner bounds
 // built workloads, but a replayed trace fixes its own thread count.
-func RunOne(cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
+// Cancelling ctx stops the simulation within a million events and
+// returns ctx's error.
+func RunOne(ctx context.Context, cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
 	if n := prog.Threads(); n > cfg.Tiles {
 		return nil, fmt.Errorf("%s has %d threads but the %dx%d mesh has %d tiles; run it on a mesh with at least %d tiles",
 			prog.Name(), n, cfg.MeshWidth, cfg.MeshHeight, cfg.Tiles, n)
@@ -95,6 +88,7 @@ func RunOne(cfg memsys.Config, protoName string, prog memsys.Program) (*Result, 
 		return nil, err
 	}
 	r := NewRunner(env, proto, prog)
+	r.ctx = ctx
 	if err := r.Run(); err != nil {
 		return nil, err
 	}

@@ -274,70 +274,59 @@ func (m *Matrix) FigCongestion() *Table {
 	return t
 }
 
-// figureKey normalizes a figure id to its canonical form, or returns ""
-// for unknown ids.
-func figureKey(id string) string {
-	switch strings.ToLower(strings.TrimSpace(id)) {
-	case "5.1a", "fig5.1a":
-		return "5.1a"
-	case "5.1b", "fig5.1b":
-		return "5.1b"
-	case "5.1c", "fig5.1c":
-		return "5.1c"
-	case "5.1d", "fig5.1d":
-		return "5.1d"
-	case "5.2", "fig5.2":
-		return "5.2"
-	case "5.3a", "fig5.3a":
-		return "5.3a"
-	case "5.3b", "fig5.3b":
-		return "5.3b"
-	case "5.3c", "fig5.3c":
-		return "5.3c"
-	case "net", "congestion":
-		return "net"
+// figures is the one list of reproducible figures, in output order: the
+// paper's eight plus the congestion-telemetry table, each with the second
+// spelling it accepts and its builder.
+var figures = []struct {
+	id, alias string
+	build     func(*Matrix) *Table
+}{
+	{"5.1a", "fig5.1a", (*Matrix).Fig51a},
+	{"5.1b", "fig5.1b", (*Matrix).Fig51b},
+	{"5.1c", "fig5.1c", (*Matrix).Fig51c},
+	{"5.1d", "fig5.1d", (*Matrix).Fig51d},
+	{"5.2", "fig5.2", (*Matrix).Fig52},
+	{"5.3a", "fig5.3a", (*Matrix).Fig53a},
+	{"5.3b", "fig5.3b", (*Matrix).Fig53b},
+	{"5.3c", "fig5.3c", (*Matrix).Fig53c},
+	{"net", "congestion", (*Matrix).FigCongestion},
+}
+
+// figure returns the builder of a figure id in either spelling, any case.
+func figure(id string) (func(*Matrix) *Table, error) {
+	key := strings.ToLower(strings.TrimSpace(id))
+	for _, f := range figures {
+		if key == f.id || key == f.alias {
+			return f.build, nil
+		}
 	}
-	return ""
+	return nil, fmt.Errorf("core: unknown figure %q (figures: %s)", id, strings.Join(FigureIDs(), ", "))
 }
 
 // ValidFigureID rejects unknown figure ids with the known list, so CLIs
 // can fail fast before paying for a matrix run.
 func ValidFigureID(id string) error {
-	if figureKey(id) == "" {
-		return fmt.Errorf("core: unknown figure %q (figures: %s)", id, strings.Join(FigureIDs(), ", "))
-	}
-	return nil
+	_, err := figure(id)
+	return err
 }
 
 // Figure builds a figure table by the paper's figure id.
 func (m *Matrix) Figure(id string) (*Table, error) {
-	switch figureKey(id) {
-	case "5.1a":
-		return m.Fig51a(), nil
-	case "5.1b":
-		return m.Fig51b(), nil
-	case "5.1c":
-		return m.Fig51c(), nil
-	case "5.1d":
-		return m.Fig51d(), nil
-	case "5.2":
-		return m.Fig52(), nil
-	case "5.3a":
-		return m.Fig53a(), nil
-	case "5.3b":
-		return m.Fig53b(), nil
-	case "5.3c":
-		return m.Fig53c(), nil
-	case "net":
-		return m.FigCongestion(), nil
+	build, err := figure(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown figure %q (figures: %s)", id, strings.Join(FigureIDs(), ", "))
+	return build(m), nil
 }
 
 // FigureIDs lists the reproducible figure ids: the paper's eight figures
 // plus the congestion-telemetry table.
 func FigureIDs() []string {
-	return []string{"5.1a", "5.1b", "5.1c", "5.1d", "5.2", "5.3a", "5.3b", "5.3c", "net"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
 // Summary holds the paper's headline averages (§5.1, §5.2.4, §7) as

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -181,12 +182,12 @@ func TestDeflectionMatrixMatchesSerial(t *testing.T) {
 func TestDeflectionHotspotEndToEnd(t *testing.T) {
 	wl := workloads.MustByName("hotspot(t=1)", workloads.Tiny, 16)
 	cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
-	ideal, err := core.RunOne(cfg, "MESI", wl)
+	ideal, err := core.RunOne(context.Background(), cfg, "MESI", wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Router = "deflection"
-	defl, err := core.RunOne(cfg, "MESI", wl)
+	defl, err := core.RunOne(context.Background(), cfg, "MESI", wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/denovo"
@@ -12,17 +13,64 @@ import (
 // The composable protocol registry. The paper evaluates nine fixed
 // configurations (§3.2/§3.3), each a bundle of orthogonal waste-eliminating
 // optimizations stacked in one order. The registry decomposes the bundles:
-// a protocol spec is a base (a family root or any canonical name) plus
-// zero or more "+Option" suffixes, so the ladder's steps become reachable
-// in any combination — the ablation axes the paper never ran.
+// a protocol spec is a base (a family root or any named alias) plus zero
+// or more "+Option" suffixes, so the ladder's steps become reachable in
+// any combination — the ablation axes the paper never ran.
 //
 //	MESI                  the paper's baseline
 //	MESI+MemL1            == MMemL1, spelled compositionally
 //	DeNovo+BypL2          response bypass without the Flex/ValidateL2 rungs
 //	DFlexL1+BypFull       Bloom-guarded bypass on the bare Flex protocol
 //
-// The nine paper names remain canonical aliases and resolve bit-identically
-// to their hardwired predecessors (pinned by the golden suite).
+// The named configurations are shorthand, defined once in protocolAliases:
+// every name expands to a family root plus option tokens, so an alias
+// resolves exactly like its token spelling.
+
+// protocolAlias names one configuration: spec is a family root ("MESI",
+// "DeNovo") followed by the option tokens the name stands for.
+type protocolAlias struct {
+	name  string
+	spec  string
+	paper bool // one of the paper's nine configurations
+}
+
+// protocolAliases lists the paper's nine configurations in figure order,
+// then the DBypHW extension, which swaps DBypL2's software bypass
+// annotations for the hardware reuse predictor.
+var protocolAliases = []protocolAlias{
+	{"MESI", "MESI", true},
+	{"MMemL1", "MESI+MemL1", true},
+	{"DeNovo", "DeNovo", true},
+	{"DFlexL1", "DeNovo+FlexL1", true},
+	{"DValidateL2", "DeNovo+ValL2", true},
+	{"DMemL1", "DeNovo+MemL1+ValL2", true},
+	{"DFlexL2", "DeNovo+MemL1+FlexL1+ValL2+FlexL2", true},
+	{"DBypL2", "DeNovo+MemL1+FlexL1+ValL2+FlexL2+BypL2", true},
+	{"DBypFull", "DeNovo+MemL1+FlexL1+ValL2+FlexL2+BypFull", true},
+	{"DBypHW", "DeNovo+MemL1+FlexL1+ValL2+FlexL2+BypHW", false},
+}
+
+// ProtocolNames lists the nine configurations of §3.2/§3.3 in the paper's
+// figure order.
+func ProtocolNames() []string {
+	var names []string
+	for _, a := range protocolAliases {
+		if a.paper {
+			names = append(names, a.name)
+		}
+	}
+	return names
+}
+
+// ProtocolAliases lists every named configuration: the paper's nine in
+// figure order, then the extensions beyond them.
+func ProtocolAliases() []string {
+	names := make([]string, len(protocolAliases))
+	for i, a := range protocolAliases {
+		names[i] = a.name
+	}
+	return names
+}
 
 // OptionInfo describes one composable optimization token.
 type OptionInfo struct {
@@ -110,69 +158,36 @@ func (v *Variant) New(env *memsys.Env) memsys.Protocol {
 	return denovo.New(env, opt)
 }
 
-// dnvOptionTokens lists the canonical tokens a DeNovo option set implies.
-func dnvOptionTokens(o denovo.Options) []string {
-	var t []string
-	if o.MemToL1 {
-		t = append(t, "MemL1")
-	}
-	if o.FlexL1 {
-		t = append(t, "FlexL1")
-	}
-	if o.ValidateL2 {
-		t = append(t, "ValL2")
-	}
-	if o.FlexL2 {
-		t = append(t, "FlexL2")
-	}
-	if o.BypassReq {
-		t = append(t, "BypFull")
-	} else if o.BypassResp {
-		t = append(t, "BypL2")
-	}
-	if o.PredictBypass {
-		t = append(t, "BypHW")
-	}
-	return t
-}
-
-// baseVariant resolves a spec's base token: a family root ("MESI",
-// "DeNovo") or any canonical/extension alias.
-func baseVariant(base string) (*Variant, bool) {
-	switch base {
-	case "MESI":
-		return &Variant{Spec: base, Family: "MESI", Canonical: true, mesiOpt: &mesi.Options{}}, true
-	case "MMemL1":
-		return &Variant{Spec: base, Family: "MESI", Canonical: true,
-			Options: []string{"MemL1"}, mesiOpt: &mesi.Options{MemToL1: true}}, true
-	}
-	if opt, ok := denovo.VariantByName(base); ok {
-		ext := base == "DBypHW"
-		v := &Variant{Spec: base, Family: "DeNovo", Canonical: !ext,
-			Options: dnvOptionTokens(opt)}
-		o := opt
-		o.Name = ""
-		v.dnvOpt = &o
-		return v, true
-	}
-	return nil, false
-}
-
 // ParseProtocol resolves a protocol spec — a base name optionally followed
-// by "+Option" tokens — into a Variant. The base may be a family root
-// (MESI, DeNovo), one of the paper's nine canonical names, or the DBypHW
-// extension; options compose on top.
+// by "+Option" tokens — into a Variant. The base is any name of
+// protocolAliases (the family roots MESI and DeNovo among them); the
+// alias's own tokens apply first, then the spec's.
 func ParseProtocol(spec string) (*Variant, error) {
 	parts := strings.Split(strings.TrimSpace(spec), "+")
 	for i := range parts {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
-	v, ok := baseVariant(parts[0])
-	if !ok {
+	i := slices.IndexFunc(protocolAliases, func(a protocolAlias) bool { return a.name == parts[0] })
+	if i < 0 {
 		return nil, fmt.Errorf("core: unknown protocol %q (base %q; known bases: %s)",
-			spec, parts[0], strings.Join(append(ProtocolNames(), "DBypHW"), ", "))
+			spec, parts[0], strings.Join(ProtocolAliases(), ", "))
 	}
-	for _, token := range parts[1:] {
+	alias := protocolAliases[i]
+	tokens := strings.Split(alias.spec, "+")
+	v := &Variant{
+		// The spec is rebuilt from the trimmed parts so whitespace
+		// spellings of one composition share a matrix key.
+		Spec:      strings.Join(parts, "+"),
+		Family:    tokens[0],
+		Canonical: alias.paper && len(parts) == 1,
+	}
+	if v.Family == "MESI" {
+		v.mesiOpt = &mesi.Options{}
+	} else {
+		v.dnvOpt = &denovo.Options{}
+	}
+	applied := make(map[string]bool)
+	for _, token := range append(tokens[1:], parts[1:]...) {
 		d := optionByToken(token)
 		if d == nil {
 			var all []string
@@ -183,30 +198,18 @@ func ParseProtocol(spec string) (*Variant, error) {
 				spec, token, strings.Join(all, ", "))
 		}
 		switch {
-		case v.mesiOpt != nil:
-			if d.applyMESI == nil {
-				return nil, fmt.Errorf("core: protocol %q: option %q does not apply to the MESI family", spec, token)
-			}
+		case v.mesiOpt != nil && d.applyMESI != nil:
 			d.applyMESI(v.mesiOpt)
-		default:
-			if d.applyDNV == nil {
-				return nil, fmt.Errorf("core: protocol %q: option %q does not apply to the DeNovo family", spec, token)
-			}
+		case v.dnvOpt != nil && d.applyDNV != nil:
 			d.applyDNV(v.dnvOpt)
+		default:
+			return nil, fmt.Errorf("core: protocol %q: option %q does not apply to the %s family", spec, token, v.Family)
 		}
+		applied[token] = true
 	}
-	if len(parts) > 1 {
-		// The spec is rebuilt from the trimmed parts so whitespace
-		// spellings of one composition share a matrix key.
-		v.Spec = strings.Join(parts, "+")
-		v.Canonical = false
-		if v.mesiOpt != nil {
-			v.Options = nil
-			if v.mesiOpt.MemToL1 {
-				v.Options = []string{"MemL1"}
-			}
-		} else {
-			v.Options = dnvOptionTokens(*v.dnvOpt)
+	for _, d := range optionDefs { // canonical order; BypFull hides the BypL2 it implies
+		if applied[d.token] && !(d.token == "BypL2" && applied["BypFull"]) {
+			v.Options = append(v.Options, d.token)
 		}
 	}
 	return v, nil
@@ -233,13 +236,11 @@ func ComposedVariants() []string {
 	}
 }
 
-// RegistryInventory resolves every registered configuration: the paper's
-// nine canonical names in figure order, the DBypHW predictor extension,
-// then the composed variants.
+// RegistryInventory resolves every registered configuration: the named
+// aliases (the paper's nine in figure order, then the DBypHW predictor
+// extension), then the composed variants.
 func RegistryInventory() []*Variant {
-	specs := append([]string{}, ProtocolNames()...)
-	specs = append(specs, "DBypHW")
-	specs = append(specs, ComposedVariants()...)
+	specs := append(ProtocolAliases(), ComposedVariants()...)
 	out := make([]*Variant, 0, len(specs))
 	for _, spec := range specs {
 		v, err := ParseProtocol(spec)

@@ -1,7 +1,8 @@
 package core_test
 
 import (
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -65,27 +66,66 @@ func runSpec(t *testing.T, spec, bench string) *specResult {
 	}
 }
 
+// TestParseProtocolCanonicalNames pins every named configuration's option
+// bundle, and that the name resolves exactly like its token spelling.
 func TestParseProtocolCanonicalNames(t *testing.T) {
-	for _, name := range core.ProtocolNames() {
-		v, err := core.ParseProtocol(name)
+	stack := []string{"MemL1", "FlexL1", "ValL2", "FlexL2"}
+	want := []struct {
+		name    string
+		options []string
+	}{
+		{"MESI", nil},
+		{"MMemL1", []string{"MemL1"}},
+		{"DeNovo", nil},
+		{"DFlexL1", []string{"FlexL1"}},
+		{"DValidateL2", []string{"ValL2"}},
+		{"DMemL1", []string{"MemL1", "ValL2"}},
+		{"DFlexL2", stack},
+		{"DBypL2", append(slices.Clip(stack), "BypL2")},
+		{"DBypFull", append(slices.Clip(stack), "BypFull")},
+		{"DBypHW", append(slices.Clip(stack), "BypHW")},
+	}
+	names := core.ProtocolAliases()
+	if len(names) != len(want) {
+		t.Fatalf("aliases %v, want %d", names, len(want))
+	}
+	if got := core.ProtocolNames(); !slices.Equal(got, names[:9]) {
+		t.Errorf("ProtocolNames = %v, want the first nine aliases %v", got, names[:9])
+	}
+	for i, w := range want {
+		if names[i] != w.name {
+			t.Fatalf("alias %d = %q, want %q", i, names[i], w.name)
+		}
+		v, err := core.ParseProtocol(w.name)
 		if err != nil {
-			t.Fatalf("canonical %q rejected: %v", name, err)
+			t.Fatalf("canonical %q rejected: %v", w.name, err)
 		}
-		if !v.Canonical {
-			t.Errorf("%q not marked canonical", name)
+		if v.Canonical != (w.name != "DBypHW") {
+			t.Errorf("%q: Canonical = %v", w.name, v.Canonical)
 		}
-		if v.Spec != name {
-			t.Errorf("%q resolved to spec %q", name, v.Spec)
+		if v.Spec != w.name {
+			t.Errorf("%q resolved to spec %q", w.name, v.Spec)
+		}
+		if !slices.Equal(v.Options, w.options) {
+			t.Errorf("%s options = %v, want %v", w.name, v.Options, w.options)
+		}
+		spelled, err := core.ParseProtocol(strings.Join(append([]string{v.Family}, w.options...), "+"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spelled.Family != v.Family || !slices.Equal(spelled.Options, v.Options) {
+			t.Errorf("%s and its spelling %s diverge: %s%v vs %s%v",
+				w.name, spelled.Spec, v.Family, v.Options, spelled.Family, spelled.Options)
 		}
 	}
-	// The ladder's option sets decompose as documented.
-	v, err := core.ParseProtocol("DBypFull")
+	// Options come back in canonical order, once each, with BypFull
+	// hiding the BypL2 it implies.
+	v, err := core.ParseProtocol("DeNovo+BypFull+ValL2+BypL2+MemL1+ValL2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"MemL1", "FlexL1", "ValL2", "FlexL2", "BypFull"}
-	if !reflect.DeepEqual(v.Options, want) {
-		t.Errorf("DBypFull options = %v, want %v", v.Options, want)
+	if want := []string{"MemL1", "ValL2", "BypFull"}; !slices.Equal(v.Options, want) {
+		t.Errorf("options = %v, want %v", v.Options, want)
 	}
 }
 

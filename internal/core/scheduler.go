@@ -200,13 +200,13 @@ func (p *matrixPlan) build() error {
 
 // runCell simulates one cell into its result slot; errors land in the
 // matching error slot so assemble can report the first one in matrix order.
-func (p *matrixPlan) runCell(i int) {
+func (p *matrixPlan) runCell(ctx context.Context, i int) {
 	if err := p.build(); err != nil {
 		p.errs[i] = err
 		return
 	}
 	c := p.cells[i]
-	res, err := RunOne(p.cfg, p.opt.Protocols[c.proto], p.progs[c.bench])
+	res, err := RunOne(ctx, p.cfg, p.opt.Protocols[c.proto], p.progs[c.bench])
 	if err != nil {
 		p.errs[i] = fmt.Errorf("core: %s/%s: %w",
 			p.opt.Protocols[c.proto], p.opt.Benchmarks[c.bench], err)
@@ -261,9 +261,10 @@ type poolHooks struct {
 // workers <= 0 means one per available CPU; workers == 1 is the serial
 // reference run, one pool goroutine claiming jobs in point-major order.
 // The first cell error stops the pool from claiming new work (in-flight
-// cells finish; their points may still complete); cancelling ctx does the
-// same and is reported as the returned error. Per-point success or
-// failure is read off each plan afterwards.
+// cells finish; their points may still complete). Cancelling ctx also
+// stops the cells in flight, each within a million events, and is
+// reported as the returned error. Per-point success or failure is read
+// off each plan afterwards.
 func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolHooks) error {
 	var jobs []schedJob
 	for pi, p := range plans {
@@ -314,7 +315,7 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 				j := jobs[i]
 				p := plans[j.point]
 				announce(j)
-				p.runCell(j.cell)
+				p.runCell(ctx, j.cell)
 				if p.errs[j.cell] != nil {
 					failed.Store(true)
 				}

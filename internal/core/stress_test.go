@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestStressRandomDRFPrograms(t *testing.T) {
 		prog := newRandProgram(seed)
 		verifyDRF(t, prog)
 		for _, proto := range core.ProtocolNames() {
-			res, err := core.RunOne(cfg, proto, prog)
+			res, err := core.RunOne(context.Background(), cfg, proto, prog)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -183,7 +184,7 @@ func TestStressScatteredFootprint(t *testing.T) {
 		ops:     phases,
 	}
 	for _, proto := range []string{"MESI", "MMemL1", "DeNovo", "DValidateL2", "DBypFull"} {
-		if _, err := core.RunOne(cfg, proto, prog); err != nil {
+		if _, err := core.RunOne(context.Background(), cfg, proto, prog); err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
 	}
@@ -208,10 +209,10 @@ func TestStoreBufferBackpressure(t *testing.T) {
 		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
 		ops:     phases,
 	}
-	if _, err := core.RunOne(cfg, "MESI", prog); err != nil {
+	if _, err := core.RunOne(context.Background(), cfg, "MESI", prog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunOne(cfg, "MMemL1", prog); err != nil {
+	if _, err := core.RunOne(context.Background(), cfg, "MMemL1", prog); err != nil {
 		t.Fatal(err)
 	}
 }

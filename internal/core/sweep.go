@@ -745,10 +745,10 @@ func (s *SweepSpec) pointErr(i int, err error) error {
 // point is reported through the progress stream (SweepPointStoreFailed),
 // never as the run's error: the result is already in hand, and only a
 // later resume pays for the missing entry by resimulating that point.
-// Cancelling ctx stops the pool at the next cell boundary; the returned
-// SweepResult then holds every point that completed, alongside the error
-// — nothing finished is discarded, and a cached rerun of the same sweep
-// resumes from there.
+// Cancelling ctx stops the pool, cells in flight included (each within a
+// million events); the returned SweepResult then holds every point that
+// completed, alongside the error — nothing finished is discarded, and a
+// cached rerun of the same sweep resumes from there.
 func Run(ctx context.Context, opt MatrixOptions, ro RunOptions) (*SweepResult, error) {
 	s, plans, err := plan(opt, ro)
 	if s == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/denovo"
 	"repro/internal/memsys"
 	"repro/internal/workloads"
 )
@@ -17,8 +16,7 @@ func TestDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _ := denovo.VariantByName("DeNovo")
-	sys := denovo.New(env, opt)
+	sys := newSystem(t, env, "DeNovo")
 	r := core.NewRunner(env, sys, prog)
 	old := core.MaxSteps
 	core.MaxSteps = 50_000_000

@@ -1,6 +1,7 @@
 package denovo_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,13 +13,13 @@ import (
 
 func testConfig() memsys.Config { return memsys.Default().Scaled(64) }
 
-func runProgram(t *testing.T, prog memsys.Program, opt denovo.Options) (*memsys.Env, *denovo.System, *core.Runner) {
+func runProgram(t *testing.T, prog memsys.Program, spec string) (*memsys.Env, *denovo.System, *core.Runner) {
 	t.Helper()
 	env, err := memsys.NewEnv(testConfig(), prog.FootprintBytes(), prog.Regions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := denovo.New(env, opt)
+	sys := newSystem(t, env, spec)
 	r := core.NewRunner(env, sys, prog)
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -29,46 +30,52 @@ func runProgram(t *testing.T, prog memsys.Program, opt denovo.Options) (*memsys.
 	return env, sys, r
 }
 
-func variant(t *testing.T, name string) denovo.Options {
+// newSystem resolves a protocol spec through the registry and builds its
+// DeNovo engine on env.
+func newSystem(t *testing.T, env *memsys.Env, spec string) *denovo.System {
 	t.Helper()
-	opt, ok := denovo.VariantByName(name)
-	if !ok {
-		t.Fatalf("unknown variant %q", name)
+	v, err := core.ParseProtocol(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return opt
+	sys, ok := v.New(env).(*denovo.System)
+	if !ok {
+		t.Fatalf("%s is not a DeNovo configuration", spec)
+	}
+	return sys
 }
 
+// paperVariants are the paper's DeNovo configurations in figure order
+// (their option bundles are pinned in internal/core's registry tests).
+var paperVariants = []string{"DeNovo", "DFlexL1", "DValidateL2", "DMemL1", "DFlexL2", "DBypL2", "DBypFull"}
+
+// TestVariantsMatchPaper checks the DeNovo rungs of the registry and that
+// the engine reports the name the registry gives it.
 func TestVariantsMatchPaper(t *testing.T) {
-	names := []string{"DeNovo", "DFlexL1", "DValidateL2", "DMemL1", "DFlexL2", "DBypL2", "DBypFull"}
-	vs := denovo.Variants()
-	if len(vs) != len(names) {
-		t.Fatalf("%d variants, want %d", len(vs), len(names))
+	if got := core.ProtocolNames()[2:]; !slices.Equal(got, paperVariants) {
+		t.Fatalf("DeNovo rungs = %v, want %v", got, paperVariants)
 	}
-	for i, v := range vs {
-		if v.Name != names[i] {
-			t.Errorf("variant %d = %s, want %s", i, v.Name, names[i])
+	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
+	for _, name := range paperVariants {
+		env, err := memsys.NewEnv(testConfig(), prog.FootprintBytes(), prog.Regions())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, ok := denovo.VariantByName("nope"); ok {
-		t.Fatal("VariantByName accepted a bogus name")
-	}
-	// Cumulative feature composition (§3.2).
-	full, _ := denovo.VariantByName("DBypFull")
-	if !(full.FlexL1 && full.ValidateL2 && full.MemToL1 && full.FlexL2 && full.BypassResp && full.BypassReq) {
-		t.Fatal("DBypFull does not include all optimizations")
+		if got := newSystem(t, env, name).Name(); got != name {
+			t.Errorf("%s engine reports name %q", name, got)
+		}
 	}
 }
 
 // TestAllWorkloadsAllVariants is the core correctness matrix: every paper
 // configuration runs every benchmark with the load-value oracle active.
 func TestAllWorkloadsAllVariants(t *testing.T) {
-	for _, opt := range denovo.Variants() {
-		opt := opt
-		t.Run(opt.Name, func(t *testing.T) {
-			for _, prog := range workloads.Catalog(workloads.Tiny, 16) {
-				prog := prog
-				t.Run(prog.Name(), func(t *testing.T) {
-					env, _, r := runProgram(t, prog, opt)
+	for _, name := range paperVariants {
+		t.Run(name, func(t *testing.T) {
+			for _, bench := range workloads.Names() {
+				prog := workloads.MustByName(bench, workloads.Tiny, 16)
+				t.Run(bench, func(t *testing.T) {
+					env, _, r := runProgram(t, prog, name)
 					if env.Traffic.Total() == 0 {
 						t.Fatal("no measured traffic")
 					}
@@ -85,7 +92,7 @@ func TestWriteValidateNoStoreDataFetch(t *testing.T) {
 	// §5.2.2: write-validate eliminates store-triggered data responses to
 	// the L1 entirely (MESI's fetch-on-write fetches a full line).
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	env, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	env, _, _ := runProgram(t, prog, "DeNovo")
 	stL1 := env.Traffic.Get(memsys.ClassST, memsys.BRespL1Used) +
 		env.Traffic.Get(memsys.ClassST, memsys.BRespL1Waste)
 	if stL1 != 0 {
@@ -101,9 +108,9 @@ func TestBaselineFetchOnWriteAtL2(t *testing.T) {
 	// §5.2.2: baseline DeNovo keeps fetch-on-write at the L2 (store-class
 	// memory fills); DValidateL2 eliminates it.
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("FFT", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DValidateL2"))
+	envB, _, _ := runProgram(t, prog2, "DValidateL2")
 
 	base := envA.Traffic.Get(memsys.ClassST, memsys.BRespL2Used) +
 		envA.Traffic.Get(memsys.ClassST, memsys.BRespL2Waste)
@@ -121,12 +128,12 @@ func TestDirtyWordsOnlyWritebacks(t *testing.T) {
 	// Figure 5.1d: DeNovo L1->L2 writebacks carry only dirty words (no L2
 	// Waste); DValidateL2 extends this to L2->Mem writebacks.
 	prog := workloads.MustByName("radix", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	envA, _, _ := runProgram(t, prog, "DeNovo")
 	if w := envA.Traffic.Get(memsys.ClassWB, memsys.BWBL2Waste); w != 0 {
 		t.Fatalf("DeNovo L1->L2 WB carries %v waste flit-hops", w)
 	}
 	prog2 := workloads.MustByName("radix", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DValidateL2"))
+	envB, _, _ := runProgram(t, prog2, "DValidateL2")
 	if w := envB.Traffic.Get(memsys.ClassWB, memsys.BWBMemWaste); w != 0 {
 		t.Fatalf("DValidateL2 L2->Mem WB carries %v waste flit-hops", w)
 	}
@@ -142,7 +149,7 @@ func TestDeNovoOverheadIsOnlyNacksAndBloom(t *testing.T) {
 	// overhead messages are NACKs (and Bloom copies with DBypFull).
 	for _, name := range []string{"DeNovo", "DValidateL2", "DFlexL2"} {
 		prog := workloads.MustByName("LU", workloads.Tiny, 16)
-		env, _, _ := runProgram(t, prog, variant(t, name))
+		env, _, _ := runProgram(t, prog, name)
 		for _, b := range []memsys.Bucket{memsys.BOvhUnblock, memsys.BOvhInval, memsys.BOvhAck, memsys.BOvhWBCtl} {
 			if v := env.Traffic.Get(memsys.ClassOVH, b); v != 0 {
 				t.Fatalf("%s has %v flit-hops of %v overhead", name, v, b)
@@ -154,9 +161,9 @@ func TestDeNovoOverheadIsOnlyNacksAndBloom(t *testing.T) {
 func TestFlexReducesLoadTrafficOnBarnes(t *testing.T) {
 	// §5.2.1: Flex sends only communication-region words for Barnes-Hut.
 	prog := workloads.MustByName("barnes", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("barnes", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DFlexL1"))
+	envB, _, _ := runProgram(t, prog2, "DFlexL1")
 	a := envA.Traffic.ClassTotal(memsys.ClassLD)
 	b := envB.Traffic.ClassTotal(memsys.ClassLD)
 	if b >= a {
@@ -167,9 +174,9 @@ func TestFlexReducesLoadTrafficOnBarnes(t *testing.T) {
 func TestBypassReducesL2Insertions(t *testing.T) {
 	// §5.2.1: L2 response bypass keeps streaming data out of the L2.
 	prog := workloads.MustByName("kD-tree", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DFlexL2"))
+	envA, _, _ := runProgram(t, prog, "DFlexL2")
 	prog2 := workloads.MustByName("kD-tree", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DBypL2"))
+	envB, _, _ := runProgram(t, prog2, "DBypL2")
 	a := envA.Prof.TotalWords(waste.LevelL2)
 	b := envB.Prof.TotalWords(waste.LevelL2)
 	if b >= a {
@@ -179,7 +186,7 @@ func TestBypassReducesL2Insertions(t *testing.T) {
 
 func TestRequestBypassUsesBloomFilters(t *testing.T) {
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	env, _, _ := runProgram(t, prog, variant(t, "DBypFull"))
+	env, _, _ := runProgram(t, prog, "DBypFull")
 	if env.Traffic.Get(memsys.ClassOVH, memsys.BOvhBloom) == 0 {
 		t.Fatal("DBypFull generated no Bloom copy traffic")
 	}
@@ -189,13 +196,13 @@ func TestFlexL2ProducesExcessWaste(t *testing.T) {
 	// §5.3: with conventional line-granularity DRAM, L2 Flex drops
 	// non-communication words at the MC (Excess waste) for barnes/kD-tree.
 	prog := workloads.MustByName("barnes", workloads.Tiny, 16)
-	env, _, _ := runProgram(t, prog, variant(t, "DFlexL2"))
+	env, _, _ := runProgram(t, prog, "DFlexL2")
 	if env.Prof.Count(waste.LevelMem, waste.Excess) == 0 {
 		t.Fatal("DFlexL2 on barnes produced no Excess waste")
 	}
 	// Without FlexL2 there is no Excess at all.
 	prog2 := workloads.MustByName("barnes", workloads.Tiny, 16)
-	env2, _, _ := runProgram(t, prog2, variant(t, "DMemL1"))
+	env2, _, _ := runProgram(t, prog2, "DMemL1")
 	if env2.Prof.Count(waste.LevelMem, waste.Excess) != 0 {
 		t.Fatal("DMemL1 produced Excess waste without L2 Flex")
 	}
@@ -206,7 +213,7 @@ func TestSelfInvalidationRefetches(t *testing.T) {
 	// runner's oracle already validates the VALUE; here we check the
 	// invalidation waste category shows up at the L1.
 	prog := workloads.MustByName("fluidanimate", workloads.Tiny, 16)
-	env, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	env, _, _ := runProgram(t, prog, "DeNovo")
 	if env.Prof.Count(waste.LevelL1, waste.Invalidate) == 0 {
 		t.Fatal("self-invalidation produced no Invalidate waste")
 	}
@@ -216,9 +223,9 @@ func TestDeNovoBeatsMESIOnTraffic(t *testing.T) {
 	// Headline direction (§5.1): the fully optimized protocol cuts traffic
 	// relative to the DeNovo baseline on bypassable benchmarks.
 	prog := workloads.MustByName("FFT", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("FFT", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DBypFull"))
+	envB, _, _ := runProgram(t, prog2, "DBypFull")
 	if envB.Traffic.Total() >= envA.Traffic.Total() {
 		t.Fatalf("DBypFull traffic %.0f >= DeNovo %.0f on FFT",
 			envB.Traffic.Total(), envA.Traffic.Total())
@@ -242,8 +249,7 @@ func TestOwnershipHandoff(t *testing.T) {
 		written: [][]uint8{{1}, nil, {1}, nil},
 	}
 	for _, name := range []string{"DeNovo", "DValidateL2", "DBypFull"} {
-		opt := variant(t, name)
-		t.Run(name, func(t *testing.T) { runProgram(t, p, opt) })
+		t.Run(name, func(t *testing.T) { runProgram(t, p, name) })
 	}
 }
 
@@ -272,9 +278,8 @@ func TestL2EvictionRecallsRegisteredWords(t *testing.T) {
 		written: [][]uint8{{1}, nil},
 	}
 	for _, name := range []string{"DeNovo", "DValidateL2"} {
-		opt := variant(t, name)
 		t.Run(name, func(t *testing.T) {
-			env, _, _ := runProgram(t, p, opt)
+			env, _, _ := runProgram(t, p, name)
 			// Recalled dirty data must have produced L2->memory writebacks.
 			if env.Traffic.Get(memsys.ClassWB, memsys.BWBMemUsed) == 0 {
 				t.Fatal("no dirty data reached memory despite L2 overflow")
@@ -290,9 +295,9 @@ func TestFlexOutsideCommFallsBackToLine(t *testing.T) {
 	// which are outside the force-phase comm region; DFlexL1's request
 	// count must stay close to the baseline's.
 	prog := workloads.MustByName("barnes", workloads.Tiny, 16)
-	envA, _, _ := runProgram(t, prog, variant(t, "DeNovo"))
+	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("barnes", workloads.Tiny, 16)
-	envB, _, _ := runProgram(t, prog2, variant(t, "DFlexL1"))
+	envB, _, _ := runProgram(t, prog2, "DFlexL1")
 	a := envA.Traffic.Get(memsys.ClassLD, memsys.BReqCtl)
 	b := envB.Traffic.Get(memsys.ClassLD, memsys.BReqCtl)
 	if b > a*1.15 {
@@ -304,20 +309,23 @@ func TestHardwareBypassPredictorExtension(t *testing.T) {
 	// The DBypHW extension (predictor.go) must (1) run every workload
 	// correctly, and (2) reduce L2 insertions on a streaming benchmark
 	// without any software bypass annotations.
-	opt := variant(t, "DBypHW")
-	if !opt.PredictBypass || opt.BypassResp {
-		t.Fatal("DBypHW must use the predictor, not annotations")
+	hw, err := core.ParseProtocol("DBypHW")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, prog := range workloads.Catalog(workloads.Tiny, 16) {
-		prog := prog
-		t.Run(prog.Name(), func(t *testing.T) { runProgram(t, prog, opt) })
+	if !slices.Contains(hw.Options, "BypHW") || slices.Contains(hw.Options, "BypL2") {
+		t.Fatalf("DBypHW options %v: it must use the predictor, not annotations", hw.Options)
+	}
+	for _, bench := range workloads.Names() {
+		prog := workloads.MustByName(bench, workloads.Tiny, 16)
+		t.Run(bench, func(t *testing.T) { runProgram(t, prog, "DBypHW") })
 	}
 	// Streaming comparison: kD-tree edges give the predictor dead lines
 	// to learn from.
 	prog := workloads.MustByName("kD-tree", workloads.Tiny, 16)
-	envBase, _, _ := runProgram(t, prog, variant(t, "DFlexL2"))
+	envBase, _, _ := runProgram(t, prog, "DFlexL2")
 	prog2 := workloads.MustByName("kD-tree", workloads.Tiny, 16)
-	envHW, _, _ := runProgram(t, prog2, variant(t, "DBypHW"))
+	envHW, _, _ := runProgram(t, prog2, "DBypHW")
 	a := envBase.Prof.TotalWords(waste.LevelL2)
 	b := envHW.Prof.TotalWords(waste.LevelL2)
 	if b >= a {

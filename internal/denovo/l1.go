@@ -2,6 +2,8 @@ package denovo
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/cache"
@@ -37,7 +39,7 @@ type wordSet struct {
 
 func (s *wordSet) len() int { return len(s.w) }
 
-func (s *wordSet) has(a uint32) bool { return coher.ContainsU32(s.w, a) }
+func (s *wordSet) has(a uint32) bool { return slices.Contains(s.w, a) }
 
 func (s *wordSet) add(a uint32) {
 	if s.has(a) {
@@ -172,7 +174,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		}
 	}
 	// The critical word is always requested.
-	if !coher.ContainsU32(wants, memsys.WordAddr(addr)) {
+	if !slices.Contains(wants, memsys.WordAddr(addr)) {
 		wants = append(wants, memsys.WordAddr(addr))
 	}
 	for _, wa := range wants {
@@ -456,7 +458,7 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 			return
 		}
 		wants := append([]uint32(nil), ms.wanted.w...)
-		coher.SortU32(wants)
+		slices.Sort(wants)
 		l.sendLoadReq(ms, wants, &reqMeta{crit: wants[0]})
 	})
 }
@@ -529,7 +531,7 @@ func (l *l1Cache) handleRecall(m *dvnRecall) {
 		}
 	}
 	home := env.Cfg.HomeTile(m.line)
-	dirty := coher.Popcount16(resp.mask)
+	dirty := bits.OnesCount16(resp.mask)
 	hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 	env.Traffic.WBData(false, hops, dirty, 0)
 	l.sys.SendData(l.tile, home, dirty, resp)
@@ -594,7 +596,7 @@ func (l *l1Cache) evictFor(line uint32) {
 		l.wbBuf.Put(vline, wb)
 	}
 	home := env.Cfg.HomeTile(vline)
-	dirty := coher.Popcount16(regMask)
+	dirty := bits.OnesCount16(regMask)
 	hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 	env.Traffic.WBData(false, hops, dirty, 0)
 	if l.sys.opt.BypassReq {

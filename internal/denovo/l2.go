@@ -2,11 +2,14 @@ package denovo
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/memsys"
+	"repro/internal/mesh"
 )
 
 // l2Fetch tracks one in-flight memory fetch for a line. Requests that
@@ -55,6 +58,14 @@ type fwdWord struct {
 	owner uint8
 	addr  uint32
 }
+
+// Compile-time guards: a registrant is a tile id, so the registry word
+// (cache.Line.Owner) and fwdWord.owner must hold the largest tile id of
+// the largest grid, mesh.MaxSide per side.
+var (
+	_ = fwdWord{owner: mesh.MaxSide*mesh.MaxSide - 1}
+	_ = cache.Line{Owner: []uint8{mesh.MaxSide*mesh.MaxSide - 1}}
+)
 
 // evictState tracks an eviction waiting on owner recalls.
 type evictState struct {
@@ -258,7 +269,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	if len(memWords) == 0 {
 		return
 	}
-	coher.SortU32(memWords)
+	slices.Sort(memWords)
 
 	if bypass {
 		// L2 response bypass: fetch straight to the L1, no L2 fill.
@@ -657,7 +668,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 	if dirty != 0 {
 		msg := &msgMemWBPartial{line: line, mask: dirty, vals: vals}
 		mc := env.Cfg.MCTile(line)
-		nDirty := coher.Popcount16(dirty)
+		nDirty := bits.OnesCount16(dirty)
 		clean := 0
 		if !sl.sys.opt.ValidateL2 {
 			// Baseline: the full 64B line travels to memory.

@@ -25,6 +25,8 @@ package denovo
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
@@ -35,7 +37,10 @@ import (
 // orthogonal optimization knobs the registry in internal/core exposes as
 // composable option tokens.
 type Options struct {
-	Name       string
+	// Name is the configuration name the engine reports: the registry
+	// spec it was resolved from.
+	Name string
+
 	FlexL1     bool // Flex for on-chip responses
 	ValidateL2 bool // L2 write-validate + dirty-words-only L2->Mem WB
 	MemToL1    bool // MC sends data to L1 and L2 in parallel
@@ -51,45 +56,6 @@ type Options struct {
 	PredictBypass bool
 }
 
-// Variants returns the paper's DeNovo configurations in figure order.
-func Variants() []Options {
-	return []Options{
-		{Name: "DeNovo"},
-		{Name: "DFlexL1", FlexL1: true},
-		{Name: "DValidateL2", ValidateL2: true},
-		{Name: "DMemL1", ValidateL2: true, MemToL1: true},
-		{Name: "DFlexL2", ValidateL2: true, MemToL1: true, FlexL1: true, FlexL2: true},
-		{Name: "DBypL2", ValidateL2: true, MemToL1: true, FlexL1: true, FlexL2: true, BypassResp: true},
-		{Name: "DBypFull", ValidateL2: true, MemToL1: true, FlexL1: true, FlexL2: true, BypassResp: true, BypassReq: true},
-	}
-}
-
-// ExtensionVariants returns configurations beyond the paper's set:
-// DBypHW swaps the software bypass annotations of DBypL2 for the
-// hardware reuse predictor.
-func ExtensionVariants() []Options {
-	return []Options{
-		{Name: "DBypHW", ValidateL2: true, MemToL1: true, FlexL1: true, FlexL2: true,
-			PredictBypass: true},
-	}
-}
-
-// VariantByName returns the named configuration (paper set first, then
-// extensions) and whether it exists.
-func VariantByName(name string) (Options, bool) {
-	for _, v := range Variants() {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	for _, v := range ExtensionVariants() {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	return Options{}, false
-}
-
 // System is a complete DeNovo memory system over the coher substrate.
 type System struct {
 	coher.Substrate
@@ -103,9 +69,6 @@ type System struct {
 
 // New builds the protocol engine and registers its tiles on the mesh.
 func New(env *memsys.Env, opt Options) *System {
-	if opt.Name == "" {
-		opt.Name = "DeNovo"
-	}
 	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
 	s.mc = coher.NewMemCtl(env, s.memReadDone)
 	n := env.Cfg.Tiles
@@ -189,7 +152,7 @@ func (s *System) handleMemRead(tile int, m *dvnMemRead) {
 		critRow := s.rowOf(m.critLine)
 		for _, w := range m.wants {
 			ln := memsys.LineOf(w)
-			if !coher.ContainsU32(lines, ln) && s.rowOf(ln) == critRow {
+			if !slices.Contains(lines, ln) && s.rowOf(ln) == critRow {
 				lines = append(lines, ln)
 			}
 		}
@@ -227,7 +190,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
 				continue // dirty on-chip: memory's copy is stale
 			}
-			wanted := coher.ContainsU32(m.wants, a)
+			wanted := slices.Contains(m.wants, a)
 			sendL1 := wanted && m.direct
 			sendL2 := fill != nil && (!m.flex || wanted)
 			if !sendL1 && !sendL2 {
@@ -259,7 +222,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 		// Deny wanted words on lines that were not fetched.
 		var denied []uint32
 		for _, w := range m.wants {
-			if !coher.ContainsU32(lines, memsys.LineOf(w)) {
+			if !slices.Contains(lines, memsys.LineOf(w)) {
 				denied = append(denied, w)
 			}
 		}
@@ -273,7 +236,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 		// entry pins the line until the fill lands.
 		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
 		fill.hops = hops
-		s.SendData(tile, m.home, coher.Popcount16(fill.mask), fill)
+		s.SendData(tile, m.home, bits.OnesCount16(fill.mask), fill)
 	}
 }
 

@@ -74,7 +74,7 @@ func FprintInventory(w io.Writer, dims string) error {
 		case strings.Contains(v.Spec, "+"):
 			kind = "composed"
 		default:
-			kind = "extension" // DBypHW: a named alias beyond the paper's nine
+			kind = "extension" // a named alias beyond the paper's nine
 		}
 		opts := strings.Join(v.Options, "+")
 		if opts == "" {

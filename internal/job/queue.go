@@ -341,10 +341,10 @@ func (q *Queue) EventsSince(id string, from int) ([]Event, State, <-chan struct{
 }
 
 // Cancel stops a job: a queued job goes straight to cancelled (it never
-// runs), a running job's context is cancelled so the engine stops at the
-// next cell boundary and keeps — and, with a cache, has already
-// persisted — every completed point. Cancelling a terminal job returns
-// ErrFinished.
+// runs), a running job's context is cancelled so the engine stops its
+// running cells within a million events each and keeps — and, with a
+// cache, has already persisted — every completed point. Cancelling a
+// terminal job returns ErrFinished.
 func (q *Queue) Cancel(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -389,11 +389,11 @@ func (q *Queue) Wait(ctx context.Context, id string) error {
 // Shutdown drains the queue gracefully: no new submissions, queued jobs
 // are cancelled (they never started; nothing is lost), and running jobs
 // get until ctx expires to finish. When the grace period runs out the
-// running jobs' contexts are cancelled — the engine returns partial
-// results at the next cell boundary, and with a shared cache every
-// completed sweep point is already persisted, so the next submission of
-// the same request resumes instead of restarting. Shutdown returns once
-// every executor has stopped.
+// running jobs' contexts are cancelled — the engine stops the running
+// cells within a million events and returns partial results, and with a
+// shared cache every completed sweep point is already persisted, so the
+// next submission of the same request resumes instead of restarting.
+// Shutdown returns once every executor has stopped.
 func (q *Queue) Shutdown(ctx context.Context) {
 	q.mu.Lock()
 	if q.closed {

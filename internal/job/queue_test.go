@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -326,5 +327,48 @@ func TestQueueReplayMoreThreadsThanTilesFails(t *testing.T) {
 	}
 	if st := waitTerminal(t, q, good); st.State != StateDone {
 		t.Fatalf("job after the failed one: %s (%s), want done", st.State, st.Error)
+	}
+}
+
+// Cancelling a running job stops the cell it is simulating: a Small
+// radix cell runs for seconds, and the job must reach cancelled well
+// before that (DELETE on simserver and Shutdown's force-cancel rely on
+// this).
+func TestQueueCancelStopsRunningCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times a Small cell, which -race slows tenfold")
+	}
+	q := NewQueue(QueueOptions{})
+	defer q.Shutdown(context.Background())
+	id, err := q.Submit(Request{Size: "small", Figures: []string{"5.1a"},
+		Protocols: []string{"MESI"}, Benchmarks: []string{"radix"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for seen := 0; ; {
+		evs, _, changed, err := q.EventsSince(id, seen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(evs, func(ev Event) bool { return ev.Kind == KindCell }) {
+			break
+		}
+		seen += len(evs)
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatal("the cell never started")
+		}
+	}
+	start := time.Now()
+	if err := q.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, q, id); st.State != StateCancelled {
+		t.Fatalf("state %s (%s), want cancelled", st.State, st.Error)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("job stopped %v after the cancel, want under 2s", d)
 	}
 }

@@ -116,7 +116,7 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 			Topology: cfg.Topology,
 			Router:   cfg.Router,
 			VCs:      cfg.VCs, VCDepth: cfg.VCDepth,
-			LinkLatency: cfg.LinkLatency, LocalLatency: 1,
+			LinkLatency: cfg.LinkLatency,
 		}),
 		Cfg:     cfg,
 		Traffic: NewTraffic(prof),

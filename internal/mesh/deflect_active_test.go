@@ -17,7 +17,7 @@ import (
 // injection and arrival ends).
 func TestDeflectionTickWorkIsOActive(t *testing.T) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 16, Height: 16, Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 16, Height: 16, Router: "deflection", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -62,7 +62,7 @@ func TestDeflectionActiveMaskInvariant(t *testing.T) {
 		t.Run(topo, func(t *testing.T) {
 			k := &sim.Kernel{}
 			m := New(k, Config{Width: 16, Height: 16, Topology: topo, Router: "deflection",
-				LinkLatency: 3, LocalLatency: 1})
+				LinkLatency: 3})
 			for tile := 0; tile < m.Tiles(); tile++ {
 				m.Register(tile, func(any) {})
 			}

@@ -19,7 +19,7 @@ func TestDeflectionTickZeroAlloc(t *testing.T) {
 
 func testDeflTickZeroAlloc(t *testing.T, w, h int) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, Router: "deflection", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}

@@ -14,7 +14,7 @@ import (
 
 func benchDeflSparseFlow(b *testing.B, w, h int) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, Router: "deflection", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -41,7 +41,7 @@ func BenchmarkDeflSparseFlow16x16(b *testing.B) { benchDeflSparseFlow(b, 16, 16)
 // unlike vc, real contention at the hot tile forces deflections.
 func BenchmarkDeflSparseHotspot16x16(b *testing.B) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 16, Height: 16, Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 16, Height: 16, Router: "deflection", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -68,7 +68,7 @@ func BenchmarkDeflSparseHotspot16x16(b *testing.B) {
 // regression guard for the arbitration loop.
 func BenchmarkDeflDense4x4(b *testing.B) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 4, Height: 4, Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 4, Height: 4, Router: "deflection", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}

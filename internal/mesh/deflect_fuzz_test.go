@@ -35,7 +35,7 @@ func FuzzDeflectionPermutation(f *testing.F) {
 
 		k := &sim.Kernel{}
 		m := New(k, Config{Width: width, Height: height, Topology: kind,
-			Router: "deflection", LinkLatency: 3, LocalLatency: 1})
+			Router: "deflection", LinkLatency: 3})
 		r := m.r.(*deflRouter)
 		delivered := randomSchedule(t, k, m, seed, npkts, 1)
 

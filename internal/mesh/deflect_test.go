@@ -168,7 +168,7 @@ func TestDeflectionDeliveryNeverBeatsMinimalRoute(t *testing.T) {
 	for _, kind := range TopologyKinds() {
 		k := &sim.Kernel{}
 		m := New(k, Config{Width: 4, Height: 4, Topology: kind, Router: "deflection",
-			LinkLatency: 3, LocalLatency: 1})
+			LinkLatency: 3})
 		for tile := 0; tile < m.Tiles(); tile++ {
 			m.Register(tile, func(p any) {
 				if minAt := p.(int64); k.Now() < minAt {
@@ -198,7 +198,7 @@ func TestDeflectionDeliveryNeverBeatsMinimalRoute(t *testing.T) {
 func TestDeflectionHotspotCannotStarveCrossFlow(t *testing.T) {
 	k := &sim.Kernel{}
 	m := New(k, Config{Width: 4, Height: 4, Topology: "mesh", Router: "deflection",
-		LinkLatency: 3, LocalLatency: 1})
+		LinkLatency: 3})
 	crossAt := int64(-1)
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(p any) {
@@ -255,7 +255,7 @@ func TestDeflectionDeliveryInOrderPerPair(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			k := &sim.Kernel{}
 			m := New(k, Config{Width: 4, Height: 4, Topology: c.topo, Router: c.router, VCs: c.vcs,
-				LinkLatency: 3, LocalLatency: 1})
+				LinkLatency: 3})
 			lastSeq := make([]int, m.Tiles()) // per source, at the one destination
 			for tile := 0; tile < m.Tiles(); tile++ {
 				m.Register(tile, func(p any) {

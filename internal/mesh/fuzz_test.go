@@ -126,7 +126,7 @@ func randomSchedule(t *testing.T, k *sim.Kernel, m *Mesh, seed uint64, npkts int
 		k.At(at, func() {
 			minAt := k.Now() + int64(m.Hops(src, dst))*m.cfg.LinkLatency + int64(flits) - 1 + firstHop
 			if src == dst {
-				minAt = k.Now() + m.cfg.LocalLatency // no fabric involved
+				minAt = k.Now() + localLatency // no fabric involved
 			}
 			m.Send(src, dst, flits, schedPkt{src, sent[src*n+dst], minAt})
 			sent[src*n+dst]++

@@ -51,8 +51,10 @@ type Config struct {
 	VCs           int    // vc router: virtual channels per input port (default 2; must be even >= 2 for the dateline class split)
 	VCDepth       int    // vc router: flit buffer depth per VC (default 4)
 	LinkLatency   int64  // cycles for a flit to traverse one link
-	LocalLatency  int64  // cycles for a same-tile (0-hop) delivery
 }
+
+// localLatency is the cycles of a same-tile (0-hop) delivery.
+const localLatency = 1
 
 // Handler receives a delivered payload at a tile.
 type Handler func(payload any)
@@ -124,9 +126,6 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 	if cfg.LinkLatency <= 0 {
 		cfg.LinkLatency = 1
 	}
-	if cfg.LocalLatency <= 0 {
-		cfg.LocalLatency = 1
-	}
 	n := topo.Tiles()
 	linkBusy := make([][]int64, n)
 	for i := range linkBusy {
@@ -180,7 +179,7 @@ func (m *Mesh) Send(src, dst, flits int, payload any) int {
 	m.packets++
 	if src == dst {
 		now := m.k.Now()
-		m.complete(dst, payload, now, now+m.cfg.LocalLatency)
+		m.complete(dst, payload, now, now+localLatency)
 		return 0
 	}
 	hops := m.r.inject(src, dst, flits, payload)

@@ -9,7 +9,7 @@ import (
 
 func newTest(w, h int) (*sim.Kernel, *Mesh, *[]any) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, LinkLatency: 3})
 	delivered := &[]any{}
 	for t := 0; t < m.Tiles(); t++ {
 		m.Register(t, func(p any) { *delivered = append(*delivered, p) })

@@ -10,7 +10,7 @@ func newRouterTest(t *testing.T, router, topo string, w, h int) (*sim.Kernel, *M
 	t.Helper()
 	k := &sim.Kernel{}
 	m := New(k, Config{Width: w, Height: h, Topology: topo, Router: router,
-		LinkLatency: 3, LocalLatency: 1})
+		LinkLatency: 3})
 	delivered := new(int)
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) { *delivered++ })

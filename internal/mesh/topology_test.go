@@ -10,7 +10,7 @@ import (
 func newTopoTest(t *testing.T, kind string, w, h int) (*sim.Kernel, *Mesh) {
 	t.Helper()
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, Topology: kind, LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, Topology: kind, LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}

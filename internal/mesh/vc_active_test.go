@@ -14,7 +14,7 @@ import (
 // footprint — not by the 256 tiles the old full scan walked every cycle.
 func TestVCTickWorkIsOActive(t *testing.T) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 16, Height: 16, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 16, Height: 16, Router: "vc", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -114,7 +114,7 @@ func TestVCActiveMaskInvariant(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			k := &sim.Kernel{}
 			m := New(k, Config{Width: 16, Height: 16, Topology: c.topo, Router: "vc", VCs: c.vcs,
-				LinkLatency: 3, LocalLatency: 1})
+				LinkLatency: 3})
 			for tile := 0; tile < m.Tiles(); tile++ {
 				m.Register(tile, func(any) {})
 			}

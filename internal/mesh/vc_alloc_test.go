@@ -20,7 +20,7 @@ func TestVCTickZeroAlloc(t *testing.T) {
 
 func testVCTickZeroAlloc(t *testing.T, w, h int) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, Router: "vc", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}

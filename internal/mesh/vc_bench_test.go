@@ -20,7 +20,7 @@ import (
 // nearly all per-tick work was skipping idle nodes.
 func benchVCSparseFlow(b *testing.B, w, h int) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: w, Height: h, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: w, Height: h, Router: "vc", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -48,7 +48,7 @@ func BenchmarkVCSparseFlow16x16(b *testing.B) { benchVCSparseFlow(b, 16, 16) }
 // from O(tiles) into O(active) per tick.
 func BenchmarkVCSparseHotspot16x16(b *testing.B) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 16, Height: 16, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 16, Height: 16, Router: "vc", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}
@@ -75,7 +75,7 @@ func BenchmarkVCSparseHotspot16x16(b *testing.B) {
 // iteration must cost no more than the old full scan did.
 func BenchmarkVCDense4x4(b *testing.B) {
 	k := &sim.Kernel{}
-	m := New(k, Config{Width: 4, Height: 4, Router: "vc", LinkLatency: 3, LocalLatency: 1})
+	m := New(k, Config{Width: 4, Height: 4, Router: "vc", LinkLatency: 3})
 	for tile := 0; tile < m.Tiles(); tile++ {
 		m.Register(tile, func(any) {})
 	}

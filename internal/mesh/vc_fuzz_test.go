@@ -69,7 +69,7 @@ func FuzzVCConservation(f *testing.F) {
 
 		k := &sim.Kernel{}
 		m := New(k, Config{Width: width, Height: height, Topology: kind, Router: "vc",
-			VCs: vcs, VCDepth: depth, LinkLatency: 3, LocalLatency: 1})
+			VCs: vcs, VCDepth: depth, LinkLatency: 3})
 		r := m.r.(*vcRouter)
 		pend := make([]int, len(r.nodes)*m.topo.Ports()*vcs)
 		delivered := randomSchedule(t, k, m, seed, npkts, 0)

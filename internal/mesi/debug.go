@@ -2,6 +2,7 @@ package mesi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/memsys"
@@ -46,7 +47,7 @@ func (s *System) DumpWord(addr uint32) string {
 	fmt.Fprintf(&b, "word %#x (line %#x w%d): mem=%d\n", addr, line, w, env.MemRead(addr))
 	home := s.l2s[env.Cfg.HomeTile(line)]
 	if e := home.dir[line]; e != nil {
-		fmt.Fprintf(&b, "  dir: owner=%d sharers=%04x hasData=%v busy=%v\n", e.owner, e.sharers, e.hasData, e.busy != nil)
+		fmt.Fprintf(&b, "  dir: owner=%d sharers=%v hasData=%v busy=%v\n", e.owner, slices.Collect(e.sharers.all()), e.hasData, e.busy != nil)
 	} else {
 		fmt.Fprintf(&b, "  dir: no entry\n")
 	}

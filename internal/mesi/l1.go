@@ -2,6 +2,8 @@ package mesi
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
@@ -143,7 +145,7 @@ func (l *l1Cache) pumpStores() {
 	entries := l.sb.Entries()
 	for i := 0; i < len(entries); i++ {
 		line := memsys.LineOf(entries[i].Addr)
-		if coher.ContainsU32(seen, line) {
+		if slices.Contains(seen, line) {
 			continue
 		}
 		seen = append(seen, line)
@@ -434,7 +436,7 @@ func (l *l1Cache) handleFwd(m *msgFwd) {
 	if !m.excl {
 		// Downgrade writeback carries the (possibly dirty) data to the L2.
 		home := env.Cfg.HomeTile(m.line)
-		dirty := coher.Popcount16(wmask)
+		dirty := bits.OnesCount16(wmask)
 		h2 := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 		env.Traffic.WBData(false, h2, dirty, lineWords-dirty)
 		l.sys.SendData(l.tile, home, lineWords, &msgDowngradeWB{
@@ -463,7 +465,7 @@ func (l *l1Cache) handleRecall(m *msgRecall) {
 	}
 	home := env.Cfg.HomeTile(m.line)
 	if resp.hasData {
-		dirty := coher.Popcount16(resp.wmask)
+		dirty := bits.OnesCount16(resp.wmask)
 		hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 		env.Traffic.WBData(false, hops, dirty, lineWords-dirty)
 		l.sys.SendData(l.tile, home, lineWords, resp)
@@ -518,7 +520,7 @@ func (l *l1Cache) sendPut(wb *wbEntry) {
 	msg := &msgPut{line: wb.line, from: l.tile, dirty: wb.dirty}
 	if wb.dirty {
 		msg.data, msg.wmask, msg.minst = wb.data, wb.wmask, wb.minst
-		dirty := coher.Popcount16(wb.wmask)
+		dirty := bits.OnesCount16(wb.wmask)
 		hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 		env.Traffic.WBData(false, hops, dirty, lineWords-dirty)
 		l.sys.SendData(l.tile, home, lineWords, msg)

@@ -2,10 +2,13 @@ package mesi
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/memsys"
+	"repro/internal/mesh"
 )
 
 // Transaction kinds at the directory.
@@ -37,11 +40,50 @@ type txn struct {
 // dirEntry is the directory state for a line. An entry exists while the
 // line is resident in the L2 array and/or has a transaction in flight.
 type dirEntry struct {
-	owner   int8 // owning L1 tile (E or M), -1 if none
-	sharers uint16
+	owner   int16 // owning L1 tile (E or M), -1 if none
+	sharers sharerSet
 	hasData bool // L2 data array holds valid data (false for MMemL1 store fills)
 	busy    *txn // the transaction in flight (points at txn), nil if none
 	txn     txn
+}
+
+// maxTiles is the tile count of the largest grid, mesh.MaxSide per side.
+const maxTiles = mesh.MaxSide * mesh.MaxSide
+
+// sharerSet holds one bit per tile of the largest grid.
+type sharerSet [maxTiles / 64]uint64
+
+// Compile-time guards: the sharer set has exactly one bit per tile, and
+// the owner field holds every tile id.
+var (
+	_ = [1]struct{}{}[len(sharerSet{})*64-maxTiles]
+	_ = dirEntry{owner: maxTiles - 1}
+)
+
+func (s *sharerSet) add(t int)      { s[t>>6] |= 1 << (t & 63) }
+func (s *sharerSet) remove(t int)   { s[t>>6] &^= 1 << (t & 63) }
+func (s *sharerSet) has(t int) bool { return s[t>>6]&(1<<(t&63)) != 0 }
+func (s *sharerSet) empty() bool    { return *s == sharerSet{} }
+
+func (s *sharerSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// all yields the members in ascending tile order.
+func (s sharerSet) all() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i, w := range s {
+			for ; w != 0; w &= w - 1 {
+				if !yield(i*64 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // begin starts a transaction on the entry. The directory is blocking, so
@@ -118,11 +160,11 @@ func (sl *l2Slice) handleGetS(m *msgGetS) {
 			&msgFwd{line: m.line, requestor: m.from})
 	default:
 		grant := stS
-		if e.sharers == 0 {
+		if e.sharers.empty() {
 			grant = stE
-			e.owner = int8(m.from)
+			e.owner = int16(m.from)
 		} else {
-			e.sharers |= 1 << m.from
+			e.sharers.add(m.from)
 		}
 		sl.serveFromL2(ln, e, m.from, memsys.ClassLD, grant, 0)
 	}
@@ -143,30 +185,32 @@ func (sl *l2Slice) handleGetX(m *msgGetX) {
 			isStore: true, needUnblock: true})
 		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner),
 			&msgFwd{line: m.line, requestor: m.from, excl: true})
-		e.owner = int8(m.from)
+		e.owner = int16(m.from)
 	default:
-		others := e.sharers &^ (1 << m.from)
-		acks := coher.Popcount16(others)
+		others := e.sharers
+		others.remove(m.from)
+		acks := others.count()
 		sl.sendInvs(m.line, others, m.from, false)
-		e.sharers = 0
-		e.owner = int8(m.from)
+		e.sharers = sharerSet{}
+		e.owner = int16(m.from)
 		sl.serveFromL2(ln, e, m.from, memsys.ClassST, stM, acks)
 	}
 }
 
 func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
 	e := sl.dir[m.line]
-	if e == nil || e.busy != nil || e.owner >= 0 || e.sharers&(1<<m.from) == 0 {
+	if e == nil || e.busy != nil || e.owner >= 0 || !e.sharers.has(m.from) {
 		// Raced with an invalidation (or the line left the L2): the
 		// requestor will convert to a full GetX.
 		sl.nack(m.line, m.from, true, false)
 		return
 	}
-	others := e.sharers &^ (1 << m.from)
-	acks := coher.Popcount16(others)
+	others := e.sharers
+	others.remove(m.from)
+	acks := others.count()
 	sl.sendInvs(m.line, others, m.from, false)
-	e.sharers = 0
-	e.owner = int8(m.from)
+	e.sharers = sharerSet{}
+	e.owner = int16(m.from)
 	e.begin(txn{kind: txHit, requestor: m.from, class: memsys.ClassST,
 		isStore: true, needUnblock: true})
 	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
@@ -196,12 +240,8 @@ func (sl *l2Slice) serveFromL2(ln *cache.Line, e *dirEntry, to int, class memsys
 	})
 }
 
-func (sl *l2Slice) sendInvs(line uint32, sharers uint16, ackTo int, toL2 bool) {
-	env := sl.env()
-	for t := 0; t < env.Cfg.Tiles; t++ {
-		if sharers&(1<<t) == 0 {
-			continue
-		}
+func (sl *l2Slice) sendInvs(line uint32, sharers sharerSet, ackTo int, toL2 bool) {
+	for t := range sharers.all() {
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, t,
 			&msgInv{line: line, ackTo: ackTo, toL2: toL2})
 	}
@@ -252,10 +292,10 @@ func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
 	case e.owner >= 0:
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, int(e.owner),
 			&msgRecall{line: line})
-	case e.sharers != 0:
-		e.busy.pendingAcks = coher.Popcount16(e.sharers)
+	case !e.sharers.empty():
+		e.busy.pendingAcks = e.sharers.count()
 		sl.sendInvs(line, e.sharers, sl.tile, true)
-		e.sharers = 0
+		e.sharers = sharerSet{}
 	default:
 		sl.finishEvict(ln, e)
 	}
@@ -295,7 +335,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 		// MESI always writes the full 64B line back to memory; the clean
 		// words are the Mem Waste of Figure 5.1d.
 		mc := env.Cfg.MCTile(line)
-		dirty := coher.Popcount16(dirtyMask)
+		dirty := bits.OnesCount16(dirtyMask)
 		hops := sl.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, sl.tile, mc)
 		env.Traffic.WBData(true, hops, dirty, lineWords-dirty)
 		sl.sys.SendData(sl.tile, mc, lineWords, &msgMemWB{
@@ -336,9 +376,9 @@ func (sl *l2Slice) handleMemData(m *msgMemData) {
 		env.Traffic.Data(m.class, m.hops, insts)
 		e.hasData = true
 		if m.grant == stE || m.grant == stM {
-			e.owner = int8(m.req)
+			e.owner = int16(m.req)
 		} else {
-			e.sharers |= 1 << m.req
+			e.sharers.add(m.req)
 		}
 		hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
 		sl.sys.SendData(sl.tile, m.req, lineWords, &msgData{
@@ -379,9 +419,9 @@ func (sl *l2Slice) handleUnblock(m *msgUnblock) {
 				e.hasData = false
 			}
 			if t.grant == stE || t.grant == stM {
-				e.owner = int8(t.requestor)
+				e.owner = int16(t.requestor)
 			} else {
-				e.sharers |= 1 << t.requestor
+				e.sharers.add(t.requestor)
 			}
 			sl.completeTxn(m.line, e)
 		})
@@ -399,8 +439,8 @@ func (sl *l2Slice) handleDowngradeWB(m *msgDowngradeWB) {
 	sl.mergeDirty(ln, m.data, m.wmask)
 	e.hasData = true
 	// The former owner becomes a sharer alongside the requestor.
-	e.sharers |= 1 << uint(m.from)
-	e.sharers |= 1 << uint(e.busy.requestor)
+	e.sharers.add(m.from)
+	e.sharers.add(e.busy.requestor)
 	e.owner = -1
 	e.busy.needDowngrade = false
 	sl.completeTxn(m.line, e)
@@ -411,7 +451,7 @@ func (sl *l2Slice) completeTxn(line uint32, e *dirEntry) {
 		return
 	}
 	e.busy = nil
-	if sl.c.Lookup(line) == nil && e.owner < 0 && e.sharers == 0 {
+	if sl.c.Lookup(line) == nil && e.owner < 0 && e.sharers.empty() {
 		delete(sl.dir, line)
 	}
 }
@@ -469,11 +509,11 @@ func (sl *l2Slice) handlePut(m *msgPut) {
 		case !m.dirty && fromOwner:
 			e.owner = -1 // clean E replacement; L2 data stays valid
 		default:
-			e.sharers &^= 1 << m.from
+			e.sharers.remove(m.from)
 		}
 	} else if e != nil {
 		// Busy, but from a mere sharer: safe to drop the sharer now.
-		e.sharers &^= 1 << m.from
+		e.sharers.remove(m.from)
 	}
 	// Stale puts (line already evicted/transferred) are acked and
 	// ignored.

@@ -159,9 +159,9 @@ func TestWritebackOnEviction(t *testing.T) {
 }
 
 func TestAllWorkloadsOracleMESI(t *testing.T) {
-	for _, prog := range workloads.Catalog(workloads.Tiny, 16) {
-		prog := prog
-		t.Run(prog.Name(), func(t *testing.T) {
+	for _, name := range workloads.Names() {
+		prog := workloads.MustByName(name, workloads.Tiny, 16)
+		t.Run(name, func(t *testing.T) {
 			env, _, r := runProgram(t, prog, mesi.Options{})
 			if env.Traffic.Total() == 0 {
 				t.Fatal("no measured traffic")
@@ -174,9 +174,9 @@ func TestAllWorkloadsOracleMESI(t *testing.T) {
 }
 
 func TestAllWorkloadsOracleMMemL1(t *testing.T) {
-	for _, prog := range workloads.Catalog(workloads.Tiny, 16) {
-		prog := prog
-		t.Run(prog.Name(), func(t *testing.T) {
+	for _, name := range workloads.Names() {
+		prog := workloads.MustByName(name, workloads.Tiny, 16)
+		t.Run(name, func(t *testing.T) {
 			runProgram(t, prog, mesi.Options{MemToL1: true})
 		})
 	}

@@ -60,55 +60,6 @@ func (t *Trace) TotalOps() int {
 	return n
 }
 
-// Equal reports whether two traces are bit-identical: same contract fields
-// and the same op streams, op for op.
-func (t *Trace) Equal(o *Trace) bool {
-	if t.Name != o.Name || t.Threads != o.Threads || t.Footprint != o.Footprint ||
-		t.Warmup != o.Warmup || len(t.Regions) != len(o.Regions) ||
-		len(t.Written) != len(o.Written) || len(t.Ops) != len(o.Ops) {
-		return false
-	}
-	for i := range t.Regions {
-		a, b := t.Regions[i], o.Regions[i]
-		if a.ID != b.ID || a.Name != b.Name || a.Base != b.Base || a.Size != b.Size ||
-			a.StrideWords != b.StrideWords || a.Bypass != b.Bypass ||
-			len(a.CommOffsets) != len(b.CommOffsets) {
-			return false
-		}
-		for j := range a.CommOffsets {
-			if a.CommOffsets[j] != b.CommOffsets[j] {
-				return false
-			}
-		}
-	}
-	for p := range t.Written {
-		if len(t.Written[p]) != len(o.Written[p]) {
-			return false
-		}
-		for i := range t.Written[p] {
-			if t.Written[p][i] != o.Written[p][i] {
-				return false
-			}
-		}
-	}
-	for p := range t.Ops {
-		if len(t.Ops[p]) != len(o.Ops[p]) {
-			return false
-		}
-		for th := range t.Ops[p] {
-			if len(t.Ops[p][th]) != len(o.Ops[p][th]) {
-				return false
-			}
-			for i := range t.Ops[p][th] {
-				if t.Ops[p][th][i] != o.Ops[p][th][i] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Record captures a program's complete op streams by direct enumeration.
 // EmitOps is pure over state frozen at construction, so the result is
 // bit-identical to what any simulation of the program drives.

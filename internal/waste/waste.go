@@ -143,9 +143,6 @@ func (p *Profiler) OnClassify(f ClassifyFunc) { p.onClassify = f }
 // created from now on count toward the category totals.
 func (p *Profiler) StartMeasurement() { p.measuring = true }
 
-// Measuring reports whether measurement has started.
-func (p *Profiler) Measuring() bool { return p.measuring }
-
 // Count returns the number of measured words classified as cat at level.
 func (p *Profiler) Count(level Level, cat Category) uint64 { return p.counts[level][cat] }
 

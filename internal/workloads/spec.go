@@ -279,18 +279,6 @@ func SpecNames() []string {
 	return out
 }
 
-// SyntheticNames lists the registered synthetic patterns and the trace
-// replayer — SpecNames minus the ported benchmarks.
-func SyntheticNames() []string {
-	var out []string
-	for i := range specDefs {
-		if specDefs[i].synthetic {
-			out = append(out, specDefs[i].name)
-		}
-	}
-	return out
-}
-
 // SpecInfo describes one registry entry for the inventory table.
 type SpecInfo struct {
 	Name      string

@@ -63,8 +63,8 @@ func (s Size) String() string {
 }
 
 // benchmarks is the single source of truth for the six ported programs,
-// in the paper's figure order: Names, Catalog and the registry entries in
-// spec.go all derive from it.
+// in the paper's figure order: Names and the registry entries in spec.go
+// derive from it.
 var benchmarks = []struct {
 	name string
 	ctor func(Size, int) memsys.Program
@@ -75,16 +75,6 @@ var benchmarks = []struct {
 	{"radix", func(s Size, t int) memsys.Program { return NewRadix(s, t) }},
 	{"barnes", func(s Size, t int) memsys.Program { return NewBarnes(s, t) }},
 	{"kD-tree", func(s Size, t int) memsys.Program { return NewKDTree(s, t) }},
-}
-
-// Catalog returns all six benchmarks at the given scale with the given
-// thread count (the paper uses 16, one per tile).
-func Catalog(size Size, threads int) []memsys.Program {
-	progs := make([]memsys.Program, len(benchmarks))
-	for i, b := range benchmarks {
-		progs[i] = b.ctor(size, threads)
-	}
-	return progs
 }
 
 // Names lists the ported benchmark names in the paper's figure order.

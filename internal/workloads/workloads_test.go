@@ -8,7 +8,14 @@ import (
 	"repro/internal/memsys"
 )
 
-func tinyCatalog() []memsys.Program { return Catalog(Tiny, 16) }
+// tinyCatalog builds the six benchmarks at Tiny scale, in Names order.
+func tinyCatalog() []memsys.Program {
+	var progs []memsys.Program
+	for _, name := range Names() {
+		progs = append(progs, MustByName(name, Tiny, 16))
+	}
+	return progs
+}
 
 // registryTinyPrograms builds every registry workload — the six ported
 // benchmarks, the synthetic patterns at their defaults, and the preset
@@ -48,11 +55,10 @@ func TestCatalogNamesAndOrder(t *testing.T) {
 }
 
 // ByName's dispatch must cover Names(): every listed name constructs a
-// program reporting that name, the result agrees with the Catalog entry
-// at the same position, and anything else is a loud error (regression for
-// the silent nil return that let callers deref or skip unknown names).
+// program reporting that name, the result agrees with the benchmark's own
+// constructor, and anything else is a loud error (regression for the
+// silent nil return that let callers deref or skip unknown names).
 func TestByNameCoversExactlyNames(t *testing.T) {
-	catalog := tinyCatalog()
 	for i, name := range Names() {
 		p, err := ByName(name, Tiny, 16)
 		if err != nil {
@@ -61,8 +67,9 @@ func TestByNameCoversExactlyNames(t *testing.T) {
 		if p.Name() != name {
 			t.Fatalf("ByName(%q) built %q", name, p.Name())
 		}
-		if p.Name() != catalog[i].Name() || p.FootprintBytes() != catalog[i].FootprintBytes() {
-			t.Fatalf("ByName(%q) disagrees with Catalog[%d]", name, i)
+		direct := benchmarks[i].ctor(Tiny, 16)
+		if p.Name() != direct.Name() || p.FootprintBytes() != direct.FootprintBytes() {
+			t.Fatalf("ByName(%q) disagrees with its constructor", name)
 		}
 	}
 	for _, bogus := range []string{"", "fft", "lu", "Radix", "kdtree", "nope", "FTT"} {
