@@ -55,6 +55,11 @@ func (b *L2Bank) MayContain(line uint32) bool {
 // in a 64-byte Bloom-copy response.
 func (b *L2Bank) Snapshot(idx int) *Filter { return b.filters[idx].Snapshot() }
 
+// SnapshotInto overwrites f, a filter an earlier Snapshot of this bank
+// returned, with a copy of filter idx: a Bloom-copy response's filter can
+// be recycled once its receiver has merged it.
+func (b *L2Bank) SnapshotInto(idx int, f *Filter) { b.filters[idx].snapshotInto(f) }
+
 // SizeBytes is the storage footprint of the bank (8-bit counters).
 func (b *L2Bank) SizeBytes() int {
 	n := 0

@@ -155,10 +155,17 @@ func (c *Counting) MayContain(key uint32) bool { return c.counts[c.idx(key)] > 0
 // set), sharing the same hash, as sent to L1s in a copy response.
 func (c *Counting) Snapshot() *Filter {
 	f := NewFilter(int(c.entries), c.h)
+	c.snapshotInto(f)
+	return f
+}
+
+// snapshotInto overwrites f, which has c's geometry and hash, with c's
+// snapshot.
+func (c *Counting) snapshotInto(f *Filter) {
+	f.Clear()
 	for i, v := range c.counts {
 		if v > 0 {
 			f.bits[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return f
 }

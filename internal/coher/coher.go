@@ -14,10 +14,10 @@
 //     with the deterministic iteration helpers a reproducible simulation
 //     needs;
 //   - store-buffer and write-combining-table management (§4.2);
-//   - NACK/retry-backoff handling and barrier drain gates;
+//   - NACK/retry-backoff handling, barrier drain gates and the free
+//     lists that give each message and transaction record one owner;
 //   - the memory-controller front end (MemCtl): MC latency, DRAM bursts
 //     and writeback commit;
-//   - the per-word waste-attribution release hooks into memsys/waste.
 //
 // A protocol family built on this substrate is a state machine plus a
 // message vocabulary: mesi and denovo define line/word states, message
@@ -96,17 +96,14 @@ func (s *Substrate) SendCtl(class memsys.Class, bucket memsys.Bucket, src, dst i
 	return hops
 }
 
-// RetryAfter schedules fn after the configured retry backoff (used for
-// resources busy with an in-flight transaction: victim buffers, pinned
-// cache ways).
-func (s *Substrate) RetryAfter(fn func()) {
-	s.Env.K.After(s.Env.Cfg.RetryBackoff, fn)
-}
+// NackDelay is how long tile backs off before retrying a NACKed request:
+// the retry backoff staggered by the tile id, so symmetric retries do not
+// collide forever. A controller retries through a Deferred with this
+// delay, which schedules exactly as Kernel.After would.
+func (s *Substrate) NackDelay(tile int) int64 { return s.Env.Cfg.RetryBackoff + int64(tile) }
 
-// NackBackoff records a received NACK's control charge (from the NACKing
-// tile) and schedules the retry after the backoff staggered by the
-// receiver's tile id, so symmetric retries do not collide forever.
-func (s *Substrate) NackBackoff(from, tile int, retry func()) {
+// ChargeNack records a received NACK's control charge, from the NACKing
+// tile to tile.
+func (s *Substrate) ChargeNack(from, tile int) {
 	s.Env.Traffic.Ctl(memsys.ClassOVH, memsys.BOvhNack, 1, s.Env.Mesh.Hops(from, tile))
-	s.Env.K.After(s.Env.Cfg.RetryBackoff+int64(tile), retry)
 }

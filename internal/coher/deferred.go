@@ -57,9 +57,11 @@ func runDeferred[M any](a any) {
 	d.run(m)
 }
 
-// Load is a core load on its way through the L1 hit latency: the word
-// address and the memsys.Protocol continuation.
+// Load is a core load on its way through the L1 hit latency, or waiting
+// out a retry backoff: the word address, the memsys.Protocol continuation
+// and, for a retry, the cycle the load first reached the L1 array.
 type Load struct {
-	Addr uint32
-	Done func(val uint32, s memsys.Sample)
+	Addr  uint32
+	Issue int64
+	Done  func(val uint32, s memsys.Sample)
 }

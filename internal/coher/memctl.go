@@ -25,9 +25,10 @@ type MemCtl[R any] struct {
 type memOp[R any] struct {
 	mc        *MemCtl[R]
 	tile      int
-	rd        R                            // the read being served
-	mask      uint16                       // a writeback's words
-	vals      *[memsys.WordsPerLine]uint32 // a writeback's values, in its message; nil for a read
+	rd        R                           // the read being served
+	write     bool                        // a writeback, not a read
+	mask      uint16                      // a writeback's words
+	vals      [memsys.WordsPerLine]uint32 // a writeback's values
 	tAtMC     int64
 	lines     []uint32       // lines[0] is the critical line; backing reused across accesses
 	reqs      []dram.Request // one per line; never resized while submitted
@@ -67,12 +68,12 @@ func (mc *MemCtl[R]) Read(tile int, rd R, lines ...uint32) {
 	mc.env.K.AtArg(op.tAtMC+mc.env.Cfg.MCLatency, mc.fire, op)
 }
 
-// Write commits the words of line set in mask, from vals, to DRAM. vals
-// points into the writeback message, which is never reused, so it is read
-// only when the MC latency has elapsed.
+// Write commits the words of line set in mask, from vals, to DRAM once
+// the MC latency has elapsed. The values are copied, so the writeback
+// message can be recycled as soon as Write returns.
 func (mc *MemCtl[R]) Write(tile int, line uint32, mask uint16, vals *[memsys.WordsPerLine]uint32) {
 	op := mc.newOp(tile)
-	op.mask, op.vals = mask, vals
+	op.write, op.mask, op.vals = true, mask, *vals
 	op.lines = append(op.lines[:0], line)
 	mc.env.K.AtArg(op.tAtMC+mc.env.Cfg.MCLatency, mc.fire, op)
 }
@@ -82,7 +83,7 @@ func (mc *MemCtl[R]) Write(tile int, line uint32, mask uint16, vals *[memsys.Wor
 func runMemOp[R any](a any) {
 	op := a.(*memOp[R])
 	env := op.mc.env
-	write := op.vals != nil
+	write := op.write
 	if write {
 		for w := 0; w < memsys.WordsPerLine; w++ {
 			if op.mask&(1<<w) != 0 {
@@ -108,11 +109,11 @@ func (op *memOp[R]) burstDone(f int64) {
 		return
 	}
 	mc := op.mc
-	if op.vals == nil {
+	if !op.write {
 		mc.done(op.tile, op.rd, op.lines, op.tAtMC, op.finish)
 	}
 	var zero R
-	op.rd, op.vals = zero, nil
+	op.rd, op.write = zero, false
 	op.next = mc.free
 	mc.free = op
 }

@@ -5,35 +5,6 @@ import (
 	"repro/internal/memsys"
 )
 
-// ReleaseL1Line releases the waste-profiling state of every word of an L1
-// line leaving the cache: the L1-level instances close with the eviction
-// or invalidation transition, and any open memory-level instances are
-// released (comm marks a communication-caused release — invalidation by
-// another core's write — which classifies differently in Figure 4.3).
-func ReleaseL1Line(env *memsys.Env, ln *cache.Line, evict, comm bool) {
-	for w := range ln.Inst {
-		if evict {
-			env.Prof.L1Evict(ln.Inst[w])
-		} else {
-			env.Prof.L1Invalidate(ln.Inst[w])
-		}
-		if ln.MInst[w] != 0 {
-			env.Prof.MemRelease(ln.MInst[w], comm)
-		}
-	}
-}
-
-// ReleaseL2Line releases the profiling state of every word of an L2 line
-// being evicted (capacity transition; memory instances close uncaused).
-func ReleaseL2Line(env *memsys.Env, ln *cache.Line) {
-	for w := range ln.Inst {
-		env.Prof.L2Evict(ln.Inst[w])
-		if ln.MInst[w] != 0 {
-			env.Prof.MemRelease(ln.MInst[w], false)
-		}
-	}
-}
-
 // SnapshotData copies a line's word values into a fixed-size message
 // payload.
 func SnapshotData(ln *cache.Line) (data [memsys.WordsPerLine]uint32) {

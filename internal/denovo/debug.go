@@ -16,7 +16,7 @@ func (s *System) DebugState() string {
 			t, l1.wc.Len(), l1.pendingRegs, l1.wbBuf.Len(), l1.drainGate.Armed())
 		l1.mshrs.Range(func(key uint32, m *mshr) {
 			fmt.Fprintf(&b, "  mshr %#x wanted=%d waiters=%d\n", key, m.wanted.len(), len(m.waiters))
-			for _, a := range m.wanted.w {
+			for _, a := range m.wanted.s {
 				fmt.Fprintf(&b, "    want %#x\n", a)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/memsys"
+	"repro/internal/waste"
 )
 
 // loadWaiter is a blocked core load waiting for one word.
@@ -18,47 +19,49 @@ type loadWaiter struct {
 }
 
 // mshr tracks one outstanding load request group, keyed by the critical
-// line. Under Flex the wanted set may span lines.
+// line. Under Flex the wanted set may span lines. It is recycled when it
+// leaves the MSHR table, once its wanted set is empty.
 type mshr struct {
+	gen     uint64 // names this request group: a record reused for another gets a new gen
 	key     uint32
 	wanted  wordSet
 	waiters []loadWaiter
 	waitBuf [1]loadWaiter // waiters' backing: loads block, so one waiter is the norm
 	tIssue  int64
+
+	// The first request of a group that may bypass the L2 (§4.4), kept
+	// while the group waits for a Bloom filter copy.
+	bypassCrit  uint32
+	bypassFlex  bool
+	bypassWants wordList
+}
+
+// mshrRef names one request group of a recycled MSHR record.
+type mshrRef struct {
+	ms  *mshr
+	gen uint64
 }
 
 // wordSet is an MSHR's set of wanted word addresses, kept in the MSHR
-// itself. A request wants at most MaxDataWords words plus the rest of the
-// critical line, so the inline capacity covers the default four-flit
-// packets; a larger packet size spills to the heap. Order is not
-// meaningful: every reader that sends messages sorts first.
-type wordSet struct {
-	w   []uint32
-	buf [2 * lineWords]uint32
-}
+// itself (a wordList without duplicates). Order is not meaningful: every
+// reader that sends messages sorts first.
+type wordSet struct{ wordList }
 
-func (s *wordSet) len() int { return len(s.w) }
+func (s *wordSet) len() int { return len(s.s) }
 
-func (s *wordSet) has(a uint32) bool { return slices.Contains(s.w, a) }
+func (s *wordSet) has(a uint32) bool { return slices.Contains(s.s, a) }
 
 func (s *wordSet) add(a uint32) {
-	if s.has(a) {
-		return
+	if !s.has(a) {
+		s.wordList.add(a)
 	}
-	if s.w == nil {
-		s.w = s.buf[:0]
-	}
-	s.w = append(s.w, a)
 }
 
 func (s *wordSet) remove(a uint32) {
-	for i, x := range s.w {
-		if x == a {
-			last := len(s.w) - 1
-			s.w[i] = s.w[last]
-			s.w = s.w[:last]
-			return
-		}
+	if i := slices.Index(s.s, a); i >= 0 {
+		last := len(s.s) - 1
+		s.s[i] = s.s[last]
+		s.s = s.s[:last]
 	}
 }
 
@@ -67,13 +70,13 @@ func (s *wordSet) remove(a uint32) {
 // can be refetched, re-written and evicted again before the first ack
 // returns, so entries count outstanding writebacks and merge values
 // (mesh delivery is FIFO per source/destination pair, so the L2 applies
-// the writebacks in send order).
+// the writebacks in send order). The table is the entry's only holder; it
+// is recycled when the last writeback ack removes it.
 type wbEntry struct {
 	line    uint32
 	mask    uint16
 	vals    [lineWords]uint32
 	pending int
-	next    *wbEntry // free-list link while recycled
 }
 
 type l1Cache struct {
@@ -86,14 +89,20 @@ type l1Cache struct {
 	wc    coher.WriteCombiner
 	wbBuf coher.Table[wbEntry]
 
-	wbFree      *wbEntry // recycled victim-buffer entries (linked by next)
-	wcTimerFree *wcTimer
+	// Retries wait out a backoff here: loads of a line still in the
+	// victim buffer, and NACKed request groups (named with their gen, so
+	// a group that completed meanwhile is skipped).
+	loadRetry coher.Deferred[coher.Load]
+	nackRetry coher.Deferred[mshrRef]
+
+	wcTimeouts coher.Deferred[wcTimer] // one per write-combining entry
 
 	pendingRegs int
 	drainGate   coher.DrainGate
 
 	blooms    *bloom.L1Bank
-	bloomWait map[int][]func() // key: slice*4096+filterIdx
+	bloomWait map[int][]mshrRef // groups waiting for a filter copy; key: slice*4096+filterIdx
+	words     []uint32          // scratch for loadAttempt's communication-region lookup
 }
 
 func newL1(s *System, tile int) *l1Cache {
@@ -108,11 +117,17 @@ func newL1(s *System, tile int) *l1Cache {
 	}
 	if s.opt.BypassReq {
 		l.blooms = bloom.NewL1Bank(cfg.Bloom)
-		l.bloomWait = make(map[int][]func())
+		l.bloomWait = make(map[int][]mshrRef)
 	}
-	l.loads = coher.NewDeferred(s.Env.K, cfg.L1Latency, func(ld coher.Load) {
-		l.loadAttempt(ld.Addr, s.Env.K.Now(), ld.Done)
+	k := s.Env.K
+	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, k.Now(), ld.Done)
 	})
+	l.loadRetry = coher.NewDeferred(k, cfg.RetryBackoff, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, ld.Issue, ld.Done)
+	})
+	l.nackRetry = coher.NewDeferred(k, s.NackDelay(tile), l.retryNacked)
+	l.wcTimeouts = coher.NewDeferred(k, cfg.WriteCombineTimeout, l.wcTimeout)
 	return l
 }
 
@@ -131,7 +146,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		return
 	}
 	if l.wbBuf.Has(line) {
-		l.sys.RetryAfter(func() { l.loadAttempt(addr, tIssue, done) })
+		l.loadRetry.Add(coher.Load{Addr: addr, Issue: tIssue, Done: done})
 		return
 	}
 	if m := l.mshrs.Get(line); m != nil {
@@ -139,22 +154,25 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		if !m.wanted.has(addr) {
 			// The in-flight request did not cover this word; ask again.
 			m.wanted.add(addr)
-			l.sendLoadReq(m, []uint32{addr}, nil)
+			l.sendLoadReq(m, []uint32{addr}, addr, false, false)
 		}
 		return
 	}
-	m := &mshr{key: line, tIssue: tIssue}
+	p := &l.sys.pool
+	p.gen++
+	m := p.mshr.New(mshr{gen: p.gen, key: line, tIssue: tIssue})
 	m.waiters = append(m.waitBuf[:0], loadWaiter{addr, done})
 	l.mshrs.Put(line, m)
 
 	region := env.Regions.ByAddr(addr)
 	flex := l.sys.opt.FlexL1 && region != nil && region.InComm(addr)
-	// wants travels in the request message, so it gets its own array,
-	// sized for the largest request up front (the critical word included).
-	var wants []uint32
+	// wants is copied into the request message (the critical word
+	// included).
+	var buf [2 * lineWords]uint32
+	wants := buf[:0]
 	if flex {
-		wants = make([]uint32, 0, env.Cfg.MaxDataWords()+1)
-		for _, wa := range region.CommWords(addr) {
+		l.words = region.CommWords(l.words[:0], addr)
+		for _, wa := range l.words {
 			if len(wants) >= env.Cfg.MaxDataWords() {
 				break
 			}
@@ -164,7 +182,6 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 			wants = append(wants, wa)
 		}
 	} else {
-		wants = make([]uint32, 0, lineWords)
 		ln := l.c.Lookup(line)
 		for i := 0; i < lineWords; i++ {
 			if ln != nil && ln.WState[i] != wInvalid {
@@ -183,65 +200,60 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 
 	bypass := l.sys.opt.BypassResp && region != nil && region.Bypass
 	if bypass && l.sys.opt.BypassReq {
-		l.tryRequestBypass(m, addr, wants, flex)
+		m.bypassCrit, m.bypassFlex = addr, flex
+		m.bypassWants.set(wants)
+		l.tryRequestBypass(m)
 		return
 	}
-	l.sendLoadReq(m, wants, &reqMeta{crit: addr, bypass: bypass, flex: flex})
+	l.sendLoadReq(m, wants, addr, bypass, flex)
 }
 
-// reqMeta carries per-request attributes for sendLoadReq.
-type reqMeta struct {
-	crit   uint32
-	bypass bool
-	flex   bool
-}
-
-func (l *l1Cache) sendLoadReq(m *mshr, wants []uint32, meta *reqMeta) {
+func (l *l1Cache) sendLoadReq(m *mshr, wants []uint32, crit uint32, bypass, flex bool) {
 	home := l.env().Cfg.HomeTile(m.key)
-	req := &dvnLoadReq{key: m.key, from: l.tile, wants: wants, tIssue: m.tIssue}
-	if meta != nil {
-		req.crit, req.bypass, req.flex = meta.crit, meta.bypass, meta.flex
-	} else {
-		req.crit = wants[0]
-	}
+	req := l.sys.pool.loadReq.New(dvnLoadReq{key: m.key, crit: crit, from: l.tile,
+		bypass: bypass, flex: flex, tIssue: m.tIssue})
+	req.wants.set(wants)
 	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, req)
 }
 
-// tryRequestBypass consults the L1 Bloom filter copies (§4.4): when the
-// critical line definitely has no dirty words on-chip, the request goes
-// straight to the memory controller, skipping the L2.
-func (l *l1Cache) tryRequestBypass(m *mshr, crit uint32, wants []uint32, flex bool) {
+// tryRequestBypass consults the L1 Bloom filter copies (§4.4) for a
+// group's first request: when the critical line definitely has no dirty
+// words on-chip, the request goes straight to the memory controller,
+// skipping the L2.
+func (l *l1Cache) tryRequestBypass(m *mshr) {
 	env := l.env()
 	home := env.Cfg.HomeTile(m.key)
 	valid, may := l.blooms.Query(home, m.key)
 	if !valid {
-		l.fetchBloomCopy(home, m.key, func() { l.tryRequestBypass(m, crit, wants, flex) })
+		l.fetchBloomCopy(home, m)
 		return
 	}
 	if may {
 		// Possibly dirty on-chip: take the normal path through the L2.
-		l.sendLoadReq(m, wants, &reqMeta{crit: crit, bypass: true, flex: flex})
+		l.sendLoadReq(m, m.bypassWants.s, m.bypassCrit, true, m.bypassFlex)
 		return
 	}
 	mc := env.Cfg.MCTile(m.key)
-	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, mc, &dvnMemRead{
-		key: m.key, critLine: m.key, wants: wants,
+	rd := l.sys.pool.memRead.New(dvnMemRead{
+		key: m.key, critLine: m.key,
 		home: home, requestor: l.tile,
-		direct: true, fillL2: false, flex: flex && l.sys.opt.FlexL2,
+		direct: true, fillL2: false, flex: m.bypassFlex && l.sys.opt.FlexL2,
 		class: memsys.ClassLD, tIssue: m.tIssue,
 	})
+	rd.wants.set(m.bypassWants.s)
+	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, mc, rd)
 }
 
-// fetchBloomCopy requests one filter snapshot from the home slice on
-// demand, coalescing concurrent waiters (§4.4).
-func (l *l1Cache) fetchBloomCopy(slice int, line uint32, cont func()) {
-	idx := l.blooms.FilterIndex(line)
+// fetchBloomCopy requests the filter snapshot covering m's line from the
+// home slice on demand, coalescing concurrent waiters (§4.4).
+func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
+	idx := l.blooms.FilterIndex(m.key)
 	key := slice*4096 + idx
-	l.bloomWait[key] = append(l.bloomWait[key], cont)
+	l.bloomWait[key] = append(l.bloomWait[key], mshrRef{m, m.gen})
 	if len(l.bloomWait[key]) > 1 {
 		return // request already in flight
 	}
-	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhBloom, l.tile, slice, &dvnBloomReq{idx: idx, from: l.tile})
+	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhBloom, l.tile, slice, l.sys.pool.bloomReq.New(dvnBloomReq{idx: idx, from: l.tile}))
 }
 
 func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
@@ -249,8 +261,10 @@ func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
 	key := m.slice*4096 + m.idx
 	waiters := l.bloomWait[key]
 	delete(l.bloomWait, key)
-	for _, cont := range waiters {
-		cont()
+	for _, r := range waiters {
+		if r.ms.gen == r.gen {
+			l.tryRequestBypass(r.ms)
+		}
 	}
 }
 
@@ -288,14 +302,7 @@ func (l *l1Cache) wcAdd(line uint32, w int) {
 			l.flushOldestWC()
 		}
 		e = l.wc.Add(line, env.K.Now())
-		t := l.wcTimerFree
-		if t == nil {
-			t = &wcTimer{l: l}
-		} else {
-			l.wcTimerFree = t.next
-		}
-		t.line, t.id = line, e.ID
-		env.K.AtArg(env.K.Now()+env.Cfg.WriteCombineTimeout, runWCTimeout, t)
+		l.wcTimeouts.Add(wcTimer{line, e.ID})
 	}
 	e.Mask |= 1 << w
 	if e.Mask == 0xffff {
@@ -303,24 +310,16 @@ func (l *l1Cache) wcAdd(line uint32, w int) {
 	}
 }
 
-// wcTimer is a pending write-combining timeout for one table entry,
-// free-listed on the L1 and scheduled with Kernel.AtArg.
+// wcTimer is a pending write-combining timeout for one table entry.
 type wcTimer struct {
-	l    *l1Cache
 	line uint32
 	id   uint64 // the WCEntry.ID the timeout was armed for
-	next *wcTimer
 }
 
-// runWCTimeout flushes the entry the timer was armed for, unless that
-// entry already left the table (a newer entry for the line has another
-// ID). The record is recycled first; flushing never arms a timer.
-func runWCTimeout(a any) {
-	t := a.(*wcTimer)
-	l, line, id := t.l, t.line, t.id
-	t.next = l.wcTimerFree
-	l.wcTimerFree = t
-	if e := l.wc.Get(line); e != nil && e.ID == id {
+// wcTimeout flushes the entry the timer was armed for, unless that entry
+// already left the table (a newer entry for the line has another ID).
+func (l *l1Cache) wcTimeout(t wcTimer) {
+	if e := l.wc.Get(t.line); e != nil && e.ID == t.id {
 		l.flushWC(e)
 	}
 }
@@ -337,7 +336,7 @@ func (l *l1Cache) flushWC(e *coher.WCEntry) {
 	l.pendingRegs++
 	home := l.env().Cfg.HomeTile(line)
 	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home,
-		&dvnRegister{line: line, from: l.tile, mask: mask})
+		l.sys.pool.register.New(dvnRegister{line: line, from: l.tile, mask: mask}))
 }
 
 func (l *l1Cache) handleRegAck(m *dvnRegAck) {
@@ -352,7 +351,8 @@ func (l *l1Cache) handleData(m *dvnData) {
 	ms := l.mshrs.Get(m.key)
 	var buf [2 * lineWords]uint64 // Traffic.Data does not keep insts
 	insts := buf[:0]
-	for i, addr := range m.words {
+	for _, d := range m.words.s {
+		addr := d.addr
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		ln := l.c.Lookup(line)
 		if ln == nil {
@@ -367,10 +367,10 @@ func (l *l1Cache) handleData(m *dvnData) {
 		insts = append(insts, id)
 		if !present {
 			ln.Inst[w] = id
-			ln.Data[w] = m.vals[i]
+			ln.Data[w] = d.val
 			ln.WState[w] = wValid
-			ln.MInst[w] = m.minsts[i]
-			env.Prof.MemAddRef(m.minsts[i])
+			ln.MInst[w] = d.minst
+			env.Prof.MemAddRef(d.minst)
 		}
 		if ms != nil {
 			ms.wanted.remove(addr)
@@ -414,6 +414,7 @@ func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 			panic(fmt.Sprintf("denovo: tile %d mshr %#x closed with %d waiters", l.tile, ms.key, len(ms.waiters)))
 		}
 		l.mshrs.Delete(ms.key)
+		l.sys.pool.mshr.Put(ms)
 	}
 }
 
@@ -424,8 +425,9 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 	if ms == nil {
 		return
 	}
-	var reissue []uint32
-	for _, addr := range m.words {
+	var buf [2 * lineWords]uint32
+	reissue := buf[:0]
+	for _, addr := range m.words.s {
 		if !ms.wanted.has(addr) {
 			continue
 		}
@@ -443,7 +445,7 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 		}
 	}
 	if len(reissue) > 0 {
-		l.sendLoadReq(ms, reissue, &reqMeta{crit: reissue[0]})
+		l.sendLoadReq(ms, reissue, reissue[0], false, false)
 	}
 	l.completeWaiters(ms, memsys.Sample{Point: memsys.PointOnChip})
 }
@@ -453,67 +455,65 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 	if ms == nil {
 		return
 	}
-	l.sys.NackBackoff(m.from, l.tile, func() {
-		if l.mshrs.Get(m.key) != ms || ms.wanted.len() == 0 {
-			return
-		}
-		wants := append([]uint32(nil), ms.wanted.w...)
-		slices.Sort(wants)
-		l.sendLoadReq(ms, wants, &reqMeta{crit: wants[0]})
-	})
+	l.sys.ChargeNack(m.from, l.tile)
+	l.nackRetry.Add(mshrRef{ms, ms.gen})
+}
+
+// retryNacked re-requests a NACKed group's remaining words once its
+// backoff has passed, unless the group completed meanwhile.
+func (l *l1Cache) retryNacked(r mshrRef) {
+	ms := r.ms
+	if ms.gen != r.gen || ms.wanted.len() == 0 {
+		return
+	}
+	var buf [2 * lineWords]uint32
+	wants := append(buf[:0], ms.wanted.s...)
+	slices.Sort(wants)
+	l.sendLoadReq(ms, wants, wants[0], false, false)
 }
 
 // handleFwdRead serves a forwarded read as the registered owner; the copy
 // duplicates (the owner stays registered).
 func (l *l1Cache) handleFwdRead(m *dvnFwdRead) {
-	words := make([]uint32, 0, len(m.words))
-	vals := make([]uint32, 0, len(m.words))
-	minsts := make([]uint64, 0, len(m.words))
-	for _, addr := range m.words {
+	d := l.sys.pool.data.New(dvnData{key: m.key})
+	for _, addr := range m.words.s {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		if ln := l.c.Lookup(line); ln != nil && ln.WState[w] == wRegistered {
-			words = append(words, addr)
-			vals = append(vals, ln.Data[w])
-			minsts = append(minsts, 0)
+			d.words.add(dataWord{addr: addr, val: ln.Data[w]})
 			continue
 		}
 		if wb := l.wbBuf.Get(line); wb != nil && wb.mask&(1<<w) != 0 {
-			words = append(words, addr)
-			vals = append(vals, wb.vals[w])
-			minsts = append(minsts, 0)
+			d.words.add(dataWord{addr: addr, val: wb.vals[w]})
 			continue
 		}
 		panic(fmt.Sprintf("denovo: tile %d forwarded for word %#x it does not own", l.tile, addr))
 	}
-	hops := l.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, l.tile, m.requestor)
-	l.sys.SendData(l.tile, m.requestor, len(words), &dvnData{
-		key: m.key, words: words, vals: vals, minsts: minsts, hops: hops,
-	})
+	d.hops = l.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, l.tile, m.requestor)
+	l.sys.SendData(l.tile, m.requestor, len(d.words.s), d)
 }
 
 // handleInvalWord drops copies superseded by a new registrant.
 func (l *l1Cache) handleInvalWord(m *dvnInvalWord) {
-	env := l.env()
-	for _, addr := range m.words {
-		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
-		ln := l.c.Lookup(line)
-		if ln == nil || ln.WState[w] == wInvalid {
-			continue
-		}
-		env.Prof.L1Invalidate(ln.Inst[w])
-		if ln.MInst[w] != 0 {
-			env.Prof.MemRelease(ln.MInst[w], true)
-			ln.MInst[w] = 0
-		}
-		ln.WState[w] = wInvalid
+	ln := l.c.Lookup(m.line)
+	if ln == nil {
+		return
 	}
+	var valid uint16
+	for w := 0; w < lineWords; w++ {
+		if m.mask&(1<<w) != 0 && ln.WState[w] != wInvalid {
+			valid |= 1 << w
+			ln.WState[w] = wInvalid
+		}
+	}
+	l.env().Prof.Release(valid, waste.Invalidate, ln.Inst, ln.MInst, true)
 }
 
 // handleRecall surrenders registered words for an L2 eviction.
 func (l *l1Cache) handleRecall(m *dvnRecall) {
 	env := l.env()
-	resp := &dvnRecallResp{line: m.line, from: l.tile}
+	resp := l.sys.pool.recallResp.New(dvnRecallResp{line: m.line, from: l.tile})
 	ln := l.c.Lookup(m.line)
+	var registered uint16
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
 			continue
@@ -521,7 +521,7 @@ func (l *l1Cache) handleRecall(m *dvnRecall) {
 		if ln != nil && ln.WState[w] == wRegistered {
 			resp.mask |= 1 << w
 			resp.vals[w] = ln.Data[w]
-			env.Prof.L1Invalidate(ln.Inst[w])
+			registered |= 1 << w
 			ln.WState[w] = wInvalid
 			continue
 		}
@@ -529,6 +529,10 @@ func (l *l1Cache) handleRecall(m *dvnRecall) {
 			resp.mask |= 1 << w
 			resp.vals[w] = wb.vals[w]
 		}
+	}
+	if ln != nil {
+		// Registered words hold no memory instance: the store released it.
+		env.Prof.Release(registered, waste.Invalidate, ln.Inst, nil, false)
 	}
 	home := env.Cfg.HomeTile(m.line)
 	dirty := bits.OnesCount16(resp.mask)
@@ -541,10 +545,8 @@ func (l *l1Cache) handleWBAck(m *dvnWBAck) {
 	if wb := l.wbBuf.Get(m.line); wb != nil {
 		wb.pending--
 		if wb.pending <= 0 {
-			// The table was the entry's only holder.
 			l.wbBuf.Delete(m.line)
-			wb.next = l.wbFree
-			l.wbFree = wb
+			l.sys.pool.victim.Put(wb)
 		}
 	}
 	l.drainGate.TryFire(l.drained())
@@ -570,7 +572,7 @@ func (l *l1Cache) evictFor(line uint32) {
 			vals[w] = victim.Data[w]
 		}
 	}
-	coher.ReleaseL1Line(env, victim, true, false)
+	env.Prof.Release(memsys.LineMask, waste.Evict, victim.Inst, victim.MInst, false)
 	// Pending registrations ride along with the writeback.
 	l.wc.Remove(vline)
 	l.c.Remove(victim)
@@ -586,14 +588,7 @@ func (l *l1Cache) evictFor(line uint32) {
 		old.mask |= regMask
 		old.pending++
 	} else {
-		wb := l.wbFree
-		if wb == nil {
-			wb = &wbEntry{}
-		} else {
-			l.wbFree = wb.next
-		}
-		*wb = wbEntry{line: vline, mask: regMask, vals: vals, pending: 1}
-		l.wbBuf.Put(vline, wb)
+		l.wbBuf.Put(vline, l.sys.pool.victim.New(wbEntry{line: vline, mask: regMask, vals: vals, pending: 1}))
 	}
 	home := env.Cfg.HomeTile(vline)
 	dirty := bits.OnesCount16(regMask)
@@ -602,9 +597,9 @@ func (l *l1Cache) evictFor(line uint32) {
 	if l.sys.opt.BypassReq {
 		l.blooms.InsertLocal(home, vline)
 	}
-	l.sys.SendData(l.tile, home, dirty, &dvnWB{
+	l.sys.SendData(l.tile, home, dirty, l.sys.pool.wb.New(dvnWB{
 		line: vline, from: l.tile, mask: regMask, vals: vals,
-	})
+	}))
 }
 
 // --- barriers ---
@@ -632,7 +627,7 @@ func (l *l1Cache) selfInvalidate(written []uint8) {
 		return
 	}
 	env := l.env()
-	set := map[uint8]bool{}
+	var set [256]bool // region ids are uint8
 	for _, id := range written {
 		set[id] = true
 	}
@@ -641,16 +636,13 @@ func (l *l1Cache) selfInvalidate(written []uint8) {
 		if r == nil || !set[r.ID] {
 			return
 		}
+		var valid uint16
 		for w := 0; w < lineWords; w++ {
-			if ln.WState[w] != wValid {
-				continue
+			if ln.WState[w] == wValid {
+				valid |= 1 << w
+				ln.WState[w] = wInvalid
 			}
-			env.Prof.L1Invalidate(ln.Inst[w])
-			if ln.MInst[w] != 0 {
-				env.Prof.MemRelease(ln.MInst[w], true)
-				ln.MInst[w] = 0
-			}
-			ln.WState[w] = wInvalid
 		}
+		env.Prof.Release(valid, waste.Invalidate, ln.Inst, ln.MInst, true)
 	})
 }

@@ -10,11 +10,12 @@ import (
 	"repro/internal/coher"
 	"repro/internal/memsys"
 	"repro/internal/mesh"
+	"repro/internal/waste"
 )
 
 // l2Fetch tracks one in-flight memory fetch for a line. Requests that
-// cannot be satisfied while the fetch is in flight are queued and
-// re-dispatched once the fill lands.
+// cannot be satisfied while the fetch is in flight are queued (as copies
+// it owns) and re-dispatched once the fill lands.
 type l2Fetch struct {
 	line   uint32
 	retry  []*dvnLoadReq
@@ -37,20 +38,61 @@ type l2Slice struct {
 
 	fetch     coher.Table[l2Fetch]
 	busyEvict map[uint32]bool
-	evictCont map[uint32]*evictState
-	gate      map[uint32][]func()
+	evictCont map[uint32]evictState
+	gate      map[uint32][]lineOp
 	dirtyCnt  map[uint32]int // words per line that are registered or dirty
 	blooms    *bloom.L2Bank
 	pred      *bypassPredictor
 
-	// Arriving requests, registrations, writebacks and fills wait out the
-	// L2 access latency here before their handler runs.
-	loadReqs  coher.Deferred[*dvnLoadReq]
-	registers coher.Deferred[*dvnRegister]
-	wbs       coher.Deferred[*dvnWB]
-	fills     coher.Deferred[*dvnL2Fill]
+	// Arriving requests, and registrations, writebacks and fills (line
+	// operations), wait out the L2 access latency here before their
+	// handler runs.
+	loadReqs coher.Deferred[*dvnLoadReq]
+	ops      coher.Deferred[lineOp]
+	wayRetry coher.Deferred[lineOp] // operations whose set has every way busy
 
 	fetchFree *l2Fetch
+}
+
+// lineOp is a registration, writeback or fill: an L2 step on one line
+// that can wait, first behind the line's gate for its turn, then for a
+// free way in the line's set. The message itself is what waits, so no
+// closure holds it; it is recycled when the step completes.
+type lineOp interface {
+	opLine() uint32
+	// apply runs the step once the line has a way; allocated reports
+	// that a way had to be found for it.
+	apply(sl *l2Slice, allocated bool)
+}
+
+func (m *dvnRegister) opLine() uint32                    { return m.line }
+func (m *dvnRegister) apply(sl *l2Slice, allocated bool) { sl.registerInstalled(m, allocated) }
+func (m *dvnWB) opLine() uint32                          { return m.line }
+func (m *dvnWB) apply(sl *l2Slice, _ bool)               { sl.writebackInstalled(m) }
+func (m *dvnL2Fill) opLine() uint32                      { return m.line }
+func (m *dvnL2Fill) apply(sl *l2Slice, _ bool)           { sl.fillInstalled(m) }
+
+// ownerMask is the words of a line registered to one L1.
+type ownerMask struct {
+	owner uint8
+	mask  uint16
+}
+
+// addOwner sets word w in owner's mask, keeping om in ascending owner
+// order: the deterministic order messages to the owners go out in.
+func addOwner(om []ownerMask, owner uint8, w int) []ownerMask {
+	i := 0
+	for i < len(om) && om[i].owner < owner {
+		i++
+	}
+	if i < len(om) && om[i].owner == owner {
+		om[i].mask |= 1 << w
+		return om
+	}
+	om = append(om, ownerMask{})
+	copy(om[i+1:], om[i:])
+	om[i] = ownerMask{owner, 1 << w}
+	return om
 }
 
 // fwdWord is a requested word registered at a remote owner.
@@ -67,10 +109,11 @@ var (
 	_ = cache.Line{Owner: []uint8{mesh.MaxSide*mesh.MaxSide - 1}}
 )
 
-// evictState tracks an eviction waiting on owner recalls.
+// evictState tracks an eviction waiting on owner recalls, and the line
+// operation waiting for the way it frees.
 type evictState struct {
 	pending int
-	cont    func()
+	then    lineOp
 }
 
 func newL2(s *System, tile int) *l2Slice {
@@ -81,8 +124,8 @@ func newL2(s *System, tile int) *l2Slice {
 		c:         cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
 		fetch:     coher.NewTable[l2Fetch](),
 		busyEvict: make(map[uint32]bool),
-		evictCont: make(map[uint32]*evictState),
-		gate:      make(map[uint32][]func()),
+		evictCont: make(map[uint32]evictState),
+		gate:      make(map[uint32][]lineOp),
 		dirtyCnt:  make(map[uint32]int),
 	}
 	if s.opt.BypassReq {
@@ -92,10 +135,12 @@ func newL2(s *System, tile int) *l2Slice {
 		sl.pred = newBypassPredictor()
 	}
 	k, lat := s.Env.K, cfg.L2Latency
-	sl.loadReqs = coher.NewDeferred(k, lat, func(m *dvnLoadReq) { sl.serve(m, nil) })
-	sl.registers = coher.NewDeferred(k, lat, sl.handleRegister)
-	sl.wbs = coher.NewDeferred(k, lat, sl.handleWB)
-	sl.fills = coher.NewDeferred(k, lat, sl.handleL2Fill)
+	sl.loadReqs = coher.NewDeferred(k, lat, func(m *dvnLoadReq) {
+		sl.serve(m, nil)
+		s.pool.loadReq.Put(m)
+	})
+	sl.ops = coher.NewDeferred(k, lat, sl.handleOp)
+	sl.wayRetry = coher.NewDeferred(k, cfg.RetryBackoff, sl.ensureWay)
 	return sl
 }
 
@@ -118,9 +163,8 @@ func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 // retries would let an old writeback overtake a newer registration from
 // the same L1; the FIFO gate preserves per-source message order instead.
 // lockLine takes a free gate and returns true: the caller runs its
-// mutation at once. On a gated line it returns false and the caller
-// queues the mutation with waitLine. Either way the mutation must arrange
-// for unlockLine to run when it completes.
+// mutation at once. On a gated line it returns false. Either way the
+// mutation must arrange for unlockLine to run when it completes.
 func (sl *l2Slice) lockLine(line uint32) bool {
 	if _, gated := sl.gate[line]; gated {
 		return false
@@ -129,10 +173,25 @@ func (sl *l2Slice) lockLine(line uint32) bool {
 	return true
 }
 
-// waitLine queues op behind line's gate; it runs when the gate passes to
-// it.
-func (sl *l2Slice) waitLine(line uint32, op func()) {
+// handleOp runs L2Latency cycles after a registration, writeback or fill
+// arrives (ops): at once on a free gate, else queued behind it.
+func (sl *l2Slice) handleOp(op lineOp) {
+	line := op.opLine()
+	if sl.lockLine(line) {
+		sl.start(op)
+		return
+	}
 	sl.gate[line] = append(sl.gate[line], op)
+}
+
+// start runs a line operation that holds its line's gate: at once when
+// the line is cached, else once a way is free.
+func (sl *l2Slice) start(op lineOp) {
+	if sl.c.Lookup(op.opLine()) == nil {
+		sl.ensureWay(op)
+		return
+	}
+	op.apply(sl, false)
 }
 
 func (sl *l2Slice) unlockLine(line uint32) {
@@ -146,7 +205,7 @@ func (sl *l2Slice) unlockLine(line uint32) {
 	}
 	next := q[0]
 	sl.gate[line] = q[1:]
-	next()
+	sl.start(next)
 }
 
 // markDirty/markClean maintain the per-line dirty-word count and the
@@ -196,10 +255,10 @@ func (sl *l2Slice) dirtyMask(line uint32) uint16 {
 // their memory-time attribution.
 func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	env := sl.env()
-	// The word lists travel in messages, so each gets its own array, sized
-	// for the whole request on first use.
-	var direct, denied, memWords []uint32
-	var fwd []fwdWord
+	// The word lists are copied into the messages that carry them.
+	var directBuf, deniedBuf, memBuf [2 * lineWords]uint32
+	var fwdBuf [2 * lineWords]fwdWord
+	direct, denied, memWords, fwd := directBuf[:0], deniedBuf[:0], memBuf[:0], fwdBuf[:0]
 	nacked := false
 
 	critLine := memsys.LineOf(m.crit)
@@ -207,7 +266,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	if sl.pred != nil && !bypass && sl.pred.shouldBypass(critLine) {
 		bypass = true
 	}
-	for _, addr := range m.wants {
+	for _, addr := range m.wants.s {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		if sl.busyEvict[line] {
 			nacked = true
@@ -217,7 +276,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		if ln != nil {
 			switch ln.WState[w] & l2StateMask {
 			case l2Valid:
-				direct = appendWord(direct, addr, len(m.wants))
+				direct = append(direct, addr)
 				continue
 			case l2Registered:
 				if int(ln.Owner[w]) != m.from {
@@ -226,7 +285,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 				}
 				// Registered to the requestor itself: nothing to send
 				// (it already owns the word); drop from the want set.
-				denied = appendWord(denied, addr, len(m.wants))
+				denied = append(denied, addr)
 				continue
 			}
 		}
@@ -234,37 +293,39 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		if line != critLine && !(bypass && sl.sys.opt.FlexL2) {
 			// Cross-line Flex prefetch is only fetched from memory by the
 			// bypass+FlexL2 path; otherwise only on-chip copies serve it.
-			denied = appendWord(denied, addr, len(m.wants))
+			denied = append(denied, addr)
 			continue
 		}
-		memWords = appendWord(memWords, addr, len(m.wants))
+		memWords = append(memWords, addr)
 	}
 
 	if len(direct) > 0 {
 		sl.sendFromArray(m, direct, stamp)
 	}
 	for owner := 0; len(fwd) > 0 && owner < env.Cfg.Tiles; owner++ { // deterministic order
-		var words []uint32
+		var fr *dvnFwdRead
 		for _, f := range fwd {
-			if int(f.owner) == owner {
-				words = append(words, f.addr)
+			if int(f.owner) != owner {
+				continue
 			}
+			if fr == nil {
+				fr = sl.sys.pool.fwdRead.New(dvnFwdRead{key: m.key, requestor: m.from, tIssue: m.tIssue})
+			}
+			fr.words.add(f.addr)
 		}
-		if words == nil {
-			continue
+		if fr != nil {
+			sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, fr)
 		}
-		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, &dvnFwdRead{
-			key: m.key, requestor: m.from, words: words, tIssue: m.tIssue,
-		})
 	}
 	if nacked {
 		// NACK: the requestor retries the whole remainder (§5.2.4).
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, m.from,
-			&dvnNack{key: m.key, from: sl.tile})
+			sl.sys.pool.nack.New(dvnNack{key: m.key, from: sl.tile}))
 	}
 	if len(denied) > 0 {
-		sl.sys.SendCtl(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from,
-			&dvnDeny{key: m.key, words: denied})
+		d := sl.sys.pool.deny.New(dvnDeny{key: m.key})
+		d.words.set(denied)
+		sl.sys.SendCtl(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from, d)
 	}
 	if len(memWords) == 0 {
 		return
@@ -273,23 +334,14 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 
 	if bypass {
 		// L2 response bypass: fetch straight to the L1, no L2 fill.
-		mc := env.Cfg.MCTile(critLine)
-		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, mc, &dvnMemRead{
-			key: m.key, critLine: critLine, wants: memWords,
-			noReturn: sl.dirtyMask(critLine),
-			home:     sl.tile, requestor: m.from,
-			direct: true, fillL2: false, flex: m.flex && sl.sys.opt.FlexL2,
-			class: memsys.ClassLD, tIssue: m.tIssue,
-		})
+		sl.sendMemRead(m, critLine, memWords, true, false)
 		return
 	}
 
 	if f := sl.fetch.Get(critLine); f != nil {
 		// A fetch is already in flight: re-dispatch the remainder after
 		// the fill.
-		rest := *m
-		rest.wants = memWords
-		f.retry = append(f.retry, &rest)
+		f.retry = append(f.retry, sl.requeue(m, memWords))
 		return
 	}
 
@@ -298,35 +350,36 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	if sl.sys.opt.MemToL1 {
 		// §3.1 Memory Controller to L1 Transfer: data goes to the L1 and
 		// the L2 in parallel; the request carries the dirty-word vector.
-		sl.sendMemRead(m, critLine, memWords, true)
+		sl.sendMemRead(m, critLine, memWords, true, true)
 		return
 	}
 	// Baseline: memory fills the L2; the requestor is re-dispatched after
 	// the fill and served from the array.
-	rest := *m
-	rest.wants = memWords
-	f.retry = append(f.retry, &rest)
-	sl.sendMemRead(m, critLine, nil, false)
+	f.retry = append(f.retry, sl.requeue(m, memWords))
+	sl.sendMemRead(m, critLine, nil, false, true)
 }
 
-// appendWord appends a to s, giving a nil s an array for n words.
-func appendWord(s []uint32, a uint32, n int) []uint32 {
-	if s == nil {
-		s = make([]uint32, 0, n)
-	}
-	return append(s, a)
+// requeue copies m, wanting only wants, for a fetch's retry list, which
+// owns the copy until fillInstalled serves and recycles it.
+func (sl *l2Slice) requeue(m *dvnLoadReq, wants []uint32) *dvnLoadReq {
+	r := sl.sys.pool.loadReq.New(dvnLoadReq{key: m.key, crit: m.crit, from: m.from,
+		bypass: m.bypass, flex: m.flex, tIssue: m.tIssue})
+	r.wants.set(wants)
+	return r
 }
 
-func (sl *l2Slice) sendMemRead(m *dvnLoadReq, critLine uint32, wants []uint32, direct bool) {
+func (sl *l2Slice) sendMemRead(m *dvnLoadReq, critLine uint32, wants []uint32, direct, fillL2 bool) {
 	mc := sl.env().Cfg.MCTile(critLine)
-	sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, mc, &dvnMemRead{
-		key: m.key, critLine: critLine, wants: wants,
+	rd := sl.sys.pool.memRead.New(dvnMemRead{
+		key: m.key, critLine: critLine,
 		noReturn: sl.dirtyMask(critLine),
 		home:     sl.tile, requestor: m.from,
-		direct: direct, fillL2: true,
+		direct: direct, fillL2: fillL2,
 		flex:  m.flex && sl.sys.opt.FlexL2,
 		class: memsys.ClassLD, tIssue: m.tIssue,
 	})
+	rd.wants.set(wants)
+	sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, mc, rd)
 }
 
 // sendFromArray serves words from the L2 data array: genuine L2 reuse, so
@@ -335,13 +388,11 @@ func (sl *l2Slice) sendMemRead(m *dvnLoadReq, critLine uint32, wants []uint32, d
 // L2 reuse.
 func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp) {
 	env := sl.env()
-	vals := make([]uint32, len(words))
-	minsts := make([]uint64, len(words))
-	for i, addr := range words {
+	d := sl.sys.pool.data.New(dvnData{key: m.key})
+	for _, addr := range words {
 		ln := sl.c.Lookup(memsys.LineOf(addr))
 		w := memsys.WordIndex(addr)
-		vals[i] = ln.Data[w]
-		minsts[i] = ln.MInst[w]
+		d.words.add(dataWord{addr: addr, val: ln.Data[w], minst: ln.MInst[w]})
 		if stamp == nil {
 			env.Prof.L2Served(ln.Inst[w])
 			if ln.State < 255 {
@@ -350,8 +401,7 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 		}
 		sl.c.Touch(ln)
 	}
-	hops := sl.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from)
-	d := &dvnData{key: m.key, words: words, vals: vals, minsts: minsts, hops: hops}
+	d.hops = sl.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from)
 	if stamp != nil {
 		d.fromMem = true
 		d.tAtMC, d.tDram = stamp.tAtMC, stamp.tDram
@@ -361,48 +411,26 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 
 // --- registration (§2) ---
 
-// handleRegister runs L2Latency cycles after a registration arrives
-// (registers).
-func (sl *l2Slice) handleRegister(m *dvnRegister) {
-	if sl.lockLine(m.line) {
-		sl.register(m)
-		return
-	}
-	sl.waitLine(m.line, func() { sl.register(m) })
-}
-
-func (sl *l2Slice) register(m *dvnRegister) {
-	ln := sl.c.Lookup(m.line)
-	if ln == nil {
-		sl.ensureWay(m.line, func() { sl.registerInstalled(m, true) })
-		return
-	}
-	sl.registerInstalled(m, false)
-}
-
-// registerInstalled applies a registration once the line has a way.
+// registerInstalled applies a registration once the line has a way (fresh
+// when one had to be found), then recycles it.
 func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 	env := sl.env()
 	ln := sl.c.Allocate(m.line)
-	invals := map[uint8][]uint32{}
+	var buf [lineWords]ownerMask
+	invals := buf[:0]
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
 			continue
 		}
-		addr := memsys.AddrOf(m.line, w)
 		switch ln.WState[w] & l2StateMask {
 		case l2Registered:
 			old := ln.Owner[w]
 			if int(old) != m.from {
-				invals[old] = append(invals[old], addr)
+				invals = addOwner(invals, old, w)
 			}
 		case l2Valid:
 			// The L2's clean copy dies before use: Write waste (Fig 4.2).
-			env.Prof.L2Overwritten(ln.Inst[w])
-			if ln.MInst[w] != 0 {
-				env.Prof.MemRelease(ln.MInst[w], false)
-				ln.MInst[w] = 0
-			}
+			env.Prof.Release(1<<w, waste.Write, ln.Inst, ln.MInst, false)
 			sl.markDirty(m.line)
 		case l2Invalid:
 			sl.markDirty(m.line)
@@ -411,12 +439,9 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 		ln.Owner[w] = uint8(m.from)
 		ln.Inst[w] = 0
 	}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		words, ok := invals[uint8(owner)]
-		if !ok {
-			continue
-		}
-		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, owner, &dvnInvalWord{words: words})
+	for _, o := range invals { // ascending owner: deterministic order
+		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(o.owner),
+			sl.sys.pool.inval.New(dvnInvalWord{line: m.line, mask: o.mask}))
 	}
 	// Baseline DeNovo keeps a fetch-on-write L2: a write miss fetches the
 	// rest of the line from memory (§3.1).
@@ -424,8 +449,10 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 		sl.fetchForWrite(m.line)
 	}
 	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
-		&dvnRegAck{line: m.line, mask: m.mask})
-	sl.unlockLine(m.line)
+		sl.sys.pool.regAck.New(dvnRegAck{line: m.line, mask: m.mask}))
+	line := m.line
+	sl.sys.pool.register.Put(m)
+	sl.unlockLine(line)
 }
 
 // fetchForWrite fills the invalid words of a write-allocated line
@@ -449,33 +476,18 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 	}
 	sl.fetch.Put(line, sl.newFetch(line))
 	mc := sl.env().Cfg.MCTile(line)
-	sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, &dvnMemRead{
+	sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, sl.sys.pool.memRead.New(dvnMemRead{
 		key: line, critLine: line,
 		noReturn: sl.dirtyMask(line),
 		home:     sl.tile, requestor: -1,
 		fillL2: true, class: memsys.ClassST,
-	})
+	}))
 }
 
 // --- writebacks ---
 
-// handleWB runs L2Latency cycles after a writeback arrives (wbs).
-func (sl *l2Slice) handleWB(m *dvnWB) {
-	if sl.lockLine(m.line) {
-		sl.writeback(m)
-		return
-	}
-	sl.waitLine(m.line, func() { sl.writeback(m) })
-}
-
-func (sl *l2Slice) writeback(m *dvnWB) {
-	if sl.c.Lookup(m.line) == nil {
-		sl.ensureWay(m.line, func() { sl.writebackInstalled(m) })
-		return
-	}
-	sl.writebackInstalled(m)
-}
-
+// writebackInstalled applies a writeback once the line has a way, then
+// recycles it.
 func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 	env := sl.env()
 	ln := sl.c.Allocate(m.line)
@@ -491,11 +503,7 @@ func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 		switch st {
 		case l2Valid:
 			// Combined writeback+register over a clean copy.
-			env.Prof.L2Overwritten(ln.Inst[w])
-			if ln.MInst[w] != 0 {
-				env.Prof.MemRelease(ln.MInst[w], false)
-				ln.MInst[w] = 0
-			}
+			env.Prof.Release(1<<w, waste.Write, ln.Inst, ln.MInst, false)
 			sl.markDirty(m.line)
 		case l2Invalid:
 			sl.markDirty(m.line)
@@ -509,63 +517,49 @@ func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 	if fresh && !sl.sys.opt.ValidateL2 {
 		sl.fetchForWrite(m.line)
 	}
-	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, &dvnWBAck{line: m.line})
-	sl.unlockLine(m.line)
+	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, sl.sys.pool.wbAck.New(dvnWBAck{line: m.line}))
+	line := m.line
+	sl.sys.pool.wb.Put(m)
+	sl.unlockLine(line)
 }
 
 // --- fills ---
 
-// handleL2Fill runs L2Latency cycles after a fill arrives (fills).
-func (sl *l2Slice) handleL2Fill(m *dvnL2Fill) {
-	if sl.lockLine(m.line) {
-		sl.fill(m)
-		return
-	}
-	sl.waitLine(m.line, func() { sl.fill(m) })
-}
-
-func (sl *l2Slice) fill(m *dvnL2Fill) {
-	if sl.c.Lookup(m.line) == nil {
-		sl.ensureWay(m.line, func() { sl.fillInstalled(m) })
-		return
-	}
-	sl.fillInstalled(m)
-}
-
+// fillInstalled installs memory data once the line has a way, serves the
+// requests that waited for it, then recycles the fill.
 func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 	env := sl.env()
 	ln := sl.c.Allocate(m.line)
-	insts := make([]uint64, 0, lineWords)
+	var present uint16 // words the L2 already has: the shipped copy is dropped
 	for w := 0; w < lineWords; w++ {
-		if m.mask&(1<<w) == 0 {
-			continue
+		switch {
+		case m.mask&(1<<w) == 0:
+		case ln.WState[w]&l2StateMask != l2Invalid:
+			present |= 1 << w
+		default:
+			ln.Data[w] = m.vals[w]
+			ln.WState[w] = l2Valid
+			ln.MInst[w] = m.minsts[w]
 		}
-		addr := memsys.AddrOf(m.line, w)
-		present := ln.WState[w]&l2StateMask != l2Invalid
-		id := env.Prof.L2Arrival(addr, present)
-		insts = append(insts, id)
-		if present {
-			// The shipped copy is dropped (the L2 already has the word).
-			env.Prof.MemRelease(m.minsts[w], false)
-			continue
-		}
-		ln.Data[w] = m.vals[w]
-		ln.WState[w] = l2Valid
-		ln.Inst[w] = id
-		ln.MInst[w] = m.minsts[w]
-		env.Prof.MemAddRef(m.minsts[w])
 	}
-	env.Traffic.Data(m.class, m.hops, insts)
+	env.Traffic.Fill(m.class, m.hops, waste.LevelL2, m.line, m.mask, present, ln.Inst, ln.MInst, true)
+	for w := 0; w < lineWords; w++ {
+		if present&(1<<w) != 0 {
+			env.Prof.MemRelease(m.minsts[w], false)
+		}
+	}
 
 	f := sl.fetch.Get(m.line)
 	sl.fetch.Delete(m.line)
-	sl.unlockLine(m.line)
+	line, stamp := m.line, memStamp{tAtMC: m.tAtMC, tDram: m.tDram}
+	sl.sys.pool.fill.Put(m)
+	sl.unlockLine(line)
 	if f == nil {
 		return
 	}
-	stamp := &memStamp{tAtMC: m.tAtMC, tDram: m.tDram}
 	for _, req := range f.retry {
-		sl.serve(req, stamp)
+		sl.serve(req, &stamp)
+		sl.sys.pool.loadReq.Put(req)
 	}
 	// The table no longer holds f and its retries are dispatched: recycle.
 	clear(f.retry)
@@ -575,63 +569,58 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 
 // --- eviction ---
 
-// ensureWay guarantees a free way in line's set, then calls cont.
-func (sl *l2Slice) ensureWay(line uint32, cont func()) {
-	victim := sl.c.VictimWhere(line, func(l *cache.Line) bool {
+// ensureWay guarantees a free way in op's set, then applies op.
+func (sl *l2Slice) ensureWay(op lineOp) {
+	victim := sl.c.VictimWhere(op.opLine(), func(l *cache.Line) bool {
 		_, gated := sl.gate[l.Tag]
 		return !gated && !sl.busyEvict[l.Tag] && !sl.fetch.Has(l.Tag)
 	})
 	if victim == nil {
-		sl.sys.RetryAfter(func() { sl.ensureWay(line, cont) })
+		sl.wayRetry.Add(op)
 		return
 	}
 	if !victim.Valid {
-		cont()
+		op.apply(sl, true)
 		return
 	}
-	// The continuation runs synchronously when the eviction finishes and
-	// claims the freed way immediately (callers Allocate first thing), so
+	// op runs synchronously when the eviction finishes and claims the
+	// freed way immediately (every apply Allocates first thing), so
 	// concurrent allocations cannot steal it and livelock the set.
-	sl.evictLine(victim, cont)
+	sl.evictLine(victim, op)
 }
 
 // evictLine recalls registered words from their owners, writes dirty words
-// to memory, and frees the way.
-func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
-	env := sl.env()
+// to memory, and frees the way for then.
+func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 	line := ln.Tag
 	// The victim is ungated (VictimWhere guarantees it); take its gate so
 	// arriving registrations/writebacks queue behind the eviction.
 	sl.lockLine(line)
 	sl.busyEvict[line] = true
-	owners := map[uint8]uint16{}
+	var buf [lineWords]ownerMask
+	owners := buf[:0]
 	for w := 0; w < lineWords; w++ {
 		if ln.WState[w]&l2StateMask == l2Registered {
-			owners[ln.Owner[w]] |= 1 << w
+			owners = addOwner(owners, ln.Owner[w], w)
 		}
 	}
-	pending := len(owners)
-	if pending == 0 {
-		sl.finishEvict(ln, cont)
+	if len(owners) == 0 {
+		sl.finishEvict(ln, then)
 		return
 	}
-	sl.evictCont[line] = &evictState{pending: pending, cont: cont}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		mask, ok := owners[uint8(owner)]
-		if !ok {
-			continue
-		}
-		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, owner,
-			&dvnRecall{line: line, mask: mask})
+	sl.evictCont[line] = evictState{pending: len(owners), then: then}
+	for _, o := range owners { // ascending owner: deterministic order
+		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, int(o.owner),
+			sl.sys.pool.recall.New(dvnRecall{line: line, mask: o.mask}))
 	}
 }
 
 func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	ln := sl.c.Lookup(m.line)
-	st := sl.evictCont[m.line]
-	if st == nil || ln == nil {
+	st, ok := sl.evictCont[m.line]
+	if !ok || ln == nil {
 		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: st=%v ln=%v busy=%v gated=%v",
-			sl.tile, m.line, m.from, m.mask, st != nil, ln != nil, sl.busyEvict[m.line], func() bool { _, g := sl.gate[m.line]; return g }()))
+			sl.tile, m.line, m.from, m.mask, ok, ln != nil, sl.busyEvict[m.line], func() bool { _, g := sl.gate[m.line]; return g }()))
 	}
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
@@ -642,15 +631,18 @@ func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 		ln.Owner[w] = 0
 	}
 	st.pending--
-	if st.pending == 0 {
-		delete(sl.evictCont, m.line)
-		sl.finishEvict(ln, st.cont)
+	if st.pending > 0 {
+		sl.evictCont[m.line] = st
+		return
 	}
+	delete(sl.evictCont, m.line)
+	sl.finishEvict(ln, st.then)
 }
 
 // finishEvict writes dirty words back to memory (dirty-words-only with
-// ValidateL2; the full line otherwise) and removes the line.
-func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
+// ValidateL2; the full line otherwise), removes the line and applies
+// then in the freed way.
+func (sl *l2Slice) finishEvict(ln *cache.Line, then lineOp) {
 	env := sl.env()
 	line := ln.Tag
 	var dirty uint16
@@ -660,13 +652,10 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 			dirty |= 1 << w
 			vals[w] = ln.Data[w]
 		}
-		env.Prof.L2Evict(ln.Inst[w])
-		if ln.MInst[w] != 0 {
-			env.Prof.MemRelease(ln.MInst[w], false)
-		}
 	}
+	env.Prof.Release(memsys.LineMask, waste.Evict, ln.Inst, ln.MInst, false)
 	if dirty != 0 {
-		msg := &msgMemWBPartial{line: line, mask: dirty, vals: vals}
+		msg := sl.sys.pool.memWB.New(msgMemWBPartial{line: line, mask: dirty, vals: vals})
 		mc := env.Cfg.MCTile(line)
 		nDirty := bits.OnesCount16(dirty)
 		clean := 0
@@ -692,7 +681,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 	// The waiting allocation claims the freed way synchronously BEFORE the
 	// gate releases queued operations, which could otherwise steal it and
 	// force a silent eviction of a line that is mid-recall.
-	cont()
+	then.apply(sl, true)
 	sl.unlockLine(line)
 }
 
@@ -701,12 +690,12 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 func (sl *l2Slice) handleBloomReq(m *dvnBloomReq) {
 	env := sl.env()
 	hops := sl.sys.Hops(sl.tile, m.from)
-	snap := sl.blooms.Snapshot(m.idx)
+	snap := sl.sys.snapshot(sl.blooms, m.idx)
 	// The snapshot payload is entries/8 bytes (64B for the paper's 512
 	// entries): one control flit plus the data flits it fills.
 	flits := 1 + memsys.DataFlits((snap.SizeBytes()+3)/4)
 	env.Traffic.Ctl(memsys.ClassOVH, memsys.BOvhBloom, flits, hops)
-	sl.sys.Send(sl.tile, m.from, flits, &dvnBloomResp{
+	sl.sys.Send(sl.tile, m.from, flits, sl.sys.pool.bloomResp.New(dvnBloomResp{
 		idx: m.idx, slice: sl.tile, snap: snap,
-	})
+	}))
 }

@@ -25,6 +25,29 @@ const (
 
 const lineWords = memsys.WordsPerLine
 
+// wordList is a message's list of word addresses, carried inline up to
+// twice a line's words: a request wants at most the Flex packet cap
+// (MaxDataWords) plus the critical word, which the default four-flit
+// packets keep inside that capacity; a longer list spills to the heap. A
+// record is filled through set and add only, never copied as a whole, so
+// its slice never points into another record.
+type wordList = inline[uint32]
+
+// inline is a list carried in its record up to 2*lineWords entries.
+type inline[T any] struct {
+	s   []T
+	buf [2 * lineWords]T
+}
+
+func (l *inline[T]) add(v T) {
+	if l.s == nil {
+		l.s = l.buf[:0]
+	}
+	l.s = append(l.s, v)
+}
+
+func (l *inline[T]) set(vs []T) { l.s = append(l.buf[:0], vs...) }
+
 // --- L1 -> home L2 ---
 
 // dvnLoadReq asks the home slice for a set of words. key is the critical
@@ -34,7 +57,7 @@ type dvnLoadReq struct {
 	key    uint32 // critical line
 	crit   uint32 // critical word address
 	from   int
-	wants  []uint32 // word addresses, critical word included
+	wants  wordList // word addresses, critical word included
 	bypass bool     // region is L2-response-bypassed
 	flex   bool     // region has a communication region and Flex is on
 	tIssue int64
@@ -67,13 +90,18 @@ type dvnWBAck struct {
 
 // --- home L2 -> L1 ---
 
+// dataWord is one word a dvnData delivers: its address, value and memory
+// instance.
+type dataWord struct {
+	addr, val uint32
+	minst     uint64
+}
+
 // dvnData delivers word values to a requesting L1 (from the L2 array, a
 // remote owner, or the memory controller).
 type dvnData struct {
 	key     uint32
-	words   []uint32 // word addresses
-	vals    []uint32
-	minsts  []uint64
+	words   inline[dataWord]
 	fromMem bool
 	tAtMC   int64
 	tDram   int64
@@ -84,20 +112,22 @@ type dvnData struct {
 // delivered (not on-chip and outside the memory fetch scope).
 type dvnDeny struct {
 	key   uint32
-	words []uint32
+	words wordList
 }
 
 // dvnFwdRead asks a registered owner to send words to the requestor.
 type dvnFwdRead struct {
 	key       uint32
 	requestor int
-	words     []uint32
+	words     wordList
 	tIssue    int64
 }
 
-// dvnInvalWord invalidates superseded copies at a previous registrant.
+// dvnInvalWord invalidates superseded copies of a line's words at a
+// previous registrant.
 type dvnInvalWord struct {
-	words []uint32
+	line uint32
+	mask uint16
 }
 
 // dvnRecall asks an owner to surrender registered words for an L2
@@ -130,7 +160,7 @@ type dvnNack struct {
 type dvnMemRead struct {
 	key       uint32
 	critLine  uint32
-	wants     []uint32
+	wants     wordList
 	noReturn  uint16
 	home      int
 	requestor int
@@ -160,6 +190,8 @@ type dvnBloomReq struct {
 	from int
 }
 
+// dvnBloomResp carries a filter snapshot, which the receiver merges into
+// its copy and recycles with the message.
 type dvnBloomResp struct {
 	idx   int
 	slice int
@@ -172,25 +204,49 @@ type dvnBloomResp struct {
 // tile; the coher substrate invokes Dispatch on delivery. Load requests,
 // registrations, writebacks and fills enter their slice's Deferred queue,
 // which runs the handler after the L2 access latency.
+//
+// A message has one owner at a time (coher.Pool): its sender, the mesh,
+// then the handler that consumes it. Most kinds go back to their pool
+// here, right after their handler; load requests go back after they were
+// served, registrations, writebacks and fills once their step on the line
+// completes (they can wait behind the line's gate and for a way), and
+// memory reads once the MC answered them.
 
-func (m *dvnData) Dispatch(s *System, tile int)       { s.l1s[tile].handleData(m) }
-func (m *dvnDeny) Dispatch(s *System, tile int)       { s.l1s[tile].handleDeny(m) }
-func (m *dvnFwdRead) Dispatch(s *System, tile int)    { s.l1s[tile].handleFwdRead(m) }
-func (m *dvnInvalWord) Dispatch(s *System, tile int)  { s.l1s[tile].handleInvalWord(m) }
-func (m *dvnRecall) Dispatch(s *System, tile int)     { s.l1s[tile].handleRecall(m) }
-func (m *dvnRegAck) Dispatch(s *System, tile int)     { s.l1s[tile].handleRegAck(m) }
-func (m *dvnWBAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleWBAck(m) }
-func (m *dvnNack) Dispatch(s *System, tile int)       { s.l1s[tile].handleNack(m) }
-func (m *dvnBloomResp) Dispatch(s *System, tile int)  { s.l1s[tile].handleBloomResp(m) }
-func (m *dvnLoadReq) Dispatch(s *System, tile int)    { s.l2s[tile].loadReqs.Add(m) }
-func (m *dvnRegister) Dispatch(s *System, tile int)   { s.l2s[tile].registers.Add(m) }
-func (m *dvnWB) Dispatch(s *System, tile int)         { s.l2s[tile].wbs.Add(m) }
-func (m *dvnRecallResp) Dispatch(s *System, tile int) { s.l2s[tile].handleRecallResp(m) }
-func (m *dvnL2Fill) Dispatch(s *System, tile int)     { s.l2s[tile].fills.Add(m) }
-func (m *dvnBloomReq) Dispatch(s *System, tile int)   { s.l2s[tile].handleBloomReq(m) }
-func (m *dvnMemRead) Dispatch(s *System, tile int)    { s.handleMemRead(tile, m) }
+func (m *dvnData) Dispatch(s *System, tile int) { s.l1s[tile].handleData(m); s.pool.data.Put(m) }
+func (m *dvnDeny) Dispatch(s *System, tile int) { s.l1s[tile].handleDeny(m); s.pool.deny.Put(m) }
+func (m *dvnFwdRead) Dispatch(s *System, tile int) {
+	s.l1s[tile].handleFwdRead(m)
+	s.pool.fwdRead.Put(m)
+}
+func (m *dvnInvalWord) Dispatch(s *System, tile int) {
+	s.l1s[tile].handleInvalWord(m)
+	s.pool.inval.Put(m)
+}
+func (m *dvnRecall) Dispatch(s *System, tile int) { s.l1s[tile].handleRecall(m); s.pool.recall.Put(m) }
+func (m *dvnRegAck) Dispatch(s *System, tile int) { s.l1s[tile].handleRegAck(m); s.pool.regAck.Put(m) }
+func (m *dvnWBAck) Dispatch(s *System, tile int)  { s.l1s[tile].handleWBAck(m); s.pool.wbAck.Put(m) }
+func (m *dvnNack) Dispatch(s *System, tile int)   { s.l1s[tile].handleNack(m); s.pool.nack.Put(m) }
+func (m *dvnBloomResp) Dispatch(s *System, tile int) {
+	s.l1s[tile].handleBloomResp(m)
+	s.snaps = append(s.snaps, m.snap)
+	s.pool.bloomResp.Put(m)
+}
+func (m *dvnLoadReq) Dispatch(s *System, tile int)  { s.l2s[tile].loadReqs.Add(m) }
+func (m *dvnRegister) Dispatch(s *System, tile int) { s.l2s[tile].ops.Add(m) }
+func (m *dvnWB) Dispatch(s *System, tile int)       { s.l2s[tile].ops.Add(m) }
+func (m *dvnL2Fill) Dispatch(s *System, tile int)   { s.l2s[tile].ops.Add(m) }
+func (m *dvnRecallResp) Dispatch(s *System, tile int) {
+	s.l2s[tile].handleRecallResp(m)
+	s.pool.recallResp.Put(m)
+}
+func (m *dvnBloomReq) Dispatch(s *System, tile int) {
+	s.l2s[tile].handleBloomReq(m)
+	s.pool.bloomReq.Put(m)
+}
+func (m *dvnMemRead) Dispatch(s *System, tile int) { s.handleMemRead(tile, m) }
 func (m *msgMemWBPartial) Dispatch(s *System, tile int) {
 	s.mc.Write(tile, m.line, m.mask, &m.vals)
+	s.pool.memWB.Put(m)
 }
 
 // Compile-time check that the whole vocabulary dispatches.
@@ -200,4 +256,29 @@ var _ = []coher.Msg[*System]{
 	(*dvnRecallResp)(nil), (*dvnRegAck)(nil), (*dvnWBAck)(nil), (*dvnNack)(nil),
 	(*dvnL2Fill)(nil), (*dvnBloomReq)(nil), (*dvnBloomResp)(nil),
 	(*dvnMemRead)(nil), (*msgMemWBPartial)(nil),
+}
+
+// pools holds one free list per message kind and per transaction record.
+type pools struct {
+	loadReq    coher.Pool[dvnLoadReq]
+	register   coher.Pool[dvnRegister]
+	regAck     coher.Pool[dvnRegAck]
+	wb         coher.Pool[dvnWB]
+	wbAck      coher.Pool[dvnWBAck]
+	data       coher.Pool[dvnData]
+	deny       coher.Pool[dvnDeny]
+	fwdRead    coher.Pool[dvnFwdRead]
+	inval      coher.Pool[dvnInvalWord]
+	recall     coher.Pool[dvnRecall]
+	recallResp coher.Pool[dvnRecallResp]
+	nack       coher.Pool[dvnNack]
+	memRead    coher.Pool[dvnMemRead]
+	fill       coher.Pool[dvnL2Fill]
+	bloomReq   coher.Pool[dvnBloomReq]
+	bloomResp  coher.Pool[dvnBloomResp]
+	memWB      coher.Pool[msgMemWBPartial]
+
+	mshr   coher.Pool[mshr]
+	victim coher.Pool[wbEntry]
+	gen    uint64 // last generation handed to an MSHR
 }

@@ -28,6 +28,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/bloom"
 	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/memsys"
@@ -59,12 +60,28 @@ type Options struct {
 // System is a complete DeNovo memory system over the coher substrate.
 type System struct {
 	coher.Substrate
-	opt Options
-	l1s []*l1Cache
-	l2s []*l2Slice
-	mc  coher.MemCtl[*dvnMemRead]
+	opt  Options
+	l1s  []*l1Cache
+	l2s  []*l2Slice
+	mc   coher.MemCtl[*dvnMemRead]
+	pool pools
 
-	memLines []uint32 // handleMemRead's line list, copied by mc.Read
+	memLines []uint32        // handleMemRead's line list, copied by mc.Read
+	snaps    []*bloom.Filter // Bloom snapshots free for the next copy response
+}
+
+// snapshot returns a copy of filter idx of bank for a Bloom-copy
+// response, in a recycled filter when one is free. The receiving L1
+// merges it and hands it back (dvnBloomResp.Dispatch).
+func (s *System) snapshot(bank *bloom.L2Bank, idx int) *bloom.Filter {
+	n := len(s.snaps)
+	if n == 0 {
+		return bank.Snapshot(idx)
+	}
+	f := s.snaps[n-1]
+	s.snaps = s.snaps[:n-1]
+	bank.SnapshotInto(idx, f)
+	return f
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -150,7 +167,7 @@ func (s *System) handleMemRead(tile int, m *dvnMemRead) {
 	lines := append(s.memLines[:0], m.critLine)
 	if m.flex {
 		critRow := s.rowOf(m.critLine)
-		for _, w := range m.wants {
+		for _, w := range m.wants.s {
 			ln := memsys.LineOf(w)
 			if !slices.Contains(lines, ln) && s.rowOf(ln) == critRow {
 				lines = append(lines, ln)
@@ -164,17 +181,12 @@ func (s *System) handleMemRead(tile int, m *dvnMemRead) {
 // memReadDone assembles and sends the responses once DRAM delivers: it
 // filters words dirty on chip, applies the Flex communication region
 // (dropping unsent words as Excess), and responds to the L1 and/or the
-// home L2.
+// home L2. The read is recycled here: the MC held it until now.
 func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDram int64) {
 	env := s.Env
-	// Words for the requestor travel in the response message; size their
-	// arrays once for every wanted word.
-	var words, vals []uint32
-	var minsts []uint64
+	var resp *dvnData // the requestor's words
 	if m.direct {
-		words = make([]uint32, 0, len(m.wants))
-		vals = make([]uint32, 0, len(m.wants))
-		minsts = make([]uint64, 0, len(m.wants))
+		resp = s.pool.data.New(dvnData{key: m.key, fromMem: true, tAtMC: tAtMC, tDram: tDram})
 	}
 	var fillBuf [4]*dvnL2Fill
 	fillOrder := fillBuf[:0]
@@ -182,7 +194,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 	for _, ln := range lines {
 		var fill *dvnL2Fill
 		if m.fillL2 {
-			fill = &dvnL2Fill{line: ln, class: m.class, tAtMC: tAtMC, tDram: tDram}
+			fill = s.pool.fill.New(dvnL2Fill{line: ln, class: m.class, tAtMC: tAtMC, tDram: tDram})
 			fillOrder = append(fillOrder, fill)
 		}
 		for w := 0; w < lineWords; w++ {
@@ -190,7 +202,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
 				continue // dirty on-chip: memory's copy is stale
 			}
-			wanted := slices.Contains(m.wants, a)
+			wanted := slices.Contains(m.wants.s, a)
 			sendL1 := wanted && m.direct
 			sendL2 := fill != nil && (!m.flex || wanted)
 			if !sendL1 && !sendL2 {
@@ -201,9 +213,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			}
 			mi := env.Prof.MemFetch(a, s.l2HasWord(a))
 			if sendL1 {
-				words = append(words, a)
-				vals = append(vals, env.MemRead(a))
-				minsts = append(minsts, mi)
+				resp.words.add(dataWord{addr: a, val: env.MemRead(a), minst: mi})
 			}
 			if sendL2 {
 				fill.mask |= 1 << w
@@ -215,20 +225,21 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 
 	if m.direct {
 		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-		s.SendData(tile, m.requestor, len(words), &dvnData{
-			key: m.key, words: words, vals: vals, minsts: minsts,
-			fromMem: true, tAtMC: tAtMC, tDram: tDram, hops: hops,
-		})
+		resp.hops = hops
+		s.SendData(tile, m.requestor, len(resp.words.s), resp)
 		// Deny wanted words on lines that were not fetched.
-		var denied []uint32
-		for _, w := range m.wants {
+		var deny *dvnDeny
+		for _, w := range m.wants.s {
 			if !slices.Contains(lines, memsys.LineOf(w)) {
-				denied = append(denied, w)
+				if deny == nil {
+					deny = s.pool.deny.New(dvnDeny{key: m.key})
+				}
+				deny.words.add(w)
 			}
 		}
-		if len(denied) > 0 {
+		if deny != nil {
 			env.Traffic.Ctl(m.class, memsys.BRespCtl, 1, hops)
-			s.Send(tile, m.requestor, 1, &dvnDeny{key: m.key, words: denied})
+			s.Send(tile, m.requestor, 1, deny)
 		}
 	}
 	for _, fill := range fillOrder {
@@ -238,6 +249,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 		fill.hops = hops
 		s.SendData(tile, m.home, bits.OnesCount16(fill.mask), fill)
 	}
+	s.pool.memRead.Put(m)
 }
 
 // CheckInvariants verifies protocol sanity at quiescence: every word

@@ -23,6 +23,9 @@ const (
 	LineBytes    = 64
 	WordsPerLine = LineBytes / WordBytes
 	LineShift    = 6
+
+	// LineMask has one bit per word of a line: a whole-line word mask.
+	LineMask uint16 = 1<<WordsPerLine - 1
 )
 
 // LineOf returns the line address (byte address >> LineShift) of addr.

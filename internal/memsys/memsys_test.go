@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,7 +139,7 @@ func TestRegionTableOverlapRejected(t *testing.T) {
 func TestCommWords(t *testing.T) {
 	r := Region{ID: 1, Base: 0, Size: 1024, StrideWords: 8, CommOffsets: []uint16{0, 2, 5}}
 	// addr 100 -> element 3 (bytes 96..127): words 96, 104, 116.
-	got := r.CommWords(100)
+	got := r.CommWords(nil, 100)
 	want := []uint32{96, 104, 116}
 	if len(got) != len(want) {
 		t.Fatalf("CommWords = %v", got)
@@ -148,9 +149,13 @@ func TestCommWords(t *testing.T) {
 			t.Fatalf("CommWords = %v, want %v", got, want)
 		}
 	}
+	// The words are appended after what the caller's buffer holds.
+	if got := r.CommWords([]uint32{7}, 100); !slices.Equal(got, []uint32{7, 96, 104, 116}) {
+		t.Fatalf("CommWords after a prefix = %v", got)
+	}
 	// Unstructured region: just the word itself.
 	u := Region{ID: 2, Base: 0, Size: 64}
-	if g := u.CommWords(9); len(g) != 1 || g[0] != 8 {
+	if g := u.CommWords(nil, 9); len(g) != 1 || g[0] != 8 {
 		t.Fatalf("unstructured CommWords = %v", g)
 	}
 }
@@ -158,7 +163,7 @@ func TestCommWords(t *testing.T) {
 func TestCommWordsClipped(t *testing.T) {
 	r := Region{ID: 1, Base: 0, Size: 40, StrideWords: 8, CommOffsets: []uint16{0, 7}}
 	// Element 1 starts at byte 32; offset 7 would be byte 60, outside Size 40.
-	got := r.CommWords(36)
+	got := r.CommWords(nil, 36)
 	if len(got) != 1 || got[0] != 32 {
 		t.Fatalf("clipped CommWords = %v", got)
 	}

@@ -49,17 +49,17 @@ type Region struct {
 // Contains reports whether addr falls inside the region.
 func (r *Region) Contains(addr uint32) bool { return addr >= r.Base && addr < r.Base+r.Size }
 
-// CommWords returns the word-aligned byte addresses of the communication
-// region covering addr: the annotated field offsets of the element that
-// contains addr, clipped to the region. With no structure it returns just
-// addr's word.
-func (r *Region) CommWords(addr uint32) []uint32 {
+// CommWords appends to out the word-aligned byte addresses of the
+// communication region covering addr: the annotated field offsets of the
+// element that contains addr, clipped to the region. With no structure it
+// appends just addr's word. Callers pass a buffer they own, so the lookup
+// allocates nothing once it has grown.
+func (r *Region) CommWords(out []uint32, addr uint32) []uint32 {
 	if r.StrideWords == 0 || len(r.CommOffsets) == 0 {
-		return []uint32{WordAddr(addr)}
+		return append(out, WordAddr(addr))
 	}
 	strideBytes := uint32(r.StrideWords) * WordBytes
 	elem := r.Base + (addr-r.Base)/strideBytes*strideBytes
-	out := make([]uint32, 0, len(r.CommOffsets))
 	for _, off := range r.CommOffsets {
 		w := elem + uint32(off)*WordBytes
 		if w < r.Base+r.Size {

@@ -1,6 +1,10 @@
 package memsys
 
-import "repro/internal/waste"
+import (
+	"math/bits"
+
+	"repro/internal/waste"
+)
 
 // Class is the top-level traffic category of Figure 5.1a.
 type Class uint8
@@ -141,6 +145,25 @@ func (t *Traffic) Data(class Class, hops int, insts []uint64) {
 	for _, id := range insts {
 		t.prof.SetTraffic(id, uint8(class), share)
 	}
+	t.filler(class, hops, words)
+}
+
+// Fill records the data flits of a response that fills the words of mask
+// of one cache line at level (L1 or L2) over hops links, like Data: the
+// words' waste instances are created with their share attached, once
+// per line (waste.Profiler.Fill, which also documents present, inst,
+// minst and ref), and the unfilled remainder of the last data flit goes
+// to Resp Ctl.
+func (t *Traffic) Fill(class Class, hops int, level waste.Level, line uint32, mask, present uint16, inst, minst []uint64, ref bool) {
+	t.prof.Fill(level, line<<LineShift, mask, present, uint8(class), float64(hops)/4, inst, minst, ref)
+	if words := bits.OnesCount16(mask); words != 0 && hops != 0 {
+		t.filler(class, hops, words)
+	}
+}
+
+// filler charges the unfilled remainder of a response's last data flit
+// to Resp Ctl.
+func (t *Traffic) filler(class Class, hops, words int) {
 	if !t.enabled {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/memsys"
+	"repro/internal/waste"
 )
 
 // maxStoreTxns bounds how many distinct lines a core's store buffer can be
@@ -21,8 +22,10 @@ type loadWaiter struct {
 	done func(val uint32, s memsys.Sample)
 }
 
-// mshr tracks one outstanding L1 transaction for a line.
+// mshr tracks one outstanding L1 transaction for a line. It is recycled
+// when the fill completes, the same moment it leaves the MSHR table.
 type mshr struct {
+	gen     uint64 // names this transaction: a record reused for another gets a new gen
 	line    uint32
 	isStore bool // GetX/Upgrade for the store buffer
 	upgrade bool // issued as an Upgrade (may convert to GetX on retry)
@@ -46,8 +49,10 @@ type mshr struct {
 }
 
 // wbEntry is a victim buffer entry: an evicted line awaiting its
-// writeback acknowledgement. It can still service forwarded requests.
+// writeback acknowledgement. It can still service forwarded requests. It
+// is recycled when it leaves the victim buffer.
 type wbEntry struct {
+	gen     uint64 // names this occupancy, like mshr.gen
 	line    uint32
 	dirty   bool
 	aborted bool // ownership moved away; stop retrying
@@ -65,6 +70,15 @@ type l1Cache struct {
 	mshrs coher.Table[mshr]
 	wbBuf coher.Table[wbEntry]
 
+	// Retries wait out a backoff here: loads of a line still in the
+	// victim buffer, fills whose set has every way pinned by an upgrade,
+	// and NACKed puts and requests. A retried MSHR or victim-buffer entry
+	// is named with its gen, so a record recycled meanwhile is skipped.
+	loadRetry coher.Deferred[coher.Load]
+	fillRetry coher.Deferred[mshrRef]
+	putRetry  coher.Deferred[wbRef]
+	nackRetry coher.Deferred[mshrRef]
+
 	sb           coher.StoreBuffer
 	storeTxns    int
 	storeUnstall func()
@@ -81,10 +95,53 @@ func newL1(s *System, tile int) *l1Cache {
 		wbBuf: coher.NewTable[wbEntry](),
 		sb:    coher.NewStoreBuffer(cfg.StoreBufferEntries),
 	}
-	l.loads = coher.NewDeferred(s.Env.K, cfg.L1Latency, func(ld coher.Load) {
-		l.loadAttempt(ld.Addr, s.Env.K.Now(), ld.Done)
+	k := s.Env.K
+	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, k.Now(), ld.Done)
 	})
+	l.loadRetry = coher.NewDeferred(k, cfg.RetryBackoff, func(ld coher.Load) {
+		l.loadAttempt(ld.Addr, ld.Issue, ld.Done)
+	})
+	l.fillRetry = coher.NewDeferred(k, cfg.RetryBackoff, func(r mshrRef) {
+		if r.ms.gen == r.gen {
+			l.tryCompleteFill(r.ms)
+		}
+	})
+	l.putRetry = coher.NewDeferred(k, cfg.RetryBackoff, func(r wbRef) {
+		if r.wb.gen == r.gen {
+			l.sendPut(r.wb)
+		}
+	})
+	l.nackRetry = coher.NewDeferred(k, s.NackDelay(tile), l.retryNacked)
 	return l
+}
+
+// mshrRef names one transaction of a recycled MSHR record.
+type mshrRef struct {
+	ms  *mshr
+	gen uint64
+}
+
+// wbRef names one occupancy of a recycled victim-buffer record.
+type wbRef struct {
+	wb  *wbEntry
+	gen uint64
+}
+
+// newMSHR opens a transaction for line.
+func (l *l1Cache) newMSHR(line uint32, isStore bool, tIssue int64) *mshr {
+	p := &l.sys.pool
+	p.gen++
+	m := p.mshr.New(mshr{gen: p.gen, line: line, isStore: isStore, tIssue: tIssue})
+	m.loadWaiters = m.waitBuf[:0]
+	l.mshrs.Put(line, m)
+	return m
+}
+
+// dropWB removes a victim-buffer entry and recycles it.
+func (l *l1Cache) dropWB(wb *wbEntry) {
+	l.wbBuf.Delete(wb.line)
+	l.sys.pool.wb.Put(wb)
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
@@ -109,22 +166,21 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	// A line being written back cannot be re-read until the writeback is
 	// acknowledged; retry shortly.
 	if l.wbBuf.Has(line) {
-		l.sys.RetryAfter(func() { l.loadAttempt(addr, tIssue, done) })
+		l.loadRetry.Add(coher.Load{Addr: addr, Issue: tIssue, Done: done})
 		return
 	}
 	if m := l.mshrs.Get(line); m != nil {
 		m.loadWaiters = append(m.loadWaiters, loadWaiter{w, done})
 		return
 	}
-	m := &mshr{line: line, tIssue: tIssue}
-	m.loadWaiters = append(m.waitBuf[:0], loadWaiter{w, done})
-	l.mshrs.Put(line, m)
+	m := l.newMSHR(line, false, tIssue)
+	m.loadWaiters = append(m.loadWaiters, loadWaiter{w, done})
 	l.sendGetS(m)
 }
 
 func (l *l1Cache) sendGetS(m *mshr) {
 	home := l.env().Cfg.HomeTile(m.line)
-	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, &msgGetS{line: m.line, from: l.tile})
+	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, l.sys.pool.getS.New(msgGetS{line: m.line, from: l.tile}))
 }
 
 // storePush enqueues a non-blocking write; false when the buffer is full.
@@ -166,12 +222,10 @@ func (l *l1Cache) pumpStores() {
 			break
 		}
 		l.storeTxns++
-		m := &mshr{line: line, isStore: true, tIssue: env.K.Now()}
-		l.mshrs.Put(line, m)
+		m := l.newMSHR(line, true, env.K.Now())
 		if ln := l.c.Lookup(line); ln != nil && ln.State == stS {
 			m.upgrade = true
-			home := env.Cfg.HomeTile(line)
-			l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, &msgUpgrade{line: line, from: l.tile})
+			l.sendUpgrade(line)
 		} else {
 			l.sendGetX(m)
 		}
@@ -182,7 +236,12 @@ func (l *l1Cache) pumpStores() {
 func (l *l1Cache) sendGetX(m *mshr) {
 	m.upgrade = false
 	home := l.env().Cfg.HomeTile(m.line)
-	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, &msgGetX{line: m.line, from: l.tile})
+	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, l.sys.pool.getX.New(msgGetX{line: m.line, from: l.tile}))
+}
+
+func (l *l1Cache) sendUpgrade(line uint32) {
+	home := l.env().Cfg.HomeTile(line)
+	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, l.sys.pool.upgrade.New(msgUpgrade{line: line, from: l.tile}))
 }
 
 // applyStores retires every buffered write targeting a line the core now
@@ -270,7 +329,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 	if !ms.upgrade && !l.canAllocate(ms.line) {
 		// Every way is held by an in-flight upgrade; retry the fill once
 		// those transactions finish.
-		l.sys.RetryAfter(func() { l.tryCompleteFill(ms) })
+		l.fillRetry.Add(mshrRef{ms, ms.gen})
 		return
 	}
 	l.mshrs.Delete(ms.line)
@@ -285,19 +344,9 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 	} else {
 		ln = l.allocate(ms.line)
 		ln.State = ms.state
-		insts := make([]uint64, lineWords)
-		for w := 0; w < lineWords; w++ {
-			a := memsys.AddrOf(ms.line, w)
-			ln.Data[w] = ms.data[w]
-			ln.MInst[w] = ms.minst[w]
-			id := env.Prof.L1Arrival(a, false)
-			ln.Inst[w] = id
-			insts[w] = id
-			if !ms.transfer {
-				env.Prof.MemAddRef(ms.minst[w])
-			}
-		}
-		env.Traffic.Data(ms.class, ms.hopsIn, insts)
+		copy(ln.Data, ms.data[:])
+		copy(ln.MInst, ms.minst[:])
+		env.Traffic.Fill(ms.class, ms.hopsIn, waste.LevelL1, ms.line, memsys.LineMask, 0, ln.Inst, ln.MInst, !ms.transfer)
 	}
 
 	// Directory unblock. MMemL1 load fills from memory carry the data to
@@ -305,12 +354,12 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 	home := env.Cfg.HomeTile(ms.line)
 	if l.sys.opt.MemToL1 && ms.fromMem && !ms.isStore {
 		hops := l.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, l.tile, home)
-		l.sys.SendData(l.tile, home, lineWords, &msgUnblock{
+		l.sys.SendData(l.tile, home, lineWords, l.sys.pool.unblock.New(msgUnblock{
 			line: ms.line, from: l.tile, withData: true,
 			data: ms.data, minst: ms.minst, hops: hops,
-		})
+		}))
 	} else {
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhUnblock, l.tile, home, &msgUnblock{line: ms.line, from: l.tile})
+		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhUnblock, l.tile, home, l.sys.pool.unblock.New(msgUnblock{line: ms.line, from: l.tile}))
 	}
 
 	sample := memsys.Sample{Point: memsys.PointOnChip}
@@ -332,10 +381,10 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 		l.applyStores(ln)
 		l.pumpStores()
 	}
+	l.sys.pool.mshr.Put(ms)
 }
 
 func (l *l1Cache) handleNack(m *msgNack) {
-	env := l.env()
 	if m.isPut {
 		wb := l.wbBuf.Get(m.line)
 		if wb == nil {
@@ -344,51 +393,55 @@ func (l *l1Cache) handleNack(m *msgNack) {
 		if wb.aborted {
 			// Ownership moved while the put was in flight; nothing to
 			// retry and no ack will come for the stale put.
-			l.wbBuf.Delete(m.line)
+			l.dropWB(wb)
 			l.pumpStores()
 			return
 		}
-		l.sys.RetryAfter(func() { l.sendPut(wb) })
+		l.putRetry.Add(wbRef{wb, wb.gen})
 		return
 	}
 	ms := l.mshrs.Get(m.line)
 	if ms == nil {
 		return // transaction already satisfied (stale NACK)
 	}
-	l.sys.NackBackoff(m.from, l.tile, func() {
-		if l.mshrs.Get(m.line) != ms {
+	l.sys.ChargeNack(m.from, l.tile)
+	l.nackRetry.Add(mshrRef{ms, ms.gen})
+}
+
+// retryNacked reissues a NACKed request once its backoff has passed,
+// unless its transaction has finished meanwhile.
+func (l *l1Cache) retryNacked(r mshrRef) {
+	ms := r.ms
+	if ms.gen != r.gen {
+		return
+	}
+	if !ms.isStore {
+		l.sendGetS(ms)
+		return
+	}
+	// A NACKed upgrade retries as an upgrade only while the S copy
+	// survives; otherwise it converts to a full GetX.
+	if ms.upgrade {
+		if ln := l.c.Lookup(ms.line); ln != nil && ln.State == stS {
+			l.sendUpgrade(ms.line)
 			return
 		}
-		if !ms.isStore {
-			l.sendGetS(ms)
-			return
-		}
-		// A NACKed upgrade retries as an upgrade only while the S copy
-		// survives; otherwise it converts to a full GetX.
-		if ms.upgrade {
-			if ln := l.c.Lookup(m.line); ln != nil && ln.State == stS {
-				home := env.Cfg.HomeTile(m.line)
-				l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, &msgUpgrade{line: m.line, from: l.tile})
-				return
-			}
-		}
-		l.sendGetX(ms)
-	})
+	}
+	l.sendGetX(ms)
 }
 
 // handleInv invalidates this L1's shared copy and acknowledges.
 func (l *l1Cache) handleInv(m *msgInv) {
-	env := l.env()
 	if ln := l.c.Lookup(m.line); ln != nil {
-		coher.ReleaseL1Line(env, ln, false, true)
+		l.env().Prof.Release(memsys.LineMask, waste.Invalidate, ln.Inst, ln.MInst, true)
 		l.c.Remove(ln)
 	}
 	if m.toL2 {
 		// L2-eviction invalidation: acknowledge the home slice.
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, &msgRecallResp{line: m.line, from: l.tile})
+		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, l.sys.pool.recallResp.New(msgRecallResp{line: m.line, from: l.tile}))
 		return
 	}
-	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, &msgInvAck{line: m.line, from: l.tile})
+	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, l.sys.pool.invAck.New(msgInvAck{line: m.line, from: l.tile}))
 }
 
 // handleFwd services a forwarded GetS/GetX as the owner.
@@ -405,10 +458,9 @@ func (l *l1Cache) handleFwd(m *msgFwd) {
 		data, wmask = coher.SnapshotData(ln), coher.DirtyMask(ln, wDirty)
 		minst = coher.SnapshotMInst(ln)
 		if m.excl {
-			// Ownership transfer: local copy conceptually moves.
-			for w := 0; w < lineWords; w++ {
-				env.Prof.L1Invalidate(ln.Inst[w])
-			}
+			// Ownership transfer: local copy conceptually moves, memory
+			// instances and all.
+			env.Prof.Release(memsys.LineMask, waste.Invalidate, ln.Inst, nil, false)
 			l.c.Remove(ln)
 		} else {
 			ln.State = stS
@@ -429,32 +481,32 @@ func (l *l1Cache) handleFwd(m *msgFwd) {
 	if m.excl {
 		st = stM
 	}
-	l.sys.SendData(l.tile, m.requestor, lineWords, &msgData{
+	l.sys.SendData(l.tile, m.requestor, lineWords, l.sys.pool.data.New(msgData{
 		line: m.line, state: st, data: data, minst: minst,
 		transfer: m.excl, tIssue: m.tIssue, hops: hops, class: class,
-	})
+	}))
 	if !m.excl {
 		// Downgrade writeback carries the (possibly dirty) data to the L2.
 		home := env.Cfg.HomeTile(m.line)
 		dirty := bits.OnesCount16(wmask)
 		h2 := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
 		env.Traffic.WBData(false, h2, dirty, lineWords-dirty)
-		l.sys.SendData(l.tile, home, lineWords, &msgDowngradeWB{
+		l.sys.SendData(l.tile, home, lineWords, l.sys.pool.downgradeWB.New(msgDowngradeWB{
 			line: m.line, from: l.tile, data: data, wmask: wmask,
-		})
+		}))
 	}
 }
 
 // handleRecall surrenders a line for an inclusive L2 eviction.
 func (l *l1Cache) handleRecall(m *msgRecall) {
 	env := l.env()
-	resp := &msgRecallResp{line: m.line, from: l.tile}
+	resp := l.sys.pool.recallResp.New(msgRecallResp{line: m.line, from: l.tile})
 	if ln := l.c.Lookup(m.line); ln != nil {
 		if ln.State == stM {
 			resp.hasData = true
 			resp.data, resp.wmask = coher.SnapshotData(ln), coher.DirtyMask(ln, wDirty)
 		}
-		coher.ReleaseL1Line(env, ln, false, true)
+		env.Prof.Release(memsys.LineMask, waste.Invalidate, ln.Inst, ln.MInst, true)
 		l.c.Remove(ln)
 	} else if wb := l.wbBuf.Get(m.line); wb != nil {
 		if wb.dirty {
@@ -475,7 +527,9 @@ func (l *l1Cache) handleRecall(m *msgRecall) {
 }
 
 func (l *l1Cache) handleWBAck(m *msgWBAck) {
-	l.wbBuf.Delete(m.line)
+	if wb := l.wbBuf.Get(m.line); wb != nil {
+		l.dropWB(wb)
+	}
 	l.pumpStores() // lines blocked on the victim buffer can proceed now
 }
 
@@ -499,10 +553,14 @@ func (l *l1Cache) allocate(line uint32) *cache.Line {
 	})
 	if victim.Valid {
 		vline := victim.Tag
-		wb := &wbEntry{line: vline, dirty: victim.State == stM}
-		wb.data, wb.wmask = coher.SnapshotData(victim), coher.DirtyMask(victim, wDirty)
-		wb.minst = coher.SnapshotMInst(victim)
-		coher.ReleaseL1Line(env, victim, true, false)
+		p := &l.sys.pool
+		p.gen++
+		wb := p.wb.New(wbEntry{
+			gen: p.gen, line: vline, dirty: victim.State == stM,
+			data: coher.SnapshotData(victim), wmask: coher.DirtyMask(victim, wDirty),
+			minst: coher.SnapshotMInst(victim),
+		})
+		env.Prof.Release(memsys.LineMask, waste.Evict, victim.Inst, victim.MInst, false)
 		l.c.Remove(victim)
 		l.wbBuf.Put(vline, wb)
 		l.sendPut(wb)
@@ -512,12 +570,12 @@ func (l *l1Cache) allocate(line uint32) *cache.Line {
 
 func (l *l1Cache) sendPut(wb *wbEntry) {
 	if wb.aborted {
-		l.wbBuf.Delete(wb.line)
+		l.dropWB(wb)
 		return
 	}
 	env := l.env()
 	home := env.Cfg.HomeTile(wb.line)
-	msg := &msgPut{line: wb.line, from: l.tile, dirty: wb.dirty}
+	msg := l.sys.pool.put.New(msgPut{line: wb.line, from: l.tile, dirty: wb.dirty})
 	if wb.dirty {
 		msg.data, msg.wmask, msg.minst = wb.data, wb.wmask, wb.minst
 		dirty := bits.OnesCount16(wb.wmask)

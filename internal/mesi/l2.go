@@ -9,6 +9,7 @@ import (
 	"repro/internal/coher"
 	"repro/internal/memsys"
 	"repro/internal/mesh"
+	"repro/internal/waste"
 )
 
 // Transaction kinds at the directory.
@@ -34,12 +35,14 @@ type txn struct {
 
 	// Eviction sub-state.
 	pendingAcks int
-	cont        func() // continuation after the eviction finishes
+	then        wayWaiter // the step waiting for the way this eviction frees
 }
 
 // dirEntry is the directory state for a line. An entry exists while the
-// line is resident in the L2 array and/or has a transaction in flight.
+// line is resident in the L2 array and/or has a transaction in flight; it
+// is recycled when it leaves the directory.
 type dirEntry struct {
+	line    uint32
 	owner   int16 // owning L1 tile (E or M), -1 if none
 	sharers sharerSet
 	hasData bool // L2 data array holds valid data (false for MMemL1 store fills)
@@ -86,6 +89,22 @@ func (s sharerSet) all() iter.Seq[int] {
 	}
 }
 
+// wayWaiter is an L2 step that needs a free way in its line's set: a
+// fetch about to read memory (its directory entry), or memory data or an
+// MMemL1 load's data unblock about to be installed (the message). It
+// waits through evictions and retries as itself, without a closure.
+type wayWaiter interface {
+	wayLine() uint32
+	wayFree(sl *l2Slice) // runs once the set has a free way
+}
+
+func (e *dirEntry) wayLine() uint32       { return e.line }
+func (e *dirEntry) wayFree(sl *l2Slice)   { sl.sendMemRead(e) }
+func (m *msgMemData) wayLine() uint32     { return m.line }
+func (m *msgMemData) wayFree(sl *l2Slice) { sl.fillFromMem(m) }
+func (m *msgUnblock) wayLine() uint32     { return m.line }
+func (m *msgUnblock) wayFree(sl *l2Slice) { sl.fillFromUnblock(m) }
+
 // begin starts a transaction on the entry. The directory is blocking, so
 // an entry has at most one in flight and its record lives in the entry.
 func (e *dirEntry) begin(t txn) {
@@ -106,6 +125,8 @@ type l2Slice struct {
 	upgrade coher.Deferred[*msgUpgrade]
 	memData coher.Deferred[*msgMemData]
 	put     coher.Deferred[*msgPut]
+
+	wayRetry coher.Deferred[wayWaiter] // steps whose set has every way busy
 }
 
 func newL2(s *System, tile int) *l2Slice {
@@ -116,12 +137,13 @@ func newL2(s *System, tile int) *l2Slice {
 		c:    cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
 		dir:  make(map[uint32]*dirEntry),
 	}
-	k, lat := s.Env.K, cfg.L2Latency
-	sl.getS = coher.NewDeferred(k, lat, sl.handleGetS)
-	sl.getX = coher.NewDeferred(k, lat, sl.handleGetX)
-	sl.upgrade = coher.NewDeferred(k, lat, sl.handleUpgrade)
+	k, lat, p := s.Env.K, cfg.L2Latency, &s.pool
+	sl.getS = coher.NewDeferred(k, lat, func(m *msgGetS) { sl.handleGetS(m); p.getS.Put(m) })
+	sl.getX = coher.NewDeferred(k, lat, func(m *msgGetX) { sl.handleGetX(m); p.getX.Put(m) })
+	sl.upgrade = coher.NewDeferred(k, lat, func(m *msgUpgrade) { sl.handleUpgrade(m); p.upgrade.Put(m) })
 	sl.memData = coher.NewDeferred(k, lat, sl.handleMemData)
-	sl.put = coher.NewDeferred(k, lat, sl.handlePut)
+	sl.put = coher.NewDeferred(k, lat, func(m *msgPut) { sl.handlePut(m); p.put.Put(m) })
+	sl.wayRetry = coher.NewDeferred(k, cfg.RetryBackoff, sl.ensureWay)
 	return sl
 }
 
@@ -130,15 +152,21 @@ func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 func (sl *l2Slice) entry(line uint32) *dirEntry {
 	e := sl.dir[line]
 	if e == nil {
-		e = &dirEntry{owner: -1}
+		e = sl.sys.pool.dir.New(dirEntry{line: line, owner: -1})
 		sl.dir[line] = e
 	}
 	return e
 }
 
+// dropEntry removes line's directory entry and recycles it.
+func (sl *l2Slice) dropEntry(e *dirEntry) {
+	delete(sl.dir, e.line)
+	sl.sys.pool.dir.Put(e)
+}
+
 func (sl *l2Slice) nack(line uint32, to int, isStore, isPut bool) {
 	sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, to,
-		&msgNack{line: line, from: sl.tile, isStore: isStore, isPut: isPut})
+		sl.sys.pool.nack.New(msgNack{line: line, from: sl.tile, isStore: isStore, isPut: isPut}))
 }
 
 // --- request handlers ---
@@ -157,7 +185,7 @@ func (sl *l2Slice) handleGetS(m *msgGetS) {
 		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassLD,
 			needUnblock: true, needDowngrade: true})
 		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, int(e.owner),
-			&msgFwd{line: m.line, requestor: m.from})
+			sl.sys.pool.fwd.New(msgFwd{line: m.line, requestor: m.from}))
 	default:
 		grant := stS
 		if e.sharers.empty() {
@@ -184,7 +212,7 @@ func (sl *l2Slice) handleGetX(m *msgGetX) {
 		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassST,
 			isStore: true, needUnblock: true})
 		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner),
-			&msgFwd{line: m.line, requestor: m.from, excl: true})
+			sl.sys.pool.fwd.New(msgFwd{line: m.line, requestor: m.from, excl: true}))
 		e.owner = int16(m.from)
 	default:
 		others := e.sharers
@@ -214,7 +242,7 @@ func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
 	e.begin(txn{kind: txHit, requestor: m.from, class: memsys.ClassST,
 		isStore: true, needUnblock: true})
 	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
-		&msgUpgAck{line: m.line, acks: acks})
+		sl.sys.pool.upgAck.New(msgUpgAck{line: m.line, acks: acks}))
 	if ln := sl.c.Lookup(m.line); ln != nil {
 		sl.c.Touch(ln)
 	}
@@ -234,16 +262,16 @@ func (sl *l2Slice) serveFromL2(ln *cache.Line, e *dirEntry, to int, class memsys
 	}
 	sl.c.Touch(ln)
 	hops := sl.sys.CtlHops(class, memsys.BRespCtl, sl.tile, to)
-	sl.sys.SendData(sl.tile, to, lineWords, &msgData{
+	sl.sys.SendData(sl.tile, to, lineWords, sl.sys.pool.data.New(msgData{
 		line: ln.Tag, state: grant, acks: acks, data: data, minst: minst,
 		hops: hops, class: class,
-	})
+	}))
 }
 
 func (sl *l2Slice) sendInvs(line uint32, sharers sharerSet, ackTo int, toL2 bool) {
 	for t := range sharers.all() {
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, t,
-			&msgInv{line: line, ackTo: ackTo, toL2: toL2})
+			sl.sys.pool.inv.New(msgInv{line: line, ackTo: ackTo, toL2: toL2}))
 	}
 }
 
@@ -254,44 +282,50 @@ func (sl *l2Slice) startFetch(line uint32, requestor int, class memsys.Class, gr
 	e := sl.entry(line)
 	e.begin(txn{kind: txFetch, requestor: requestor, class: class, grant: grant,
 		isStore: isStore, needUnblock: true, tIssue: env.K.Now()})
-	sl.ensureWay(line, func() {
-		mc := env.Cfg.MCTile(line)
-		sl.sys.SendCtl(class, memsys.BReqCtl, sl.tile, mc, &msgMemRead{
-			line: line, home: sl.tile, requestor: requestor, grant: grant,
-			class: class, direct: sl.sys.opt.MemToL1, tIssue: e.busy.tIssue,
-		})
-	})
+	sl.ensureWay(e)
 }
 
-// ensureWay guarantees the set of line has a free way, evicting an
-// unbusied victim first if necessary, then calls cont.
-func (sl *l2Slice) ensureWay(line uint32, cont func()) {
-	victim := sl.c.VictimWhere(line, func(l *cache.Line) bool {
+// sendMemRead sends a fetch's read to the memory controller once its set
+// has a way for the line.
+func (sl *l2Slice) sendMemRead(e *dirEntry) {
+	t := e.busy
+	mc := sl.env().Cfg.MCTile(e.line)
+	sl.sys.SendCtl(t.class, memsys.BReqCtl, sl.tile, mc, sl.sys.pool.memRead.New(msgMemRead{
+		line: e.line, home: sl.tile, requestor: t.requestor, grant: t.grant,
+		class: t.class, direct: sl.sys.opt.MemToL1, tIssue: t.tIssue,
+	}))
+}
+
+// ensureWay guarantees the set of w's line has a free way, evicting an
+// unbusied victim first if necessary, then runs w.
+func (sl *l2Slice) ensureWay(w wayWaiter) {
+	victim := sl.c.VictimWhere(w.wayLine(), func(l *cache.Line) bool {
 		ve := sl.dir[l.Tag]
 		return ve == nil || ve.busy == nil
 	})
 	if victim == nil {
 		// Every way is mid-transaction; retry shortly.
-		sl.sys.RetryAfter(func() { sl.ensureWay(line, cont) })
+		sl.wayRetry.Add(w)
 		return
 	}
 	if !victim.Valid {
-		cont()
+		w.wayFree(sl)
 		return
 	}
-	sl.evictLine(victim, func() { sl.ensureWay(line, cont) })
+	sl.evictLine(victim, w)
 }
 
 // evictLine removes a resident line to make room, recalling or
-// invalidating L1 copies first (inclusive L2).
-func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
+// invalidating L1 copies first (inclusive L2); then w tries for a way
+// again.
+func (sl *l2Slice) evictLine(ln *cache.Line, w wayWaiter) {
 	line := ln.Tag
 	e := sl.entry(line)
-	e.begin(txn{kind: txEvict, cont: cont})
+	e.begin(txn{kind: txEvict, then: w})
 	switch {
 	case e.owner >= 0:
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, int(e.owner),
-			&msgRecall{line: line})
+			sl.sys.pool.recall.New(msgRecall{line: line}))
 	case !e.sharers.empty():
 		e.busy.pendingAcks = e.sharers.count()
 		sl.sendInvs(line, e.sharers, sl.tile, true)
@@ -330,7 +364,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 	line := ln.Tag
 	dirtyMask := coher.DirtyMask(ln, wDirty)
 	data := coher.SnapshotData(ln)
-	coher.ReleaseL2Line(env, ln)
+	env.Prof.Release(memsys.LineMask, waste.Evict, ln.Inst, ln.MInst, false)
 	if dirtyMask != 0 {
 		// MESI always writes the full 64B line back to memory; the clean
 		// words are the Mem Waste of Figure 5.1d.
@@ -338,15 +372,15 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 		dirty := bits.OnesCount16(dirtyMask)
 		hops := sl.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, sl.tile, mc)
 		env.Traffic.WBData(true, hops, dirty, lineWords-dirty)
-		sl.sys.SendData(sl.tile, mc, lineWords, &msgMemWB{
-			line: line, data: data, wmask: 0xffff,
-		})
+		sl.sys.SendData(sl.tile, mc, lineWords, sl.sys.pool.memWB.New(msgMemWB{
+			line: line, data: data, wmask: memsys.LineMask,
+		}))
 	}
 	sl.c.Remove(ln)
-	cont := e.busy.cont
-	delete(sl.dir, line)
-	if cont != nil {
-		cont()
+	then := e.busy.then
+	sl.dropEntry(e)
+	if then != nil {
+		sl.ensureWay(then)
 	}
 }
 
@@ -356,37 +390,41 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 // line to the requestor. The fill-forward is the L1's copy; the L2 copy's
 // usefulness is decided by later reuse, so no Used marking happens here.
 func (sl *l2Slice) handleMemData(m *msgMemData) {
-	env := sl.env()
 	e := sl.dir[m.line]
 	if e == nil || e.busy == nil || e.busy.kind != txFetch {
 		panic(fmt.Sprintf("mesi: memory data without fetch txn for line %#x", m.line))
 	}
-	sl.ensureWay(m.line, func() {
-		ln := sl.c.Allocate(m.line)
-		insts := make([]uint64, lineWords)
-		for w := 0; w < lineWords; w++ {
-			a := memsys.AddrOf(m.line, w)
-			ln.Data[w] = m.data[w]
-			ln.MInst[w] = m.minst[w]
-			id := env.Prof.L2Arrival(a, false)
-			ln.Inst[w] = id
-			insts[w] = id
-			env.Prof.MemAddRef(m.minst[w])
-		}
-		env.Traffic.Data(m.class, m.hops, insts)
-		e.hasData = true
-		if m.grant == stE || m.grant == stM {
-			e.owner = int16(m.req)
-		} else {
-			e.sharers.add(m.req)
-		}
-		hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
-		sl.sys.SendData(sl.tile, m.req, lineWords, &msgData{
-			line: m.line, state: m.grant, data: m.data, minst: m.minst,
-			fromMem: true, tIssue: m.tIssue, tAtMC: m.tAtMC, tDram: m.tDram,
-			hops: hops, class: m.class,
-		})
-	})
+	sl.ensureWay(m)
+}
+
+// fillFromMem installs memory data once its set has a way, forwards the
+// line to the requestor, and recycles the message.
+func (sl *l2Slice) fillFromMem(m *msgMemData) {
+	e := sl.dir[m.line]
+	sl.install(m.line, &m.data, &m.minst, m.class, m.hops)
+	e.hasData = true
+	if m.grant == stE || m.grant == stM {
+		e.owner = int16(m.req)
+	} else {
+		e.sharers.add(m.req)
+	}
+	hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
+	sl.sys.SendData(sl.tile, m.req, lineWords, sl.sys.pool.data.New(msgData{
+		line: m.line, state: m.grant, data: m.data, minst: m.minst,
+		fromMem: true, tIssue: m.tIssue, tAtMC: m.tAtMC, tDram: m.tDram,
+		hops: hops, class: m.class,
+	}))
+	sl.sys.pool.memData.Put(m)
+}
+
+// install allocates line (its set has a free way) and fills it with a
+// message's words and their memory instances, each word a new L2
+// instance carrying its share of the message's class traffic.
+func (sl *l2Slice) install(line uint32, data *[lineWords]uint32, minst *[lineWords]uint64, class memsys.Class, hops int) {
+	ln := sl.c.Allocate(line)
+	copy(ln.Data, data[:])
+	copy(ln.MInst, minst[:])
+	sl.env().Traffic.Fill(class, hops, waste.LevelL2, line, memsys.LineMask, 0, ln.Inst, ln.MInst, true)
 }
 
 // handleUnblock ends a transaction. Under MMemL1, load unblocks carry the
@@ -399,35 +437,32 @@ func (sl *l2Slice) handleUnblock(m *msgUnblock) {
 	t := e.busy
 	t.needUnblock = false
 	if t.kind == txFetch && sl.sys.opt.MemToL1 {
-		env := sl.env()
-		sl.ensureWay(m.line, func() {
-			ln := sl.c.Allocate(m.line)
-			if m.withData {
-				insts := make([]uint64, lineWords)
-				for w := 0; w < lineWords; w++ {
-					a := memsys.AddrOf(m.line, w)
-					ln.Data[w] = m.data[w]
-					ln.MInst[w] = m.minst[w]
-					id := env.Prof.L2Arrival(a, false)
-					ln.Inst[w] = id
-					insts[w] = id
-					env.Prof.MemAddRef(m.minst[w])
-				}
-				env.Traffic.Data(memsys.ClassLD, m.hops, insts)
-				e.hasData = true
-			} else {
-				e.hasData = false
-			}
-			if t.grant == stE || t.grant == stM {
-				e.owner = int16(t.requestor)
-			} else {
-				e.sharers.add(t.requestor)
-			}
-			sl.completeTxn(m.line, e)
-		})
+		sl.ensureWay(m)
 		return
 	}
 	sl.completeTxn(m.line, e)
+	sl.sys.pool.unblock.Put(m)
+}
+
+// fillFromUnblock ends an MMemL1 fetch once its set has a way: a load's
+// unblock installs the data it carries, a store's leaves the L2 entry
+// data-less. The message is recycled.
+func (sl *l2Slice) fillFromUnblock(m *msgUnblock) {
+	e := sl.dir[m.line]
+	t := e.busy
+	if m.withData {
+		sl.install(m.line, &m.data, &m.minst, memsys.ClassLD, m.hops)
+	} else {
+		sl.c.Allocate(m.line)
+	}
+	e.hasData = m.withData
+	if t.grant == stE || t.grant == stM {
+		e.owner = int16(t.requestor)
+	} else {
+		e.sharers.add(t.requestor)
+	}
+	sl.completeTxn(m.line, e)
+	sl.sys.pool.unblock.Put(m)
 }
 
 func (sl *l2Slice) handleDowngradeWB(m *msgDowngradeWB) {
@@ -452,7 +487,7 @@ func (sl *l2Slice) completeTxn(line uint32, e *dirEntry) {
 	}
 	e.busy = nil
 	if sl.c.Lookup(line) == nil && e.owner < 0 && e.sharers.empty() {
-		delete(sl.dir, line)
+		sl.dropEntry(e)
 	}
 }
 
@@ -466,14 +501,9 @@ func (sl *l2Slice) mergeDirty(ln *cache.Line, data [lineWords]uint32, wmask uint
 	if ln == nil {
 		return // transiently data-less entry: nothing cached to merge into
 	}
-	env := sl.env()
+	sl.env().Prof.Release(memsys.LineMask, waste.Write, ln.Inst, ln.MInst, false)
+	copy(ln.Data, data[:])
 	for w := 0; w < lineWords; w++ {
-		env.Prof.L2Overwritten(ln.Inst[w])
-		if ln.MInst[w] != 0 {
-			env.Prof.MemRelease(ln.MInst[w], false)
-			ln.MInst[w] = 0
-		}
-		ln.Data[w] = data[w]
 		if wmask&(1<<w) != 0 {
 			ln.WState[w] |= wDirty
 		}
@@ -517,5 +547,5 @@ func (sl *l2Slice) handlePut(m *msgPut) {
 	}
 	// Stale puts (line already evicted/transferred) are acked and
 	// ignored.
-	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, &msgWBAck{line: m.line})
+	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, sl.sys.pool.wbAck.New(msgWBAck{line: m.line}))
 }

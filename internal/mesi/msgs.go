@@ -176,25 +176,68 @@ type msgMemWB struct {
 // tile; the coher substrate invokes Dispatch on delivery. Requests, puts
 // and memory data enter their slice's Deferred queue, which runs the
 // handler after the L2 access latency.
+//
+// A message has one owner at a time (coher.Pool): its sender, the mesh,
+// then the handler that consumes it. Most kinds go back to their pool
+// here, right after their handler; requests and puts go back after their
+// Deferred handler, memory data and MMemL1 data unblocks once installed
+// in the L2 (they can wait for a way), and memory reads once the MC
+// answered them.
 
-func (m *msgData) Dispatch(s *System, tile int)        { s.l1s[tile].handleData(m) }
-func (m *msgUpgAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleUpgAck(m) }
-func (m *msgNack) Dispatch(s *System, tile int)        { s.l1s[tile].handleNack(m) }
-func (m *msgInv) Dispatch(s *System, tile int)         { s.l1s[tile].handleInv(m) }
-func (m *msgInvAck) Dispatch(s *System, tile int)      { s.l1s[tile].handleInvAck(m) }
-func (m *msgFwd) Dispatch(s *System, tile int)         { s.l1s[tile].handleFwd(m) }
-func (m *msgRecall) Dispatch(s *System, tile int)      { s.l1s[tile].handleRecall(m) }
-func (m *msgWBAck) Dispatch(s *System, tile int)       { s.l1s[tile].handleWBAck(m) }
-func (m *msgGetS) Dispatch(s *System, tile int)        { s.l2s[tile].getS.Add(m) }
-func (m *msgGetX) Dispatch(s *System, tile int)        { s.l2s[tile].getX.Add(m) }
-func (m *msgUpgrade) Dispatch(s *System, tile int)     { s.l2s[tile].upgrade.Add(m) }
-func (m *msgPut) Dispatch(s *System, tile int)         { s.l2s[tile].put.Add(m) }
-func (m *msgUnblock) Dispatch(s *System, tile int)     { s.l2s[tile].handleUnblock(m) }
-func (m *msgRecallResp) Dispatch(s *System, tile int)  { s.l2s[tile].handleRecallResp(m) }
-func (m *msgDowngradeWB) Dispatch(s *System, tile int) { s.l2s[tile].handleDowngradeWB(m) }
-func (m *msgMemData) Dispatch(s *System, tile int)     { s.l2s[tile].memData.Add(m) }
-func (m *msgMemRead) Dispatch(s *System, tile int)     { s.mc.Read(tile, m, m.line) }
-func (m *msgMemWB) Dispatch(s *System, tile int)       { s.mc.Write(tile, m.line, m.wmask, &m.data) }
+func (m *msgData) Dispatch(s *System, tile int)    { s.l1s[tile].handleData(m); s.pool.data.Put(m) }
+func (m *msgUpgAck) Dispatch(s *System, tile int)  { s.l1s[tile].handleUpgAck(m); s.pool.upgAck.Put(m) }
+func (m *msgNack) Dispatch(s *System, tile int)    { s.l1s[tile].handleNack(m); s.pool.nack.Put(m) }
+func (m *msgInv) Dispatch(s *System, tile int)     { s.l1s[tile].handleInv(m); s.pool.inv.Put(m) }
+func (m *msgInvAck) Dispatch(s *System, tile int)  { s.l1s[tile].handleInvAck(m); s.pool.invAck.Put(m) }
+func (m *msgFwd) Dispatch(s *System, tile int)     { s.l1s[tile].handleFwd(m); s.pool.fwd.Put(m) }
+func (m *msgRecall) Dispatch(s *System, tile int)  { s.l1s[tile].handleRecall(m); s.pool.recall.Put(m) }
+func (m *msgWBAck) Dispatch(s *System, tile int)   { s.l1s[tile].handleWBAck(m); s.pool.wbAck.Put(m) }
+func (m *msgGetS) Dispatch(s *System, tile int)    { s.l2s[tile].getS.Add(m) }
+func (m *msgGetX) Dispatch(s *System, tile int)    { s.l2s[tile].getX.Add(m) }
+func (m *msgUpgrade) Dispatch(s *System, tile int) { s.l2s[tile].upgrade.Add(m) }
+func (m *msgPut) Dispatch(s *System, tile int)     { s.l2s[tile].put.Add(m) }
+func (m *msgUnblock) Dispatch(s *System, tile int) { s.l2s[tile].handleUnblock(m) }
+func (m *msgMemData) Dispatch(s *System, tile int) { s.l2s[tile].memData.Add(m) }
+func (m *msgMemRead) Dispatch(s *System, tile int) { s.mc.Read(tile, m, m.line) }
+func (m *msgRecallResp) Dispatch(s *System, tile int) {
+	s.l2s[tile].handleRecallResp(m)
+	s.pool.recallResp.Put(m)
+}
+func (m *msgDowngradeWB) Dispatch(s *System, tile int) {
+	s.l2s[tile].handleDowngradeWB(m)
+	s.pool.downgradeWB.Put(m)
+}
+func (m *msgMemWB) Dispatch(s *System, tile int) {
+	s.mc.Write(tile, m.line, m.wmask, &m.data)
+	s.pool.memWB.Put(m)
+}
+
+// pools holds one free list per message kind and per transaction record.
+type pools struct {
+	getS        coher.Pool[msgGetS]
+	getX        coher.Pool[msgGetX]
+	upgrade     coher.Pool[msgUpgrade]
+	put         coher.Pool[msgPut]
+	unblock     coher.Pool[msgUnblock]
+	data        coher.Pool[msgData]
+	upgAck      coher.Pool[msgUpgAck]
+	nack        coher.Pool[msgNack]
+	inv         coher.Pool[msgInv]
+	invAck      coher.Pool[msgInvAck]
+	fwd         coher.Pool[msgFwd]
+	recall      coher.Pool[msgRecall]
+	recallResp  coher.Pool[msgRecallResp]
+	downgradeWB coher.Pool[msgDowngradeWB]
+	wbAck       coher.Pool[msgWBAck]
+	memRead     coher.Pool[msgMemRead]
+	memData     coher.Pool[msgMemData]
+	memWB       coher.Pool[msgMemWB]
+
+	mshr coher.Pool[mshr]
+	wb   coher.Pool[wbEntry]
+	dir  coher.Pool[dirEntry]
+	gen  uint64 // last generation handed to an MSHR or victim-buffer entry
+}
 
 // Compile-time check that the whole vocabulary dispatches.
 var _ = []coher.Msg[*System]{

@@ -45,10 +45,11 @@ type Options struct {
 // System is a complete MESI memory system over the coher substrate.
 type System struct {
 	coher.Substrate
-	opt Options
-	l1s []*l1Cache
-	l2s []*l2Slice
-	mc  coher.MemCtl[*msgMemRead]
+	opt  Options
+	l1s  []*l1Cache
+	l2s  []*l2Slice
+	mc   coher.MemCtl[*msgMemRead]
+	pool pools
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -167,6 +168,7 @@ func (s *System) l2HasWord(addr uint32) bool {
 // memReadDone ships a line read from DRAM to the requesting L1 (MMemL1)
 // or the home slice, with values from the backing store and fresh
 // memory-level waste instances for every word.
+// The read is recycled here: the MC held it until now.
 func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish int64) {
 	env := s.Env
 	var data [lineWords]uint32
@@ -179,17 +181,18 @@ func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish 
 	if m.direct {
 		// MMemL1: straight to the requesting L1.
 		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-		s.SendData(tile, m.requestor, lineWords, &msgData{
+		s.SendData(tile, m.requestor, lineWords, s.pool.data.New(msgData{
 			line: m.line, state: m.grant, data: data, minst: minst,
 			fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
 			hops: hops, class: m.class,
-		})
-		return
+		}))
+	} else {
+		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
+		s.SendData(tile, m.home, lineWords, s.pool.memData.New(msgMemData{
+			line: m.line, data: data, minst: minst, class: m.class,
+			grant: m.grant, req: m.requestor,
+			tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
+		}))
 	}
-	hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
-	s.SendData(tile, m.home, lineWords, &msgMemData{
-		line: m.line, data: data, minst: minst, class: m.class,
-		grant: m.grant, req: m.requestor,
-		tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
-	})
+	s.pool.memRead.Put(m)
 }

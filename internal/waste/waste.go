@@ -16,7 +16,11 @@
 // tracked (so later events resolve) but excluded from the counts.
 package waste
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Category is the terminal classification of a word instance.
 type Category uint8
@@ -87,29 +91,35 @@ func (l Level) String() string {
 // flit-hop share attached via SetTraffic, class its message class tag.
 type ClassifyFunc func(level Level, class uint8, cat Category, share float64, measured bool)
 
-// inst is packed to 16 bytes: simulations create tens of millions of
-// instances, so record size and allocation behaviour dominate memory use.
+// inst is one open instance, packed to 20 bytes. A record lives only
+// while its instance is open: classification settles it, and its slot
+// goes back to the free list for the next instance.
 type inst struct {
 	addr  uint32
 	share float32
-	refs  int32 // LevelMem only: live on-chip copies
+	refs  int32  // LevelMem only: live on-chip copies
+	gen   uint32 // the slot's generation: bumped each time the slot is freed
 	level Level
-	cat   Category
 	class uint8 // traffic class tag
-	flags uint8 // bit0: measured
+	flags uint8 // flagMeasured, flagLive
 }
 
 const (
-	chunkShift = 16
-	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
+	flagMeasured uint8 = 1 << iota
+	flagLive
 )
 
-// Profiler owns all word instances for one simulation run. Instances live
-// in fixed-size chunks so growth never copies existing records.
+// Profiler owns the open word instances of one simulation run. An
+// instance id is its record's slot in the low 32 bits and the slot's
+// generation in the high 32, so an id that outlives its instance (a cache
+// word or a message still holds it after classification) names a slot
+// whose generation has moved on: every entry point ignores it, exactly as
+// it ignores a classified instance, and never touches the slot's next
+// tenant. The table grows only with the peak number of open instances.
 type Profiler struct {
-	chunks     [][]inst
-	n          uint64 // instances allocated, including the reserved id 0
+	recs       []inst   // recs[0] is reserved: id 0 means "none"
+	free       []uint32 // free slots, reused last-freed first
+	made       uint64   // instances created
 	counts     [numLevels][numCategories]uint64
 	measuring  bool
 	onClassify ClassifyFunc
@@ -126,14 +136,21 @@ type Profiler struct {
 
 // NewProfiler creates an empty profiler (warm-up mode: not measuring).
 func NewProfiler() *Profiler {
-	p := &Profiler{}
-	p.chunks = append(p.chunks, make([]inst, chunkSize))
-	p.n = 1 // id 0 reserved as "none"
-	return p
+	return &Profiler{recs: make([]inst, 1, 256)}
 }
 
+// get returns id's record while its instance is open, nil otherwise (id 0,
+// or an id whose instance has been classified).
 func (p *Profiler) get(id uint64) *inst {
-	return &p.chunks[id>>chunkShift][id&chunkMask]
+	slot := uint32(id)
+	if slot == 0 || int(slot) >= len(p.recs) {
+		return nil
+	}
+	in := &p.recs[slot]
+	if in.gen != uint32(id>>32) || in.flags&flagLive == 0 {
+		return nil
+	}
+	return in
 }
 
 // OnClassify installs the classification observer.
@@ -155,56 +172,108 @@ func (p *Profiler) TotalWords(level Level) uint64 {
 	return n
 }
 
-// Instances returns the number of live instance records (for memory-use
-// telemetry in long runs).
-func (p *Profiler) Instances() int { return int(p.n) - 1 }
+// Instances returns the number of instances created so far, open or
+// classified.
+func (p *Profiler) Instances() int { return int(p.made) }
+
+// PeakLive returns the most instances that were open at once: the size
+// of the record table.
+func (p *Profiler) PeakLive() int { return len(p.recs) - 1 }
 
 func (p *Profiler) new(level Level, addr uint32) uint64 {
-	id := p.n
-	p.n++
-	if id>>chunkShift == uint64(len(p.chunks)) {
-		p.chunks = append(p.chunks, make([]inst, chunkSize))
+	p.made++
+	var slot uint32
+	if n := len(p.free); n > 0 {
+		slot = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		slot = uint32(len(p.recs))
+		p.recs = append(p.recs, inst{})
 	}
-	in := p.get(id)
-	in.addr = addr
-	in.level = level
-	in.cat = Open
+	in := &p.recs[slot]
+	*in = inst{addr: addr, gen: in.gen, level: level, flags: flagLive}
 	if p.measuring {
-		in.flags = 1
+		in.flags |= flagMeasured
 	}
-	return id
+	return uint64(in.gen)<<32 | uint64(slot)
 }
 
 // SetTraffic attaches the deferred flit-hop share and message-class tag to
-// an instance; the share is reported to the OnClassify observer when the
-// instance settles.
+// an open instance; the share is reported to the OnClassify observer when
+// the instance settles. A classified instance's share is never reported.
 func (p *Profiler) SetTraffic(id uint64, class uint8, share float64) {
-	if id == 0 {
-		return
+	if in := p.get(id); in != nil {
+		in.class = class
+		in.share += float32(share)
 	}
-	in := p.get(id)
-	in.class = class
-	in.share += float32(share)
 }
 
+// classify settles an open instance and frees its record; a stale id is
+// ignored.
 func (p *Profiler) classify(id uint64, cat Category) {
-	if id == 0 {
-		return
-	}
 	in := p.get(id)
-	if in.cat != Open {
+	if in == nil {
 		return
 	}
-	in.cat = cat
-	measured := in.flags&1 != 0
+	level, class, share, addr := in.level, in.class, in.share, in.addr
+	measured := in.flags&flagMeasured != 0
+	in.flags = 0
+	// A slot whose generation would wrap is retired, so no id is ever
+	// reissued.
+	if in.gen++; in.gen != ^uint32(0) {
+		p.free = append(p.free, uint32(id))
+	}
 	if measured {
-		p.counts[in.level][cat]++
+		p.counts[level][cat]++
 	}
 	if p.onClassify != nil {
-		p.onClassify(in.level, in.class, cat, float64(in.share), measured)
+		p.onClassify(level, class, cat, float64(share), measured)
 	}
-	if in.level == LevelMem {
-		p.dropOpenMem(in.addr, id)
+	if level == LevelMem {
+		p.dropOpenMem(addr, id)
+	}
+}
+
+// Fill records the words of mask arriving at one line of an L1 or L2
+// (level) in a message of traffic class class, each carrying share
+// flit-hops; word w's byte address is base+4w. A word in present was
+// already valid there: its copy is Fetch waste at once, before any share
+// is attached, and inst[w] keeps the cached copy's id. Every other word
+// gets a new instance in inst[w], and its memory instance minst[w] gains
+// an on-chip copy when ref is set (an ownership transfer moves the copy
+// instead).
+func (p *Profiler) Fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
+	for m := mask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros16(m)
+		id := p.new(level, base+uint32(w)*4)
+		if present&(1<<w) != 0 {
+			p.classify(id, Fetch)
+			continue
+		}
+		inst[w] = id
+		in := &p.recs[uint32(id)]
+		in.class = class
+		in.share = float32(share)
+		if ref {
+			p.MemAddRef(minst[w])
+		}
+	}
+}
+
+// Release closes the words of mask of one cache line: each word's open
+// instance inst[w] classifies as cat, then its memory instance minst[w],
+// if any, loses this on-chip copy (comm marks a loss caused by another
+// core's write, which Figure 4.3 classifies as Invalidate) and is
+// cleared. A nil minst releases no memory instance: an ownership transfer
+// hands the copies on.
+func (p *Profiler) Release(mask uint16, cat Category, inst, minst []uint64, comm bool) {
+	for m := mask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros16(m)
+		p.classify(inst[w], cat)
+		if minst != nil && minst[w] != 0 {
+			p.MemRelease(minst[w], comm)
+			minst[w] = 0
+		}
 	}
 }
 
@@ -267,7 +336,8 @@ func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
 	}
 	w := int(addr >> 2)
 	if w >= len(p.openSlot) {
-		p.openSlot = append(p.openSlot, make([]int32, w+1-len(p.openSlot))...)
+		// Grown memory is zero, and the index never shrinks.
+		p.openSlot = slices.Grow(p.openSlot, w+1-len(p.openSlot))[:w+1]
 	}
 	slot := p.openSlot[w]
 	if slot == 0 {
@@ -306,10 +376,9 @@ func (p *Profiler) MemExcess(addr uint32) uint64 {
 
 // MemAddRef notes a new on-chip copy of instance id.
 func (p *Profiler) MemAddRef(id uint64) {
-	if id == 0 {
-		return
+	if in := p.get(id); in != nil {
+		in.refs++
 	}
-	p.get(id).refs++
 }
 
 // MemRelease notes the destruction of one on-chip copy (eviction without
@@ -317,14 +386,14 @@ func (p *Profiler) MemAddRef(id uint64) {
 // instance disappears it classifies as Invalidate (if invalidated) or
 // Evict.
 func (p *Profiler) MemRelease(id uint64, invalidated bool) {
-	if id == 0 {
+	in := p.get(id)
+	if in == nil {
 		return
 	}
-	in := p.get(id)
 	if in.refs > 0 {
 		in.refs--
 	}
-	if in.refs == 0 && in.cat == Open {
+	if in.refs == 0 {
 		if invalidated {
 			p.classify(id, Invalidate)
 		} else {
@@ -374,11 +443,11 @@ func (p *Profiler) dropOpenMem(addr uint32, id uint64) {
 }
 
 // Finish classifies every still-open instance as Unevicted (end of the
-// measurement window, Figure 4.1-4.3 terminal edge).
+// measurement window, Figure 4.1-4.3 terminal edge), in slot order.
 func (p *Profiler) Finish() {
-	for id := uint64(1); id < p.n; id++ {
-		if p.get(id).cat == Open {
-			p.classify(id, Unevicted)
+	for slot := 1; slot < len(p.recs); slot++ {
+		if in := &p.recs[slot]; in.flags&flagLive != 0 {
+			p.classify(uint64(in.gen)<<32|uint64(slot), Unevicted)
 		}
 	}
 }

@@ -326,8 +326,9 @@ func TestSnapshot(t *testing.T) {
 
 func TestChunkGrowth(t *testing.T) {
 	p := newMeasuring()
-	// Cross several chunk boundaries and verify ids stay addressable.
-	n := chunkSize*2 + 37
+	// Keep enough instances open at once that the record table grows many
+	// times, and verify ids stay addressable across the moves.
+	n := 1<<17 + 37
 	ids := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		ids = append(ids, p.L1Arrival(uint32(i)*4, false))
@@ -337,5 +338,8 @@ func TestChunkGrowth(t *testing.T) {
 	}
 	if got := p.Count(LevelL1, Used); got != uint64(n) {
 		t.Fatalf("classified %d of %d across chunks", got, n)
+	}
+	if got := p.PeakLive(); got != n {
+		t.Fatalf("PeakLive = %d, want %d", got, n)
 	}
 }
