@@ -45,6 +45,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -58,7 +59,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/job"
-	"repro/internal/mesh"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -84,15 +84,9 @@ func run() (code int) {
 	sweep := flag.String("sweep", "", "sweep one axis and print the assembled curve table: 'axis=v1,v2,...' over "+
 		strings.Join(core.SweepAxisNames(), "|")+", or a workload parameter range like 'hotspot(t=1..16)'")
 	cachedir := flag.String("cachedir", "", "content-addressed result cache directory: completed points (a matrix is one) persist here as the run goes, and points already present (from any earlier run) are served without simulating; rerunning an interrupted command with the same -cachedir resumes it")
-	maxpoints := flag.Int("maxpoints", core.DefaultSweepPointCap, "sweep expansion cap; a sweep that expands past it is an error (raise deliberately for large sweeps, ideally with -cachedir)")
+	maxpoints := flag.Int("maxpoints", core.DefaultSweepPointCap, fmt.Sprintf("sweep expansion cap, at most %d; a sweep that expands past it is an error (raise deliberately for large sweeps, ideally with -cachedir)", core.MaxSweepPointCap))
 	record := flag.String("record", "", "record the single workload in -benchmarks to this trace file and exit (run it later with replay(file=...))")
-	threads := flag.Int("threads", 16, "worker threads (= cores used)")
-	meshDims := flag.String("mesh", "4x4", "tile-grid dimensions WxH, each side at most 16 (e.g. "+
-		strings.Join(core.MeshPresets(), ", ")+"); tiles, corner MC placement and Bloom banks follow, and -threads must not exceed the tile count")
-	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
-	router := flag.String("router", "ideal", "router model: "+routerHelp())
-	vcs := flag.Int("vcs", 0, "vc router: virtual channels per input port (0 = model default; even, 2..64)")
-	vcdepth := flag.Int("vcdepth", 0, "vc router: flit buffer depth per VC (0 = model default; at most 64)")
+	pinKnobs := job.KnobFlags(flag.CommandLine)
 	workers := flag.Int("workers", 0, "parallel simulations (0 = one per CPU, 1 = serial)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -113,40 +107,26 @@ func run() (code int) {
 		return 2
 	}
 
-	// Only pin the axis knobs the user actually passed: the engine applies
-	// the same defaults (mesh, ideal, 16 threads) to zero-valued Request
-	// fields, and a sweep over an axis must be able to tell "defaulted"
-	// from "explicit" — sweeping topology with an explicit -topology is a
-	// conflict error, sweeping it against the default is the normal case.
 	req := job.Request{
 		Summary:    *summary,
 		Size:       *sizeName,
 		Benchmarks: job.SplitSpecs(*benchCSV),
 		Protocols:  job.SplitList(*protoCSV),
 		Sweep:      *sweep,
-		VCs:        *vcs,
-		VCDepth:    *vcdepth,
 		Workers:    *workers,
 		MaxPoints:  *maxpoints,
 	}
 	if *fig != "" {
 		req.Figures = []string{*fig}
 	}
-	if explicit["threads"] {
-		if *threads < 1 {
-			fmt.Fprintf(os.Stderr, "-threads %d: the thread count must be >= 1 (default 16)\n", *threads)
-			return 2
-		}
-		req.Threads = *threads
-	}
-	if explicit["mesh"] {
-		req.Mesh = *meshDims
-	}
-	if explicit["topology"] {
-		req.Topology = *topology
-	}
-	if explicit["router"] {
-		req.Router = *router
+	// Only the knobs the user actually passed are pinned: the engine
+	// applies the same defaults to unset Request fields, and a sweep over
+	// an axis must be able to tell "defaulted" from "explicit" — sweeping
+	// topology with an explicit -topology is a conflict error, sweeping it
+	// against the default is the normal case.
+	if err := pinKnobs(&req); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	// Fail fast — unknown names, malformed specs, axis-ownership conflicts,
 	// bad geometry — before paying for any simulation: every error the
@@ -180,7 +160,7 @@ func run() (code int) {
 			return 2
 		}
 		size, _ := job.SizeFromName(*sizeName) // validated above
-		prog, err := workloads.ByName(req.Benchmarks[0], size, *threads)
+		prog, err := workloads.ByName(req.Benchmarks[0], size, cmp.Or(req.Threads, core.DefaultThreads))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -194,7 +174,7 @@ func run() (code int) {
 			prog.Name(), size, prog.Threads(), tr.Phases(), tr.TotalOps(), *record)
 		hint := fmt.Sprintf("-benchmarks 'replay(file=%s)'", *record)
 		if explicit["mesh"] {
-			hint += " -mesh " + *meshDims // a trace replays only on a mesh with a tile per thread
+			hint += " -mesh " + req.Mesh // a trace replays only on a mesh with a tile per thread
 		}
 		fmt.Println("replay with:", hint)
 		return
@@ -337,17 +317,4 @@ func optionTokens() string {
 		toks = append(toks, o.Token)
 	}
 	return strings.Join(toks, "|")
-}
-
-// routerHelp renders the router inventory for -help.
-func routerHelp() string {
-	var parts []string
-	for _, kind := range mesh.RouterKinds() {
-		desc, err := mesh.RouterDescription(kind)
-		if err != nil {
-			panic(err) // kinds come from the registry itself
-		}
-		parts = append(parts, fmt.Sprintf("%s (%s)", kind, desc))
-	}
-	return strings.Join(parts, ", ")
 }

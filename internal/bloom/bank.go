@@ -72,29 +72,29 @@ func (b *L2Bank) SizeBytes() int {
 // L1Bank is one L1 cache's conservative copy of every L2 slice's filters.
 // Filters are copied on demand (valid bits track which copies exist), local
 // writebacks are inserted eagerly, and everything is cleared at barriers.
+// Every copy's bits are carved from one array, so a bank costs a handful
+// of allocations whatever its slice count.
 type L1Bank struct {
 	cfg     BankConfig
 	sel     *H3
-	h       *H3
-	filters [][]*Filter // [slice][filterIdx]
-	valid   [][]bool
+	bits    []uint64 // backs every copy
+	filters []Filter // [slice*FiltersPerSlice + filterIdx]
+	valid   []bool   // indexed like filters
 }
 
 // NewL1Bank creates the L1-side filter copies for all slices.
 func NewL1Bank(cfg BankConfig) *L1Bank {
+	h := NewH3(cfg.Seed)
+	n, words := cfg.Slices*cfg.FiltersPerSlice, filterWords(cfg.Entries)
 	b := &L1Bank{
-		cfg: cfg,
-		sel: NewH3(cfg.Seed ^ 0x5e1ec7),
-		h:   NewH3(cfg.Seed),
+		cfg:     cfg,
+		sel:     NewH3(cfg.Seed ^ 0x5e1ec7),
+		bits:    make([]uint64, n*words),
+		filters: make([]Filter, n),
+		valid:   make([]bool, n),
 	}
-	b.filters = make([][]*Filter, cfg.Slices)
-	b.valid = make([][]bool, cfg.Slices)
-	for s := range b.filters {
-		b.filters[s] = make([]*Filter, cfg.FiltersPerSlice)
-		b.valid[s] = make([]bool, cfg.FiltersPerSlice)
-		for i := range b.filters[s] {
-			b.filters[s][i] = NewFilter(cfg.Entries, b.h)
-		}
+	for i := range b.filters {
+		b.filters[i] = Filter{bits: b.bits[i*words : (i+1)*words : (i+1)*words], entries: uint32(words * 64), h: h}
 	}
 	return b
 }
@@ -102,48 +102,36 @@ func NewL1Bank(cfg BankConfig) *L1Bank {
 // FilterIndex returns the per-slice filter index for a line address.
 func (b *L1Bank) FilterIndex(line uint32) int { return int(b.sel.Hash(line)) % b.cfg.FiltersPerSlice }
 
+// copyIndex returns the index of slice's copy of filter idx.
+func (b *L1Bank) copyIndex(slice, idx int) int { return slice*b.cfg.FiltersPerSlice + idx }
+
 // Query checks a line address against the copy for the line's home slice.
 // valid=false means the copy has not been fetched yet (the caller must
 // request a Bloom copy from the L2 before deciding).
 func (b *L1Bank) Query(slice int, line uint32) (valid, mayContain bool) {
-	i := b.FilterIndex(line)
-	if !b.valid[slice][i] {
+	i := b.copyIndex(slice, b.FilterIndex(line))
+	if !b.valid[i] {
 		return false, true
 	}
-	return true, b.filters[slice][i].MayContain(line)
+	return true, b.filters[i].MayContain(line)
 }
 
 // LoadCopy unions a snapshot received from slice's L2 into the local copy
 // and marks it valid.
 func (b *L1Bank) LoadCopy(slice, idx int, snap *Filter) {
-	b.filters[slice][idx].Union(snap)
-	b.valid[slice][idx] = true
+	i := b.copyIndex(slice, idx)
+	b.filters[i].Union(snap)
+	b.valid[i] = true
 }
 
 // InsertLocal records a local writeback of line (whose home is slice) so
 // the copy stays conservative without refetching.
 func (b *L1Bank) InsertLocal(slice int, line uint32) {
-	i := b.FilterIndex(line)
-	b.filters[slice][i].Insert(line)
+	b.filters[b.copyIndex(slice, b.FilterIndex(line))].Insert(line)
 }
 
 // ClearAll resets every copy and valid bit (done at barriers).
-func (b *L1Bank) ClearAll() {
-	for s := range b.filters {
-		for i := range b.filters[s] {
-			b.filters[s][i].Clear()
-			b.valid[s][i] = false
-		}
-	}
-}
+func (b *L1Bank) ClearAll() { clear(b.bits); clear(b.valid) }
 
 // SizeBytes is the storage footprint of all copies (1-bit entries).
-func (b *L1Bank) SizeBytes() int {
-	n := 0
-	for _, fs := range b.filters {
-		for _, f := range fs {
-			n += f.SizeBytes()
-		}
-	}
-	return n
-}
+func (b *L1Bank) SizeBytes() int { return len(b.bits) * 8 }

@@ -56,12 +56,13 @@ type Filter struct {
 // NewFilter creates a filter with the given number of entries (rounded up
 // to a multiple of 64).
 func NewFilter(entries int, h *H3) *Filter {
-	if entries < 64 {
-		entries = 64
-	}
-	words := (entries + 63) / 64
+	words := filterWords(entries)
 	return &Filter{bits: make([]uint64, words), entries: uint32(words * 64), h: h}
 }
+
+// filterWords is the bit-array length of a filter of the given number of
+// entries: at least one word, rounded up to whole words.
+func filterWords(entries int) int { return (max(entries, 64) + 63) / 64 }
 
 // Entries returns the filter capacity in bits.
 func (f *Filter) Entries() int { return int(f.entries) }

@@ -32,6 +32,7 @@ func TestTinyCellAllocBudget(t *testing.T) {
 		{"DeNovo", "FFT", 11_200},   // measured 8.9k
 		{"MESI", "radix", 7_200},    // measured 5.8k
 		{"DeNovo", "radix", 30_100}, // measured 24.1k
+		{"DBypFull", "FFT", 12_200}, // measured 9.8k
 	} {
 		prog := workloads.MustByName(tc.bench, workloads.Tiny, 16)
 		var err error

@@ -47,8 +47,10 @@ import (
 // point that pins it. v2 added the mesh dimensions; v3 made the vc router
 // deliver each (src, dst) channel in order, which changes results at
 // VCs >= 4; v4 made the MESI directory track sharers on every tile, which
-// changes MESI results past 16 threads.
-const cacheModelVersion = 4
+// changes MESI results past 16 threads; v5 changed only the key's layout
+// (the knob lines follow the knob table's order), so a v4 entry is never
+// looked up again.
+const cacheModelVersion = 5
 
 // ErrUncacheable marks a point whose results depend on state the
 // configuration hash cannot see (a trace replay's file contents); such
@@ -67,8 +69,9 @@ type PointKey struct {
 
 // pointKeyFor computes the content address of a planned point. The plan
 // carries the post-normalization configuration (canonical protocol and
-// workload specs, defaults resolved into cfg), so every spelling of one
-// configuration reaches the same preimage.
+// workload specs, every knob resolved to the value that runs), so every
+// spelling of one configuration reaches the same preimage. Each knob
+// writes one line, in table order.
 func pointKeyFor(p *matrixPlan) (PointKey, error) {
 	for _, s := range p.benchSpecs {
 		if s.Name == "replay" {
@@ -78,12 +81,9 @@ func pointKeyFor(p *matrixPlan) (PointKey, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "repro point cache v%d\n", cacheModelVersion)
 	fmt.Fprintf(&b, "size=%d\n", int(p.opt.Size))
-	fmt.Fprintf(&b, "threads=%d\n", p.opt.Threads)
-	fmt.Fprintf(&b, "mesh=%dx%d\n", p.cfg.MeshWidth, p.cfg.MeshHeight)
-	fmt.Fprintf(&b, "topology=%s\n", p.cfg.Topology)
-	fmt.Fprintf(&b, "router=%s\n", p.cfg.Router)
-	fmt.Fprintf(&b, "vcs=%d\n", p.cfg.VCs)
-	fmt.Fprintf(&b, "vcdepth=%d\n", p.cfg.VCDepth)
+	for _, k := range knobs {
+		fmt.Fprintf(&b, "%s=%v\n", k.Name, k.value(&p.opt))
+	}
 	// Specs are Quote-framed: a spec can contain commas and spaces, and
 	// naive joining would let two different lists share one encoding.
 	b.WriteString("benchmarks=")

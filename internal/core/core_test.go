@@ -218,7 +218,7 @@ func TestReplayMoreThreadsThanTiles(t *testing.T) {
 	if n := strings.Count(err.Error(), "core:"); n != 1 {
 		t.Errorf("error %q carries the core: prefix %d times, want once", err, n)
 	}
-	opt.MeshWidth, opt.MeshHeight = 8, 8
+	opt.Mesh = "8x8"
 	if _, err := runMatrix(opt); err != nil {
 		t.Fatalf("8x8 replay: %v", err)
 	}

@@ -77,7 +77,7 @@ func (r *Result) WasteTotal(level waste.Level) uint64 {
 func RunOne(ctx context.Context, cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
 	if n := prog.Threads(); n > cfg.Tiles {
 		return nil, fmt.Errorf("%s has %d threads but the %dx%d mesh has %d tiles; run it on a mesh with at least %d tiles",
-			prog.Name(), n, cfg.MeshWidth, cfg.MeshHeight, cfg.Tiles, n)
+			prog.Name(), n, cfg.Width, cfg.Height, cfg.Tiles, n)
 	}
 	env, err := memsys.NewEnv(cfg, prog.FootprintBytes(), prog.Regions())
 	if err != nil {
@@ -135,8 +135,7 @@ func (m *Matrix) Get(bench, proto string) *Result {
 // MatrixOptions configures one matrix: the run's single point, or the base
 // every sweep point is stamped from (see Run).
 type MatrixOptions struct {
-	Size    workloads.Size
-	Threads int // 0 = 16 (the paper's tile count); negative is an error
+	Size workloads.Size
 	// Protocols selects the protocol specs. nil = all nine; an empty
 	// non-nil list is an error (it would run no cells).
 	Protocols []string
@@ -146,26 +145,15 @@ type MatrixOptions struct {
 	// ("replay(file=x.trc)"). nil = the paper's six benchmarks; an empty
 	// non-nil list is an error.
 	Benchmarks []string
-	// Topology selects the NoC topology for every cell: "mesh" (default),
-	// "ring", or "torus".
-	Topology string
-	// MeshWidth and MeshHeight re-dimension the tile grid for every cell
-	// (0,0 = the paper's 4x4). Both must be set together; the tile count,
-	// corner MC placement and Bloom bank geometry follow the dimensions
-	// (memsys.Config.WithMesh), and Threads must not exceed the tile count.
-	MeshWidth  int
-	MeshHeight int
-	// Router selects the fabric's forwarding model for every cell:
-	// "ideal" (default), "vc" (the cycle-level VC wormhole router), or
-	// "deflection" (the cycle-level bufferless deflection router).
-	Router string
-	// VCs overrides the vc router's virtual-channel count per input port
-	// for every cell (0 = the model default; must be even and >= 2, see
-	// memsys.Config.VCs). Nonzero needs Router "vc".
-	VCs int
-	// VCDepth overrides the vc router's flit buffer depth per VC for every
-	// cell (0 = the model default). Nonzero needs Router "vc".
-	VCDepth int
+	// The engine knobs (Knobs), one value for every cell. A zero value
+	// leaves the knob unpinned, so the planner applies its default (16
+	// threads, a 4x4 "mesh" topology, the "ideal" router, the vc router's
+	// own VC geometry) and a sweep can claim its axis. Mesh is "WxH",
+	// which memsys.ParseMeshDims parses; the tile count, MC corners and
+	// Bloom banks follow it, and Threads must not exceed the tiles. VCs
+	// and VCDepth need Router "vc".
+	Threads, VCs, VCDepth  int
+	Topology, Mesh, Router string
 	// Workers bounds the number of simulations running concurrently:
 	// 0 = one per available CPU (GOMAXPROCS), 1 = the serial reference
 	// run, one pool worker claiming cells in order. Cells are independent

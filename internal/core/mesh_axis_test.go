@@ -2,7 +2,7 @@ package core_test
 
 // The mesh-geometry axis suite: parse/normalize/conflict rules for the
 // mesh= engine axis, the dimensions' participation in the point-cache
-// preimage, the loud threads-vs-tiles and half-set-dims failures, and the
+// preimage, the loud threads-vs-tiles failure, and the
 // PR 8 acceptance pin — a mesh=4x4,8x8 sweep end-to-end through the
 // cache with an interrupt and a resume.
 
@@ -51,24 +51,22 @@ func TestSweepMeshAxisParse(t *testing.T) {
 	}
 }
 
-// TestSweepMeshAxisConflictAndApply: the mesh axis owns the MeshWidth/
-// MeshHeight pair — pinned dims in the base options are rejected, and each
-// point lands its parsed dimensions on the right fields.
+// TestSweepMeshAxisConflictAndApply: the mesh axis owns the Mesh field —
+// pinned dims in the base options are rejected, and each point lands its
+// canonical dimensions on it.
 func TestSweepMeshAxisConflictAndApply(t *testing.T) {
 	s, err := core.ParseSweep("mesh=4x4,8x8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PointOptions(core.MatrixOptions{MeshWidth: 16, MeshHeight: 16}); err == nil {
+	if _, err := s.PointOptions(core.MatrixOptions{Mesh: "16x16"}); err == nil {
 		t.Error("mesh sweep with pinned dimensions in base options: no error")
 	}
 	pts, err := s.PointOptions(core.MatrixOptions{Size: workloads.Tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 ||
-		pts[0].MeshWidth != 4 || pts[0].MeshHeight != 4 ||
-		pts[1].MeshWidth != 8 || pts[1].MeshHeight != 8 {
+	if len(pts) != 2 || pts[0].Mesh != "4x4" || pts[1].Mesh != "8x8" {
 		t.Fatalf("mesh sweep points: %+v", pts)
 	}
 }
@@ -83,7 +81,7 @@ func TestPointKeyIncludesMeshDims(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide := base
-	wide.MeshWidth, wide.MeshHeight = 8, 8
+	wide.Mesh = "8x8"
 	wide.Threads = 16 // the default thread count, spelled out: dims are the only difference
 	k8, err := core.PointKeyFor(wide)
 	if err != nil {
@@ -100,21 +98,13 @@ func TestPointKeyIncludesMeshDims(t *testing.T) {
 	}
 }
 
-// TestMatrixMeshValidation: half-set dims and a thread count exceeding the
-// tile count fail loudly before any simulation, naming the shape.
+// TestMatrixMeshValidation: a thread count exceeding the tile count fails
+// loudly before any simulation, naming the shape.
 func TestMatrixMeshValidation(t *testing.T) {
 	opt := core.MatrixOptions{Size: workloads.Tiny, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}
 
-	half := opt
-	half.MeshWidth = 8 // height left unset
-	if _, err := runMatrix(half); err == nil {
-		t.Error("half-set mesh dimensions ran without error")
-	} else if !strings.Contains(err.Error(), "both MeshWidth and MeshHeight") {
-		t.Errorf("half-set dims error %q does not name the pair", err)
-	}
-
 	tiny := opt
-	tiny.MeshWidth, tiny.MeshHeight = 2, 2
+	tiny.Mesh = "2x2"
 	tiny.Threads = 16 // 16 cores cannot map one-per-tile onto 4 tiles
 	if _, err := runMatrix(tiny); err == nil {
 		t.Error("threads > tiles ran without error")

@@ -56,16 +56,17 @@ type matrixPlan struct {
 }
 
 // planMatrix validates and normalizes one matrix configuration without
-// running (or building) anything: protocol and workload specs are resolved
-// through their registries so spelling variants of one configuration share
-// a key and unknown names fail before any simulation, and the system
-// config is validated with the axis overrides applied.
+// running (or building) anything: every knob lands on the point's system
+// config (knobs.go), protocol and workload specs are resolved through
+// their registries so spelling variants of one configuration share a key
+// and unknown names fail before any simulation, and the config is
+// validated, with the two rules that span knobs.
 func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
-	switch {
-	case opt.Threads < 0:
-		return nil, fmt.Errorf("core: threads %d must be >= 1 (0 means the default, 16)", opt.Threads)
-	case opt.Threads == 0:
-		opt.Threads = 16
+	cfg := memsys.Default().Scaled(opt.Size.ScaleDiv())
+	for _, k := range knobs {
+		if err := k.land(&cfg, &opt); err != nil {
+			return nil, err
+		}
 	}
 	// An explicitly empty list (JSON "[]", unlike an omitted field) would
 	// plan zero cells: a point that can never complete.
@@ -123,33 +124,9 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	}
 	opt.Benchmarks = normalized
 
-	cfg := memsys.Default().Scaled(opt.Size.ScaleDiv())
-	if opt.MeshWidth != 0 || opt.MeshHeight != 0 {
-		// Both dimensions travel together: a half-set pair would silently
-		// simulate a shape the caller never asked for.
-		if opt.MeshWidth < 1 || opt.MeshHeight < 1 {
-			return nil, fmt.Errorf("core: mesh dimensions %dx%d: set both MeshWidth and MeshHeight to >= 1", opt.MeshWidth, opt.MeshHeight)
-		}
-		if opt.MeshWidth*opt.MeshHeight < 2 {
-			return nil, fmt.Errorf("core: mesh dimensions %dx%d: a 1-tile network has no links; use at least 2 tiles", opt.MeshWidth, opt.MeshHeight)
-		}
-		cfg = cfg.WithMesh(opt.MeshWidth, opt.MeshHeight)
-	}
 	if opt.Threads > cfg.Tiles {
-		return nil, fmt.Errorf("core: threads %d > tiles %d (%dx%d mesh); cores map one-per-tile, so shrink Threads/-threads or grow the mesh",
-			opt.Threads, cfg.Tiles, cfg.MeshWidth, cfg.MeshHeight)
-	}
-	if opt.Topology != "" {
-		cfg.Topology = opt.Topology
-	}
-	if opt.Router != "" {
-		cfg.Router = opt.Router
-	}
-	if opt.VCs != 0 {
-		cfg.VCs = opt.VCs
-	}
-	if opt.VCDepth != 0 {
-		cfg.VCDepth = opt.VCDepth
+		return nil, fmt.Errorf("core: threads %d > tiles %d (%s mesh); cores map one-per-tile, so shrink Threads/-threads or grow the mesh",
+			opt.Threads, cfg.Tiles, opt.Mesh)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -157,7 +134,7 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	// Only the vc router reads VC geometry; under any other model the
 	// knobs would be a silent no-op (and every point of a vcs= or
 	// vcdepth= sweep identical).
-	if (opt.VCs != 0 || opt.VCDepth != 0) && cfg.Router != "vc" {
+	if (cfg.VCs != 0 || cfg.VCDepth != 0) && cfg.Router != "vc" {
 		return nil, fmt.Errorf("core: VCs/VCDepth configure only the vc router and do nothing under the %s router; set Router/-router to vc", cfg.Router)
 	}
 

@@ -30,24 +30,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
-	"repro/internal/memsys"
-	"repro/internal/mesh"
 	"repro/internal/waste"
 	"repro/internal/workloads"
 )
-
-// MeshPresets are the mesh-dimension values the inventory advertises for
-// the mesh axis (the paper's 4x4 plus the 64- and 256-tile scaling
-// points). The axis itself accepts any WxH that memsys.ParseMeshDims
-// does (up to mesh.MaxSide per side) — these are the catalog entries,
-// not a closed vocabulary.
-func MeshPresets() []string {
-	return []string{"4x4", "8x8", "16x16"}
-}
 
 // DefaultSweepPointCap bounds a sweep's expansion unless the caller
 // raises it (ParseSweepLimit, trafficsim -maxpoints): a typo like
@@ -57,168 +47,12 @@ func MeshPresets() []string {
 // points.
 const DefaultSweepPointCap = 256
 
-// SweepAxisInfo describes one engine-level sweep axis for the inventory
-// (cmd/papertables). Workload-parameter axes are not listed here — they
-// come from the workload registry's own parameter catalog.
-type SweepAxisInfo struct {
-	Name   string
-	Desc   string
-	Values []string // enumerable values, nil for open-ended axes
-	Hint   string   // value-shape hint when Values is nil
-}
-
-// sweepAxisDef wires an engine axis name to its per-point application.
-type sweepAxisDef struct {
-	name   string
-	desc   string
-	values func() []string // enumerable values (nil = open-ended)
-	hint   string          // value-shape hint when values is nil
-	// norm validates a value and returns its canonical spelling, so
-	// spelling variants of one point ("4"/"04", "MESI+MemL1" with spaces)
-	// collide in the duplicate check. nil = values() membership.
-	norm func(v string) (string, error)
-	// conflicts reports whether the base options already pin this axis
-	// explicitly (a sweep owns its axis; overriding would be silent).
-	conflicts func(o MatrixOptions) bool
-	apply     func(o *MatrixOptions, value string) // set the axis on one point's options
-}
-
-// sweepAxes is the engine-axis registry, in presentation order. Workload
-// parameters ("hotspot(t=...)") are the other sweepable surface; they are
-// resolved through the workload registry instead.
-var sweepAxes = []sweepAxisDef{
-	{
-		name: "topology", desc: "NoC topology for every cell",
-		values:    mesh.TopologyKinds,
-		conflicts: func(o MatrixOptions) bool { return o.Topology != "" },
-		apply:     func(o *MatrixOptions, v string) { o.Topology = v },
-	},
-	{
-		name: "router", desc: "fabric forwarding model for every cell",
-		values:    mesh.RouterKinds,
-		conflicts: func(o MatrixOptions) bool { return o.Router != "" },
-		apply:     func(o *MatrixOptions, v string) { o.Router = v },
-	},
-	{
-		name: "mesh", desc: "tile-grid dimensions WxH for every cell (tiles, MC corners and Bloom banks follow)",
-		values: MeshPresets,
-		hint:   "WxH, e.g. 4x4, 8x8, 16x16",
-		norm: func(v string) (string, error) {
-			w, h, err := memsys.ParseMeshDims(v)
-			if err != nil {
-				return "", err
-			}
-			return memsys.FormatMeshDims(w, h), nil
-		},
-		conflicts: func(o MatrixOptions) bool { return o.MeshWidth != 0 || o.MeshHeight != 0 },
-		apply: func(o *MatrixOptions, v string) {
-			o.MeshWidth, o.MeshHeight = mustParseMesh(v)
-		},
-	},
-	{
-		name: "vcs", desc: "vc router virtual channels per input port (even, >= 2)",
-		hint: "even int >= 2",
-		norm: func(v string) (string, error) {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return "", fmt.Errorf("%q is not an integer", v)
-			}
-			if n < 2 || n%2 != 0 {
-				return "", fmt.Errorf("VCs = %d; the dateline split needs an even count >= 2", n)
-			}
-			return strconv.Itoa(n), nil
-		},
-		conflicts: func(o MatrixOptions) bool { return o.VCs != 0 },
-		apply:     func(o *MatrixOptions, v string) { o.VCs = mustAtoi(v) },
-	},
-	{
-		name: "vcdepth", desc: "vc router flit buffer depth per VC (>= 1)",
-		hint:      "int >= 1",
-		norm:      normPositiveInt,
-		conflicts: func(o MatrixOptions) bool { return o.VCDepth != 0 },
-		apply:     func(o *MatrixOptions, v string) { o.VCDepth = mustAtoi(v) },
-	},
-	{
-		name: "threads", desc: "worker threads (= cores used) per cell",
-		hint:      "int >= 1",
-		norm:      normPositiveInt,
-		conflicts: func(o MatrixOptions) bool { return o.Threads != 0 },
-		apply:     func(o *MatrixOptions, v string) { o.Threads = mustAtoi(v) },
-	},
-	{
-		name: "protocol", desc: "one protocol spec per point (replaces the matrix protocol axis)",
-		hint: "any protocol spec",
-		norm: func(v string) (string, error) {
-			p, err := ParseProtocol(v)
-			if err != nil {
-				return "", err
-			}
-			return p.Spec, nil
-		},
-		conflicts: func(o MatrixOptions) bool { return o.Protocols != nil },
-		apply:     func(o *MatrixOptions, v string) { o.Protocols = []string{v} },
-	},
-}
-
-func normPositiveInt(v string) (string, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return "", fmt.Errorf("%q is not an integer", v)
-	}
-	if n < 1 {
-		return "", fmt.Errorf("%d must be >= 1", n)
-	}
-	return strconv.Itoa(n), nil
-}
-
-// mustAtoi converts a value the axis check already validated.
-func mustAtoi(v string) int {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		panic("core: unvalidated sweep value: " + v)
-	}
-	return n
-}
-
-// mustParseMesh converts a mesh value the axis check already validated.
-func mustParseMesh(v string) (width, height int) {
-	w, h, err := memsys.ParseMeshDims(v)
-	if err != nil {
-		panic("core: unvalidated sweep value: " + v)
-	}
-	return w, h
-}
-
-func sweepAxisByName(name string) *sweepAxisDef {
-	for i := range sweepAxes {
-		if sweepAxes[i].name == name {
-			return &sweepAxes[i]
-		}
-	}
-	return nil
-}
-
-// SweepAxisNames lists the engine-level sweep axes in presentation order.
-func SweepAxisNames() []string {
-	out := make([]string, len(sweepAxes))
-	for i, d := range sweepAxes {
-		out[i] = d.name
-	}
-	return out
-}
-
-// SweepAxisCatalog returns the engine-axis inventory for cmd/papertables.
-func SweepAxisCatalog() []SweepAxisInfo {
-	out := make([]SweepAxisInfo, len(sweepAxes))
-	for i, d := range sweepAxes {
-		info := SweepAxisInfo{Name: d.name, Desc: d.desc, Hint: d.hint}
-		if d.values != nil {
-			info.Values = d.values()
-		}
-		out[i] = info
-	}
-	return out
-}
+// MaxSweepPointCap is the ceiling on that cap. Planning holds every
+// point's plan at once, and its cost grows with the point count (about
+// 3 KB and 11 µs a point on a 2-CPU host), so a request past the ceiling
+// is refused before anything is planned rather than trusted with the
+// host's memory.
+const MaxSweepPointCap = 10_000
 
 // SweepSpec is a parsed, validated sweep: one axis with an ordered,
 // expanded value list, ready to stamp out per-point MatrixOptions.
@@ -240,8 +74,8 @@ type SweepSpec struct {
 	// workload sweeps ("2" for hotspot(t=2)) — the curve's x coordinates.
 	Values []string
 
-	axis  *sweepAxisDef // non-nil for engine-axis sweeps
-	specs []string      // per-point workload specs (workload sweeps)
+	axis  *Knob    // non-nil for engine-axis sweeps
+	specs []string // per-point workload specs (workload sweeps)
 }
 
 // expandRange expands one sweep value token: a plain value, an integer
@@ -370,8 +204,12 @@ func ParseSweep(spec string) (*SweepSpec, error) {
 // ParseSweepLimit is ParseSweep with an explicit point cap (maxPoints <= 0
 // means DefaultSweepPointCap). The cap exists so a typo'd range fails
 // loudly instead of expanding into a week of simulation; sweeps that
-// genuinely need more points raise it deliberately.
+// genuinely need more points raise it deliberately, up to
+// MaxSweepPointCap.
 func ParseSweepLimit(spec string, maxPoints int) (*SweepSpec, error) {
+	if maxPoints > MaxSweepPointCap {
+		return nil, fmt.Errorf("core: sweep cap %d exceeds the ceiling of %d points; split the sweep into smaller ones", maxPoints, MaxSweepPointCap)
+	}
 	limit := maxPoints
 	if limit <= 0 {
 		limit = DefaultSweepPointCap
@@ -389,11 +227,13 @@ func ParseSweepLimit(spec string, maxPoints int) (*SweepSpec, error) {
 		return nil, fmt.Errorf("core: sweep %q is neither axis=values nor workload(key=range)", spec)
 	}
 	name := strings.TrimSpace(s[:eq])
-	axis := sweepAxisByName(name)
-	if axis == nil {
+	axes := SweepAxes()
+	i := slices.IndexFunc(axes, func(a Knob) bool { return a.Name == name })
+	if i < 0 {
 		return nil, fmt.Errorf("core: unknown sweep axis %q (axes: %s; or a workload parameter like hotspot(t=1..16))",
 			name, strings.Join(SweepAxisNames(), ", "))
 	}
+	axis := &axes[i]
 	var values []string
 	for _, tok := range strings.Split(s[eq+1:], ",") {
 		if tok = strings.TrimSpace(tok); tok == "" {
@@ -413,16 +253,16 @@ func ParseSweepLimit(spec string, maxPoints int) (*SweepSpec, error) {
 	}
 	seen := make(map[string]bool, len(values))
 	for i, v := range values {
-		if axis.norm != nil {
-			n, err := axis.norm(v)
+		if axis.parse != nil {
+			n, err := axis.parse(v)
 			if err != nil {
 				return nil, fmt.Errorf("core: sweep %q: %v", spec, err)
 			}
 			values[i] = n
 			v = n
-		} else if !contains(axis.values(), v) {
+		} else if !slices.Contains(axis.Values(), v) {
 			return nil, fmt.Errorf("core: sweep %q: unknown %s %q (valid: %s)",
-				spec, axis.name, v, strings.Join(axis.values(), ", "))
+				spec, axis.Name, v, strings.Join(axis.Values(), ", "))
 		}
 		if seen[v] {
 			return nil, fmt.Errorf("core: sweep %q: duplicate point %q", spec, v)
@@ -525,28 +365,18 @@ func normScalar(v string) string {
 	return v
 }
 
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // PointOptions returns the per-point MatrixOptions, in sweep order: base
 // with the axis value applied. For workload-parameter sweeps each point's
 // Benchmarks is the single swept spec; for the protocol axis each point's
 // Protocols is the single swept protocol. A base that already pins the
 // swept axis (an explicit benchmark list against a workload sweep, a
-// nonzero Topology/Router/VCs/VCDepth/Threads against that engine axis)
-// is an error rather than a silent override — callers leave a swept field
-// at its zero value.
+// knob's nonzero field against that knob's axis) is an error rather than
+// a silent override — callers leave a swept field at its zero value.
 func (s *SweepSpec) PointOptions(base MatrixOptions) ([]MatrixOptions, error) {
 	if s.Workload != "" && base.Benchmarks != nil {
 		return nil, fmt.Errorf("core: sweep %q sets the benchmark axis; drop the explicit benchmark list", s.Spec)
 	}
-	if s.axis != nil && s.axis.conflicts != nil && s.axis.conflicts(base) {
+	if s.axis != nil && s.axis.pinned(&base) {
 		return nil, fmt.Errorf("core: sweep %q sets the %s axis; drop the explicit %s value", s.Spec, s.Axis, s.Axis)
 	}
 	out := make([]MatrixOptions, len(s.Values))
@@ -555,7 +385,7 @@ func (s *SweepSpec) PointOptions(base MatrixOptions) ([]MatrixOptions, error) {
 		if s.Workload != "" {
 			o.Benchmarks = []string{s.specs[i]}
 		} else {
-			s.axis.apply(&o, v)
+			s.axis.set(&o, v)
 		}
 		out[i] = o
 	}

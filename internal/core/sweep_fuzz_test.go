@@ -12,16 +12,17 @@ import (
 // trust boundary verbatim. An accepted spec expands to between 2 and
 // DefaultSweepPointCap distinct points, and its canonical Spec re-parses
 // to the same axis and values. Whatever the spec, PointOptions and the
-// planner never panic — the axis apply functions' mustAtoi/mustParseMesh
-// guards only hold if validation and expansion agree — and the planner
-// rejects every spec PointOptions rejects, since it plans through it. The
+// planner never panic — a knob's set panics on a value its parse did not
+// check, so this holds only if validation and expansion agree — and the
+// planner rejects every spec PointOptions rejects, since it plans through
+// it. The
 // checked-in corpus under testdata/fuzz seeds the spellings of sweep.go's
 // header and the specs the CI smoke runs must reject.
 func FuzzParseSweep(f *testing.F) {
 	bases := []core.MatrixOptions{
 		{Size: workloads.Tiny},
 		{Size: workloads.Tiny, Router: "vc"},
-		{Size: workloads.Tiny, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}, MeshWidth: 4, MeshHeight: 4},
+		{Size: workloads.Tiny, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}, Mesh: "4x4"},
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		if spec == "" {

@@ -591,7 +591,7 @@ func TestSweepTableStringWidths(t *testing.T) {
 
 // TestParseSweepLimit: the default cap rejects a 512-point expansion, and
 // an explicit limit admits exactly that many points — the cap is
-// configurable, not a wall.
+// configurable, up to MaxSweepPointCap, past which no spec is planned.
 func TestParseSweepLimit(t *testing.T) {
 	const spec = "vcs=2..1024..2" // 512 points
 	if _, err := core.ParseSweep(spec); err == nil {
@@ -611,6 +611,16 @@ func TestParseSweepLimit(t *testing.T) {
 	}
 	if s2, err := core.ParseSweepLimit("vcs=2,4", 0); err != nil || len(s2.Values) != 2 {
 		t.Errorf("limit 0 must mean the default cap: %v", err)
+	}
+	if s3, err := core.ParseSweepLimit("threads=1..10000", core.MaxSweepPointCap); err != nil || len(s3.Values) != core.MaxSweepPointCap {
+		t.Errorf("a sweep of exactly the ceiling's size: %v", err)
+	}
+	for _, limit := range []int{core.MaxSweepPointCap + 1, 2_000_000_000} {
+		if _, err := core.ParseSweepLimit("vcs=2,4", limit); err == nil {
+			t.Errorf("cap %d past the %d-point ceiling was accepted", limit, core.MaxSweepPointCap)
+		} else if want := fmt.Sprintf("sweep cap %d exceeds the ceiling of %d points", limit, core.MaxSweepPointCap); !strings.Contains(err.Error(), want) {
+			t.Errorf("cap %d: error %q does not say %q", limit, err, want)
+		}
 	}
 }
 

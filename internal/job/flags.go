@@ -1,8 +1,12 @@
 package job
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Explicit reports which flags were actually passed on the command line.
@@ -18,6 +22,41 @@ func Explicit(fs *flag.FlagSet) map[string]bool {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	return set
+}
+
+// KnobFlags defines one flag per engine knob on fs, with the knob's name,
+// help and default (core.Knobs). The returned pin copies the knobs passed
+// explicitly into req through their JSON names, the path an HTTP body
+// takes; a knob left at its default stays unset, so a sweep can still
+// claim its axis.
+func KnobFlags(fs *flag.FlagSet) (pin func(req *Request) error) {
+	vals := make(map[string]any)
+	for _, k := range core.Knobs() {
+		switch d := k.Default().(type) {
+		case int:
+			vals[k.Name] = fs.Int(k.Name, d, k.Help)
+		case string:
+			vals[k.Name] = fs.String(k.Name, d, k.Help)
+		}
+	}
+	return func(req *Request) error {
+		pins := make(map[string]any)
+		for name := range Explicit(fs) {
+			if v, ok := vals[name]; ok {
+				pins[name] = v
+			}
+		}
+		for _, k := range core.Knobs() {
+			if n, ok := pins[k.Name].(*int); ok && k.FlagFloor != "" && *n < 1 {
+				return fmt.Errorf("-%s %d: %s must be >= 1 (default %v)", k.Name, *n, k.FlagFloor, k.Default())
+			}
+		}
+		b, err := json.Marshal(pins)
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(b, req)
+	}
 }
 
 // SplitList splits a comma-separated list, trimming whitespace and

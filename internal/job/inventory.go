@@ -33,7 +33,7 @@ func FprintInventory(w io.Writer, dims string) error {
 		{"L2 Cache (shared)", fmt.Sprintf("%d KB slices (%d MB total), %d-way set associative, %d byte cache lines",
 			cfg.L2SliceBytes/1024, cfg.L2SliceBytes*cfg.Tiles/(1024*1024), cfg.L2Assoc, memsys.LineBytes)},
 		{"Network", fmt.Sprintf("%dx%d %s, 16 byte links, %d cycle link latency, 1 control + %d data flits/packet",
-			cfg.MeshWidth, cfg.MeshHeight, cfg.Topology, cfg.LinkLatency, cfg.MaxDataFlits)},
+			cfg.Width, cfg.Height, cfg.Topology, cfg.LinkLatency, cfg.MaxDataFlits)},
 		{"Memory Controller", fmt.Sprintf("FR-FCFS scheduling, open page policy, %d corner-tile controllers", len(cfg.MCTiles))},
 		{"DRAM", fmt.Sprintf("DDR3-1066, %d banks, %d KB rows", cfg.DRAM.Banks, cfg.DRAM.RowBytes/1024)},
 		{"Store buffer", fmt.Sprintf("%d pending non-blocking writes per core", cfg.StoreBufferEntries)},
@@ -47,7 +47,7 @@ func FprintInventory(w io.Writer, dims string) error {
 	fmt.Fprintln(w, "\nNoC topologies (trafficsim -topology; route lengths drive all flit-hop telemetry)")
 	fmt.Fprintf(w, "  %-8s %6s %6s %10s %9s %9s\n", "kind", "tiles", "ports", "dir.links", "diameter", "avg hops")
 	for _, kind := range mesh.TopologyKinds() {
-		t, err := mesh.NewTopology(kind, cfg.MeshWidth, cfg.MeshHeight)
+		t, err := mesh.NewTopology(kind, cfg.Width, cfg.Height)
 		if err != nil {
 			return err
 		}
@@ -115,10 +115,10 @@ func FprintInventory(w io.Writer, dims string) error {
 
 	fmt.Fprintln(w, "\nSweep axes (trafficsim -sweep; one assembled curve table per sweep)")
 	fmt.Fprintf(w, "  %-10s %-20s %s\n", "axis", "values", "description")
-	for _, a := range core.SweepAxisCatalog() {
-		vals := strings.Join(a.Values, ",")
-		if vals == "" {
-			vals = a.Hint
+	for _, a := range core.SweepAxes() {
+		vals := a.Hint
+		if a.Values != nil {
+			vals = strings.Join(a.Values(), ",")
 		}
 		fmt.Fprintf(w, "  %-10s %-20s %s\n", a.Name, vals, a.Desc)
 	}

@@ -229,6 +229,8 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Mesh: "4294967297x4294967297"}, "memsys: mesh dimensions 4294967297x4294967297: each side must be at most 16"},
 		{Request{Protocols: []string{"MESI", "MESI"}}, `core: protocols "MESI" and "MESI" are the same configuration`},
 		{Request{Benchmarks: []string{"FFT", " FFT "}}, `core: benchmarks "FFT" and " FFT " are the same workload`},
+		{Request{Sweep: "threads=1,2", MaxPoints: 10001}, "core: sweep cap 10001 exceeds the ceiling of 10000 points"},
+		{Request{Sweep: "threads=1,2", MaxPoints: 2000000000}, "core: sweep cap 2000000000 exceeds the ceiling of 10000 points"},
 	}
 	for _, c := range cases {
 		id, err := q.Submit(c.req)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/memsys"
 	"repro/internal/workloads"
 )
 
@@ -84,25 +83,20 @@ type Request struct {
 	// ("axis=v1,v2,..." or "family(key=lo..hi)"); empty means a matrix
 	// run.
 	Sweep string `json:"sweep,omitempty"`
-	// Topology pins the NoC topology ("" = mesh, the engine default —
-	// and the only spelling that lets a topology sweep run).
+	// Topology, Router, Mesh, VCs, VCDepth and Threads pin the engine
+	// knobs of the same names (core.Knobs); "" or 0 leaves a knob at the
+	// engine default, the only spelling that lets a sweep over it run.
 	Topology string `json:"topology,omitempty"`
-	// Router pins the fabric forwarding model ("" = ideal).
-	Router string `json:"router,omitempty"`
-	// Mesh pins the tile-grid dimensions as "WxH" ("" = the paper's 4x4).
-	Mesh string `json:"mesh,omitempty"`
-	// VCs and VCDepth pin the vc router's buffer geometry (0 = model
-	// default; dead — and rejected — under any other router).
-	VCs     int `json:"vcs,omitempty"`
-	VCDepth int `json:"vcdepth,omitempty"`
-	// Threads is the simulated worker-thread count (0 = 16, the paper's
-	// tile count).
-	Threads int `json:"threads,omitempty"`
+	Router   string `json:"router,omitempty"`
+	Mesh     string `json:"mesh,omitempty"`
+	VCs      int    `json:"vcs,omitempty"`
+	VCDepth  int    `json:"vcdepth,omitempty"`
+	Threads  int    `json:"threads,omitempty"`
 	// Workers bounds concurrent cell simulations (0 = one per CPU,
 	// 1 = serial). Scheduling never changes results, only wall-clock.
 	Workers int `json:"workers,omitempty"`
 	// MaxPoints raises the sweep expansion cap (0 = the default cap,
-	// core.DefaultSweepPointCap).
+	// core.DefaultSweepPointCap), up to core.MaxSweepPointCap.
 	MaxPoints int `json:"maxpoints,omitempty"`
 }
 
@@ -157,11 +151,11 @@ func (r *Request) FigureIDs() []string {
 
 // ValidateStrict is the one request validator; every entry point calls
 // it before anything simulates. It checks what only the request knows —
-// MaxPoints, the input scale and mesh spellings, figure ids, and figures
-// or a summary beside a sweep — then plans the request with core.Plan,
-// the planner core.Run itself runs, so a request it accepts cannot fail
-// planning inside Run. Every error is a UsageError (CLI exit 2, HTTP 400)
-// carrying the parser's, the registry's or the planner's own message.
+// MaxPoints, the input scale, figure ids, and figures or a summary beside
+// a sweep — then plans the request with core.Plan, the planner core.Run
+// itself runs, so a request it accepts cannot fail planning inside Run.
+// Every error is a UsageError (CLI exit 2, HTTP 400) carrying the
+// parser's, the registry's or the planner's own message.
 func (r *Request) ValidateStrict() error {
 	if r.MaxPoints < 0 {
 		return usagef("-maxpoints %d: the sweep cap must be >= 1 (default %d)", r.MaxPoints, core.DefaultSweepPointCap)
@@ -201,23 +195,16 @@ func (r *Request) matrixOptions() (core.MatrixOptions, error) {
 	if err != nil {
 		return core.MatrixOptions{}, err
 	}
-	opt := core.MatrixOptions{
+	return core.MatrixOptions{
 		Size:       size,
 		Threads:    r.Threads,
 		Protocols:  r.Protocols,
 		Benchmarks: r.Benchmarks,
 		Topology:   r.Topology,
+		Mesh:       r.Mesh,
 		Router:     r.Router,
 		VCs:        r.VCs,
 		VCDepth:    r.VCDepth,
 		Workers:    r.Workers,
-	}
-	if r.Mesh != "" {
-		w, h, err := memsys.ParseMeshDims(r.Mesh)
-		if err != nil {
-			return core.MatrixOptions{}, err
-		}
-		opt.MeshWidth, opt.MeshHeight = w, h
-	}
-	return opt, nil
+	}, nil
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -75,12 +76,24 @@ type submitResponse struct {
 	URL string `json:"url"`
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest decodes a submitted request body of at most 1 MiB; a
+// field Request does not have is an error, not silently dropped. w, if
+// non-nil, is the response the body belongs to (see http.MaxBytesReader).
+// Every error is a UsageError.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request JSON: %w", err))
+		return Request{}, usagef("invalid request JSON: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(w, r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	id, err := s.q.Submit(req)

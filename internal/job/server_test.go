@@ -37,6 +37,50 @@ func decodeError(t *testing.T, resp *http.Response) string {
 	return e.Error
 }
 
+// malformedBodies are request bodies the server must refuse with a 400,
+// each with a substring of its error. FuzzRequestValidate seeds its
+// corpus with them.
+var malformedBodies = []struct {
+	body string
+	want string
+}{
+	// The exact message trafficsim -sweep 'hotspot(t=4)' prints.
+	{`{"sweep":"hotspot(t=4)"}`, `core: sweep "hotspot(t=4)": no parameter has multiple values (use a range like t=1..16 or a list like t=1,2,4)`},
+	{`{"sweep":"hotspot(t=1,2)","benchmarks":["FFT"]}`, "sets the benchmark axis"},
+	{`{"size":"huge"}`, `unknown size "huge"`},
+	{`{"protocols":["NOPE"]}`, "NOPE"},
+	// Explicitly empty lists ([] is not an omitted field) would run
+	// zero cells: a matrix with nothing to render, a sweep that never
+	// completes a point.
+	{`{"protocols":[],"benchmarks":["FFT"],"figures":["5.1a"]}`, "core: empty protocol list"},
+	{`{"benchmarks":[],"protocols":["MESI"]}`, "core: empty benchmark list"},
+	{`{"sweep":"hotspot(t=1,2)","protocols":[]}`, "core: sweep point hotspot.t = 1: core: empty protocol list"},
+	// What only the planner catches is rejected at submit with the
+	// planner's own message, never queued to fail as a 500.
+	{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
+	{`{"threads":-3,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads -3 must be >= 1"},
+	// VC geometry does nothing outside the vc router.
+	{`{"vcs":4}`, "vc router"},
+	{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
+	{`{"router":"vc","vcdepth":-2}`, "memsys: VCDepth = -2 must not be negative"},
+	// Unbounded VC geometry used to be accepted and then run the
+	// process out of memory building the router.
+	{`{"router":"vc","vcs":20000000}`, "memsys: VCs = 20000000 exceeds the maximum 64"},
+	{`{"router":"vc","vcdepth":200000000}`, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
+	{`{"mesh":"2x2"}`, "core: threads 16 > tiles 4"},
+	// So were unbounded mesh dimensions.
+	{`{"mesh":"2000x2000","benchmarks":["FFT"],"protocols":["MESI"]}`, "memsys: mesh dimensions 2000x2000: each side must be at most 16"},
+	{`{"mesh":"17x4"}`, "memsys: mesh dimensions 17x4: each side must be at most 16"},
+	{`{"mesh":"4294967297x4294967297"}`, "memsys: mesh dimensions 4294967297x4294967297: each side must be at most 16"},
+	{`{"protocols":["MESI","MESI"]}`, `core: protocols "MESI" and "MESI" are the same configuration`},
+	{`{"benchmarks":["FFT"," FFT "]}`, `core: benchmarks "FFT" and " FFT " are the same workload`},
+	// The sweep cap has a ceiling: planning cost grows with every point.
+	{`{"sweep":"threads=1,2","maxpoints":10001}`, "core: sweep cap 10001 exceeds the ceiling of 10000 points"},
+	{`{"sweep":"threads=1,2","maxpoints":2000000000}`, "core: sweep cap 2000000000 exceeds the ceiling of 10000 points"},
+	{`{"bogus":1}`, "invalid request JSON"},
+	{`not json`, "invalid request JSON"},
+}
+
 // Malformed submissions are loud 4xx with the same validation messages
 // the CLIs print — the registry's own words, not a generic "bad request".
 func TestServerRejectsMalformedRequests(t *testing.T) {
@@ -45,44 +89,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer(q))
 	defer ts.Close()
 
-	cases := []struct {
-		body string
-		want string
-	}{
-		// The exact message trafficsim -sweep 'hotspot(t=4)' prints.
-		{`{"sweep":"hotspot(t=4)"}`, `core: sweep "hotspot(t=4)": no parameter has multiple values (use a range like t=1..16 or a list like t=1,2,4)`},
-		{`{"sweep":"hotspot(t=1,2)","benchmarks":["FFT"]}`, "sets the benchmark axis"},
-		{`{"size":"huge"}`, `unknown size "huge"`},
-		{`{"protocols":["NOPE"]}`, "NOPE"},
-		// Explicitly empty lists ([] is not an omitted field) would run
-		// zero cells: a matrix with nothing to render, a sweep that never
-		// completes a point.
-		{`{"protocols":[],"benchmarks":["FFT"],"figures":["5.1a"]}`, "core: empty protocol list"},
-		{`{"benchmarks":[],"protocols":["MESI"]}`, "core: empty benchmark list"},
-		{`{"sweep":"hotspot(t=1,2)","protocols":[]}`, "core: sweep point hotspot.t = 1: core: empty protocol list"},
-		// What only the planner catches is rejected at submit with the
-		// planner's own message, never queued to fail as a 500.
-		{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
-		{`{"threads":-3,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads -3 must be >= 1"},
-		// VC geometry does nothing outside the vc router.
-		{`{"vcs":4}`, "vc router"},
-		{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
-		{`{"router":"vc","vcdepth":-2}`, "memsys: VCDepth = -2 must not be negative"},
-		// Unbounded VC geometry used to be accepted and then run the
-		// process out of memory building the router.
-		{`{"router":"vc","vcs":20000000}`, "memsys: VCs = 20000000 exceeds the maximum 64"},
-		{`{"router":"vc","vcdepth":200000000}`, "memsys: VCDepth = 200000000 exceeds the maximum 64"},
-		{`{"mesh":"2x2"}`, "core: threads 16 > tiles 4"},
-		// So were unbounded mesh dimensions.
-		{`{"mesh":"2000x2000","benchmarks":["FFT"],"protocols":["MESI"]}`, "memsys: mesh dimensions 2000x2000: each side must be at most 16"},
-		{`{"mesh":"17x4"}`, "memsys: mesh dimensions 17x4: each side must be at most 16"},
-		{`{"mesh":"4294967297x4294967297"}`, "memsys: mesh dimensions 4294967297x4294967297: each side must be at most 16"},
-		{`{"protocols":["MESI","MESI"]}`, `core: protocols "MESI" and "MESI" are the same configuration`},
-		{`{"benchmarks":["FFT"," FFT "]}`, `core: benchmarks "FFT" and " FFT " are the same workload`},
-		{`{"bogus":1}`, "invalid request JSON"},
-		{`not json`, "invalid request JSON"},
-	}
-	for _, c := range cases {
+	for _, c := range malformedBodies {
 		resp := postJob(t, ts, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %s: status %d, want 400", c.body, resp.StatusCode)

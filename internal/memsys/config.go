@@ -43,34 +43,11 @@ func AddrOf(line uint32, word int) uint32 { return line<<LineShift | uint32(word
 // Config is the simulated system of Table 4.1 plus protocol-level knobs
 // from §4.2 and §4.4.
 type Config struct {
-	Tiles      int // cores / L1s / L2 slices
-	MeshWidth  int
-	MeshHeight int
-	// Topology selects the NoC geometry: "mesh" (the paper's XY-routed
-	// grid, the default), "ring" (bidirectional, the tiles linearized
-	// into one cycle), or "torus" (mesh plus wraparound links). Route
-	// lengths — and therefore all flit-hop telemetry — follow it.
-	Topology string
-	// Router selects the fabric's forwarding model: "ideal" (the paper's
-	// injection-time link reservation, the default), "vc" (a
-	// cycle-level wormhole router with per-port input VCs, credit-based
-	// flow control and round-robin allocation), or "deflection" (a
-	// cycle-level bufferless router that misroutes on contention instead
-	// of buffering, reporting the detours as NetStats.DeflectedHops).
-	// Packet latencies — and therefore the congestion telemetry — follow
-	// it; minimal flit-hop traffic accounting is identical under all.
-	Router string
-	// VCs is the vc router's virtual-channel count per input port
-	// (0 = default 2). It must be even and at least 2: the dateline
-	// deadlock-avoidance scheme splits the VCs into two equal classes, so
-	// an odd count would silently give class 0 fewer buffers and skew
-	// both fairness and the torus deadlock margin. Validate rejects odd
-	// values rather than letting that imbalance happen, and values above
-	// mesh.MaxVCs.
-	VCs int
-	// VCDepth is the vc router's flit buffer depth per VC (0 = default 4,
-	// at most mesh.MaxVCDepth).
-	VCDepth int
+	Tiles int // cores / L1s / L2 slices
+
+	// Config is the fabric — tile grid, topology, router model, VC
+	// geometry and link latency — which NewEnv hands to mesh.New as is.
+	mesh.Config
 
 	L1Bytes int // private L1 data cache per tile
 	L1Assoc int
@@ -78,8 +55,7 @@ type Config struct {
 	L2SliceBytes int // shared L2 slice per tile
 	L2Assoc      int
 
-	LinkLatency  int64 // cycles per mesh hop
-	MaxDataFlits int   // data flits per packet (4 => 64B max data)
+	MaxDataFlits int // data flits per packet (4 => 64B max data)
 
 	L1Latency int64 // L1 access latency
 	L2Latency int64 // L2 slice access latency
@@ -169,7 +145,7 @@ func FormatMeshDims(width, height int) string {
 // cache and link parameters are unchanged — scaling the fabric scales the
 // aggregate capacity with it, as a real tiled CMP would.
 func (c Config) WithMesh(width, height int) Config {
-	c.MeshWidth, c.MeshHeight = width, height
+	c.Width, c.Height = width, height
 	c.Tiles = width * height
 	c.MCTiles = CornerTiles(width, height)
 	c.Bloom = bloom.DefaultBankConfig(c.Tiles)
@@ -183,11 +159,8 @@ func (c Config) WithMesh(width, height int) Config {
 // single-channel DDR3-1066 DIMMs.
 func Default() Config {
 	return Config{
-		Tiles:      16,
-		MeshWidth:  4,
-		MeshHeight: 4,
-		Topology:   "mesh",
-		Router:     "ideal",
+		Tiles:  16,
+		Config: mesh.Config{Width: 4, Height: 4, Topology: "mesh", Router: "ideal", LinkLatency: 3},
 
 		L1Bytes: 32 * 1024,
 		L1Assoc: 8,
@@ -195,7 +168,6 @@ func Default() Config {
 		L2SliceBytes: 256 * 1024,
 		L2Assoc:      16,
 
-		LinkLatency:  3,
 		MaxDataFlits: 4,
 
 		L1Latency: 2,
@@ -236,18 +208,21 @@ func (c Config) Scaled(div int) Config {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
-	if err := checkSides(c.MeshWidth, c.MeshHeight); err != nil {
+	if err := checkSides(c.Width, c.Height); err != nil {
 		return err
 	}
-	if c.Tiles != c.MeshWidth*c.MeshHeight {
-		return fmt.Errorf("memsys: tiles %d != mesh %dx%d", c.Tiles, c.MeshWidth, c.MeshHeight)
+	if c.Tiles != c.Width*c.Height {
+		return fmt.Errorf("memsys: tiles %d != mesh %dx%d", c.Tiles, c.Width, c.Height)
 	}
-	if _, err := mesh.NewTopology(c.Topology, c.MeshWidth, c.MeshHeight); err != nil {
+	if _, err := mesh.NewTopology(c.Topology, c.Width, c.Height); err != nil {
 		return fmt.Errorf("memsys: %w", err)
 	}
 	if err := mesh.ValidRouter(c.Router); err != nil {
 		return fmt.Errorf("memsys: %w", err)
 	}
+	// The dateline deadlock-avoidance scheme splits the VCs into two equal
+	// classes: an odd count would silently give class 0 fewer buffers and
+	// skew both fairness and the torus deadlock margin.
 	if c.VCs != 0 && (c.VCs < 2 || c.VCs%2 != 0) {
 		return fmt.Errorf("memsys: VCs = %d; the dateline split needs an even count >= 2", c.VCs)
 	}
@@ -269,7 +244,7 @@ func (c Config) Validate() error {
 	// length. Each MC tile must be in range and a corner of this grid —
 	// configs that re-dimension the mesh go through WithMesh, which keeps
 	// the placement in sync.
-	corners := CornerTiles(c.MeshWidth, c.MeshHeight)
+	corners := CornerTiles(c.Width, c.Height)
 	for _, t := range c.MCTiles {
 		if t < 0 || t >= c.Tiles {
 			return fmt.Errorf("memsys: MC tile %d out of range for %d tiles", t, c.Tiles)
@@ -283,7 +258,7 @@ func (c Config) Validate() error {
 		}
 		if !isCorner {
 			return fmt.Errorf("memsys: MC tile %d is not a corner of the %dx%d mesh (corners: %v); use WithMesh to re-dimension",
-				t, c.MeshWidth, c.MeshHeight, corners)
+				t, c.Width, c.Height, corners)
 		}
 	}
 	if c.MaxDataFlits <= 0 {

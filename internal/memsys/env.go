@@ -110,14 +110,8 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 	k := &sim.Kernel{}
 	prof := waste.NewProfiler()
 	e := &Env{
-		K: k,
-		Mesh: mesh.New(k, mesh.Config{
-			Width: cfg.MeshWidth, Height: cfg.MeshHeight,
-			Topology: cfg.Topology,
-			Router:   cfg.Router,
-			VCs:      cfg.VCs, VCDepth: cfg.VCDepth,
-			LinkLatency: cfg.LinkLatency,
-		}),
+		K:       k,
+		Mesh:    mesh.New(k, cfg.Config),
 		Cfg:     cfg,
 		Traffic: NewTraffic(prof),
 		Prof:    prof,

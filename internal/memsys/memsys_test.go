@@ -207,9 +207,9 @@ func TestTrafficDeferredAttribution(t *testing.T) {
 	// Classify: 2 used, 3 evicted.
 	prof.L1Load(ids[0])
 	prof.L1Load(ids[1])
-	prof.L1Evict(ids[2])
-	prof.L1Evict(ids[3])
-	prof.L1Evict(ids[4])
+	prof.Release(1, waste.Evict, ids[2:3], nil, false) // one word at a time
+	prof.Release(1, waste.Evict, ids[3:4], nil, false)
+	prof.Release(1, waste.Evict, ids[4:5], nil, false)
 	if got := tr.Get(ClassLD, BRespL1Used); got != 1.0 {
 		t.Fatalf("L1 used = %v, want 1.0", got)
 	}
@@ -261,7 +261,7 @@ func TestWasteShare(t *testing.T) {
 	b := prof.L1Arrival(4, false)
 	tr.Data(ClassLD, 4, []uint64{a, b}) // 2 words * 1 flit-hop share each, filler 2
 	prof.L1Load(a)
-	prof.L1Evict(b)
+	prof.Release(1, waste.Evict, []uint64{b}, nil, false)
 	// used=1, waste=1, respctl filler=2 → waste share = 1/4.
 	if got := tr.WasteShare(); got != 0.25 {
 		t.Fatalf("WasteShare = %v, want 0.25", got)

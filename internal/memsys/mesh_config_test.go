@@ -78,8 +78,8 @@ func TestValidateMeshSide(t *testing.T) {
 
 func TestWithMesh(t *testing.T) {
 	cfg := Default().WithMesh(8, 8)
-	if cfg.Tiles != 64 || cfg.MeshWidth != 8 || cfg.MeshHeight != 8 {
-		t.Fatalf("WithMesh(8,8): tiles %d, dims %dx%d", cfg.Tiles, cfg.MeshWidth, cfg.MeshHeight)
+	if cfg.Tiles != 64 || cfg.Width != 8 || cfg.Height != 8 {
+		t.Fatalf("WithMesh(8,8): tiles %d, dims %dx%d", cfg.Tiles, cfg.Width, cfg.Height)
 	}
 	if want := []int{0, 7, 56, 63}; !reflect.DeepEqual(cfg.MCTiles, want) {
 		t.Errorf("MC tiles %v, want corners %v", cfg.MCTiles, want)
@@ -122,7 +122,7 @@ func TestValidateMCPlacement(t *testing.T) {
 	}
 
 	mismatch := Default()
-	mismatch.MeshWidth = 8 // Tiles stays 16: dims and count disagree
+	mismatch.Width = 8 // Tiles stays 16: dims and count disagree
 	if err := mismatch.Validate(); err == nil {
 		t.Error("tiles != width*height passed Validate")
 	}

@@ -261,7 +261,7 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			if level == LevelL1 {
 				n = p.L1Arrival(addr(arg(a)), present)
 			} else {
-				n = p.L2Arrival(addr(arg(a)), present)
+				n = fillWord(p, level, addr(arg(a)), present)
 			}
 			handles = append(handles, [2]uint64{n, r.arrival(level, addr(arg(a)), present)})
 			i = a + 2
@@ -276,7 +276,8 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			i = a + 1
 		case 4:
 			h := handle(arg(a + 1))
-			wrappers := []func(uint64){p.L1Load, p.L1Store, p.L1Invalidate, p.L1Evict, p.L2Served, p.L2Overwritten, p.L2Evict, p.MemLoad}
+			release := func(cat Category) func(uint64) { return func(id uint64) { releaseWord(p, id, cat) } }
+			wrappers := []func(uint64){p.L1Load, p.L1Store, release(Invalidate), release(Evict), p.L2Served, release(Write), release(Evict), p.MemLoad}
 			refCats := []Category{Used, Write, Invalidate, Evict, Used, Write, Evict, Used}
 			k := int(arg(a)) % len(wrappers)
 			wrappers[k](h[0])

@@ -278,6 +278,9 @@ func (p *Profiler) Release(mask uint16, cat Category, inst, minst []uint64, comm
 }
 
 // --- L1 FSM (Figure 4.1) ---
+//
+// Line fills go through Fill, and evictions and invalidations through
+// Release.
 
 // L1Arrival records a word arriving at an L1 cache. present reports
 // whether the word was already valid there; if so the arrival is
@@ -296,31 +299,12 @@ func (p *Profiler) L1Load(id uint64) { p.classify(id, Used) }
 // L1Store marks the word instance overwritten before use (Write).
 func (p *Profiler) L1Store(id uint64) { p.classify(id, Write) }
 
-// L1Invalidate marks the instance invalidated before use.
-func (p *Profiler) L1Invalidate(id uint64) { p.classify(id, Invalidate) }
-
-// L1Evict marks the instance evicted before use.
-func (p *Profiler) L1Evict(id uint64) { p.classify(id, Evict) }
-
 // --- L2 FSM (Figure 4.2) ---
-
-// L2Arrival records a word arriving at an L2 slice from memory.
-func (p *Profiler) L2Arrival(addr uint32, present bool) uint64 {
-	id := p.new(LevelL2, addr)
-	if present {
-		p.classify(id, Fetch)
-	}
-	return id
-}
+//
+// Arrivals go through Fill, and overwrites and evictions through Release.
 
 // L2Served marks the word returned to an L1 as part of a response (Used).
 func (p *Profiler) L2Served(id uint64) { p.classify(id, Used) }
-
-// L2Overwritten marks the word overwritten by an L1 writeback (Write).
-func (p *Profiler) L2Overwritten(id uint64) { p.classify(id, Write) }
-
-// L2Evict marks the word evicted from the L2 before use.
-func (p *Profiler) L2Evict(id uint64) { p.classify(id, Evict) }
 
 // --- Memory FSM (Figure 4.3) ---
 

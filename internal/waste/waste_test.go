@@ -12,6 +12,24 @@ func newMeasuring() *Profiler {
 	return p
 }
 
+// fillWord and releaseWord drive the line entry points one word at a
+// time: a one-bit mask over word 0 of a line based at addr. fillWord
+// returns the new instance's id, 0 for a word already present (its
+// arrival classifies as Fetch at once).
+func fillWord(p *Profiler, level Level, addr uint32, present bool) uint64 {
+	var inst [1]uint64
+	var pres uint16
+	if present {
+		pres = 1
+	}
+	p.Fill(level, addr, 1, pres, 0, 0, inst[:], nil, false)
+	return inst[0]
+}
+
+func releaseWord(p *Profiler, id uint64, cat Category) {
+	p.Release(1, cat, []uint64{id}, nil, false)
+}
+
 func TestL1FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
 
@@ -23,10 +41,10 @@ func TestL1FSMAllPaths(t *testing.T) {
 	p.L1Store(id)
 	// invalidate before use -> Invalidate
 	id = p.L1Arrival(8, false)
-	p.L1Invalidate(id)
+	releaseWord(p, id, Invalidate)
 	// evict before use -> Evict
 	id = p.L1Arrival(12, false)
-	p.L1Evict(id)
+	releaseWord(p, id, Evict)
 	// already present -> Fetch immediately
 	p.L1Arrival(16, true)
 	// nothing -> Unevicted at Finish
@@ -43,8 +61,8 @@ func TestL1FSMAllPaths(t *testing.T) {
 func TestClassifyOnce(t *testing.T) {
 	p := newMeasuring()
 	id := p.L1Arrival(0, false)
-	p.L1Load(id)  // Used (terminal)
-	p.L1Evict(id) // must not reclassify
+	p.L1Load(id)              // Used (terminal)
+	releaseWord(p, id, Evict) // must not reclassify
 	p.L1Store(id)
 	if p.Count(LevelL1, Used) != 1 || p.Count(LevelL1, Evict) != 0 || p.Count(LevelL1, Write) != 0 {
 		t.Fatal("instance reclassified after terminal state")
@@ -53,11 +71,11 @@ func TestClassifyOnce(t *testing.T) {
 
 func TestL2FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
-	p.L2Served(p.L2Arrival(0, false))
-	p.L2Overwritten(p.L2Arrival(4, false))
-	p.L2Evict(p.L2Arrival(8, false))
-	p.L2Arrival(12, true) // Fetch
-	p.L2Arrival(16, false)
+	p.L2Served(fillWord(p, LevelL2, 0, false))
+	releaseWord(p, fillWord(p, LevelL2, 4, false), Write)
+	releaseWord(p, fillWord(p, LevelL2, 8, false), Evict)
+	fillWord(p, LevelL2, 12, true) // Fetch
+	fillWord(p, LevelL2, 16, false)
 	p.Finish()
 	for _, c := range []Category{Used, Write, Evict, Fetch, Unevicted} {
 		if got := p.Count(LevelL2, c); got != 1 {
@@ -252,7 +270,7 @@ func TestConservationProperty(t *testing.T) {
 				l1IDs = append(l1IDs, p.L1Arrival(addr, rng.Intn(4) == 0))
 				created[LevelL1]++
 			case 1:
-				l2IDs = append(l2IDs, p.L2Arrival(addr, rng.Intn(4) == 0))
+				l2IDs = append(l2IDs, fillWord(p, LevelL2, addr, rng.Intn(4) == 0))
 				created[LevelL2]++
 			case 2:
 				id := p.MemFetch(addr, rng.Intn(4) == 0)
@@ -265,7 +283,7 @@ func TestConservationProperty(t *testing.T) {
 				}
 			case 4:
 				if len(l1IDs) > 0 {
-					p.L1Evict(l1IDs[rng.Intn(len(l1IDs))])
+					releaseWord(p, l1IDs[rng.Intn(len(l1IDs))], Evict)
 				}
 			case 5:
 				if len(l2IDs) > 0 {
@@ -303,7 +321,7 @@ func BenchmarkProfilerLifecycle(b *testing.B) {
 		if i%2 == 0 {
 			p.L1Load(id)
 		} else {
-			p.L1Evict(id)
+			releaseWord(p, id, Evict)
 		}
 	}
 }
@@ -311,7 +329,7 @@ func BenchmarkProfilerLifecycle(b *testing.B) {
 func TestSnapshot(t *testing.T) {
 	p := newMeasuring()
 	p.L1Load(p.L1Arrival(0, false))
-	p.L2Evict(p.L2Arrival(4, false))
+	releaseWord(p, fillWord(p, LevelL2, 4, false), Evict)
 	p.MemExcess(8)
 	s := p.Snapshot()
 	if s[LevelL1][Used] != 1 || s[LevelL2][Evict] != 1 || s[LevelMem][Excess] != 1 {
