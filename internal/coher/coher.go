@@ -72,8 +72,8 @@ func (s *Substrate) Send(src, dst, flits int, payload any) {
 }
 
 // SendData sends a packet of one control flit plus the data flits needed
-// for words data words. Data-word Used/Waste attribution is deferred via
-// Traffic.Data/WBData at the call site; the header flit is charged
+// for words data words. The data flits are charged at the call site
+// (Traffic.Fill, Filler or WBData); the header flit is charged
 // separately (CtlHops or SendCtl).
 func (s *Substrate) SendData(src, dst, words int, payload any) {
 	s.Env.Mesh.Send(src, dst, 1+memsys.DataFlits(words), payload)

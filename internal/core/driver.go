@@ -86,8 +86,8 @@ func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Run
 	return r
 }
 
-// MaxSteps bounds a Run as a livelock watchdog (0 = default bound).
-var MaxSteps uint64 = 2_000_000_000
+// maxSteps bounds a Run's events as a livelock watchdog.
+const maxSteps = 2_000_000_000
 
 // Run executes every phase to completion. It returns an error if the
 // simulation deadlocks, livelocks, or the functional oracle detects a
@@ -102,7 +102,7 @@ func (r *Runner) Run() error {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
-		if r.env.K.Steps() > MaxSteps {
+		if r.env.K.Steps() > maxSteps {
 			return fmt.Errorf("core: livelock in %s/%s at phase %d (cycle %d, %d events, %d clamped)",
 				r.proto.Name(), r.prog.Name(), r.phase, r.env.K.Now(), r.env.K.Steps(), r.env.K.Clamped())
 		}

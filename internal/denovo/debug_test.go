@@ -18,9 +18,6 @@ func TestDiagnostics(t *testing.T) {
 	}
 	sys := newSystem(t, env, "DeNovo")
 	r := core.NewRunner(env, sys, prog)
-	old := core.MaxSteps
-	core.MaxSteps = 50_000_000
-	defer func() { core.MaxSteps = old }()
 	if err := r.Run(); err != nil {
 		t.Fatalf("%v\n%s", err, sys.DebugState())
 	}

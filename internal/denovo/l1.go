@@ -346,11 +346,13 @@ func (l *l1Cache) handleRegAck(m *dvnRegAck) {
 
 // --- responses ---
 
+// handleData installs a response's words, each through waste.Profiler.Fill
+// as a one-word fill in message order, and charges the response's filler
+// once: under Flex its words can span lines.
 func (l *l1Cache) handleData(m *dvnData) {
 	env := l.env()
 	ms := l.mshrs.Get(m.key)
-	var buf [2 * lineWords]uint64 // Traffic.Data does not keep insts
-	insts := buf[:0]
+	share := memsys.WordShare(m.hops)
 	for _, d := range m.words.s {
 		addr := d.addr
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
@@ -362,21 +364,20 @@ func (l *l1Cache) handleData(m *dvnData) {
 				ln.Region = r.ID
 			}
 		}
-		present := ln.WState[w] != wInvalid
-		id := env.Prof.L1Arrival(addr, present)
-		insts = append(insts, id)
-		if !present {
-			ln.Inst[w] = id
+		var present uint16
+		if ln.WState[w] != wInvalid {
+			present = 1 << w
+		} else {
 			ln.Data[w] = d.val
 			ln.WState[w] = wValid
 			ln.MInst[w] = d.minst
-			env.Prof.MemAddRef(d.minst)
 		}
+		env.Prof.Fill(waste.LevelL1, line<<memsys.LineShift, 1<<w, present, uint8(memsys.ClassLD), share, ln.Inst, ln.MInst, true)
 		if ms != nil {
 			ms.wanted.remove(addr)
 		}
 	}
-	env.Traffic.Data(memsys.ClassLD, m.hops, insts)
+	env.Traffic.Filler(memsys.ClassLD, m.hops, len(m.words.s))
 	if ms == nil {
 		return // stale response (mshr already satisfied)
 	}

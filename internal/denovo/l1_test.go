@@ -1,0 +1,54 @@
+package denovo
+
+import (
+	"testing"
+
+	"repro/internal/memsys"
+)
+
+// TestResponseFillerChargedOnce delivers one L1 response whose words
+// span two lines. The unfilled remainder of its last data flit is charged
+// once for all its words: 5 + 3 words fill two data flits exactly, so
+// the filler is 0, where charging it per line would add 0.75 + 0.25
+// flits per hop. Every word's instance carries a quarter flit per hop,
+// so shares and filler together are the response's data flit-hops.
+func TestResponseFillerChargedOnce(t *testing.T) {
+	const hops = 3
+	for _, tc := range []struct {
+		name   string
+		lines  []int // words per line, on consecutive lines
+		filler float64
+	}{
+		{"one line", []int{5}, 0.75 * hops},
+		{"two lines", []int{5, 3}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := memsys.NewEnv(memsys.Default().Scaled(64), 4*memsys.LineBytes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := New(env, Options{Name: "DFlexL1", FlexL1: true})
+			env.StartMeasurement()
+			m := &dvnData{hops: hops}
+			words := 0
+			for line, n := range tc.lines {
+				for w := lineWords - n; w < lineWords; w++ {
+					m.words.add(dataWord{addr: memsys.AddrOf(uint32(line), w)})
+					words++
+				}
+			}
+			sys.l1s[0].handleData(m)
+			if got := env.Traffic.Get(memsys.ClassLD, memsys.BRespCtl); got != tc.filler {
+				t.Fatalf("filler %v flit-hops, want %v", got, tc.filler)
+			}
+			if got := env.Prof.Instances(); got != words {
+				t.Fatalf("%d instances for %d words", got, words)
+			}
+			env.Prof.Finish() // every word classifies Unevicted: Resp L1 Waste
+			shares := env.Traffic.Get(memsys.ClassLD, memsys.BRespL1Waste)
+			if got, want := shares+tc.filler, float64(memsys.DataFlits(words)*hops); got != want {
+				t.Fatalf("shares %v + filler %v = %v flit-hops, want the %v the data flits cost", shares, tc.filler, got, want)
+			}
+		})
+	}
+}

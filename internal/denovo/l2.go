@@ -37,11 +37,9 @@ type l2Slice struct {
 	c    *cache.Cache
 
 	fetch     coher.Table[l2Fetch]
-	busyEvict map[uint32]bool
-	evictCont map[uint32]evictState
+	evictCont map[uint32]evictState // lines whose eviction waits on owner recalls (each gated)
 	gate      map[uint32][]lineOp
-	dirtyCnt  map[uint32]int // words per line that are registered or dirty
-	blooms    *bloom.L2Bank
+	blooms    *bloom.L2Bank // holds the lines with a registered or dirty word (dirtyMask)
 	pred      *bypassPredictor
 
 	// Arriving requests, and registrations, writebacks and fills (line
@@ -123,10 +121,8 @@ func newL2(s *System, tile int) *l2Slice {
 		tile:      tile,
 		c:         cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
 		fetch:     coher.NewTable[l2Fetch](),
-		busyEvict: make(map[uint32]bool),
 		evictCont: make(map[uint32]evictState),
 		gate:      make(map[uint32][]lineOp),
-		dirtyCnt:  make(map[uint32]int),
 	}
 	if s.opt.BypassReq {
 		sl.blooms = bloom.NewL2Bank(cfg.Bloom)
@@ -208,25 +204,13 @@ func (sl *l2Slice) unlockLine(line uint32) {
 	sl.start(next)
 }
 
-// markDirty/markClean maintain the per-line dirty-word count and the
-// counting Bloom filters of §4.4.
+// markDirty keeps the counting Bloom filters of §4.4: it runs before a
+// clean word of line becomes registered or dirty, and inserts the line
+// when it is the line's first such word. A word stays registered or
+// dirty until the line is evicted, which removes the line again.
 func (sl *l2Slice) markDirty(line uint32) {
-	sl.dirtyCnt[line]++
-	if sl.dirtyCnt[line] == 1 && sl.blooms != nil {
+	if sl.blooms != nil && sl.dirtyMask(line) == 0 {
 		sl.blooms.Insert(line)
-	}
-}
-
-func (sl *l2Slice) markClean(line uint32) {
-	if sl.dirtyCnt[line] == 0 {
-		return
-	}
-	sl.dirtyCnt[line]--
-	if sl.dirtyCnt[line] == 0 {
-		delete(sl.dirtyCnt, line)
-		if sl.blooms != nil {
-			sl.blooms.Remove(line)
-		}
 	}
 }
 
@@ -268,7 +252,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	}
 	for _, addr := range m.wants.s {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
-		if sl.busyEvict[line] {
+		if _, evicting := sl.evictCont[line]; evicting {
 			nacked = true
 			continue
 		}
@@ -572,8 +556,8 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 // ensureWay guarantees a free way in op's set, then applies op.
 func (sl *l2Slice) ensureWay(op lineOp) {
 	victim := sl.c.VictimWhere(op.opLine(), func(l *cache.Line) bool {
-		_, gated := sl.gate[l.Tag]
-		return !gated && !sl.busyEvict[l.Tag] && !sl.fetch.Has(l.Tag)
+		_, gated := sl.gate[l.Tag] // an evicting line is gated too
+		return !gated && !sl.fetch.Has(l.Tag)
 	})
 	if victim == nil {
 		sl.wayRetry.Add(op)
@@ -596,7 +580,6 @@ func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 	// The victim is ungated (VictimWhere guarantees it); take its gate so
 	// arriving registrations/writebacks queue behind the eviction.
 	sl.lockLine(line)
-	sl.busyEvict[line] = true
 	var buf [lineWords]ownerMask
 	owners := buf[:0]
 	for w := 0; w < lineWords; w++ {
@@ -619,8 +602,8 @@ func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	ln := sl.c.Lookup(m.line)
 	st, ok := sl.evictCont[m.line]
 	if !ok || ln == nil {
-		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: st=%v ln=%v busy=%v gated=%v",
-			sl.tile, m.line, m.from, m.mask, ok, ln != nil, sl.busyEvict[m.line], func() bool { _, g := sl.gate[m.line]; return g }()))
+		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: evicting=%v ln=%v gated=%v",
+			sl.tile, m.line, m.from, m.mask, ok, ln != nil, func() bool { _, g := sl.gate[m.line]; return g }()))
 	}
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
@@ -667,17 +650,13 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, then lineOp) {
 		env.Traffic.WBData(true, hops, nDirty, clean)
 		sl.sys.SendData(sl.tile, mc, nDirty+clean, msg)
 	}
-	if sl.dirtyCnt[line] > 0 {
-		delete(sl.dirtyCnt, line)
-		if sl.blooms != nil {
-			sl.blooms.Remove(line)
-		}
+	if sl.blooms != nil && sl.dirtyMask(line) != 0 {
+		sl.blooms.Remove(line)
 	}
 	if sl.pred != nil {
 		sl.pred.train(line, ln.State > 0)
 	}
 	sl.c.Remove(ln)
-	delete(sl.busyEvict, line)
 	// The waiting allocation claims the freed way synchronously BEFORE the
 	// gate releases queued operations, which could otherwise steal it and
 	// force a silent eviction of a line that is mid-recall.

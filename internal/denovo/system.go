@@ -272,10 +272,9 @@ func (s *System) CheckInvariants() error {
 	}
 	var err error
 	for t, sl := range s.l2s {
-		if len(sl.busyEvict) != 0 {
-			return fmt.Errorf("denovo: slice %d has %d leftover evictions", t, len(sl.busyEvict))
+		if len(sl.evictCont) != 0 {
+			return fmt.Errorf("denovo: slice %d has %d leftover evictions", t, len(sl.evictCont))
 		}
-		_ = t
 	}
 	// Registration consistency.
 	for _, sl := range s.l2s {

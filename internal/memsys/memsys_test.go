@@ -196,11 +196,8 @@ func TestTrafficDeferredAttribution(t *testing.T) {
 
 	// A 5-word LD response to L1 over 2 hops: data flits = 2, so data
 	// flit-hops = 4. Word shares: 5 * (2/4) = 2.5; filler = 4 - 2.5 = 1.5.
-	ids := make([]uint64, 5)
-	for i := range ids {
-		ids[i] = prof.L1Arrival(uint32(i*4), false)
-	}
-	tr.Data(ClassLD, 2, ids)
+	ids := make([]uint64, WordsPerLine)
+	tr.Fill(ClassLD, 2, waste.LevelL1, 0, 0x1f, 0, ids, nil, false)
 	if got := tr.Get(ClassLD, BRespCtl); got != 1.5 {
 		t.Fatalf("filler = %v, want 1.5", got)
 	}
@@ -222,11 +219,11 @@ func TestTrafficWarmupExcluded(t *testing.T) {
 	prof := waste.NewProfiler()
 	tr := NewTraffic(prof)
 	// warm-up: not measuring
-	id := prof.L1Arrival(0, false)
-	tr.Data(ClassLD, 4, []uint64{id})
+	ids := make([]uint64, WordsPerLine)
+	tr.Fill(ClassLD, 4, waste.LevelL1, 0, 1, 0, ids, nil, false)
 	tr.StartMeasurement()
 	prof.StartMeasurement()
-	prof.L1Load(id) // classification of a warm-up instance
+	prof.L1Load(ids[0]) // classification of a warm-up instance
 	if tr.Total() != 0 {
 		t.Fatalf("warm-up data counted: %v", tr.Total())
 	}
@@ -257,11 +254,10 @@ func TestWasteShare(t *testing.T) {
 	tr := NewTraffic(prof)
 	prof.StartMeasurement()
 	tr.StartMeasurement()
-	a := prof.L1Arrival(0, false)
-	b := prof.L1Arrival(4, false)
-	tr.Data(ClassLD, 4, []uint64{a, b}) // 2 words * 1 flit-hop share each, filler 2
-	prof.L1Load(a)
-	prof.Release(1, waste.Evict, []uint64{b}, nil, false)
+	ids := make([]uint64, WordsPerLine)
+	tr.Fill(ClassLD, 4, waste.LevelL1, 0, 3, 0, ids, nil, false) // 2 words * 1 flit-hop share each, filler 2
+	prof.L1Load(ids[0])
+	prof.Release(1, waste.Evict, ids[1:2], nil, false)
 	// used=1, waste=1, respctl filler=2 → waste share = 1/4.
 	if got := tr.WasteShare(); got != 0.25 {
 		t.Fatalf("WasteShare = %v, want 0.25", got)

@@ -75,10 +75,10 @@ func (b Bucket) String() string {
 }
 
 // Traffic accumulates flit-hops per (class, bucket). Data words are
-// attributed to Used/Waste lazily: the sender attaches a per-word flit-hop
-// share to the destination's waste instance, and the share lands in the
-// right bucket when the instance classifies (§5.2: "we assign fractional
-// flits to the appropriate categories").
+// attributed to Used/Waste lazily: each word's flit-hop share is attached
+// to its waste instance when the fill creates it, and lands in the right
+// bucket when the instance classifies (§5.2: "we assign fractional flits
+// to the appropriate categories").
 type Traffic struct {
 	flitHops [NumClasses][NumBuckets]float64
 	enabled  bool
@@ -131,40 +131,29 @@ func (t *Traffic) Ctl(class Class, bucket Bucket, flits, hops int) {
 	t.flitHops[class][bucket] += float64(flits * hops)
 }
 
-// Data records the data flits of a response carrying the given destination
-// word instances over hops links. Each word's share (hops/4 flit-hops) is
-// deferred onto its instance; the unfilled remainder of the last data flit
-// is charged to Resp Ctl, as in §5.2. The message's control flit must be
-// recorded separately with Ctl.
-func (t *Traffic) Data(class Class, hops int, insts []uint64) {
-	words := len(insts)
-	if words == 0 || hops == 0 {
-		return
-	}
-	share := float64(hops) / 4
-	for _, id := range insts {
-		t.prof.SetTraffic(id, uint8(class), share)
-	}
-	t.filler(class, hops, words)
-}
-
 // Fill records the data flits of a response that fills the words of mask
-// of one cache line at level (L1 or L2) over hops links, like Data: the
-// words' waste instances are created with their share attached, once
-// per line (waste.Profiler.Fill, which also documents present, inst,
-// minst and ref), and the unfilled remainder of the last data flit goes
-// to Resp Ctl.
+// of one cache line at level (L1 or L2) over hops links: each word's
+// waste instance is created with its share of the data flits, hops/4
+// flit-hops, attached (waste.Profiler.Fill, which also documents present,
+// inst, minst and ref), and the unfilled remainder of the last data flit
+// goes to Resp Ctl, as in §5.2. The message's control flit is recorded
+// separately with Ctl.
 func (t *Traffic) Fill(class Class, hops int, level waste.Level, line uint32, mask, present uint16, inst, minst []uint64, ref bool) {
-	t.prof.Fill(level, line<<LineShift, mask, present, uint8(class), float64(hops)/4, inst, minst, ref)
-	if words := bits.OnesCount16(mask); words != 0 && hops != 0 {
-		t.filler(class, hops, words)
-	}
+	t.prof.Fill(level, line<<LineShift, mask, present, uint8(class), WordShare(hops), inst, minst, ref)
+	t.Filler(class, hops, bits.OnesCount16(mask))
 }
 
-// filler charges the unfilled remainder of a response's last data flit
-// to Resp Ctl.
-func (t *Traffic) filler(class Class, hops, words int) {
-	if !t.enabled {
+// WordShare is one data word's share of a response's data flits over
+// hops links: a quarter flit per hop.
+func WordShare(hops int) float64 { return float64(hops) / 4 }
+
+// Filler charges the unfilled remainder of the last data flit of a
+// response carrying words data words over hops links to Resp Ctl. Fill
+// charges it for a response that fills one line; a response whose words
+// span lines fills them through waste.Profiler.Fill and charges its filler
+// once, here.
+func (t *Traffic) Filler(class Class, hops, words int) {
+	if !t.enabled || words == 0 || hops == 0 {
 		return
 	}
 	filler := (float64(DataFlits(words)) - float64(words)/4) * float64(hops)

@@ -10,8 +10,8 @@ import (
 // refProfiler is the append-only profiler the recycling one replaced: it
 // keeps every instance's record, classified or not, for the whole run, so
 // a classified id can never alias a later instance. The line entry points
-// are the per-word loops they replace in the protocol handlers (the
-// share is attached after the arrivals, as Traffic.Data did).
+// are the per-word loops they replace in the protocol handlers; a word's
+// class and share are attached when its instance is made.
 type refProfiler struct {
 	recs       []refInst
 	measuring  bool
@@ -59,21 +59,6 @@ func (p *refProfiler) classify(id uint64, cat Category) {
 	}
 }
 
-func (p *refProfiler) arrival(level Level, addr uint32, present bool) uint64 {
-	id := p.new(level, addr)
-	if present {
-		p.classify(id, Fetch)
-	}
-	return id
-}
-
-func (p *refProfiler) setTraffic(id uint64, class uint8, share float64) {
-	if id != 0 {
-		p.recs[id].class = class
-		p.recs[id].share += float32(share)
-	}
-}
-
 func (p *refProfiler) memFetch(addr uint32, present bool) uint64 {
 	id := p.new(LevelMem, addr)
 	if present {
@@ -114,22 +99,20 @@ func (p *refProfiler) memStore(addr uint32) {
 }
 
 func (p *refProfiler) fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
-	var ids []uint64
 	for w := 0; w < 16; w++ {
 		if mask&(1<<w) == 0 {
 			continue
 		}
-		id := p.arrival(level, base+uint32(w)*4, present&(1<<w) != 0)
-		ids = append(ids, id)
-		if present&(1<<w) == 0 {
-			inst[w] = id
-			if ref {
-				p.memAddRef(minst[w])
-			}
+		id := p.new(level, base+uint32(w)*4)
+		if present&(1<<w) != 0 {
+			p.classify(id, Fetch) // before the share is attached
+			continue
 		}
-	}
-	for _, id := range ids {
-		p.setTraffic(id, class, share)
+		p.recs[id].class, p.recs[id].share = class, float32(share)
+		inst[w] = id
+		if ref {
+			p.memAddRef(minst[w])
+		}
 	}
 }
 
@@ -174,9 +157,9 @@ type recycleLine struct {
 // Every share is a multiple of a quarter flit-hop, so the traffic
 // recorder's bucket sums do not depend on that order.
 func FuzzProfilerRecycle(f *testing.F) {
-	f.Add([]byte{12, 0, 0, 1, 0, 1, 0, 8, 0, 1, 4, 4, 0, 1})
-	f.Add([]byte{12, 2, 3, 0, 11, 0, 3, 0, 9, 0, 0, 255, 255, 1, 0, 6, 1, 10, 0, 255, 255, 2, 1, 1})
-	f.Add([]byte{2, 1, 0, 5, 0, 5, 0, 6, 0, 0, 7, 1, 2, 1, 0, 6, 0, 1, 12, 0, 5, 0})
+	f.Add([]byte{11, 0, 0, 0x22, 4, 0, 0, 0, 1, 0x14, 4, 1, 0, 4, 0, 1})
+	f.Add([]byte{11, 2, 3, 0, 10, 0, 3, 0, 8, 0, 0, 255, 255, 1, 0, 6, 1, 9, 0, 255, 255, 2, 1, 1})
+	f.Add([]byte{2, 1, 0, 5, 0, 5, 0, 6, 0, 0, 7, 1, 2, 1, 0, 6, 0, 1, 11, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		got, want := runRecycle(ops)
 		if len(got.stream) != len(want.stream) || len(got.batch) != len(want.batch) {
@@ -223,7 +206,7 @@ type recycleRun struct {
 }
 
 // runRecycle decodes ops and applies each to both profilers. An op is one
-// byte (mod 13) and a fixed number of argument bytes (missing ones read
+// byte (mod 12) and a fixed number of argument bytes (missing ones read
 // as 0); instances are named by handles, each pairing the two profilers'
 // ids for one instance, so an op can reach a classified (stale) id.
 func runRecycle(ops []byte) (got, want recycleRun) {
@@ -253,17 +236,18 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 	mask := func(i int) uint16 { return uint16(arg(i)) | uint16(arg(i+1))<<8 }
 	cats := []Category{Used, Write, Fetch, Invalidate, Evict, Unevicted, Excess}
 	for i := 0; i < len(ops); {
-		op, a := ops[i]%13, i+1
+		op, a := ops[i]%12, i+1
 		switch op {
 		case 0, 1:
-			level, present := Level(op), arg(a+1)&1 != 0
-			var n uint64
-			if level == LevelL1 {
-				n = p.L1Arrival(addr(arg(a)), present)
-			} else {
-				n = fillWord(p, level, addr(arg(a)), present)
+			// One word at L1 or L2; the flag byte holds present (bit 0),
+			// the class (bits 1-2) and the share in quarters (bits 3-5).
+			level, flags := Level(op), arg(a+1)
+			present, class, share := flags&1 != 0, flags>>1%4, float64(flags>>3%8)/4
+			var inst [1]uint64
+			r.fill(level, addr(arg(a)), 1, uint16(flags&1), class, share, inst[:], nil, false)
+			if n := fillWord(p, level, addr(arg(a)), present, class, share); !present {
+				handles = append(handles, [2]uint64{n, inst[0]})
 			}
-			handles = append(handles, [2]uint64{n, r.arrival(level, addr(arg(a)), present)})
 			i = a + 2
 		case 2:
 			present := arg(a+1)&1 != 0
@@ -298,11 +282,6 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			r.memStore(addr(arg(a)))
 			i = a + 1
 		case 8:
-			h, class, share := handle(arg(a)), arg(a+1)%4, float64(arg(a+2)%8)/4
-			p.SetTraffic(h[0], class, share)
-			r.setTraffic(h[1], class, share)
-			i = a + 3
-		case 9:
 			ln := &lines[arg(a)%2]
 			base := uint32(arg(a)%2) * 64
 			level := Level(arg(a+1) & 1)
@@ -315,7 +294,7 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 				handles = append(handles, [2]uint64{ln.inst[0][w], ln.inst[1][w]})
 			}
 			i = a + 8
-		case 10:
+		case 9:
 			ln := &lines[arg(a)%2]
 			m, cat, comm := mask(a+1), cats[int(arg(a+3))%len(cats)], arg(a+4)&1 != 0
 			if arg(a+4)&2 != 0 {
@@ -326,11 +305,11 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 				r.release(m, cat, ln.inst[1][:], ln.minst[1][:], comm)
 			}
 			i = a + 5
-		case 11:
+		case 10:
 			ln, w, h := &lines[arg(a)%2], arg(a+1)%16, handle(arg(a+2))
 			ln.minst[0][w], ln.minst[1][w] = h[0], h[1]
 			i = a + 3
-		case 12:
+		case 11:
 			p.StartMeasurement()
 			r.measuring = true
 			i = a
@@ -350,24 +329,25 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 }
 
 // TestStaleIDMissesNextTenant pins the case a recycled slot is most
-// exposed to: an instance classified at arrival frees its slot at once,
-// the next instance takes it, and a share attached through the first id
-// afterwards must not land on the second.
+// exposed to: a classified instance frees its slot at once, the next
+// instance takes it, and a classification through the first id
+// afterwards must not reach the second.
 func TestStaleIDMissesNextTenant(t *testing.T) {
 	p := newMeasuring()
 	var shares []float64
 	p.OnClassify(func(_ Level, _ uint8, _ Category, share float64, _ bool) { shares = append(shares, share) })
-	a := p.L1Arrival(0, true)
-	b := p.L1Arrival(4, false)
+	a := fillWord(p, LevelL1, 0, false, 1, 1)
+	p.L1Load(a)
+	b := fillWord(p, LevelL1, 4, false, 2, 0.5)
 	if uint32(a) != uint32(b) {
 		t.Fatalf("ids %#x and %#x: the second instance did not reuse the first's slot", a, b)
 	}
-	p.SetTraffic(a, 1, 1)
+	p.L1Store(a)
 	p.L1Load(b)
-	if want := []float64{0, 0}; !slices.Equal(shares, want) {
+	if want := []float64{1, 0.5}; !slices.Equal(shares, want) {
 		t.Fatalf("shares %v, want %v: a stale id reached the slot's next tenant", shares, want)
 	}
-	if p.Count(LevelL1, Fetch) != 1 || p.Count(LevelL1, Used) != 1 {
+	if p.Count(LevelL1, Write) != 0 || p.Count(LevelL1, Used) != 2 {
 		t.Fatalf("counts %v", p.Snapshot()[LevelL1])
 	}
 }
@@ -394,10 +374,10 @@ func TestFillReleaseMatchPerWordCalls(t *testing.T) {
 // words (share 1, class 2, with references); release it as Invalidate.
 func fillReleaseOps(present uint16) []byte {
 	return []byte{
-		12,
+		11,
 		2, 0, 0, 2, 1, 0,
-		11, 0, 0, 0, 11, 0, 1, 1,
-		9, 0, 0, 0xff, 0xff, byte(present), byte(present >> 8), 2 + 4*4, 1,
-		10, 0, 0xff, 0xff, 3, 1,
+		10, 0, 0, 0, 10, 0, 1, 1,
+		8, 0, 0, 0xff, 0xff, byte(present), byte(present >> 8), 2 + 4*4, 1,
+		9, 0, 0xff, 0xff, 3, 1,
 	}
 }

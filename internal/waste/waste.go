@@ -87,8 +87,9 @@ func (l Level) String() string {
 }
 
 // ClassifyFunc observes classifications; the traffic recorder uses it to
-// settle deferred Used/Waste flit-hop attribution. share is the pending
-// flit-hop share attached via SetTraffic, class its message class tag.
+// settle deferred Used/Waste flit-hop attribution. share is the flit-hop
+// share Fill attached when the instance was made, class its message class
+// tag.
 type ClassifyFunc func(level Level, class uint8, cat Category, share float64, measured bool)
 
 // inst is one open instance, packed to 20 bytes. A record lives only
@@ -198,16 +199,6 @@ func (p *Profiler) new(level Level, addr uint32) uint64 {
 	return uint64(in.gen)<<32 | uint64(slot)
 }
 
-// SetTraffic attaches the deferred flit-hop share and message-class tag to
-// an open instance; the share is reported to the OnClassify observer when
-// the instance settles. A classified instance's share is never reported.
-func (p *Profiler) SetTraffic(id uint64, class uint8, share float64) {
-	if in := p.get(id); in != nil {
-		in.class = class
-		in.share += float32(share)
-	}
-}
-
 // classify settles an open instance and frees its record; a stale id is
 // ignored.
 func (p *Profiler) classify(id uint64, cat Category) {
@@ -236,12 +227,13 @@ func (p *Profiler) classify(id uint64, cat Category) {
 
 // Fill records the words of mask arriving at one line of an L1 or L2
 // (level) in a message of traffic class class, each carrying share
-// flit-hops; word w's byte address is base+4w. A word in present was
-// already valid there: its copy is Fetch waste at once, before any share
-// is attached, and inst[w] keeps the cached copy's id. Every other word
-// gets a new instance in inst[w], and its memory instance minst[w] gains
-// an on-chip copy when ref is set (an ownership transfer moves the copy
-// instead).
+// flit-hops; word w's byte address is base+4w. It is the only way an L1
+// or L2 instance is made. A word in present was already valid there: its
+// copy is Fetch waste at once, before any share is attached, and inst[w]
+// keeps the cached copy's id. Every other word gets a new instance in
+// inst[w], its class and share attached, and its memory instance minst[w]
+// gains an on-chip copy when ref is set (an ownership transfer moves the
+// copy instead).
 func (p *Profiler) Fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros16(m)
@@ -279,19 +271,8 @@ func (p *Profiler) Release(mask uint16, cat Category, inst, minst []uint64, comm
 
 // --- L1 FSM (Figure 4.1) ---
 //
-// Line fills go through Fill, and evictions and invalidations through
+// Arrivals go through Fill, and evictions and invalidations through
 // Release.
-
-// L1Arrival records a word arriving at an L1 cache. present reports
-// whether the word was already valid there; if so the arrival is
-// immediately Fetch waste. The returned id is attached to the cached word.
-func (p *Profiler) L1Arrival(addr uint32, present bool) uint64 {
-	id := p.new(LevelL1, addr)
-	if present {
-		p.classify(id, Fetch)
-	}
-	return id
-}
 
 // L1Load marks the word instance as read by the program (Used).
 func (p *Profiler) L1Load(id uint64) { p.classify(id, Used) }

@@ -13,16 +13,17 @@ func newMeasuring() *Profiler {
 }
 
 // fillWord and releaseWord drive the line entry points one word at a
-// time: a one-bit mask over word 0 of a line based at addr. fillWord
+// time: a one-bit mask over word 0 of a line based at addr. fillWord's
+// word arrives in a message of class class carrying share flit-hops; it
 // returns the new instance's id, 0 for a word already present (its
 // arrival classifies as Fetch at once).
-func fillWord(p *Profiler, level Level, addr uint32, present bool) uint64 {
+func fillWord(p *Profiler, level Level, addr uint32, present bool, class uint8, share float64) uint64 {
 	var inst [1]uint64
 	var pres uint16
 	if present {
 		pres = 1
 	}
-	p.Fill(level, addr, 1, pres, 0, 0, inst[:], nil, false)
+	p.Fill(level, addr, 1, pres, class, share, inst[:], nil, false)
 	return inst[0]
 }
 
@@ -34,21 +35,21 @@ func TestL1FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
 
 	// load -> Used
-	id := p.L1Arrival(0, false)
+	id := fillWord(p, LevelL1, 0, false, 0, 0)
 	p.L1Load(id)
 	// store before load -> Write
-	id = p.L1Arrival(4, false)
+	id = fillWord(p, LevelL1, 4, false, 0, 0)
 	p.L1Store(id)
 	// invalidate before use -> Invalidate
-	id = p.L1Arrival(8, false)
+	id = fillWord(p, LevelL1, 8, false, 0, 0)
 	releaseWord(p, id, Invalidate)
 	// evict before use -> Evict
-	id = p.L1Arrival(12, false)
+	id = fillWord(p, LevelL1, 12, false, 0, 0)
 	releaseWord(p, id, Evict)
 	// already present -> Fetch immediately
-	p.L1Arrival(16, true)
+	fillWord(p, LevelL1, 16, true, 0, 0)
 	// nothing -> Unevicted at Finish
-	p.L1Arrival(20, false)
+	fillWord(p, LevelL1, 20, false, 0, 0)
 	p.Finish()
 
 	for _, c := range []Category{Used, Write, Invalidate, Evict, Fetch, Unevicted} {
@@ -60,7 +61,7 @@ func TestL1FSMAllPaths(t *testing.T) {
 
 func TestClassifyOnce(t *testing.T) {
 	p := newMeasuring()
-	id := p.L1Arrival(0, false)
+	id := fillWord(p, LevelL1, 0, false, 0, 0)
 	p.L1Load(id)              // Used (terminal)
 	releaseWord(p, id, Evict) // must not reclassify
 	p.L1Store(id)
@@ -71,11 +72,11 @@ func TestClassifyOnce(t *testing.T) {
 
 func TestL2FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
-	p.L2Served(fillWord(p, LevelL2, 0, false))
-	releaseWord(p, fillWord(p, LevelL2, 4, false), Write)
-	releaseWord(p, fillWord(p, LevelL2, 8, false), Evict)
-	fillWord(p, LevelL2, 12, true) // Fetch
-	fillWord(p, LevelL2, 16, false)
+	p.L2Served(fillWord(p, LevelL2, 0, false, 0, 0))
+	releaseWord(p, fillWord(p, LevelL2, 4, false, 0, 0), Write)
+	releaseWord(p, fillWord(p, LevelL2, 8, false, 0, 0), Evict)
+	fillWord(p, LevelL2, 12, true, 0, 0) // Fetch
+	fillWord(p, LevelL2, 16, false, 0, 0)
 	p.Finish()
 	for _, c := range []Category{Used, Write, Evict, Fetch, Unevicted} {
 		if got := p.Count(LevelL2, c); got != 1 {
@@ -160,7 +161,7 @@ func TestMemStoreClassifyOrder(t *testing.T) {
 	fetch := func(addr uint32, tag uint8) uint64 {
 		id := p.MemFetch(addr, false)
 		p.MemAddRef(id)
-		p.SetTraffic(id, tag, 1) // the class tag names the instance
+		p.recs[uint32(id)].class = tag // the class tag names the instance
 		return id
 	}
 	check := func(want ...uint8) {
@@ -213,13 +214,13 @@ func TestMemExcess(t *testing.T) {
 
 func TestWarmupNotCounted(t *testing.T) {
 	p := NewProfiler() // warm-up mode
-	warm := p.L1Arrival(0, false)
+	warm := fillWord(p, LevelL1, 0, false, 0, 0)
 	p.StartMeasurement()
 	p.L1Load(warm) // classification lands after measurement starts
 	if p.TotalWords(LevelL1) != 0 {
 		t.Fatal("warm-up instance counted")
 	}
-	meas := p.L1Arrival(4, false)
+	meas := fillWord(p, LevelL1, 4, false, 0, 0)
 	p.L1Load(meas)
 	if p.Count(LevelL1, Used) != 1 {
 		t.Fatal("measured instance not counted")
@@ -235,9 +236,7 @@ func TestOnClassifyObserver(t *testing.T) {
 	p.OnClassify(func(level Level, class uint8, cat Category, share float64, measured bool) {
 		gotLevel, gotClass, gotCat, gotShare = level, class, cat, share
 	})
-	id := p.L1Arrival(0, false)
-	p.SetTraffic(id, 3, 1.5)
-	p.SetTraffic(id, 3, 0.5) // accumulates
+	id := fillWord(p, LevelL1, 0, false, 3, 2)
 	p.L1Load(id)
 	if gotLevel != LevelL1 || gotCat != Used || gotShare != 2.0 || gotClass != 3 {
 		t.Fatalf("observer got level=%v cat=%v share=%v class=%d", gotLevel, gotCat, gotShare, gotClass)
@@ -249,7 +248,6 @@ func TestZeroIDIgnored(t *testing.T) {
 	p.L1Load(0)
 	p.MemAddRef(0)
 	p.MemRelease(0, false)
-	p.SetTraffic(0, 1, 1)
 	if p.TotalWords(LevelL1) != 0 {
 		t.Fatal("id 0 must be inert")
 	}
@@ -267,10 +265,10 @@ func TestConservationProperty(t *testing.T) {
 			addr := uint32(rng.Intn(64)) * 4
 			switch rng.Intn(9) {
 			case 0:
-				l1IDs = append(l1IDs, p.L1Arrival(addr, rng.Intn(4) == 0))
+				l1IDs = append(l1IDs, fillWord(p, LevelL1, addr, rng.Intn(4) == 0, 0, 0))
 				created[LevelL1]++
 			case 1:
-				l2IDs = append(l2IDs, fillWord(p, LevelL2, addr, rng.Intn(4) == 0))
+				l2IDs = append(l2IDs, fillWord(p, LevelL2, addr, rng.Intn(4) == 0, 0, 0))
 				created[LevelL2]++
 			case 2:
 				id := p.MemFetch(addr, rng.Intn(4) == 0)
@@ -317,7 +315,7 @@ func TestConservationProperty(t *testing.T) {
 func BenchmarkProfilerLifecycle(b *testing.B) {
 	p := newMeasuring()
 	for i := 0; i < b.N; i++ {
-		id := p.L1Arrival(uint32(i)*4, false)
+		id := fillWord(p, LevelL1, uint32(i)*4, false, 0, 0)
 		if i%2 == 0 {
 			p.L1Load(id)
 		} else {
@@ -328,15 +326,15 @@ func BenchmarkProfilerLifecycle(b *testing.B) {
 
 func TestSnapshot(t *testing.T) {
 	p := newMeasuring()
-	p.L1Load(p.L1Arrival(0, false))
-	releaseWord(p, fillWord(p, LevelL2, 4, false), Evict)
+	p.L1Load(fillWord(p, LevelL1, 0, false, 0, 0))
+	releaseWord(p, fillWord(p, LevelL2, 4, false, 0, 0), Evict)
 	p.MemExcess(8)
 	s := p.Snapshot()
 	if s[LevelL1][Used] != 1 || s[LevelL2][Evict] != 1 || s[LevelMem][Excess] != 1 {
 		t.Fatalf("snapshot = %v", s)
 	}
 	// Detached: later events do not mutate the snapshot.
-	p.L1Load(p.L1Arrival(12, false))
+	p.L1Load(fillWord(p, LevelL1, 12, false, 0, 0))
 	if s[LevelL1][Used] != 1 {
 		t.Fatal("snapshot not detached")
 	}
@@ -349,7 +347,7 @@ func TestChunkGrowth(t *testing.T) {
 	n := 1<<17 + 37
 	ids := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
-		ids = append(ids, p.L1Arrival(uint32(i)*4, false))
+		ids = append(ids, fillWord(p, LevelL1, uint32(i)*4, false, 0, 0))
 	}
 	for _, id := range ids {
 		p.L1Load(id)
