@@ -49,8 +49,9 @@ import (
 // VCs >= 4; v4 made the MESI directory track sharers on every tile, which
 // changes MESI results past 16 threads; v5 changed only the key's layout
 // (the knob lines follow the knob table's order), so a v4 entry is never
-// looked up again.
-const cacheModelVersion = 5
+// looked up again; v6 reports the flit-hop share of a word that arrives
+// while already present, which changes DeNovo traffic figures.
+const cacheModelVersion = 6
 
 // ErrUncacheable marks a point whose results depend on state the
 // configuration hash cannot see (a trace replay's file contents); such

@@ -215,6 +215,30 @@ func TestTrafficDeferredAttribution(t *testing.T) {
 	}
 }
 
+// TestTrafficPresentWordIsWaste fills a line whose first word is already
+// valid: that word's copy is Fetch waste at once, and the flits that
+// carried it land in Resp L2 Waste of the fill's class instead of
+// vanishing from the figures.
+func TestTrafficPresentWordIsWaste(t *testing.T) {
+	prof := waste.NewProfiler()
+	tr := NewTraffic(prof)
+	prof.StartMeasurement()
+	tr.StartMeasurement()
+	// 2 words over 4 hops: one data flit, shares 1 each, filler 2.
+	ids := make([]uint64, WordsPerLine)
+	tr.Fill(ClassST, 4, waste.LevelL2, 0, 3, 1, ids, nil, false)
+	if got := tr.Get(ClassST, BRespL2Waste); got != 1 {
+		t.Fatalf("Resp L2 Waste = %v at arrival, want the present word's share 1", got)
+	}
+	prof.L2Served(ids[1])
+	if used, ctl := tr.Get(ClassST, BRespL2Used), tr.Get(ClassST, BRespCtl); used != 1 || ctl != 2 {
+		t.Fatalf("used %v filler %v, want 1 and 2", used, ctl)
+	}
+	if got := tr.Total(); got != 4 {
+		t.Fatalf("total %v flit-hops, want the 4 the data flit cost", got)
+	}
+}
+
 func TestTrafficWarmupExcluded(t *testing.T) {
 	prof := waste.NewProfiler()
 	tr := NewTraffic(prof)

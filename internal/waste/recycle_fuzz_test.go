@@ -104,11 +104,11 @@ func (p *refProfiler) fill(level Level, base uint32, mask, present uint16, class
 			continue
 		}
 		id := p.new(level, base+uint32(w)*4)
+		p.recs[id].class, p.recs[id].share = class, float32(share)
 		if present&(1<<w) != 0 {
-			p.classify(id, Fetch) // before the share is attached
+			p.classify(id, Fetch)
 			continue
 		}
-		p.recs[id].class, p.recs[id].share = class, float32(share)
 		inst[w] = id
 		if ref {
 			p.memAddRef(minst[w])
@@ -242,7 +242,7 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			// One word at L1 or L2; the flag byte holds present (bit 0),
 			// the class (bits 1-2) and the share in quarters (bits 3-5).
 			level, flags := Level(op), arg(a+1)
-			present, class, share := flags&1 != 0, flags>>1%4, float64(flags>>3%8)/4
+			present, class, share := flags&1 != 0, (flags>>1)%4, float64((flags>>3)%8)/4
 			var inst [1]uint64
 			r.fill(level, addr(arg(a)), 1, uint16(flags&1), class, share, inst[:], nil, false)
 			if n := fillWord(p, level, addr(arg(a)), present, class, share); !present {

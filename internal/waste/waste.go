@@ -228,24 +228,24 @@ func (p *Profiler) classify(id uint64, cat Category) {
 // Fill records the words of mask arriving at one line of an L1 or L2
 // (level) in a message of traffic class class, each carrying share
 // flit-hops; word w's byte address is base+4w. It is the only way an L1
-// or L2 instance is made. A word in present was already valid there: its
-// copy is Fetch waste at once, before any share is attached, and inst[w]
+// or L2 instance is made, and every instance gets its class and share
+// here, to be reported when it classifies. A word in present was already
+// valid there: its copy is Fetch waste at once, share and all, and inst[w]
 // keeps the cached copy's id. Every other word gets a new instance in
-// inst[w], its class and share attached, and its memory instance minst[w]
-// gains an on-chip copy when ref is set (an ownership transfer moves the
-// copy instead).
+// inst[w], and its memory instance minst[w] gains an on-chip copy when
+// ref is set (an ownership transfer moves the copy instead).
 func (p *Profiler) Fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros16(m)
 		id := p.new(level, base+uint32(w)*4)
+		in := &p.recs[uint32(id)]
+		in.class = class
+		in.share = float32(share)
 		if present&(1<<w) != 0 {
 			p.classify(id, Fetch)
 			continue
 		}
 		inst[w] = id
-		in := &p.recs[uint32(id)]
-		in.class = class
-		in.share = float32(share)
 		if ref {
 			p.MemAddRef(minst[w])
 		}

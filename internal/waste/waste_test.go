@@ -2,6 +2,7 @@ package waste
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -240,6 +241,23 @@ func TestOnClassifyObserver(t *testing.T) {
 	p.L1Load(id)
 	if gotLevel != LevelL1 || gotCat != Used || gotShare != 2.0 || gotClass != 3 {
 		t.Fatalf("observer got level=%v cat=%v share=%v class=%d", gotLevel, gotCat, gotShare, gotClass)
+	}
+}
+
+// TestPresentWordReportsShare fills a word at each level while it is
+// already valid there: each arrival is Fetch waste at once and reports
+// its class and share, so the flits that carried it are not dropped.
+func TestPresentWordReportsShare(t *testing.T) {
+	p := newMeasuring()
+	var got []classified
+	p.OnClassify(func(l Level, c uint8, cat Category, share float64, m bool) {
+		got = append(got, classified{l, c, cat, share, m})
+	})
+	fillWord(p, LevelL1, 0, true, 1, 0.75)
+	fillWord(p, LevelL2, 4, true, 2, 1.5)
+	want := []classified{{LevelL1, 1, Fetch, 0.75, true}, {LevelL2, 2, Fetch, 1.5, true}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("classified %+v, want %+v", got, want)
 	}
 }
 
