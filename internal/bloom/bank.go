@@ -1,5 +1,7 @@
 package bloom
 
+import "repro/internal/recycle"
+
 // BankConfig describes the filter banks of §4.4.
 type BankConfig struct {
 	FiltersPerSlice int // number of Bloom filters at each L2 slice
@@ -24,8 +26,22 @@ type L2Bank struct {
 	filters []*Counting
 }
 
-// NewL2Bank creates the counting-filter bank for one slice.
+// Recycled banks, by geometry: a bank's arrays and hashes follow its
+// config alone.
+var (
+	recycledL2 recycle.Pool[BankConfig, L2Bank]
+	recycledL1 recycle.Pool[BankConfig, L1Bank]
+)
+
+// NewL2Bank creates the counting-filter bank for one slice, from a
+// recycled bank of the same config when one is free, emptied.
 func NewL2Bank(cfg BankConfig) *L2Bank {
+	if b := recycledL2.Get(cfg); b != nil {
+		for _, f := range b.filters {
+			clear(f.counts)
+		}
+		return b
+	}
 	sel := NewH3(cfg.Seed ^ 0x5e1ec7)
 	h := NewH3(cfg.Seed)
 	b := &L2Bank{cfg: cfg, sel: sel, filters: make([]*Counting, cfg.FiltersPerSlice)}
@@ -34,6 +50,10 @@ func NewL2Bank(cfg BankConfig) *L2Bank {
 	}
 	return b
 }
+
+// Recycle hands the bank to the next NewL2Bank of its config. The caller
+// must not use the bank again.
+func (b *L2Bank) Recycle() { recycledL2.Put(b.cfg, b) }
 
 // FilterIndex returns which filter within a slice a line address maps to.
 func (b *L2Bank) FilterIndex(line uint32) int {
@@ -82,8 +102,13 @@ type L1Bank struct {
 	valid   []bool   // indexed like filters
 }
 
-// NewL1Bank creates the L1-side filter copies for all slices.
+// NewL1Bank creates the L1-side filter copies for all slices, from a
+// recycled bank of the same config when one is free, emptied.
 func NewL1Bank(cfg BankConfig) *L1Bank {
+	if b := recycledL1.Get(cfg); b != nil {
+		b.ClearAll()
+		return b
+	}
 	h := NewH3(cfg.Seed)
 	n, words := cfg.Slices*cfg.FiltersPerSlice, filterWords(cfg.Entries)
 	b := &L1Bank{
@@ -132,6 +157,10 @@ func (b *L1Bank) InsertLocal(slice int, line uint32) {
 
 // ClearAll resets every copy and valid bit (done at barriers).
 func (b *L1Bank) ClearAll() { clear(b.bits); clear(b.valid) }
+
+// Recycle hands the bank to the next NewL1Bank of its config. The caller
+// must not use the bank again.
+func (b *L1Bank) Recycle() { recycledL1.Put(b.cfg, b) }
 
 // SizeBytes is the storage footprint of all copies (1-bit entries).
 func (b *L1Bank) SizeBytes() int { return len(b.bits) * 8 }

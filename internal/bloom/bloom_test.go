@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,42 @@ func TestL1BankDemandCopyFlow(t *testing.T) {
 	valid, _ = l1.Query(2, line)
 	if valid {
 		t.Fatal("ClearAll did not invalidate copies")
+	}
+}
+
+// TestRecycledBanksMatchFresh fills an L1 and an L2 bank the way a run
+// leaves them, recycles both, and requires the next banks of the same
+// config to equal fresh ones.
+func TestRecycledBanksMatchFresh(t *testing.T) {
+	cfg := DefaultBankConfig(4)
+	// A -race build drops a quarter of the pools' puts at random, so try
+	// until one of each is taken back.
+	var l1ok, l2ok bool
+	for attempt := 0; attempt < 20 && !(l1ok && l2ok); attempt++ {
+		l1, l2 := NewL1Bank(cfg), NewL2Bank(cfg)
+		for line := uint32(0); line < 200; line += 3 {
+			l2.Insert(line)
+			idx := l1.FilterIndex(line)
+			l1.LoadCopy(int(line%4), idx, l2.Snapshot(idx))
+			l1.InsertLocal(int(line%4), line+1)
+		}
+		l1.Recycle()
+		l2.Recycle()
+		if got := NewL1Bank(cfg); got == l1 {
+			l1ok = true
+			if !reflect.DeepEqual(got, NewL1Bank(cfg)) {
+				t.Fatal("a recycled L1 bank differs from a fresh one")
+			}
+		}
+		if got := NewL2Bank(cfg); got == l2 {
+			l2ok = true
+			if !reflect.DeepEqual(got, NewL2Bank(cfg)) {
+				t.Fatal("a recycled L2 bank differs from a fresh one")
+			}
+		}
+	}
+	if !l1ok || !l2ok {
+		t.Fatalf("banks taken back: L1 %v, L2 %v", l1ok, l2ok)
 	}
 }
 

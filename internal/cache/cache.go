@@ -8,6 +8,8 @@
 // build on it.
 package cache
 
+import "repro/internal/recycle"
+
 // Line is one cache line. Slices are sized to the configured words per
 // line at allocation and reused across occupancies.
 type Line struct {
@@ -32,20 +34,33 @@ const noTag = ^uint32(0)
 // set s occupies indices [s*assoc, (s+1)*assoc). A lookup scans one set's
 // tags, a few contiguous words, instead of hashing into an index.
 type Cache struct {
-	lines     []Line
-	tags      []uint32 // tags[i] == lines[i].Tag when lines[i] is valid, noTag otherwise
-	valid     int      // valid lines
-	assoc     int
-	numSets   uint32
-	wordsPer  int
-	lruClock  uint64
-	Evictions uint64
+	lines    []Line
+	tags     []uint32 // tags[i] == lines[i].Tag when lines[i] is valid, noTag otherwise
+	words    words
+	assoc    int
+	numSets  uint32
+	wordsPer int
+	lruClock uint64
 }
+
+// words holds the per-word arrays every line's slices are carved from.
+type words struct {
+	state, owner []uint8
+	data         []uint32
+	inst, minst  []uint64
+}
+
+// geometry keys the free lists of recycled caches: the arrays depend only
+// on the line count and the words per line.
+type geometry struct{ lines, wordsPer int }
+
+var recycled recycle.Pool[geometry, Cache]
 
 // New creates a cache of sizeBytes capacity with the given associativity
 // and line size. sizeBytes/assoc/lineBytes must divide evenly and the set
 // count must be a power of two. Every line's per-word slices are carved
-// from one backing array per field.
+// from one backing array per field; the arrays come from a recycled cache
+// of the same line count and line size when one is free.
 func New(sizeBytes, assoc, lineBytes int) *Cache {
 	lines := sizeBytes / lineBytes
 	numSets := lines / assoc
@@ -53,32 +68,52 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 		panic("cache: set count must be a positive power of two")
 	}
 	wp := lineBytes / 4
-	c := &Cache{
-		lines:    make([]Line, lines),
-		tags:     make([]uint32, lines),
-		assoc:    assoc,
-		numSets:  uint32(numSets),
-		wordsPer: wp,
+	c := recycled.Get(geometry{lines, wp})
+	if c == nil {
+		n := lines * wp
+		c = &Cache{
+			lines: make([]Line, lines),
+			tags:  make([]uint32, lines),
+			words: words{
+				state: make([]uint8, n),
+				owner: make([]uint8, n),
+				data:  make([]uint32, n),
+				inst:  make([]uint64, n),
+				minst: make([]uint64, n),
+			},
+		}
 	}
-	wstate := make([]uint8, lines*wp)
-	data := make([]uint32, lines*wp)
-	owner := make([]uint8, lines*wp)
-	inst := make([]uint64, lines*wp)
-	minst := make([]uint64, lines*wp)
+	c.reset(assoc, numSets, wp)
+	return c
+}
+
+// reset empties the cache, whatever a recycled user left in it: every
+// line invalid with zero words, recency and state, carved afresh.
+func (c *Cache) reset(assoc, numSets, wp int) {
+	*c = Cache{lines: c.lines, tags: c.tags, words: c.words, assoc: assoc, numSets: uint32(numSets), wordsPer: wp}
+	w := &c.words
+	clear(w.state)
+	clear(w.owner)
+	clear(w.data)
+	clear(w.inst)
+	clear(w.minst)
 	for i := range c.lines {
 		lo, hi := i*wp, (i+1)*wp
 		c.lines[i] = Line{
-			WState: wstate[lo:hi:hi],
-			Data:   data[lo:hi:hi],
-			Owner:  owner[lo:hi:hi],
-			Inst:   inst[lo:hi:hi],
-			MInst:  minst[lo:hi:hi],
+			WState: w.state[lo:hi:hi],
+			Data:   w.data[lo:hi:hi],
+			Owner:  w.owner[lo:hi:hi],
+			Inst:   w.inst[lo:hi:hi],
+			MInst:  w.minst[lo:hi:hi],
 			idx:    i,
 		}
 		c.tags[i] = noTag
 	}
-	return c
 }
+
+// Recycle hands the cache's arrays to the next New of the same geometry.
+// The caller must not use the cache, or any line it returned, again.
+func (c *Cache) Recycle() { recycled.Put(geometry{len(c.lines), c.wordsPer}, c) }
 
 // WordsPerLine returns words per line.
 func (c *Cache) WordsPerLine() int { return c.wordsPer }
@@ -163,11 +198,6 @@ func (c *Cache) Allocate(lineAddr uint32) *Line {
 		return l
 	}
 	l := c.Victim(lineAddr)
-	if l.Valid {
-		c.Evictions++
-	} else {
-		c.valid++
-	}
 	l.Tag = lineAddr
 	l.Valid = true
 	l.State = 0
@@ -189,11 +219,7 @@ func (c *Cache) Remove(l *Line) {
 	}
 	c.tags[l.idx] = noTag
 	l.Valid = false
-	c.valid--
 }
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int { return c.valid }
 
 // ForEach visits every valid line, set by set. The visitor must not
 // allocate or remove lines; it may mutate word state (used for

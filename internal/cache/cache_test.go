@@ -2,9 +2,17 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// resident counts the valid lines ForEach visits.
+func resident(c *Cache) int {
+	n := 0
+	c.ForEach(func(*Line) { n++ })
+	return n
+}
 
 func TestGeometry(t *testing.T) {
 	c := New(32*1024, 8, 64)
@@ -34,8 +42,8 @@ func TestLookupAllocate(t *testing.T) {
 	if l.Tag != 100 || !l.Valid {
 		t.Fatalf("line tag/valid = %d/%v", l.Tag, l.Valid)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d", c.Occupancy())
+	if n := resident(c); n != 1 {
+		t.Fatalf("%d resident lines, want 1", n)
 	}
 	// Idempotent allocate.
 	if c.Allocate(100) != l {
@@ -59,10 +67,9 @@ func TestLRUVictim(t *testing.T) {
 	if c.Lookup(0) == nil {
 		t.Fatal("MRU line wrongly evicted")
 	}
-	if c.Evictions != 1 {
-		t.Fatalf("evictions = %d", c.Evictions)
+	if n := resident(c); n != 2 {
+		t.Fatalf("%d resident lines after an eviction, want 2", n)
 	}
-	_ = b
 }
 
 func TestVictimPrefersInvalid(t *testing.T) {
@@ -93,7 +100,7 @@ func TestRemove(t *testing.T) {
 	c := New(1024, 2, 64)
 	l := c.Allocate(5)
 	c.Remove(l)
-	if c.Lookup(5) != nil || c.Occupancy() != 0 {
+	if c.Lookup(5) != nil || resident(c) != 0 {
 		t.Fatal("Remove left the line resident")
 	}
 	c.Remove(l) // double-remove is a no-op
@@ -118,15 +125,15 @@ func TestSetConflictsOnly(t *testing.T) {
 	c.Allocate(1)
 	c.Allocate(2)
 	c.Allocate(3)
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d, want 4 (no conflicts)", c.Occupancy())
+	if n := resident(c); n != 4 {
+		t.Fatalf("%d resident lines, want 4 (no conflicts)", n)
 	}
 	c.Allocate(4) // conflicts with 0
 	if c.Lookup(0) != nil {
 		t.Fatal("conflicting line not evicted")
 	}
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d, want 4", c.Occupancy())
+	if n := resident(c); n != 4 {
+		t.Fatalf("%d resident lines, want 4", n)
 	}
 }
 
@@ -201,7 +208,7 @@ func TestReferenceModelProperty(t *testing.T) {
 			for _, rr := range refs {
 				total += len(rr.order)
 			}
-			if c.Occupancy() != total {
+			if resident(c) != total {
 				return false
 			}
 		}
@@ -210,6 +217,46 @@ func TestReferenceModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycledCacheMatchesFresh dirties a cache the way a cancelled run
+// leaves one (resident lines with words, owners, instance ids, states and
+// recency), recycles it, and requires the next cache of its line count to
+// equal a fresh one in every field, whatever its associativity.
+func TestRecycledCacheMatchesFresh(t *testing.T) {
+	const size, lineBytes = 8 * 64, 64
+	rng := rand.New(rand.NewSource(1))
+	// A -race build drops a quarter of the pool's puts at random, so try
+	// until one is taken back.
+	for attempt := 0; attempt < 20; attempt++ {
+		dirty := New(size, 2, lineBytes)
+		for i := 0; i < 100; i++ {
+			l := dirty.Allocate(uint32(rng.Intn(32)))
+			w := rng.Intn(len(l.Data))
+			l.State, l.Region = 3, 2
+			l.WState[w], l.Data[w], l.Owner[w], l.Inst[w], l.MInst[w] = 1, uint32(i), 4, uint64(i), uint64(i)
+			if i%7 == 0 {
+				dirty.Remove(l)
+			}
+		}
+		dirty.Recycle()
+		if other := New(2*size, 2, lineBytes); other == dirty {
+			t.Fatal("a cache of twice the lines took the recycled arrays")
+		}
+		got := New(size, 4, lineBytes)
+		if got != dirty {
+			continue
+		}
+		if !reflect.DeepEqual(got, New(size, 4, lineBytes)) {
+			t.Fatal("a recycled cache differs from a fresh one")
+		}
+		if got.Sets() != 2 || got.Assoc() != 4 || resident(got) != 0 {
+			t.Fatalf("recycled cache: %d sets x %d ways, %d resident lines; want 2 x 4, empty",
+				got.Sets(), got.Assoc(), resident(got))
+		}
+		return
+	}
+	t.Fatal("no recycled cache was ever taken back")
 }
 
 func BenchmarkLookupHit(b *testing.B) {

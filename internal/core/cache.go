@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -66,6 +67,9 @@ type PointKey struct {
 	// Preimage is the canonical configuration encoding the hash commits
 	// to; Load verifies it against the stored copy.
 	Preimage string
+	// point is the planned point's matrix without results: Load serves
+	// only an entry whose matrix has this shape and every cell.
+	point Matrix
 }
 
 // pointKeyFor computes the content address of a planned point. The plan
@@ -98,7 +102,7 @@ func pointKeyFor(p *matrixPlan) (PointKey, error) {
 	b.WriteString("\n")
 	pre := b.String()
 	sum := sha256.Sum256([]byte(pre))
-	return PointKey{Hash: hex.EncodeToString(sum[:]), Preimage: pre}, nil
+	return PointKey{Hash: hex.EncodeToString(sum[:]), Preimage: pre, point: p.shape()}, nil
 }
 
 // PointCache is an on-disk, content-addressed store of completed sweep
@@ -136,9 +140,11 @@ func (c *PointCache) path(key PointKey) string {
 
 // Load returns the cached matrix for key, (nil, nil) on a miss, or an
 // error when an entry exists but cannot be trusted — unreadable,
-// unparsable, truncated, or holding a different configuration than the
-// key commits to. Callers treat that error as loud-and-recoverable:
-// report it, then resimulate.
+// unparsable, truncated, holding a different configuration than the key
+// commits to, or a matrix other than the point's: another size, topology,
+// router, benchmark list or protocol list, or a cell missing or extra.
+// Callers treat that error as loud-and-recoverable: report it, then
+// resimulate.
 func (c *PointCache) Load(key PointKey) (*Matrix, error) {
 	raw, err := os.ReadFile(c.path(key))
 	if errors.Is(err, os.ErrNotExist) {
@@ -157,7 +163,35 @@ func (c *PointCache) Load(key PointKey) (*Matrix, error) {
 	if e.Matrix == nil || e.Matrix.Results == nil {
 		return nil, fmt.Errorf("core: point cache entry %s is truncated", key.Hash[:12])
 	}
+	if err := e.Matrix.cellsOf(&key.point); err != nil {
+		return nil, fmt.Errorf("core: point cache entry %s %v (tampered entry)", key.Hash[:12], err)
+	}
 	return e.Matrix, nil
+}
+
+// cellsOf reports how m differs from a complete matrix of point's shape:
+// the same size, topology, router, benchmarks and protocols, and a result
+// for exactly each (benchmark, protocol) cell.
+func (m *Matrix) cellsOf(point *Matrix) error {
+	if m.Size != point.Size || m.Topology != point.Topology || m.Router != point.Router ||
+		!slices.Equal(m.Benchmarks, point.Benchmarks) || !slices.Equal(m.Protocols, point.Protocols) {
+		return errors.New("holds another matrix")
+	}
+	if len(m.Results) != len(point.Benchmarks) {
+		return fmt.Errorf("has results for %d benchmarks, not %d", len(m.Results), len(point.Benchmarks))
+	}
+	for _, b := range point.Benchmarks {
+		row := m.Results[b]
+		if len(row) != len(point.Protocols) {
+			return fmt.Errorf("has %d results for %s, not %d", len(row), b, len(point.Protocols))
+		}
+		for _, p := range point.Protocols {
+			if row[p] == nil {
+				return fmt.Errorf("has no result for %s/%s", p, b)
+			}
+		}
+	}
+	return nil
 }
 
 // Store writes the point's matrix under key, atomically: the entry is

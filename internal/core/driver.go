@@ -12,8 +12,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/memsys"
+	"repro/internal/recycle"
 )
 
 // Runner executes one program under one protocol on one Env.
@@ -66,8 +69,16 @@ type coreState struct {
 	loadT0     int64
 }
 
+// The per-core states (with their op buffers) and the oracles of ended
+// runs, for the next NewRunner.
+var (
+	recycledCores   sync.Pool // *[]coreState
+	recycledOracles recycle.Slices[uint32]
+)
+
 // NewRunner wires a program and protocol onto an environment. The
-// protocol must already be registered on env's mesh.
+// protocol must already be registered on env's mesh. The oracle and the
+// cores' op buffers reuse a recycled runner's arrays when one is free.
 func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Runner {
 	r := &Runner{
 		env:    env,
@@ -75,15 +86,32 @@ func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Run
 		prog:   prog,
 		ctx:    context.Background(),
 		Times:  make([]memsys.TimeBreakdown, prog.Threads()),
-		oracle: make([]uint32, len(env.Mem)),
-		cores:  make([]coreState, prog.Threads()),
+		oracle: recycledOracles.Get(len(env.Mem)),
 	}
+	var cores []coreState
+	if p, _ := recycledCores.Get().(*[]coreState); p != nil {
+		cores = *p
+	}
+	r.cores = slices.Grow(cores[:0], prog.Threads())[:prog.Threads()]
 	for c := range r.cores {
+		r.cores[c] = coreState{ops: r.cores[c].ops[:0]}
 		r.cores[c].step = func() { r.step(c) }
 		r.cores[c].loadDone = func(val uint32, s memsys.Sample) { r.loadDone(c, val, s) }
 		proto.SetStoreUnstall(c, func() { r.retryStore(c) })
 	}
 	return r
+}
+
+// recycle hands the oracle and the cores' op buffers to the next
+// NewRunner. The runner must not be used again.
+func (r *Runner) recycle() {
+	recycledOracles.Put(r.oracle)
+	cores := r.cores // not &r.cores, which would keep the runner alive
+	for c := range cores {
+		// The continuations hold the runner, and through it the run.
+		cores[c].step, cores[c].loadDone = nil, nil
+	}
+	recycledCores.Put(&cores)
 }
 
 // maxSteps bounds a Run's events as a livelock watchdog.

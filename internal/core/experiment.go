@@ -83,11 +83,16 @@ func RunOne(ctx context.Context, cfg memsys.Config, protoName string, prog memsy
 	if err != nil {
 		return nil, err
 	}
+	// The cell's memory goes to the next cell on every way out, once the
+	// Result below holds copies of everything it reports.
+	defer env.Recycle()
 	proto, err := NewProtocol(env, protoName)
 	if err != nil {
 		return nil, err
 	}
+	defer proto.Recycle()
 	r := NewRunner(env, proto, prog)
+	defer r.recycle()
 	r.ctx = ctx
 	if err := r.Run(); err != nil {
 		return nil, err

@@ -192,6 +192,17 @@ func (p *matrixPlan) runCell(ctx context.Context, i int) {
 	p.results[i] = res
 }
 
+// shape returns the point's matrix without results.
+func (p *matrixPlan) shape() Matrix {
+	return Matrix{
+		Size:       p.opt.Size,
+		Topology:   p.cfg.Topology,
+		Router:     p.cfg.Router,
+		Benchmarks: p.opt.Benchmarks,
+		Protocols:  p.opt.Protocols,
+	}
+}
+
 // assemble builds the Matrix from the plan's completed cells, or returns
 // the first cell error in matrix order (deterministically, whatever the
 // schedule was).
@@ -201,14 +212,8 @@ func (p *matrixPlan) assemble() (*Matrix, error) {
 			return nil, err
 		}
 	}
-	m := &Matrix{
-		Size:       p.opt.Size,
-		Topology:   p.cfg.Topology,
-		Router:     p.cfg.Router,
-		Benchmarks: p.opt.Benchmarks,
-		Protocols:  p.opt.Protocols,
-		Results:    make(map[string]map[string]*Result, len(p.opt.Benchmarks)),
-	}
+	m := p.shape()
+	m.Results = make(map[string]map[string]*Result, len(p.opt.Benchmarks))
 	for i, c := range p.cells {
 		bench := p.opt.Benchmarks[c.bench]
 		row := m.Results[bench]
@@ -218,7 +223,7 @@ func (p *matrixPlan) assemble() (*Matrix, error) {
 		}
 		row[p.opt.Protocols[c.proto]] = p.results[i]
 	}
-	return m, nil
+	return &m, nil
 }
 
 // schedJob indexes one cell of one plan in the shared pool's claim order.

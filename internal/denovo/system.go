@@ -133,6 +133,19 @@ func (s *System) AtBarrier(written []uint8) {
 	}
 }
 
+// Recycle implements memsys.Protocol.
+func (s *System) Recycle() {
+	for t, l1 := range s.l1s {
+		l2 := s.l2s[t]
+		l1.c.Recycle()
+		l2.c.Recycle()
+		if s.opt.BypassReq {
+			l1.blooms.Recycle()
+			l2.blooms.Recycle()
+		}
+	}
+}
+
 // l2HasWord implements the Figure 4.3 "address present in L2?" check.
 func (s *System) l2HasWord(addr uint32) bool {
 	line := memsys.LineOf(addr)

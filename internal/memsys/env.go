@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/mesh"
+	"repro/internal/recycle"
 	"repro/internal/sim"
 	"repro/internal/waste"
 )
@@ -83,6 +84,9 @@ type Protocol interface {
 	// self-invalidation of the written regions, Bloom filter clears).
 	// It is called once per barrier after every core has drained.
 	AtBarrier(written []uint8)
+	// Recycle hands the engine's cache arrays and Bloom banks to the next
+	// engine built; the engine must not be used again.
+	Recycle()
 }
 
 // Env bundles the shared simulation state handed to protocol engines.
@@ -97,8 +101,12 @@ type Env struct {
 	Mem     []uint32 // word-indexed backing store (functional values)
 }
 
+// recycledMem holds the backing stores of ended runs, by length.
+var recycledMem recycle.Slices[uint32]
+
 // NewEnv constructs the kernel, mesh, DRAM channels, profiler and traffic
-// recorder for one simulation run.
+// recorder for one simulation run. The kernel, the profiler and the
+// backing store reuse a recycled run's arrays when one is free.
 func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -107,7 +115,7 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &sim.Kernel{}
+	k := sim.NewKernel()
 	prof := waste.NewProfiler()
 	e := &Env{
 		K:       k,
@@ -116,13 +124,21 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 		Traffic: NewTraffic(prof),
 		Prof:    prof,
 		Regions: rt,
-		Mem:     make([]uint32, (footprintBytes+3)/4),
+		Mem:     recycledMem.Get(int((footprintBytes + 3) / 4)),
 	}
 	e.Chans = make([]*dram.Channel, len(cfg.MCTiles))
 	for i := range e.Chans {
 		e.Chans[i] = dram.NewChannel(k, cfg.DRAM)
 	}
 	return e, nil
+}
+
+// Recycle hands the run's kernel, profiler and backing store to the next
+// NewEnv. The caller must not use the Env, or anything built on it, again.
+func (e *Env) Recycle() {
+	e.K.Recycle()
+	e.Prof.Recycle()
+	recycledMem.Put(e.Mem)
 }
 
 // MemRead returns the backing-store value of a word address.

@@ -90,6 +90,14 @@ func (s *System) Drain(core int, done func()) { s.l1s[core].drain(done) }
 // action: invalidations keep caches coherent eagerly.
 func (s *System) AtBarrier(written []uint8) {}
 
+// Recycle implements memsys.Protocol.
+func (s *System) Recycle() {
+	for t := range s.l1s {
+		s.l1s[t].c.Recycle()
+		s.l2s[t].c.Recycle()
+	}
+}
+
 // CheckInvariants verifies, at quiescence, that the system is coherent
 // (CheckCoherence) and that no transaction is left over. Tests call it
 // after Run.

@@ -26,7 +26,10 @@
 // ordering of the per-cycle schedule (see the seq accounting below).
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // wheelSpan is the near tier's reach: an event due fewer than wheelSpan
 // cycles ahead goes into the timing wheel, any later one into the far heap.
@@ -79,6 +82,30 @@ type Kernel struct {
 	tickAt    int64
 	tickSeq   uint64
 	tickArmed bool
+}
+
+// recycled holds the kernels of ended runs, for their slab, free list and
+// far heap.
+var recycled sync.Pool
+
+// NewKernel returns an empty kernel, reusing a recycled kernel's arrays
+// when one is free. It is the zero Kernel in every observable way.
+func NewKernel() *Kernel {
+	k, _ := recycled.Get().(*Kernel)
+	if k == nil {
+		return &Kernel{}
+	}
+	*k = Kernel{slab: k.slab[:0], free: k.free[:0], pq: k.pq[:0]}
+	return k
+}
+
+// Recycle drops every pending event and hands the kernel's arrays to the
+// next NewKernel. The caller must not use the kernel again.
+func (k *Kernel) Recycle() {
+	// The callbacks hold the ended run's components.
+	clear(k.slab)
+	k.tickFn = nil
+	recycled.Put(k)
 }
 
 // Now returns the current simulated cycle.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,48 @@ func TestEmptyKernel(t *testing.T) {
 		t.Fatalf("Now = %d, want 0", k.Now())
 	}
 	k.Run() // must not hang
+}
+
+// TestRecycledKernelStartsEmpty recycles a kernel in mid-run, with near
+// and far events pending and its recurring tick armed, and requires the
+// next NewKernel to start where a zero Kernel does and to run the same
+// schedule the same way.
+func TestRecycledKernelStartsEmpty(t *testing.T) {
+	schedule := func(k *Kernel) []int64 {
+		var fired []int64
+		for _, at := range []int64{5, 3, 2000, 3, 7000} {
+			k.At(at, func() { fired = append(fired, k.Now()) })
+		}
+		k.Run()
+		return fired
+	}
+	want := schedule(&Kernel{})
+	// A -race build drops a quarter of the pool's puts at random, so try
+	// until one is taken back.
+	for attempt := 0; attempt < 20; attempt++ {
+		dirty := NewKernel()
+		dirty.SetTicker(func() {})
+		schedule(dirty)
+		dirty.At(dirty.Now()+3, func() {})
+		dirty.At(dirty.Now()+5000, func() {})
+		dirty.TickNext()
+		dirty.Step()
+		dirty.Recycle()
+		k := NewKernel()
+		if k != dirty {
+			continue
+		}
+		if k.Now() != 0 || k.Pending() != 0 || k.Steps() != 0 || k.Clamped() != 0 || k.TickArmed() {
+			t.Fatalf("recycled kernel: now %d, %d pending, %d steps, %d clamped, tick armed %v",
+				k.Now(), k.Pending(), k.Steps(), k.Clamped(), k.TickArmed())
+		}
+		k.SetTicker(func() {}) // panics if the last run's ticker stayed
+		if got := schedule(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recycled kernel fired at %v, a fresh one at %v", got, want)
+		}
+		return
+	}
+	t.Fatal("no recycled kernel was ever taken back")
 }
 
 func TestOrdering(t *testing.T) {

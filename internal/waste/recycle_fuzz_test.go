@@ -160,6 +160,7 @@ func FuzzProfilerRecycle(f *testing.F) {
 	f.Add([]byte{11, 0, 0, 0x22, 4, 0, 0, 0, 1, 0x14, 4, 1, 0, 4, 0, 1})
 	f.Add([]byte{11, 2, 3, 0, 10, 0, 3, 0, 8, 0, 0, 255, 255, 1, 0, 6, 1, 9, 0, 255, 255, 2, 1, 1})
 	f.Add([]byte{2, 1, 0, 5, 0, 5, 0, 6, 0, 0, 7, 1, 2, 1, 0, 6, 0, 1, 11, 0, 5, 0})
+	f.Add(recycleMidRunOps)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		got, want := runRecycle(ops)
 		if len(got.stream) != len(want.stream) || len(got.batch) != len(want.batch) {
@@ -206,20 +207,27 @@ type recycleRun struct {
 }
 
 // runRecycle decodes ops and applies each to both profilers. An op is one
-// byte (mod 12) and a fixed number of argument bytes (missing ones read
+// byte (mod 13) and a fixed number of argument bytes (missing ones read
 // as 0); instances are named by handles, each pairing the two profilers'
-// ids for one instance, so an op can reach a classified (stale) id.
+// ids for one instance, so an op can reach a classified (stale) id. Op 12
+// recycles the profiler mid-run and goes on with the next NewProfiler.
 func runRecycle(ops []byte) (got, want recycleRun) {
-	p, r := NewProfiler(), newRefProfiler()
 	gotEvents, wantEvents := &got.stream, &want.stream
-	p.OnClassify(func(l Level, c uint8, cat Category, share float64, m bool) {
-		*gotEvents = append(*gotEvents, classified{l, c, cat, share, m})
-	})
-	r.onClassify = func(l Level, c uint8, cat Category, share float64, m bool) {
-		*wantEvents = append(*wantEvents, classified{l, c, cat, share, m})
+	var p *Profiler
+	var r *refProfiler
+	start := func() {
+		p, r = NewProfiler(), newRefProfiler()
+		p.OnClassify(func(l Level, c uint8, cat Category, share float64, m bool) {
+			*gotEvents = append(*gotEvents, classified{l, c, cat, share, m})
+		})
+		r.onClassify = func(l Level, c uint8, cat Category, share float64, m bool) {
+			*wantEvents = append(*wantEvents, classified{l, c, cat, share, m})
+		}
 	}
+	start()
 	var handles [][2]uint64
 	var lines [2]recycleLine
+	since := 0 // the reference's first event since the last recycle
 	arg := func(i int) byte {
 		if i < len(ops) {
 			return ops[i]
@@ -236,7 +244,7 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 	mask := func(i int) uint16 { return uint16(arg(i)) | uint16(arg(i+1))<<8 }
 	cats := []Category{Used, Write, Fetch, Invalidate, Evict, Unevicted, Excess}
 	for i := 0; i < len(ops); {
-		op, a := ops[i]%12, i+1
+		op, a := ops[i]%13, i+1
 		switch op {
 		case 0, 1:
 			// One word at L1 or L2; the flag byte holds present (bit 0),
@@ -313,13 +321,22 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			p.StartMeasurement()
 			r.measuring = true
 			i = a
+		case 12:
+			// The run ends here, dirty, as a cancelled cell does. The
+			// next run's recycled profiler must behave as a fresh one:
+			// its ids, instances and counts start over, like the new
+			// reference's, and the ended run's ids and lines go with it.
+			p.Recycle()
+			start()
+			handles, lines, since = nil, [2]recycleLine{}, len(want.stream)
+			i = a
 		}
 	}
 	gotEvents, wantEvents = &got.batch, &want.batch
 	p.Finish()
 	r.finish()
 	got.counts, got.made, got.peak = p.Snapshot(), p.Instances(), p.PeakLive()
-	for _, e := range append(slices.Clone(want.stream), want.batch...) {
+	for _, e := range append(slices.Clone(want.stream[since:]), want.batch...) {
 		if e.measured {
 			want.counts[e.level][e.cat]++
 		}
@@ -368,6 +385,21 @@ func TestFillReleaseMatchPerWordCalls(t *testing.T) {
 		})
 	}
 }
+
+// recycleMidRunOps leaves a run with open memory instances on two
+// addresses, a filled line and measured counts, recycles its profiler,
+// and then runs the same ops again on the next one: a table, index or
+// counter the recycled profiler kept shows up as a different stream.
+var recycleMidRunOps = func() []byte {
+	run := []byte{
+		11,
+		2, 0, 0, 2, 1, 0,
+		10, 0, 0, 0, 10, 0, 1, 1,
+		8, 0, 0, 0xff, 0xff, 0x0f, 0, 2 + 4*4, 1,
+		7, 0,
+	}
+	return append(append(append([]byte{}, run...), 12), run...)
+}()
 
 // fillReleaseOps encodes: measure; fetch two memory words; give line 0's
 // words 0 and 1 those memory instances; fill line 0 at L1 with all 16

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Category is the terminal classification of a word instance.
@@ -135,9 +136,34 @@ type Profiler struct {
 	openFree  []int32
 }
 
-// NewProfiler creates an empty profiler (warm-up mode: not measuring).
+// recycled holds the profilers of ended runs, for their tables.
+var recycled sync.Pool
+
+// NewProfiler creates an empty profiler (warm-up mode: not measuring). It
+// takes the tables of a recycled profiler when one is free, emptied: its
+// ids restart from slot 1, generation 0, as in a new profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{recs: make([]inst, 1, 256)}
+	p, _ := recycled.Get().(*Profiler)
+	if p == nil {
+		return &Profiler{recs: make([]inst, 1, 256)}
+	}
+	// MemFetch grows the index into capacity it expects to be zero.
+	clear(p.openSlot[:cap(p.openSlot)])
+	*p = Profiler{
+		recs:      append(p.recs[:0], inst{}),
+		free:      p.free[:0],
+		openSlot:  p.openSlot[:0],
+		openLists: p.openLists[:0],
+		openFree:  p.openFree[:0],
+	}
+	return p
+}
+
+// Recycle hands the profiler's tables to the next NewProfiler. The caller
+// must not use the profiler again.
+func (p *Profiler) Recycle() {
+	p.onClassify = nil // the observer holds the ended run's traffic recorder
+	recycled.Put(p)
 }
 
 // get returns id's record while its instance is open, nil otherwise (id 0,
@@ -310,8 +336,12 @@ func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
 			slot = p.openFree[n-1]
 			p.openFree = p.openFree[:n-1]
 		} else {
-			p.openLists = append(p.openLists, nil)
-			slot = int32(len(p.openLists))
+			// Past the length lie the lists of a recycled run: reuse
+			// their arrays.
+			n := len(p.openLists)
+			p.openLists = slices.Grow(p.openLists, 1)[:n+1]
+			p.openLists[n] = p.openLists[n][:0]
+			slot = int32(n + 1)
 		}
 		p.openSlot[w] = slot
 	}
