@@ -186,8 +186,6 @@ func newDeflRouter(m *Mesh) *deflRouter {
 	return r
 }
 
-func (r *deflRouter) kind() string { return "deflection" }
-
 func (r *deflRouter) newFlit(pkt *packet, idx int) *deflFlit {
 	f := r.flitFree
 	if f == nil {

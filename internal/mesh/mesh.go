@@ -1,11 +1,13 @@
-// Package mesh models an on-chip interconnect with pluggable topologies,
+// Package mesh models an on-chip interconnect with three topologies,
 // pluggable router models, per-link serialization, and wormhole-style
 // pipelining.
 //
-// The fabric (Mesh) is topology-agnostic: geometry and routing live behind
-// the Topology interface, with three registered implementations — the
-// paper's dimension-ordered (XY) mesh, a bidirectional ring, and a 2D
-// torus with wraparound links (see topology.go). The default matches the
+// The fabric (Mesh) is topology-agnostic: geometry and routing live in
+// one grid type, Topology (see topology.go), routed dimension-ordered (X,
+// then Y). The "mesh" kind has no wraparound links, the "torus" wraps
+// every row and column, and the "ring" is one wrapped row of all the
+// tiles with two ports. Every kind numbers its ports 0 = +X (the ring's
+// clockwise port), 1 = -X, 2 = +Y and 3 = -Y. The default matches the
 // network of the paper's Table 4.1: a 4x4 mesh with 16-byte links and a
 // 3-cycle per-hop latency. A packet consists of one control flit plus up
 // to four 16-byte data flits (at most 64 bytes of data per message).
@@ -66,11 +68,12 @@ const LatencyBins = 20
 
 // Mesh is the interconnect fabric. Create one with New.
 type Mesh struct {
-	cfg      Config
-	topo     Topology
-	k        *sim.Kernel
-	handlers []Handler
-	r        router
+	cfg        Config
+	topo       *Topology
+	k          *sim.Kernel
+	handlers   []Handler
+	r          router
+	routerKind string // the resolved Config.Router
 
 	// Cumulative telemetry (never reset).
 	packets  uint64
@@ -123,6 +126,10 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 	if err != nil {
 		panic(err.Error())
 	}
+	model, err := lookupRouter(cfg.Router)
+	if err != nil {
+		panic(err.Error())
+	}
 	if cfg.LinkLatency <= 0 {
 		cfg.LinkLatency = 1
 	}
@@ -132,25 +139,22 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 		linkBusy[i] = make([]int64, topo.Ports())
 	}
 	m := &Mesh{
-		cfg:      cfg,
-		topo:     topo,
-		k:        k,
-		handlers: make([]Handler, n),
-		linkBusy: linkBusy,
+		cfg:        cfg,
+		topo:       topo,
+		k:          k,
+		handlers:   make([]Handler, n),
+		routerKind: model.kind,
+		linkBusy:   linkBusy,
 	}
-	ctor, err := newRouterCtor(cfg.Router)
-	if err != nil {
-		panic(err.Error())
-	}
-	m.r = ctor(m)
+	m.r = model.ctor(m)
 	return m
 }
 
 // Topology returns the routing geometry the fabric was built with.
-func (m *Mesh) Topology() Topology { return m.topo }
+func (m *Mesh) Topology() *Topology { return m.topo }
 
 // Router returns the name of the forwarding model in use.
-func (m *Mesh) Router() string { return m.r.kind() }
+func (m *Mesh) Router() string { return m.routerKind }
 
 // Tiles returns the number of tiles.
 func (m *Mesh) Tiles() int { return m.topo.Tiles() }
@@ -252,7 +256,7 @@ type NetStats struct {
 // ResetStats (or since construction).
 func (m *Mesh) Stats() NetStats {
 	s := NetStats{
-		Router:          m.r.kind(),
+		Router:          m.routerKind,
 		Delivered:       m.delivered,
 		Cycles:          m.k.Now() - m.statsStart,
 		LatencyMax:      m.latMax,
@@ -294,11 +298,4 @@ func (m *Mesh) ResetStats() {
 	}
 	m.peakVC = 0
 	m.deflHops = 0
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

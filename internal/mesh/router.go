@@ -2,19 +2,37 @@ package mesh
 
 import "fmt"
 
-// routerRegistry is the single source of truth for router models: kinds,
-// inventory descriptions, and constructors all derive from it.
-var routerRegistry = []struct {
+// routerModel is one registered router: its kind, its one-line inventory
+// description and its constructor.
+type routerModel struct {
 	kind string
 	desc string
 	ctor func(*Mesh) router
-}{
+}
+
+// routerRegistry is the single source of truth for router models: kinds,
+// inventory descriptions, and constructors all derive from it.
+var routerRegistry = []routerModel{
 	{"ideal", "injection-time link reservation — the paper's wormhole approximation (default)",
 		func(m *Mesh) router { return newIdealRouter(m) }},
 	{"vc", "cycle-level wormhole router: per-port input VCs, credit flow control, round-robin allocation",
 		func(m *Mesh) router { return newVCRouter(m) }},
 	{"deflection", "cycle-level bufferless router: oldest-first arbitration, contention deflects instead of buffering",
 		func(m *Mesh) router { return newDeflRouter(m) }},
+}
+
+// lookupRouter resolves a router kind to its registry entry. The empty
+// kind selects the default, "ideal".
+func lookupRouter(kind string) (*routerModel, error) {
+	if kind == "" {
+		kind = "ideal"
+	}
+	for i := range routerRegistry {
+		if routerRegistry[i].kind == kind {
+			return &routerRegistry[i], nil
+		}
+	}
+	return nil, fmt.Errorf("mesh: unknown router %q (have %v)", kind, RouterKinds())
 }
 
 // RouterKinds lists the registered router models in presentation order.
@@ -32,37 +50,18 @@ func RouterKinds() []string {
 // an error — it used to return "" silently, which let a registry or
 // inventory drift print an empty papertables row.
 func RouterDescription(kind string) (string, error) {
-	if kind == "" {
-		kind = "ideal"
+	r, err := lookupRouter(kind)
+	if err != nil {
+		return "", err
 	}
-	for _, r := range routerRegistry {
-		if r.kind == kind {
-			return r.desc, nil
-		}
-	}
-	return "", fmt.Errorf("mesh: unknown router %q (have %v)", kind, RouterKinds())
+	return r.desc, nil
 }
 
 // ValidRouter reports whether kind names a registered router model. The
 // empty string selects the default ("ideal").
 func ValidRouter(kind string) error {
-	if _, err := newRouterCtor(kind); err != nil {
-		return err
-	}
-	return nil
-}
-
-// newRouterCtor resolves a kind to its constructor ("" = "ideal").
-func newRouterCtor(kind string) (func(*Mesh) router, error) {
-	if kind == "" {
-		kind = "ideal"
-	}
-	for _, r := range routerRegistry {
-		if r.kind == kind {
-			return r.ctor, nil
-		}
-	}
-	return nil, fmt.Errorf("mesh: unknown router %q (have %v)", kind, RouterKinds())
+	_, err := lookupRouter(kind)
+	return err
 }
 
 // router is the forwarding-model contract the fabric programs against.
@@ -75,7 +74,6 @@ func newRouterCtor(kind string) (func(*Mesh) router, error) {
 // events only, so simulations are bit-identical at any engine worker
 // count.
 type router interface {
-	kind() string
 	inject(src, dst, flits int, payload any) int
 }
 
@@ -87,7 +85,7 @@ type router interface {
 type idealRouter struct {
 	m *Mesh
 	// linkFree[t][p] is the cycle at which tile t's outgoing link on port
-	// p becomes free. Port meanings are topology-defined.
+	// p becomes free.
 	linkFree [][]int64
 }
 
@@ -98,8 +96,6 @@ func newIdealRouter(m *Mesh) *idealRouter {
 	}
 	return &idealRouter{m: m, linkFree: linkFree}
 }
-
-func (r *idealRouter) kind() string { return "ideal" }
 
 func (r *idealRouter) inject(src, dst, flits int, payload any) int {
 	m := r.m

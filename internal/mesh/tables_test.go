@@ -30,7 +30,7 @@ var tableShapes = []struct {
 // a topology: the link list in Links order, then per tile the axis and
 // dateline flag of every port, and the hop count and first routing step
 // toward every destination.
-func topologyTable(t Topology) string {
+func topologyTable(t *Topology) string {
 	var b strings.Builder
 	n, ports := t.Tiles(), t.Ports()
 	fmt.Fprintf(&b, "tiles %d ports %d\n", n, ports)

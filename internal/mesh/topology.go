@@ -2,45 +2,42 @@ package mesh
 
 import "fmt"
 
-// Topology defines the geometry and routing discipline of the on-chip
-// network: how many tiles and router ports exist, how a packet steps from
-// tile to tile, and how long each route is in links. The Mesh fabric
-// (link serialization, delivery scheduling, flit-hop telemetry) is
-// topology-agnostic and drives whichever Topology it is built with.
+// Topology is the geometry and routing discipline of the on-chip network:
+// a width x height grid of tiles, each with a router of Ports output
+// ports, routed minimally in dimension order (X first, then Y). One type
+// serves every registered kind:
 //
-// Routing must be deterministic and minimal with respect to Hops: for any
-// src != dst, repeatedly applying NextPort must reach dst in exactly
-// Hops(src, dst) steps. Both protocol engines account their per-message
-// flit-hops with Hops, so the figure telemetry follows the topology
-// automatically.
-type Topology interface {
-	// Kind is the registry name ("mesh", "ring", "torus").
-	Kind() string
-	// Tiles returns the number of tiles (routers).
-	Tiles() int
-	// Ports returns the number of directed output ports per router.
-	Ports() int
-	// Hops returns the route length in links from src to dst (0 when
-	// src == dst).
-	Hops(src, dst int) int
-	// NextPort returns the output port taken at cur and the neighbouring
-	// tile it leads to, for one routing step toward dst. cur must differ
-	// from dst.
-	NextPort(cur, dst int) (port, next int)
-	// Links enumerates every directed link in the network.
-	Links() []Link
-	// PortAxis returns the dimension a port moves along; ports of the
-	// same dimension share a value. The vc router resets its dateline VC
-	// class when a route switches axes.
-	PortAxis(port int) int
-	// Wraparound reports whether the directed link leaving tile from on
-	// port crosses its dimension's wraparound boundary (the dateline).
-	// The vc router moves packets to the upper VC class after such a
-	// hop, which is what keeps wraparound topologies deadlock-free — a
-	// topology with wrap links that does not report them here can
-	// deadlock the credit loop.
-	Wraparound(from, port int) bool
+//   - "mesh" is the paper's network (Table 4.1): no wraparound links, so
+//     a route is the Manhattan distance and XY routing is deadlock-free.
+//   - "torus" is the mesh plus wraparound links that close every row and
+//     column into a cycle. Each dimension travels the shorter way around
+//     (ties break toward +X/+Y), so a 4x4 torus has diameter 4 where the
+//     mesh has 6.
+//   - "ring" lays the width*height tiles out as one wrapped row with two
+//     ports, the geometry of ring-router NoC work: packets take the
+//     shorter way around (ties break clockwise), for a diameter of n/2.
+//
+// Ports are numbered 0 = +X (east, the ring's clockwise port), 1 = -X
+// (west, counter-clockwise), 2 = +Y (south) and 3 = -Y (north).
+//
+// The Mesh fabric (link serialization, delivery scheduling, flit-hop
+// telemetry) drives whichever kind it is built with. For any src != dst,
+// repeatedly applying NextPort reaches dst in exactly Hops(src, dst)
+// steps. Both protocol engines account their per-message flit-hops with
+// Hops, so the figure telemetry follows the topology automatically.
+type Topology struct {
+	w, h  int
+	wrap  bool // wraparound links close every row and column into a cycle
+	ports int  // 4 for the mesh and torus, 2 for the ring
 }
+
+// Port numbering, shared by every kind.
+const (
+	portEast  = 0 // +X; the ring's clockwise port
+	portWest  = 1 // -X; the ring's counter-clockwise port
+	portSouth = 2 // +Y
+	portNorth = 3 // -Y
+)
 
 // Link is one directed channel: tile From's output port Port leads to
 // tile To.
@@ -54,249 +51,169 @@ func TopologyKinds() []string { return []string{"mesh", "ring", "torus"} }
 // NewTopology constructs a topology by registry name over a width x height
 // tile grid. The empty kind defaults to "mesh" (the paper's network). The
 // ring linearizes the same width*height tiles into a single cycle.
-func NewTopology(kind string, width, height int) (Topology, error) {
+func NewTopology(kind string, width, height int) (*Topology, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("mesh: non-positive dimensions %dx%d", width, height)
 	}
 	switch kind {
 	case "", "mesh":
-		return &XYMesh{w: width, h: height}, nil
+		return &Topology{w: width, h: height, ports: 4}, nil
 	case "ring":
-		return &Ring{n: width * height}, nil
+		return &Topology{w: width * height, h: 1, wrap: true, ports: 2}, nil
 	case "torus":
-		return &Torus{w: width, h: height}, nil
+		return &Topology{w: width, h: height, wrap: true, ports: 4}, nil
 	}
 	return nil, fmt.Errorf("mesh: unknown topology %q (have %v)", kind, TopologyKinds())
 }
 
-// Mesh/torus port numbering, shared so the mesh and torus agree with the
-// historical direction encoding.
-const (
-	portEast  = 0 // +X
-	portWest  = 1 // -X
-	portSouth = 2 // +Y
-	portNorth = 3 // -Y
-)
-
-// XYMesh is the paper's network (Table 4.1): a width x height mesh with
-// dimension-ordered XY routing — packets fully resolve the X dimension,
-// then the Y dimension, which is deadlock-free and minimal.
-type XYMesh struct{ w, h int }
-
-// Kind implements Topology.
-func (m *XYMesh) Kind() string { return "mesh" }
-
-// Tiles implements Topology.
-func (m *XYMesh) Tiles() int { return m.w * m.h }
-
-// Ports implements Topology: E, W, S, N.
-func (m *XYMesh) Ports() int { return 4 }
-
-// Hops implements Topology: the Manhattan distance.
-func (m *XYMesh) Hops(src, dst int) int {
-	sx, sy := src%m.w, src/m.w
-	dx, dy := dst%m.w, dst/m.w
-	return abs(dx-sx) + abs(dy-sy)
-}
-
-// NextPort implements Topology: X first, then Y.
-func (m *XYMesh) NextPort(cur, dst int) (port, next int) {
-	x, y := cur%m.w, cur/m.w
-	dx, dy := dst%m.w, dst/m.w
+// Kind returns the registry name ("mesh", "ring", "torus").
+func (t *Topology) Kind() string {
 	switch {
-	case x < dx:
-		port, x = portEast, x+1
-	case x > dx:
-		port, x = portWest, x-1
-	case y < dy:
-		port, y = portSouth, y+1
-	default:
-		port, y = portNorth, y-1
+	case t.ports == 2:
+		return "ring"
+	case t.wrap:
+		return "torus"
 	}
-	return port, y*m.w + x
+	return "mesh"
 }
 
-// PortAxis implements Topology: E/W move along X, S/N along Y.
-func (m *XYMesh) PortAxis(port int) int { return port / 2 }
+// Tiles returns the number of tiles (routers).
+func (t *Topology) Tiles() int { return t.w * t.h }
 
-// Wraparound implements Topology: a grid mesh has no wraparound links.
-func (m *XYMesh) Wraparound(from, port int) bool { return false }
+// Ports returns the number of directed output ports per router.
+func (t *Topology) Ports() int { return t.ports }
 
-// Links implements Topology: each tile links to its in-grid neighbours.
-func (m *XYMesh) Links() []Link {
-	var ls []Link
-	for t := 0; t < m.Tiles(); t++ {
-		x, y := t%m.w, t/m.w
-		if x+1 < m.w {
-			ls = append(ls, Link{t, portEast, t + 1})
+// shortest returns the coordinate difference d (|d| < n) along a
+// dimension of n tiles as a route travels it: d itself without
+// wraparound, and with it the shorter way around, a value in
+// (-n/2, n/2] so that a tie goes the positive way.
+func (t *Topology) shortest(d, n int) int {
+	if t.wrap {
+		if d < 0 {
+			d += n
 		}
-		if x > 0 {
-			ls = append(ls, Link{t, portWest, t - 1})
+		if d*2 > n {
+			d -= n
 		}
-		if y+1 < m.h {
-			ls = append(ls, Link{t, portSouth, t + m.w})
-		}
-		if y > 0 {
-			ls = append(ls, Link{t, portNorth, t - m.w})
-		}
-	}
-	return ls
-}
-
-// Ring port numbering.
-const (
-	portCW  = 0 // clockwise: tile i -> (i+1) mod n
-	portCCW = 1 // counter-clockwise: tile i -> (i-1) mod n
-)
-
-// Ring is a bidirectional ring: the tiles form a single cycle and packets
-// take the shorter way around (ties break clockwise, deterministically).
-// Routers need only two ports, trading the mesh's path diversity for a
-// diameter of n/2 — the geometry studied by ring-router NoC work.
-type Ring struct{ n int }
-
-// Kind implements Topology.
-func (r *Ring) Kind() string { return "ring" }
-
-// Tiles implements Topology.
-func (r *Ring) Tiles() int { return r.n }
-
-// Ports implements Topology: CW, CCW.
-func (r *Ring) Ports() int { return 2 }
-
-// Hops implements Topology: the shorter way around the cycle.
-func (r *Ring) Hops(src, dst int) int { return ringDist(src, dst, r.n) }
-
-// NextPort implements Topology. The shorter-direction choice is stable
-// along a route: once a packet starts clockwise its forward distance only
-// shrinks, so every step picks the same direction.
-func (r *Ring) NextPort(cur, dst int) (port, next int) {
-	d := dst - cur
-	if d < 0 {
-		d += r.n
-	}
-	if d*2 <= r.n { // tie goes clockwise
-		return portCW, (cur + 1) % r.n
-	}
-	return portCCW, (cur - 1 + r.n) % r.n
-}
-
-// PortAxis implements Topology: the ring is one dimension.
-func (r *Ring) PortAxis(port int) int { return 0 }
-
-// Wraparound implements Topology: the dateline sits between tiles n-1
-// and 0.
-func (r *Ring) Wraparound(from, port int) bool {
-	return (port == portCW && from == r.n-1) || (port == portCCW && from == 0)
-}
-
-// Links implements Topology: two directed links per tile.
-func (r *Ring) Links() []Link {
-	ls := make([]Link, 0, 2*r.n)
-	for t := 0; t < r.n; t++ {
-		ls = append(ls, Link{t, portCW, (t + 1) % r.n})
-		ls = append(ls, Link{t, portCCW, (t - 1 + r.n) % r.n})
-	}
-	return ls
-}
-
-// Torus is the mesh plus wraparound links in both dimensions. Routing is
-// dimension-ordered (X then Y) like the mesh, but each dimension travels
-// the shorter way around its cycle (ties break toward +X/+Y), halving the
-// worst-case hop count: a 4x4 torus has diameter 4 where the mesh has 6.
-type Torus struct{ w, h int }
-
-// Kind implements Topology.
-func (t *Torus) Kind() string { return "torus" }
-
-// Tiles implements Topology.
-func (t *Torus) Tiles() int { return t.w * t.h }
-
-// Ports implements Topology: E, W, S, N (with wraparound).
-func (t *Torus) Ports() int { return 4 }
-
-// ringDist returns the shorter cyclic distance from a to b modulo n.
-func ringDist(a, b, n int) int {
-	d := b - a
-	if d < 0 {
-		d += n
-	}
-	if d*2 > n {
-		return n - d
 	}
 	return d
 }
 
-// Hops implements Topology: per-dimension shorter cyclic distances.
-func (t *Torus) Hops(src, dst int) int {
-	return ringDist(src%t.w, dst%t.w, t.w) + ringDist(src/t.w, dst/t.w, t.h)
+// coords splits a tile into its X and Y coordinates. Tiles are never
+// negative, so the division is unsigned and needs no sign fix-up.
+func (t *Topology) coords(tile int) (x, y int) {
+	w := uint(t.w)
+	return int(uint(tile) % w), int(uint(tile) / w)
 }
 
-// NextPort implements Topology: resolve X around its ring, then Y.
-func (t *Torus) NextPort(cur, dst int) (port, next int) {
-	x, y := cur%t.w, cur/t.w
-	dx, dy := dst%t.w, dst/t.w
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// Hops returns the route length in links from src to dst (0 when
+// src == dst).
+func (t *Topology) Hops(src, dst int) int {
+	if t.h == 1 { // one row: a tile is its X coordinate
+		return abs(t.shortest(dst-src, t.w))
+	}
+	sx, sy := t.coords(src)
+	dx, dy := t.coords(dst)
+	return abs(t.shortest(dx-sx, t.w)) + abs(t.shortest(dy-sy, t.h))
+}
+
+// NextPort returns the output port taken at cur and the neighbouring tile
+// it leads to, for one routing step toward dst. cur must differ from dst.
+// The direction is stable along a route: each step shortens the remaining
+// difference without changing its sign. Only a wrapped grid routes a step
+// off its edge, which lands on the far side.
+func (t *Topology) NextPort(cur, dst int) (port, next int) {
+	x, y, dx, dy := cur, 0, dst, 0 // on one row a tile is its X coordinate
+	if t.h > 1 {
+		x, y = t.coords(cur)
+		dx, dy = t.coords(dst)
+	}
 	if x != dx {
-		d := dx - x
-		if d < 0 {
-			d += t.w
+		if t.shortest(dx-x, t.w) > 0 {
+			x++
+			if x == t.w {
+				x = 0
+			}
+			return portEast, y*t.w + x
 		}
-		if d*2 <= t.w { // tie goes +X
-			return portEast, y*t.w + (x+1)%t.w
+		x--
+		if x < 0 {
+			x = t.w - 1
 		}
-		return portWest, y*t.w + (x-1+t.w)%t.w
+		return portWest, y*t.w + x
 	}
-	d := dy - y
-	if d < 0 {
-		d += t.h
+	if t.shortest(dy-y, t.h) > 0 {
+		y++
+		if y == t.h {
+			y = 0
+		}
+		return portSouth, y*t.w + x
 	}
-	if d*2 <= t.h { // tie goes +Y
-		return portSouth, ((y+1)%t.h)*t.w + x
+	y--
+	if y < 0 {
+		y = t.h - 1
 	}
-	return portNorth, ((y-1+t.h)%t.h)*t.w + x
+	return portNorth, y*t.w + x
 }
 
-// PortAxis implements Topology: E/W move along X, S/N along Y.
-func (t *Torus) PortAxis(port int) int { return port / 2 }
+// PortAxis returns the dimension a port moves along: 0 for X (both ring
+// ports), 1 for Y. The vc router resets its dateline VC class when a
+// route switches axes.
+func (t *Topology) PortAxis(port int) int { return port / 2 }
 
-// Wraparound implements Topology: each dimension's dateline sits at its
-// grid edge.
-func (t *Torus) Wraparound(from, port int) bool {
-	x, y := from%t.w, from/t.w
+// step returns the tile one step from tile on port, wrapping around the
+// grid, and whether the step crossed a grid edge to get there.
+func (t *Topology) step(tile, port int) (to int, edge bool) {
+	x, y := t.coords(tile)
 	switch port {
 	case portEast:
-		return x == t.w-1
+		x++
 	case portWest:
-		return x == 0
+		x--
 	case portSouth:
-		return y == t.h-1
+		y++
 	case portNorth:
-		return y == 0
+		y--
 	}
-	return false
+	edge = x < 0 || x == t.w || y < 0 || y == t.h
+	return (y+t.h)%t.h*t.w + (x+t.w)%t.w, edge
 }
 
-// Links implements Topology: four directed links per tile, wrapping at the
-// edges. Degenerate 1-wide dimensions contribute no links (a tile is not
-// linked to itself).
-func (t *Torus) Links() []Link {
+// Wraparound reports whether the directed link leaving tile from on port
+// crosses its dimension's wraparound boundary (the dateline), which sits
+// at each grid edge. The vc router moves packets to the upper VC class
+// after such a hop, which is what keeps wraparound topologies
+// deadlock-free.
+func (t *Topology) Wraparound(from, port int) bool {
+	_, edge := t.step(from, port)
+	return t.wrap && edge
+}
+
+// Links enumerates every directed link in the network, tile by tile in
+// port order; the cycle-level routers wire their ports in this order. A
+// mesh has no link across its edge, and a one-tile dimension wraps onto
+// no link (a tile is not linked to itself).
+func (t *Topology) Links() []Link {
 	var ls []Link
 	for tile := 0; tile < t.Tiles(); tile++ {
-		x, y := tile%t.w, tile/t.w
-		if t.w > 1 {
-			ls = append(ls, Link{tile, portEast, y*t.w + (x+1)%t.w})
-			ls = append(ls, Link{tile, portWest, y*t.w + (x-1+t.w)%t.w})
-		}
-		if t.h > 1 {
-			ls = append(ls, Link{tile, portSouth, ((y+1)%t.h)*t.w + x})
-			ls = append(ls, Link{tile, portNorth, ((y-1+t.h)%t.h)*t.w + x})
+		for p := 0; p < t.ports; p++ {
+			if to, edge := t.step(tile, p); to != tile && (t.wrap || !edge) {
+				ls = append(ls, Link{tile, p, to})
+			}
 		}
 	}
 	return ls
 }
 
 // Diameter returns the longest minimal route in the topology, in links.
-func Diameter(t Topology) int {
+func Diameter(t *Topology) int {
 	max := 0
 	for s := 0; s < t.Tiles(); s++ {
 		for d := 0; d < t.Tiles(); d++ {
@@ -310,7 +227,7 @@ func Diameter(t Topology) int {
 
 // AvgHops returns the mean route length over all ordered tile pairs
 // (including same-tile pairs, which contribute zero).
-func AvgHops(t Topology) float64 {
+func AvgHops(t *Topology) float64 {
 	n := t.Tiles()
 	if n == 0 {
 		return 0

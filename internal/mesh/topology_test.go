@@ -232,3 +232,25 @@ func TestSendDeterministicPerTopology(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTopologyWalk routes every ordered tile pair of a 4x4 grid of
+// each kind: one Hops call, then NextPort hop by hop to the destination,
+// as a message's accounting and the ideal router's reservation do.
+func BenchmarkTopologyWalk(b *testing.B) {
+	for _, kind := range TopologyKinds() {
+		b.Run(kind, func(b *testing.B) {
+			topo, _ := NewTopology(kind, 4, 4)
+			n := topo.Tiles()
+			for b.Loop() {
+				for s := 0; s < n; s++ {
+					for d := 0; d < n; d++ {
+						topo.Hops(s, d)
+						for cur := s; cur != d; {
+							_, cur = topo.NextPort(cur, d)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -216,8 +216,6 @@ func newVCRouter(m *Mesh) *vcRouter {
 	return r
 }
 
-func (r *vcRouter) kind() string { return "vc" }
-
 func (r *vcRouter) inject(src, dst, flits int, payload any) int {
 	nd := &r.nodes[src]
 	nd.injQ = append(nd.injQ, r.admit(src, dst, flits, payload))
