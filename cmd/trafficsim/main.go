@@ -102,10 +102,6 @@ func run() (code int) {
 		return 2
 	}
 	explicit := job.Explicit(flag.CommandLine)
-	if *sweep == "" && explicit["maxpoints"] {
-		fmt.Fprintln(os.Stderr, "-maxpoints configures sweep runs and is dead without one; add -sweep")
-		return 2
-	}
 
 	req := job.Request{
 		Summary:    *summary,
@@ -114,7 +110,11 @@ func run() (code int) {
 		Protocols:  job.SplitList(*protoCSV),
 		Sweep:      *sweep,
 		Workers:    *workers,
-		MaxPoints:  *maxpoints,
+	}
+	// An explicit -maxpoints reaches the request, where ValidateStrict
+	// rejects it beside a matrix; the default is the engine's own cap.
+	if explicit["maxpoints"] {
+		req.MaxPoints = *maxpoints
 	}
 	if *fig != "" {
 		req.Figures = []string{*fig}

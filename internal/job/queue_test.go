@@ -231,6 +231,7 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Benchmarks: []string{"FFT", " FFT "}}, `core: benchmarks "FFT" and " FFT " are the same workload`},
 		{Request{Sweep: "threads=1,2", MaxPoints: 10001}, "core: sweep cap 10001 exceeds the ceiling of 10000 points"},
 		{Request{Sweep: "threads=1,2", MaxPoints: 2000000000}, "core: sweep cap 2000000000 exceeds the ceiling of 10000 points"},
+		{Request{Figures: []string{"5.1a"}, MaxPoints: 500}, "-maxpoints configures sweep runs and is dead without one; add -sweep"},
 	}
 	for _, c := range cases {
 		id, err := q.Submit(c.req)

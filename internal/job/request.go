@@ -96,7 +96,8 @@ type Request struct {
 	// 1 = serial). Scheduling never changes results, only wall-clock.
 	Workers int `json:"workers,omitempty"`
 	// MaxPoints raises the sweep expansion cap (0 = the default cap,
-	// core.DefaultSweepPointCap), up to core.MaxSweepPointCap.
+	// core.DefaultSweepPointCap), up to core.MaxSweepPointCap. It
+	// configures sweeps only: a matrix request that sets it is an error.
 	MaxPoints int `json:"maxpoints,omitempty"`
 }
 
@@ -159,6 +160,9 @@ func (r *Request) FigureIDs() []string {
 func (r *Request) ValidateStrict() error {
 	if r.MaxPoints < 0 {
 		return usagef("-maxpoints %d: the sweep cap must be >= 1 (default %d)", r.MaxPoints, core.DefaultSweepPointCap)
+	}
+	if r.MaxPoints != 0 && !r.IsSweep() {
+		return usagef("-maxpoints configures sweep runs and is dead without one; add -sweep")
 	}
 	opt, err := r.matrixOptions()
 	if err != nil {

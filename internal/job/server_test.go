@@ -77,6 +77,8 @@ var malformedBodies = []struct {
 	// The sweep cap has a ceiling: planning cost grows with every point.
 	{`{"sweep":"threads=1,2","maxpoints":10001}`, "core: sweep cap 10001 exceeds the ceiling of 10000 points"},
 	{`{"sweep":"threads=1,2","maxpoints":2000000000}`, "core: sweep cap 2000000000 exceeds the ceiling of 10000 points"},
+	// A sweep cap beside a matrix is dead, as the CLI says.
+	{`{"figures":["5.1a"],"maxpoints":500}`, "-maxpoints configures sweep runs and is dead without one; add -sweep"},
 	{`{"bogus":1}`, "invalid request JSON"},
 	{`not json`, "invalid request JSON"},
 }
