@@ -455,8 +455,8 @@ func (l *l1Cache) handleFwd(m *msgFwd) {
 	var minst [lineWords]uint64
 	var wmask uint16
 	if ln := l.c.Lookup(m.line); ln != nil {
-		data, wmask = coher.SnapshotData(ln), coher.DirtyMask(ln, wDirty)
-		minst = coher.SnapshotMInst(ln)
+		data, wmask = [lineWords]uint32(ln.Data), coher.DirtyMask(ln, wDirty)
+		minst = [lineWords]uint64(ln.MInst)
 		if m.excl {
 			// Ownership transfer: local copy conceptually moves, memory
 			// instances and all.
@@ -504,7 +504,7 @@ func (l *l1Cache) handleRecall(m *msgRecall) {
 	if ln := l.c.Lookup(m.line); ln != nil {
 		if ln.State == stM {
 			resp.hasData = true
-			resp.data, resp.wmask = coher.SnapshotData(ln), coher.DirtyMask(ln, wDirty)
+			resp.data, resp.wmask = [lineWords]uint32(ln.Data), coher.DirtyMask(ln, wDirty)
 		}
 		env.Prof.Release(memsys.LineMask, waste.Invalidate, ln.Inst, ln.MInst, true)
 		l.c.Remove(ln)
@@ -557,8 +557,8 @@ func (l *l1Cache) allocate(line uint32) *cache.Line {
 		p.gen++
 		wb := p.wb.New(wbEntry{
 			gen: p.gen, line: vline, dirty: victim.State == stM,
-			data: coher.SnapshotData(victim), wmask: coher.DirtyMask(victim, wDirty),
-			minst: coher.SnapshotMInst(victim),
+			data: [lineWords]uint32(victim.Data), wmask: coher.DirtyMask(victim, wDirty),
+			minst: [lineWords]uint64(victim.MInst),
 		})
 		env.Prof.Release(memsys.LineMask, waste.Evict, victim.Inst, victim.MInst, false)
 		l.c.Remove(victim)

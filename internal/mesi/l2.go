@@ -363,7 +363,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 	env := sl.env()
 	line := ln.Tag
 	dirtyMask := coher.DirtyMask(ln, wDirty)
-	data := coher.SnapshotData(ln)
+	data := [lineWords]uint32(ln.Data)
 	env.Prof.Release(memsys.LineMask, waste.Evict, ln.Inst, ln.MInst, false)
 	if dirtyMask != 0 {
 		// MESI always writes the full 64B line back to memory; the clean
