@@ -190,21 +190,21 @@ func run() (code int) {
 	// would hide a real problem (disk, tampering) and a rerun will
 	// resimulate an unpersisted point.
 	isSweep := req.IsSweep()
-	where := func(ev job.Event) string {
+	where := func(ev core.Event) string {
 		if !isSweep {
 			return "matrix"
 		}
 		return fmt.Sprintf("sweep point %d/%d %s=%s", ev.Point+1, ev.Total, ev.Axis, ev.Value)
 	}
-	rc := job.RunConfig{Events: func(ev job.Event) {
+	rc := job.RunConfig{Events: func(ev core.Event) {
 		switch {
-		case ev.Kind == job.KindCell:
+		case ev.Kind == core.KindCell:
 			if !isSweep && !*quiet {
 				fmt.Fprintf(os.Stderr, "running %s / %s...\n", ev.Bench, ev.Protocol)
 			}
-		case ev.Status == job.StatusCacheCorrupt:
+		case ev.Status == core.StatusCacheCorrupt:
 			fmt.Fprintf(os.Stderr, "%s: cache entry corrupt, resimulating: %s\n", where(ev), ev.Error)
-		case ev.Status == job.StatusStoreFailed:
+		case ev.Status == core.StatusStoreFailed:
 			fmt.Fprintf(os.Stderr, "%s: completed but not persisted to the cache: %s\n", where(ev), ev.Error)
 		case isSweep && !*quiet:
 			fmt.Fprintf(os.Stderr, "%s: %s\n", where(ev), ev.Status)
@@ -217,7 +217,7 @@ func run() (code int) {
 		}
 	}
 
-	// Interrupts cancel the pool and its running cells (within a million
+	// Interrupts cancel the pool and its running cells (within 65,536
 	// events each) instead of killing the process: completed sweep points
 	// are kept (and, with -cachedir, already persisted), so ^C on a long
 	// run loses at most the cells in flight.

@@ -113,11 +113,11 @@ func TestPointCacheRejectsTamperedMatrix(t *testing.T) {
 			var corrupt, started int
 			res, err := core.Run(context.Background(), loadOptions(), core.RunOptions{
 				Cache: cache,
-				Progress: func(ev core.SweepProgress) {
+				Progress: func(ev core.Event) {
 					switch ev.Status {
-					case core.SweepPointCacheCorrupt:
+					case core.StatusCacheCorrupt:
 						corrupt++
-					case core.SweepPointStarted:
+					case core.StatusSimulating:
 						started++
 					}
 				},

@@ -26,18 +26,18 @@ func cacheSweepOptions() (core.MatrixOptions, string) {
 
 // runCachedSweep runs the sweep against dir's cache, collecting the
 // sweep-level progress statuses.
-func runCachedSweep(t *testing.T, dir string) (*core.SweepResult, []core.SweepPointStatus) {
+func runCachedSweep(t *testing.T, dir string) (*core.SweepResult, []string) {
 	t.Helper()
 	cache, err := core.OpenPointCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var statuses []core.SweepPointStatus
+	var statuses []string
 	opt, spec := cacheSweepOptions()
 	res, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep:    spec,
 		Cache:    cache,
-		Progress: func(ev core.SweepProgress) { statuses = append(statuses, ev.Status) },
+		Progress: func(ev core.Event) { statuses = append(statuses, ev.Status) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func runCachedSweep(t *testing.T, dir string) (*core.SweepResult, []core.SweepPo
 	return res, statuses
 }
 
-func countStatus(statuses []core.SweepPointStatus, want core.SweepPointStatus) int {
+func countStatus(statuses []string, want string) int {
 	n := 0
 	for _, s := range statuses {
 		if s == want {
@@ -179,14 +179,14 @@ func TestPointCacheRoundTrip(t *testing.T) {
 func TestSweepCacheHitBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	fresh, firstStatuses := runCachedSweep(t, dir)
-	if n := countStatus(firstStatuses, core.SweepPointCached); n != 0 {
+	if n := countStatus(firstStatuses, core.StatusCached); n != 0 {
 		t.Fatalf("first run served %d points from an empty cache", n)
 	}
 	second, statuses := runCachedSweep(t, dir)
-	if n := countStatus(statuses, core.SweepPointStarted); n != 0 {
+	if n := countStatus(statuses, core.StatusSimulating); n != 0 {
 		t.Errorf("second run simulated %d points, want 0", n)
 	}
-	if n := countStatus(statuses, core.SweepPointCached); n != len(fresh.Points) {
+	if n := countStatus(statuses, core.StatusCached); n != len(fresh.Points) {
 		t.Errorf("second run cached %d/%d points", n, len(fresh.Points))
 	}
 	if !reflect.DeepEqual(fresh.Table(), second.Table()) {
@@ -206,7 +206,7 @@ func TestSweepCacheHitBitIdentical(t *testing.T) {
 }
 
 // TestSweepCacheCorruptEntryFallsBack: garbage and truncated entries must
-// error loudly (a SweepPointCacheCorrupt event carrying the error), fall
+// error loudly (a StatusCacheCorrupt event carrying the error), fall
 // back to fresh simulation with an unchanged result, and heal the entry.
 func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -230,17 +230,17 @@ func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var corrupt []error
+	var corrupt []string
 	var started int
 	opt, spec := cacheSweepOptions()
 	res, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep: spec,
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
+		Progress: func(ev core.Event) {
 			switch ev.Status {
-			case core.SweepPointCacheCorrupt:
-				corrupt = append(corrupt, ev.Err)
-			case core.SweepPointStarted:
+			case core.StatusCacheCorrupt:
+				corrupt = append(corrupt, ev.Error)
+			case core.StatusSimulating:
 				started++
 			}
 		},
@@ -252,10 +252,10 @@ func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 		t.Fatalf("%d corrupt-entry events, want 2", len(corrupt))
 	}
 	for _, e := range corrupt {
-		if e == nil {
+		if e == "" {
 			t.Fatal("corrupt-entry event carried no error")
 		}
-		if !strings.Contains(e.Error(), "point cache entry") {
+		if !strings.Contains(e, "point cache entry") {
 			t.Errorf("corrupt-entry error %q does not name the cache entry", e)
 		}
 	}
@@ -268,7 +268,7 @@ func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 
 	// The rewritten entries must serve cleanly now.
 	_, statuses := runCachedSweep(t, dir)
-	if n := countStatus(statuses, core.SweepPointCached); n != 2 {
+	if n := countStatus(statuses, core.StatusCached); n != 2 {
 		t.Errorf("after healing, %d/2 points served from cache", n)
 	}
 }

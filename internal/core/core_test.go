@@ -168,8 +168,8 @@ func TestMatrixProgressCallback(t *testing.T) {
 		Size:       workloads.Tiny,
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},
-	}, core.RunOptions{Progress: func(ev core.SweepProgress) {
-		if ev.Status == core.SweepCellStarted {
+	}, core.RunOptions{Progress: func(ev core.Event) {
+		if ev.Kind == core.KindCell {
 			calls++
 		}
 	}})

@@ -72,8 +72,8 @@ func (r *Result) WasteTotal(level waste.Level) uint64 {
 // returns the detached measurement. Cores map one per tile, so a program
 // with more threads than cfg has tiles is an error; the planner bounds
 // built workloads, but a replayed trace fixes its own thread count.
-// Cancelling ctx stops the simulation within a million events and
-// returns ctx's error.
+// Cancelling ctx stops the simulation within 65,536 events and returns
+// ctx's error.
 func RunOne(ctx context.Context, cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
 	if n := prog.Threads(); n > cfg.Tiles {
 		return nil, fmt.Errorf("%s has %d threads but the %dx%d mesh has %d tiles; run it on a mesh with at least %d tiles",
@@ -161,7 +161,8 @@ type MatrixOptions struct {
 	Topology, Mesh, Router string
 	// Workers bounds the number of simulations running concurrently:
 	// 0 = one per available CPU (GOMAXPROCS), 1 = the serial reference
-	// run, one pool worker claiming cells in order. Cells are independent
+	// run, one pool worker claiming cells in order; a negative count is
+	// a planning error. Cells are independent
 	// simulations, so the assembled Matrix is bit-identical at every
 	// worker count.
 	Workers int

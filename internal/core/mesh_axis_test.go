@@ -142,8 +142,8 @@ func TestSweepMeshCacheResume(t *testing.T) {
 	partial, err := core.Run(ctx, opt, core.RunOptions{
 		Sweep: spec,
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
-			if ev.Status == core.SweepPointDone {
+		Progress: func(ev core.Event) {
+			if ev.Status == core.StatusDone {
 				cancel()
 			}
 		},
@@ -159,11 +159,11 @@ func TestSweepMeshCacheResume(t *testing.T) {
 	resumed, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep: spec,
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
+		Progress: func(ev core.Event) {
 			switch ev.Status {
-			case core.SweepPointCached:
+			case core.StatusCached:
 				cachedN++
-			case core.SweepPointStarted:
+			case core.StatusSimulating:
 				simulatedN++
 			}
 		},

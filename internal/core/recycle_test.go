@@ -12,12 +12,20 @@ import (
 	"repro/internal/workloads"
 )
 
-// cancelled reads as cancelled from its first check. A runner checks its
-// context after every million events, so a cell run under it stops after
-// exactly one batch, mid-run.
-type cancelled struct{ context.Context }
+// cancelledAfter reads as cancelled from its n-th check on. A runner
+// checks its context after every 65,536 events, so a cell run under
+// cancelledAfter with n = 16 stops after about a million events, mid-run.
+type cancelledAfter struct {
+	context.Context
+	n int
+}
 
-func (cancelled) Err() error { return context.Canceled }
+func (c *cancelledAfter) Err() error {
+	if c.n--; c.n > 0 {
+		return nil
+	}
+	return context.Canceled
+}
 
 // recycledCell is one RunOne call of TestRecycledCellsMatchFresh.
 type recycledCell struct {
@@ -38,7 +46,7 @@ func (c recycledCell) run(ctx context.Context) (*core.Result, error) {
 //
 //  1. two cells, one per protocol family (DBypFull has Bloom banks);
 //  2. a cell of another protocol on a 4x2 mesh, with Small inputs so it
-//     is still running when it is cancelled after its first million
+//     is still running when it is cancelled after about a million
 //     events: it hands back dirty caches, waste tables, kernel queues and
 //     op buffers, its caches of the geometry the first cells use;
 //  3. a cell on an 8x8 mesh, so the free lists see a third geometry;
@@ -63,7 +71,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 	}
 
 	dirty := recycledCell{"MMemL1", "radix", workloads.Small, 4, 2, 8}
-	if _, err := dirty.run(cancelled{context.Background()}); !errors.Is(err, context.Canceled) {
+	if _, err := dirty.run(&cancelledAfter{context.Background(), 16}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s/%s under a cancelled context: err %v, want context.Canceled", dirty.proto, dirty.bench, err)
 	}
 	big := recycledCell{"DFlexL2", "FFT", workloads.Tiny, 8, 8, 16}

@@ -11,7 +11,8 @@ package core
 // A run is a list of points (a matrix is one point; Run in sweep.go plans
 // them); a point is a batch of matrix cells; every cell of every point
 // feeds one shared worker pool. Workers claim (point, cell) jobs from a
-// single cursor in point-major order, so early points finish (and
+// single cursor in point-major order, under the lock that orders the
+// run's progress stream (events.go), so early points finish (and
 // persist, and stream to callers) first, while idle workers spill into
 // later points instead of waiting at a per-point barrier. Each cell is an
 // independent, fully deterministic simulation, so the schedule cannot
@@ -52,7 +53,11 @@ type matrixPlan struct {
 	results   []*Result
 	errs      []error
 	remaining atomic.Int64 // cells not yet finished; 0 = point complete
-	announced bool         // first cell claimed (guarded by the pool's progress mutex)
+	announced bool         // first cell claimed (guarded by the stream's mutex)
+
+	key    *PointKey // the point's cache key; nil without a cache, or uncacheable
+	matrix *Matrix   // served from the cache (cached) or assembled
+	cached bool
 }
 
 // planMatrix validates and normalizes one matrix configuration without
@@ -229,32 +234,27 @@ func (p *matrixPlan) assemble() (*Matrix, error) {
 // schedJob indexes one cell of one plan in the shared pool's claim order.
 type schedJob struct{ point, cell int }
 
-// poolHooks are the scheduler's observation points. cellStarted and
-// pointStarted fire under one mutex, in claim order (pointStarted before
-// the point's first cellStarted); pointDone fires exactly once per
-// completed point, on whichever worker finished its last cell.
-type poolHooks struct {
-	cellStarted  func(point, cell int)
-	pointStarted func(point int)
-	pointDone    func(point int, p *matrixPlan)
-}
-
-// runPlans drives every cell of every plan through one shared worker pool.
-// workers <= 0 means one per available CPU; workers == 1 is the serial
-// reference run, one pool goroutine claiming jobs in point-major order.
-// The first cell error stops the pool from claiming new work (in-flight
-// cells finish; their points may still complete). Cancelling ctx also
-// stops the cells in flight, each within a million events, and is
-// reported as the returned error. Per-point success or failure is read
-// off each plan afterwards.
-func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolHooks) error {
+// runPlans drives every cell of every plan the cache did not serve through
+// one shared worker pool. workers == 0 means one per available CPU;
+// workers == 1 is the serial reference run, one pool goroutine claiming
+// jobs in point-major order. A worker claims its next job under the
+// stream's mutex and announces it (the point's "simulating" before its
+// first cell) before it lets go, so cell events arrive in claim order. The
+// first cell error stops the pool from claiming new work (in-flight cells
+// finish; their points may still complete). Cancelling ctx also stops the
+// cells in flight, each within 65,536 events, and is reported as the
+// returned error. Per-point success or failure is read off each plan
+// afterwards.
+func runPlans(ctx context.Context, plans []*matrixPlan, workers int, st *stream, cache *PointCache) error {
 	var jobs []schedJob
 	for pi, p := range plans {
-		for ci := range p.cells {
-			jobs = append(jobs, schedJob{pi, ci})
+		if p.matrix == nil {
+			for ci := range p.cells {
+				jobs = append(jobs, schedJob{pi, ci})
+			}
 		}
 	}
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(jobs) {
@@ -262,51 +262,71 @@ func runPlans(ctx context.Context, plans []*matrixPlan, workers int, hooks poolH
 	}
 
 	var (
-		failed atomic.Bool  // a cell errored: stop claiming new work
-		progMu sync.Mutex   // serializes the started hooks
-		cursor atomic.Int64 // next job to claim
+		failed atomic.Bool // a cell errored: stop claiming new work
+		next   int         // next job to claim, guarded by st.mu
 		wg     sync.WaitGroup
 	)
-	announce := func(j schedJob) {
-		if hooks.pointStarted == nil && hooks.cellStarted == nil {
-			return
+	claim := func() (schedJob, bool) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if next >= len(jobs) || failed.Load() || ctx.Err() != nil {
+			return schedJob{}, false
 		}
+		j := jobs[next]
+		next++
 		p := plans[j.point]
-		progMu.Lock()
+		c := p.cells[j.cell]
 		if !p.announced {
 			p.announced = true
-			if hooks.pointStarted != nil {
-				hooks.pointStarted(j.point)
-			}
+			st.sendLocked(st.point(j.point, StatusSimulating, nil))
 		}
-		if hooks.cellStarted != nil {
-			hooks.cellStarted(j.point, j.cell)
-		}
-		progMu.Unlock()
+		st.sendLocked(Event{Kind: KindCell, Bench: p.opt.Benchmarks[c.bench], Protocol: p.opt.Protocols[c.proto]})
+		return j, true
 	}
-	cursor.Store(-1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(cursor.Add(1))
-				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
+				j, ok := claim()
+				if !ok {
 					return
 				}
-				j := jobs[i]
 				p := plans[j.point]
-				announce(j)
 				p.runCell(ctx, j.cell)
 				if p.errs[j.cell] != nil {
 					failed.Store(true)
 				}
-				if p.remaining.Add(-1) == 0 && hooks.pointDone != nil {
-					hooks.pointDone(j.point, p)
+				if p.remaining.Add(-1) == 0 {
+					p.finish(j.point, st, cache)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// finish assembles point i once its last cell has ended, persists it, and
+// reports it. Assembly and the store run outside the stream's mutex.
+func (p *matrixPlan) finish(i int, st *stream, cache *PointCache) {
+	m, err := p.assemble()
+	p.progs = nil // the point is done; let a long sweep's programs be collected
+	if err != nil {
+		// The cell error stays in p.errs; Run reports it in sweep order.
+		return
+	}
+	p.matrix = m
+	// A store failure must not fail the run — the point's result is in
+	// hand; only a later resume pays (it resimulates). Report it loudly.
+	var storeErr error
+	if p.key != nil {
+		storeErr = cache.Store(*p.key, m)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if storeErr != nil {
+		st.sendLocked(st.point(i, StatusStoreFailed, storeErr))
+	}
+	st.sendLocked(st.point(i, StatusDone, nil))
 }

@@ -33,7 +33,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/waste"
 	"repro/internal/workloads"
@@ -424,72 +423,6 @@ type SweepResult struct {
 	Points []*SweepPoint
 }
 
-// SweepPointStatus tags a progress event: a sweep point's lifecycle
-// step, or a cell starting inside a point.
-type SweepPointStatus int
-
-// The progress states, in the order a point can report them.
-const (
-	// SweepPointCached: the point was served from the cache; it will not
-	// simulate.
-	SweepPointCached SweepPointStatus = iota
-	// SweepPointCacheCorrupt: a cache entry for the point exists but
-	// cannot be trusted (Err says why); the point simulates fresh and a
-	// good entry is rewritten on completion.
-	SweepPointCacheCorrupt
-	// SweepPointStarted: the point's first cell was claimed by a worker.
-	SweepPointStarted
-	// SweepCellStarted: a worker claimed the point's (Bench, Protocol)
-	// cell and its simulation is starting.
-	SweepCellStarted
-	// SweepPointDone: the point's last cell finished and its matrix is
-	// assembled (and stored, when a cache is attached).
-	SweepPointDone
-	// SweepPointStoreFailed: the point completed but the cache could not
-	// persist it (Err says why). The sweep's result is unaffected — the
-	// point is in the SweepResult — but a later resume will resimulate it.
-	SweepPointStoreFailed
-)
-
-// String names the status for progress lines.
-func (s SweepPointStatus) String() string {
-	switch s {
-	case SweepPointCached:
-		return "cached"
-	case SweepPointCacheCorrupt:
-		return "cache-corrupt"
-	case SweepPointStarted:
-		return "simulating"
-	case SweepCellStarted:
-		return "cell-started"
-	case SweepPointDone:
-		return "done"
-	case SweepPointStoreFailed:
-		return "store-failed"
-	}
-	return fmt.Sprintf("SweepPointStatus(%d)", int(s))
-}
-
-// SweepProgress is one event of a run's progress stream: which point (i
-// of N, with its axis value), and what just happened to it — a lifecycle
-// step, or one of its cells starting. Events for one point arrive in
-// lifecycle order (cached alone; or cache-corrupt, then simulating, its
-// cells, done); events for different points interleave when the pool runs
-// points concurrently. A matrix run is one point with Axis and Value "".
-type SweepProgress struct {
-	// Point is the 0-based index of the point in sweep order; Total is
-	// the sweep's point count.
-	Point, Total int
-	// Axis and Value name the point ("hotspot.t", "4").
-	Axis, Value string
-	// Status says what happened; Err is set for SweepPointCacheCorrupt
-	// and SweepPointStoreFailed.
-	Status SweepPointStatus
-	Err    error
-	// Bench and Protocol name the cell of a SweepCellStarted event.
-	Bench, Protocol string
-}
-
 // RunOptions configures Run beyond the per-point MatrixOptions.
 type RunOptions struct {
 	// Sweep, if non-empty, is the sweep spec (see ParseSweep) expanded
@@ -505,10 +438,11 @@ type RunOptions struct {
 	// MaxPoints raises the sweep expansion cap (<= 0 means
 	// DefaultSweepPointCap).
 	MaxPoints int
-	// Progress, if set, receives the run's progress stream: cell-start
-	// and point events, delivered one at a time, never concurrently,
-	// whatever the worker count.
-	Progress func(SweepProgress)
+	// Progress, if set, receives the run's progress stream under the
+	// contract events.go documents: one event at a time, numbered, cell
+	// events in claim order. It runs under the lock workers claim cells
+	// under, so it must return promptly and must not wait on the run.
+	Progress func(Event)
 }
 
 // Plan is the planning half of Run, callable on its own: it expands the
@@ -529,6 +463,9 @@ func Plan(opt MatrixOptions, ro RunOptions) error {
 // a point then fails to plan, so Run can report the sweep's shape beside
 // the error.
 func plan(opt MatrixOptions, ro RunOptions) (*SweepSpec, []*matrixPlan, error) {
+	if opt.Workers < 0 {
+		return nil, nil, fmt.Errorf("core: workers %d must be >= 0 (0 = one per CPU, 1 = serial)", opt.Workers)
+	}
 	s, pts := &SweepSpec{Values: []string{""}}, []MatrixOptions{opt}
 	if ro.Sweep != "" {
 		var err error
@@ -572,11 +509,11 @@ func (s *SweepSpec) pointErr(i int, err error) error {
 // With a cache attached, points whose configuration is already stored are
 // served from disk up front (verified against the key's preimage) and
 // completed points are persisted as the run goes. A failure to persist a
-// point is reported through the progress stream (SweepPointStoreFailed),
+// point is reported through the progress stream (StatusStoreFailed),
 // never as the run's error: the result is already in hand, and only a
 // later resume pays for the missing entry by resimulating that point.
-// Cancelling ctx stops the pool, cells in flight included (each within a
-// million events); the returned SweepResult then holds every point that
+// Cancelling ctx stops the pool, cells in flight included (each within
+// 65,536 events); the returned SweepResult then holds every point that
 // completed, alongside the error — nothing finished is discarded, and a
 // cached rerun of the same sweep resumes from there.
 func Run(ctx context.Context, opt MatrixOptions, ro RunOptions) (*SweepResult, error) {
@@ -584,32 +521,15 @@ func Run(ctx context.Context, opt MatrixOptions, ro RunOptions) (*SweepResult, e
 	if s == nil {
 		return nil, err
 	}
-	n := len(s.Values)
-	res := &SweepResult{Spec: s.Spec, Axis: s.Axis, Expected: n}
+	res := &SweepResult{Spec: s.Spec, Axis: s.Axis, Expected: len(s.Values)}
 	if err != nil {
 		return res, err
 	}
-
-	var emitMu sync.Mutex
-	emit := func(ev SweepProgress) {
-		if ro.Progress == nil {
-			return
-		}
-		ev.Total = n
-		ev.Axis = s.Axis
-		ev.Value = s.Values[ev.Point]
-		emitMu.Lock()
-		ro.Progress(ev)
-		emitMu.Unlock()
-	}
+	st := &stream{send: ro.Progress, spec: s}
 
 	// Serve cached points up front, in sweep order. A corrupt entry is
 	// reported loudly and the point simulates fresh (rewriting a good
 	// entry on completion).
-	matrices := make([]*Matrix, n)
-	cached := make([]bool, n)
-	keys := make([]PointKey, n)
-	haveKey := make([]bool, n)
 	if ro.Cache != nil {
 		for i, p := range plans {
 			key, err := pointKeyFor(p)
@@ -619,82 +539,41 @@ func Run(ctx context.Context, opt MatrixOptions, ro RunOptions) (*SweepResult, e
 				}
 				return res, s.pointErr(i, err)
 			}
-			keys[i], haveKey[i] = key, true
+			p.key = &key
 			m, err := ro.Cache.Load(key)
 			if err != nil {
-				emit(SweepProgress{Point: i, Status: SweepPointCacheCorrupt, Err: err})
+				st.emit(st.point(i, StatusCacheCorrupt, err))
 				continue
 			}
 			if m != nil {
-				matrices[i], cached[i] = m, true
-				emit(SweepProgress{Point: i, Status: SweepPointCached})
+				p.matrix, p.cached = m, true
+				st.emit(st.point(i, StatusCached, nil))
 			}
 		}
 	}
 
-	// The remaining points share one pool. runIdx maps pool plan index
-	// back to sweep point index.
-	var toRun []*matrixPlan
-	var runIdx []int
-	for i, p := range plans {
-		if matrices[i] == nil {
-			toRun = append(toRun, p)
-			runIdx = append(runIdx, i)
-		}
-	}
-
-	var hooks poolHooks
-	hooks.cellStarted = func(pi, cell int) {
-		p, c := toRun[pi], toRun[pi].cells[cell]
-		emit(SweepProgress{Point: runIdx[pi], Status: SweepCellStarted,
-			Bench: p.opt.Benchmarks[c.bench], Protocol: p.opt.Protocols[c.proto]})
-	}
-	hooks.pointStarted = func(pi int) {
-		emit(SweepProgress{Point: runIdx[pi], Status: SweepPointStarted})
-	}
-	hooks.pointDone = func(pi int, p *matrixPlan) {
-		i := runIdx[pi]
-		m, err := p.assemble()
-		p.progs = nil // the point is done; let a long sweep's programs be collected
-		if err != nil {
-			// The cell error stays in p.errs; the post-run scan below
-			// reports it in sweep order.
-			return
-		}
-		matrices[i] = m
-		if ro.Cache != nil && haveKey[i] {
-			// A store failure must not fail the sweep — the point's result
-			// is in hand; only a later resume pays (it resimulates). Report
-			// it loudly and keep going.
-			if err := ro.Cache.Store(keys[i], m); err != nil {
-				emit(SweepProgress{Point: i, Status: SweepPointStoreFailed, Err: err})
-			}
-		}
-		emit(SweepProgress{Point: i, Status: SweepPointDone})
-	}
-
-	runErr := runPlans(ctx, toRun, opt.Workers, hooks)
+	runErr := runPlans(ctx, plans, opt.Workers, st, ro.Cache)
 
 	// Assemble every completed point, in sweep order — on success that is
 	// all of them; after a cancel or a point failure it is the partial
 	// result the caller (and the resume machinery) keeps.
-	for i := range plans {
-		if matrices[i] != nil {
-			res.Points = append(res.Points, &SweepPoint{Value: s.Values[i], Matrix: matrices[i], Cached: cached[i]})
+	for i, p := range plans {
+		if p.matrix != nil {
+			res.Points = append(res.Points, &SweepPoint{Value: s.Values[i], Matrix: p.matrix, Cached: p.cached})
 		}
 	}
 	if runErr != nil {
 		return res, runErr
 	}
 	// A cell failure stops the pool from claiming new work, so the failing
-	// point's remaining count may never reach zero and pointDone (which
-	// would have seen the error via assemble) may never fire for it — the
-	// error then lives only in the plan's cell slots. Scan every point
-	// that did not assemble, in sweep order, and report its first cell
-	// error (cell slots are in matrix order, so the choice is
-	// deterministic under any schedule that ran the same cells).
+	// point's remaining count may never reach zero and finish (which would
+	// have seen the error via assemble) may never run for it — the error
+	// then lives only in the plan's cell slots. Scan every point that did
+	// not assemble, in sweep order, and report its first cell error (cell
+	// slots are in matrix order, so the choice is deterministic under any
+	// schedule that ran the same cells).
 	for i, p := range plans {
-		if matrices[i] != nil {
+		if p.matrix != nil {
 			continue
 		}
 		for _, cerr := range p.errs {

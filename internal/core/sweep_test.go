@@ -305,8 +305,8 @@ func TestSweepCancelReturnsPartial(t *testing.T) {
 	defer cancel()
 	partial, err := core.Run(ctx, opt, core.RunOptions{
 		Sweep: spec,
-		Progress: func(ev core.SweepProgress) {
-			if ev.Status == core.SweepPointDone {
+		Progress: func(ev core.Event) {
+			if ev.Status == core.StatusDone {
 				cancel() // first point finished; the serial pool stops at the next job
 			}
 		},
@@ -353,8 +353,8 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 	partial, err := core.Run(ctx, opt, core.RunOptions{
 		Sweep: spec,
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
-			if ev.Status == core.SweepPointDone {
+		Progress: func(ev core.Event) {
+			if ev.Status == core.StatusDone {
 				cancel()
 			}
 		},
@@ -370,11 +370,11 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 	resumed, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep: spec,
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
+		Progress: func(ev core.Event) {
 			switch ev.Status {
-			case core.SweepPointCached:
+			case core.StatusCached:
 				cachedN++
-			case core.SweepPointStarted:
+			case core.StatusSimulating:
 				simulatedN++
 			}
 		},
@@ -437,8 +437,8 @@ func TestSweepPointFailureReturnsPartial(t *testing.T) {
 // TestSweepMultiCellPointFailure: a cell failure inside a MULTI-cell point
 // must fail the sweep. The pool stops claiming work on the first cell
 // error, so the failing point's remaining count never reaches zero and
-// pointDone never fires for it — the error used to be visible only
-// through that hook, and a two-protocol point's failure was silently
+// finish never runs for it — the error used to be visible only through
+// that completion hook, and a two-protocol point's failure was silently
 // swallowed (partial result, nil error). The post-run scan of unassembled
 // plans is the regression under test, at both worker modes.
 func TestSweepMultiCellPointFailure(t *testing.T) {
@@ -477,7 +477,7 @@ func TestSweepMultiCellPointFailure(t *testing.T) {
 // TestSweepCacheStoreFailureIsWarning: a cache that cannot persist points
 // must not fail the sweep — every point's result is still in hand, so the
 // sweep completes with a nil error and the failure surfaces as
-// SweepPointStoreFailed progress events (a later resume resimulates).
+// StatusStoreFailed progress events (a later resume resimulates).
 func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	cache, err := core.OpenPointCache(dir)
@@ -494,13 +494,13 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var storeFailed []core.SweepProgress
+	var storeFailed []core.Event
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
 	res, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep: "hotspot(t=1,2)",
 		Cache: cache,
-		Progress: func(ev core.SweepProgress) {
-			if ev.Status == core.SweepPointStoreFailed {
+		Progress: func(ev core.Event) {
+			if ev.Status == core.StatusStoreFailed {
 				storeFailed = append(storeFailed, ev)
 			}
 		},
@@ -512,10 +512,10 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 		t.Fatalf("got %d/%d points, want the complete sweep", len(res.Points), res.Expected)
 	}
 	if len(storeFailed) != 2 {
-		t.Fatalf("got %d SweepPointStoreFailed events, want one per point", len(storeFailed))
+		t.Fatalf("got %d store-failed events, want one per point", len(storeFailed))
 	}
 	for _, ev := range storeFailed {
-		if ev.Err == nil {
+		if ev.Error == "" {
 			t.Errorf("store-failed event for point %d carries no error", ev.Point)
 		}
 	}
@@ -531,26 +531,26 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 }
 
 // TestSweepProgressPointIdentity pins the progress contract in serial
-// mode: per point, Started, the point's cells, then Done, in sweep order,
-// each event carrying the point's index, the sweep total, and the axis
-// value.
+// mode: per point, simulating, the point's cells, then done, in sweep
+// order, each point event carrying the point's index, the sweep total and
+// the axis value, and Seq numbering the stream from 0.
 func TestSweepProgressPointIdentity(t *testing.T) {
-	var events []core.SweepProgress
+	var events []core.Event
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
 	_, err := core.Run(context.Background(), opt, core.RunOptions{
 		Sweep:    "hotspot(t=1,2)",
-		Progress: func(ev core.SweepProgress) { events = append(events, ev) },
+		Progress: func(ev core.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.SweepProgress{
-		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepPointStarted},
-		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepCellStarted, Bench: "hotspot(t=1)", Protocol: "MESI"},
-		{Point: 0, Total: 2, Axis: "hotspot.t", Value: "1", Status: core.SweepPointDone},
-		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepPointStarted},
-		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepCellStarted, Bench: "hotspot(t=2)", Protocol: "MESI"},
-		{Point: 1, Total: 2, Axis: "hotspot.t", Value: "2", Status: core.SweepPointDone},
+	want := []core.Event{
+		{Seq: 0, Kind: core.KindPoint, Status: core.StatusSimulating, Point: 0, Total: 2, Axis: "hotspot.t", Value: "1"},
+		{Seq: 1, Kind: core.KindCell, Bench: "hotspot(t=1)", Protocol: "MESI"},
+		{Seq: 2, Kind: core.KindPoint, Status: core.StatusDone, Point: 0, Total: 2, Axis: "hotspot.t", Value: "1"},
+		{Seq: 3, Kind: core.KindPoint, Status: core.StatusSimulating, Point: 1, Total: 2, Axis: "hotspot.t", Value: "2"},
+		{Seq: 4, Kind: core.KindCell, Bench: "hotspot(t=2)", Protocol: "MESI"},
+		{Seq: 5, Kind: core.KindPoint, Status: core.StatusDone, Point: 1, Total: 2, Axis: "hotspot.t", Value: "2"},
 	}
 	if !reflect.DeepEqual(events, want) {
 		t.Errorf("progress events:\ngot  %+v\nwant %+v", events, want)

@@ -247,15 +247,15 @@ func (q *Queue) record(t *task, ev Event) {
 	q.mu.Lock()
 	t.events = append(t.events, ev)
 	switch ev.Kind {
-	case KindCell:
+	case core.KindCell:
 		t.prog.CellsStarted++
-	case KindPoint:
+	case core.KindPoint:
 		t.prog.PointsTotal = ev.Total
 		switch ev.Status {
-		case StatusCached:
+		case core.StatusCached:
 			t.prog.PointsCached++
 			t.prog.PointsDone++
-		case StatusDone:
+		case core.StatusDone:
 			t.prog.PointsDone++
 		}
 	}
@@ -342,7 +342,7 @@ func (q *Queue) EventsSince(id string, from int) ([]Event, State, <-chan struct{
 
 // Cancel stops a job: a queued job goes straight to cancelled (it never
 // runs), a running job's context is cancelled so the engine stops its
-// running cells within a million events each and keeps — and, with a
+// running cells within 65,536 events each and keeps — and, with a
 // cache, has already persisted — every completed point. Cancelling a
 // terminal job returns ErrFinished.
 func (q *Queue) Cancel(id string) error {
@@ -390,7 +390,7 @@ func (q *Queue) Wait(ctx context.Context, id string) error {
 // are cancelled (they never started; nothing is lost), and running jobs
 // get until ctx expires to finish. When the grace period runs out the
 // running jobs' contexts are cancelled — the engine stops the running
-// cells within a million events and returns partial results, and with a
+// cells within 65,536 events and returns partial results, and with a
 // shared cache every completed sweep point is already persisted, so the
 // next submission of the same request resumes instead of restarting.
 // Shutdown returns once every executor has stopped.

@@ -218,6 +218,7 @@ func TestQueueSubmitValidation(t *testing.T) {
 		{Request{Sweep: "hotspot(t=1,2)", Protocols: []string{}}, "core: sweep point hotspot.t = 1: core: empty protocol list"},
 		{Request{Threads: 100, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads 100 > tiles 16"},
 		{Request{Threads: -3, Benchmarks: []string{"FFT"}, Protocols: []string{"MESI"}}, "core: threads -3 must be >= 1"},
+		{Request{Workers: -3}, "core: workers -3 must be >= 0"},
 		{Request{VCs: 4}, "vc router"},
 		{Request{Router: "vc", VCs: 3}, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
 		{Request{Router: "vc", VCDepth: -2}, "memsys: VCDepth = -2 must not be negative"},
@@ -354,7 +355,7 @@ func TestQueueCancelStopsRunningCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slices.ContainsFunc(evs, func(ev Event) bool { return ev.Kind == KindCell }) {
+		if slices.ContainsFunc(evs, func(ev Event) bool { return ev.Kind == core.KindCell }) {
 			break
 		}
 		seen += len(evs)

@@ -8,7 +8,7 @@
 //	         ValidateStrict is its one validator, and it ends in
 //	         core.Plan, the planner core.Run itself runs
 //	Run      executes a Request via the core engine with ONE serialized
-//	         progress-event stream (events.go) and a content-addressed
+//	         progress-event stream (core.Event) and a content-addressed
 //	         result cache
 //	Queue    a bounded FIFO of Requests with per-job states, streamed
 //	         events, cancellation and graceful drain

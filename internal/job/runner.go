@@ -6,6 +6,18 @@ import (
 	"repro/internal/core"
 )
 
+// Event is the engine's progress event; core.Event documents the stream's
+// contract. It and the constants below alias core's definitions under the
+// names the benchmark module's service client reads.
+type Event = core.Event
+
+// The core event kind and statuses of the same names.
+const (
+	KindCell          = core.KindCell
+	StatusCached      = core.StatusCached
+	StatusStoreFailed = core.StatusStoreFailed
+)
+
 // RunConfig is the per-run policy a transport attaches to a Request:
 // where cached results live and where progress events go. The zero value
 // runs without a cache and without events.
@@ -15,9 +27,9 @@ type RunConfig struct {
 	// bit-identically, and completed ones persist as the run goes — which
 	// is also what makes an interrupted run resumable.
 	Cache *core.PointCache
-	// Events, if non-nil, receives the run's unified progress stream
-	// under the contract documented in events.go: serialized delivery,
-	// gap-free Seq, lifecycle order per point.
+	// Events, if non-nil, receives the run's progress stream under the
+	// contract documented on core.Event: serialized delivery, gap-free
+	// Seq, cell events in claim order, lifecycle order per point.
 	Events func(Event)
 }
 
@@ -37,9 +49,9 @@ type Outcome struct {
 // Run validates req with ValidateStrict and executes it through core.Run
 // — a matrix request is the engine's one-point sweep, so both kinds share
 // the worker pool, the bit-identical-at-any-worker-count assembly, the
-// cache/resume machinery and context cancellation. The engine's progress
-// stream (cell starts and point lifecycles, already serialized) is
-// numbered and forwarded to rc.Events.
+// cache/resume machinery and context cancellation. The engine delivers
+// its progress stream (cell claims and point lifecycles, serialized and
+// numbered) to rc.Events.
 //
 // Errors: a UsageError means the request itself is wrong and nothing
 // ran; anything else is a run failure. A cancelled or failing sweep
@@ -52,18 +64,7 @@ func Run(ctx context.Context, req Request, rc RunConfig) (*Outcome, error) {
 	}
 	opt, _ := req.matrixOptions() // validated above
 	ro := req.runOptions()
-	ro.Cache = rc.Cache
-	if rc.Events != nil {
-		// core.Run delivers one event at a time, so the counter needs no
-		// lock of its own.
-		var seq int64
-		ro.Progress = func(p core.SweepProgress) {
-			ev := newEvent(p)
-			ev.Seq = seq
-			seq++
-			rc.Events(ev)
-		}
-	}
+	ro.Cache, ro.Progress = rc.Cache, rc.Events
 	res, err := core.Run(ctx, opt, ro)
 	var out *Outcome
 	switch {

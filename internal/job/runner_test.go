@@ -39,20 +39,20 @@ func TestRunUnifiedStreamTotalOrder(t *testing.T) {
 			t.Fatalf("event %d has Seq %d: the stream must be gap-free in delivery order", i, ev.Seq)
 		}
 		switch ev.Kind {
-		case KindCell:
+		case core.KindCell:
 			if ev.Bench == "" || ev.Protocol == "" {
 				t.Fatalf("cell event %d missing bench/protocol: %+v", i, ev)
 			}
-		case KindPoint:
+		case core.KindPoint:
 			switch ev.Status {
-			case StatusSimulating, StatusCached:
+			case core.StatusSimulating, core.StatusCached:
 				begun[ev.Point] = true
-			case StatusDone:
+			case core.StatusDone:
 				if !begun[ev.Point] {
 					t.Fatalf("point %d done before simulating/cached (event %d)", ev.Point, i)
 				}
 				done[ev.Point] = true
-			case StatusCacheCorrupt, StatusStoreFailed:
+			case core.StatusCacheCorrupt, core.StatusStoreFailed:
 				t.Fatalf("unexpected warning event without a cache: %+v", ev)
 			default:
 				t.Fatalf("unknown point status %q", ev.Status)
@@ -90,9 +90,9 @@ func TestRunStoreFailedEvent(t *testing.T) {
 	out, err := Run(context.Background(), req, RunConfig{
 		Cache: cache,
 		Events: func(ev Event) {
-			if ev.Kind == KindPoint {
+			if ev.Kind == core.KindPoint {
 				statuses = append(statuses, ev.Status)
-				if ev.Status == StatusStoreFailed && ev.Error == "" {
+				if ev.Status == core.StatusStoreFailed && ev.Error == "" {
 					t.Errorf("store-failed event carries no error: %+v", ev)
 				}
 			}
@@ -106,7 +106,7 @@ func TestRunStoreFailedEvent(t *testing.T) {
 	}
 	failed := 0
 	for _, s := range statuses {
-		if s == StatusStoreFailed {
+		if s == core.StatusStoreFailed {
 			failed++
 		}
 	}
@@ -152,16 +152,16 @@ func TestRunMatrixCache(t *testing.T) {
 
 	first, events := run()
 	want := []Event{
-		{Seq: 0, Kind: KindPoint, Status: StatusSimulating, Total: 1},
-		{Seq: 1, Kind: KindCell, Bench: "uniform", Protocol: "MESI"}, // the canonical spelling: p=0.05 is the default
-		{Seq: 2, Kind: KindPoint, Status: StatusDone, Total: 1},
+		{Seq: 0, Kind: core.KindPoint, Status: core.StatusSimulating, Total: 1},
+		{Seq: 1, Kind: core.KindCell, Bench: "uniform", Protocol: "MESI"}, // the canonical spelling: p=0.05 is the default
+		{Seq: 2, Kind: core.KindPoint, Status: core.StatusDone, Total: 1},
 	}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("first run events = %+v, want %+v (simulated, not cached)", events, want)
 	}
 
 	second, events := run()
-	want = []Event{{Seq: 0, Kind: KindPoint, Status: StatusCached, Total: 1}}
+	want = []Event{{Seq: 0, Kind: core.KindPoint, Status: core.StatusCached, Total: 1}}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("second run events = %+v, want one cached point event and no cells", events)
 	}
@@ -189,7 +189,7 @@ func ExampleRun() {
 	points := 0
 	out, err := Run(context.Background(), req, RunConfig{
 		Events: func(ev Event) {
-			if ev.Kind == KindPoint && ev.Status == StatusDone {
+			if ev.Kind == core.KindPoint && ev.Status == core.StatusDone {
 				points++
 			}
 		},

@@ -59,6 +59,8 @@ var malformedBodies = []struct {
 	// planner's own message, never queued to fail as a 500.
 	{`{"threads":100,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads 100 > tiles 16"},
 	{`{"threads":-3,"benchmarks":["FFT"],"protocols":["MESI"]}`, "core: threads -3 must be >= 1"},
+	// A negative worker count used to run one worker per CPU.
+	{`{"workers":-3}`, "core: workers -3 must be >= 0 (0 = one per CPU, 1 = serial)"},
 	// VC geometry does nothing outside the vc router.
 	{`{"vcs":4}`, "vc router"},
 	{`{"router":"vc","vcs":3}`, "memsys: VCs = 3; the dateline split needs an even count >= 2"},
