@@ -19,7 +19,7 @@ type Line struct {
 	WState []uint8  // protocol-defined per-word state
 	Data   []uint32 // per-word values (functional simulation)
 	Owner  []uint8  // per-word auxiliary field (e.g. DeNovo registrant id)
-	Inst   []uint64 // per-word waste-profiling instance ids (0 = none)
+	Inst   []uint64 // per-word open L1/L2 waste instances (0 = none; see internal/waste)
 	MInst  []uint64 // per-word memory-fetch instance ids (Figure 4.3)
 	Region uint8    // region id of the request that allocated the line
 	lru    uint64
@@ -110,6 +110,10 @@ func (c *Cache) reset(assoc, numSets, wp int) {
 		c.tags[i] = noTag
 	}
 }
+
+// InstWords returns every line's Inst words, one array for the whole
+// cache: the words the waste profiler sweeps at the end of a run.
+func (c *Cache) InstWords() []uint64 { return c.words.inst }
 
 // Recycle hands the cache's arrays to the next New of the same geometry.
 // The caller must not use the cache, or any line it returned, again.

@@ -38,20 +38,23 @@ type Msg[S any] interface {
 	Dispatch(s S, tile int)
 }
 
-// RegisterTiles registers every tile of the system on the mesh. Delivered
-// payloads are routed through their Dispatch method, replacing the
-// per-protocol dispatch switch.
-func RegisterTiles[S any](env *memsys.Env, s S) {
+// RegisterTiles registers every tile of the system on the mesh: deliver
+// gets each payload delivered to a tile, with the tile. Each family's
+// deliver asserts its own Msg type and calls Dispatch, replacing the
+// per-protocol dispatch switch. The assertion sits in the family's
+// non-generic code, where it hits the call site's type cache; asserted
+// here, against a type parameter, it would look the itab up per packet.
+func RegisterTiles(env *memsys.Env, deliver func(p any, tile int)) {
 	for t := 0; t < env.Cfg.Tiles; t++ {
 		tile := t
-		env.Mesh.Register(tile, func(p any) {
-			m, ok := p.(Msg[S])
-			if !ok {
-				panic(fmt.Sprintf("coher: message %T does not dispatch to %T (tile %d)", p, s, tile))
-			}
-			m.Dispatch(s, tile)
-		})
+		env.Mesh.Register(tile, func(p any) { deliver(p, tile) })
 	}
+}
+
+// Foreign panics for a payload p delivered to tile of system s that is
+// not one of s's messages.
+func Foreign(p, s any, tile int) {
+	panic(fmt.Sprintf("coher: message %T does not dispatch to %T (tile %d)", p, s, tile))
 }
 
 // Substrate is the controller base a protocol's System embeds: the

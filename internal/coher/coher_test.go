@@ -51,7 +51,7 @@ func TestStoreBufferRetireLinePreservesOrder(t *testing.T) {
 }
 
 func TestTableSortedLines(t *testing.T) {
-	tab := NewTable[int]()
+	var tab Table[int]
 	for _, line := range []uint32{9, 2, 7, 4} {
 		v := int(line)
 		tab.Put(line, &v)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memsys"
+	"repro/internal/waste"
 	"repro/internal/workloads"
 )
 
@@ -92,5 +93,37 @@ func TestTinyCellPeakLiveRecords(t *testing.T) {
 	}
 	if peak >= words {
 		t.Errorf("%d records open at once, not below the %d on-chip words", peak, words)
+	}
+}
+
+// TestEveryInstanceClassifies pins the invariant the in-word L1 and L2
+// instances rest on: a cache word holding an open instance is never
+// overwritten, cleared or recycled before it settles. A dropped instance
+// would never reach the observer, so on every paper protocol the
+// classifications reported by the end of a cell equal the instances made.
+// The run's trailing events, such as baseline DeNovo's fetch-on-write
+// fills landing after the last barrier, open instances after the run's
+// Finish; a second Finish settles those too.
+func TestEveryInstanceClassifies(t *testing.T) {
+	cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
+	prog := workloads.MustByName("radix", workloads.Tiny, 16)
+	for _, proto := range core.ProtocolNames() {
+		env, err := memsys.NewEnv(cfg, prog.FootprintBytes(), prog.Regions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.NewProtocol(env, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classified := 0
+		env.Prof.OnClassify(func(waste.Level, uint8, waste.Category, float64, bool) { classified++ })
+		if err := core.NewRunner(env, p, prog).Run(); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		env.Prof.Finish()
+		if made := env.Prof.Instances(); classified != made {
+			t.Errorf("%s/radix: %d instances classified of %d made", proto, classified, made)
+		}
 	}
 }

@@ -25,9 +25,9 @@ func (s *System) DebugState() string {
 		sl.fetch.Range(func(line uint32, f *l2Fetch) {
 			fmt.Fprintf(&b, "L2[%d]: fetch %#x retries=%d\n", t, line, len(f.retry))
 		})
-		for line := range sl.evictCont {
+		sl.evictCont.Range(func(line uint32, _ evictState) {
 			fmt.Fprintf(&b, "L2[%d]: evicting %#x\n", t, line)
-		}
+		})
 	}
 	return b.String()
 }

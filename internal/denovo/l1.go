@@ -101,23 +101,20 @@ type l1Cache struct {
 	drainGate   coher.DrainGate
 
 	blooms    *bloom.L1Bank
-	bloomWait map[int][]mshrRef // groups waiting for a filter copy; key: slice*4096+filterIdx
-	words     []uint32          // scratch for loadAttempt's communication-region lookup
+	bloomWait coher.LineTable[[]mshrRef] // groups waiting for a filter copy; key: slice*4096+filterIdx
+	words     []uint32                   // scratch for loadAttempt's communication-region lookup
 }
 
 func newL1(s *System, tile int) *l1Cache {
 	cfg := s.Env.Cfg
 	l := &l1Cache{
-		sys:   s,
-		tile:  tile,
-		c:     cache.New(cfg.L1Bytes, cfg.L1Assoc, memsys.LineBytes),
-		mshrs: coher.NewTable[mshr](),
-		wc:    coher.NewWriteCombiner(),
-		wbBuf: coher.NewTable[wbEntry](),
+		sys:  s,
+		tile: tile,
+		c:    s.Env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
+		wc:   coher.NewWriteCombiner(),
 	}
 	if s.opt.BypassReq {
 		l.blooms = bloom.NewL1Bank(cfg.Bloom)
-		l.bloomWait = make(map[int][]mshrRef)
 	}
 	k := s.Env.K
 	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
@@ -140,7 +137,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 	if ln := l.c.Lookup(line); ln != nil && ln.WState[w] != wInvalid {
 		l.c.Touch(ln)
-		env.Prof.L1Load(ln.Inst[w])
+		env.Prof.L1Load(&ln.Inst[w])
 		env.Prof.MemLoad(ln.MInst[w])
 		done(ln.Data[w], memsys.Sample{Point: memsys.PointL1})
 		return
@@ -248,9 +245,10 @@ func (l *l1Cache) tryRequestBypass(m *mshr) {
 // home slice on demand, coalescing concurrent waiters (§4.4).
 func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
 	idx := l.blooms.FilterIndex(m.key)
-	key := slice*4096 + idx
-	l.bloomWait[key] = append(l.bloomWait[key], mshrRef{m, m.gen})
-	if len(l.bloomWait[key]) > 1 {
+	key := uint32(slice*4096 + idx)
+	waiters, _ := l.bloomWait.Get(key)
+	l.bloomWait.Put(key, append(waiters, mshrRef{m, m.gen}))
+	if len(waiters) > 0 {
 		return // request already in flight
 	}
 	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhBloom, l.tile, slice, l.sys.pool.bloomReq.New(dvnBloomReq{idx: idx, from: l.tile}))
@@ -258,9 +256,9 @@ func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
 
 func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
 	l.blooms.LoadCopy(m.slice, m.idx, m.snap)
-	key := m.slice*4096 + m.idx
-	waiters := l.bloomWait[key]
-	delete(l.bloomWait, key)
+	key := uint32(m.slice*4096 + m.idx)
+	waiters, _ := l.bloomWait.Get(key)
+	l.bloomWait.Delete(key)
 	for _, r := range waiters {
 		if r.ms.gen == r.gen {
 			l.tryRequestBypass(r.ms)
@@ -279,7 +277,7 @@ func (l *l1Cache) store(addr, val uint32) {
 		l.evictFor(line)
 		ln = l.c.Allocate(line)
 	}
-	env.Prof.L1Store(ln.Inst[w])
+	env.Prof.L1Store(&ln.Inst[w])
 	env.Prof.MemStore(addr)
 	if ln.MInst[w] != 0 {
 		env.Prof.MemRelease(ln.MInst[w], false)
@@ -372,7 +370,7 @@ func (l *l1Cache) handleData(m *dvnData) {
 			ln.WState[w] = wValid
 			ln.MInst[w] = d.minst
 		}
-		env.Prof.Fill(waste.LevelL1, line<<memsys.LineShift, 1<<w, present, uint8(memsys.ClassLD), share, ln.Inst, ln.MInst, true)
+		env.Prof.Fill(waste.LevelL1, 1<<w, present, uint8(memsys.ClassLD), share, ln.Inst, ln.MInst, true)
 		if ms != nil {
 			ms.wanted.remove(addr)
 		}
@@ -405,7 +403,7 @@ func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 			kept = append(kept, wtr)
 			continue
 		}
-		env.Prof.L1Load(ln.Inst[w])
+		env.Prof.L1Load(&ln.Inst[w])
 		env.Prof.MemLoad(ln.MInst[w])
 		wtr.done(ln.Data[w], sample)
 	}

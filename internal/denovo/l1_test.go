@@ -52,3 +52,20 @@ func TestResponseFillerChargedOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestForeignPayloadPanics delivers a payload that is no DeNovo message:
+// the tile's handler fails loudly, naming the payload and the tile.
+func TestForeignPayloadPanics(t *testing.T) {
+	env, err := memsys.NewEnv(memsys.Default().Scaled(64), memsys.LineBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New(env, Options{Name: "DeNovo"})
+	defer func() {
+		want := "coher: message struct {} does not dispatch to *denovo.System (tile 3)"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	sys.deliver(struct{}{}, 3)
+}

@@ -37,8 +37,8 @@ type l2Slice struct {
 	c    *cache.Cache
 
 	fetch     coher.Table[l2Fetch]
-	evictCont map[uint32]evictState // lines whose eviction waits on owner recalls (each gated)
-	gate      map[uint32][]lineOp
+	evictCont coher.LineTable[evictState] // lines whose eviction waits on owner recalls (each gated)
+	gate      coher.LineTable[[]lineOp]
 	blooms    *bloom.L2Bank // holds the lines with a registered or dirty word (dirtyMask)
 	pred      *bypassPredictor
 
@@ -117,12 +117,9 @@ type evictState struct {
 func newL2(s *System, tile int) *l2Slice {
 	cfg := s.Env.Cfg
 	sl := &l2Slice{
-		sys:       s,
-		tile:      tile,
-		c:         cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
-		fetch:     coher.NewTable[l2Fetch](),
-		evictCont: make(map[uint32]evictState),
-		gate:      make(map[uint32][]lineOp),
+		sys:  s,
+		tile: tile,
+		c:    s.Env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
 	}
 	if s.opt.BypassReq {
 		sl.blooms = bloom.NewL2Bank(cfg.Bloom)
@@ -162,10 +159,10 @@ func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 // mutation at once. On a gated line it returns false. Either way the
 // mutation must arrange for unlockLine to run when it completes.
 func (sl *l2Slice) lockLine(line uint32) bool {
-	if _, gated := sl.gate[line]; gated {
+	if sl.gate.Has(line) {
 		return false
 	}
-	sl.gate[line] = nil
+	sl.gate.Put(line, nil)
 	return true
 }
 
@@ -177,7 +174,8 @@ func (sl *l2Slice) handleOp(op lineOp) {
 		sl.start(op)
 		return
 	}
-	sl.gate[line] = append(sl.gate[line], op)
+	q, _ := sl.gate.Get(line)
+	sl.gate.Put(line, append(q, op))
 }
 
 // start runs a line operation that holds its line's gate: at once when
@@ -191,16 +189,16 @@ func (sl *l2Slice) start(op lineOp) {
 }
 
 func (sl *l2Slice) unlockLine(line uint32) {
-	q, gated := sl.gate[line]
+	q, gated := sl.gate.Get(line)
 	if !gated {
 		panic("denovo: unlock of ungated line")
 	}
 	if len(q) == 0 {
-		delete(sl.gate, line)
+		sl.gate.Delete(line)
 		return
 	}
 	next := q[0]
-	sl.gate[line] = q[1:]
+	sl.gate.Put(line, q[1:])
 	sl.start(next)
 }
 
@@ -252,7 +250,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	}
 	for _, addr := range m.wants.s {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
-		if _, evicting := sl.evictCont[line]; evicting {
+		if sl.evictCont.Has(line) {
 			nacked = true
 			continue
 		}
@@ -378,7 +376,7 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 		w := memsys.WordIndex(addr)
 		d.words.add(dataWord{addr: addr, val: ln.Data[w], minst: ln.MInst[w]})
 		if stamp == nil {
-			env.Prof.L2Served(ln.Inst[w])
+			env.Prof.L2Served(&ln.Inst[w])
 			if ln.State < 255 {
 				ln.State++ // reuse count for the bypass predictor
 			}
@@ -526,7 +524,7 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 			ln.MInst[w] = m.minsts[w]
 		}
 	}
-	env.Traffic.Fill(m.class, m.hops, waste.LevelL2, m.line, m.mask, present, ln.Inst, ln.MInst, true)
+	env.Traffic.Fill(m.class, m.hops, waste.LevelL2, m.mask, present, ln.Inst, ln.MInst, true)
 	for w := 0; w < lineWords; w++ {
 		if present&(1<<w) != 0 {
 			env.Prof.MemRelease(m.minsts[w], false)
@@ -556,8 +554,8 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 // ensureWay guarantees a free way in op's set, then applies op.
 func (sl *l2Slice) ensureWay(op lineOp) {
 	victim := sl.c.VictimWhere(op.opLine(), func(l *cache.Line) bool {
-		_, gated := sl.gate[l.Tag] // an evicting line is gated too
-		return !gated && !sl.fetch.Has(l.Tag)
+		// An evicting line is gated too.
+		return !sl.gate.Has(l.Tag) && !sl.fetch.Has(l.Tag)
 	})
 	if victim == nil {
 		sl.wayRetry.Add(op)
@@ -591,7 +589,7 @@ func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 		sl.finishEvict(ln, then)
 		return
 	}
-	sl.evictCont[line] = evictState{pending: len(owners), then: then}
+	sl.evictCont.Put(line, evictState{pending: len(owners), then: then})
 	for _, o := range owners { // ascending owner: deterministic order
 		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, int(o.owner),
 			sl.sys.pool.recall.New(dvnRecall{line: line, mask: o.mask}))
@@ -600,10 +598,10 @@ func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 
 func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	ln := sl.c.Lookup(m.line)
-	st, ok := sl.evictCont[m.line]
+	st, ok := sl.evictCont.Get(m.line)
 	if !ok || ln == nil {
 		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: evicting=%v ln=%v gated=%v",
-			sl.tile, m.line, m.from, m.mask, ok, ln != nil, func() bool { _, g := sl.gate[m.line]; return g }()))
+			sl.tile, m.line, m.from, m.mask, ok, ln != nil, sl.gate.Has(m.line)))
 	}
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
@@ -615,10 +613,10 @@ func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	}
 	st.pending--
 	if st.pending > 0 {
-		sl.evictCont[m.line] = st
+		sl.evictCont.Put(m.line, st)
 		return
 	}
-	delete(sl.evictCont, m.line)
+	sl.evictCont.Delete(m.line)
 	sl.finishEvict(ln, st.then)
 }
 

@@ -95,8 +95,17 @@ func New(env *memsys.Env, opt Options) *System {
 		s.l1s[t] = newL1(s, t)
 		s.l2s[t] = newL2(s, t)
 	}
-	coher.RegisterTiles(env, s)
+	coher.RegisterTiles(env, s.deliver)
 	return s
+}
+
+// deliver dispatches a payload the mesh delivered to tile.
+func (s *System) deliver(p any, tile int) {
+	m, ok := p.(coher.Msg[*System])
+	if !ok {
+		coher.Foreign(p, s, tile)
+	}
+	m.Dispatch(s, tile)
 }
 
 // Name implements memsys.Protocol.
@@ -146,15 +155,20 @@ func (s *System) Recycle() {
 	}
 }
 
-// l2HasWord implements the Figure 4.3 "address present in L2?" check.
-func (s *System) l2HasWord(addr uint32) bool {
-	line := memsys.LineOf(addr)
-	sl := s.l2s[s.Env.Cfg.HomeTile(line)]
-	ln := sl.c.Lookup(line)
+// l2Words returns the words of line valid at its home L2: the Figure 4.3
+// "address present in L2?" check.
+func (s *System) l2Words(line uint32) uint16 {
+	ln := s.l2s[s.Env.Cfg.HomeTile(line)].c.Lookup(line)
 	if ln == nil {
-		return false
+		return 0
 	}
-	return ln.WState[memsys.WordIndex(addr)]&l2StateMask == l2Valid
+	var m uint16
+	for w, st := range ln.WState {
+		if st&l2StateMask == l2Valid {
+			m |= 1 << w
+		}
+	}
+	return m
 }
 
 // msgMemWBPartial writes a set of dirty words back to DRAM. With
@@ -210,6 +224,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			fill = s.pool.fill.New(dvnL2Fill{line: ln, class: m.class, tAtMC: tAtMC, tDram: tDram})
 			fillOrder = append(fillOrder, fill)
 		}
+		inL2 := s.l2Words(ln)
 		for w := 0; w < lineWords; w++ {
 			a := memsys.AddrOf(ln, w)
 			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
@@ -224,7 +239,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 				}
 				continue
 			}
-			mi := env.Prof.MemFetch(a, s.l2HasWord(a))
+			mi := env.Prof.MemFetch(a, inL2&(1<<w) != 0)
 			if sendL1 {
 				resp.words.add(dataWord{addr: a, val: env.MemRead(a), minst: mi})
 			}
@@ -285,8 +300,8 @@ func (s *System) CheckInvariants() error {
 	}
 	var err error
 	for t, sl := range s.l2s {
-		if len(sl.evictCont) != 0 {
-			return fmt.Errorf("denovo: slice %d has %d leftover evictions", t, len(sl.evictCont))
+		if sl.evictCont.Len() != 0 {
+			return fmt.Errorf("denovo: slice %d has %d leftover evictions", t, sl.evictCont.Len())
 		}
 	}
 	// Registration consistency.

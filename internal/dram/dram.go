@@ -38,14 +38,21 @@ type Request struct {
 	Write bool
 	Done  func(finish int64) // invoked when the burst completes
 
-	arrive int64
-	ch     *Channel // set by Submit; the burst-completion event's owner
+	ch *Channel // set by Submit; the burst-completion event's owner
 }
 
 type bank struct {
 	freeAt  int64
 	openRow uint32
 	hasRow  bool
+}
+
+// queued is a request waiting to issue, with its bank and row decoded
+// once, at Submit.
+type queued struct {
+	r    *Request
+	bank int
+	row  uint32
 }
 
 // schedWindow bounds how many queued requests the FR-FCFS scheduler
@@ -58,9 +65,9 @@ type Channel struct {
 	k            *sim.Kernel
 	banks        []bank
 	busFree      int64
-	queue        []*Request
-	wakeAt       int64 // cycle of the armed wakeup; 0 = none armed
-	rowShift     uint  // log2(RowBytes)
+	queue        []queued // in arrival order
+	wakeAt       int64    // cycle of the armed wakeup; 0 = none armed
+	rowShift     uint     // log2(RowBytes)
 	bankMask     uint32
 	bankBits     uint // log2(Banks)
 	schedPending bool
@@ -98,9 +105,9 @@ func (c *Channel) QueueLen() int { return len(c.queue) }
 // The scheduling decision is deferred to the end of the current cycle so
 // that all same-cycle arrivals compete in one FR-FCFS pick.
 func (c *Channel) Submit(r *Request) {
-	r.arrive = c.k.Now()
 	r.ch = c
-	c.queue = append(c.queue, r)
+	b, row := c.bankRow(r.Addr)
+	c.queue = append(c.queue, queued{r, b, row})
 	if !c.schedPending {
 		c.schedPending = true
 		c.k.AtArg(c.k.Now(), runPendingSchedule, c)
@@ -170,13 +177,12 @@ func (c *Channel) schedule() {
 		}
 		idx := -1
 		// First ready row hit in arrival order; otherwise oldest ready.
-		for i := 0; i < window; i++ {
-			b, row := c.bankRow(c.queue[i].Addr)
-			bk := &c.banks[b]
+		for i, q := range c.queue[:window] {
+			bk := &c.banks[q.bank]
 			if bk.freeAt > now {
 				continue
 			}
-			if bk.hasRow && bk.openRow == row {
+			if bk.hasRow && bk.openRow == q.row {
 				idx = i
 				break
 			}
@@ -187,9 +193,9 @@ func (c *Channel) schedule() {
 		if idx == -1 {
 			break
 		}
-		r := c.queue[idx]
+		q := c.queue[idx]
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-		c.issue(r, now)
+		c.issue(q, now)
 	}
 	// Arm a wakeup for the earliest bank-free time among blocked requests.
 	if len(c.queue) == 0 {
@@ -200,9 +206,8 @@ func (c *Channel) schedule() {
 		window = schedWindow
 	}
 	earliest := int64(-1)
-	for i := 0; i < window; i++ {
-		b, _ := c.bankRow(c.queue[i].Addr)
-		if f := c.banks[b].freeAt; earliest == -1 || f < earliest {
+	for _, q := range c.queue[:window] {
+		if f := c.banks[q.bank].freeAt; earliest == -1 || f < earliest {
 			earliest = f
 		}
 	}
@@ -216,9 +221,9 @@ func (c *Channel) schedule() {
 	c.k.AtArg(earliest, runWakeup, c)
 }
 
-func (c *Channel) issue(r *Request, now int64) {
-	b, row := c.bankRow(r.Addr)
-	bk := &c.banks[b]
+func (c *Channel) issue(q queued, now int64) {
+	r, row := q.r, q.row
+	bk := &c.banks[q.bank]
 	start := now
 	var colReady int64
 	switch {

@@ -3,6 +3,7 @@ package memsys
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/mesh"
 	"repro/internal/recycle"
@@ -131,6 +132,16 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 		e.Chans[i] = dram.NewChannel(k, cfg.DRAM)
 	}
 	return e, nil
+}
+
+// NewCache makes an L1 or L2 array of sizeBytes in assoc-way sets of
+// LineBytes lines, and has the profiler track its instance words: every
+// cache a protocol builds comes from here, so Finish reaches every open
+// L1 and L2 instance.
+func (e *Env) NewCache(sizeBytes, assoc int) *cache.Cache {
+	c := cache.New(sizeBytes, assoc, LineBytes)
+	e.Prof.Track(c.InstWords())
+	return c
 }
 
 // Recycle hands the run's kernel, profiler and backing store to the next

@@ -197,13 +197,13 @@ func TestTrafficDeferredAttribution(t *testing.T) {
 	// A 5-word LD response to L1 over 2 hops: data flits = 2, so data
 	// flit-hops = 4. Word shares: 5 * (2/4) = 2.5; filler = 4 - 2.5 = 1.5.
 	ids := make([]uint64, WordsPerLine)
-	tr.Fill(ClassLD, 2, waste.LevelL1, 0, 0x1f, 0, ids, nil, false)
+	tr.Fill(ClassLD, 2, waste.LevelL1, 0x1f, 0, ids, nil, false)
 	if got := tr.Get(ClassLD, BRespCtl); got != 1.5 {
 		t.Fatalf("filler = %v, want 1.5", got)
 	}
 	// Classify: 2 used, 3 evicted.
-	prof.L1Load(ids[0])
-	prof.L1Load(ids[1])
+	prof.L1Load(&ids[0])
+	prof.L1Load(&ids[1])
 	prof.Release(1, waste.Evict, ids[2:3], nil, false) // one word at a time
 	prof.Release(1, waste.Evict, ids[3:4], nil, false)
 	prof.Release(1, waste.Evict, ids[4:5], nil, false)
@@ -226,11 +226,11 @@ func TestTrafficPresentWordIsWaste(t *testing.T) {
 	tr.StartMeasurement()
 	// 2 words over 4 hops: one data flit, shares 1 each, filler 2.
 	ids := make([]uint64, WordsPerLine)
-	tr.Fill(ClassST, 4, waste.LevelL2, 0, 3, 1, ids, nil, false)
+	tr.Fill(ClassST, 4, waste.LevelL2, 3, 1, ids, nil, false)
 	if got := tr.Get(ClassST, BRespL2Waste); got != 1 {
 		t.Fatalf("Resp L2 Waste = %v at arrival, want the present word's share 1", got)
 	}
-	prof.L2Served(ids[1])
+	prof.L2Served(&ids[1])
 	if used, ctl := tr.Get(ClassST, BRespL2Used), tr.Get(ClassST, BRespCtl); used != 1 || ctl != 2 {
 		t.Fatalf("used %v filler %v, want 1 and 2", used, ctl)
 	}
@@ -244,10 +244,10 @@ func TestTrafficWarmupExcluded(t *testing.T) {
 	tr := NewTraffic(prof)
 	// warm-up: not measuring
 	ids := make([]uint64, WordsPerLine)
-	tr.Fill(ClassLD, 4, waste.LevelL1, 0, 1, 0, ids, nil, false)
+	tr.Fill(ClassLD, 4, waste.LevelL1, 1, 0, ids, nil, false)
 	tr.StartMeasurement()
 	prof.StartMeasurement()
-	prof.L1Load(ids[0]) // classification of a warm-up instance
+	prof.L1Load(&ids[0]) // classification of a warm-up instance
 	if tr.Total() != 0 {
 		t.Fatalf("warm-up data counted: %v", tr.Total())
 	}
@@ -279,8 +279,8 @@ func TestWasteShare(t *testing.T) {
 	prof.StartMeasurement()
 	tr.StartMeasurement()
 	ids := make([]uint64, WordsPerLine)
-	tr.Fill(ClassLD, 4, waste.LevelL1, 0, 3, 0, ids, nil, false) // 2 words * 1 flit-hop share each, filler 2
-	prof.L1Load(ids[0])
+	tr.Fill(ClassLD, 4, waste.LevelL1, 3, 0, ids, nil, false) // 2 words * 1 flit-hop share each, filler 2
+	prof.L1Load(&ids[0])
 	prof.Release(1, waste.Evict, ids[1:2], nil, false)
 	// used=1, waste=1, respctl filler=2 → waste share = 1/4.
 	if got := tr.WasteShare(); got != 0.25 {

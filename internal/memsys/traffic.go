@@ -138,8 +138,8 @@ func (t *Traffic) Ctl(class Class, bucket Bucket, flits, hops int) {
 // inst, minst and ref), and the unfilled remainder of the last data flit
 // goes to Resp Ctl, as in §5.2. The message's control flit is recorded
 // separately with Ctl.
-func (t *Traffic) Fill(class Class, hops int, level waste.Level, line uint32, mask, present uint16, inst, minst []uint64, ref bool) {
-	t.prof.Fill(level, line<<LineShift, mask, present, uint8(class), WordShare(hops), inst, minst, ref)
+func (t *Traffic) Fill(class Class, hops int, level waste.Level, mask, present uint16, inst, minst []uint64, ref bool) {
+	t.prof.Fill(level, mask, present, uint8(class), WordShare(hops), inst, minst, ref)
 	t.Filler(class, hops, bits.OnesCount16(mask))
 }
 

@@ -27,12 +27,12 @@ func (s *System) DebugState() string {
 		})
 	}
 	for t, sl := range s.l2s {
-		for line, e := range sl.dir {
+		sl.dir.Range(func(line uint32, e *dirEntry) {
 			if e.busy != nil {
 				fmt.Fprintf(&b, "L2[%d]: line %#x busy kind=%d req=%d unb=%v dwn=%v acks=%d\n",
 					t, line, e.busy.kind, e.busy.requestor, e.busy.needUnblock, e.busy.needDowngrade, e.busy.pendingAcks)
 			}
-		}
+		})
 	}
 	return b.String()
 }
@@ -46,7 +46,7 @@ func (s *System) DumpWord(addr uint32) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "word %#x (line %#x w%d): mem=%d\n", addr, line, w, env.MemRead(addr))
 	home := s.l2s[env.Cfg.HomeTile(line)]
-	if e := home.dir[line]; e != nil {
+	if e := home.dir.Get(line); e != nil {
 		fmt.Fprintf(&b, "  dir: owner=%d sharers=%v hasData=%v busy=%v\n", e.owner, slices.Collect(e.sharers.all()), e.hasData, e.busy != nil)
 	} else {
 		fmt.Fprintf(&b, "  dir: no entry\n")

@@ -88,12 +88,10 @@ type l1Cache struct {
 func newL1(s *System, tile int) *l1Cache {
 	cfg := s.Env.Cfg
 	l := &l1Cache{
-		sys:   s,
-		tile:  tile,
-		c:     cache.New(cfg.L1Bytes, cfg.L1Assoc, memsys.LineBytes),
-		mshrs: coher.NewTable[mshr](),
-		wbBuf: coher.NewTable[wbEntry](),
-		sb:    coher.NewStoreBuffer(cfg.StoreBufferEntries),
+		sys:  s,
+		tile: tile,
+		c:    s.Env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
+		sb:   coher.NewStoreBuffer(cfg.StoreBufferEntries),
 	}
 	k := s.Env.K
 	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
@@ -158,7 +156,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 	if ln := l.c.Lookup(line); ln != nil {
 		l.c.Touch(ln)
-		env.Prof.L1Load(ln.Inst[w])
+		env.Prof.L1Load(&ln.Inst[w])
 		env.Prof.MemLoad(ln.MInst[w])
 		done(ln.Data[w], memsys.Sample{Point: memsys.PointL1})
 		return
@@ -251,7 +249,7 @@ func (l *l1Cache) applyStores(ln *cache.Line) {
 	ln.State = stM
 	l.sb.RetireLine(ln.Tag, memsys.LineOf, func(addr, val uint32) {
 		w := memsys.WordIndex(addr)
-		env.Prof.L1Store(ln.Inst[w])
+		env.Prof.L1Store(&ln.Inst[w])
 		env.Prof.MemStore(addr)
 		if ln.MInst[w] != 0 {
 			env.Prof.MemRelease(ln.MInst[w], false)
@@ -346,7 +344,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 		ln.State = ms.state
 		copy(ln.Data, ms.data[:])
 		copy(ln.MInst, ms.minst[:])
-		env.Traffic.Fill(ms.class, ms.hopsIn, waste.LevelL1, ms.line, memsys.LineMask, 0, ln.Inst, ln.MInst, !ms.transfer)
+		env.Traffic.Fill(ms.class, ms.hopsIn, waste.LevelL1, memsys.LineMask, 0, ln.Inst, ln.MInst, !ms.transfer)
 	}
 
 	// Directory unblock. MMemL1 load fills from memory carry the data to
@@ -372,7 +370,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 		}
 	}
 	for _, wtr := range ms.loadWaiters {
-		env.Prof.L1Load(ln.Inst[wtr.word])
+		env.Prof.L1Load(&ln.Inst[wtr.word])
 		env.Prof.MemLoad(ln.MInst[wtr.word])
 		wtr.done(ln.Data[wtr.word], sample)
 	}

@@ -116,7 +116,7 @@ type l2Slice struct {
 	sys  *System
 	tile int
 	c    *cache.Cache
-	dir  map[uint32]*dirEntry
+	dir  coher.Table[dirEntry]
 
 	// Arriving requests, memory data and puts wait out the L2 access
 	// latency here before their handler runs.
@@ -134,8 +134,7 @@ func newL2(s *System, tile int) *l2Slice {
 	sl := &l2Slice{
 		sys:  s,
 		tile: tile,
-		c:    cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
-		dir:  make(map[uint32]*dirEntry),
+		c:    s.Env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
 	}
 	k, lat, p := s.Env.K, cfg.L2Latency, &s.pool
 	sl.getS = coher.NewDeferred(k, lat, func(m *msgGetS) { sl.handleGetS(m); p.getS.Put(m) })
@@ -150,17 +149,17 @@ func newL2(s *System, tile int) *l2Slice {
 func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 
 func (sl *l2Slice) entry(line uint32) *dirEntry {
-	e := sl.dir[line]
+	e := sl.dir.Get(line)
 	if e == nil {
 		e = sl.sys.pool.dir.New(dirEntry{line: line, owner: -1})
-		sl.dir[line] = e
+		sl.dir.Put(line, e)
 	}
 	return e
 }
 
 // dropEntry removes line's directory entry and recycles it.
 func (sl *l2Slice) dropEntry(e *dirEntry) {
-	delete(sl.dir, e.line)
+	sl.dir.Delete(e.line)
 	sl.sys.pool.dir.Put(e)
 }
 
@@ -172,7 +171,7 @@ func (sl *l2Slice) nack(line uint32, to int, isStore, isPut bool) {
 // --- request handlers ---
 
 func (sl *l2Slice) handleGetS(m *msgGetS) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e != nil && e.busy != nil {
 		sl.nack(m.line, m.from, false, false)
 		return
@@ -199,7 +198,7 @@ func (sl *l2Slice) handleGetS(m *msgGetS) {
 }
 
 func (sl *l2Slice) handleGetX(m *msgGetX) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e != nil && e.busy != nil {
 		sl.nack(m.line, m.from, true, false)
 		return
@@ -226,7 +225,7 @@ func (sl *l2Slice) handleGetX(m *msgGetX) {
 }
 
 func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e == nil || e.busy != nil || e.owner >= 0 || !e.sharers.has(m.from) {
 		// Raced with an invalidation (or the line left the L2): the
 		// requestor will convert to a full GetX.
@@ -258,7 +257,7 @@ func (sl *l2Slice) serveFromL2(ln *cache.Line, e *dirEntry, to int, class memsys
 	for w := 0; w < lineWords; w++ {
 		data[w] = ln.Data[w]
 		minst[w] = ln.MInst[w]
-		env.Prof.L2Served(ln.Inst[w])
+		env.Prof.L2Served(&ln.Inst[w])
 	}
 	sl.c.Touch(ln)
 	hops := sl.sys.CtlHops(class, memsys.BRespCtl, sl.tile, to)
@@ -300,7 +299,7 @@ func (sl *l2Slice) sendMemRead(e *dirEntry) {
 // unbusied victim first if necessary, then runs w.
 func (sl *l2Slice) ensureWay(w wayWaiter) {
 	victim := sl.c.VictimWhere(w.wayLine(), func(l *cache.Line) bool {
-		ve := sl.dir[l.Tag]
+		ve := sl.dir.Get(l.Tag)
 		return ve == nil || ve.busy == nil
 	})
 	if victim == nil {
@@ -338,7 +337,7 @@ func (sl *l2Slice) evictLine(ln *cache.Line, w wayWaiter) {
 // handleRecallResp collects an owner's recall data or a sharer's
 // L2-directed invalidation ack during an eviction.
 func (sl *l2Slice) handleRecallResp(m *msgRecallResp) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e == nil || e.busy == nil || e.busy.kind != txEvict {
 		panic(fmt.Sprintf("mesi: stray recall response for line %#x", m.line))
 	}
@@ -390,7 +389,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 // line to the requestor. The fill-forward is the L1's copy; the L2 copy's
 // usefulness is decided by later reuse, so no Used marking happens here.
 func (sl *l2Slice) handleMemData(m *msgMemData) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e == nil || e.busy == nil || e.busy.kind != txFetch {
 		panic(fmt.Sprintf("mesi: memory data without fetch txn for line %#x", m.line))
 	}
@@ -400,7 +399,7 @@ func (sl *l2Slice) handleMemData(m *msgMemData) {
 // fillFromMem installs memory data once its set has a way, forwards the
 // line to the requestor, and recycles the message.
 func (sl *l2Slice) fillFromMem(m *msgMemData) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	sl.install(m.line, &m.data, &m.minst, m.class, m.hops)
 	e.hasData = true
 	if m.grant == stE || m.grant == stM {
@@ -424,13 +423,13 @@ func (sl *l2Slice) install(line uint32, data *[lineWords]uint32, minst *[lineWor
 	ln := sl.c.Allocate(line)
 	copy(ln.Data, data[:])
 	copy(ln.MInst, minst[:])
-	sl.env().Traffic.Fill(class, hops, waste.LevelL2, line, memsys.LineMask, 0, ln.Inst, ln.MInst, true)
+	sl.env().Traffic.Fill(class, hops, waste.LevelL2, memsys.LineMask, 0, ln.Inst, ln.MInst, true)
 }
 
 // handleUnblock ends a transaction. Under MMemL1, load unblocks carry the
 // memory data into the L2; store fills leave the L2 entry data-less.
 func (sl *l2Slice) handleUnblock(m *msgUnblock) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e == nil || e.busy == nil {
 		panic(fmt.Sprintf("mesi: unblock without txn for line %#x", m.line))
 	}
@@ -448,7 +447,7 @@ func (sl *l2Slice) handleUnblock(m *msgUnblock) {
 // unblock installs the data it carries, a store's leaves the L2 entry
 // data-less. The message is recycled.
 func (sl *l2Slice) fillFromUnblock(m *msgUnblock) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	t := e.busy
 	if m.withData {
 		sl.install(m.line, &m.data, &m.minst, memsys.ClassLD, m.hops)
@@ -466,7 +465,7 @@ func (sl *l2Slice) fillFromUnblock(m *msgUnblock) {
 }
 
 func (sl *l2Slice) handleDowngradeWB(m *msgDowngradeWB) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	if e == nil || e.busy == nil || !e.busy.needDowngrade {
 		panic(fmt.Sprintf("mesi: stray downgrade WB for line %#x", m.line))
 	}
@@ -512,7 +511,7 @@ func (sl *l2Slice) mergeDirty(ln *cache.Line, data [lineWords]uint32, wmask uint
 
 // handlePut processes writebacks and clean replacement notices.
 func (sl *l2Slice) handlePut(m *msgPut) {
-	e := sl.dir[m.line]
+	e := sl.dir.Get(m.line)
 	busy := e != nil && e.busy != nil
 	fromOwner := e != nil && e.owner >= 0 && int(e.owner) == m.from
 	// A put can also race with the sender's own in-flight fill: under

@@ -3,6 +3,8 @@ package mesi
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/memsys"
 )
 
 // TestDirectoryTileRoundTrip stores tiles on both sides of every narrow
@@ -39,4 +41,21 @@ func TestDirectoryTileRoundTrip(t *testing.T) {
 	if !e.sharers.empty() {
 		t.Fatalf("sharers %v left after removing every tile", slices.Collect(e.sharers.all()))
 	}
+}
+
+// TestForeignPayloadPanics delivers a payload that is no MESI message:
+// the tile's handler fails loudly, naming the payload and the tile.
+func TestForeignPayloadPanics(t *testing.T) {
+	env, err := memsys.NewEnv(memsys.Default().Scaled(64), memsys.LineBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New(env, Options{Name: "MESI"})
+	defer func() {
+		want := "coher: message struct {} does not dispatch to *mesi.System (tile 3)"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	sys.deliver(struct{}{}, 3)
 }

@@ -63,8 +63,17 @@ func New(env *memsys.Env, opt Options) *System {
 		s.l1s[t] = newL1(s, t)
 		s.l2s[t] = newL2(s, t)
 	}
-	coher.RegisterTiles(env, s)
+	coher.RegisterTiles(env, s.deliver)
 	return s
+}
+
+// deliver dispatches a payload the mesh delivered to tile.
+func (s *System) deliver(p any, tile int) {
+	m, ok := p.(coher.Msg[*System])
+	if !ok {
+		coher.Foreign(p, s, tile)
+	}
+	m.Dispatch(s, tile)
 }
 
 // Name implements memsys.Protocol.
@@ -103,8 +112,8 @@ func (s *System) Recycle() {
 // after Run.
 func (s *System) CheckInvariants() error {
 	for t, sl := range s.l2s {
-		for line, e := range sl.dir {
-			if e.busy != nil {
+		for _, line := range sl.dir.SortedLines() {
+			if sl.dir.Get(line).busy != nil {
 				return fmt.Errorf("mesi: tile %d line %#x still busy", t, line)
 			}
 		}
@@ -136,7 +145,7 @@ func (s *System) CheckCoherence() error {
 				return
 			}
 			home := s.l2s[s.Env.Cfg.HomeTile(ln.Tag)]
-			e := home.dir[ln.Tag]
+			e := home.dir.Get(ln.Tag)
 			if e != nil && e.busy != nil {
 				return
 			}
@@ -160,17 +169,18 @@ func (s *System) CheckCoherence() error {
 	return err
 }
 
-// l2HasWord reports whether the home L2 currently holds valid data for a
-// word (Figure 4.3's "address present in L2?" check at the MC).
-func (s *System) l2HasWord(addr uint32) bool {
-	line := memsys.LineOf(addr)
+// l2Words returns the words of line the home L2 currently holds valid
+// data for (Figure 4.3's "address present in L2?" check at the MC): the
+// whole line or none of it.
+func (s *System) l2Words(line uint32) uint16 {
 	sl := s.l2s[s.Env.Cfg.HomeTile(line)]
-	l := sl.c.Lookup(line)
-	if l == nil {
-		return false
+	if sl.c.Lookup(line) == nil {
+		return 0
 	}
-	e := sl.dir[line]
-	return e != nil && e.hasData
+	if e := sl.dir.Get(line); e == nil || !e.hasData {
+		return 0
+	}
+	return memsys.LineMask
 }
 
 // memReadDone ships a line read from DRAM to the requesting L1 (MMemL1)
@@ -181,10 +191,11 @@ func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish 
 	env := s.Env
 	var data [lineWords]uint32
 	var minst [lineWords]uint64
+	inL2 := s.l2Words(m.line)
 	for w := 0; w < lineWords; w++ {
 		a := memsys.AddrOf(m.line, w)
 		data[w] = env.MemRead(a)
-		minst[w] = env.Prof.MemFetch(a, s.l2HasWord(a))
+		minst[w] = env.Prof.MemFetch(a, inL2&(1<<w) != 0)
 	}
 	if m.direct {
 		// MMemL1: straight to the requesting L1.

@@ -9,9 +9,10 @@ import (
 
 // refProfiler is the append-only profiler the recycling one replaced: it
 // keeps every instance's record, classified or not, for the whole run, so
-// a classified id can never alias a later instance. The line entry points
-// are the per-word loops they replace in the protocol handlers; a word's
-// class and share are attached when its instance is made.
+// a classified id can never alias a later instance, and its cache words
+// hold ids, not the instances themselves. The line entry points are the
+// per-word loops they replace in the protocol handlers; a word's class and
+// share are attached when its instance is made.
 type refProfiler struct {
 	recs       []refInst
 	measuring  bool
@@ -98,12 +99,12 @@ func (p *refProfiler) memStore(addr uint32) {
 	}
 }
 
-func (p *refProfiler) fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
+func (p *refProfiler) fill(level Level, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
 	for w := 0; w < 16; w++ {
 		if mask&(1<<w) == 0 {
 			continue
 		}
-		id := p.new(level, base+uint32(w)*4)
+		id := p.new(level, 0)
 		p.recs[id].class, p.recs[id].share = class, float32(share)
 		if present&(1<<w) != 0 {
 			p.classify(id, Fetch)
@@ -144,18 +145,28 @@ type classified struct {
 	measured bool
 }
 
-// recycleLine is a cache line's id arrays, one copy per profiler.
+// recycleLine is a cache line's instance words, one copy per profiler:
+// the recycling profiler's open words and the reference's ids.
 type recycleLine struct {
 	inst, minst [2][16]uint64 // [0] recycling profiler, [1] reference
 }
 
+// wordRef names a cache word holding an L1 or L2 instance: the recycling
+// profiler's word, as a one-word slice, and where the reference keeps the
+// id of the word's instance.
+type wordRef struct {
+	got []uint64
+	ref *uint64
+}
+
 // FuzzProfilerRecycle drives random sequences of every profiler entry
-// point, stale ids included, through the recycling profiler and the
-// append-only reference, and requires the same classification stream in
-// the same order. The one exception is Finish's Unevicted batch, which the
-// recycling profiler emits in table order: it is compared as a multiset.
-// Every share is a multiple of a quarter flit-hop, so the traffic
-// recorder's bucket sums do not depend on that order.
+// point, settled words and stale ids included, through the recycling
+// profiler and the append-only reference, and requires the same
+// classification stream in the same order. The one exception is Finish's
+// Unevicted batch, which the recycling profiler emits in word and table
+// order: it is compared as a multiset. Every share is a multiple of a
+// quarter flit-hop, so the traffic recorder's bucket sums do not depend on
+// that order.
 func FuzzProfilerRecycle(f *testing.F) {
 	f.Add([]byte{11, 0, 0, 0x22, 4, 0, 0, 0, 1, 0x14, 4, 1, 0, 4, 0, 1})
 	f.Add([]byte{11, 2, 3, 0, 10, 0, 3, 0, 8, 0, 0, 255, 255, 1, 0, 6, 1, 9, 0, 255, 255, 2, 1, 1})
@@ -208,13 +219,17 @@ type recycleRun struct {
 
 // runRecycle decodes ops and applies each to both profilers. An op is one
 // byte (mod 13) and a fixed number of argument bytes (missing ones read
-// as 0); instances are named by handles, each pairing the two profilers'
-// ids for one instance, so an op can reach a classified (stale) id. Op 12
-// recycles the profiler mid-run and goes on with the next NewProfiler.
+// as 0). Memory instances are named by handles, each pairing the two
+// profilers' ids for one instance, and L1 and L2 instances by the cache
+// words they live in, so an op can reach a classified (stale) id or a
+// settled word. A fill never opens an instance over a word whose own is
+// still open, as no protocol does. Op 12 recycles the profiler mid-run
+// and goes on with the next NewProfiler.
 func runRecycle(ops []byte) (got, want recycleRun) {
 	gotEvents, wantEvents := &got.stream, &want.stream
 	var p *Profiler
 	var r *refProfiler
+	var lines [2]recycleLine
 	start := func() {
 		p, r = NewProfiler(), newRefProfiler()
 		p.OnClassify(func(l Level, c uint8, cat Category, share float64, m bool) {
@@ -223,10 +238,13 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 		r.onClassify = func(l Level, c uint8, cat Category, share float64, m bool) {
 			*wantEvents = append(*wantEvents, classified{l, c, cat, share, m})
 		}
+		for k := range lines {
+			p.Track(lines[k].inst[0][:])
+		}
 	}
 	start()
 	var handles [][2]uint64
-	var lines [2]recycleLine
+	var words []wordRef
 	since := 0 // the reference's first event since the last recycle
 	arg := func(i int) byte {
 		if i < len(ops) {
@@ -251,10 +269,10 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			// the class (bits 1-2) and the share in quarters (bits 3-5).
 			level, flags := Level(op), arg(a+1)
 			present, class, share := flags&1 != 0, (flags>>1)%4, float64((flags>>3)%8)/4
-			var inst [1]uint64
-			r.fill(level, addr(arg(a)), 1, uint16(flags&1), class, share, inst[:], nil, false)
-			if n := fillWord(p, level, addr(arg(a)), present, class, share); !present {
-				handles = append(handles, [2]uint64{n, inst[0]})
+			id := make([]uint64, 1)
+			r.fill(level, 1, uint16(flags&1), class, share, id, nil, false)
+			if w := fillWord(p, level, present, class, share); !present {
+				words = append(words, wordRef{w, &id[0]})
 			}
 			i = a + 2
 		case 2:
@@ -267,13 +285,26 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			handles = append(handles, [2]uint64{p.MemExcess(addr(arg(a))), n})
 			i = a + 1
 		case 4:
-			h := handle(arg(a + 1))
-			release := func(cat Category) func(uint64) { return func(id uint64) { releaseWord(p, id, cat) } }
-			wrappers := []func(uint64){p.L1Load, p.L1Store, release(Invalidate), release(Evict), p.L2Served, release(Write), release(Evict), p.MemLoad}
-			refCats := []Category{Used, Write, Invalidate, Evict, Used, Write, Evict, Used}
-			k := int(arg(a)) % len(wrappers)
-			wrappers[k](h[0])
-			r.classify(h[1], refCats[k])
+			k := int(arg(a)) % 8
+			if k == 7 {
+				h := handle(arg(a + 1))
+				p.MemLoad(h[0])
+				r.classify(h[1], Used)
+				i = a + 2
+				break
+			}
+			if len(words) == 0 {
+				i = a + 2
+				break
+			}
+			w := words[int(arg(a+1))%len(words)]
+			release := func(cat Category) func(*uint64) {
+				return func(*uint64) { releaseWord(p, w.got, cat) }
+			}
+			wrappers := []func(*uint64){p.L1Load, p.L1Store, release(Invalidate), release(Evict), p.L2Served, release(Write), release(Evict)}
+			refCats := []Category{Used, Write, Invalidate, Evict, Used, Write, Evict}
+			wrappers[k](&w.got[0])
+			r.classify(*w.ref, refCats[k])
 			i = a + 2
 		case 5:
 			h := handle(arg(a))
@@ -291,15 +322,19 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			i = a + 1
 		case 8:
 			ln := &lines[arg(a)%2]
-			base := uint32(arg(a)%2) * 64
 			level := Level(arg(a+1) & 1)
 			m, present := mask(a+2), mask(a+4)
 			class, share, ref := arg(a+6)%4, float64(arg(a+6)/4%8)/4, arg(a+7)&1 != 0
-			p.Fill(level, base, m, present, class, share, ln.inst[0][:], ln.minst[0][:], ref)
-			r.fill(level, base, m, present, class, share, ln.inst[1][:], ln.minst[1][:], ref)
+			for w, x := range ln.inst[0] {
+				if x != 0 && present&(1<<w) == 0 {
+					m &^= 1 << w // still open: no fill replaces it
+				}
+			}
+			p.Fill(level, m, present, class, share, ln.inst[0][:], ln.minst[0][:], ref)
+			r.fill(level, m, present, class, share, ln.inst[1][:], ln.minst[1][:], ref)
 			for fresh := m &^ present; fresh != 0; fresh &= fresh - 1 {
 				w := bits.TrailingZeros16(fresh)
-				handles = append(handles, [2]uint64{ln.inst[0][w], ln.inst[1][w]})
+				words = append(words, wordRef{ln.inst[0][w : w+1], &ln.inst[1][w]})
 			}
 			i = a + 8
 		case 9:
@@ -327,8 +362,8 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 			// its ids, instances and counts start over, like the new
 			// reference's, and the ended run's ids and lines go with it.
 			p.Recycle()
+			handles, words, lines, since = nil, nil, [2]recycleLine{}, len(want.stream)
 			start()
-			handles, lines, since = nil, [2]recycleLine{}, len(want.stream)
 			i = a
 		}
 	}
@@ -346,26 +381,26 @@ func runRecycle(ops []byte) (got, want recycleRun) {
 }
 
 // TestStaleIDMissesNextTenant pins the case a recycled slot is most
-// exposed to: a classified instance frees its slot at once, the next
-// instance takes it, and a classification through the first id
+// exposed to: a classified memory instance frees its slot at once, the
+// next instance takes it, and a classification through the first id
 // afterwards must not reach the second.
 func TestStaleIDMissesNextTenant(t *testing.T) {
 	p := newMeasuring()
-	var shares []float64
-	p.OnClassify(func(_ Level, _ uint8, _ Category, share float64, _ bool) { shares = append(shares, share) })
-	a := fillWord(p, LevelL1, 0, false, 1, 1)
-	p.L1Load(a)
-	b := fillWord(p, LevelL1, 4, false, 2, 0.5)
+	a := p.MemFetch(0, false)
+	p.MemLoad(a)
+	b := p.MemFetch(4, false)
 	if uint32(a) != uint32(b) {
 		t.Fatalf("ids %#x and %#x: the second instance did not reuse the first's slot", a, b)
 	}
-	p.L1Store(a)
-	p.L1Load(b)
-	if want := []float64{1, 0.5}; !slices.Equal(shares, want) {
-		t.Fatalf("shares %v, want %v: a stale id reached the slot's next tenant", shares, want)
+	p.MemStore(0)
+	p.MemRelease(a, false)
+	p.MemLoad(a)
+	if p.Count(LevelMem, Used) != 1 || p.Count(LevelMem, Evict) != 0 {
+		t.Fatalf("counts %v: a stale id reached the slot's next tenant", p.Snapshot()[LevelMem])
 	}
-	if p.Count(LevelL1, Write) != 0 || p.Count(LevelL1, Used) != 2 {
-		t.Fatalf("counts %v", p.Snapshot()[LevelL1])
+	p.MemLoad(b)
+	if p.Count(LevelMem, Used) != 2 {
+		t.Fatalf("counts %v", p.Snapshot()[LevelMem])
 	}
 }
 

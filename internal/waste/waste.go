@@ -6,7 +6,8 @@
 // by the L2 Flex optimization).
 //
 // The three FSMs are those of Figures 4.1 (L1), 4.2 (L2) and 4.3 (memory).
-// Memory instances are identified by (address, identifier) pairs and
+// An L1 or L2 instance lives in the cache word it was filled into. Memory
+// instances are identified by (address, identifier) pairs and
 // reference-counted across all on-chip copies, because a non-inclusive
 // DeNovo L2 can hold several copies of the same word from different memory
 // fetches at once.
@@ -18,6 +19,7 @@ package waste
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -93,17 +95,29 @@ func (l Level) String() string {
 // tag.
 type ClassifyFunc func(level Level, class uint8, cat Category, share float64, measured bool)
 
-// inst is one open instance, packed to 20 bytes. A record lives only
-// while its instance is open: classification settles it, and its slot
-// goes back to the free list for the next instance.
-type inst struct {
+// An L1 or L2 instance lives in its cache word (cache.Line.Inst), not in
+// a record: Fill writes an open word, and the entry point that classifies
+// the instance zeroes it. A settled word is therefore 0, and every entry
+// point ignores it. An open word packs what the instance reports:
+//
+//	bits 0-31   the share, as float32 bits
+//	bits 32-39  the class tag
+//	bits 40-41  the level
+//	bit  42     measured
+//	bit  63     set, so an open word is never 0
+const (
+	wordMeasured = 1 << 42
+	wordOpen     = 1 << 63
+)
+
+// memInst is one open memory instance, packed to 16 bytes. A record lives
+// only while its instance is open: classification settles it, and its
+// slot goes back to the free list for the next instance.
+type memInst struct {
 	addr  uint32
-	share float32
-	refs  int32  // LevelMem only: live on-chip copies
+	refs  int32  // live on-chip copies
 	gen   uint32 // the slot's generation: bumped each time the slot is freed
-	level Level
-	class uint8 // traffic class tag
-	flags uint8 // flagMeasured, flagLive
+	flags uint8  // flagMeasured, flagLive
 }
 
 const (
@@ -111,22 +125,25 @@ const (
 	flagLive
 )
 
-// Profiler owns the open word instances of one simulation run. An
-// instance id is its record's slot in the low 32 bits and the slot's
-// generation in the high 32, so an id that outlives its instance (a cache
-// word or a message still holds it after classification) names a slot
-// whose generation has moved on: every entry point ignores it, exactly as
-// it ignores a classified instance, and never touches the slot's next
-// tenant. The table grows only with the peak number of open instances.
+// Profiler owns the open word instances of one simulation run. L1 and L2
+// instances live in the cache words Track registers. A memory instance id
+// is its record's slot in the low 32 bits and the slot's generation in
+// the high 32, so an id that outlives its instance (a cache word or a
+// message still holds it after classification) names a slot whose
+// generation has moved on: every entry point ignores it, exactly as it
+// ignores a classified instance, and never touches the slot's next
+// tenant. The record table grows only with the peak number of open memory
+// instances.
 type Profiler struct {
-	recs       []inst   // recs[0] is reserved: id 0 means "none"
-	free       []uint32 // free slots, reused last-freed first
-	made       uint64   // instances created
+	recs       []memInst // recs[0] is reserved: id 0 means "none"
+	free       []uint32  // free slots, reused last-freed first
+	tracked    [][]uint64
+	made       uint64 // instances created, at every level
 	counts     [numLevels][numCategories]uint64
 	measuring  bool
 	onClassify ClassifyFunc
 
-	// The open LevelMem instances of each word address, in the order
+	// The open memory instances of each word address, in the order
 	// MemStore classifies them. openSlot maps a word index (addr>>2) to
 	// 1 + the index of its list in openLists, 0 for none; it grows to the
 	// highest word fetched. An emptied list's slot goes on openFree with
@@ -145,13 +162,14 @@ var recycled sync.Pool
 func NewProfiler() *Profiler {
 	p, _ := recycled.Get().(*Profiler)
 	if p == nil {
-		return &Profiler{recs: make([]inst, 1, 256)}
+		return &Profiler{recs: make([]memInst, 1, 256)}
 	}
 	// MemFetch grows the index into capacity it expects to be zero.
 	clear(p.openSlot[:cap(p.openSlot)])
 	*p = Profiler{
-		recs:      append(p.recs[:0], inst{}),
+		recs:      append(p.recs[:0], memInst{}),
 		free:      p.free[:0],
+		tracked:   p.tracked[:0],
 		openSlot:  p.openSlot[:0],
 		openLists: p.openLists[:0],
 		openFree:  p.openFree[:0],
@@ -159,16 +177,22 @@ func NewProfiler() *Profiler {
 	return p
 }
 
-// Recycle hands the profiler's tables to the next NewProfiler. The caller
-// must not use the profiler again.
+// Recycle hands the profiler's tables to the next NewProfiler and drops
+// the cache words it tracks. The caller must not use the profiler again.
 func (p *Profiler) Recycle() {
 	p.onClassify = nil // the observer holds the ended run's traffic recorder
+	clear(p.tracked)
 	recycled.Put(p)
 }
 
+// Track adds a cache's instance words, the Inst words of every line, to
+// the words Finish sweeps. Every L1 and L2 instance lives in a tracked
+// word from Fill until it classifies.
+func (p *Profiler) Track(words []uint64) { p.tracked = append(p.tracked, words) }
+
 // get returns id's record while its instance is open, nil otherwise (id 0,
 // or an id whose instance has been classified).
-func (p *Profiler) get(id uint64) *inst {
+func (p *Profiler) get(id uint64) *memInst {
 	slot := uint32(id)
 	if slot == 0 || int(slot) >= len(p.recs) {
 		return nil
@@ -199,15 +223,39 @@ func (p *Profiler) TotalWords(level Level) uint64 {
 	return n
 }
 
-// Instances returns the number of instances created so far, open or
-// classified.
+// Instances returns the number of instances created so far at every
+// level, open or classified.
 func (p *Profiler) Instances() int { return int(p.made) }
 
-// PeakLive returns the most instances that were open at once: the size
-// of the record table.
+// PeakLive returns the most memory instances that were open at once: the
+// size of the record table.
 func (p *Profiler) PeakLive() int { return len(p.recs) - 1 }
 
-func (p *Profiler) new(level Level, addr uint32) uint64 {
+// report counts a classification and passes it to the observer.
+func (p *Profiler) report(level Level, class uint8, cat Category, share float32, measured bool) {
+	if measured {
+		p.counts[level][cat]++
+	}
+	if p.onClassify != nil {
+		p.onClassify(level, class, cat, float64(share), measured)
+	}
+}
+
+// reportWord reports the classification of the instance an open word
+// describes.
+func (p *Profiler) reportWord(open uint64, cat Category) {
+	p.report(Level(open>>40&3), uint8(open>>32), cat, math.Float32frombits(uint32(open)), open&wordMeasured != 0)
+}
+
+// settle classifies the open word *w as cat and zeroes it. A settled word
+// is 0, and callers skip it before the call.
+func (p *Profiler) settle(w *uint64, cat Category) {
+	open := *w
+	*w = 0
+	p.reportWord(open, cat)
+}
+
+func (p *Profiler) newMem(addr uint32) uint64 {
 	p.made++
 	var slot uint32
 	if n := len(p.free); n > 0 {
@@ -215,63 +263,56 @@ func (p *Profiler) new(level Level, addr uint32) uint64 {
 		p.free = p.free[:n-1]
 	} else {
 		slot = uint32(len(p.recs))
-		p.recs = append(p.recs, inst{})
+		p.recs = append(p.recs, memInst{})
 	}
 	in := &p.recs[slot]
-	*in = inst{addr: addr, gen: in.gen, level: level, flags: flagLive}
+	*in = memInst{addr: addr, gen: in.gen, flags: flagLive}
 	if p.measuring {
 		in.flags |= flagMeasured
 	}
 	return uint64(in.gen)<<32 | uint64(slot)
 }
 
-// classify settles an open instance and frees its record; a stale id is
-// ignored.
+// classify settles an open memory instance and frees its record; a stale
+// id is ignored.
 func (p *Profiler) classify(id uint64, cat Category) {
 	in := p.get(id)
 	if in == nil {
 		return
 	}
-	level, class, share, addr := in.level, in.class, in.share, in.addr
-	measured := in.flags&flagMeasured != 0
+	addr, measured := in.addr, in.flags&flagMeasured != 0
 	in.flags = 0
 	// A slot whose generation would wrap is retired, so no id is ever
 	// reissued.
 	if in.gen++; in.gen != ^uint32(0) {
 		p.free = append(p.free, uint32(id))
 	}
-	if measured {
-		p.counts[level][cat]++
-	}
-	if p.onClassify != nil {
-		p.onClassify(level, class, cat, float64(share), measured)
-	}
-	if level == LevelMem {
-		p.dropOpenMem(addr, id)
-	}
+	p.report(LevelMem, 0, cat, 0, measured)
+	p.dropOpenMem(addr, id)
 }
 
 // Fill records the words of mask arriving at one line of an L1 or L2
 // (level) in a message of traffic class class, each carrying share
-// flit-hops; word w's byte address is base+4w. It is the only way an L1
-// or L2 instance is made, and every instance gets its class and share
-// here, to be reported when it classifies. A word in present was already
-// valid there: its copy is Fetch waste at once, share and all, and inst[w]
-// keeps the cached copy's id. Every other word gets a new instance in
-// inst[w], and its memory instance minst[w] gains an on-chip copy when
-// ref is set (an ownership transfer moves the copy instead).
-func (p *Profiler) Fill(level Level, base uint32, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
+// flit-hops. It is the only way an L1 or L2 instance is made, and every
+// instance gets its class and share here, to be reported when it
+// classifies. A word in present was already valid there: its copy is
+// Fetch waste at once, share and all, and inst[w] keeps the cached copy's
+// instance. Every other word's instance opens in inst[w], which must be
+// settled (0), and its memory instance minst[w] gains an on-chip copy
+// when ref is set (an ownership transfer moves the copy instead).
+func (p *Profiler) Fill(level Level, mask, present uint16, class uint8, share float64, inst, minst []uint64, ref bool) {
+	open := wordOpen | uint64(level)<<40 | uint64(class)<<32 | uint64(math.Float32bits(float32(share)))
+	if p.measuring {
+		open |= wordMeasured
+	}
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros16(m)
-		id := p.new(level, base+uint32(w)*4)
-		in := &p.recs[uint32(id)]
-		in.class = class
-		in.share = float32(share)
+		p.made++
 		if present&(1<<w) != 0 {
-			p.classify(id, Fetch)
+			p.reportWord(open, Fetch)
 			continue
 		}
-		inst[w] = id
+		inst[w] = open
 		if ref {
 			p.MemAddRef(minst[w])
 		}
@@ -287,7 +328,9 @@ func (p *Profiler) Fill(level Level, base uint32, mask, present uint16, class ui
 func (p *Profiler) Release(mask uint16, cat Category, inst, minst []uint64, comm bool) {
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros16(m)
-		p.classify(inst[w], cat)
+		if inst[w] != 0 {
+			p.settle(&inst[w], cat)
+		}
 		if minst != nil && minst[w] != 0 {
 			p.MemRelease(minst[w], comm)
 			minst[w] = 0
@@ -298,20 +341,33 @@ func (p *Profiler) Release(mask uint16, cat Category, inst, minst []uint64, comm
 // --- L1 FSM (Figure 4.1) ---
 //
 // Arrivals go through Fill, and evictions and invalidations through
-// Release.
+// Release. The word entry points take the cache word the instance lives
+// in, and settle it.
 
-// L1Load marks the word instance as read by the program (Used).
-func (p *Profiler) L1Load(id uint64) { p.classify(id, Used) }
+// L1Load marks the word's instance as read by the program (Used).
+func (p *Profiler) L1Load(w *uint64) {
+	if *w != 0 {
+		p.settle(w, Used)
+	}
+}
 
-// L1Store marks the word instance overwritten before use (Write).
-func (p *Profiler) L1Store(id uint64) { p.classify(id, Write) }
+// L1Store marks the word's instance overwritten before use (Write).
+func (p *Profiler) L1Store(w *uint64) {
+	if *w != 0 {
+		p.settle(w, Write)
+	}
+}
 
 // --- L2 FSM (Figure 4.2) ---
 //
 // Arrivals go through Fill, and overwrites and evictions through Release.
 
 // L2Served marks the word returned to an L1 as part of a response (Used).
-func (p *Profiler) L2Served(id uint64) { p.classify(id, Used) }
+func (p *Profiler) L2Served(w *uint64) {
+	if *w != 0 {
+		p.settle(w, Used)
+	}
+}
 
 // --- Memory FSM (Figure 4.3) ---
 
@@ -320,7 +376,7 @@ func (p *Profiler) L2Served(id uint64) { p.classify(id, Used) }
 // references. presentInL2 applies the Figure 4.3 "address present in L2"
 // check (immediate Fetch classification).
 func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
-	id := p.new(LevelMem, addr)
+	id := p.newMem(addr)
 	if presentInL2 {
 		p.classify(id, Fetch)
 		return id
@@ -364,7 +420,7 @@ func (p *Profiler) openList(addr uint32) ([]uint64, int32) {
 // MemExcess records a word fetched from DRAM and dropped at the MC by the
 // L2 Flex filter: it never reaches the chip.
 func (p *Profiler) MemExcess(addr uint32) uint64 {
-	id := p.new(LevelMem, addr)
+	id := p.newMem(addr)
 	p.classify(id, Excess)
 	return id
 }
@@ -438,8 +494,17 @@ func (p *Profiler) dropOpenMem(addr uint32, id uint64) {
 }
 
 // Finish classifies every still-open instance as Unevicted (end of the
-// measurement window, Figure 4.1-4.3 terminal edge), in slot order.
+// measurement window, Figure 4.1-4.3 terminal edge): the open words of the
+// tracked caches in the order Track listed them, then the memory
+// instances in slot order.
 func (p *Profiler) Finish() {
+	for _, words := range p.tracked {
+		for i := range words {
+			if words[i] != 0 {
+				p.settle(&words[i], Unevicted)
+			}
+		}
+	}
 	for slot := 1; slot < len(p.recs); slot++ {
 		if in := &p.recs[slot]; in.flags&flagLive != 0 {
 			p.classify(uint64(in.gen)<<32|uint64(slot), Unevicted)

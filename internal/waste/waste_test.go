@@ -14,43 +14,45 @@ func newMeasuring() *Profiler {
 }
 
 // fillWord and releaseWord drive the line entry points one word at a
-// time: a one-bit mask over word 0 of a line based at addr. fillWord's
-// word arrives in a message of class class carrying share flit-hops; it
-// returns the new instance's id, 0 for a word already present (its
-// arrival classifies as Fetch at once).
-func fillWord(p *Profiler, level Level, addr uint32, present bool, class uint8, share float64) uint64 {
-	var inst [1]uint64
+// time: a one-bit mask over a line of one word, which the profiler
+// tracks. fillWord's word arrives in a message of class class carrying
+// share flit-hops; it returns the line, whose word holds the new
+// instance, or 0 for a word already present (its arrival classifies as
+// Fetch at once).
+func fillWord(p *Profiler, level Level, present bool, class uint8, share float64) []uint64 {
+	inst := make([]uint64, 1)
+	p.Track(inst)
 	var pres uint16
 	if present {
 		pres = 1
 	}
-	p.Fill(level, addr, 1, pres, class, share, inst[:], nil, false)
-	return inst[0]
+	p.Fill(level, 1, pres, class, share, inst, nil, false)
+	return inst
 }
 
-func releaseWord(p *Profiler, id uint64, cat Category) {
-	p.Release(1, cat, []uint64{id}, nil, false)
+func releaseWord(p *Profiler, inst []uint64, cat Category) {
+	p.Release(1, cat, inst, nil, false)
 }
 
 func TestL1FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
 
 	// load -> Used
-	id := fillWord(p, LevelL1, 0, false, 0, 0)
-	p.L1Load(id)
+	id := fillWord(p, LevelL1, false, 0, 0)
+	p.L1Load(&id[0])
 	// store before load -> Write
-	id = fillWord(p, LevelL1, 4, false, 0, 0)
-	p.L1Store(id)
+	id = fillWord(p, LevelL1, false, 0, 0)
+	p.L1Store(&id[0])
 	// invalidate before use -> Invalidate
-	id = fillWord(p, LevelL1, 8, false, 0, 0)
+	id = fillWord(p, LevelL1, false, 0, 0)
 	releaseWord(p, id, Invalidate)
 	// evict before use -> Evict
-	id = fillWord(p, LevelL1, 12, false, 0, 0)
+	id = fillWord(p, LevelL1, false, 0, 0)
 	releaseWord(p, id, Evict)
 	// already present -> Fetch immediately
-	fillWord(p, LevelL1, 16, true, 0, 0)
+	fillWord(p, LevelL1, true, 0, 0)
 	// nothing -> Unevicted at Finish
-	fillWord(p, LevelL1, 20, false, 0, 0)
+	fillWord(p, LevelL1, false, 0, 0)
 	p.Finish()
 
 	for _, c := range []Category{Used, Write, Invalidate, Evict, Fetch, Unevicted} {
@@ -62,10 +64,10 @@ func TestL1FSMAllPaths(t *testing.T) {
 
 func TestClassifyOnce(t *testing.T) {
 	p := newMeasuring()
-	id := fillWord(p, LevelL1, 0, false, 0, 0)
-	p.L1Load(id)              // Used (terminal)
+	id := fillWord(p, LevelL1, false, 0, 0)
+	p.L1Load(&id[0])          // Used (terminal)
 	releaseWord(p, id, Evict) // must not reclassify
-	p.L1Store(id)
+	p.L1Store(&id[0])
 	if p.Count(LevelL1, Used) != 1 || p.Count(LevelL1, Evict) != 0 || p.Count(LevelL1, Write) != 0 {
 		t.Fatal("instance reclassified after terminal state")
 	}
@@ -73,11 +75,11 @@ func TestClassifyOnce(t *testing.T) {
 
 func TestL2FSMAllPaths(t *testing.T) {
 	p := newMeasuring()
-	p.L2Served(fillWord(p, LevelL2, 0, false, 0, 0))
-	releaseWord(p, fillWord(p, LevelL2, 4, false, 0, 0), Write)
-	releaseWord(p, fillWord(p, LevelL2, 8, false, 0, 0), Evict)
-	fillWord(p, LevelL2, 12, true, 0, 0) // Fetch
-	fillWord(p, LevelL2, 16, false, 0, 0)
+	p.L2Served(&fillWord(p, LevelL2, false, 0, 0)[0])
+	releaseWord(p, fillWord(p, LevelL2, false, 0, 0), Write)
+	releaseWord(p, fillWord(p, LevelL2, false, 0, 0), Evict)
+	fillWord(p, LevelL2, true, 0, 0) // Fetch
+	fillWord(p, LevelL2, false, 0, 0)
 	p.Finish()
 	for _, c := range []Category{Used, Write, Evict, Fetch, Unevicted} {
 		if got := p.Count(LevelL2, c); got != 1 {
@@ -147,54 +149,48 @@ func TestMemStoreClassifiesAllOpenInstances(t *testing.T) {
 }
 
 // MemStore classifies an address's open instances in their list order,
-// and releasing one swaps the last into its place. The traffic recorder
-// sums float shares in OnClassify order, so that order is part of the
-// results and is pinned here: open 1,2,3,4; release 2 -> 1,4,3; also a
-// slot freed by one address and reused by another keeps the order.
+// and releasing one swaps the last into its place. FuzzProfilerRecycle
+// compares the classification stream in order with the reference's, so
+// that order is pinned here: open 1,2,3,4; release 2 -> 1,4,3; also a
+// list freed by one address and reused by another keeps the order.
 func TestMemStoreClassifyOrder(t *testing.T) {
 	p := newMeasuring()
-	var got []uint8
-	p.OnClassify(func(level Level, class uint8, cat Category, share float64, measured bool) {
-		if cat == Write {
-			got = append(got, class)
-		}
-	})
-	fetch := func(addr uint32, tag uint8) uint64 {
+	fetch := func(addr uint32) uint64 {
 		id := p.MemFetch(addr, false)
 		p.MemAddRef(id)
-		p.recs[uint32(id)].class = tag // the class tag names the instance
 		return id
 	}
-	check := func(want ...uint8) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("Write order %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Write order %v, want %v", got, want)
-			}
-		}
-		got = got[:0]
+	open := func(addr uint32) []uint64 {
+		ids, _ := p.openList(addr)
+		return slices.Clone(ids)
 	}
 
-	var ids [5]uint64
+	var ids [8]uint64
 	for i := 1; i <= 4; i++ {
-		ids[i] = fetch(128, uint8(i))
+		ids[i] = fetch(128)
 	}
 	p.MemRelease(ids[2], false) // Evict: 4 moves into 2's place
+	if got, want := open(128), []uint64{ids[1], ids[4], ids[3]}; !slices.Equal(got, want) {
+		t.Fatalf("open list %x, want %x", got, want)
+	}
 	p.MemStore(128)
-	check(1, 4, 3)
+	if got := p.Count(LevelMem, Write); got != 3 {
+		t.Fatalf("MemStore classified %d instances, want 3", got)
+	}
 
 	// 128's emptied list is reused for 256; the order must not leak.
 	for i := 5; i <= 7; i++ {
-		fetch(256, uint8(i))
+		ids[i] = fetch(256)
+	}
+	if got, want := open(256), ids[5:8]; !slices.Equal(got, want) {
+		t.Fatalf("open list %x, want %x", got, want)
 	}
 	p.MemStore(256)
-	check(5, 6, 7)
 	p.MemStore(128) // nothing open any more
 	p.MemStore(130) // unaligned addresses are never fetched
-	check()
+	if got := p.Count(LevelMem, Write); got != 6 {
+		t.Fatalf("%d Write classifications, want 6", got)
+	}
 }
 
 func TestMemFetchPresentInL2(t *testing.T) {
@@ -215,14 +211,14 @@ func TestMemExcess(t *testing.T) {
 
 func TestWarmupNotCounted(t *testing.T) {
 	p := NewProfiler() // warm-up mode
-	warm := fillWord(p, LevelL1, 0, false, 0, 0)
+	warm := fillWord(p, LevelL1, false, 0, 0)
 	p.StartMeasurement()
-	p.L1Load(warm) // classification lands after measurement starts
+	p.L1Load(&warm[0]) // classification lands after measurement starts
 	if p.TotalWords(LevelL1) != 0 {
 		t.Fatal("warm-up instance counted")
 	}
-	meas := fillWord(p, LevelL1, 4, false, 0, 0)
-	p.L1Load(meas)
+	meas := fillWord(p, LevelL1, false, 0, 0)
+	p.L1Load(&meas[0])
 	if p.Count(LevelL1, Used) != 1 {
 		t.Fatal("measured instance not counted")
 	}
@@ -237,8 +233,8 @@ func TestOnClassifyObserver(t *testing.T) {
 	p.OnClassify(func(level Level, class uint8, cat Category, share float64, measured bool) {
 		gotLevel, gotClass, gotCat, gotShare = level, class, cat, share
 	})
-	id := fillWord(p, LevelL1, 0, false, 3, 2)
-	p.L1Load(id)
+	id := fillWord(p, LevelL1, false, 3, 2)
+	p.L1Load(&id[0])
 	if gotLevel != LevelL1 || gotCat != Used || gotShare != 2.0 || gotClass != 3 {
 		t.Fatalf("observer got level=%v cat=%v share=%v class=%d", gotLevel, gotCat, gotShare, gotClass)
 	}
@@ -253,8 +249,8 @@ func TestPresentWordReportsShare(t *testing.T) {
 	p.OnClassify(func(l Level, c uint8, cat Category, share float64, m bool) {
 		got = append(got, classified{l, c, cat, share, m})
 	})
-	fillWord(p, LevelL1, 0, true, 1, 0.75)
-	fillWord(p, LevelL2, 4, true, 2, 1.5)
+	fillWord(p, LevelL1, true, 1, 0.75)
+	fillWord(p, LevelL2, true, 2, 1.5)
 	want := []classified{{LevelL1, 1, Fetch, 0.75, true}, {LevelL2, 2, Fetch, 1.5, true}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("classified %+v, want %+v", got, want)
@@ -263,7 +259,8 @@ func TestPresentWordReportsShare(t *testing.T) {
 
 func TestZeroIDIgnored(t *testing.T) {
 	p := newMeasuring()
-	p.L1Load(0)
+	var settled uint64
+	p.L1Load(&settled)
 	p.MemAddRef(0)
 	p.MemRelease(0, false)
 	if p.TotalWords(LevelL1) != 0 {
@@ -278,15 +275,16 @@ func TestConservationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := newMeasuring()
 		created := [3]uint64{}
-		var l1IDs, l2IDs, memIDs []uint64
+		var l1Words, l2Words [][]uint64
+		var memIDs []uint64
 		for i := 0; i < 300; i++ {
 			addr := uint32(rng.Intn(64)) * 4
 			switch rng.Intn(9) {
 			case 0:
-				l1IDs = append(l1IDs, fillWord(p, LevelL1, addr, rng.Intn(4) == 0, 0, 0))
+				l1Words = append(l1Words, fillWord(p, LevelL1, rng.Intn(4) == 0, 0, 0))
 				created[LevelL1]++
 			case 1:
-				l2IDs = append(l2IDs, fillWord(p, LevelL2, addr, rng.Intn(4) == 0, 0, 0))
+				l2Words = append(l2Words, fillWord(p, LevelL2, rng.Intn(4) == 0, 0, 0))
 				created[LevelL2]++
 			case 2:
 				id := p.MemFetch(addr, rng.Intn(4) == 0)
@@ -294,16 +292,16 @@ func TestConservationProperty(t *testing.T) {
 				memIDs = append(memIDs, id)
 				created[LevelMem]++
 			case 3:
-				if len(l1IDs) > 0 {
-					p.L1Load(l1IDs[rng.Intn(len(l1IDs))])
+				if len(l1Words) > 0 {
+					p.L1Load(&l1Words[rng.Intn(len(l1Words))][0])
 				}
 			case 4:
-				if len(l1IDs) > 0 {
-					releaseWord(p, l1IDs[rng.Intn(len(l1IDs))], Evict)
+				if len(l1Words) > 0 {
+					releaseWord(p, l1Words[rng.Intn(len(l1Words))], Evict)
 				}
 			case 5:
-				if len(l2IDs) > 0 {
-					p.L2Served(l2IDs[rng.Intn(len(l2IDs))])
+				if len(l2Words) > 0 {
+					p.L2Served(&l2Words[rng.Intn(len(l2Words))][0])
 				}
 			case 6:
 				if len(memIDs) > 0 {
@@ -332,27 +330,29 @@ func TestConservationProperty(t *testing.T) {
 
 func BenchmarkProfilerLifecycle(b *testing.B) {
 	p := newMeasuring()
+	inst := make([]uint64, 1)
+	p.Track(inst)
 	for i := 0; i < b.N; i++ {
-		id := fillWord(p, LevelL1, uint32(i)*4, false, 0, 0)
+		p.Fill(LevelL1, 1, 0, 0, 0, inst, nil, false)
 		if i%2 == 0 {
-			p.L1Load(id)
+			p.L1Load(&inst[0])
 		} else {
-			releaseWord(p, id, Evict)
+			releaseWord(p, inst, Evict)
 		}
 	}
 }
 
 func TestSnapshot(t *testing.T) {
 	p := newMeasuring()
-	p.L1Load(fillWord(p, LevelL1, 0, false, 0, 0))
-	releaseWord(p, fillWord(p, LevelL2, 4, false, 0, 0), Evict)
+	p.L1Load(&fillWord(p, LevelL1, false, 0, 0)[0])
+	releaseWord(p, fillWord(p, LevelL2, false, 0, 0), Evict)
 	p.MemExcess(8)
 	s := p.Snapshot()
 	if s[LevelL1][Used] != 1 || s[LevelL2][Evict] != 1 || s[LevelMem][Excess] != 1 {
 		t.Fatalf("snapshot = %v", s)
 	}
 	// Detached: later events do not mutate the snapshot.
-	p.L1Load(fillWord(p, LevelL1, 12, false, 0, 0))
+	p.L1Load(&fillWord(p, LevelL1, false, 0, 0)[0])
 	if s[LevelL1][Used] != 1 {
 		t.Fatal("snapshot not detached")
 	}
@@ -360,20 +360,49 @@ func TestSnapshot(t *testing.T) {
 
 func TestChunkGrowth(t *testing.T) {
 	p := newMeasuring()
-	// Keep enough instances open at once that the record table grows many
-	// times, and verify ids stay addressable across the moves.
+	// Keep enough memory instances open at once that the record table
+	// grows many times, and verify ids stay addressable across the moves.
 	n := 1<<17 + 37
 	ids := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
-		ids = append(ids, fillWord(p, LevelL1, uint32(i)*4, false, 0, 0))
+		ids = append(ids, p.MemFetch(uint32(i)*4, false))
 	}
 	for _, id := range ids {
-		p.L1Load(id)
+		p.MemLoad(id)
 	}
-	if got := p.Count(LevelL1, Used); got != uint64(n) {
+	if got := p.Count(LevelMem, Used); got != uint64(n) {
 		t.Fatalf("classified %d of %d across chunks", got, n)
 	}
 	if got := p.PeakLive(); got != n {
 		t.Fatalf("PeakLive = %d, want %d", got, n)
+	}
+}
+
+// TestFinishSweepsTrackedWords pins where Finish finds the open L1 and L2
+// instances: in the words Track registered, which it settles to 0, and
+// only while the profiler's run lasts. A word left open in an array a
+// recycled profiler tracked is not the next run's.
+func TestFinishSweepsTrackedWords(t *testing.T) {
+	p := newMeasuring()
+	line := make([]uint64, 16)
+	p.Track(line)
+	p.Fill(LevelL2, 0x0f0f, 0x0003, 1, 0.5, line, nil, false)
+	p.L2Served(&line[2])
+	p.Finish()
+	if got := p.Count(LevelL2, Unevicted); got != 5 {
+		t.Fatalf("%d words Unevicted, want the 5 still open", got)
+	}
+	if got := p.Count(LevelL2, Fetch); got != 2 {
+		t.Fatalf("%d words Fetch, want the 2 present", got)
+	}
+	if !slices.Equal(line, make([]uint64, 16)) {
+		t.Fatalf("words %x left open after Finish", line)
+	}
+	p.Fill(LevelL1, 1, 0, 0, 0, line, nil, false)
+	p.Recycle()
+	q := newMeasuring()
+	q.Finish()
+	if q.TotalWords(LevelL1) != 0 || line[0] == 0 {
+		t.Fatal("a recycled profiler's tracked words reached the next run")
 	}
 }
