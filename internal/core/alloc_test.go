@@ -18,14 +18,14 @@ import (
 // directory entry comes from a free list, and a finished cell hands its
 // cache arrays, Bloom banks, waste tables, kernel queues, op buffers,
 // oracle and backing store to the next (DESIGN.md, "Free-list ownership
-// rules"). What remains is mostly the maps that grow with the lines in
-// flight and the protocol engine's own structures. Each budget is the
-// second call's measured count or size plus about 25% headroom; bringing
-// back a closure, map or record per event on the hot path overshoots the
-// count (radix/MESI made 617k allocations per cell when its messages were
-// not recycled), and a structure that stops being recycled overshoots the
-// bytes (the five cells allocated 2.9, 2.8, 5.6, 7.6 and 3.9 MB each
-// before cells recycled their memory).
+// rules"). What remains is mostly the line tables that grow with the
+// lines in flight and the protocol engine's own structures. Each budget
+// is the second call's measured count or size plus about 25% headroom;
+// bringing back a closure, map or record per event on the hot path
+// overshoots the count (radix/MESI made 617k allocations per cell when
+// its messages were not recycled), and a structure that stops being
+// recycled overshoots the bytes (the five cells allocated 2.9, 2.8, 5.6,
+// 7.6 and 3.9 MB each before cells recycled their memory).
 func TestTinyCellAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets are checked by the full (non-short, non-race) run")
@@ -70,7 +70,10 @@ func TestTinyCellAllocBudget(t *testing.T) {
 // TestTinyCellPeakLiveRecords pins that the waste profiler's memory
 // follows the live state: radix/MESI, which makes about 1.83M word
 // instances in one Tiny cell, never holds more instance records at once
-// than the chip has word slots in its L1s and L2 slices.
+// than the chip has word slots in its L1s and L2 slices. Only memory
+// instances have records (L1 and L2 instances live in their cache
+// words), and the cell peaks at 1,847 of them; with a record per word
+// instance it peaked at 5,645.
 func TestTinyCellPeakLiveRecords(t *testing.T) {
 	cfg := memsys.Default().Scaled(workloads.Tiny.ScaleDiv())
 	prog := workloads.MustByName("radix", workloads.Tiny, 16)
