@@ -51,13 +51,13 @@ func (t *LineTable[V]) find(line uint32) int {
 	}
 }
 
-// Get returns line's value and whether it has an entry.
-func (t *LineTable[V]) Get(line uint32) (V, bool) {
+// Get returns line's value, or the zero value when line has no entry.
+func (t *LineTable[V]) Get(line uint32) V {
 	if i := t.find(line); i >= 0 {
-		return t.slots[i].val, true
+		return t.slots[i].val
 	}
 	var zero V
-	return zero, false
+	return zero
 }
 
 // Has reports whether line has an entry.
@@ -154,30 +154,7 @@ func (t *LineTable[V]) Range(f func(line uint32, v V)) {
 }
 
 // Table is a pending-transaction table keyed by line address: MSHRs,
-// victim (writeback) buffers, L2 fetch tables. It holds one record per
-// line; the record lives outside the table, so a pointer to it survives
-// the table's growth and deletes.
-type Table[V any] struct {
-	lines LineTable[*V]
-}
-
-// Get returns the entry for line, or nil.
-func (t *Table[V]) Get(line uint32) *V { v, _ := t.lines.Get(line); return v }
-
-// Has reports whether line has an entry.
-func (t *Table[V]) Has(line uint32) bool { return t.lines.Has(line) }
-
-// Put installs an entry for line.
-func (t *Table[V]) Put(line uint32, v *V) { t.lines.Put(line, v) }
-
-// Delete removes line's entry.
-func (t *Table[V]) Delete(line uint32) { t.lines.Delete(line) }
-
-// Len returns the number of entries.
-func (t *Table[V]) Len() int { return t.lines.Len() }
-
-// SortedLines returns the keys in ascending order.
-func (t *Table[V]) SortedLines() []uint32 { return t.lines.SortedLines() }
-
-// Range visits entries in table order, for side-effect-free uses only.
-func (t *Table[V]) Range(f func(line uint32, v *V)) { t.lines.Range(f) }
+// victim (writeback) buffers, L2 fetch tables, the MESI directory. It
+// holds a pointer to one record per line, so a record survives the
+// table's growth and deletes, and Get returns nil for a line without one.
+type Table[V any] = LineTable[*V]

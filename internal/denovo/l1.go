@@ -246,7 +246,7 @@ func (l *l1Cache) tryRequestBypass(m *mshr) {
 func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
 	idx := l.blooms.FilterIndex(m.key)
 	key := uint32(slice*4096 + idx)
-	waiters, _ := l.bloomWait.Get(key)
+	waiters := l.bloomWait.Get(key)
 	l.bloomWait.Put(key, append(waiters, mshrRef{m, m.gen}))
 	if len(waiters) > 0 {
 		return // request already in flight
@@ -257,7 +257,7 @@ func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
 func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
 	l.blooms.LoadCopy(m.slice, m.idx, m.snap)
 	key := uint32(m.slice*4096 + m.idx)
-	waiters, _ := l.bloomWait.Get(key)
+	waiters := l.bloomWait.Get(key)
 	l.bloomWait.Delete(key)
 	for _, r := range waiters {
 		if r.ms.gen == r.gen {

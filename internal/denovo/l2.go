@@ -174,8 +174,7 @@ func (sl *l2Slice) handleOp(op lineOp) {
 		sl.start(op)
 		return
 	}
-	q, _ := sl.gate.Get(line)
-	sl.gate.Put(line, append(q, op))
+	sl.gate.Put(line, append(sl.gate.Get(line), op))
 }
 
 // start runs a line operation that holds its line's gate: at once when
@@ -189,10 +188,10 @@ func (sl *l2Slice) start(op lineOp) {
 }
 
 func (sl *l2Slice) unlockLine(line uint32) {
-	q, gated := sl.gate.Get(line)
-	if !gated {
+	if !sl.gate.Has(line) {
 		panic("denovo: unlock of ungated line")
 	}
+	q := sl.gate.Get(line)
 	if len(q) == 0 {
 		sl.gate.Delete(line)
 		return
@@ -598,10 +597,10 @@ func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 
 func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	ln := sl.c.Lookup(m.line)
-	st, ok := sl.evictCont.Get(m.line)
-	if !ok || ln == nil {
+	st := sl.evictCont.Get(m.line) // an eviction waits on at least one owner
+	if st.pending == 0 || ln == nil {
 		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: evicting=%v ln=%v gated=%v",
-			sl.tile, m.line, m.from, m.mask, ok, ln != nil, sl.gate.Has(m.line)))
+			sl.tile, m.line, m.from, m.mask, st.pending > 0, ln != nil, sl.gate.Has(m.line)))
 	}
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
