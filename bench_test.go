@@ -151,7 +151,7 @@ func ablationRunSized(b *testing.B, size workloads.Size, proto, bench string, mu
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.Total(), "flit-hops")
+	b.ReportMetric(res.FlitHops.Total(), "flit-hops")
 	b.ReportMetric(float64(res.ExecCycles), "cycles")
 	b.ReportMetric(res.WasteShare*100, "waste_%")
 }

@@ -69,23 +69,6 @@ func TestTableSortedLines(t *testing.T) {
 	}
 }
 
-func TestWriteCombinerOldestDeterministic(t *testing.T) {
-	wc := NewWriteCombiner()
-	wc.Add(0x30, 100)
-	wc.Add(0x10, 50)
-	wc.Add(0x20, 50) // same birth time: line address breaks the tie
-	if o := wc.Oldest(); o == nil || o.Line != 0x10 {
-		t.Fatalf("Oldest = %+v, want line 0x10", o)
-	}
-	wc.Remove(0x10)
-	if o := wc.Oldest(); o == nil || o.Line != 0x20 {
-		t.Fatalf("Oldest after remove = %+v, want line 0x20", o)
-	}
-	if got := wc.SortedLines(); !reflect.DeepEqual(got, []uint32{0x20, 0x30}) {
-		t.Fatalf("SortedLines = %v", got)
-	}
-}
-
 func TestDrainGate(t *testing.T) {
 	var g DrainGate
 	fired := 0

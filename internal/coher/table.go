@@ -143,8 +143,9 @@ func (t *LineTable[V]) SortedLines() []uint32 {
 }
 
 // Range visits entries in table order. Only for side-effect-free uses
-// (diagnostics, invariant checks); simulation-visible iteration must use
-// SortedLines.
+// whose result does not depend on that order (diagnostics, invariant
+// checks, a minimum under a strict order); simulation-visible iteration
+// must use SortedLines.
 func (t *LineTable[V]) Range(f func(line uint32, v V)) {
 	for _, s := range t.slots {
 		if s.key != 0 {

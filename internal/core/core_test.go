@@ -47,7 +47,7 @@ func TestRunOneProducesResult(t *testing.T) {
 	if res.Protocol != "MESI" || res.Benchmark != "FFT" {
 		t.Fatal("result identity wrong")
 	}
-	if res.Total() <= 0 || res.ExecCycles <= 0 {
+	if res.FlitHops.Total() <= 0 || res.ExecCycles <= 0 {
 		t.Fatal("empty result")
 	}
 	if res.Time.Total() <= 0 {
@@ -249,7 +249,7 @@ func TestBloomGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: %v", c.filters, c.entries, err)
 		}
-		total, bloom := res.Total(), res.FlitHops[memsys.ClassOVH][memsys.BOvhBloom]
+		total, bloom := res.FlitHops.Total(), res.FlitHops[memsys.ClassOVH][memsys.BOvhBloom]
 		if total != c.total || bloom != c.bloom || res.ExecCycles != c.cycles {
 			t.Errorf("%dx%d: total %.0f, bloom %.0f, cycles %d; want %.0f, %.0f, %d",
 				c.filters, c.entries, total, bloom, res.ExecCycles, c.total, c.bloom, c.cycles)
@@ -274,8 +274,8 @@ func TestDeterministicRuns(t *testing.T) {
 		if a.ExecCycles != b.ExecCycles {
 			t.Fatalf("%s: exec cycles differ: %d vs %d", proto, a.ExecCycles, b.ExecCycles)
 		}
-		if a.Total() != b.Total() {
-			t.Fatalf("%s: traffic differs: %v vs %v", proto, a.Total(), b.Total())
+		if a.FlitHops.Total() != b.FlitHops.Total() {
+			t.Fatalf("%s: traffic differs: %v vs %v", proto, a.FlitHops.Total(), b.FlitHops.Total())
 		}
 		if a.FlitHops != b.FlitHops {
 			t.Fatalf("%s: traffic breakdown differs", proto)

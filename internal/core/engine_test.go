@@ -192,10 +192,10 @@ func TestMatrixTopologies(t *testing.T) {
 			t.Fatalf("matrix topology %q, want %q", m.Topology, topo)
 		}
 		res := m.Get("FFT", "MESI")
-		if res == nil || res.Total() <= 0 || res.ExecCycles <= 0 {
+		if res == nil || res.FlitHops.Total() <= 0 || res.ExecCycles <= 0 {
 			t.Fatalf("%s: empty result", topo)
 		}
-		totals[topo] = res.Total()
+		totals[topo] = res.FlitHops.Total()
 	}
 	// A 4x4 torus averages 2.0 hops vs the mesh's 2.5 and the ring's 4.0,
 	// so traffic must be ordered torus < mesh < ring.

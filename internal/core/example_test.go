@@ -21,7 +21,7 @@ func ExampleRunOne() {
 		panic(err)
 	}
 	fmt.Println(res.Protocol, res.Benchmark)
-	fmt.Println("has traffic:", res.Total() > 0)
+	fmt.Println("has traffic:", res.FlitHops.Total() > 0)
 	fmt.Println("has exec time:", res.ExecCycles > 0)
 	// Output:
 	// MESI LU

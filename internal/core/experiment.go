@@ -27,7 +27,7 @@ type Result struct {
 	Protocol  string
 	Benchmark string
 
-	FlitHops   [memsys.NumClasses][memsys.NumBuckets]float64
+	FlitHops   memsys.FlitHops
 	Waste      [3][8]uint64 // [waste.Level][waste.Category] words
 	ExecCycles int64
 	Time       memsys.TimeBreakdown // summed over cores
@@ -39,24 +39,6 @@ type Result struct {
 	// is a component-logic bug; the regression suite asserts zero across
 	// the full Tiny matrix under both router models.
 	KernelClamped uint64
-}
-
-// ClassTotal sums a traffic class.
-func (r *Result) ClassTotal(c memsys.Class) float64 {
-	var s float64
-	for b := memsys.Bucket(0); b < memsys.NumBuckets; b++ {
-		s += r.FlitHops[c][b]
-	}
-	return s
-}
-
-// Total sums all traffic.
-func (r *Result) Total() float64 {
-	var s float64
-	for c := memsys.Class(0); c < memsys.NumClasses; c++ {
-		s += r.ClassTotal(c)
-	}
-	return s
 }
 
 // WasteTotal sums the measured words fetched into a level.

@@ -113,12 +113,12 @@ func (m *Matrix) Fig51a() *Table {
 		Columns: []string{"LD", "ST", "WB", "Overhead"},
 	}
 	t.Rows = m.eachRow(func(res, base *Result) []float64 {
-		total := base.Total()
+		total := base.FlitHops.Total()
 		return []float64{
-			pct(res.ClassTotal(memsys.ClassLD), total),
-			pct(res.ClassTotal(memsys.ClassST), total),
-			pct(res.ClassTotal(memsys.ClassWB), total),
-			pct(res.ClassTotal(memsys.ClassOVH), total),
+			pct(res.FlitHops.ClassTotal(memsys.ClassLD), total),
+			pct(res.FlitHops.ClassTotal(memsys.ClassST), total),
+			pct(res.FlitHops.ClassTotal(memsys.ClassWB), total),
+			pct(res.FlitHops.ClassTotal(memsys.ClassOVH), total),
 		}
 	})
 	return t
@@ -137,7 +137,7 @@ var ldStBuckets = []memsys.Bucket{
 func (m *Matrix) classBreakdown(id, title string, class memsys.Class) *Table {
 	t := &Table{ID: id, Title: title, Columns: ldStColumns}
 	t.Rows = m.eachRow(func(res, base *Result) []float64 {
-		total := base.ClassTotal(class)
+		total := base.FlitHops.ClassTotal(class)
 		vals := make([]float64, len(ldStBuckets))
 		for i, b := range ldStBuckets {
 			vals[i] = pct(res.FlitHops[class][b], total)
@@ -170,7 +170,7 @@ func (m *Matrix) Fig51d() *Table {
 		memsys.BWBMemUsed, memsys.BWBMemWaste,
 	}
 	t.Rows = m.eachRow(func(res, base *Result) []float64 {
-		total := base.ClassTotal(memsys.ClassWB)
+		total := base.FlitHops.ClassTotal(memsys.ClassWB)
 		vals := make([]float64, len(buckets))
 		for i, b := range buckets {
 			vals[i] = pct(res.FlitHops[memsys.ClassWB][b], total)
@@ -392,7 +392,7 @@ func (m *Matrix) avgOf(proto string, metric func(*Result) float64) float64 {
 
 // Summarize computes the headline averages from a full matrix.
 func (m *Matrix) Summarize() *Summary {
-	traffic := func(r *Result) float64 { return r.Total() }
+	traffic := func(r *Result) float64 { return r.FlitHops.Total() }
 	time := func(r *Result) float64 { return float64(r.ExecCycles) }
 	s := &Summary{
 		TrafficDBypFullVsMESI:    m.avgReduction("DBypFull", "MESI", traffic),
@@ -411,11 +411,11 @@ func (m *Matrix) Summarize() *Summary {
 		}
 	}
 	s.MESIOverheadShare = m.avgOf("MESI", func(r *Result) float64 {
-		t := r.Total()
+		t := r.FlitHops.Total()
 		if t == 0 {
 			return 0
 		}
-		return r.ClassTotal(memsys.ClassOVH) / t
+		return r.FlitHops.ClassTotal(memsys.ClassOVH) / t
 	})
 	var unb, wbc, inv, ack, ovh float64
 	for _, bench := range m.Benchmarks {
@@ -424,7 +424,7 @@ func (m *Matrix) Summarize() *Summary {
 			wbc += r.FlitHops[memsys.ClassOVH][memsys.BOvhWBCtl]
 			inv += r.FlitHops[memsys.ClassOVH][memsys.BOvhInval]
 			ack += r.FlitHops[memsys.ClassOVH][memsys.BOvhAck]
-			ovh += r.ClassTotal(memsys.ClassOVH)
+			ovh += r.FlitHops.ClassTotal(memsys.ClassOVH)
 		}
 	}
 	if ovh > 0 {

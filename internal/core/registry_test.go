@@ -19,18 +19,8 @@ type invariantChecker interface {
 type specResult struct {
 	Name       string
 	ExecCycles int64
-	FlitHops   [memsys.NumClasses][memsys.NumBuckets]float64
+	FlitHops   memsys.FlitHops
 	Waste      [3][8]uint64
-}
-
-func (r *specResult) Total() float64 {
-	var s float64
-	for c := range r.FlitHops {
-		for b := range r.FlitHops[c] {
-			s += r.FlitHops[c][b]
-		}
-	}
-	return s
 }
 
 // runSpec runs one benchmark under a registry spec with the functional
@@ -159,7 +149,7 @@ func TestComposedSpecMatchesCanonical(t *testing.T) {
 		b := runSpec(t, p[1], "LU")
 		if a.ExecCycles != b.ExecCycles || a.FlitHops != b.FlitHops || a.Waste != b.Waste {
 			t.Errorf("%s and %s diverge: cycles %d vs %d, traffic %.1f vs %.1f",
-				p[0], p[1], a.ExecCycles, b.ExecCycles, a.Total(), b.Total())
+				p[0], p[1], a.ExecCycles, b.ExecCycles, a.FlitHops.Total(), b.FlitHops.Total())
 		}
 	}
 }
@@ -173,7 +163,7 @@ func TestComposedVariantsEndToEnd(t *testing.T) {
 	}
 	for _, spec := range core.ComposedVariants() {
 		res := runSpec(t, spec, "FFT")
-		if res.Total() <= 0 || res.ExecCycles <= 0 {
+		if res.FlitHops.Total() <= 0 || res.ExecCycles <= 0 {
 			t.Errorf("%s: empty result", spec)
 		}
 		if res.Name != spec {

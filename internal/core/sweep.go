@@ -660,7 +660,7 @@ func (r *SweepResult) Table() *SweepTable {
 					l1waste = 100 * (1 - float64(res.Waste[waste.LevelL1][waste.Used])/total)
 				}
 				values := []float64{
-					res.Total(),
+					res.FlitHops.Total(),
 					float64(res.ExecCycles),
 					res.Net.LatencyMean,
 					float64(res.Net.LatencyMax),
@@ -674,7 +674,7 @@ func (r *SweepResult) Table() *SweepTable {
 					// non-deflection cells of a router=... sweep.
 					deflPct := 0.0
 					if d := float64(res.Net.DeflectedHops); d > 0 {
-						deflPct = 100 * d / (res.Total() + d)
+						deflPct = 100 * d / (res.FlitHops.Total() + d)
 					}
 					values = append(values, deflPct)
 				}

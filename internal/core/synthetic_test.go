@@ -31,7 +31,7 @@ func TestRegistryWorkloadsEndToEnd(t *testing.T) {
 			if res == nil {
 				t.Fatalf("%s/%s: missing cell", bench, proto)
 			}
-			if res.Total() <= 0 || res.ExecCycles <= 0 {
+			if res.FlitHops.Total() <= 0 || res.ExecCycles <= 0 {
 				t.Errorf("%s/%s: no traffic or time measured", bench, proto)
 			}
 			if res.KernelClamped != 0 {
@@ -47,8 +47,8 @@ func TestRegistryWorkloadsEndToEnd(t *testing.T) {
 	// kind of workload-dependence the pattern suite exists to expose.)
 	for _, pattern := range []string{"uniform", "transpose", "bitcomp", "hotspot", "neighbor", "prodcons"} {
 		dn, base := m.Get(pattern, "DeNovo"), m.Get(pattern, "MESI")
-		if dn.Total() >= base.Total() {
-			t.Errorf("DeNovo (%0.f flit-hops) not below MESI (%0.f) on %s", dn.Total(), base.Total(), pattern)
+		if dn.FlitHops.Total() >= base.FlitHops.Total() {
+			t.Errorf("DeNovo (%0.f flit-hops) not below MESI (%0.f) on %s", dn.FlitHops.Total(), base.FlitHops.Total(), pattern)
 		}
 	}
 }

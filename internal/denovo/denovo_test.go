@@ -76,7 +76,7 @@ func TestAllWorkloadsAllVariants(t *testing.T) {
 				prog := workloads.MustByName(bench, workloads.Tiny, 16)
 				t.Run(bench, func(t *testing.T) {
 					env, _, r := runProgram(t, prog, name)
-					if env.Traffic.Total() == 0 {
+					if env.Traffic.Snapshot().Total() == 0 {
 						t.Fatal("no measured traffic")
 					}
 					if r.ExecCycles() <= 0 {
@@ -164,8 +164,8 @@ func TestFlexReducesLoadTrafficOnBarnes(t *testing.T) {
 	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("barnes", workloads.Tiny, 16)
 	envB, _, _ := runProgram(t, prog2, "DFlexL1")
-	a := envA.Traffic.ClassTotal(memsys.ClassLD)
-	b := envB.Traffic.ClassTotal(memsys.ClassLD)
+	a := envA.Traffic.Snapshot().ClassTotal(memsys.ClassLD)
+	b := envB.Traffic.Snapshot().ClassTotal(memsys.ClassLD)
 	if b >= a {
 		t.Fatalf("DFlexL1 load traffic %.0f >= DeNovo %.0f on barnes", b, a)
 	}
@@ -226,9 +226,9 @@ func TestDeNovoBeatsMESIOnTraffic(t *testing.T) {
 	envA, _, _ := runProgram(t, prog, "DeNovo")
 	prog2 := workloads.MustByName("FFT", workloads.Tiny, 16)
 	envB, _, _ := runProgram(t, prog2, "DBypFull")
-	if envB.Traffic.Total() >= envA.Traffic.Total() {
+	if envB.Traffic.Snapshot().Total() >= envA.Traffic.Snapshot().Total() {
 		t.Fatalf("DBypFull traffic %.0f >= DeNovo %.0f on FFT",
-			envB.Traffic.Total(), envA.Traffic.Total())
+			envB.Traffic.Snapshot().Total(), envA.Traffic.Snapshot().Total())
 	}
 }
 

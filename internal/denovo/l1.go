@@ -86,7 +86,8 @@ type l1Cache struct {
 
 	loads coher.Deferred[coher.Load] // core loads waiting out the hit latency
 	mshrs coher.Table[mshr]
-	wc    coher.WriteCombiner
+	wc    coher.LineTable[wcEntry]
+	wcID  uint64 // the last wcEntry.id handed out
 	wbBuf coher.Table[wbEntry]
 
 	// Retries wait out a backoff here: loads of a line still in the
@@ -106,29 +107,28 @@ type l1Cache struct {
 }
 
 func newL1(s *System, tile int) *l1Cache {
-	cfg := s.Env.Cfg
+	cfg := s.env.Cfg
 	l := &l1Cache{
 		sys:  s,
 		tile: tile,
-		c:    s.Env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
-		wc:   coher.NewWriteCombiner(),
+		c:    s.env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
 	}
 	if s.opt.BypassReq {
 		l.blooms = bloom.NewL1Bank(cfg.Bloom)
 	}
-	k := s.Env.K
+	k := s.env.K
 	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
 		l.loadAttempt(ld.Addr, k.Now(), ld.Done)
 	})
 	l.loadRetry = coher.NewDeferred(k, cfg.RetryBackoff, func(ld coher.Load) {
 		l.loadAttempt(ld.Addr, ld.Issue, ld.Done)
 	})
-	l.nackRetry = coher.NewDeferred(k, s.NackDelay(tile), l.retryNacked)
+	l.nackRetry = coher.NewDeferred(k, s.env.NackDelay(tile), l.retryNacked)
 	l.wcTimeouts = coher.NewDeferred(k, cfg.WriteCombineTimeout, l.wcTimeout)
 	return l
 }
 
-func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
+func (l *l1Cache) env() *memsys.Env { return l.sys.env }
 
 // --- loads ---
 
@@ -210,7 +210,7 @@ func (l *l1Cache) sendLoadReq(m *mshr, wants []uint32, crit uint32, bypass, flex
 	req := l.sys.pool.loadReq.New(dvnLoadReq{key: m.key, crit: crit, from: l.tile,
 		bypass: bypass, flex: flex, tIssue: m.tIssue})
 	req.wants.set(wants)
-	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, req)
+	l.env().Send(memsys.ClassLD, memsys.BReqCtl, l.tile, home, 0, req)
 }
 
 // tryRequestBypass consults the L1 Bloom filter copies (§4.4) for a
@@ -238,7 +238,7 @@ func (l *l1Cache) tryRequestBypass(m *mshr) {
 		class: memsys.ClassLD, tIssue: m.tIssue,
 	})
 	rd.wants.set(m.bypassWants.s)
-	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, mc, rd)
+	env.Send(memsys.ClassLD, memsys.BReqCtl, l.tile, mc, 0, rd)
 }
 
 // fetchBloomCopy requests the filter snapshot covering m's line from the
@@ -251,7 +251,7 @@ func (l *l1Cache) fetchBloomCopy(slice int, m *mshr) {
 	if len(waiters) > 0 {
 		return // request already in flight
 	}
-	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhBloom, l.tile, slice, l.sys.pool.bloomReq.New(dvnBloomReq{idx: idx, from: l.tile}))
+	l.env().Send(memsys.ClassOVH, memsys.BOvhBloom, l.tile, slice, 0, l.sys.pool.bloomReq.New(dvnBloomReq{idx: idx, from: l.tile}))
 }
 
 func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
@@ -291,49 +291,76 @@ func (l *l1Cache) store(addr, val uint32) {
 	l.c.Touch(ln)
 }
 
-// wcAdd batches a registration request in the write-combining table.
+// wcEntry is one write-combining table entry (§4.2): registrations for a
+// line batched until the line fills, a timeout expires, the line is
+// evicted, or a barrier drains the table.
+type wcEntry struct {
+	mask uint16
+	born int64
+	// id names this occupancy of the table: a line flushed and added
+	// again gets a new id, so a timeout armed for the old entry can tell
+	// it no longer applies. Ids start at 1, so an absent entry has id 0.
+	id uint64
+}
+
+// wcAdd batches a registration request in the write-combining table. A
+// new entry for a full table first flushes the oldest one.
 func (l *l1Cache) wcAdd(line uint32, w int) {
 	env := l.env()
 	e := l.wc.Get(line)
-	if e == nil {
+	if e.id == 0 {
 		if l.wc.Len() >= env.Cfg.WriteCombineEntries {
 			l.flushOldestWC()
 		}
-		e = l.wc.Add(line, env.K.Now())
-		l.wcTimeouts.Add(wcTimer{line, e.ID})
+		l.wcID++
+		e = wcEntry{born: env.K.Now(), id: l.wcID}
+		l.wcTimeouts.Add(wcTimer{line, e.id})
 	}
-	e.Mask |= 1 << w
-	if e.Mask == 0xffff {
-		l.flushWC(e) // the entire line has been written
+	e.mask |= 1 << w
+	if e.mask == memsys.LineMask {
+		l.flushWC(line, e.mask) // the entire line has been written
+		return
+	}
+	l.wc.Put(line, e)
+}
+
+// flushOldestWC flushes the entry with the lowest birth time, ties broken
+// by line address: a strict order, so the table's slot order cannot
+// change which entry goes.
+func (l *l1Cache) flushOldestWC() {
+	var oldest uint32
+	var first wcEntry
+	l.wc.Range(func(line uint32, e wcEntry) {
+		if first.id == 0 || e.born < first.born || (e.born == first.born && line < oldest) {
+			oldest, first = line, e
+		}
+	})
+	if first.id != 0 {
+		l.flushWC(oldest, first.mask)
 	}
 }
 
 // wcTimer is a pending write-combining timeout for one table entry.
 type wcTimer struct {
 	line uint32
-	id   uint64 // the WCEntry.ID the timeout was armed for
+	id   uint64 // the wcEntry.id the timeout was armed for
 }
 
 // wcTimeout flushes the entry the timer was armed for, unless that entry
-// already left the table (a newer entry for the line has another ID).
+// already left the table (a newer entry for the line has another id).
 func (l *l1Cache) wcTimeout(t wcTimer) {
-	if e := l.wc.Get(t.line); e != nil && e.ID == t.id {
-		l.flushWC(e)
+	if e := l.wc.Get(t.line); e.id == t.id {
+		l.flushWC(t.line, e.mask)
 	}
 }
 
-func (l *l1Cache) flushOldestWC() {
-	if oldest := l.wc.Oldest(); oldest != nil {
-		l.flushWC(oldest)
-	}
-}
-
-func (l *l1Cache) flushWC(e *coher.WCEntry) {
-	line, mask := e.Line, e.Mask
-	l.wc.Remove(line) // invalidates e
+// flushWC sends line's batched registrations, mask, to the home slice and
+// drops its entry.
+func (l *l1Cache) flushWC(line uint32, mask uint16) {
+	l.wc.Delete(line)
 	l.pendingRegs++
 	home := l.env().Cfg.HomeTile(line)
-	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home,
+	l.env().Send(memsys.ClassST, memsys.BReqCtl, l.tile, home, 0,
 		l.sys.pool.register.New(dvnRegister{line: line, from: l.tile, mask: mask}))
 }
 
@@ -454,7 +481,7 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 	if ms == nil {
 		return
 	}
-	l.sys.ChargeNack(m.from, l.tile)
+	l.env().ChargeNack(m.from, l.tile)
 	l.nackRetry.Add(mshrRef{ms, ms.gen})
 }
 
@@ -487,8 +514,7 @@ func (l *l1Cache) handleFwdRead(m *dvnFwdRead) {
 		}
 		panic(fmt.Sprintf("denovo: tile %d forwarded for word %#x it does not own", l.tile, addr))
 	}
-	d.hops = l.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, l.tile, m.requestor)
-	l.sys.SendData(l.tile, m.requestor, len(d.words.s), d)
+	d.hops = l.env().Send(memsys.ClassLD, memsys.BRespCtl, l.tile, m.requestor, len(d.words.s), d)
 }
 
 // handleInvalWord drops copies superseded by a new registrant.
@@ -534,10 +560,7 @@ func (l *l1Cache) handleRecall(m *dvnRecall) {
 		env.Prof.Release(registered, waste.Invalidate, ln.Inst, nil, false)
 	}
 	home := env.Cfg.HomeTile(m.line)
-	dirty := bits.OnesCount16(resp.mask)
-	hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
-	env.Traffic.WBData(false, hops, dirty, 0)
-	l.sys.SendData(l.tile, home, dirty, resp)
+	env.SendWB(false, l.tile, home, bits.OnesCount16(resp.mask), 0, resp)
 }
 
 func (l *l1Cache) handleWBAck(m *dvnWBAck) {
@@ -573,7 +596,7 @@ func (l *l1Cache) evictFor(line uint32) {
 	}
 	env.Prof.Release(memsys.LineMask, waste.Evict, victim.Inst, victim.MInst, false)
 	// Pending registrations ride along with the writeback.
-	l.wc.Remove(vline)
+	l.wc.Delete(vline)
 	l.c.Remove(victim)
 	if regMask == 0 {
 		return
@@ -590,13 +613,10 @@ func (l *l1Cache) evictFor(line uint32) {
 		l.wbBuf.Put(vline, l.sys.pool.victim.New(wbEntry{line: vline, mask: regMask, vals: vals, pending: 1}))
 	}
 	home := env.Cfg.HomeTile(vline)
-	dirty := bits.OnesCount16(regMask)
-	hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
-	env.Traffic.WBData(false, hops, dirty, 0)
 	if l.sys.opt.BypassReq {
 		l.blooms.InsertLocal(home, vline)
 	}
-	l.sys.SendData(l.tile, home, dirty, l.sys.pool.wb.New(dvnWB{
+	env.SendWB(false, l.tile, home, bits.OnesCount16(regMask), 0, l.sys.pool.wb.New(dvnWB{
 		line: vline, from: l.tile, mask: regMask, vals: vals,
 	}))
 }
@@ -607,9 +627,7 @@ func (l *l1Cache) drain(done func()) {
 	// Flush every pending registration (release semantics, §4.2), in
 	// deterministic line order.
 	for _, line := range l.wc.SortedLines() {
-		if e := l.wc.Get(line); e != nil {
-			l.flushWC(e)
-		}
+		l.flushWC(line, l.wc.Get(line).mask)
 	}
 	l.drainGate.Arm(done)
 	l.drainGate.TryFire(l.drained())

@@ -53,6 +53,41 @@ func TestResponseFillerChargedOnce(t *testing.T) {
 	}
 }
 
+// TestWriteCombinerOldestDeterministic pins the L1's write-combining
+// flush order: a new line in a full table flushes the entry born first,
+// ties broken by line address, whatever slots the table keeps them in.
+func TestWriteCombinerOldestDeterministic(t *testing.T) {
+	cfg := memsys.Default().Scaled(64)
+	cfg.WriteCombineEntries = 3
+	env, err := memsys.NewEnv(cfg, 64*memsys.LineBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := New(env, Options{Name: "DeNovo"}).l1s[0]
+	for _, e := range []struct {
+		line uint32
+		born int64
+	}{{0x30, 100}, {0x10, 50}, {0x20, 50}} {
+		l.wcID++
+		l.wc.Put(e.line, wcEntry{mask: 1, born: e.born, id: l.wcID})
+	}
+	flushed := func(line uint32, regs int) {
+		t.Helper()
+		if l.wc.Has(line) || l.pendingRegs != regs {
+			t.Fatalf("line %#x still pending or %d registrations sent, want %d", line, l.pendingRegs, regs)
+		}
+	}
+	l.wcAdd(0x08, 0) // born now, at cycle 0
+	flushed(0x10, 1) // born 50 like 0x20: the line address breaks the tie
+	l.flushOldestWC()
+	flushed(0x08, 2)
+	l.flushOldestWC()
+	flushed(0x20, 3)
+	if !l.wc.Has(0x30) || l.wc.Len() != 1 {
+		t.Fatalf("table holds %d entries, want line 0x30 alone", l.wc.Len())
+	}
+}
+
 // TestForeignPayloadPanics delivers a payload that is no DeNovo message:
 // the tile's handler fails loudly, naming the payload and the tile.
 func TestForeignPayloadPanics(t *testing.T) {

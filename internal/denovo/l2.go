@@ -115,11 +115,11 @@ type evictState struct {
 }
 
 func newL2(s *System, tile int) *l2Slice {
-	cfg := s.Env.Cfg
+	cfg := s.env.Cfg
 	sl := &l2Slice{
 		sys:  s,
 		tile: tile,
-		c:    s.Env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
+		c:    s.env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
 	}
 	if s.opt.BypassReq {
 		sl.blooms = bloom.NewL2Bank(cfg.Bloom)
@@ -127,7 +127,7 @@ func newL2(s *System, tile int) *l2Slice {
 	if s.opt.PredictBypass {
 		sl.pred = newBypassPredictor()
 	}
-	k, lat := s.Env.K, cfg.L2Latency
+	k, lat := s.env.K, cfg.L2Latency
 	sl.loadReqs = coher.NewDeferred(k, lat, func(m *dvnLoadReq) {
 		sl.serve(m, nil)
 		s.pool.loadReq.Put(m)
@@ -150,7 +150,7 @@ func (sl *l2Slice) newFetch(line uint32) *l2Fetch {
 	return f
 }
 
-func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
+func (sl *l2Slice) env() *memsys.Env { return sl.sys.env }
 
 // lockLine serializes state mutations per line in arrival order. Timed
 // retries would let an old writeback overtake a newer registration from
@@ -295,18 +295,18 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 			fr.words.add(f.addr)
 		}
 		if fr != nil {
-			sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, fr)
+			env.Send(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, 0, fr)
 		}
 	}
 	if nacked {
 		// NACK: the requestor retries the whole remainder (§5.2.4).
-		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, m.from,
+		env.Send(memsys.ClassOVH, memsys.BOvhNack, sl.tile, m.from, 0,
 			sl.sys.pool.nack.New(dvnNack{key: m.key, from: sl.tile}))
 	}
 	if len(denied) > 0 {
 		d := sl.sys.pool.deny.New(dvnDeny{key: m.key})
 		d.words.set(denied)
-		sl.sys.SendCtl(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from, d)
+		env.Send(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from, 0, d)
 	}
 	if len(memWords) == 0 {
 		return
@@ -360,7 +360,7 @@ func (sl *l2Slice) sendMemRead(m *dvnLoadReq, critLine uint32, wants []uint32, d
 		class: memsys.ClassLD, tIssue: m.tIssue,
 	})
 	rd.wants.set(wants)
-	sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, mc, rd)
+	sl.env().Send(memsys.ClassLD, memsys.BReqCtl, sl.tile, mc, 0, rd)
 }
 
 // sendFromArray serves words from the L2 data array: genuine L2 reuse, so
@@ -382,12 +382,11 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 		}
 		sl.c.Touch(ln)
 	}
-	d.hops = sl.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from)
 	if stamp != nil {
 		d.fromMem = true
 		d.tAtMC, d.tDram = stamp.tAtMC, stamp.tDram
 	}
-	sl.sys.SendData(sl.tile, m.from, len(words), d)
+	d.hops = env.Send(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from, len(words), d)
 }
 
 // --- registration (§2) ---
@@ -421,7 +420,7 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 		ln.Inst[w] = 0
 	}
 	for _, o := range invals { // ascending owner: deterministic order
-		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(o.owner),
+		env.Send(memsys.ClassST, memsys.BReqCtl, sl.tile, int(o.owner), 0,
 			sl.sys.pool.inval.New(dvnInvalWord{line: m.line, mask: o.mask}))
 	}
 	// Baseline DeNovo keeps a fetch-on-write L2: a write miss fetches the
@@ -429,7 +428,7 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 	if fresh && !sl.sys.opt.ValidateL2 {
 		sl.fetchForWrite(m.line)
 	}
-	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
+	env.Send(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from, 0,
 		sl.sys.pool.regAck.New(dvnRegAck{line: m.line, mask: m.mask}))
 	line := m.line
 	sl.sys.pool.register.Put(m)
@@ -457,7 +456,7 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 	}
 	sl.fetch.Put(line, sl.newFetch(line))
 	mc := sl.env().Cfg.MCTile(line)
-	sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, sl.sys.pool.memRead.New(dvnMemRead{
+	sl.env().Send(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, 0, sl.sys.pool.memRead.New(dvnMemRead{
 		key: line, critLine: line,
 		noReturn: sl.dirtyMask(line),
 		home:     sl.tile, requestor: -1,
@@ -498,7 +497,7 @@ func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 	if fresh && !sl.sys.opt.ValidateL2 {
 		sl.fetchForWrite(m.line)
 	}
-	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, sl.sys.pool.wbAck.New(dvnWBAck{line: m.line}))
+	env.Send(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, 0, sl.sys.pool.wbAck.New(dvnWBAck{line: m.line}))
 	line := m.line
 	sl.sys.pool.wb.Put(m)
 	sl.unlockLine(line)
@@ -590,7 +589,7 @@ func (sl *l2Slice) evictLine(ln *cache.Line, then lineOp) {
 	}
 	sl.evictCont.Put(line, evictState{pending: len(owners), then: then})
 	for _, o := range owners { // ascending owner: deterministic order
-		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, int(o.owner),
+		sl.env().Send(memsys.ClassWB, memsys.BWBCtl, sl.tile, int(o.owner), 0,
 			sl.sys.pool.recall.New(dvnRecall{line: line, mask: o.mask}))
 	}
 }
@@ -643,9 +642,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, then lineOp) {
 			// Baseline: the full 64B line travels to memory.
 			clean = lineWords - nDirty
 		}
-		hops := sl.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, sl.tile, mc)
-		env.Traffic.WBData(true, hops, nDirty, clean)
-		sl.sys.SendData(sl.tile, mc, nDirty+clean, msg)
+		env.SendWB(true, sl.tile, mc, nDirty, clean, msg)
 	}
 	if sl.blooms != nil && sl.dirtyMask(line) != 0 {
 		sl.blooms.Remove(line)
@@ -664,14 +661,11 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, then lineOp) {
 // --- Bloom copies (§4.4) ---
 
 func (sl *l2Slice) handleBloomReq(m *dvnBloomReq) {
-	env := sl.env()
-	hops := sl.sys.Hops(sl.tile, m.from)
 	snap := sl.sys.snapshot(sl.blooms, m.idx)
 	// The snapshot payload is entries/8 bytes (64B for the paper's 512
-	// entries): one control flit plus the data flits it fills.
-	flits := 1 + memsys.DataFlits((snap.SizeBytes()+3)/4)
-	env.Traffic.Ctl(memsys.ClassOVH, memsys.BOvhBloom, flits, hops)
-	sl.sys.Send(sl.tile, m.from, flits, sl.sys.pool.bloomResp.New(dvnBloomResp{
+	// entries): one control flit plus the data flits it fills, all of it
+	// overhead.
+	sl.env().SendOverhead(memsys.BOvhBloom, sl.tile, m.from, (snap.SizeBytes()+3)/4, sl.sys.pool.bloomResp.New(dvnBloomResp{
 		idx: m.idx, slice: sl.tile, snap: snap,
 	}))
 }

@@ -18,9 +18,10 @@
 //     and Bloom-filter-guarded L2 request bypass (DBypFull, §4.4).
 //
 // Like internal/mesi, the package is a state machine plus a message
-// vocabulary over the internal/coher substrate, which owns transport,
-// dispatch, the pending-transaction tables, the write-combining table
-// bookkeeping, the drain gates and the memory-controller front end.
+// vocabulary over the internal/coher substrate, which owns dispatch, the
+// line tables, the drain gates and the memory-controller front end;
+// messages travel through memsys.Env's sends, which charge the flit-hop
+// ledger.
 package denovo
 
 import (
@@ -57,9 +58,11 @@ type Options struct {
 	PredictBypass bool
 }
 
-// System is a complete DeNovo memory system over the coher substrate.
+// System is a complete DeNovo memory system over the coher substrate. It
+// sends every message through its environment's sends (memsys.Env), which
+// charge the packet to the flit-hop ledger.
 type System struct {
-	coher.Substrate
+	env  *memsys.Env
 	opt  Options
 	l1s  []*l1Cache
 	l2s  []*l2Slice
@@ -86,7 +89,7 @@ func (s *System) snapshot(bank *bloom.L2Bank, idx int) *bloom.Filter {
 
 // New builds the protocol engine and registers its tiles on the mesh.
 func New(env *memsys.Env, opt Options) *System {
-	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s := &System{env: env, opt: opt}
 	s.mc = coher.NewMemCtl(env, s.memReadDone)
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
@@ -158,7 +161,7 @@ func (s *System) Recycle() {
 // l2Words returns the words of line valid at its home L2: the Figure 4.3
 // "address present in L2?" check.
 func (s *System) l2Words(line uint32) uint16 {
-	ln := s.l2s[s.Env.Cfg.HomeTile(line)].c.Lookup(line)
+	ln := s.l2s[s.env.Cfg.HomeTile(line)].c.Lookup(line)
 	if ln == nil {
 		return 0
 	}
@@ -183,7 +186,7 @@ type msgMemWBPartial struct {
 // rowOf returns the DRAM row identifier of a line (for the L2 Flex
 // same-row constraint, §3.1).
 func (s *System) rowOf(line uint32) uint32 {
-	return (line << memsys.LineShift) / s.Env.Cfg.DRAM.RowBytes
+	return (line << memsys.LineShift) / s.env.Cfg.DRAM.RowBytes
 }
 
 // handleMemRead picks the lines a fetch reads at an MC tile: always the
@@ -210,7 +213,7 @@ func (s *System) handleMemRead(tile int, m *dvnMemRead) {
 // (dropping unsent words as Excess), and responds to the L1 and/or the
 // home L2. The read is recycled here: the MC held it until now.
 func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDram int64) {
-	env := s.Env
+	env := s.env
 	var resp *dvnData // the requestor's words
 	if m.direct {
 		resp = s.pool.data.New(dvnData{key: m.key, fromMem: true, tAtMC: tAtMC, tDram: tDram})
@@ -252,9 +255,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 	}
 
 	if m.direct {
-		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-		resp.hops = hops
-		s.SendData(tile, m.requestor, len(resp.words.s), resp)
+		resp.hops = env.Send(m.class, memsys.BRespCtl, tile, m.requestor, len(resp.words.s), resp)
 		// Deny wanted words on lines that were not fetched.
 		var deny *dvnDeny
 		for _, w := range m.wants.s {
@@ -266,16 +267,13 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			}
 		}
 		if deny != nil {
-			env.Traffic.Ctl(m.class, memsys.BRespCtl, 1, hops)
-			s.Send(tile, m.requestor, 1, deny)
+			env.Send(m.class, memsys.BRespCtl, tile, m.requestor, 0, deny)
 		}
 	}
 	for _, fill := range fillOrder {
 		// Even an empty fill must be delivered: the home slice's fetch
 		// entry pins the line until the fill lands.
-		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
-		fill.hops = hops
-		s.SendData(tile, m.home, bits.OnesCount16(fill.mask), fill)
+		fill.hops = env.Send(m.class, memsys.BRespCtl, tile, m.home, bits.OnesCount16(fill.mask), fill)
 	}
 	s.pool.memRead.Put(m)
 }

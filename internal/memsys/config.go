@@ -5,6 +5,13 @@
 // per-word Used/Waste attribution, and the execution-time breakdown of
 // Figure 5.2. Protocol engines (internal/mesi, internal/denovo) and the
 // driver (internal/core) both build on this package.
+//
+// Env, which owns both the fabric and the flit-hop ledger, is the only
+// way a protocol sends: each of its sends charges the packet it injects
+// (Send, SendWB, SendOverhead), so the ledger adds up to the flit-hops the
+// fabric carried. Receivers charge the data words they install
+// (Traffic.Fill, Filler) with the hops their Send returned. The one other
+// charge is Env.ChargeNack, a known double count of request NACKs.
 package memsys
 
 import (

@@ -144,6 +144,51 @@ func (e *Env) NewCache(sizeBytes, assoc int) *cache.Cache {
 	return c
 }
 
+// Send injects a packet of one control flit plus the data flits of words
+// data words from src to dst, charges the control flit to (class,
+// bucket), and returns the hops the packet takes. A response's receiver
+// charges its data flits with those hops (Traffic.Fill or Filler), so the
+// payload carries them; it may take them after the send, since Mesh.Send
+// never delivers inside the calling event.
+func (e *Env) Send(class Class, bucket Bucket, src, dst, words int, payload any) int {
+	hops := e.Mesh.Send(src, dst, 1+DataFlits(words), payload)
+	e.Traffic.ctl(class, bucket, 1, hops)
+	return hops
+}
+
+// SendWB injects a writeback of dirty modified and clean unmodified words
+// from src to dst, a memory controller when toMem, and charges all of it:
+// the control flit and the last data flit's filler to WB Control, each
+// word's share to WB Used or Waste (Figure 5.1d).
+func (e *Env) SendWB(toMem bool, src, dst, dirty, clean int, payload any) {
+	hops := e.Send(ClassWB, BWBCtl, src, dst, dirty+clean, payload)
+	e.Traffic.wbData(toMem, hops, dirty, clean)
+}
+
+// SendOverhead injects a packet of one control flit plus the data flits
+// of words data words and charges all of it to the overhead bucket: a
+// DeNovo Bloom filter copy (§4.4).
+func (e *Env) SendOverhead(bucket Bucket, src, dst, words int, payload any) {
+	flits := 1 + DataFlits(words)
+	hops := e.Mesh.Send(src, dst, flits, payload)
+	e.Traffic.ctl(ClassOVH, bucket, flits, hops)
+}
+
+// ChargeNack charges a request NACK sent by tile from once more, where it
+// reaches a request still waiting at tile. This is a known double count:
+// the Send that carried the NACK charged it already, so the ledger
+// exceeds the fabric's flit-hops by these echoes. Put NACKs are charged
+// once.
+func (e *Env) ChargeNack(from, tile int) {
+	e.Traffic.ctl(ClassOVH, BOvhNack, 1, e.Mesh.Hops(from, tile))
+}
+
+// NackDelay is how long tile backs off before retrying a NACKed request:
+// the retry backoff staggered by the tile id, so symmetric retries do not
+// collide forever. A controller retries through a coher.Deferred with
+// this delay, which schedules exactly as Kernel.After would.
+func (e *Env) NackDelay(tile int) int64 { return e.Cfg.RetryBackoff + int64(tile) }
+
 // Recycle hands the run's kernel, profiler and backing store to the next
 // NewEnv. The caller must not use the Env, or anything built on it, again.
 func (e *Env) Recycle() {

@@ -173,17 +173,17 @@ func TestTrafficCtlAndTotals(t *testing.T) {
 	prof := waste.NewProfiler()
 	tr := NewTraffic(prof)
 	tr.StartMeasurement()
-	tr.Ctl(ClassLD, BReqCtl, 1, 3)
-	tr.Ctl(ClassOVH, BOvhNack, 1, 2)
+	tr.ctl(ClassLD, BReqCtl, 1, 3)
+	tr.ctl(ClassOVH, BOvhNack, 1, 2)
 	if tr.Get(ClassLD, BReqCtl) != 3 {
 		t.Fatal("Ctl flit-hops wrong")
 	}
-	if tr.ClassTotal(ClassOVH) != 2 || tr.Total() != 5 {
+	if tr.Snapshot().ClassTotal(ClassOVH) != 2 || tr.Snapshot().Total() != 5 {
 		t.Fatal("totals wrong")
 	}
 	// Zero-hop messages cost nothing.
-	tr.Ctl(ClassLD, BReqCtl, 1, 0)
-	if tr.Total() != 5 {
+	tr.ctl(ClassLD, BReqCtl, 1, 0)
+	if tr.Snapshot().Total() != 5 {
 		t.Fatal("0-hop message counted")
 	}
 }
@@ -234,7 +234,7 @@ func TestTrafficPresentWordIsWaste(t *testing.T) {
 	if used, ctl := tr.Get(ClassST, BRespL2Used), tr.Get(ClassST, BRespCtl); used != 1 || ctl != 2 {
 		t.Fatalf("used %v filler %v, want 1 and 2", used, ctl)
 	}
-	if got := tr.Total(); got != 4 {
+	if got := tr.Snapshot().Total(); got != 4 {
 		t.Fatalf("total %v flit-hops, want the 4 the data flit cost", got)
 	}
 }
@@ -248,8 +248,8 @@ func TestTrafficWarmupExcluded(t *testing.T) {
 	tr.StartMeasurement()
 	prof.StartMeasurement()
 	prof.L1Load(&ids[0]) // classification of a warm-up instance
-	if tr.Total() != 0 {
-		t.Fatalf("warm-up data counted: %v", tr.Total())
+	if tr.Snapshot().Total() != 0 {
+		t.Fatalf("warm-up data counted: %v", tr.Snapshot().Total())
 	}
 }
 
@@ -259,7 +259,7 @@ func TestWBData(t *testing.T) {
 	tr.StartMeasurement()
 	// 3 dirty + 2 clean words over 4 hops to memory: data flits = 2 => 8
 	// data flit-hops. dirty share 3/4*4=3, clean 2/4*4=2, filler 8-5=3.
-	tr.WBData(true, 4, 3, 2)
+	tr.wbData(true, 4, 3, 2)
 	if tr.Get(ClassWB, BWBMemUsed) != 3 || tr.Get(ClassWB, BWBMemWaste) != 2 {
 		t.Fatalf("WB used/waste = %v/%v", tr.Get(ClassWB, BWBMemUsed), tr.Get(ClassWB, BWBMemWaste))
 	}
@@ -267,7 +267,7 @@ func TestWBData(t *testing.T) {
 		t.Fatalf("WB filler = %v, want 3", tr.Get(ClassWB, BWBCtl))
 	}
 	// 4 dirty words over 1 hop: exactly one full data flit-hop.
-	tr.WBData(false, 1, 4, 0)
+	tr.wbData(false, 1, 4, 0)
 	if tr.Get(ClassWB, BWBL2Used) != 1 {
 		t.Fatal("L2 WB used wrong")
 	}

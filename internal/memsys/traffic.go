@@ -74,13 +74,39 @@ func (b Bucket) String() string {
 	return "Bucket?"
 }
 
-// Traffic accumulates flit-hops per (class, bucket). Data words are
-// attributed to Used/Waste lazily: each word's flit-hop share is attached
-// to its waste instance when the fill creates it, and lands in the right
-// bucket when the instance classifies (§5.2: "we assign fractional flits
-// to the appropriate categories").
+// FlitHops is a flit-hop ledger: the flit-hops of one run per (class,
+// bucket), the matrix every traffic figure is drawn from.
+type FlitHops [NumClasses][NumBuckets]float64
+
+// ClassTotal returns all flit-hops in a class.
+func (f FlitHops) ClassTotal(class Class) float64 {
+	var s float64
+	for b := Bucket(0); b < NumBuckets; b++ {
+		s += f[class][b]
+	}
+	return s
+}
+
+// Total returns all flit-hops.
+func (f FlitHops) Total() float64 {
+	var s float64
+	for c := Class(0); c < NumClasses; c++ {
+		s += f.ClassTotal(c)
+	}
+	return s
+}
+
+// Traffic accumulates flit-hops per (class, bucket). Control flits and
+// writeback data are charged by the Env sends that inject them (Send,
+// SendWB, SendOverhead); response data is charged by the receiver that
+// installs it (Fill, Filler), with the hops its Send returned. Data words
+// are attributed to Used/Waste lazily: each word's flit-hop share is
+// attached to its waste instance when the fill creates it, and lands in
+// the right bucket when the instance classifies (§5.2: "we assign
+// fractional flits to the appropriate categories"). Every term is a
+// multiple of a quarter flit-hop, so the sums are exact in any order.
 type Traffic struct {
-	flitHops [NumClasses][NumBuckets]float64
+	flitHops FlitHops
 	enabled  bool
 	prof     *waste.Profiler
 }
@@ -118,13 +144,13 @@ func NewTraffic(prof *waste.Profiler) *Traffic {
 
 // StartMeasurement zeroes the counters and enables recording.
 func (t *Traffic) StartMeasurement() {
-	t.flitHops = [NumClasses][NumBuckets]float64{}
+	t.flitHops = FlitHops{}
 	t.enabled = true
 }
 
-// Ctl records a control-only contribution: flits control flits over hops
-// links. It is also used for the header flit of data-bearing messages.
-func (t *Traffic) Ctl(class Class, bucket Bucket, flits, hops int) {
+// ctl records flits control flits over hops links: a packet's header flit,
+// or all of an overhead packet.
+func (t *Traffic) ctl(class Class, bucket Bucket, flits, hops int) {
 	if !t.enabled || hops == 0 || flits == 0 {
 		return
 	}
@@ -136,8 +162,8 @@ func (t *Traffic) Ctl(class Class, bucket Bucket, flits, hops int) {
 // waste instance is created with its share of the data flits, hops/4
 // flit-hops, attached (waste.Profiler.Fill, which also documents present,
 // inst, minst and ref), and the unfilled remainder of the last data flit
-// goes to Resp Ctl, as in §5.2. The message's control flit is recorded
-// separately with Ctl.
+// goes to Resp Ctl, as in §5.2. The message's control flit was charged
+// by the Env.Send that returned hops.
 func (t *Traffic) Fill(class Class, hops int, level waste.Level, mask, present uint16, inst, minst []uint64, ref bool) {
 	t.prof.Fill(level, mask, present, uint8(class), WordShare(hops), inst, minst, ref)
 	t.Filler(class, hops, bits.OnesCount16(mask))
@@ -160,10 +186,11 @@ func (t *Traffic) Filler(class Class, hops, words int) {
 	t.flitHops[class][BRespCtl] += filler
 }
 
-// WBData records writeback data flits: dirty words are Used, unmodified
-// words are Waste (Figure 5.1d), attribution is immediate. dest selects the
-// L2 or Mem buckets. Unfilled flit remainder goes to WB Control.
-func (t *Traffic) WBData(toMem bool, hops, dirtyWords, cleanWords int) {
+// wbData records writeback data flits: dirty words are Used, unmodified
+// words are Waste (Figure 5.1d), attribution is immediate. toMem selects
+// the Mem buckets over the L2 ones. Unfilled flit remainder goes to WB
+// Control.
+func (t *Traffic) wbData(toMem bool, hops, dirtyWords, cleanWords int) {
 	if !t.enabled || hops == 0 {
 		return
 	}
@@ -185,29 +212,11 @@ func (t *Traffic) WBData(toMem bool, hops, dirtyWords, cleanWords int) {
 // Get returns the flit-hops recorded for (class, bucket).
 func (t *Traffic) Get(class Class, bucket Bucket) float64 { return t.flitHops[class][bucket] }
 
-// ClassTotal returns all flit-hops in a class.
-func (t *Traffic) ClassTotal(class Class) float64 {
-	var s float64
-	for b := Bucket(0); b < NumBuckets; b++ {
-		s += t.flitHops[class][b]
-	}
-	return s
-}
-
-// Total returns all recorded flit-hops.
-func (t *Traffic) Total() float64 {
-	var s float64
-	for c := Class(0); c < NumClasses; c++ {
-		s += t.ClassTotal(c)
-	}
-	return s
-}
-
 // WasteShare returns the fraction of total traffic attributed to wasted
 // data movement (the paper's "8.8% of the remaining traffic" metric):
 // Resp L1/L2 Waste plus WB L2/Mem Waste over the total.
 func (t *Traffic) WasteShare() float64 {
-	total := t.Total()
+	total := t.flitHops.Total()
 	if total == 0 {
 		return 0
 	}
@@ -219,6 +228,6 @@ func (t *Traffic) WasteShare() float64 {
 	return w / total
 }
 
-// Snapshot returns a copy of all flit-hop counters, detached from the
-// recorder (experiment results outlive their simulation Env).
-func (t *Traffic) Snapshot() [NumClasses][NumBuckets]float64 { return t.flitHops }
+// Snapshot returns a copy of the ledger, detached from the recorder
+// (experiment results outlive their simulation Env).
+func (t *Traffic) Snapshot() FlitHops { return t.flitHops }

@@ -40,7 +40,7 @@ func (s *System) DebugState() string {
 // DumpWord renders the coherence state of one word across the system,
 // used to diagnose functional (oracle) failures.
 func (s *System) DumpWord(addr uint32) string {
-	env := s.Env
+	env := s.env
 	line := memsys.LineOf(addr)
 	w := memsys.WordIndex(addr)
 	var b strings.Builder

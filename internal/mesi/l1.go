@@ -86,14 +86,14 @@ type l1Cache struct {
 }
 
 func newL1(s *System, tile int) *l1Cache {
-	cfg := s.Env.Cfg
+	cfg := s.env.Cfg
 	l := &l1Cache{
 		sys:  s,
 		tile: tile,
-		c:    s.Env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
+		c:    s.env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
 		sb:   coher.NewStoreBuffer(cfg.StoreBufferEntries),
 	}
-	k := s.Env.K
+	k := s.env.K
 	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
 		l.loadAttempt(ld.Addr, k.Now(), ld.Done)
 	})
@@ -110,7 +110,7 @@ func newL1(s *System, tile int) *l1Cache {
 			l.sendPut(r.wb)
 		}
 	})
-	l.nackRetry = coher.NewDeferred(k, s.NackDelay(tile), l.retryNacked)
+	l.nackRetry = coher.NewDeferred(k, s.env.NackDelay(tile), l.retryNacked)
 	return l
 }
 
@@ -142,7 +142,7 @@ func (l *l1Cache) dropWB(wb *wbEntry) {
 	l.sys.pool.wb.Put(wb)
 }
 
-func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
+func (l *l1Cache) env() *memsys.Env { return l.sys.env }
 
 // --- core-facing operations ---
 
@@ -178,7 +178,7 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 
 func (l *l1Cache) sendGetS(m *mshr) {
 	home := l.env().Cfg.HomeTile(m.line)
-	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, l.sys.pool.getS.New(msgGetS{line: m.line, from: l.tile}))
+	l.env().Send(memsys.ClassLD, memsys.BReqCtl, l.tile, home, 0, l.sys.pool.getS.New(msgGetS{line: m.line, from: l.tile}))
 }
 
 // storePush enqueues a non-blocking write; false when the buffer is full.
@@ -234,12 +234,12 @@ func (l *l1Cache) pumpStores() {
 func (l *l1Cache) sendGetX(m *mshr) {
 	m.upgrade = false
 	home := l.env().Cfg.HomeTile(m.line)
-	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, l.sys.pool.getX.New(msgGetX{line: m.line, from: l.tile}))
+	l.env().Send(memsys.ClassST, memsys.BReqCtl, l.tile, home, 0, l.sys.pool.getX.New(msgGetX{line: m.line, from: l.tile}))
 }
 
 func (l *l1Cache) sendUpgrade(line uint32) {
 	home := l.env().Cfg.HomeTile(line)
-	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home, l.sys.pool.upgrade.New(msgUpgrade{line: line, from: l.tile}))
+	l.env().Send(memsys.ClassST, memsys.BReqCtl, l.tile, home, 0, l.sys.pool.upgrade.New(msgUpgrade{line: line, from: l.tile}))
 }
 
 // applyStores retires every buffered write targeting a line the core now
@@ -351,13 +351,13 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 	// the L2 (unblock+data, profiled as load traffic).
 	home := env.Cfg.HomeTile(ms.line)
 	if l.sys.opt.MemToL1 && ms.fromMem && !ms.isStore {
-		hops := l.sys.CtlHops(memsys.ClassLD, memsys.BRespCtl, l.tile, home)
-		l.sys.SendData(l.tile, home, lineWords, l.sys.pool.unblock.New(msgUnblock{
+		u := l.sys.pool.unblock.New(msgUnblock{
 			line: ms.line, from: l.tile, withData: true,
-			data: ms.data, minst: ms.minst, hops: hops,
-		}))
+			data: ms.data, minst: ms.minst,
+		})
+		u.hops = env.Send(memsys.ClassLD, memsys.BRespCtl, l.tile, home, lineWords, u)
 	} else {
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhUnblock, l.tile, home, l.sys.pool.unblock.New(msgUnblock{line: ms.line, from: l.tile}))
+		env.Send(memsys.ClassOVH, memsys.BOvhUnblock, l.tile, home, 0, l.sys.pool.unblock.New(msgUnblock{line: ms.line, from: l.tile}))
 	}
 
 	sample := memsys.Sample{Point: memsys.PointOnChip}
@@ -402,7 +402,7 @@ func (l *l1Cache) handleNack(m *msgNack) {
 	if ms == nil {
 		return // transaction already satisfied (stale NACK)
 	}
-	l.sys.ChargeNack(m.from, l.tile)
+	l.env().ChargeNack(m.from, l.tile)
 	l.nackRetry.Add(mshrRef{ms, ms.gen})
 }
 
@@ -436,10 +436,10 @@ func (l *l1Cache) handleInv(m *msgInv) {
 	}
 	if m.toL2 {
 		// L2-eviction invalidation: acknowledge the home slice.
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, l.sys.pool.recallResp.New(msgRecallResp{line: m.line, from: l.tile}))
+		l.env().Send(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, 0, l.sys.pool.recallResp.New(msgRecallResp{line: m.line, from: l.tile}))
 		return
 	}
-	l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, l.sys.pool.invAck.New(msgInvAck{line: m.line, from: l.tile}))
+	l.env().Send(memsys.ClassOVH, memsys.BOvhAck, l.tile, m.ackTo, 0, l.sys.pool.invAck.New(msgInvAck{line: m.line, from: l.tile}))
 }
 
 // handleFwd services a forwarded GetS/GetX as the owner.
@@ -474,22 +474,20 @@ func (l *l1Cache) handleFwd(m *msgFwd) {
 		panic(fmt.Sprintf("mesi: tile %d forwarded for line %#x it does not hold", l.tile, m.line))
 	}
 
-	hops := l.sys.CtlHops(class, memsys.BRespCtl, l.tile, m.requestor)
 	st := stS
 	if m.excl {
 		st = stM
 	}
-	l.sys.SendData(l.tile, m.requestor, lineWords, l.sys.pool.data.New(msgData{
+	d := l.sys.pool.data.New(msgData{
 		line: m.line, state: st, data: data, minst: minst,
-		transfer: m.excl, tIssue: m.tIssue, hops: hops, class: class,
-	}))
+		transfer: m.excl, tIssue: m.tIssue, class: class,
+	})
+	d.hops = env.Send(class, memsys.BRespCtl, l.tile, m.requestor, lineWords, d)
 	if !m.excl {
 		// Downgrade writeback carries the (possibly dirty) data to the L2.
 		home := env.Cfg.HomeTile(m.line)
 		dirty := bits.OnesCount16(wmask)
-		h2 := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
-		env.Traffic.WBData(false, h2, dirty, lineWords-dirty)
-		l.sys.SendData(l.tile, home, lineWords, l.sys.pool.downgradeWB.New(msgDowngradeWB{
+		env.SendWB(false, l.tile, home, dirty, lineWords-dirty, l.sys.pool.downgradeWB.New(msgDowngradeWB{
 			line: m.line, from: l.tile, data: data, wmask: wmask,
 		}))
 	}
@@ -516,11 +514,9 @@ func (l *l1Cache) handleRecall(m *msgRecall) {
 	home := env.Cfg.HomeTile(m.line)
 	if resp.hasData {
 		dirty := bits.OnesCount16(resp.wmask)
-		hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
-		env.Traffic.WBData(false, hops, dirty, lineWords-dirty)
-		l.sys.SendData(l.tile, home, lineWords, resp)
+		env.SendWB(false, l.tile, home, dirty, lineWords-dirty, resp)
 	} else {
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhAck, l.tile, home, resp)
+		env.Send(memsys.ClassOVH, memsys.BOvhAck, l.tile, home, 0, resp)
 	}
 }
 
@@ -577,11 +573,9 @@ func (l *l1Cache) sendPut(wb *wbEntry) {
 	if wb.dirty {
 		msg.data, msg.wmask, msg.minst = wb.data, wb.wmask, wb.minst
 		dirty := bits.OnesCount16(wb.wmask)
-		hops := l.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, l.tile, home)
-		env.Traffic.WBData(false, hops, dirty, lineWords-dirty)
-		l.sys.SendData(l.tile, home, lineWords, msg)
+		env.SendWB(false, l.tile, home, dirty, lineWords-dirty, msg)
 	} else {
 		// Clean replacement notice: pure protocol overhead (§5.2.4).
-		l.sys.SendCtl(memsys.ClassOVH, memsys.BOvhWBCtl, l.tile, home, msg)
+		env.Send(memsys.ClassOVH, memsys.BOvhWBCtl, l.tile, home, 0, msg)
 	}
 }

@@ -130,13 +130,13 @@ type l2Slice struct {
 }
 
 func newL2(s *System, tile int) *l2Slice {
-	cfg := s.Env.Cfg
+	cfg := s.env.Cfg
 	sl := &l2Slice{
 		sys:  s,
 		tile: tile,
-		c:    s.Env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
+		c:    s.env.NewCache(cfg.L2SliceBytes, cfg.L2Assoc),
 	}
-	k, lat, p := s.Env.K, cfg.L2Latency, &s.pool
+	k, lat, p := s.env.K, cfg.L2Latency, &s.pool
 	sl.getS = coher.NewDeferred(k, lat, func(m *msgGetS) { sl.handleGetS(m); p.getS.Put(m) })
 	sl.getX = coher.NewDeferred(k, lat, func(m *msgGetX) { sl.handleGetX(m); p.getX.Put(m) })
 	sl.upgrade = coher.NewDeferred(k, lat, func(m *msgUpgrade) { sl.handleUpgrade(m); p.upgrade.Put(m) })
@@ -146,7 +146,7 @@ func newL2(s *System, tile int) *l2Slice {
 	return sl
 }
 
-func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
+func (sl *l2Slice) env() *memsys.Env { return sl.sys.env }
 
 func (sl *l2Slice) entry(line uint32) *dirEntry {
 	e := sl.dir.Get(line)
@@ -164,7 +164,7 @@ func (sl *l2Slice) dropEntry(e *dirEntry) {
 }
 
 func (sl *l2Slice) nack(line uint32, to int, isStore, isPut bool) {
-	sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, to,
+	sl.env().Send(memsys.ClassOVH, memsys.BOvhNack, sl.tile, to, 0,
 		sl.sys.pool.nack.New(msgNack{line: line, from: sl.tile, isStore: isStore, isPut: isPut}))
 }
 
@@ -183,7 +183,7 @@ func (sl *l2Slice) handleGetS(m *msgGetS) {
 	case e.owner >= 0:
 		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassLD,
 			needUnblock: true, needDowngrade: true})
-		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, int(e.owner),
+		sl.env().Send(memsys.ClassLD, memsys.BReqCtl, sl.tile, int(e.owner), 0,
 			sl.sys.pool.fwd.New(msgFwd{line: m.line, requestor: m.from}))
 	default:
 		grant := stS
@@ -210,7 +210,7 @@ func (sl *l2Slice) handleGetX(m *msgGetX) {
 	case e.owner >= 0:
 		e.begin(txn{kind: txFwd, requestor: m.from, class: memsys.ClassST,
 			isStore: true, needUnblock: true})
-		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner),
+		sl.env().Send(memsys.ClassST, memsys.BReqCtl, sl.tile, int(e.owner), 0,
 			sl.sys.pool.fwd.New(msgFwd{line: m.line, requestor: m.from, excl: true}))
 		e.owner = int16(m.from)
 	default:
@@ -240,7 +240,7 @@ func (sl *l2Slice) handleUpgrade(m *msgUpgrade) {
 	e.owner = int16(m.from)
 	e.begin(txn{kind: txHit, requestor: m.from, class: memsys.ClassST,
 		isStore: true, needUnblock: true})
-	sl.sys.SendCtl(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from,
+	sl.env().Send(memsys.ClassST, memsys.BRespCtl, sl.tile, m.from, 0,
 		sl.sys.pool.upgAck.New(msgUpgAck{line: m.line, acks: acks}))
 	if ln := sl.c.Lookup(m.line); ln != nil {
 		sl.c.Touch(ln)
@@ -260,16 +260,16 @@ func (sl *l2Slice) serveFromL2(ln *cache.Line, e *dirEntry, to int, class memsys
 		env.Prof.L2Served(&ln.Inst[w])
 	}
 	sl.c.Touch(ln)
-	hops := sl.sys.CtlHops(class, memsys.BRespCtl, sl.tile, to)
-	sl.sys.SendData(sl.tile, to, lineWords, sl.sys.pool.data.New(msgData{
+	d := sl.sys.pool.data.New(msgData{
 		line: ln.Tag, state: grant, acks: acks, data: data, minst: minst,
-		hops: hops, class: class,
-	}))
+		class: class,
+	})
+	d.hops = env.Send(class, memsys.BRespCtl, sl.tile, to, lineWords, d)
 }
 
 func (sl *l2Slice) sendInvs(line uint32, sharers sharerSet, ackTo int, toL2 bool) {
 	for t := range sharers.all() {
-		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, t,
+		sl.env().Send(memsys.ClassOVH, memsys.BOvhInval, sl.tile, t, 0,
 			sl.sys.pool.inv.New(msgInv{line: line, ackTo: ackTo, toL2: toL2}))
 	}
 }
@@ -289,7 +289,7 @@ func (sl *l2Slice) startFetch(line uint32, requestor int, class memsys.Class, gr
 func (sl *l2Slice) sendMemRead(e *dirEntry) {
 	t := e.busy
 	mc := sl.env().Cfg.MCTile(e.line)
-	sl.sys.SendCtl(t.class, memsys.BReqCtl, sl.tile, mc, sl.sys.pool.memRead.New(msgMemRead{
+	sl.env().Send(t.class, memsys.BReqCtl, sl.tile, mc, 0, sl.sys.pool.memRead.New(msgMemRead{
 		line: e.line, home: sl.tile, requestor: t.requestor, grant: t.grant,
 		class: t.class, direct: sl.sys.opt.MemToL1, tIssue: t.tIssue,
 	}))
@@ -323,7 +323,7 @@ func (sl *l2Slice) evictLine(ln *cache.Line, w wayWaiter) {
 	e.begin(txn{kind: txEvict, then: w})
 	switch {
 	case e.owner >= 0:
-		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhInval, sl.tile, int(e.owner),
+		sl.env().Send(memsys.ClassOVH, memsys.BOvhInval, sl.tile, int(e.owner), 0,
 			sl.sys.pool.recall.New(msgRecall{line: line}))
 	case !e.sharers.empty():
 		e.busy.pendingAcks = e.sharers.count()
@@ -369,9 +369,7 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, e *dirEntry) {
 		// words are the Mem Waste of Figure 5.1d.
 		mc := env.Cfg.MCTile(line)
 		dirty := bits.OnesCount16(dirtyMask)
-		hops := sl.sys.CtlHops(memsys.ClassWB, memsys.BWBCtl, sl.tile, mc)
-		env.Traffic.WBData(true, hops, dirty, lineWords-dirty)
-		sl.sys.SendData(sl.tile, mc, lineWords, sl.sys.pool.memWB.New(msgMemWB{
+		env.SendWB(true, sl.tile, mc, dirty, lineWords-dirty, sl.sys.pool.memWB.New(msgMemWB{
 			line: line, data: data, wmask: memsys.LineMask,
 		}))
 	}
@@ -407,12 +405,12 @@ func (sl *l2Slice) fillFromMem(m *msgMemData) {
 	} else {
 		e.sharers.add(m.req)
 	}
-	hops := sl.sys.CtlHops(m.class, memsys.BRespCtl, sl.tile, m.req)
-	sl.sys.SendData(sl.tile, m.req, lineWords, sl.sys.pool.data.New(msgData{
+	d := sl.sys.pool.data.New(msgData{
 		line: m.line, state: m.grant, data: m.data, minst: m.minst,
 		fromMem: true, tIssue: m.tIssue, tAtMC: m.tAtMC, tDram: m.tDram,
-		hops: hops, class: m.class,
-	}))
+		class: m.class,
+	})
+	d.hops = sl.env().Send(m.class, memsys.BRespCtl, sl.tile, m.req, lineWords, d)
 	sl.sys.pool.memData.Put(m)
 }
 
@@ -546,5 +544,5 @@ func (sl *l2Slice) handlePut(m *msgPut) {
 	}
 	// Stale puts (line already evicted/transferred) are acked and
 	// ignored.
-	sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, sl.sys.pool.wbAck.New(msgWBAck{line: m.line}))
+	sl.env().Send(memsys.ClassWB, memsys.BWBCtl, sl.tile, m.from, 0, sl.sys.pool.wbAck.New(msgWBAck{line: m.line}))
 }

@@ -85,7 +85,7 @@ func TestProducerConsumer(t *testing.T) {
 		pad(nil, []memsys.Op{ld(0), ld(4), ld(8)}),
 	})
 	env, _, _ := runProgram(t, p, mesi.Options{})
-	if env.Traffic.Total() == 0 {
+	if env.Traffic.Snapshot().Total() == 0 {
 		t.Fatal("no traffic recorded")
 	}
 	if env.Traffic.Get(memsys.ClassLD, memsys.BReqCtl) == 0 {
@@ -163,7 +163,7 @@ func TestAllWorkloadsOracleMESI(t *testing.T) {
 		prog := workloads.MustByName(name, workloads.Tiny, 16)
 		t.Run(name, func(t *testing.T) {
 			env, _, r := runProgram(t, prog, mesi.Options{})
-			if env.Traffic.Total() == 0 {
+			if env.Traffic.Snapshot().Total() == 0 {
 				t.Fatal("no measured traffic")
 			}
 			if r.ExecCycles() <= 0 {
@@ -207,9 +207,9 @@ func TestMMemL1ReducesTraffic(t *testing.T) {
 	envA, _, _ := runProgram(t, prog, mesi.Options{})
 	prog2 := workloads.MustByName("radix", workloads.Tiny, 16)
 	envB, _, _ := runProgram(t, prog2, mesi.Options{MemToL1: true})
-	if envB.Traffic.Total() >= envA.Traffic.Total() {
+	if envB.Traffic.Snapshot().Total() >= envA.Traffic.Snapshot().Total() {
 		t.Fatalf("MMemL1 (%.0f) did not reduce traffic vs MESI (%.0f)",
-			envB.Traffic.Total(), envA.Traffic.Total())
+			envB.Traffic.Snapshot().Total(), envA.Traffic.Snapshot().Total())
 	}
 }
 
@@ -218,7 +218,7 @@ func TestOverheadBreakdownShape(t *testing.T) {
 	prog := workloads.MustByName("LU", workloads.Tiny, 16)
 	env, _, _ := runProgram(t, prog, mesi.Options{})
 	unblock := env.Traffic.Get(memsys.ClassOVH, memsys.BOvhUnblock)
-	total := env.Traffic.ClassTotal(memsys.ClassOVH)
+	total := env.Traffic.Snapshot().ClassTotal(memsys.ClassOVH)
 	if total == 0 || unblock/total < 0.3 {
 		t.Fatalf("unblock share = %.2f of overhead; expected dominant", unblock/total)
 	}

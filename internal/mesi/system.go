@@ -4,10 +4,11 @@
 // the MMemL1 variant ("Memory Controller to L1 Transfer" for MESI).
 //
 // The package is a state machine plus a message vocabulary over the
-// internal/coher substrate: coher owns tile registration, transport and
-// traffic bookkeeping, the store buffer, the pending-transaction tables,
-// the drain gates and the memory-controller front end; this package owns
-// the MESI states, the directory, and the handlers.
+// internal/coher substrate: coher owns tile registration and dispatch,
+// the store buffer, the line tables, the drain gates and the
+// memory-controller front end, and memsys.Env's sends carry every
+// message and charge it to the flit-hop ledger; this package owns the
+// MESI states, the directory, and the handlers.
 //
 // Protocol shape reproduced here:
 //   - line-granularity coherence, fetch-on-write everywhere;
@@ -42,9 +43,11 @@ type Options struct {
 	MemToL1 bool // MMemL1
 }
 
-// System is a complete MESI memory system over the coher substrate.
+// System is a complete MESI memory system over the coher substrate. It
+// sends every message through its environment's sends (memsys.Env), which
+// charge the packet to the flit-hop ledger.
 type System struct {
-	coher.Substrate
+	env  *memsys.Env
 	opt  Options
 	l1s  []*l1Cache
 	l2s  []*l2Slice
@@ -54,7 +57,7 @@ type System struct {
 
 // New builds the protocol engine and registers its tiles on the mesh.
 func New(env *memsys.Env, opt Options) *System {
-	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s := &System{env: env, opt: opt}
 	s.mc = coher.NewMemCtl(env, s.memReadDone)
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
@@ -144,7 +147,7 @@ func (s *System) CheckCoherence() error {
 			if err != nil {
 				return
 			}
-			home := s.l2s[s.Env.Cfg.HomeTile(ln.Tag)]
+			home := s.l2s[s.env.Cfg.HomeTile(ln.Tag)]
 			e := home.dir.Get(ln.Tag)
 			if e != nil && e.busy != nil {
 				return
@@ -173,7 +176,7 @@ func (s *System) CheckCoherence() error {
 // data for (Figure 4.3's "address present in L2?" check at the MC): the
 // whole line or none of it.
 func (s *System) l2Words(line uint32) uint16 {
-	sl := s.l2s[s.Env.Cfg.HomeTile(line)]
+	sl := s.l2s[s.env.Cfg.HomeTile(line)]
 	if sl.c.Lookup(line) == nil {
 		return 0
 	}
@@ -188,7 +191,7 @@ func (s *System) l2Words(line uint32) uint16 {
 // memory-level waste instances for every word.
 // The read is recycled here: the MC held it until now.
 func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish int64) {
-	env := s.Env
+	env := s.env
 	var data [lineWords]uint32
 	var minst [lineWords]uint64
 	inL2 := s.l2Words(m.line)
@@ -199,19 +202,19 @@ func (s *System) memReadDone(tile int, m *msgMemRead, _ []uint32, tAtMC, finish 
 	}
 	if m.direct {
 		// MMemL1: straight to the requesting L1.
-		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-		s.SendData(tile, m.requestor, lineWords, s.pool.data.New(msgData{
+		d := s.pool.data.New(msgData{
 			line: m.line, state: m.grant, data: data, minst: minst,
 			fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
-			hops: hops, class: m.class,
-		}))
+			class: m.class,
+		})
+		d.hops = env.Send(m.class, memsys.BRespCtl, tile, m.requestor, lineWords, d)
 	} else {
-		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
-		s.SendData(tile, m.home, lineWords, s.pool.memData.New(msgMemData{
+		d := s.pool.memData.New(msgMemData{
 			line: m.line, data: data, minst: minst, class: m.class,
 			grant: m.grant, req: m.requestor,
-			tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
-		}))
+			tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
+		})
+		d.hops = env.Send(m.class, memsys.BRespCtl, tile, m.home, lineWords, d)
 	}
 	s.pool.memRead.Put(m)
 }
