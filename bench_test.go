@@ -81,9 +81,9 @@ func BenchmarkTable4_1_Parameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg = memsys.Default()
 	}
-	b.ReportMetric(float64(cfg.Tiles), "tiles")
+	b.ReportMetric(float64(cfg.Tiles()), "tiles")
 	b.ReportMetric(float64(cfg.L1Bytes)/1024, "L1_KB")
-	b.ReportMetric(float64(cfg.L2SliceBytes*cfg.Tiles)/1024/1024, "L2_MB")
+	b.ReportMetric(float64(cfg.L2SliceBytes*cfg.Tiles())/1024/1024, "L2_MB")
 	b.ReportMetric(float64(cfg.LinkLatency), "link_cycles")
 }
 

@@ -66,8 +66,7 @@ import (
 func main() { os.Exit(run()) }
 
 // The -help text enumerates valid names from the registries themselves, so
-// it can never drift from what the parsers accept (the hand-maintained
-// lists had already gone stale once).
+// it can never drift from what the parsers accept.
 //
 // run carries main's body with a real return code so the profiling defers
 // execute — os.Exit skips deferred functions, and a silently truncated

@@ -2,19 +2,19 @@ package bloom
 
 import "repro/internal/recycle"
 
-// BankConfig describes the filter banks of §4.4.
+// BankConfig describes the filter banks of §4.4: one bank per L2 slice,
+// and one copy of every slice's bank per L1.
 type BankConfig struct {
 	FiltersPerSlice int // number of Bloom filters at each L2 slice
 	Entries         int // entries per filter
-	Slices          int // number of L2 slices (tiles)
 	Seed            uint64
 }
 
 // DefaultBankConfig returns the paper's idealized geometry: 32 filters per
 // slice, 512 entries each, one H3 hash. For a 16-tile processor this is
 // 32*512*16 bits = 32 KB per L1 and 32*512*8 bits = 16 KB per L2 slice.
-func DefaultBankConfig(slices int) BankConfig {
-	return BankConfig{FiltersPerSlice: 32, Entries: 512, Slices: slices, Seed: 0xb10f}
+func DefaultBankConfig() BankConfig {
+	return BankConfig{FiltersPerSlice: 32, Entries: 512, Seed: 0xb10f}
 }
 
 // L2Bank is the set of counting Bloom filters at one L2 slice. It tracks
@@ -26,12 +26,19 @@ type L2Bank struct {
 	filters []*Counting
 }
 
-// Recycled banks, by geometry: a bank's arrays and hashes follow its
-// config alone.
+// Recycled banks, by geometry: an L2 bank's arrays and hashes follow its
+// config alone, an L1 bank's its config and slice count.
 var (
 	recycledL2 recycle.Pool[BankConfig, L2Bank]
-	recycledL1 recycle.Pool[BankConfig, L1Bank]
+	recycledL1 recycle.Pool[l1Key, L1Bank]
 )
+
+// l1Key is an L1 bank's geometry: its config and the number of slices it
+// copies.
+type l1Key struct {
+	BankConfig
+	slices int
+}
 
 // NewL2Bank creates the counting-filter bank for one slice, from a
 // recycled bank of the same config when one is free, emptied.
@@ -95,24 +102,26 @@ func (b *L2Bank) SizeBytes() int {
 // Every copy's bits are carved from one array, so a bank costs a handful
 // of allocations whatever its slice count.
 type L1Bank struct {
-	cfg     BankConfig
+	key     l1Key
 	sel     *H3
 	bits    []uint64 // backs every copy
 	filters []Filter // [slice*FiltersPerSlice + filterIdx]
 	valid   []bool   // indexed like filters
 }
 
-// NewL1Bank creates the L1-side filter copies for all slices, from a
-// recycled bank of the same config when one is free, emptied.
-func NewL1Bank(cfg BankConfig) *L1Bank {
-	if b := recycledL1.Get(cfg); b != nil {
+// NewL1Bank creates the L1-side copies of the filters of slices L2 banks,
+// from a recycled bank of the same config and slice count when one is
+// free, emptied.
+func NewL1Bank(cfg BankConfig, slices int) *L1Bank {
+	key := l1Key{cfg, slices}
+	if b := recycledL1.Get(key); b != nil {
 		b.ClearAll()
 		return b
 	}
 	h := NewH3(cfg.Seed)
-	n, words := cfg.Slices*cfg.FiltersPerSlice, filterWords(cfg.Entries)
+	n, words := slices*cfg.FiltersPerSlice, filterWords(cfg.Entries)
 	b := &L1Bank{
-		cfg:     cfg,
+		key:     key,
 		sel:     NewH3(cfg.Seed ^ 0x5e1ec7),
 		bits:    make([]uint64, n*words),
 		filters: make([]Filter, n),
@@ -125,10 +134,10 @@ func NewL1Bank(cfg BankConfig) *L1Bank {
 }
 
 // FilterIndex returns the per-slice filter index for a line address.
-func (b *L1Bank) FilterIndex(line uint32) int { return int(b.sel.Hash(line)) % b.cfg.FiltersPerSlice }
+func (b *L1Bank) FilterIndex(line uint32) int { return int(b.sel.Hash(line)) % b.key.FiltersPerSlice }
 
 // copyIndex returns the index of slice's copy of filter idx.
-func (b *L1Bank) copyIndex(slice, idx int) int { return slice*b.cfg.FiltersPerSlice + idx }
+func (b *L1Bank) copyIndex(slice, idx int) int { return slice*b.key.FiltersPerSlice + idx }
 
 // Query checks a line address against the copy for the line's home slice.
 // valid=false means the copy has not been fetched yet (the caller must
@@ -158,9 +167,9 @@ func (b *L1Bank) InsertLocal(slice int, line uint32) {
 // ClearAll resets every copy and valid bit (done at barriers).
 func (b *L1Bank) ClearAll() { clear(b.bits); clear(b.valid) }
 
-// Recycle hands the bank to the next NewL1Bank of its config. The caller
-// must not use the bank again.
-func (b *L1Bank) Recycle() { recycledL1.Put(b.cfg, b) }
+// Recycle hands the bank to the next NewL1Bank of its config and slice
+// count. The caller must not use the bank again.
+func (b *L1Bank) Recycle() { recycledL1.Put(b.key, b) }
 
 // SizeBytes is the storage footprint of all copies (1-bit entries).
 func (b *L1Bank) SizeBytes() int { return len(b.bits) * 8 }

@@ -174,9 +174,9 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 }
 
 func TestBankGeometryMatchesPaper(t *testing.T) {
-	cfg := DefaultBankConfig(16)
+	cfg := DefaultBankConfig()
 	l2 := NewL2Bank(cfg)
-	l1 := NewL1Bank(cfg)
+	l1 := NewL1Bank(cfg, 16)
 	// Paper: 32*512*8 bits = 16KB per L2 slice; 32*512*16 filters at 1 bit
 	// = 32KB per L1.
 	if l2.SizeBytes() != 16*1024 {
@@ -188,9 +188,9 @@ func TestBankGeometryMatchesPaper(t *testing.T) {
 }
 
 func TestL1BankDemandCopyFlow(t *testing.T) {
-	cfg := DefaultBankConfig(4)
+	cfg := DefaultBankConfig()
 	l2 := NewL2Bank(cfg)
-	l1 := NewL1Bank(cfg)
+	l1 := NewL1Bank(cfg, 4)
 	line := uint32(0x1234)
 	l2.Insert(line)
 
@@ -228,14 +228,15 @@ func TestL1BankDemandCopyFlow(t *testing.T) {
 
 // TestRecycledBanksMatchFresh fills an L1 and an L2 bank the way a run
 // leaves them, recycles both, and requires the next banks of the same
-// config to equal fresh ones.
+// config to equal fresh ones, and an L1 bank of another slice count
+// never to be a recycled one.
 func TestRecycledBanksMatchFresh(t *testing.T) {
-	cfg := DefaultBankConfig(4)
+	cfg := DefaultBankConfig()
 	// A -race build drops a quarter of the pools' puts at random, so try
 	// until one of each is taken back.
 	var l1ok, l2ok bool
 	for attempt := 0; attempt < 20 && !(l1ok && l2ok); attempt++ {
-		l1, l2 := NewL1Bank(cfg), NewL2Bank(cfg)
+		l1, l2 := NewL1Bank(cfg, 4), NewL2Bank(cfg)
 		for line := uint32(0); line < 200; line += 3 {
 			l2.Insert(line)
 			idx := l1.FilterIndex(line)
@@ -244,9 +245,12 @@ func TestRecycledBanksMatchFresh(t *testing.T) {
 		}
 		l1.Recycle()
 		l2.Recycle()
-		if got := NewL1Bank(cfg); got == l1 {
+		if got := NewL1Bank(cfg, 8); got == l1 || got.SizeBytes() != 2*l1.SizeBytes() {
+			t.Fatalf("an 8-slice L1 bank has %d bytes, from a recycled 4-slice bank: %v", got.SizeBytes(), got == l1)
+		}
+		if got := NewL1Bank(cfg, 4); got == l1 {
 			l1ok = true
-			if !reflect.DeepEqual(got, NewL1Bank(cfg)) {
+			if !reflect.DeepEqual(got, NewL1Bank(cfg, 4)) {
 				t.Fatal("a recycled L1 bank differs from a fresh one")
 			}
 		}
@@ -267,9 +271,9 @@ func TestRecycledBanksMatchFresh(t *testing.T) {
 // and applied its own writebacks can never conclude "definitely absent".
 func TestBypassSafetyProperty(t *testing.T) {
 	f := func(dirty []uint32, local []uint32) bool {
-		cfg := DefaultBankConfig(1)
+		cfg := DefaultBankConfig()
 		l2 := NewL2Bank(cfg)
-		l1 := NewL1Bank(cfg)
+		l1 := NewL1Bank(cfg, 1)
 		for _, ln := range dirty {
 			l2.Insert(ln)
 		}

@@ -44,7 +44,7 @@ type Msg[S any] interface {
 // non-generic code, where it hits the call site's type cache; asserted
 // here, against a type parameter, it would look the itab up per packet.
 func RegisterTiles(env *memsys.Env, deliver func(p any, tile int)) {
-	for t := 0; t < env.Cfg.Tiles; t++ {
+	for t := 0; t < env.Cfg.Tiles(); t++ {
 		tile := t
 		env.Mesh.Register(tile, func(p any) { deliver(p, tile) })
 	}

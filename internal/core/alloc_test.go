@@ -88,7 +88,7 @@ func TestTinyCellPeakLiveRecords(t *testing.T) {
 	if err := core.NewRunner(env, p, prog).Run(); err != nil {
 		t.Fatal(err)
 	}
-	words := cfg.Tiles * (cfg.L1Bytes + cfg.L2SliceBytes) / memsys.WordBytes
+	words := cfg.Tiles() * (cfg.L1Bytes + cfg.L2SliceBytes) / memsys.WordBytes
 	made, peak := env.Prof.Instances(), env.Prof.PeakLive()
 	t.Logf("%d instances, at most %d open at once; %d on-chip words", made, peak, words)
 	if made < 1_000_000 {

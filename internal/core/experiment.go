@@ -57,9 +57,9 @@ func (r *Result) WasteTotal(level waste.Level) uint64 {
 // Cancelling ctx stops the simulation within 65,536 events and returns
 // ctx's error.
 func RunOne(ctx context.Context, cfg memsys.Config, protoName string, prog memsys.Program) (*Result, error) {
-	if n := prog.Threads(); n > cfg.Tiles {
+	if n := prog.Threads(); n > cfg.Tiles() {
 		return nil, fmt.Errorf("%s has %d threads but the %dx%d mesh has %d tiles; run it on a mesh with at least %d tiles",
-			prog.Name(), n, cfg.Width, cfg.Height, cfg.Tiles, n)
+			prog.Name(), n, cfg.Width, cfg.Height, cfg.Tiles(), n)
 	}
 	env, err := memsys.NewEnv(cfg, prog.FootprintBytes(), prog.Regions())
 	if err != nil {

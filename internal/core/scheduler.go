@@ -109,9 +109,8 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	}
 	// Normalize workload specs like protocol specs: spelling variants of
 	// one configuration share a matrix key, and unknown benchmarks fail
-	// loudly before any cell runs (the old path silently skipped them via
-	// a nil program). Duplicate canonical specs are an error for the same
-	// reason as duplicate protocols.
+	// loudly before any cell runs, never skipped. Duplicate canonical
+	// specs are an error for the same reason as duplicate protocols.
 	normalized := make([]string, len(opt.Benchmarks))
 	benchSpecs := make([]*workloads.Spec, len(opt.Benchmarks))
 	seen := make(map[string]string, len(opt.Benchmarks))
@@ -129,9 +128,9 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	}
 	opt.Benchmarks = normalized
 
-	if opt.Threads > cfg.Tiles {
+	if opt.Threads > cfg.Tiles() {
 		return nil, fmt.Errorf("core: threads %d > tiles %d (%s mesh); cores map one-per-tile, so shrink Threads/-threads or grow the mesh",
-			opt.Threads, cfg.Tiles, opt.Mesh)
+			opt.Threads, cfg.Tiles(), opt.Mesh)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

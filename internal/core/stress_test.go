@@ -7,66 +7,50 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memsys"
-	"repro/internal/workloads"
+	"repro/internal/trace"
 )
 
-// randProgram is a randomly generated data-race-free program: each phase
+// newRandTrace generates a random data-race-free program: each phase
 // partitions a pool of "objects" (small address blocks) among threads for
 // writing, while reads may target anything written in an earlier phase or
 // owned this phase. It deliberately exercises cross-phase ownership
 // migration, false-sharing-shaped layouts (objects smaller than lines),
 // scattered stores, and region annotations (Flex + bypass) — the paths
 // where protocol races hide.
-type randProgram struct {
-	name     string
-	threads  int
-	phases   int
-	objs     int
-	objWords int
-	foot     uint32
-	regions  []memsys.Region
-	ops      [][][]memsys.Op // [phase][thread]
-}
-
-func newRandProgram(seed int64) *randProgram {
+func newRandTrace(seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	p := &randProgram{
-		name:     "stress",
-		threads:  16,
-		phases:   3 + rng.Intn(4),
-		objs:     32 + rng.Intn(64),
-		objWords: 3 + rng.Intn(10), // objects straddle lines
-	}
-	p.foot = uint32(p.objs*p.objWords*4+memsys.LineBytes) &^ (memsys.LineBytes - 1)
+	phases := 3 + rng.Intn(4)
+	objs := 32 + rng.Intn(64)
+	objWords := 3 + rng.Intn(10) // objects straddle lines
+	foot := uint32(objs*objWords*4+memsys.LineBytes) &^ (memsys.LineBytes - 1)
 	// Two regions covering the pool: one annotated for Flex+bypass, one
 	// plain, so every protocol feature is exercised.
-	half := (p.foot / 2) &^ (memsys.LineBytes - 1)
-	p.regions = []memsys.Region{
+	half := (foot / 2) &^ (memsys.LineBytes - 1)
+	tr := opsTrace("stress", foot, []memsys.Region{
 		{ID: 1, Name: "flexed", Base: 0, Size: half,
-			StrideWords: uint16(p.objWords), CommOffsets: []uint16{0, 1}, Bypass: true},
-		{ID: 2, Name: "plain", Base: half, Size: p.foot - half},
-	}
+			StrideWords: uint16(objWords), CommOffsets: []uint16{0, 1}, Bypass: true},
+		{ID: 2, Name: "plain", Base: half, Size: foot - half},
+	}, make([][][]memsys.Op, phases))
 
-	objAddr := func(o, w int) uint32 { return uint32((o*p.objWords + w) * 4) }
-	p.ops = make([][][]memsys.Op, p.phases)
-	for ph := 0; ph < p.phases; ph++ {
-		p.ops[ph] = make([][]memsys.Op, p.threads)
+	objAddr := func(o, w int) uint32 { return uint32((o*objWords + w) * 4) }
+	for ph := range tr.Ops {
+		tr.Ops[ph] = make([][]memsys.Op, tr.Threads)
 		// Per phase: a subset of objects is writable, each by exactly one
 		// owner; everything else is read-only for everyone. That makes
 		// race-freedom a construction invariant.
-		owner := make([]int, p.objs)
-		writable := make([]bool, p.objs)
+		owner := make([]int, objs)
+		writable := make([]bool, objs)
 		for o := range owner {
-			owner[o] = rng.Intn(p.threads)
+			owner[o] = rng.Intn(tr.Threads)
 			writable[o] = rng.Intn(2) == 0
 		}
-		for th := 0; th < p.threads; th++ {
+		for th := 0; th < tr.Threads; th++ {
 			var ops []memsys.Op
 			for n := 0; n < 20+rng.Intn(40); n++ {
-				o := rng.Intn(p.objs)
-				w := rng.Intn(p.objWords)
+				o := rng.Intn(objs)
+				w := rng.Intn(objWords)
 				a := objAddr(o, w)
-				if int(a) >= int(p.foot) {
+				if int(a) >= int(foot) {
 					continue
 				}
 				switch {
@@ -78,36 +62,35 @@ func newRandProgram(seed int64) *randProgram {
 					ops = append(ops, memsys.Op{Kind: memsys.OpCompute, Cycles: uint16(1 + rng.Intn(5))})
 				}
 			}
-			p.ops[ph][th] = ops
+			tr.Ops[ph][th] = ops
 		}
 	}
-	return p
+	return tr
 }
 
-func (p *randProgram) Name() string             { return p.name }
-func (p *randProgram) Threads() int             { return p.threads }
-func (p *randProgram) FootprintBytes() uint32   { return p.foot }
-func (p *randProgram) Regions() []memsys.Region { return p.regions }
-func (p *randProgram) Phases() int              { return p.phases }
-func (p *randProgram) WarmupPhases() int        { return 1 }
-func (p *randProgram) WrittenRegions(ph int) []uint8 {
-	// Conservative: both regions may be written every phase.
-	return []uint8{1, 2}
-}
-func (p *randProgram) EmitOps(ph, th int, emit func(memsys.Op)) {
-	for _, op := range p.ops[ph][th] {
-		emit(op)
+// newRandProgram runs newRandTrace's program.
+func newRandProgram(seed int64) memsys.Program { return trace.NewProgram(newRandTrace(seed), "") }
+
+// opsTrace wraps the op streams ops ([phase][thread]) as a 16-thread
+// trace with one warm-up phase. Conservatively, every phase may write
+// regions 1 and 2.
+func opsTrace(name string, foot uint32, regions []memsys.Region, ops [][][]memsys.Op) *trace.Trace {
+	tr := &trace.Trace{Name: name, Threads: 16, Footprint: foot, Warmup: 1, Regions: regions, Ops: ops}
+	tr.Written = make([][]uint8, len(ops))
+	for ph := range tr.Written {
+		tr.Written[ph] = []uint8{1, 2}
 	}
+	return tr
 }
 
 // verifyDRF asserts the generator's own race-freedom (belt and braces:
 // the oracle depends on it).
-func verifyDRF(t *testing.T, p *randProgram) {
+func verifyDRF(t *testing.T, tr *trace.Trace) {
 	t.Helper()
-	for ph := 0; ph < p.phases; ph++ {
+	for ph, streams := range tr.Ops {
 		writer := map[uint32]int{}
-		for th := 0; th < p.threads; th++ {
-			for _, op := range p.ops[ph][th] {
+		for th, ops := range streams {
+			for _, op := range ops {
 				if op.Kind == memsys.OpStore {
 					if w, ok := writer[op.Addr]; ok && w != th {
 						t.Fatalf("generator raced: phase %d addr %#x threads %d/%d", ph, op.Addr, w, th)
@@ -116,8 +99,8 @@ func verifyDRF(t *testing.T, p *randProgram) {
 				}
 			}
 		}
-		for th := 0; th < p.threads; th++ {
-			for _, op := range p.ops[ph][th] {
+		for th, ops := range streams {
+			for _, op := range ops {
 				if op.Kind == memsys.OpLoad {
 					if w, ok := writer[op.Addr]; ok && w != th {
 						t.Fatalf("generator read-write raced: phase %d addr %#x", ph, op.Addr)
@@ -133,15 +116,20 @@ func verifyDRF(t *testing.T, p *randProgram) {
 // This is the broadest race hunt in the suite: ownership migrates between
 // cores at random, objects straddle lines, bypass and Flex regions mix
 // with plain ones, and tiny caches force constant evictions and recalls.
+// Seeds -7 and -80 broke DeNovo's bypass variants (memory shipped a word
+// that was dirty on chip; an MSHR closed while a load still waited), and
+// seed 9 takes the path that re-requests such a load's word; the short
+// set keeps all three.
 func TestStressRandomDRFPrograms(t *testing.T) {
-	seeds := []int64{1, 7, 42, 1337, 90210}
+	seeds := []int64{1, 7, -7, -80, 9, 42, 1337, 90210}
 	if testing.Short() {
-		seeds = seeds[:2]
+		seeds = seeds[:5]
 	}
 	cfg := memsys.Default().Scaled(64)
 	for _, seed := range seeds {
-		prog := newRandProgram(seed)
-		verifyDRF(t, prog)
+		tr := newRandTrace(seed)
+		verifyDRF(t, tr)
+		prog := trace.NewProgram(tr, "")
 		for _, proto := range core.ProtocolNames() {
 			res, err := core.RunOne(context.Background(), cfg, proto, prog)
 			if err != nil {
@@ -177,12 +165,8 @@ func TestStressScatteredFootprint(t *testing.T) {
 		}
 	}
 	foot := uint32(16*lines+4) * 64
-	prog := &randProgram{
-		name: "setstorm", threads: 16, phases: 4,
-		foot:    foot,
-		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
-		ops:     phases,
-	}
+	prog := trace.NewProgram(opsTrace("setstorm", foot,
+		[]memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}}, phases), "")
 	for _, proto := range []string{"MESI", "MMemL1", "DeNovo", "DValidateL2", "DBypFull"} {
 		if _, err := core.RunOne(context.Background(), cfg, proto, prog); err != nil {
 			t.Fatalf("%s: %v", proto, err)
@@ -204,11 +188,8 @@ func TestStoreBufferBackpressure(t *testing.T) {
 		phases[1][3] = append(phases[1][3], memsys.Op{Kind: memsys.OpLoad, Addr: uint32(i) * 64})
 	}
 	foot := uint32(200) * 64
-	prog := &randProgram{
-		name: "sbfull", threads: 16, phases: 2, foot: foot,
-		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
-		ops:     phases,
-	}
+	prog := trace.NewProgram(opsTrace("sbfull", foot,
+		[]memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}}, phases), "")
 	if _, err := core.RunOne(context.Background(), cfg, "MESI", prog); err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +197,3 @@ func TestStoreBufferBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-var _ = workloads.Tiny // keep the import available for future stress variants

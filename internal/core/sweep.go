@@ -695,9 +695,8 @@ func (r *SweepResult) Table() *SweepTable {
 func (t *SweepTable) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sweep %s — one curve point per %s value\n", t.Spec, t.Axis)
-	// Every text column's width is computed from its content (the
-	// protocol column was once hardcoded to 18 and broke alignment for
-	// longer composed specs).
+	// Every text column's width is computed from its content, so long
+	// composed protocol specs stay aligned.
 	pointW, benchW, protoW := len(t.Axis), len("benchmark"), len("protocol")
 	for _, r := range t.Rows {
 		if len(r.Point) > pointW {

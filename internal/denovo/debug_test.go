@@ -23,35 +23,6 @@ func TestDiagnostics(t *testing.T) {
 	}
 }
 
-// scriptProgram mirrors the mesi test helper for directed scenarios.
-type scriptProgram struct {
-	name    string
-	threads int
-	foot    uint32
-	regions []memsys.Region
-	phases  [][][]memsys.Op
-	written [][]uint8
-	warmup  int
-}
-
-func (s *scriptProgram) Name() string             { return s.name }
-func (s *scriptProgram) Threads() int             { return s.threads }
-func (s *scriptProgram) FootprintBytes() uint32   { return s.foot }
-func (s *scriptProgram) Regions() []memsys.Region { return s.regions }
-func (s *scriptProgram) Phases() int              { return len(s.phases) }
-func (s *scriptProgram) WarmupPhases() int        { return s.warmup }
-func (s *scriptProgram) WrittenRegions(p int) []uint8 {
-	if s.written == nil {
-		return nil
-	}
-	return s.written[p]
-}
-func (s *scriptProgram) EmitOps(p, t int, emit func(memsys.Op)) {
-	for _, op := range s.phases[p][t] {
-		emit(op)
-	}
-}
-
 func ld(addr uint32) memsys.Op { return memsys.Op{Kind: memsys.OpLoad, Addr: addr} }
 func st(addr uint32) memsys.Op { return memsys.Op{Kind: memsys.OpStore, Addr: addr} }
 

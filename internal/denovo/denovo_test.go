@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/denovo"
 	"repro/internal/memsys"
+	"repro/internal/trace"
 	"repro/internal/waste"
 	"repro/internal/workloads"
 )
@@ -237,17 +238,17 @@ func TestOwnershipHandoff(t *testing.T) {
 	// B reads (forwarded from A), B writes (re-registration invalidates
 	// A's stale copy), A reads B's value. The runner's oracle checks every
 	// value; the invariant checker verifies single-registrant consistency.
-	p := &scriptProgram{
-		name: "handoff", threads: 16, foot: 4096,
-		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: 4096}},
-		phases: [][][]memsys.Op{
+	p := trace.NewProgram(&trace.Trace{
+		Name: "handoff", Threads: 16, Footprint: 4096,
+		Regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: 4096}},
+		Ops: [][][]memsys.Op{
 			pad([]memsys.Op{st(0), st(4)}),      // A writes
 			pad(nil, []memsys.Op{ld(0), ld(4)}), // B reads (fwd from A)
 			pad(nil, []memsys.Op{st(0), st(4)}), // B re-registers
 			pad([]memsys.Op{ld(0), ld(4)}),      // A reads B's values
 		},
-		written: [][]uint8{{1}, nil, {1}, nil},
-	}
+		Written: [][]uint8{{1}, nil, {1}, nil},
+	}, "")
 	for _, name := range []string{"DeNovo", "DValidateL2", "DBypFull"} {
 		t.Run(name, func(t *testing.T) { runProgram(t, p, name) })
 	}
@@ -271,12 +272,12 @@ func TestL2EvictionRecallsRegisteredWords(t *testing.T) {
 		reads[core] = append(reads[core], ld(addr))
 	}
 	foot := uint32(16*lines+2) * 64
-	p := &scriptProgram{
-		name: "recall", threads: 16, foot: foot,
-		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
-		phases:  [][][]memsys.Op{writes, reads},
-		written: [][]uint8{{1}, nil},
-	}
+	p := trace.NewProgram(&trace.Trace{
+		Name: "recall", Threads: 16, Footprint: foot,
+		Regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
+		Ops:     [][][]memsys.Op{writes, reads},
+		Written: [][]uint8{{1}, nil},
+	}, "")
 	for _, name := range []string{"DeNovo", "DValidateL2"} {
 		t.Run(name, func(t *testing.T) {
 			env, _, _ := runProgram(t, p, name)

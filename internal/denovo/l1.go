@@ -114,7 +114,7 @@ func newL1(s *System, tile int) *l1Cache {
 		c:    s.env.NewCache(cfg.L1Bytes, cfg.L1Assoc),
 	}
 	if s.opt.BypassReq {
-		l.blooms = bloom.NewL1Bank(cfg.Bloom)
+		l.blooms = bloom.NewL1Bank(cfg.Bloom, cfg.Tiles())
 	}
 	k := s.env.K
 	l.loads = coher.NewDeferred(k, cfg.L1Latency, func(ld coher.Load) {
@@ -419,7 +419,10 @@ func (l *l1Cache) handleData(m *dvnData) {
 }
 
 // completeWaiters finishes every waiter whose word is now cached and
-// closes the MSHR once the wanted set is empty.
+// closes the MSHR once the wanted set is empty. A waiter can outlive the
+// wanted set: a later word of a Flex response can evict the line an
+// earlier word filled. Every waiter waits on its MSHR's own line, so its
+// word is then requested again from that line's home.
 func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 	env := l.env()
 	kept := ms.waiters[:0]
@@ -435,13 +438,18 @@ func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 		wtr.done(ln.Data[w], sample)
 	}
 	ms.waiters = kept
-	if ms.wanted.len() == 0 {
-		if len(ms.waiters) != 0 {
-			panic(fmt.Sprintf("denovo: tile %d mshr %#x closed with %d waiters", l.tile, ms.key, len(ms.waiters)))
-		}
+	if ms.wanted.len() != 0 {
+		return
+	}
+	if len(ms.waiters) == 0 {
 		l.mshrs.Delete(ms.key)
 		l.sys.pool.mshr.Put(ms)
+		return
 	}
+	for _, wtr := range ms.waiters {
+		ms.wanted.add(memsys.WordAddr(wtr.addr))
+	}
+	l.retryNacked(mshrRef{ms, ms.gen})
 }
 
 // handleDeny drops flex-prefetch words that will not be delivered. Denied
@@ -485,8 +493,9 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 	l.nackRetry.Add(mshrRef{ms, ms.gen})
 }
 
-// retryNacked re-requests a NACKed group's remaining words once its
-// backoff has passed, unless the group completed meanwhile.
+// retryNacked re-requests a group's remaining words from its line's home:
+// a NACKed group's once its backoff has passed, unless the group
+// completed meanwhile, and a group whose waiters outlived its wanted set.
 func (l *l1Cache) retryNacked(r mshrRef) {
 	ms := r.ms
 	if ms.gen != r.gen || ms.wanted.len() == 0 {

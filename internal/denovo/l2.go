@@ -283,7 +283,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	if len(direct) > 0 {
 		sl.sendFromArray(m, direct, stamp)
 	}
-	for owner := 0; len(fwd) > 0 && owner < env.Cfg.Tiles; owner++ { // deterministic order
+	for owner := 0; len(fwd) > 0 && owner < env.Cfg.Tiles(); owner++ { // deterministic order
 		var fr *dvnFwdRead
 		for _, f := range fwd {
 			if int(f.owner) != owner {

@@ -91,7 +91,7 @@ func (s *System) snapshot(bank *bloom.L2Bank, idx int) *bloom.Filter {
 func New(env *memsys.Env, opt Options) *System {
 	s := &System{env: env, opt: opt}
 	s.mc = coher.NewMemCtl(env, s.memReadDone)
-	n := env.Cfg.Tiles
+	n := env.Cfg.Tiles()
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
 	for t := 0; t < n; t++ {
@@ -215,6 +215,8 @@ func (s *System) handleMemRead(tile int, m *dvnMemRead) {
 func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDram int64) {
 	env := s.env
 	var resp *dvnData // the requestor's words
+	var deniedBuf [2 * lineWords]uint32
+	denied := deniedBuf[:0] // wanted words memory cannot supply
 	if m.direct {
 		resp = s.pool.data.New(dvnData{key: m.key, fromMem: true, tAtMC: tAtMC, tDram: tDram})
 	}
@@ -228,12 +230,21 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 			fillOrder = append(fillOrder, fill)
 		}
 		inL2 := s.l2Words(ln)
+		// noReturn names the critical line's words dirty on chip; another
+		// line's are read from its home slice now.
+		stale := m.noReturn
+		if ln != m.critLine {
+			stale = s.l2s[env.Cfg.HomeTile(ln)].dirtyMask(ln)
+		}
 		for w := 0; w < lineWords; w++ {
 			a := memsys.AddrOf(ln, w)
-			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
-				continue // dirty on-chip: memory's copy is stale
-			}
 			wanted := slices.Contains(m.wants.s, a)
+			if stale&(1<<w) != 0 { // memory's copy is stale
+				if wanted {
+					denied = append(denied, a)
+				}
+				continue
+			}
 			sendL1 := wanted && m.direct
 			sendL2 := fill != nil && (!m.flex || wanted)
 			if !sendL1 && !sendL2 {
@@ -256,18 +267,16 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, tAtMC, tDr
 
 	if m.direct {
 		resp.hops = env.Send(m.class, memsys.BRespCtl, tile, m.requestor, len(resp.words.s), resp)
-		// Deny wanted words on lines that were not fetched.
-		var deny *dvnDeny
+		// Deny wanted words on lines that were not fetched, too.
 		for _, w := range m.wants.s {
 			if !slices.Contains(lines, memsys.LineOf(w)) {
-				if deny == nil {
-					deny = s.pool.deny.New(dvnDeny{key: m.key})
-				}
-				deny.words.add(w)
+				denied = append(denied, w)
 			}
 		}
-		if deny != nil {
-			env.Send(m.class, memsys.BRespCtl, tile, m.requestor, 0, deny)
+		if len(denied) > 0 {
+			d := s.pool.deny.New(dvnDeny{key: m.key})
+			d.words.set(denied)
+			env.Send(m.class, memsys.BRespCtl, tile, m.requestor, 0, d)
 		}
 	}
 	for _, fill := range fillOrder {

@@ -15,9 +15,8 @@ import (
 // request fields, and a sweep over an axis must tell "defaulted" from
 // "pinned" — sweeping topology against an explicit -topology is a
 // conflict error, sweeping it against the default is the normal case.
-// Every CLI used to hand-roll this flag.Visit loop (trafficsim twice);
-// one helper keeps the explicitness semantics from drifting between call
-// sites.
+// Every CLI asks through this one helper, so the explicitness semantics
+// cannot drift between call sites.
 func Explicit(fs *flag.FlagSet) map[string]bool {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -31,10 +31,10 @@ func FprintInventory(w io.Writer, dims string) error {
 		{"L1D Cache (private)", fmt.Sprintf("%d KB, %d-way set associative, %d byte cache lines",
 			cfg.L1Bytes/1024, cfg.L1Assoc, memsys.LineBytes)},
 		{"L2 Cache (shared)", fmt.Sprintf("%d KB slices (%d MB total), %d-way set associative, %d byte cache lines",
-			cfg.L2SliceBytes/1024, cfg.L2SliceBytes*cfg.Tiles/(1024*1024), cfg.L2Assoc, memsys.LineBytes)},
+			cfg.L2SliceBytes/1024, cfg.L2SliceBytes*cfg.Tiles()/(1024*1024), cfg.L2Assoc, memsys.LineBytes)},
 		{"Network", fmt.Sprintf("%dx%d %s, 16 byte links, %d cycle link latency, 1 control + %d data flits/packet",
 			cfg.Width, cfg.Height, cfg.Topology, cfg.LinkLatency, cfg.MaxDataFlits)},
-		{"Memory Controller", fmt.Sprintf("FR-FCFS scheduling, open page policy, %d corner-tile controllers", len(cfg.MCTiles))},
+		{"Memory Controller", fmt.Sprintf("FR-FCFS scheduling, open page policy, %d corner-tile controllers", len(cfg.MCTiles()))},
 		{"DRAM", fmt.Sprintf("DDR3-1066, %d banks, %d KB rows", cfg.DRAM.Banks, cfg.DRAM.RowBytes/1024)},
 		{"Store buffer", fmt.Sprintf("%d pending non-blocking writes per core", cfg.StoreBufferEntries)},
 		{"Write combining", fmt.Sprintf("%d entries, %d cycle timeout (DeNovo)", cfg.WriteCombineEntries, cfg.WriteCombineTimeout)},

@@ -50,8 +50,6 @@ func AddrOf(line uint32, word int) uint32 { return line<<LineShift | uint32(word
 // Config is the simulated system of Table 4.1 plus protocol-level knobs
 // from §4.2 and §4.4.
 type Config struct {
-	Tiles int // cores / L1s / L2 slices
-
 	// Config is the fabric — tile grid, topology, router model, VC
 	// geometry and link latency — which NewEnv hands to mesh.New as is.
 	mesh.Config
@@ -74,34 +72,38 @@ type Config struct {
 
 	RetryBackoff int64 // cycles an L1 waits before retrying a NACKed request
 
-	MCTiles []int // tiles hosting memory controllers (corner tiles)
-	DRAM    dram.Config
+	DRAM dram.Config
 
-	Bloom bloom.BankConfig // L2 request-bypass filter geometry (§4.4)
+	Bloom bloom.BankConfig // L2 request-bypass filter geometry (§4.4), one bank per tile
 }
 
-// CornerTiles returns the memory-controller placement for a width x height
-// grid: the four corner tiles, deduplicated in row-major order for
-// degenerate shapes (a 1-wide or 1-tall grid has fewer distinct corners,
-// and a 1x1 grid exactly one). This is the generalization of the paper's
+// Tiles returns the tile count: each tile of the grid has a core, an L1,
+// an L2 slice and a Bloom bank.
+func (c Config) Tiles() int { return c.Width * c.Height }
+
+// MCTiles returns the tiles hosting memory controllers, indexed by
+// channel: the grid's four corners, deduplicated in row-major order for
+// degenerate shapes (a 1-wide or 1-tall grid has two distinct corners,
+// and a 1x1 grid one). This is the generalization of the paper's
 // {0, 3, 12, 15} on the 4x4 mesh; the ring linearizes the same tiles, so
 // the corner indexes stay valid on every topology.
-func CornerTiles(width, height int) []int {
-	corners := []int{0, width - 1, (height - 1) * width, height*width - 1}
-	out := corners[:0]
-	for _, c := range corners {
-		dup := false
-		for _, prev := range out {
-			if prev == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
+func (c Config) MCTiles() []int {
+	tiles := make([]int, c.channels())
+	for ch := range tiles {
+		tiles[ch] = c.corner(ch)
 	}
-	return out
+	return tiles
+}
+
+// channels returns the number of memory channels: one per distinct
+// corner of the grid.
+func (c Config) channels() int { return min(c.Width, 2) * min(c.Height, 2) }
+
+// corner returns the tile of channel ch's memory controller: ch counts
+// the distinct corners in row-major order.
+func (c Config) corner(ch int) int {
+	cols := min(c.Width, 2)
+	return ch/cols*(c.Height-1)*c.Width + ch%cols*(c.Width-1)
 }
 
 // ParseMeshDims parses a "WxH" mesh-dimension string ("4x4", "8x8",
@@ -146,16 +148,13 @@ func FormatMeshDims(width, height int) string {
 	return fmt.Sprintf("%dx%d", width, height)
 }
 
-// WithMesh returns a copy of c re-dimensioned to a width x height grid:
-// Tiles, the corner memory-controller placement, and the Bloom bank
-// geometry (one bank per L2 slice) all follow the dimensions. Per-tile
-// cache and link parameters are unchanged — scaling the fabric scales the
-// aggregate capacity with it, as a real tiled CMP would.
+// WithMesh returns a copy of c re-dimensioned to a width x height grid.
+// The tile count, the corner memory-controller placement and the Bloom
+// banks (one per L2 slice) follow the dimensions. Per-tile cache and link
+// parameters are unchanged — scaling the fabric scales the aggregate
+// capacity with it, as a real tiled CMP would.
 func (c Config) WithMesh(width, height int) Config {
 	c.Width, c.Height = width, height
-	c.Tiles = width * height
-	c.MCTiles = CornerTiles(width, height)
-	c.Bloom = bloom.DefaultBankConfig(c.Tiles)
 	return c
 }
 
@@ -166,7 +165,6 @@ func (c Config) WithMesh(width, height int) Config {
 // single-channel DDR3-1066 DIMMs.
 func Default() Config {
 	return Config{
-		Tiles:  16,
 		Config: mesh.Config{Width: 4, Height: 4, Topology: "mesh", Router: "ideal", LinkLatency: 3},
 
 		L1Bytes: 32 * 1024,
@@ -187,9 +185,8 @@ func Default() Config {
 
 		RetryBackoff: 24,
 
-		MCTiles: CornerTiles(4, 4),
-		DRAM:    dram.DefaultConfig(),
-		Bloom:   bloom.DefaultBankConfig(16),
+		DRAM:  dram.DefaultConfig(),
+		Bloom: bloom.DefaultBankConfig(),
 	}
 }
 
@@ -218,9 +215,6 @@ func (c Config) Validate() error {
 	if err := checkSides(c.Width, c.Height); err != nil {
 		return err
 	}
-	if c.Tiles != c.Width*c.Height {
-		return fmt.Errorf("memsys: tiles %d != mesh %dx%d", c.Tiles, c.Width, c.Height)
-	}
 	if _, err := mesh.NewTopology(c.Topology, c.Width, c.Height); err != nil {
 		return fmt.Errorf("memsys: %w", err)
 	}
@@ -242,32 +236,6 @@ func (c Config) Validate() error {
 	if c.VCDepth > mesh.MaxVCDepth {
 		return fmt.Errorf("memsys: VCDepth = %d exceeds the maximum %d", c.VCDepth, mesh.MaxVCDepth)
 	}
-	if len(c.MCTiles) == 0 {
-		return fmt.Errorf("memsys: no memory controllers")
-	}
-	// The memory-controller placement must track the mesh dimensions: the
-	// hardcoded 4x4 corners {0, 3, 12, 15} silently land on interior (or
-	// out-of-range) tiles of any other grid, skewing every to-MC route
-	// length. Each MC tile must be in range and a corner of this grid —
-	// configs that re-dimension the mesh go through WithMesh, which keeps
-	// the placement in sync.
-	corners := CornerTiles(c.Width, c.Height)
-	for _, t := range c.MCTiles {
-		if t < 0 || t >= c.Tiles {
-			return fmt.Errorf("memsys: MC tile %d out of range for %d tiles", t, c.Tiles)
-		}
-		isCorner := false
-		for _, corner := range corners {
-			if t == corner {
-				isCorner = true
-				break
-			}
-		}
-		if !isCorner {
-			return fmt.Errorf("memsys: MC tile %d is not a corner of the %dx%d mesh (corners: %v); use WithMesh to re-dimension",
-				t, c.Width, c.Height, corners)
-		}
-	}
 	if c.MaxDataFlits <= 0 {
 		return fmt.Errorf("memsys: MaxDataFlits must be positive")
 	}
@@ -276,17 +244,17 @@ func (c Config) Validate() error {
 
 // HomeTile returns the L2 slice (tile) that owns a line address: lines are
 // interleaved across slices.
-func (c Config) HomeTile(line uint32) int { return int(line) % c.Tiles }
+func (c Config) HomeTile(line uint32) int { return int(line) % c.Tiles() }
 
 // Channel returns the memory-channel index for a line address. A different
 // bit range than HomeTile is used so slice and channel interleaving are
 // decorrelated.
 func (c Config) Channel(line uint32) int {
-	return int(line>>4) % len(c.MCTiles)
+	return int(line>>4) % c.channels()
 }
 
 // MCTile returns the tile hosting the memory controller for a line.
-func (c Config) MCTile(line uint32) int { return c.MCTiles[c.Channel(line)] }
+func (c Config) MCTile(line uint32) int { return c.corner(c.Channel(line)) }
 
 // MaxDataWords is the largest number of words one packet can carry.
 func (c Config) MaxDataWords() int { return c.MaxDataFlits * 4 }

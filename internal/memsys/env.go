@@ -94,7 +94,7 @@ type Protocol interface {
 type Env struct {
 	K       *sim.Kernel
 	Mesh    *mesh.Mesh
-	Chans   []*dram.Channel // one per memory channel, indexed like Config.MCTiles
+	Chans   []*dram.Channel // one per memory channel, indexed like Config.MCTiles()
 	Cfg     Config
 	Traffic *Traffic
 	Prof    *waste.Profiler
@@ -127,7 +127,7 @@ func NewEnv(cfg Config, footprintBytes uint32, regions []Region) (*Env, error) {
 		Regions: rt,
 		Mem:     recycledMem.Get(int((footprintBytes + 3) / 4)),
 	}
-	e.Chans = make([]*dram.Channel, len(cfg.MCTiles))
+	e.Chans = make([]*dram.Channel, len(cfg.MCTiles()))
 	for i := range e.Chans {
 		e.Chans[i] = dram.NewChannel(k, cfg.DRAM)
 	}

@@ -40,7 +40,7 @@ func TestDefaultConfigMatchesTable41(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Tiles != 16 || c.L1Bytes != 32*1024 || c.L1Assoc != 8 {
+	if c.Tiles() != 16 || c.L1Bytes != 32*1024 || c.L1Assoc != 8 {
 		t.Fatal("L1 config differs from Table 4.1")
 	}
 	if c.L2SliceBytes != 256*1024 || c.L2Assoc != 16 {
@@ -49,7 +49,7 @@ func TestDefaultConfigMatchesTable41(t *testing.T) {
 	if c.LinkLatency != 3 || c.MaxDataFlits != 4 || c.MaxDataWords() != 16 {
 		t.Fatal("network config differs from Table 4.1")
 	}
-	if len(c.MCTiles) != 4 {
+	if len(c.MCTiles()) != 4 {
 		t.Fatal("corner MCs missing")
 	}
 	if c.StoreBufferEntries != 32 || c.WriteCombineEntries != 32 || c.WriteCombineTimeout != 10000 {
@@ -62,7 +62,7 @@ func TestScaled(t *testing.T) {
 	if c.L1Bytes != 8*1024 || c.L2SliceBytes != 64*1024 {
 		t.Fatalf("scaled caches = %d/%d", c.L1Bytes, c.L2SliceBytes)
 	}
-	if c.L1Assoc != 8 || c.Tiles != 16 {
+	if c.L1Assoc != 8 || c.Tiles() != 16 {
 		t.Fatal("Scaled changed associativity or tiles")
 	}
 	// Scaling never produces a cache smaller than one set.
@@ -85,7 +85,7 @@ func TestHomeTileAndChannel(t *testing.T) {
 		if ch < 0 || ch >= 4 {
 			t.Fatalf("channel %d out of range", ch)
 		}
-		if mc := c.MCTile(line); mc != c.MCTiles[ch] {
+		if mc := c.MCTile(line); mc != c.MCTiles()[ch] {
 			t.Fatal("MCTile/Channel mismatch")
 		}
 	}
@@ -329,7 +329,7 @@ func TestEnvConstruction(t *testing.T) {
 
 func TestEnvRejectsBadConfig(t *testing.T) {
 	cfg := Default()
-	cfg.Tiles = 15
+	cfg.MaxDataFlits = 0
 	if _, err := NewEnv(cfg, 64, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}

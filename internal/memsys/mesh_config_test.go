@@ -9,6 +9,9 @@ import (
 	"repro/internal/mesh"
 )
 
+// TestCornerTiles pins the memory-controller placement on each grid
+// shape, and that MCTile, which computes a line's controller without
+// building the list, agrees with it.
 func TestCornerTiles(t *testing.T) {
 	cases := []struct {
 		w, h int
@@ -23,8 +26,16 @@ func TestCornerTiles(t *testing.T) {
 		{1, 1, []int{0}},    // degenerate, rejected elsewhere
 	}
 	for _, c := range cases {
-		if got := CornerTiles(c.w, c.h); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("CornerTiles(%d, %d) = %v, want %v", c.w, c.h, got, c.want)
+		cfg := Default().WithMesh(c.w, c.h)
+		got := cfg.MCTiles()
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%dx%d: MCTiles() = %v, want %v", c.w, c.h, got, c.want)
+			continue
+		}
+		for line := uint32(0); line < 256; line++ {
+			if mc := cfg.MCTile(line); mc != got[cfg.Channel(line)] {
+				t.Fatalf("%dx%d: MCTile(%d) = %d, want %d", c.w, c.h, line, mc, got[cfg.Channel(line)])
+			}
 		}
 	}
 }
@@ -78,11 +89,11 @@ func TestValidateMeshSide(t *testing.T) {
 
 func TestWithMesh(t *testing.T) {
 	cfg := Default().WithMesh(8, 8)
-	if cfg.Tiles != 64 || cfg.Width != 8 || cfg.Height != 8 {
-		t.Fatalf("WithMesh(8,8): tiles %d, dims %dx%d", cfg.Tiles, cfg.Width, cfg.Height)
+	if cfg.Tiles() != 64 || cfg.Width != 8 || cfg.Height != 8 {
+		t.Fatalf("WithMesh(8,8): tiles %d, dims %dx%d", cfg.Tiles(), cfg.Width, cfg.Height)
 	}
-	if want := []int{0, 7, 56, 63}; !reflect.DeepEqual(cfg.MCTiles, want) {
-		t.Errorf("MC tiles %v, want corners %v", cfg.MCTiles, want)
+	if want := []int{0, 7, 56, 63}; !reflect.DeepEqual(cfg.MCTiles(), want) {
+		t.Errorf("MC tiles %v, want corners %v", cfg.MCTiles(), want)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("WithMesh(8,8) config invalid: %v", err)
@@ -98,32 +109,7 @@ func TestWithMesh(t *testing.T) {
 	if len(homes) != 64 {
 		t.Errorf("home-tile interleaving reached %d of 64 slices", len(homes))
 	}
-	if len(chans) != len(cfg.MCTiles) {
-		t.Errorf("channel interleaving reached %d of %d controllers", len(chans), len(cfg.MCTiles))
-	}
-}
-
-// TestValidateMCPlacement pins the cross-check that caught the hardcoded
-// 4x4 corners: every MC tile must be in range for the tile count AND a
-// corner of the configured grid.
-func TestValidateMCPlacement(t *testing.T) {
-	cfg := Default().WithMesh(8, 8)
-
-	bad := cfg
-	bad.MCTiles = []int{0, 3, 12, 15} // the 4x4 literal: interior tiles on 8x8
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "corner") {
-		t.Errorf("4x4 corner literal on an 8x8 mesh: err = %v, want a corner complaint", err)
-	}
-
-	oor := Default()
-	oor.MCTiles = []int{0, 99}
-	if err := oor.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("out-of-range MC tile: err = %v, want out-of-range complaint", err)
-	}
-
-	mismatch := Default()
-	mismatch.Width = 8 // Tiles stays 16: dims and count disagree
-	if err := mismatch.Validate(); err == nil {
-		t.Error("tiles != width*height passed Validate")
+	if len(chans) != len(cfg.MCTiles()) {
+		t.Errorf("channel interleaving reached %d of %d controllers", len(chans), len(cfg.MCTiles()))
 	}
 }

@@ -47,8 +47,8 @@ func RouterKinds() []string {
 // RouterDescription returns the one-line inventory description of a
 // registered router kind (used by cmd/papertables and /v1/catalog). The
 // empty string describes the default ("ideal"); an unregistered kind is
-// an error — it used to return "" silently, which let a registry or
-// inventory drift print an empty papertables row.
+// an error, so a registry or inventory drift cannot print an empty
+// papertables row.
 func RouterDescription(kind string) (string, error) {
 	r, err := lookupRouter(kind)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/mesi"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -28,45 +29,18 @@ func runProgram(t *testing.T, prog memsys.Program, opt mesi.Options) (*memsys.En
 	return env, sys, r
 }
 
-// scriptProgram is a minimal memsys.Program for directed scenarios.
-type scriptProgram struct {
-	name    string
-	threads int
-	foot    uint32
-	regions []memsys.Region
-	phases  [][][]memsys.Op // [phase][thread]ops
-	written [][]uint8
-	warmup  int
-}
-
-func (s *scriptProgram) Name() string             { return s.name }
-func (s *scriptProgram) Threads() int             { return s.threads }
-func (s *scriptProgram) FootprintBytes() uint32   { return s.foot }
-func (s *scriptProgram) Regions() []memsys.Region { return s.regions }
-func (s *scriptProgram) Phases() int              { return len(s.phases) }
-func (s *scriptProgram) WarmupPhases() int        { return s.warmup }
-func (s *scriptProgram) WrittenRegions(p int) []uint8 {
-	if s.written == nil {
-		return nil
-	}
-	return s.written[p]
-}
-func (s *scriptProgram) EmitOps(p, t int, emit func(memsys.Op)) {
-	for _, op := range s.phases[p][t] {
-		emit(op)
-	}
-}
-
 func ld(addr uint32) memsys.Op { return memsys.Op{Kind: memsys.OpLoad, Addr: addr} }
 func st(addr uint32) memsys.Op { return memsys.Op{Kind: memsys.OpStore, Addr: addr} }
 
-func script(name string, foot uint32, phases [][][]memsys.Op) *scriptProgram {
-	return &scriptProgram{
-		name: name, threads: 16, foot: foot,
-		regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
-		phases:  phases,
-		written: make([][]uint8, len(phases)),
-	}
+// script is a directed scenario: per-phase op tables for 16 threads over
+// one region, with no warm-up and no written regions.
+func script(name string, foot uint32, phases [][][]memsys.Op) memsys.Program {
+	return trace.NewProgram(&trace.Trace{
+		Name: name, Threads: 16, Footprint: foot,
+		Regions: []memsys.Region{{ID: 1, Name: "all", Base: 0, Size: foot}},
+		Written: make([][]uint8, len(phases)),
+		Ops:     phases,
+	}, "")
 }
 
 // pad extends a per-thread op table to 16 threads.

@@ -59,7 +59,7 @@ type System struct {
 func New(env *memsys.Env, opt Options) *System {
 	s := &System{env: env, opt: opt}
 	s.mc = coher.NewMemCtl(env, s.memReadDone)
-	n := env.Cfg.Tiles
+	n := env.Cfg.Tiles()
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
 	for t := 0; t < n; t++ {

@@ -44,17 +44,20 @@ type key struct {
 	slot int32
 }
 
-// payload is one pending event. Exactly one of fn and fna is set; fna
-// receives arg, so hot paths can reuse a package-level function value plus a
-// free-listed argument instead of allocating a closure. seq is the event's
-// sequence number and next its successor in its wheel bucket.
+// payload is one pending event: fn receives arg, so hot paths can reuse a
+// package-level function value plus a free-listed argument instead of
+// allocating a closure. seq is the event's sequence number and next its
+// successor in its wheel bucket.
 type payload struct {
-	fn   func()
-	fna  func(any)
+	fn   func(any)
 	arg  any
 	seq  uint64
 	next int32
 }
+
+// callFunc runs an At or After callback, which rides in the event's arg:
+// an interface holds a func value without allocating.
+func callFunc(fn any) { fn.(func())() }
 
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
 type Kernel struct {
@@ -130,13 +133,7 @@ func (k *Kernel) Pending() int {
 // cannot move time backwards, and counts the clamp so the error cannot
 // hide — Clamped is surfaced in the driver's debug stats and asserted
 // zero by the regression suite.
-func (k *Kernel) At(t int64, fn func()) {
-	if t < k.now {
-		t = k.now
-		k.clamped++
-	}
-	k.push(t, fn, nil, nil)
-}
+func (k *Kernel) At(t int64, fn func()) { k.AtArg(t, callFunc, fn) }
 
 // AtArg schedules fn(arg) at absolute cycle t. It is the allocation-free
 // form of At: fn is typically a package-level function value and arg a
@@ -147,7 +144,7 @@ func (k *Kernel) AtArg(t int64, fn func(any), arg any) {
 		t = k.now
 		k.clamped++
 	}
-	k.push(t, nil, fn, arg)
+	k.push(t, fn, arg)
 }
 
 // Clamped returns how many events were scheduled in the past and clamped
@@ -275,15 +272,11 @@ func (k *Kernel) Step() bool {
 	// Field-wise stores keep the garbage collector's write barrier off its
 	// bulk path.
 	e := &k.slab[slot]
-	fn, fna, arg := e.fn, e.fna, e.arg
-	e.fn, e.fna, e.arg = nil, nil, nil
+	fn, arg := e.fn, e.arg
+	e.fn, e.arg = nil, nil
 	k.free = append(k.free, slot)
 	k.steps++
-	if fn != nil {
-		fn()
-	} else {
-		fna(arg)
-	}
+	fn(arg)
 	return true
 }
 
@@ -324,7 +317,7 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 // push stores an event in a free slab slot with the next sequence number
 // and queues it at cycle at: in at's wheel bucket when at is less than a
 // span ahead, in the far heap otherwise.
-func (k *Kernel) push(at int64, fn func(), fna func(any), arg any) {
+func (k *Kernel) push(at int64, fn func(any), arg any) {
 	var slot int32
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
@@ -334,7 +327,7 @@ func (k *Kernel) push(at int64, fn func(), fna func(any), arg any) {
 		k.slab = append(k.slab, payload{})
 	}
 	e := &k.slab[slot]
-	e.fn, e.fna, e.arg, e.seq = fn, fna, arg, k.seq
+	e.fn, e.arg, e.seq = fn, arg, k.seq
 	k.seq++
 	if at-k.now < wheelSpan {
 		k.link(at, slot)

@@ -249,10 +249,11 @@ type tickArg struct{ n int }
 
 func bump(a any) { a.(*tickArg).n++ }
 
-// A steady AtArg -> Step loop allocates nothing: keys and payload slots are
-// recycled, and a package-level function plus a pointer argument build no
-// closure. One push in eight is 10,000 cycles ahead, so every run also
-// takes an event through the far heap and migrates it into the wheel.
+// A steady At/AtArg/After -> Step loop allocates nothing: keys and payload
+// slots are recycled, a package-level function plus a pointer argument
+// build no closure, and At and After carry an existing func value in the
+// event's argument. One push in eight is 10,000 cycles ahead, so every run
+// also takes an event through the far heap and migrates it into the wheel.
 func TestKernelAtArgZeroAlloc(t *testing.T) {
 	var k Kernel
 	args := make([]*tickArg, 16)
@@ -262,6 +263,8 @@ func TestKernelAtArgZeroAlloc(t *testing.T) {
 	}
 	for k.Step() {
 	}
+	calls := 0
+	call := func() { calls++ }
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		for j := 0; j < 8; j++ {
@@ -269,7 +272,14 @@ func TestKernelAtArgZeroAlloc(t *testing.T) {
 			if j == 7 {
 				d = 10_000
 			}
-			k.AtArg(k.Now()+d, bump, args[i%len(args)])
+			switch j % 3 {
+			case 0:
+				k.AtArg(k.Now()+d, bump, args[i%len(args)])
+			case 1:
+				k.At(k.Now()+d, call)
+			default:
+				k.After(d, call)
+			}
 			i++
 		}
 		for j := 0; j < 8; j++ {
@@ -277,10 +287,17 @@ func TestKernelAtArgZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AtArg->Step loop allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("At/AtArg/After->Step loop allocated %.1f times per run, want 0", allocs)
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d after balanced loop, want 0", k.Pending())
+	}
+	bumps := -len(args) // the warm-up's
+	for _, a := range args {
+		bumps += a.n
+	}
+	if bumps+calls != i {
+		t.Fatalf("%d AtArg and %d At/After events ran, want %d in all", bumps, calls, i)
 	}
 }
 

@@ -18,12 +18,11 @@ import "repro/internal/memsys"
 // The Flex communication regions cover exactly the force-phase fields, so
 // DFlexL1/DFlexL2 avoid shipping build-only fields and padding (§5.2.1).
 type Barnes struct {
-	threads int
-	bodies  int
-	cells   int
-	lay     layout
-	bodyR   uint8
-	cellR   uint8
+	shape
+	bodies int
+	cells  int
+	bodyR  uint8
+	cellR  uint8
 }
 
 const (
@@ -52,7 +51,11 @@ func NewBarnes(size Size, threads int) *Barnes {
 	default:
 		n = 16 * 1024 // paper
 	}
-	b := &Barnes{threads: threads, bodies: n, cells: n / 2}
+	b := &Barnes{bodies: n, cells: n / 2, shape: shape{
+		name: "barnes", threads: threads,
+		phases: 6, // (build, force, update) x 2 iterations
+		warmup: 3, // the first iteration (§4.3)
+	}}
 	// Force-phase communication regions: mass+pos for bodies, COM+children
 	// for cells.
 	bodyComm := make([]uint16, 8)
@@ -69,24 +72,6 @@ func NewBarnes(size Size, threads int) *Barnes {
 		regionOpts{strideWords: cellWords, comm: cellComm})
 	return b
 }
-
-// Name implements memsys.Program.
-func (b *Barnes) Name() string { return "barnes" }
-
-// Threads implements memsys.Program.
-func (b *Barnes) Threads() int { return b.threads }
-
-// FootprintBytes implements memsys.Program.
-func (b *Barnes) FootprintBytes() uint32 { return b.lay.next }
-
-// Regions implements memsys.Program.
-func (b *Barnes) Regions() []memsys.Region { return b.lay.regions }
-
-// Phases implements memsys.Program: (build, force, update) x 2 iterations.
-func (b *Barnes) Phases() int { return 6 }
-
-// WarmupPhases implements memsys.Program: the first iteration (§4.3).
-func (b *Barnes) WarmupPhases() int { return 3 }
 
 // WrittenRegions implements memsys.Program.
 func (b *Barnes) WrittenRegions(p int) []uint8 {

@@ -18,11 +18,10 @@ import "repro/internal/memsys"
 //   - the destination is reused by the following phase, so it must not be
 //     bypassed.
 type FFT struct {
-	threads int
-	m       int // matrix dimension; n = m*m points
-	lay     layout
-	src     uint8
-	dst     uint8
+	shape
+	m   int // matrix dimension; n = m*m points
+	src uint8
+	dst uint8
 }
 
 // Complex double: 16 bytes = 4 words.
@@ -39,32 +38,16 @@ func NewFFT(size Size, threads int) *FFT {
 	default:
 		m = 512 // 256K points (paper)
 	}
-	f := &FFT{threads: threads, m: m}
+	f := &FFT{m: m, shape: shape{
+		name: "FFT", threads: threads,
+		phases: 4, // warm-up read, row FFTs, transpose, destination row FFTs
+		warmup: 1, // FFT is not iterative, so one core touches the major structures (§4.3)
+	}}
 	bytes := uint32(m) * uint32(m) * fftElemWords * 4
 	f.src = f.lay.add("src", bytes, regionOpts{strideWords: fftElemWords, bypass: true})
 	f.dst = f.lay.add("dst", bytes, regionOpts{strideWords: fftElemWords})
 	return f
 }
-
-// Name implements memsys.Program.
-func (f *FFT) Name() string { return "FFT" }
-
-// Threads implements memsys.Program.
-func (f *FFT) Threads() int { return f.threads }
-
-// FootprintBytes implements memsys.Program.
-func (f *FFT) FootprintBytes() uint32 { return f.lay.next }
-
-// Regions implements memsys.Program.
-func (f *FFT) Regions() []memsys.Region { return f.lay.regions }
-
-// Phases implements memsys.Program: warm-up read, row FFTs, transpose,
-// destination row FFTs.
-func (f *FFT) Phases() int { return 4 }
-
-// WarmupPhases implements memsys.Program: FFT is not iterative, so one
-// core touches the major structures during warm-up (§4.3).
-func (f *FFT) WarmupPhases() int { return 1 }
 
 // WrittenRegions implements memsys.Program.
 func (f *FFT) WrittenRegions(p int) []uint8 {

@@ -18,9 +18,8 @@ import "repro/internal/memsys"
 // force stencil, then advance + array-to-array position copy
 // (read-then-overwrite → L2 response bypass type 1 on the pos region).
 type Fluidanimate struct {
-	threads    int
+	shape
 	nx, ny, nz int
-	lay        layout
 	posR       uint8
 	velR       uint8
 	accR       uint8
@@ -42,7 +41,11 @@ func NewFluidanimate(size Size, threads int) *Fluidanimate {
 	default:
 		nx, ny, nz = 20, 20, 20 // ~simmedium cell count
 	}
-	f := &Fluidanimate{threads: threads, nx: nx, ny: ny, nz: nz}
+	f := &Fluidanimate{nx: nx, ny: ny, nz: nz, shape: shape{
+		name: "fluidanimate", threads: threads,
+		phases: 8, // 4 per iteration x 2 iterations
+		warmup: 4, // the first iteration
+	}}
 	cells := uint32(nx * ny * nz)
 	posBytes := cells * fluidSlots * 3 * 4 // 3 words per particle slot
 	f.posR = f.lay.add("pos", posBytes, regionOpts{bypass: true})
@@ -60,24 +63,6 @@ func NewFluidanimate(size Size, threads int) *Fluidanimate {
 }
 
 func (f *Fluidanimate) cellCount() int { return f.nx * f.ny * f.nz }
-
-// Name implements memsys.Program.
-func (f *Fluidanimate) Name() string { return "fluidanimate" }
-
-// Threads implements memsys.Program.
-func (f *Fluidanimate) Threads() int { return f.threads }
-
-// FootprintBytes implements memsys.Program.
-func (f *Fluidanimate) FootprintBytes() uint32 { return f.lay.next }
-
-// Regions implements memsys.Program.
-func (f *Fluidanimate) Regions() []memsys.Region { return f.lay.regions }
-
-// Phases implements memsys.Program: 4 per iteration x 2 iterations.
-func (f *Fluidanimate) Phases() int { return 8 }
-
-// WarmupPhases implements memsys.Program: the first iteration.
-func (f *Fluidanimate) WarmupPhases() int { return 4 }
 
 // WrittenRegions implements memsys.Program.
 func (f *Fluidanimate) WrittenRegions(p int) []uint8 {

@@ -19,14 +19,13 @@ import "repro/internal/memsys"
 //     record is needed during the sweep (Flex), so bypassing edges leaves
 //     it more L2 room (§5.2.1).
 type KDTree struct {
-	threads int
-	tris    int
-	edges   int
-	lay     layout
-	triR    uint8
-	edgeR   uint8
-	sahR    uint8
-	nodeR   uint8
+	shape
+	tris  int
+	edges int
+	triR  uint8
+	edgeR uint8
+	sahR  uint8
+	nodeR uint8
 }
 
 const (
@@ -45,7 +44,11 @@ func NewKDTree(size Size, threads int) *KDTree {
 	default:
 		tris = 64 * 1024 // ~bunny scale
 	}
-	k := &KDTree{threads: threads, tris: tris, edges: 2 * tris}
+	k := &KDTree{tris: tris, edges: 2 * tris, shape: shape{
+		name: "kD-tree", threads: threads,
+		phases: 2 * 4, // (sweep, commit) x (1 warm-up + the paper's 3 measured iterations, §4.3)
+		warmup: 2,     // the warm-up iteration
+	}}
 	triComm := make([]uint16, 8)
 	for i := range triComm {
 		triComm[i] = uint16(i)
@@ -67,25 +70,6 @@ func NewKDTree(size Size, threads int) *KDTree {
 	k.nodeR = k.lay.add("nodes", 64*1024, regionOpts{})
 	return k
 }
-
-// Name implements memsys.Program.
-func (k *KDTree) Name() string { return "kD-tree" }
-
-// Threads implements memsys.Program.
-func (k *KDTree) Threads() int { return k.threads }
-
-// FootprintBytes implements memsys.Program.
-func (k *KDTree) FootprintBytes() uint32 { return k.lay.next }
-
-// Regions implements memsys.Program.
-func (k *KDTree) Regions() []memsys.Region { return k.lay.regions }
-
-// Phases implements memsys.Program: (sweep, commit) per iteration; one
-// warm-up iteration plus the paper's three measured iterations (§4.3).
-func (k *KDTree) Phases() int { return 2 * 4 }
-
-// WarmupPhases implements memsys.Program.
-func (k *KDTree) WarmupPhases() int { return 2 }
 
 // WrittenRegions implements memsys.Program.
 func (k *KDTree) WrittenRegions(p int) []uint8 {

@@ -19,12 +19,10 @@ import "repro/internal/memsys"
 //   - the working set is small relative to the L2, so L2 bypass has no
 //     opportunity (no Bypass annotation).
 type LU struct {
-	threads int
-	n       int // matrix dimension
-	b       int // block dimension
-	nb      int // blocks per dimension
-	lay     layout
-	mat     uint8
+	shape
+	b   int // block dimension
+	nb  int // blocks per dimension
+	mat uint8
 }
 
 // Matrix element: double = 2 words.
@@ -41,30 +39,17 @@ func NewLU(size Size, threads int) *LU {
 	default:
 		n = 512 // paper
 	}
-	l := &LU{threads: threads, n: n, b: 16}
+	l := &LU{b: 16}
 	l.nb = n / l.b
+	l.shape = shape{
+		name: "LU", threads: threads,
+		phases: 1 + 3*l.nb, // warm-up, then 3 per factorization step
+		warmup: 1,          // one core reads the matrix (§4.3)
+	}
 	bytes := uint32(n) * uint32(n) * luElemWords * 4
 	l.mat = l.lay.add("matrix", bytes, regionOpts{strideWords: luElemWords})
 	return l
 }
-
-// Name implements memsys.Program.
-func (l *LU) Name() string { return "LU" }
-
-// Threads implements memsys.Program.
-func (l *LU) Threads() int { return l.threads }
-
-// FootprintBytes implements memsys.Program.
-func (l *LU) FootprintBytes() uint32 { return l.lay.next }
-
-// Regions implements memsys.Program.
-func (l *LU) Regions() []memsys.Region { return l.lay.regions }
-
-// Phases implements memsys.Program: 1 warm-up + 3 per factorization step.
-func (l *LU) Phases() int { return 1 + 3*l.nb }
-
-// WarmupPhases implements memsys.Program (§4.3: one core reads the matrix).
-func (l *LU) WarmupPhases() int { return 1 }
 
 // WrittenRegions implements memsys.Program: every compute phase writes
 // somewhere in the matrix.

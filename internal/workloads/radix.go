@@ -19,9 +19,8 @@ import "repro/internal/memsys"
 //   - both arrays are streamed read-once when acting as the source
 //     (L2 response bypass type 2).
 type Radix struct {
-	threads int
+	shape
 	n       int
-	lay     layout
 	arr     [2]uint8 // ping-pong key arrays
 	hist    uint8
 	offsets uint8
@@ -34,6 +33,7 @@ type Radix struct {
 
 const radixBits = 10
 const radixBuckets = 1 << radixBits
+const radixIters = 2 // sort passes: one warm-up pass plus one measured pass (§4.3)
 
 // NewRadix builds the radix benchmark at the given scale.
 func NewRadix(size Size, threads int) *Radix {
@@ -46,7 +46,11 @@ func NewRadix(size Size, threads int) *Radix {
 	default:
 		n = 4 * 1024 * 1024 // paper
 	}
-	r := &Radix{threads: threads, n: n}
+	r := &Radix{n: n, shape: shape{
+		name: "radix", threads: threads,
+		phases: 3 * radixIters, // histogram, scan, permute per sort pass
+		warmup: 3,              // the first sort pass
+	}}
 	arrBytes := uint32(n) * 4
 	r.arr[0] = r.lay.add("keys0", arrBytes, regionOpts{strideWords: 1, bypass: true})
 	r.arr[1] = r.lay.add("keys1", arrBytes, regionOpts{strideWords: 1, bypass: true})
@@ -56,21 +60,17 @@ func NewRadix(size Size, threads int) *Radix {
 	return r
 }
 
-// iterations: one warm-up sort pass plus one measured pass (§4.3).
-func (r *Radix) iterations() int { return 2 }
-
 // precompute materializes keys and destination ranks for every iteration.
 func (r *Radix) precompute() {
-	iters := r.iterations()
-	r.keys = make([][]uint32, iters+1)
-	r.ranks = make([][]int32, iters)
+	r.keys = make([][]uint32, radixIters+1)
+	r.ranks = make([][]int32, radixIters)
 	cur := make([]uint32, r.n)
 	rng := newRNG(0xace5)
 	for i := range cur {
 		cur[i] = uint32(rng.next()) & (1<<(radixBits*2) - 1)
 	}
 	r.keys[0] = cur
-	for it := 0; it < iters; it++ {
+	for it := 0; it < radixIters; it++ {
 		shift := uint(radixBits * it)
 		// Per-thread bucket counts in thread-major order, as the scan
 		// phase defines them.
@@ -107,24 +107,6 @@ func (r *Radix) precompute() {
 		r.keys[it+1] = cur
 	}
 }
-
-// Name implements memsys.Program.
-func (r *Radix) Name() string { return "radix" }
-
-// Threads implements memsys.Program.
-func (r *Radix) Threads() int { return r.threads }
-
-// FootprintBytes implements memsys.Program.
-func (r *Radix) FootprintBytes() uint32 { return r.lay.next }
-
-// Regions implements memsys.Program.
-func (r *Radix) Regions() []memsys.Region { return r.lay.regions }
-
-// Phases implements memsys.Program: 3 per iteration.
-func (r *Radix) Phases() int { return 3 * r.iterations() }
-
-// WarmupPhases implements memsys.Program: the first sort pass.
-func (r *Radix) WarmupPhases() int { return 3 }
 
 // WrittenRegions implements memsys.Program.
 func (r *Radix) WrittenRegions(p int) []uint8 {

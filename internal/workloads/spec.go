@@ -130,8 +130,7 @@ func (s *Spec) Build(size Size, threads int) (memsys.Program, error) {
 // ParseSpec resolves a workload spec string — a registered name optionally
 // followed by parenthesized key=value options — without building the
 // program. Unknown names, unknown keys, and malformed values are loud
-// errors (the old ByName returned nil and let callers deref or silently
-// skip).
+// errors, never a nil a caller could dereference or silently skip.
 func ParseSpec(spec string) (*Spec, error) {
 	s := strings.TrimSpace(spec)
 	name, argstr := s, ""
@@ -248,8 +247,8 @@ func argFloat(args []string, i int) float64 {
 }
 
 // ByName resolves and builds a workload spec in one step. It is the
-// checked lookup every user-facing path goes through: unknown names return
-// an error instead of the nil the pre-registry version handed back.
+// checked lookup every user-facing path goes through: an unknown name is
+// an error.
 func ByName(spec string, size Size, threads int) (memsys.Program, error) {
 	s, err := ParseSpec(spec)
 	if err != nil {

@@ -56,12 +56,9 @@ const synthReadWords = memsys.WordsPerLine / 2
 
 // synthetic implements memsys.Program for all registered patterns.
 type synthetic struct {
-	name     string
-	threads  int
-	lay      layout
+	shape
 	data     uint8
 	linesPer int
-	iters    int
 	gap      int         // compute cycles after each line burst
 	writer   []bool      // per thread: writes during produce phases
 	dests    [][][]int32 // [iter][thread] -> global line indexes to consume
@@ -78,10 +75,12 @@ func (s *synthetic) lineAddr(idx int32) uint32 {
 func newSynthetic(name string, size Size, threads int, rate float64) *synthetic {
 	linesPer, iters := synthDims(size)
 	s := &synthetic{
-		name:     name,
-		threads:  threads,
+		shape: shape{
+			name: name, threads: threads,
+			phases: 1 + 2*iters, // warm-up, then produce/consume per iteration
+			warmup: 1,
+		},
 		linesPer: linesPer,
-		iters:    iters,
 		gap:      int(1/rate+0.5) - 1,
 	}
 	var comm []uint16
@@ -117,25 +116,6 @@ func (s *synthetic) allLinesOf(owner func(t int) int) {
 		}
 	}
 }
-
-// Name implements memsys.Program: the canonical spec string.
-func (s *synthetic) Name() string { return s.name }
-
-// Threads implements memsys.Program.
-func (s *synthetic) Threads() int { return s.threads }
-
-// FootprintBytes implements memsys.Program.
-func (s *synthetic) FootprintBytes() uint32 { return s.lay.next }
-
-// Regions implements memsys.Program.
-func (s *synthetic) Regions() []memsys.Region { return s.lay.regions }
-
-// Phases implements memsys.Program: warm-up, then produce/consume per
-// iteration.
-func (s *synthetic) Phases() int { return 1 + 2*s.iters }
-
-// WarmupPhases implements memsys.Program.
-func (s *synthetic) WarmupPhases() int { return 1 }
 
 // WrittenRegions implements memsys.Program: produce phases dirty the data
 // region (DeNovo self-invalidates it at their closing barriers).

@@ -88,6 +88,36 @@ func Names() []string {
 	return names
 }
 
+// shape is what a generator hands the simulator beside its op streams:
+// its name, thread count, region layout and phase structure. Every
+// generator embeds one and fills it in its constructor, and shape
+// supplies the accessors of memsys.Program that read it.
+type shape struct {
+	name    string
+	threads int
+	lay     layout
+	phases  int // barrier-separated phases, warm-up included
+	warmup  int // leading phases excluded from the measurements (§4.3)
+}
+
+// Name implements memsys.Program.
+func (s *shape) Name() string { return s.name }
+
+// Threads implements memsys.Program.
+func (s *shape) Threads() int { return s.threads }
+
+// FootprintBytes implements memsys.Program.
+func (s *shape) FootprintBytes() uint32 { return s.lay.next }
+
+// Regions implements memsys.Program.
+func (s *shape) Regions() []memsys.Region { return s.lay.regions }
+
+// Phases implements memsys.Program.
+func (s *shape) Phases() int { return s.phases }
+
+// WarmupPhases implements memsys.Program.
+func (s *shape) WarmupPhases() int { return s.warmup }
+
 // layout allocates line-aligned regions in a growing footprint.
 type layout struct {
 	regions []memsys.Region

@@ -253,7 +253,7 @@ func TestWorkDistribution(t *testing.T) {
 
 func TestRadixIsARealSort(t *testing.T) {
 	r := NewRadix(Tiny, 16)
-	final := r.KeysAt(r.iterations())
+	final := r.KeysAt(radixIters)
 	// After sorting by the two lowest 10-bit digits of 20-bit keys, the
 	// array must be fully sorted.
 	if !sort.SliceIsSorted(final, func(i, j int) bool { return final[i] < final[j] }) {
