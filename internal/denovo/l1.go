@@ -169,11 +169,17 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	wants := buf[:0]
 	if flex {
 		l.words = region.CommWords(l.words[:0], addr)
+		// A line is looked up once while it repeats (cur; no line is ^0):
+		// nothing in the loop changes the array.
+		cur, ln := ^uint32(0), (*cache.Line)(nil)
 		for _, wa := range l.words {
 			if len(wants) >= env.Cfg.MaxDataWords() {
 				break
 			}
-			if ln := l.c.Lookup(memsys.LineOf(wa)); ln != nil && ln.WState[memsys.WordIndex(wa)] != wInvalid {
+			if wl := memsys.LineOf(wa); wl != cur {
+				cur, ln = wl, l.c.Lookup(wl)
+			}
+			if ln != nil && ln.WState[memsys.WordIndex(wa)] != wInvalid {
 				continue // already cached
 			}
 			wants = append(wants, wa)

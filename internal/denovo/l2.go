@@ -247,13 +247,19 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	if sl.pred != nil && !bypass && sl.pred.shouldBypass(critLine) {
 		bypass = true
 	}
+	// Most wanted words share a line, and nothing in the loop changes the
+	// array or the eviction table, so a line is probed once while it
+	// repeats (cur is the line probed last; no line is ^0).
+	cur, evicting, ln := ^uint32(0), false, (*cache.Line)(nil)
 	for _, addr := range m.wants.s {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
-		if sl.evictCont.Has(line) {
+		if line != cur {
+			cur, evicting, ln = line, sl.evictCont.Has(line), sl.c.Lookup(line)
+		}
+		if evicting {
 			nacked = true
 			continue
 		}
-		ln := sl.c.Lookup(line)
 		if ln != nil {
 			switch ln.WState[w] & l2StateMask {
 			case l2Valid:

@@ -7,12 +7,12 @@ package mesh
 //
 //   - The recurring tick. The whole network advances inside the kernel's
 //     recurring-tick slot, one tick per cycle while packets are in
-//     flight; a tick steps every active node in ascending node order, and
-//     each router's per-node step uses fixed port order plus its own
-//     round-robin or priority state. Two runs that inject the same
-//     packets at the same cycles therefore produce identical deliveries.
-//     The tick stops once the last packet delivers; the next inject
-//     re-arms it.
+//     flight; a tick steps the nodes the step rule (below) picks, in
+//     ascending node order, and each router's per-node step uses fixed
+//     port order plus its own round-robin or priority state. Two runs
+//     that inject the same packets at the same cycles therefore produce
+//     identical deliveries. The tick stops once the last packet
+//     delivers; the next inject re-arms it.
 //
 //   - Idle skip-ahead. A tick in which no node moved anything proves the
 //     network frozen: every staged flit waits on a future link arrival,
@@ -31,22 +31,43 @@ package mesh
 //     watchdog built on Kernel.RunLimit reports it exactly as it would
 //     have without the skip.
 //
-//   - O(active) ticks. A tick visits only the nodes on activeMask, which
-//     has bit n set exactly while count[n] > 0; what count means is the
-//     router's (staged packet stages under vc, staged flits under
-//     deflection), but addActive and subActive are its only writers.
-//     Iteration goes word by word via bits.TrailingZeros64, in the same
-//     ascending order as a full scan — load-bearing, because a step at
-//     node i can free a resource a later node j > i claims in the same
-//     cycle. Each mask word is read when the iteration reaches it, so a
-//     bit set mid-tick may or may not be visited this cycle; the routers
-//     only set bits mid-tick for nodes whose new state cannot move this
-//     cycle (a VC just allocated downstream, a flit just put on a link),
-//     so either way is behavior-neutral. Link advancement costs nothing
-//     per cycle: an in-flight flit sits in the downstream node's arrival
-//     queue with its arrival stamp, and that node is already active, so a
-//     sparse fabric ticks in time proportional to its traffic, not its
-//     tile count.
+//   - The step rule. A tick steps only the active nodes where something
+//     can move: activeMask & (hot | arrive[now]). activeMask has bit n
+//     set exactly while count[n] > 0; what count means is the router's
+//     (staged packet stages under vc, staged flits under deflection), but
+//     addActive and subActive are its only writers. hot marks the nodes
+//     to step at the next tick, whatever its cycle: a node given a source
+//     packet (marked at injection), or one whose step left a flit that
+//     could still move — a due flit that lost this cycle (its input port
+//     was used, it found no VC, no credit or no free output) or a local
+//     queue left non-empty. arrive is a wheel of LinkLatency+1 masks: slot
+//     t mod (L+1) marks the nodes a link arrival reaches at cycle t.
+//     Every arrival lands exactly L cycles after the tick that pushed it,
+//     so the slots of cycles now+1 .. now+L never alias the one being
+//     read. The tick reads and clears hot and its slot word by word as it
+//     reaches them, so a mark set mid-tick is for a later tick. A tick
+//     that follows unstepped cycles folds their slots into hot: an
+//     arrival is skipped only behind a blocked front, whose node is hot
+//     already, so no mark outlives its cycle. The ascending order is
+//     load-bearing: a step at node i can free a resource (a vc VC, say)
+//     that a later node j > i claims in the same cycle.
+//
+//   - Why the step rule is exact. A node it skips has no flit at a front
+//     due by now and no local candidate, so its step would move nothing
+//     and change nothing: vc's VC allocation and round-robin pointers act
+//     only on a ready flit, and its per-cycle input flags are reset at
+//     every step. And no step makes another node ready in the same cycle:
+//     link arrivals land at now+1 or later, a VC allocated downstream
+//     holds no flit yet, and credits return L cycles later. So the ticks,
+//     the nodes that move and every delivery are exactly those of
+//     stepping every active node.
+//     One duty of a step is not tied to its node: the vc router applies
+//     the credit returns due by now in the tick's first step, so a tick
+//     that steps no node applies them before the skip bound reads the
+//     credit ring. Link advancement costs nothing per cycle either (an
+//     in-flight flit sits on the downstream node's arrival ring with its
+//     stamp), so a sparse fabric ticks in time proportional to its moving
+//     flits, not its tile count.
 //
 //   - Link wiring, assigned in Topology.Links() order: the downstream
 //     node and input-port index of every output port, and the upstream
@@ -54,9 +75,10 @@ package mesh
 //
 //   - Packets. One record type serves both routers, recycled through the
 //     skeleton's free list once delivered; with the routers' own free
-//     lists and fixed-capacity rings, a steady-state tick performs zero
-//     heap allocations (vc_alloc_test.go and deflect_alloc_test.go pin
-//     that with testing.AllocsPerRun).
+//     lists and fixed-capacity rings, and the (src, dst) channels in a
+//     table built with the router, a steady-state tick performs zero heap
+//     allocations (vc_alloc_test.go and deflect_alloc_test.go pin that
+//     with testing.AllocsPerRun).
 //
 //   - Point-to-point order. The coherence protocols — like every fabric
 //     client built against the ideal router — assume each (src, dst)
@@ -106,23 +128,28 @@ type packet struct {
 	// The packet's (src, dst) channel and its position on it (see
 	// deliver).
 	ch    *channel
-	chSeq uint64
+	chSeq uint32
 
 	// next links the packet on the free list, or on its channel's reorder
 	// buffer while it waits for earlier packets to deliver.
 	next *packet
 }
 
-// channel is one (src, dst) ordered channel: the injection-side sequence
-// counter, the delivery-side cursor, and the reorder buffer of completed
-// packets held for an earlier one (sorted by chSeq, almost always empty).
-// Records are created on a channel's first packet and kept for the life
-// of the router, so the steady state allocates nothing.
+// channel is one (src, dst) ordered channel: the reorder buffer of
+// completed packets held for an earlier one (sorted by position, almost
+// always empty), the injection-side sequence counter and the
+// delivery-side cursor. Positions are 32-bit and wrap; two positions
+// compare by their difference (seqBefore), which orders them while fewer
+// than 2^31 packets of one channel are in flight at once. An entry is 16
+// bytes, and the router keeps one per (src, dst) pair in a flat table.
 type channel struct {
-	nextInject  uint64
-	nextDeliver uint64
 	pending     *packet
+	nextInject  uint32
+	nextDeliver uint32
 }
+
+// seqBefore reports whether channel position a precedes b.
+func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
 // cycleNet is the skeleton state. Routers embed it and call init from
 // their constructors.
@@ -136,11 +163,20 @@ type cycleNet struct {
 	down [][]linkEnd
 	up   [][]linkEnd
 
-	// count and activeMask: see the file comment. tickVisits counts the
-	// node steps since construction — the work counter behind the
-	// O(active) tests.
+	// count, activeMask, hot and arrive: see the file comment. arrive
+	// holds one mask per wheel slot, slots = LinkLatency+1 of them, each
+	// as many words as activeMask; arriveAt is the offset of the slot
+	// that this tick's link pushes land in (cycle now+LinkLatency). lastTick is the cycle of
+	// the last tick that stepped. tickVisits counts the node steps since
+	// construction — the work counter behind the step-rule tests and the
+	// router benches' steps/op.
 	count      []int
 	activeMask []uint64
+	hot        []uint64
+	arrive     []uint64
+	slots      int
+	arriveAt   int
+	lastTick   int64
 	tickVisits uint64
 
 	// wake is the cycle before which no staged flit can move (set by a
@@ -149,7 +185,8 @@ type cycleNet struct {
 
 	inFlight int // packets admitted and not yet delivered
 	pktFree  *packet
-	chans    map[uint64]*channel // keyed src<<32 | dst
+	tiles    int
+	chans    []channel // [src*tiles + dst]
 }
 
 func (c *cycleNet) init(m *Mesh, r cycleRouter) {
@@ -167,9 +204,15 @@ func (c *cycleNet) init(m *Mesh, r cycleRouter) {
 		c.down[l.From][l.Port] = linkEnd{l.To, len(c.up[l.To])}
 		c.up[l.To] = append(c.up[l.To], linkEnd{l.From, l.Port})
 	}
+	words := (tiles + 63) / 64
+	c.slots = int(m.cfg.LinkLatency) + 1
 	c.count = make([]int, tiles)
-	c.activeMask = make([]uint64, (tiles+63)/64)
-	c.chans = make(map[uint64]*channel)
+	c.activeMask = make([]uint64, words)
+	c.hot = make([]uint64, words)
+	c.arrive = make([]uint64, c.slots*words)
+	c.lastTick = -1
+	c.tiles = tiles
+	c.chans = make([]channel, tiles*tiles)
 	m.k.SetTicker(c.tick)
 }
 
@@ -189,6 +232,13 @@ func (c *cycleNet) subActive(n, k int) {
 	}
 }
 
+// markHot has node n stepped at the next tick, whatever its cycle.
+func (c *cycleNet) markHot(n int) { c.hot[n>>6] |= 1 << uint(n&63) }
+
+// markArrival has node n stepped at the tick of cycle now+LinkLatency,
+// when the flit this tick pushes onto one of its links lands.
+func (c *cycleNet) markArrival(n int) { c.arrive[c.arriveAt+n>>6] |= 1 << uint(n&63) }
+
 // admit takes a record for a new packet from src, numbers it on its
 // channel, counts it in flight and wakes the tick. The router stages it.
 func (c *cycleNet) admit(src, dst, flits int, payload any) *packet {
@@ -200,12 +250,7 @@ func (c *cycleNet) admit(src, dst, flits int, payload any) *packet {
 		pkt.next = nil
 	}
 	pkt.dst, pkt.flits, pkt.payload, pkt.injectAt = dst, flits, payload, c.m.k.Now()
-	key := uint64(src)<<32 | uint64(dst)
-	ch := c.chans[key]
-	if ch == nil {
-		ch = &channel{}
-		c.chans[key] = ch
-	}
+	ch := &c.chans[src*c.tiles+dst]
 	pkt.ch, pkt.chSeq = ch, ch.nextInject
 	ch.nextInject++
 	c.inFlight++
@@ -227,7 +272,7 @@ func (c *cycleNet) deliver(n int, pkt *packet, now int64) {
 	ch := pkt.ch
 	if pkt.chSeq != ch.nextDeliver {
 		pp := &ch.pending
-		for *pp != nil && (*pp).chSeq < pkt.chSeq {
+		for *pp != nil && seqBefore((*pp).chSeq, pkt.chSeq) {
 			pp = &(*pp).next
 		}
 		pkt.next = *pp
@@ -249,6 +294,9 @@ func (c *cycleNet) deliver(n int, pkt *packet, now int64) {
 	}
 }
 
+// slot returns the offset in arrive of cycle t's wheel slot.
+func (c *cycleNet) slot(t int64) int { return int(t%int64(c.slots)) * len(c.hot) }
+
 // tick advances the whole network by one cycle, or proves the cycle (and
 // possibly a run of following ones) frozen and skips ahead.
 func (c *cycleNet) tick() {
@@ -259,9 +307,32 @@ func (c *cycleNet) tick() {
 		c.m.k.TickSkipTo(c.wake)
 		return
 	}
+	cur := c.slot(now)
+	if c.lastTick < now-1 {
+		// Cycles since the last stepping tick went unstepped. A link
+		// arrival in one of them sits behind a blocked front, whose node
+		// is hot already; fold the marks in, so none outlives its cycle.
+		i := c.slot(c.lastTick + 1)
+		for s := c.lastTick + 1; s < now && s <= c.lastTick+int64(c.slots); s++ {
+			for w := range c.hot {
+				c.hot[w] |= c.arrive[i+w]
+				c.arrive[i+w] = 0
+			}
+			if i += len(c.hot); i == len(c.arrive) {
+				i = 0
+			}
+		}
+	}
+	c.lastTick = now
+	c.arriveAt = cur - len(c.hot) // the slot of cycle now+LinkLatency
+	if c.arriveAt < 0 {
+		c.arriveAt += len(c.arrive)
+	}
 	progressed := false
-	for w, word := range c.activeMask {
-		for ; word != 0; word &= word - 1 {
+	for w := range c.activeMask {
+		mark := c.hot[w] | c.arrive[cur+w]
+		c.hot[w], c.arrive[cur+w] = 0, 0
+		for word := c.activeMask[w] & mark; word != 0; word &= word - 1 {
 			c.tickVisits++
 			if c.r.stepNode(w<<6+bits.TrailingZeros64(word), now) {
 				progressed = true

@@ -45,9 +45,15 @@ package mesh
 // its injection backlog or in its side buffer. Every in-flight flit keeps
 // its downstream node active, so a frozen network waits only on link
 // arrivals (the per-node horizon) or on a same-cycle injection gated to
-// its first arbitration next cycle (the skip bound). Packets may complete
-// out of order on a channel (a detour delays an older one); the
-// skeleton's in-order delivery holds them (see cycle.go).
+// its first arbitration next cycle (the skip bound). A tick steps an
+// active node only when a flit there can move (the skeleton's step
+// rule): a link push marks the downstream node for the cycle the flit
+// lands, an injection marks its node, and a step that leaves a local flit
+// (an injection backlog, a gated one included, or a side-buffered flit)
+// marks its own node for the next tick. A flit on a link therefore costs
+// no step until it lands. Packets may complete out of order on a channel
+// (a detour delays an older one); the skeleton's in-order delivery holds
+// them (see cycle.go).
 //
 // Waste accounting: every link traversal is charged to the per-link
 // utilization telemetry as it happens, and when a flit ejects, the hops
@@ -209,6 +215,7 @@ func (r *deflRouter) inject(src, dst, flits int, payload any) int {
 		nd.injQ = append(nd.injQ, r.newFlit(pkt, i))
 	}
 	r.addActive(src, flits)
+	r.markHot(src)
 	r.flits += flits
 	if occ := nd.localLen(); occ > r.m.peakVC {
 		r.m.peakVC = occ
@@ -245,7 +252,8 @@ func (r *deflRouter) skipBound(now int64) int64 {
 // stepNode runs one node's cycle: gather this cycle's candidates, rank
 // them oldest-first, and place every one — ejection, productive port,
 // deflection, or (for at most one) the side buffer. Reports whether any
-// flit moved.
+// flit moved. A node left with a local flit (an injection backlog, gated
+// or not, or a side-buffered flit) is stepped again at the next tick.
 func (r *deflRouter) stepNode(n int, now int64) bool {
 	nd := &r.nodes[n]
 	cands := r.cands[:0]
@@ -291,6 +299,9 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 		cands = append(cands, deflCand{local, localSrc})
 	}
 	if len(cands) == 0 {
+		if nd.injHead < len(nd.injQ) {
+			r.markHot(n) // the gated injection arbitrates next cycle
+		}
 		return false
 	}
 
@@ -352,6 +363,7 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 			f.hops++
 			l := down[out]
 			r.nodes[l.node].rings[l.port].push(now+r.m.cfg.LinkLatency, f)
+			r.markArrival(l.node)
 			r.addActive(l.node, 1)
 			r.m.linkBusy[n][out]++
 			progressed = true
@@ -374,6 +386,9 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 	}
 	if removed > 0 {
 		r.subActive(n, removed)
+	}
+	if nd.localLen() > 0 {
+		r.markHot(n)
 	}
 	return progressed
 }

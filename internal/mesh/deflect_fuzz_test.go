@@ -11,8 +11,9 @@ import (
 // schedules: after every kernel step the per-tick output assignment must
 // have been a permutation (no two flits on one link in one cycle, pinned
 // by strictly increasing arrival-ring stamps), no flit may be dropped or
-// duplicated (the global flit ledger balances), and the active-node mask
-// must track exactly the staged nodes. After the drain every injected
+// duplicated (the global flit ledger balances), the active-node mask
+// must track exactly the staged nodes, and a tick must have skipped no
+// node with a flit that could move (the step rule). After the drain every injected
 // packet must have been delivered, in channel order and none earlier than
 // its minimal route allows, and the link-traversal ledger must balance:
 // actual traversals equal minimal flit-hops plus reported deflected hops.
@@ -38,9 +39,11 @@ func FuzzDeflectionPermutation(f *testing.F) {
 			Router: "deflection", LinkLatency: 3})
 		r := m.r.(*deflRouter)
 		delivered := randomSchedule(t, k, m, seed, npkts, 1)
+		log := newStepLog(&r.cycleNet, deflMovable(r))
 
 		steps := 0
 		for k.Step() {
+			log.check(t)
 			checkDeflConservation(t, r)
 			steps++
 			if steps > 2_000_000 {

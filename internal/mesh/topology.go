@@ -29,7 +29,14 @@ type Topology struct {
 	w, h  int
 	wrap  bool // wraparound links close every row and column into a cycle
 	ports int  // 4 for the mesh and torus, 2 for the ring
+
+	// xy[tile] is the tile's grid position, built once by NewTopology so
+	// that routing never divides by the width.
+	xy []coord
 }
+
+// coord is a tile's position on the grid.
+type coord struct{ x, y int32 }
 
 // Port numbering, shared by every kind.
 const (
@@ -55,15 +62,22 @@ func NewTopology(kind string, width, height int) (*Topology, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("mesh: non-positive dimensions %dx%d", width, height)
 	}
+	var t *Topology
 	switch kind {
 	case "", "mesh":
-		return &Topology{w: width, h: height, ports: 4}, nil
+		t = &Topology{w: width, h: height, ports: 4}
 	case "ring":
-		return &Topology{w: width * height, h: 1, wrap: true, ports: 2}, nil
+		t = &Topology{w: width * height, h: 1, wrap: true, ports: 2}
 	case "torus":
-		return &Topology{w: width, h: height, wrap: true, ports: 4}, nil
+		t = &Topology{w: width, h: height, wrap: true, ports: 4}
+	default:
+		return nil, fmt.Errorf("mesh: unknown topology %q (have %v)", kind, TopologyKinds())
 	}
-	return nil, fmt.Errorf("mesh: unknown topology %q (have %v)", kind, TopologyKinds())
+	t.xy = make([]coord, t.w*t.h)
+	for tile := range t.xy {
+		t.xy[tile] = coord{int32(tile % t.w), int32(tile / t.w)}
+	}
+	return t, nil
 }
 
 // Kind returns the registry name ("mesh", "ring", "torus").
@@ -99,13 +113,6 @@ func (t *Topology) shortest(d, n int) int {
 	return d
 }
 
-// coords splits a tile into its X and Y coordinates. Tiles are never
-// negative, so the division is unsigned and needs no sign fix-up.
-func (t *Topology) coords(tile int) (x, y int) {
-	w := uint(t.w)
-	return int(uint(tile) % w), int(uint(tile) / w)
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
@@ -116,12 +123,8 @@ func abs(v int) int {
 // Hops returns the route length in links from src to dst (0 when
 // src == dst).
 func (t *Topology) Hops(src, dst int) int {
-	if t.h == 1 { // one row: a tile is its X coordinate
-		return abs(t.shortest(dst-src, t.w))
-	}
-	sx, sy := t.coords(src)
-	dx, dy := t.coords(dst)
-	return abs(t.shortest(dx-sx, t.w)) + abs(t.shortest(dy-sy, t.h))
+	s, d := t.xy[src], t.xy[dst]
+	return abs(t.shortest(int(d.x-s.x), t.w)) + abs(t.shortest(int(d.y-s.y), t.h))
 }
 
 // NextPort returns the output port taken at cur and the neighbouring tile
@@ -130,37 +133,29 @@ func (t *Topology) Hops(src, dst int) int {
 // difference without changing its sign. Only a wrapped grid routes a step
 // off its edge, which lands on the far side.
 func (t *Topology) NextPort(cur, dst int) (port, next int) {
-	x, y, dx, dy := cur, 0, dst, 0 // on one row a tile is its X coordinate
-	if t.h > 1 {
-		x, y = t.coords(cur)
-		dx, dy = t.coords(dst)
-	}
-	if x != dx {
-		if t.shortest(dx-x, t.w) > 0 {
-			x++
-			if x == t.w {
-				x = 0
+	c, d := t.xy[cur], t.xy[dst]
+	if c.x != d.x {
+		if t.shortest(int(d.x-c.x), t.w) > 0 {
+			if int(c.x) == t.w-1 {
+				return portEast, cur - (t.w - 1)
 			}
-			return portEast, y*t.w + x
+			return portEast, cur + 1
 		}
-		x--
-		if x < 0 {
-			x = t.w - 1
+		if c.x == 0 {
+			return portWest, cur + (t.w - 1)
 		}
-		return portWest, y*t.w + x
+		return portWest, cur - 1
 	}
-	if t.shortest(dy-y, t.h) > 0 {
-		y++
-		if y == t.h {
-			y = 0
+	if t.shortest(int(d.y-c.y), t.h) > 0 {
+		if int(c.y) == t.h-1 {
+			return portSouth, cur - (t.h-1)*t.w
 		}
-		return portSouth, y*t.w + x
+		return portSouth, cur + t.w
 	}
-	y--
-	if y < 0 {
-		y = t.h - 1
+	if c.y == 0 {
+		return portNorth, cur + (t.h-1)*t.w
 	}
-	return portNorth, y*t.w + x
+	return portNorth, cur - t.w
 }
 
 // PortAxis returns the dimension a port moves along: 0 for X (both ring
@@ -171,7 +166,7 @@ func (t *Topology) PortAxis(port int) int { return port / 2 }
 // step returns the tile one step from tile on port, wrapping around the
 // grid, and whether the step crossed a grid edge to get there.
 func (t *Topology) step(tile, port int) (to int, edge bool) {
-	x, y := t.coords(tile)
+	x, y := int(t.xy[tile].x), int(t.xy[tile].y)
 	switch port {
 	case portEast:
 		x++

@@ -6,8 +6,8 @@ package mesh
 // Every router has, per incoming link, VCs flit buffers of VCDepth entries
 // each, managed with credit-based flow control: a flit may leave upstream
 // only while the downstream buffer has a free slot, and the credit returns
-// one link latency after the slot frees. Each cycle every active router
-// performs, in fixed port order:
+// one link latency after the slot frees. Each cycle every router with a
+// flit that can move performs, in fixed port order:
 //
 //   - VC allocation: a header flit at the front of an input VC (or the
 //     source queue) claims a free downstream VC in its dateline class,
@@ -23,21 +23,31 @@ package mesh
 // the head of its source queue. A stage is staged at the downstream node
 // when its VC is allocated, before any of its flits arrive, so an
 // uncontended packet keeps at most two nodes active (the stage it streams
-// from and the stage allocated downstream) and its traversal costs
-// O(hops) node steps. A frozen network waits on a buffered-flit arrival
-// (the per-node horizon) or a credit return (the skip bound).
+// from and the stage allocated downstream). A tick steps an active node
+// only when a flit there can move (the skeleton's step rule): forward
+// marks the downstream node for the cycle its flit lands, a staged source
+// packet marks its node, and a step marks its own node again when it
+// leaves a flit ready — a due front that lost this cycle, or a winner
+// whose next flit is already there. An uncontended traversal therefore
+// costs one step per flit per router. A frozen network waits on a
+// buffered-flit arrival (the per-node horizon) or a credit return (the
+// skip bound).
 //
-// Candidates: each output port keeps a bitmask over stage ids (inPort*VCs
-// + vc; the source queue is numIn*VCs) of the stages staged toward it, as
-// many 64-bit words as the largest id needs, and each node keeps a summary
-// of the outputs with any candidate, so switch allocation visits only
-// live candidates in round-robin order.
+// Candidates: a node's stages form one table indexed by stage id
+// (inPort*VCs + vc; the source queue is numIn*VCs, the last entry), and
+// each stage keeps its port, its VC and the arrival cycle of its next
+// flit (front), so testing a candidate reads one struct and divides
+// nothing. Each output port keeps a bitmask over stage ids of the stages
+// staged toward it, as many 64-bit words as the largest id needs, and
+// each node keeps a summary of the outputs with any candidate, so switch
+// allocation visits only live candidates in round-robin order.
 //
 // Buffers: per-VC arrival queues are fixed-capacity rings (credits bound
-// occupancy by VCDepth), credit returns ride a router-global time-ordered
-// ring (every credit takes exactly LinkLatency cycles, so pushes are
-// monotone) instead of a kernel event per flit, and the injection queues
-// recycle their backing arrays.
+// occupancy by VCDepth) whose front each stage caches, credits are one
+// flat table per node (output port*VCs + downstream vc), credit returns
+// ride a router-global time-ordered ring (every credit takes exactly
+// LinkLatency cycles, so pushes are monotone) instead of a kernel event
+// per flit, and the injection queues recycle their backing arrays.
 //
 // Deadlock freedom: routing is minimal and dimension-ordered, and the VCs
 // are split into two dateline classes — packets start in class 0 and move
@@ -72,67 +82,78 @@ const (
 	MaxSide = 16
 )
 
-// hopState tracks a packet streaming through one router stage: an input VC
-// or the head of a source (injection) queue.
-type hopState struct {
-	pkt     *packet
-	id      int // candidate bit index at this node (inPort*vcs+vc; numIn*vcs = source)
+// stage is one router stage a packet streams through: an input VC, or the
+// head of the source (injection) queue. A node's stages form one table
+// indexed by stage id, inPort*VCs + vc, with the source stage last
+// (numIn*VCs), so the candidate loop reaches a stage, its port and its
+// VC without dividing.
+type stage struct {
+	pkt *packet
+	// front is the arrival cycle of the stage's next flit: MaxInt64 while
+	// it has none, MinInt64 while a source packet is staged (its flits
+	// are all at the source). A flit can move only once front <= now.
+	front   int64
+	port    int // input port (numIn for the source stage)
+	vc      int // input VC (-1 for the source stage)
+	downVC  int // VC allocated at the downstream input port; -1 = none yet
 	outPort int // output port at this node; topo.Ports() means ejection
+	id      int // stage id, the candidate bit index at this node
 	class   int // dateline VC class held at this node (0 or 1)
 	axis    int // axis (port/2) of the hop that reached this node; -1 at source
-	downVC  int // VC allocated at the downstream input port; -1 = none yet
 	sent    int // flits this stage has forwarded
-}
 
-// inVC is one input virtual channel: streaming state plus a fixed-capacity
-// ring of the buffered flits' arrival cycles (a slot is reserved from the
-// moment the upstream sends, which is what the credit counter tracks, so
-// occupancy never exceeds VCDepth).
-type inVC struct {
-	hopState
-	arr     []int64 // arrival-cycle ring, cap == VCDepth, FIFO
+	// The input VC's buffered flits: a fixed-capacity ring of their
+	// arrival cycles (a slot is reserved from the moment the upstream
+	// sends, which is what the credit counter tracks, so occupancy never
+	// exceeds VCDepth). arr[arrHead] is front while arrLen > 0.
+	arr     []int64
 	arrHead int
 	arrLen  int
 }
 
-func (b *inVC) arrFront() int64 { return b.arr[b.arrHead] }
-
-func (b *inVC) arrPop() {
+func (b *stage) arrPop() {
 	b.arrHead++
 	if b.arrHead == len(b.arr) {
 		b.arrHead = 0
 	}
 	b.arrLen--
+	if b.arrLen == 0 {
+		b.front = math.MaxInt64
+	} else {
+		b.front = b.arr[b.arrHead]
+	}
 }
 
-func (b *inVC) arrPush(t int64) {
+func (b *stage) arrPush(t int64) {
 	i := b.arrHead + b.arrLen
 	if i >= len(b.arr) {
 		i -= len(b.arr)
 	}
 	b.arr[i] = t
+	if b.arrLen == 0 {
+		b.front = t
+	}
 	b.arrLen++
 }
 
-// creditRet is one in-flight credit return: the upstream output (node,
-// port, vc) regains a buffer slot at cycle at.
+// creditRet is one in-flight credit return: the upstream node regains a
+// buffer slot on credit index idx (output port*VCs + downstream VC) at
+// cycle at.
 type creditRet struct {
 	at   int64
 	node int32
-	port int16
-	vc   int16
+	idx  int32
 }
 
 type vcNode struct {
 	injQ    []*packet // pending source packets; injQ[injHead:] is live
 	injHead int
-	inj     hopState
-	in      [][]inVC // [input port][vc]
-	credits [][]int  // [output port][downstream vc]: free buffer slots
-	outRR   []int    // switch-allocation round-robin pointer per output port
-	vcRR    []int    // VC-allocation round-robin pointer per output port
-	usedIn  []bool   // input port already supplied a flit this cycle
-	wrap    []bool   // per output port: wraparound (dateline-crossing) link
+	in      []stage // stage table by id; in[len(in)-1] is the source stage
+	credits []int   // [output port*VCs + downstream vc]: free buffer slots
+	outRR   []int   // switch-allocation round-robin pointer per output port
+	vcRR    []int   // VC-allocation round-robin pointer per output port
+	usedIn  uint    // bit i: input port i already supplied a flit this cycle
+	wrap    []bool  // per output port: wraparound (dateline-crossing) link
 	// cand[out*words+id>>6] has bit id&63 set for every stage staged
 	// toward output out (s.pkt != nil && s.outPort == out), and outs has
 	// bit out set while any of out's words is nonzero.
@@ -149,8 +170,9 @@ type vcRouter struct {
 	nodes []vcNode
 
 	// Pending credit returns, a time-ordered ring (constant LinkLatency
-	// makes pushes monotone), applied before the first node step of the
-	// first tick at or after their cycle.
+	// makes pushes monotone), applied by the first node step of the first
+	// tick at or after their cycle, or by skipBound if that tick steps no
+	// node.
 	credQ    []creditRet
 	credHead int
 	credLen  int
@@ -183,34 +205,32 @@ func newVCRouter(m *Mesh) *vcRouter {
 	r.nodes = make([]vcNode, m.topo.Tiles())
 	for n := range r.nodes {
 		nd := &r.nodes[n]
-		nd.in = make([][]inVC, len(r.up[n]))
-		for i := range nd.in {
-			row := make([]inVC, vcs)
-			for v := range row {
-				row[v].id = i*vcs + v
-				row[v].downVC = -1
-				row[v].arr = make([]int64, depth)
+		numIn := len(r.up[n])
+		nd.in = make([]stage, numIn*vcs+1)
+		for id := range nd.in {
+			s := &nd.in[id]
+			s.id, s.port, s.vc = id, id/vcs, id%vcs
+			s.downVC = -1
+			s.front = math.MaxInt64
+			if id < numIn*vcs {
+				s.arr = make([]int64, depth)
+			} else {
+				s.vc = -1
 			}
-			nd.in[i] = row
 		}
-		nd.credits = make([][]int, ports)
+		nd.credits = make([]int, ports*vcs)
 		nd.wrap = make([]bool, ports)
-		for p := range nd.credits {
+		for p := 0; p < ports; p++ {
 			if r.down[n][p].node < 0 {
 				continue
 			}
 			nd.wrap[p] = m.topo.Wraparound(n, p)
-			cr := make([]int, vcs)
-			for v := range cr {
-				cr[v] = depth
+			for v := 0; v < vcs; v++ {
+				nd.credits[p*vcs+v] = depth
 			}
-			nd.credits[p] = cr
 		}
 		nd.outRR = make([]int, ports+1)
 		nd.vcRR = make([]int, ports)
-		nd.usedIn = make([]bool, len(nd.in)+1)
-		nd.inj.id = len(nd.in) * vcs
-		nd.inj.downVC = -1
 		nd.cand = make([]uint64, (ports+1)*r.words)
 	}
 	return r
@@ -244,9 +264,11 @@ func (r *vcRouter) clearCand(nd *vcNode, out, id int) {
 }
 
 // startInjection stages the head of a source queue for switch allocation.
+// Its flits can move at once, so the node is stepped at the next tick.
 func (r *vcRouter) startInjection(n int, nd *vcNode) {
-	s := &nd.inj
+	s := &nd.in[len(nd.in)-1]
 	s.pkt = nd.injQ[nd.injHead]
+	s.front = math.MinInt64
 	s.sent = 0
 	s.class = 0
 	s.axis = -1
@@ -254,11 +276,12 @@ func (r *vcRouter) startInjection(n int, nd *vcNode) {
 	s.outPort, _ = r.m.topo.NextPort(n, s.pkt.dst)
 	r.setCand(nd, s.outPort, s.id)
 	r.addActive(n, 1)
+	r.markHot(n)
 }
 
 // pushCredit queues a credit return for cycle at (always now+LinkLatency,
 // so the ring stays time-ordered without sorting).
-func (r *vcRouter) pushCredit(at int64, node, port, vc int) {
+func (r *vcRouter) pushCredit(at int64, node, idx int) {
 	if r.credLen == len(r.credQ) {
 		grown := make([]creditRet, max(64, 2*len(r.credQ)))
 		for i := 0; i < r.credLen; i++ {
@@ -271,7 +294,7 @@ func (r *vcRouter) pushCredit(at int64, node, port, vc int) {
 	if i >= len(r.credQ) {
 		i -= len(r.credQ)
 	}
-	r.credQ[i] = creditRet{at: at, node: int32(node), port: int16(port), vc: int16(vc)}
+	r.credQ[i] = creditRet{at: at, node: int32(node), idx: int32(idx)}
 	r.credLen++
 }
 
@@ -282,7 +305,7 @@ func (r *vcRouter) drainCredits(now int64) {
 		if c.at > now {
 			return
 		}
-		r.nodes[c.node].credits[c.port][c.vc]++
+		r.nodes[c.node].credits[c.idx]++
 		r.credHead++
 		if r.credHead == len(r.credQ) {
 			r.credHead = 0
@@ -295,21 +318,24 @@ func (r *vcRouter) drainCredits(now int64) {
 // with a candidate. The credits due by now are applied first: the tick's
 // first node step applies them all (credits returned during the tick are
 // due at least a cycle later), so every node sees the same credit state a
-// tick-start drain would give it.
+// tick-start drain would give it. A step that leaves a flit ready to move
+// — a due front that did not move, or a winner whose next flit is already
+// there — marks the node to be stepped again at the next tick.
 func (r *vcRouter) stepNode(n int, now int64) bool {
 	r.drainCredits(now)
 	nd := &r.nodes[n]
-	for j := range nd.usedIn {
-		nd.usedIn[j] = false
-	}
-	progressed := false
+	nd.usedIn = 0
+	progressed, ready := false, false
 	// outs is read once. An output can gain a candidate mid-step only
 	// from the next source packet, staged when the last one's tail left,
 	// and the source port has already supplied this cycle's flit.
 	for outs := nd.outs; outs != 0; outs &= outs - 1 {
-		if r.serviceOutput(n, nd, bits.TrailingZeros(outs), now) {
-			progressed = true
-		}
+		moved, rdy := r.serviceOutput(n, nd, bits.TrailingZeros(outs), now, ready)
+		progressed = progressed || moved
+		ready = rdy
+	}
+	if ready {
+		r.markHot(n)
 	}
 	return progressed
 }
@@ -319,24 +345,20 @@ func (r *vcRouter) stepNode(n int, now int64) bool {
 func (r *vcRouter) horizon(n int, now int64) int64 {
 	min := int64(math.MaxInt64)
 	nd := &r.nodes[n]
-	for p := range nd.in {
-		row := nd.in[p]
-		for v := range row {
-			b := &row[v]
-			if b.pkt != nil && b.arrLen > 0 {
-				if t := b.arrFront(); t > now && t < min {
-					min = t
-				}
-			}
+	for i := range nd.in {
+		if t := nd.in[i].front; t > now && t < min {
+			min = t
 		}
 	}
 	return min
 }
 
 // skipBound caps the skip at the next credit return: a frozen flit may be
-// waiting on it. The tick's node steps have already applied every credit
-// due by now, so the head of the ring is in the future.
+// waiting on it. It first applies every credit due by now, which a tick
+// that stepped no node has not done, so the head of the ring is in the
+// future.
 func (r *vcRouter) skipBound(now int64) int64 {
+	r.drainCredits(now)
 	if r.credLen > 0 {
 		return r.credQ[r.credHead].at
 	}
@@ -346,12 +368,15 @@ func (r *vcRouter) skipBound(now int64) int64 {
 // serviceOutput runs VC + switch allocation for one output port: visit the
 // staged candidates in round-robin order from the id after the last
 // winner and forward the first that can move. It reports whether a flit
-// moved. The order walks the mask words from the one holding start+1,
+// moved, and whether a stage is left ready to move: ready comes in from
+// the node's earlier outputs, and becomes true when a due candidate
+// cannot move, or when the winner's next flit is already there. Until it
+// is, the scan goes on past the winner, only to test the rest for a due
+// front. The order walks the mask words from the one holding start+1,
 // wrapping around, and visits that word twice: its ids above start first,
 // its ids up to start last.
-func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64) bool {
+func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bool) (moved, stillReady bool) {
 	cand := nd.cand[out*r.words : (out+1)*r.words]
-	numIn := len(nd.in)
 	start := nd.outRR[out]
 	first := (start + 1) >> 6
 	if first == len(cand) {
@@ -371,42 +396,41 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64) bool {
 			word &^= above
 		}
 		for ; word != 0; word &= word - 1 {
-			id := w<<6 + bits.TrailingZeros64(word)
-			var s *hopState
-			var buf *inVC
-			inPort, vcIdx := numIn, -1 // defaults: the source queue
-			if id < numIn*r.vcs {
-				inPort, vcIdx = id/r.vcs, id%r.vcs
-				buf = &nd.in[inPort][vcIdx]
-				s = &buf.hopState
-				if buf.arrLen == 0 || buf.arrFront() > now {
-					continue
-				}
-			} else {
-				s = &nd.inj
+			s := &nd.in[w<<6+bits.TrailingZeros64(word)]
+			if s.front > now {
+				continue // its next flit has not arrived
 			}
-			if nd.usedIn[inPort] {
+			if moved {
+				return true, true // a due flit behind this cycle's winner
+			}
+			if nd.usedIn>>uint(s.port)&1 != 0 {
+				ready = true
 				continue
 			}
 			if out != r.eject {
 				if s.downVC < 0 && !r.allocVC(n, nd, s, out) {
+					ready = true
 					continue // no free downstream VC for this header
 				}
-				if nd.credits[out][s.downVC] == 0 {
+				if nd.credits[out*r.vcs+s.downVC] == 0 {
+					ready = true
 					continue // downstream buffer full
 				}
 			}
-			r.forward(n, nd, out, inPort, vcIdx, s, buf, now)
-			nd.outRR[out] = id
-			return true
+			nd.outRR[out] = s.id
+			r.forward(n, nd, out, s, now)
+			moved = true
+			if ready || s.front <= now {
+				return true, true
+			}
 		}
 	}
-	return false
+	return moved, ready
 }
 
 // allocVC claims a free downstream input VC in the packet's dateline class
 // and stages the packet's streaming state at the downstream node.
-func (r *vcRouter) allocVC(n int, nd *vcNode, s *hopState, out int) bool {
+func (r *vcRouter) allocVC(n int, nd *vcNode, s *stage, out int) bool {
 	class := s.class
 	if r.m.topo.PortAxis(out) != s.axis {
 		class = 0 // a new dimension starts a new dateline ring
@@ -424,13 +448,20 @@ func (r *vcRouter) allocVC(n int, nd *vcNode, s *hopState, out int) bool {
 	width := hi - lo
 	start := nd.vcRR[out]
 	for k := 0; k < width; k++ {
-		w := lo + (start+k)%width
-		tgt := &down.in[l.port][w]
+		// start+k and start+k+1 are both below 2*width.
+		i := start + k
+		if i >= width {
+			i -= width
+		}
+		tgt := &down.in[l.port*r.vcs+lo+i]
 		if tgt.pkt != nil {
 			continue
 		}
-		nd.vcRR[out] = (start + k + 1) % width
-		s.downVC = w
+		if i++; i == width {
+			i = 0
+		}
+		nd.vcRR[out] = i
+		s.downVC = tgt.vc
 		tgt.pkt = s.pkt
 		tgt.sent = 0
 		tgt.class = class
@@ -451,16 +482,16 @@ func (r *vcRouter) allocVC(n int, nd *vcNode, s *hopState, out int) bool {
 
 // forward moves one flit out of a stage: onto the link toward the
 // downstream buffer, or off the network at the ejection port.
-func (r *vcRouter) forward(n int, nd *vcNode, out, inPort, vcIdx int, s *hopState, buf *inVC, now int64) {
-	nd.usedIn[inPort] = true
+func (r *vcRouter) forward(n int, nd *vcNode, out int, s *stage, now int64) {
+	nd.usedIn |= 1 << uint(s.port)
 	s.sent++
 	tail := s.sent == s.pkt.flits
-	if buf != nil {
+	if s.vc >= 0 {
 		// The flit frees a buffer slot; the credit reaches the upstream
 		// router one link traversal later.
-		buf.arrPop()
-		up := r.up[n][inPort]
-		r.pushCredit(now+r.m.cfg.LinkLatency, up.node, up.port, vcIdx)
+		s.arrPop()
+		up := r.up[n][s.port]
+		r.pushCredit(now+r.m.cfg.LinkLatency, up.node, up.port*r.vcs+s.vc)
 	}
 	if out == r.eject {
 		if tail {
@@ -470,12 +501,13 @@ func (r *vcRouter) forward(n int, nd *vcNode, out, inPort, vcIdx int, s *hopStat
 		return
 	}
 	l := r.down[n][out]
-	tgt := &r.nodes[l.node].in[l.port][s.downVC]
+	tgt := &r.nodes[l.node].in[l.port*r.vcs+s.downVC]
 	tgt.arrPush(now + r.m.cfg.LinkLatency)
+	r.markArrival(l.node)
 	if tgt.arrLen > r.m.peakVC {
 		r.m.peakVC = tgt.arrLen
 	}
-	nd.credits[out][s.downVC]--
+	nd.credits[out*r.vcs+s.downVC]--
 	r.m.linkBusy[n][out]++
 	if tail {
 		r.release(n, nd, s)
@@ -484,21 +516,21 @@ func (r *vcRouter) forward(n int, nd *vcNode, out, inPort, vcIdx int, s *hopStat
 
 // release retires a packet's stage at this node once its tail has left,
 // freeing the VC (or advancing the source queue) for the next packet.
-func (r *vcRouter) release(n int, nd *vcNode, s *hopState) {
+func (r *vcRouter) release(n int, nd *vcNode, s *stage) {
 	r.clearCand(nd, s.outPort, s.id)
 	r.subActive(n, 1)
-	if s == &nd.inj {
-		nd.injQ[nd.injHead] = nil // drop the reference for the free list
-		nd.injHead++
-		s.pkt = nil
-		if nd.injHead < len(nd.injQ) {
-			r.startInjection(n, nd)
-		} else {
-			nd.injQ = nd.injQ[:0] // drained: recycle the backing array
-			nd.injHead = 0
-		}
-		return
-	}
 	s.pkt = nil
 	s.downVC = -1
+	if s.vc >= 0 {
+		return // the ring is empty: the tail was the VC's last flit
+	}
+	s.front = math.MaxInt64
+	nd.injQ[nd.injHead] = nil // drop the reference for the free list
+	nd.injHead++
+	if nd.injHead < len(nd.injQ) {
+		r.startInjection(n, nd)
+	} else {
+		nd.injQ = nd.injQ[:0] // drained: recycle the backing array
+		nd.injHead = 0
+	}
 }

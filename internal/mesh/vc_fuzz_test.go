@@ -19,7 +19,7 @@ func checkVCCredits(t *testing.T, r *vcRouter, pend []int) {
 	}
 	for i := 0; i < r.credLen; i++ {
 		c := r.credQ[(r.credHead+i)%len(r.credQ)]
-		pend[(int(c.node)*ports+int(c.port))*r.vcs+int(c.vc)]++
+		pend[int(c.node)*ports*r.vcs+int(c.idx)]++
 	}
 	for n := range r.nodes {
 		for p := 0; p < ports; p++ {
@@ -28,8 +28,8 @@ func checkVCCredits(t *testing.T, r *vcRouter, pend []int) {
 				continue
 			}
 			for v := 0; v < r.vcs; v++ {
-				credits := r.nodes[n].credits[p][v]
-				buffered := r.nodes[l.node].in[l.port][v].arrLen
+				credits := r.nodes[n].credits[p*r.vcs+v]
+				buffered := r.nodes[l.node].in[l.port*r.vcs+v].arrLen
 				pending := pend[(n*ports+p)*r.vcs+v]
 				if credits+buffered+pending != r.depth {
 					t.Fatalf("link %d port %d vc %d: %d credits + %d buffered + %d pending != VCDepth %d",
@@ -46,7 +46,9 @@ func checkVCCredits(t *testing.T, r *vcRouter, pend []int) {
 // on four ports), VCDepth from 1 to 8 and the shared timed random
 // schedule. After every kernel step the active mask must match the
 // per-node stage counts, the live stages must equal the candidate bits,
-// and credits must be conserved on every link and VC. After the drain
+// every stage's cached front must match its ring, a tick must have
+// skipped no node with a flit that could move (the step rule), and
+// credits must be conserved on every link and VC. After the drain
 // every packet must have been delivered, in channel order and never
 // before its minimal-route bound, and every credit must be back at
 // VCDepth. The checked-in corpus under testdata/fuzz seeds multi-word
@@ -73,9 +75,11 @@ func FuzzVCConservation(f *testing.F) {
 		r := m.r.(*vcRouter)
 		pend := make([]int, len(r.nodes)*m.topo.Ports()*vcs)
 		delivered := randomSchedule(t, k, m, seed, npkts, 0)
+		log := newStepLog(&r.cycleNet, vcMovable(r))
 
 		steps := 0
 		for k.Step() {
+			log.check(t)
 			checkActiveMask(t, r)
 			checkVCCredits(t, r, pend)
 			steps++
@@ -93,11 +97,9 @@ func FuzzVCConservation(f *testing.F) {
 		r.drainCredits(math.MaxInt64)
 		checkVCCredits(t, r, pend)
 		for n := range r.nodes {
-			for p, row := range r.nodes[n].credits {
-				for v, c := range row {
-					if c != depth {
-						t.Fatalf("drained network: node %d port %d vc %d holds %d credits, want %d", n, p, v, c, depth)
-					}
+			for i, c := range r.nodes[n].credits {
+				if p := i / vcs; r.down[n][p].node >= 0 && c != depth {
+					t.Fatalf("drained network: node %d port %d vc %d holds %d credits, want %d", n, p, i%vcs, c, depth)
 				}
 			}
 		}
