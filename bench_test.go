@@ -221,9 +221,9 @@ func BenchmarkSimThroughputDBypFull(b *testing.B) {
 
 // Cycle-level vc-router throughput: the same end-to-end runs under the vc
 // wormhole model, whose per-cycle kernel tick dominates simulator cost.
-// These pin the hot-path optimizations (kernel recurring-tick slot, idle
-// skip-ahead, allocation-free flit paths); the before/after numbers are
-// recorded in CHANGES.md ("Made the cycle loop fast").
+// These pin the hot-path optimizations (kernel recurring-tick slot,
+// allocation-free flit paths); the before/after numbers are recorded in
+// CHANGES.md ("Made the cycle loop fast").
 func vcRun(c *memsys.Config) { c.Router = "vc" }
 
 func BenchmarkSimThroughputVCMESI(b *testing.B) {

@@ -2,34 +2,21 @@ package mesh
 
 // The cycle-level router skeleton (cycleNet) that the vc and deflection
 // routers embed. A router supplies only what its model decides — a
-// per-node step, a per-node arrival horizon and one router-wide bound on
-// the skip (the cycleRouter interface) — and the skeleton owns the rest:
+// per-node step (the cycleRouter interface) — and the skeleton owns the
+// rest:
 //
 //   - The recurring tick. The whole network advances inside the kernel's
-//     recurring-tick slot, one tick per cycle while packets are in
-//     flight; a tick steps the nodes the step rule (below) picks, in
-//     ascending node order, and each router's per-node step uses fixed
-//     port order plus its own round-robin or priority state. Two runs
-//     that inject the same packets at the same cycles therefore produce
-//     identical deliveries. The tick stops once the last packet
-//     delivers; the next inject re-arms it.
-//
-//   - Idle skip-ahead. A tick in which no node moved anything proves the
-//     network frozen: every staged flit waits on a future link arrival,
-//     on a router-wide event (the vc router's next credit return, the
-//     deflection router's same-cycle injection), or transitively on
-//     another waiting flit. Nothing can change before the earliest of
-//     those, so the next tick is armed there with Kernel.TickSkipTo
-//     instead of next cycle. Arrivals already due (a flit buffered but
-//     blocked) never bound the horizon: whatever unblocks them is itself
-//     an arrival or a router-wide event. The kernel clamps the jump to its
-//     next pending event (which may inject, and admit resets the wake
-//     horizon), and TickSkipTo's sequence accounting keeps equal-timestamp
-//     event ordering bit-identical to per-cycle ticking, so the skip is
-//     invisible except to the wall clock. With nothing pending at all —
-//     a true deadlock — the tick keeps running per cycle, so a livelock
-//     watchdog built on Kernel.RunLimit reports it exactly as it would
-//     have without the skip.
+//     recurring-tick slot, one tick on every cycle a packet is in flight;
+//     a tick steps the nodes the step rule (below) picks, in ascending
+//     node order, and each router's per-node step uses fixed port order
+//     plus its own round-robin or priority state. Two runs that inject
+//     the same packets at the same cycles therefore produce identical
+//     deliveries. The tick re-arms with Kernel.TickNext, stops once the
+//     last packet delivers, and the next inject re-arms it. A tick that
+//     steps no node costs one scan of the masks, and there is no skip
+//     past such cycles: every wake-up a staged flit waits on (a link
+//     arrival, a vc credit return, a gated deflection injection) lands
+//     within LinkLatency cycles, so a skip would elide a cycle or two.
 //
 //   - The step rule. A tick steps only the active nodes where something
 //     can move: activeMask & (hot | arrive[now]). activeMask has bit n
@@ -45,12 +32,11 @@ package mesh
 //     Every arrival lands exactly L cycles after the tick that pushed it,
 //     so the slots of cycles now+1 .. now+L never alias the one being
 //     read. The tick reads and clears hot and its slot word by word as it
-//     reaches them, so a mark set mid-tick is for a later tick. A tick
-//     that follows unstepped cycles folds their slots into hot: an
-//     arrival is skipped only behind a blocked front, whose node is hot
-//     already, so no mark outlives its cycle. The ascending order is
-//     load-bearing: a step at node i can free a resource (a vc VC, say)
-//     that a later node j > i claims in the same cycle.
+//     reaches them, so a mark set mid-tick is for a later tick. While a
+//     packet is in flight every cycle ticks, so every slot is read at its
+//     own cycle, and a drained network holds no marks. The ascending
+//     order is load-bearing: a step at node i can free a resource (a vc
+//     VC, say) that a later node j > i claims in the same cycle.
 //
 //   - Why the step rule is exact. A node it skips has no flit at a front
 //     due by now and no local candidate, so its step would move nothing
@@ -62,12 +48,12 @@ package mesh
 //     the nodes that move and every delivery are exactly those of
 //     stepping every active node.
 //     One duty of a step is not tied to its node: the vc router applies
-//     the credit returns due by now in the tick's first step, so a tick
-//     that steps no node applies them before the skip bound reads the
-//     credit ring. Link advancement costs nothing per cycle either (an
-//     in-flight flit sits on the downstream node's arrival ring with its
-//     stamp), so a sparse fabric ticks in time proportional to its moving
-//     flits, not its tile count.
+//     the credit returns due by now in the tick's first step. A tick that
+//     steps no node leaves them in the ring, which is safe because only a
+//     step reads credits. Link advancement costs nothing per cycle either
+//     (an in-flight flit sits on the downstream node's arrival ring with
+//     its stamp), so a sparse fabric ticks in time proportional to its
+//     moving flits, not its tile count.
 //
 //   - Link wiring, assigned in Topology.Links() order: the downstream
 //     node and input-port index of every output port, and the upstream
@@ -91,22 +77,12 @@ package mesh
 //     window runs to that release cycle, so the reordering cost is
 //     measured rather than leaked into the protocol.
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // cycleRouter is what a cycle-level model supplies to the skeleton.
 type cycleRouter interface {
-	// stepNode advances active node n by one cycle and reports whether
-	// anything moved.
-	stepNode(n int, now int64) bool
-	// horizon returns the earliest cycle after now at which a flit
-	// reaches node n over a link, or MaxInt64 if none is in flight.
-	horizon(n int, now int64) int64
-	// skipBound returns the router-wide cap on the skip after a tick that
-	// moved nothing, or MaxInt64 if there is none.
-	skipBound(now int64) int64
+	// stepNode advances active node n by one cycle.
+	stepNode(n int, now int64)
 }
 
 // linkEnd names one end of a link: a node and a port index on it.
@@ -166,10 +142,12 @@ type cycleNet struct {
 	// count, activeMask, hot and arrive: see the file comment. arrive
 	// holds one mask per wheel slot, slots = LinkLatency+1 of them, each
 	// as many words as activeMask; arriveAt is the offset of the slot
-	// that this tick's link pushes land in (cycle now+LinkLatency). lastTick is the cycle of
-	// the last tick that stepped. tickVisits counts the node steps since
-	// construction — the work counter behind the step-rule tests and the
-	// router benches' steps/op.
+	// that this tick's link pushes land in (cycle now+LinkLatency).
+	// lastTick is the cycle of the last tick; only the test-side stepLog
+	// audit reads it, to tell a tick from another kernel event.
+	// tickVisits counts the node steps since construction — the work
+	// counter behind the step-rule tests and the router benches'
+	// steps/op.
 	count      []int
 	activeMask []uint64
 	hot        []uint64
@@ -178,10 +156,6 @@ type cycleNet struct {
 	arriveAt   int
 	lastTick   int64
 	tickVisits uint64
-
-	// wake is the cycle before which no staged flit can move (set by a
-	// tick that moved nothing; 0 = the next tick must step).
-	wake int64
 
 	inFlight int // packets admitted and not yet delivered
 	pktFree  *packet
@@ -254,7 +228,6 @@ func (c *cycleNet) admit(src, dst, flits int, payload any) *packet {
 	pkt.ch, pkt.chSeq = ch, ch.nextInject
 	ch.nextInject++
 	c.inFlight++
-	c.wake = 0 // a fresh packet invalidates any frozen-state proof
 	if !c.m.k.TickArmed() {
 		c.m.k.TickNext()
 	}
@@ -297,71 +270,25 @@ func (c *cycleNet) deliver(n int, pkt *packet, now int64) {
 // slot returns the offset in arrive of cycle t's wheel slot.
 func (c *cycleNet) slot(t int64) int { return int(t%int64(c.slots)) * len(c.hot) }
 
-// tick advances the whole network by one cycle, or proves the cycle (and
-// possibly a run of following ones) frozen and skips ahead.
+// tick advances the whole network by one cycle, and re-arms for the next
+// while a packet is in flight.
 func (c *cycleNet) tick() {
 	now := c.m.k.Now()
-	if now < c.wake {
-		// Still inside a proven-frozen window (the kernel pulled the tick
-		// earlier for a queued event that turned out not to inject).
-		c.m.k.TickSkipTo(c.wake)
-		return
-	}
-	cur := c.slot(now)
-	if c.lastTick < now-1 {
-		// Cycles since the last stepping tick went unstepped. A link
-		// arrival in one of them sits behind a blocked front, whose node
-		// is hot already; fold the marks in, so none outlives its cycle.
-		i := c.slot(c.lastTick + 1)
-		for s := c.lastTick + 1; s < now && s <= c.lastTick+int64(c.slots); s++ {
-			for w := range c.hot {
-				c.hot[w] |= c.arrive[i+w]
-				c.arrive[i+w] = 0
-			}
-			if i += len(c.hot); i == len(c.arrive) {
-				i = 0
-			}
-		}
-	}
 	c.lastTick = now
+	cur := c.slot(now)
 	c.arriveAt = cur - len(c.hot) // the slot of cycle now+LinkLatency
 	if c.arriveAt < 0 {
 		c.arriveAt += len(c.arrive)
 	}
-	progressed := false
 	for w := range c.activeMask {
 		mark := c.hot[w] | c.arrive[cur+w]
 		c.hot[w], c.arrive[cur+w] = 0, 0
 		for word := c.activeMask[w] & mark; word != 0; word &= word - 1 {
 			c.tickVisits++
-			if c.r.stepNode(w<<6+bits.TrailingZeros64(word), now) {
-				progressed = true
-			}
+			c.r.stepNode(w<<6+bits.TrailingZeros64(word), now)
 		}
 	}
-	if c.inFlight == 0 {
-		return // network drained; the next admit re-arms the tick
+	if c.inFlight > 0 {
+		c.m.k.TickNext() // once drained, the next admit re-arms the tick
 	}
-	if progressed {
-		c.wake = 0
-		c.m.k.TickNext()
-		return
-	}
-	wake := c.r.skipBound(now)
-	for w, word := range c.activeMask {
-		for ; word != 0; word &= word - 1 {
-			if t := c.r.horizon(w<<6+bits.TrailingZeros64(word), now); t < wake {
-				wake = t
-			}
-		}
-	}
-	if wake == math.MaxInt64 {
-		// Nothing pending at all: a true deadlock. Keep ticking per cycle
-		// so a RunLimit livelock watchdog reports it.
-		c.wake = 0
-		c.m.k.TickNext()
-		return
-	}
-	c.wake = wake
-	c.m.k.TickSkipTo(wake)
 }

@@ -42,18 +42,16 @@ package mesh
 // and cannot starve.
 //
 // A node is active while it holds a staged flit: on an arrival ring, in
-// its injection backlog or in its side buffer. Every in-flight flit keeps
-// its downstream node active, so a frozen network waits only on link
-// arrivals (the per-node horizon) or on a same-cycle injection gated to
-// its first arbitration next cycle (the skip bound). A tick steps an
-// active node only when a flit there can move (the skeleton's step
-// rule): a link push marks the downstream node for the cycle the flit
-// lands, an injection marks its node, and a step that leaves a local flit
-// (an injection backlog, a gated one included, or a side-buffered flit)
-// marks its own node for the next tick. A flit on a link therefore costs
-// no step until it lands. Packets may complete out of order on a channel
-// (a detour delays an older one); the skeleton's in-order delivery holds
-// them (see cycle.go).
+// its injection backlog or in its side buffer. A tick steps an active
+// node only when a flit there can move (the skeleton's step rule): a link
+// push marks the downstream node for the cycle the flit lands, an
+// injection marks its node, and a step that leaves a local flit (an
+// injection backlog, a same-cycle injection gated to its first
+// arbitration next cycle included, or a side-buffered flit) marks its own
+// node for the next tick. A flit on a link therefore costs no step until
+// it lands. Packets may complete out of order on a channel (a detour
+// delays an older one); the skeleton's in-order delivery holds them (see
+// cycle.go).
 //
 // Waste accounting: every link traversal is charged to the per-link
 // utilization telemetry as it happens, and when a flit ejects, the hops
@@ -61,8 +59,6 @@ package mesh
 // Mesh.deflHops — so after a drain, total link traversals equal the
 // minimal flit-hops the fabric charges at injection plus
 // NetStats.DeflectedHops (FuzzDeflectionPermutation pins the identity).
-
-import "math"
 
 // deflFlit is one independently-routed flit. Flits outlive their order:
 // deflections reorder them, so each carries its index (the final
@@ -168,15 +164,14 @@ type deflRouter struct {
 	// the output-port claim flags.
 	cands     []deflCand
 	portTaken []bool
-	sideIdx   int   // index in sideQ of the current local candidate
-	gatedAt   int64 // last cycle a node step gated a same-cycle injection
+	sideIdx   int // index in sideQ of the current local candidate
 
 	flitFree *deflFlit
 }
 
 func newDeflRouter(m *Mesh) *deflRouter {
 	ports := m.topo.Ports()
-	r := &deflRouter{gatedAt: -1}
+	r := &deflRouter{}
 	r.init(m, r)
 	r.nodes = make([]deflNode, m.topo.Tiles())
 	r.cands = make([]deflCand, 0, ports+1)
@@ -223,38 +218,12 @@ func (r *deflRouter) inject(src, dst, flits int, payload any) int {
 	return hops
 }
 
-// horizon returns the earliest strictly-future link arrival at node n.
-func (r *deflRouter) horizon(n int, now int64) int64 {
-	min := int64(math.MaxInt64)
-	nd := &r.nodes[n]
-	for p := range nd.rings {
-		ring := &nd.rings[p]
-		if ring.n > 0 {
-			if t := ring.front().at; t > now && t < min {
-				min = t
-			}
-		}
-	}
-	return min
-}
-
-// skipBound caps the skip at next cycle when this cycle gated a fresh
-// injection (see stepNode). Otherwise a tick that moved nothing had no
-// arrival due and no arbitrable local flit (a node with one always finds
-// a free output), so every staged flit is on a link.
-func (r *deflRouter) skipBound(now int64) int64 {
-	if r.gatedAt == now {
-		return now + 1
-	}
-	return math.MaxInt64
-}
-
 // stepNode runs one node's cycle: gather this cycle's candidates, rank
 // them oldest-first, and place every one — ejection, productive port,
-// deflection, or (for at most one) the side buffer. Reports whether any
-// flit moved. A node left with a local flit (an injection backlog, gated
-// or not, or a side-buffered flit) is stepped again at the next tick.
-func (r *deflRouter) stepNode(n int, now int64) bool {
+// deflection, or (for at most one) the side buffer. A node left with a
+// local flit (an injection backlog, gated or not, or a side-buffered
+// flit) is stepped again at the next tick.
+func (r *deflRouter) stepNode(n int, now int64) {
 	nd := &r.nodes[n]
 	cands := r.cands[:0]
 
@@ -283,8 +252,6 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 	if nd.injHead < len(nd.injQ) {
 		if f := nd.injQ[nd.injHead]; f.pkt.injectAt < now {
 			local = f
-		} else {
-			r.gatedAt = now
 		}
 	}
 	for i, f := range nd.sideQ {
@@ -297,12 +264,6 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 		// The local candidate leaves the node only if it wins an output;
 		// takeLocal's call sites bump removed when it does.
 		cands = append(cands, deflCand{local, localSrc})
-	}
-	if len(cands) == 0 {
-		if nd.injHead < len(nd.injQ) {
-			r.markHot(n) // the gated injection arbitrates next cycle
-		}
-		return false
 	}
 
 	// Oldest-first ranking (insertion sort: at most in-degree+1 entries,
@@ -322,7 +283,6 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 	}
 	down := r.down[n]
 	ejected := false
-	progressed := false
 	for _, c := range cands {
 		f := c.f
 		want := -1 // -1: this flit wants ejection (or lost it this cycle)
@@ -334,7 +294,6 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 					removed++
 				}
 				r.ejectFlit(n, f, now)
-				progressed = true
 				continue
 			}
 		} else {
@@ -366,31 +325,27 @@ func (r *deflRouter) stepNode(n int, now int64) bool {
 			r.markArrival(l.node)
 			r.addActive(l.node, 1)
 			r.m.linkBusy[n][out]++
-			progressed = true
 			continue
 		}
 		// Every output (and the ejection slot, if wanted) is taken: park
 		// in the side buffer. Only an arrival can land here — the local
 		// candidate is still in its queue and simply stays — and the
 		// in-degree <= out-degree symmetry means at most one arrival per
-		// cycle does. The flit changed state (link to buffer), so the
-		// cycle made progress and the next tick re-arbitrates it.
+		// cycle does. The next tick re-arbitrates it.
 		if c.src >= 0 {
 			nd.sideQ = append(nd.sideQ, f)
 			if occ := nd.localLen(); occ > r.m.peakVC {
 				r.m.peakVC = occ
 			}
 			removed-- // it stayed at this node after all
-			progressed = true
 		}
 	}
 	if removed > 0 {
 		r.subActive(n, removed)
 	}
 	if nd.localLen() > 0 {
-		r.markHot(n)
+		r.markHot(n) // a gated injection arbitrates next cycle, too
 	}
-	return progressed
 }
 
 // takeLocal removes the winning local candidate from its queue; arrivals

@@ -58,7 +58,7 @@ func checkDeflConservation(t *testing.T, r *deflRouter) {
 }
 
 // checkDeflDrained asserts a fully drained network: no live flits, no
-// in-flight or parked packets, no active bits.
+// in-flight or parked packets, no active bits and no wake marks.
 func checkDeflDrained(t *testing.T, r *deflRouter) {
 	t.Helper()
 	if r.flits != 0 {

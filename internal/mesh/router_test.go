@@ -146,6 +146,7 @@ func TestVCAllToAllDrainsEveryTopology(t *testing.T) {
 		if *delivered != want {
 			t.Fatalf("%s: delivered %d of %d packets (deadlock)", kind, *delivered, want)
 		}
+		checkDrained(t, &m.r.(*vcRouter).cycleNet)
 	}
 }
 

@@ -29,9 +29,7 @@ package mesh
 // packet marks its node, and a step marks its own node again when it
 // leaves a flit ready — a due front that lost this cycle, or a winner
 // whose next flit is already there. An uncontended traversal therefore
-// costs one step per flit per router. A frozen network waits on a
-// buffered-flit arrival (the per-node horizon) or a credit return (the
-// skip bound).
+// costs one step per flit per router.
 //
 // Candidates: a node's stages form one table indexed by stage id
 // (inPort*VCs + vc; the source queue is numIn*VCs, the last entry), and
@@ -170,9 +168,9 @@ type vcRouter struct {
 	nodes []vcNode
 
 	// Pending credit returns, a time-ordered ring (constant LinkLatency
-	// makes pushes monotone), applied by the first node step of the first
-	// tick at or after their cycle, or by skipBound if that tick steps no
-	// node.
+	// makes pushes monotone), applied by the first node step at or after
+	// their cycle. Only a node step reads credits, so a tick that steps no
+	// node may leave due ones in the ring.
 	credQ    []creditRet
 	credHead int
 	credLen  int
@@ -315,67 +313,39 @@ func (r *vcRouter) drainCredits(now int64) {
 }
 
 // stepNode runs VC and switch allocation at node n for every output port
-// with a candidate. The credits due by now are applied first: the tick's
-// first node step applies them all (credits returned during the tick are
-// due at least a cycle later), so every node sees the same credit state a
-// tick-start drain would give it. A step that leaves a flit ready to move
-// — a due front that did not move, or a winner whose next flit is already
-// there — marks the node to be stepped again at the next tick.
-func (r *vcRouter) stepNode(n int, now int64) bool {
+// with a candidate. The credits due by now are applied first: the first
+// node step at or after their cycle applies them all (credits returned
+// during the tick are due at least a cycle later), so every node sees the
+// same credit state a tick-start drain would give it. A step that leaves
+// a flit ready to move — a due front that did not move, or a winner whose
+// next flit is already there — marks the node to be stepped again at the
+// next tick.
+func (r *vcRouter) stepNode(n int, now int64) {
 	r.drainCredits(now)
 	nd := &r.nodes[n]
 	nd.usedIn = 0
-	progressed, ready := false, false
+	ready := false
 	// outs is read once. An output can gain a candidate mid-step only
 	// from the next source packet, staged when the last one's tail left,
 	// and the source port has already supplied this cycle's flit.
 	for outs := nd.outs; outs != 0; outs &= outs - 1 {
-		moved, rdy := r.serviceOutput(n, nd, bits.TrailingZeros(outs), now, ready)
-		progressed = progressed || moved
-		ready = rdy
+		ready = r.serviceOutput(n, nd, bits.TrailingZeros(outs), now, ready)
 	}
 	if ready {
 		r.markHot(n)
 	}
-	return progressed
-}
-
-// horizon returns the earliest strictly-future buffered-flit arrival at
-// node n.
-func (r *vcRouter) horizon(n int, now int64) int64 {
-	min := int64(math.MaxInt64)
-	nd := &r.nodes[n]
-	for i := range nd.in {
-		if t := nd.in[i].front; t > now && t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// skipBound caps the skip at the next credit return: a frozen flit may be
-// waiting on it. It first applies every credit due by now, which a tick
-// that stepped no node has not done, so the head of the ring is in the
-// future.
-func (r *vcRouter) skipBound(now int64) int64 {
-	r.drainCredits(now)
-	if r.credLen > 0 {
-		return r.credQ[r.credHead].at
-	}
-	return math.MaxInt64
 }
 
 // serviceOutput runs VC + switch allocation for one output port: visit the
 // staged candidates in round-robin order from the id after the last
-// winner and forward the first that can move. It reports whether a flit
-// moved, and whether a stage is left ready to move: ready comes in from
-// the node's earlier outputs, and becomes true when a due candidate
-// cannot move, or when the winner's next flit is already there. Until it
-// is, the scan goes on past the winner, only to test the rest for a due
-// front. The order walks the mask words from the one holding start+1,
-// wrapping around, and visits that word twice: its ids above start first,
-// its ids up to start last.
-func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bool) (moved, stillReady bool) {
+// winner and forward the first that can move. It reports whether a stage
+// is left ready to move: ready comes in from the node's earlier outputs,
+// and becomes true when a due candidate cannot move, or when the winner's
+// next flit is already there. Until it is, the scan goes on past the
+// winner, only to test the rest for a due front. The order walks the mask
+// words from the one holding start+1, wrapping around, and visits that
+// word twice: its ids above start first, its ids up to start last.
+func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bool) bool {
 	cand := nd.cand[out*r.words : (out+1)*r.words]
 	start := nd.outRR[out]
 	first := (start + 1) >> 6
@@ -383,6 +353,7 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bo
 		first = 0
 	}
 	above := ^uint64(0) << uint((start+1)&63) // ids above start in word first
+	moved := false
 	for i := 0; i <= len(cand); i++ {
 		w := first + i
 		if w >= len(cand) {
@@ -401,7 +372,7 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bo
 				continue // its next flit has not arrived
 			}
 			if moved {
-				return true, true // a due flit behind this cycle's winner
+				return true // a due flit behind this cycle's winner
 			}
 			if nd.usedIn>>uint(s.port)&1 != 0 {
 				ready = true
@@ -421,11 +392,11 @@ func (r *vcRouter) serviceOutput(n int, nd *vcNode, out int, now int64, ready bo
 			r.forward(n, nd, out, s, now)
 			moved = true
 			if ready || s.front <= now {
-				return true, true
+				return true
 			}
 		}
 	}
-	return moved, ready
+	return ready
 }
 
 // allocVC claims a free downstream input VC in the packet's dateline class

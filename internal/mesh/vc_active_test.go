@@ -166,12 +166,7 @@ func TestVCActiveMaskInvariant(t *testing.T) {
 				}
 				checkActiveMask(t, r)
 			}
-			// Drained network: no node may stay on the mask.
-			for w, word := range r.activeMask {
-				if word != 0 {
-					t.Fatalf("drained network still has active bits in word %d: %#x", w, word)
-				}
-			}
+			checkDrained(t, &r.cycleNet)
 		})
 	}
 }

@@ -17,13 +17,12 @@
 // AtArg, which carries a pointer-sized argument instead of forcing a
 // closure per event.
 //
-// A component that needs to run every cycle (the vc router's network tick)
-// registers itself once with SetTicker and re-arms with TickNext or
-// TickSkipTo. The recurring tick lives in a dedicated slot beside the
-// queue, so the most frequent event in the simulator costs O(1) integer
-// updates per cycle instead of a queue push+pop — and TickSkipTo can elide
-// provably idle cycles entirely while preserving the exact equal-timestamp
-// ordering of the per-cycle schedule (see the seq accounting below).
+// A component that needs to run every cycle (a cycle-level router's network
+// tick) registers itself once with SetTicker and re-arms with TickNext. The
+// recurring tick lives in a dedicated slot beside the queue, so the most
+// frequent event in the simulator costs O(1) integer updates per cycle
+// instead of a queue push+pop, while ordering against queued events exactly
+// as an After(1, tick) chain would (see TickNext).
 package sim
 
 import (
@@ -77,9 +76,9 @@ type Kernel struct {
 	steps   uint64
 	clamped uint64
 
-	// The dedicated recurring-tick slot (SetTicker / TickNext /
-	// TickSkipTo). tickSeq orders the slot against queued events with the
-	// same timestamp through the shared seq counter, so slot scheduling is
+	// The dedicated recurring-tick slot (SetTicker / TickNext). tickSeq
+	// orders the slot against queued events with the same timestamp
+	// through the shared seq counter, so slot scheduling is
 	// indistinguishable from an equivalent queue schedule.
 	tickFn    func()
 	tickAt    int64
@@ -114,8 +113,8 @@ func (k *Kernel) Recycle() {
 // Now returns the current simulated cycle.
 func (k *Kernel) Now() int64 { return k.now }
 
-// Steps returns the number of events executed so far (recurring-slot ticks
-// included; cycles elided by TickSkipTo are not, since nothing ran).
+// Steps returns the number of events executed so far, recurring-slot ticks
+// included.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
 // Pending returns the number of events waiting to run, counting an armed
@@ -156,9 +155,9 @@ func (k *Kernel) After(d int64, fn func()) { k.At(k.now+d, fn) }
 
 // SetTicker registers fn as the kernel's dedicated recurring-tick
 // callback. Only one component per kernel may own the slot (in this
-// simulator, the vc router's network tick); registering twice panics.
-// The ticker is armed with TickNext or TickSkipTo and fires like any
-// other event, interleaved with queued events by (cycle, sequence) order.
+// simulator, a cycle-level router's network tick); registering twice
+// panics. The ticker is armed with TickNext and fires like any other
+// event, interleaved with queued events by (cycle, sequence) order.
 func (k *Kernel) SetTicker(fn func()) {
 	if k.tickFn != nil {
 		panic("sim: SetTicker called twice; the kernel has one recurring-tick slot")
@@ -186,67 +185,10 @@ func (k *Kernel) TickNext() {
 	k.tickArmed = true
 }
 
-// TickSkipTo arms the recurring tick for cycle t, skipping the cycles in
-// between. The caller asserts that a tick on any elided cycle would be a
-// no-op (the vc router proves this from its arrival/credit horizon); the
-// kernel additionally clamps t to the next pending queued event, since that
-// event may invalidate the caller's proof (e.g. by injecting a packet).
-//
-// Ordering is exact, not approximate: a per-cycle ticker that re-arms with
-// After(1, tick) consumes one sequence number per cycle, and events
-// scheduled at a cycle always order against that cycle's tick through
-// those numbers. TickSkipTo therefore consumes one sequence number per
-// elided cycle and gives the armed tick the sequence number its
-// chain-scheduled ancestor would have had, so every equal-timestamp
-// comparison resolves exactly as under per-cycle re-arming.
-func (k *Kernel) TickSkipTo(t int64) {
-	if k.tickFn == nil {
-		panic("sim: TickSkipTo without SetTicker")
-	}
-	if k.tickArmed {
-		panic("sim: recurring tick armed twice")
-	}
-	u := t
-	if at, _, ok := k.earliest(); ok && at < u {
-		u = at // a pending event may change what the tick can do
-	}
-	if u <= k.now {
-		if t <= k.now {
-			k.clamped++ // skipping to the past is a caller bug, like At
-		}
-		u = k.now + 1
-	}
-	d := uint64(u - k.now)    // cycles the chain would have re-armed across
-	k.tickSeq = k.seq + d - 1 // the seq the arm at cycle u-1 would draw
-	k.seq += d
-	k.tickAt = u
-	k.tickArmed = true
-}
-
-// NextEventAt returns the cycle of the earliest pending event (queued or
-// armed recurring tick), so drivers can see the next wakeup. ok is false
-// when nothing is scheduled.
-func (k *Kernel) NextEventAt() (int64, bool) {
-	at, seq, ok := k.earliest()
-	if k.tickArmed && (!ok || k.tickBefore(at, seq)) {
-		return k.tickAt, true
-	}
-	return at, ok
-}
-
-// tickBefore reports whether the armed tick fires before the queued event
-// (at, seq).
-func (k *Kernel) tickBefore(at int64, seq uint64) bool {
-	if k.tickAt != at {
-		return k.tickAt < at
-	}
-	return k.tickSeq < seq
-}
-
 // Step runs the earliest pending event and returns false if none remain.
 func (k *Kernel) Step() bool {
 	at, seq, ok := k.earliest()
-	if k.tickArmed && (!ok || k.tickBefore(at, seq)) {
+	if k.tickArmed && (!ok || k.tickAt < at || k.tickAt == at && k.tickSeq < seq) {
 		k.tickArmed = false
 		k.advance(k.tickAt)
 		k.steps++
@@ -283,21 +225,6 @@ func (k *Kernel) Step() bool {
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() {
 	for k.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t. An armed recurring tick beyond t stays armed.
-func (k *Kernel) RunUntil(t int64) {
-	for {
-		at, ok := k.NextEventAt()
-		if !ok || at > t {
-			break
-		}
-		k.Step()
-	}
-	if k.now < t {
-		k.advance(t)
 	}
 }
 
@@ -379,9 +306,8 @@ func (k *Kernel) earliest() (int64, uint64, bool) {
 // argument. A far event for cycle c was pushed while now <= c-wheelSpan; a
 // direct push into c's bucket needs now > c-wheelSpan, so it comes later
 // and has a larger seq. advance runs on every clock move (a wheel event, a
-// far root, the recurring tick, RunUntil's final jump), so the far events
-// for c reach their bucket the moment now passes c-wheelSpan, ahead of
-// every direct push.
+// far root, the recurring tick), so the far events for c reach their
+// bucket the moment now passes c-wheelSpan, ahead of every direct push.
 func (k *Kernel) advance(t int64) {
 	k.now = t
 	for len(k.pq) > 0 && k.pq[0].at-t < wheelSpan {

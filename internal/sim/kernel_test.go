@@ -134,25 +134,6 @@ func TestClampedZeroForValidSchedules(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var k Kernel
-	count := 0
-	for _, at := range []int64{5, 10, 15, 20} {
-		k.At(at, func() { count++ })
-	}
-	k.RunUntil(12)
-	if count != 2 {
-		t.Fatalf("RunUntil(12) ran %d events, want 2", count)
-	}
-	if k.Now() != 12 {
-		t.Fatalf("Now = %d, want 12", k.Now())
-	}
-	k.Run()
-	if count != 4 {
-		t.Fatalf("after Run, count = %d, want 4", count)
-	}
-}
-
 func TestRunLimit(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 10; i++ {

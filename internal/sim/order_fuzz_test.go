@@ -8,8 +8,8 @@ import (
 
 // refKernel is the reference FuzzKernelOrder checks Kernel against: the
 // same scheduling contract (clamping, the recurring-tick slot and its seq
-// accounting, RunUntil's clock jump) over one slice kept sorted by
-// (at, seq). It is slow and plainly in order.
+// accounting) over one slice kept sorted by (at, seq). It is slow and
+// plainly in order.
 type refKernel struct {
 	q              []refEvent
 	now            int64
@@ -40,29 +40,12 @@ func (r *refKernel) At(t int64, fn func()) {
 func (r *refKernel) AtArg(t int64, fn func(any), arg any) { r.At(t, func() { fn(arg) }) }
 func (r *refKernel) After(d int64, fn func())             { r.At(r.now+d, fn) }
 func (r *refKernel) SetTicker(fn func())                  { r.tickFn = fn }
-func (r *refKernel) TickNext()                            { r.arm(r.now + 1) }
 
-func (r *refKernel) TickSkipTo(t int64) {
-	u := t
-	if len(r.q) > 0 && r.q[0].at < u {
-		u = r.q[0].at
-	}
-	if u <= r.now {
-		if t <= r.now {
-			r.clamped++
-		}
-		u = r.now + 1
-	}
-	r.arm(u)
-}
-
-// arm arms the tick for cycle u as a per-cycle After(1) chain would have:
-// one sequence number per cycle crossed, the tick holding the last.
-func (r *refKernel) arm(u int64) {
-	d := uint64(u - r.now)
-	r.tickSeq = r.seq + d - 1
-	r.seq += d
-	r.tickAt = u
+// TickNext arms the tick for the next cycle as After(1, tick) would: with
+// the next sequence number.
+func (r *refKernel) TickNext() {
+	r.tickAt, r.tickSeq = r.now+1, r.seq
+	r.seq++
 	r.tickArmed = true
 }
 
@@ -96,21 +79,13 @@ func (r *refKernel) Step() bool {
 	return true
 }
 
-func (r *refKernel) NextEventAt() (int64, bool) {
-	if r.tickFirst() {
-		return r.tickAt, true
-	}
+// earliest returns the cycle and sequence number of the first queued
+// event, the recurring tick aside, as Kernel.earliest does.
+func (r *refKernel) earliest() (int64, uint64, bool) {
 	if len(r.q) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return r.q[0].at, true
-}
-
-func (r *refKernel) RunUntil(t int64) {
-	for at, ok := r.NextEventAt(); ok && at <= t; at, ok = r.NextEventAt() {
-		r.Step()
-	}
-	r.now = max(r.now, t)
+	return r.q[0].at, r.q[0].seq, true
 }
 
 func (r *refKernel) RunLimit(n uint64) uint64 {
@@ -142,12 +117,10 @@ type scheduler interface {
 	After(int64, func())
 	SetTicker(func())
 	TickNext()
-	TickSkipTo(int64)
 	Step() bool
 	Run()
-	RunUntil(int64)
 	RunLimit(uint64) uint64
-	NextEventAt() (int64, bool)
+	earliest() (int64, uint64, bool)
 	Now() int64
 	Steps() uint64
 	Pending() int
@@ -206,37 +179,36 @@ func (w *orderWorld) schedule(kind uint64, d int64) {
 
 func (w *orderWorld) fireArg(a any) { w.fire(a.(int)) }
 
-// fire logs id and schedules up to two children from inside the callback.
+// fire logs id, schedules up to two children from inside the callback
+// and, one time in four, arms the tick if it is idle, as a packet
+// injected into a drained network does.
 func (w *orderWorld) fire(id int) {
 	w.log = append(w.log, id)
 	h := splitmix(w.seed ^ uint64(id)<<20)
+	if h>>62 == 0 && !w.k.TickArmed() {
+		w.k.TickNext()
+	}
 	for n := h % 3; n > 0 && w.nextID < maxOrderEvents; n-- {
 		h = splitmix(h)
 		w.schedule(h>>8, orderDelay(h>>16))
 	}
 }
 
-// tick logs the tick and re-arms it with TickNext, with TickSkipTo to any
-// orderDelays offset (past the span too, and whatever the queue holds), or
-// not at all.
+// tick logs the tick and re-arms it with TickNext, or, one time in eight,
+// stops, as a drained network does.
 func (w *orderWorld) tick() {
 	w.log = append(w.log, -1)
 	w.ticks++
-	if w.ticks >= maxOrderTicks {
-		return
-	}
-	switch h := splitmix(w.seed ^ w.ticks<<40); h % 4 {
-	case 0:
-	case 1:
+	if w.ticks < maxOrderTicks && splitmix(w.seed^w.ticks<<40)%8 != 0 {
 		w.k.TickNext()
-	default:
-		w.k.TickSkipTo(w.k.Now() + orderDelay(h>>8))
 	}
 }
 
-// apply runs one fuzzed call from outside any callback.
+// apply runs one fuzzed call from outside any callback: op%6 picks At,
+// AtArg or After at the offset arg picks, arming the tick, Step, or
+// RunLimit of up to 15 events.
 func (w *orderWorld) apply(op, arg byte) {
-	switch op % 8 {
+	switch op % 6 {
 	case 0, 1, 2:
 		w.schedule(uint64(op), orderDelay(uint64(arg)))
 	case 3:
@@ -244,33 +216,28 @@ func (w *orderWorld) apply(op, arg byte) {
 			w.k.TickNext()
 		}
 	case 4:
-		if !w.k.TickArmed() {
-			w.k.TickSkipTo(w.k.Now() + orderDelay(uint64(arg)))
-		}
-	case 5:
 		w.k.Step()
-	case 6:
-		w.k.RunUntil(w.k.Now() + orderDelay(uint64(arg)))
-	case 7:
+	case 5:
 		w.k.RunLimit(uint64(arg % 16))
 	}
 }
 
-// orderState is everything a scheduler reports.
+// orderState is everything a scheduler reports, and the head of its queue.
 type orderState struct {
 	now       int64
 	steps     uint64
 	pending   int
-	next      int64
+	headAt    int64
+	headSeq   uint64
 	ok        bool
 	clamped   uint64
 	tickArmed bool
 }
 
 func readState(k scheduler) orderState {
-	next, ok := k.NextEventAt()
-	return orderState{now: k.Now(), steps: k.Steps(), pending: k.Pending(), next: next, ok: ok,
-		clamped: k.Clamped(), tickArmed: k.TickArmed()}
+	at, seq, ok := k.earliest()
+	return orderState{now: k.Now(), steps: k.Steps(), pending: k.Pending(), headAt: at, headSeq: seq,
+		ok: ok, clamped: k.Clamped(), tickArmed: k.TickArmed()}
 }
 
 // sameState fails unless both sides fired the same events since the last
@@ -289,16 +256,18 @@ func sameState(t *testing.T, call int, got, want *orderWorld) {
 
 // FuzzKernelOrder is the differential check of the two-tier event queue:
 // a fuzzed program of outside calls (At, AtArg and After at near, far and
-// past offsets; arming the recurring tick; Step, RunUntil and RunLimit)
-// runs on Kernel and on refKernel, with every event scheduling children
-// from inside its callback and the ticker re-arming itself with TickNext
-// or TickSkipTo. After every call both must have fired the same events in
-// the same order and agree on Now, Steps, Pending, NextEventAt, Clamped
-// and TickArmed. The outside pushes matter: a push after RunUntil's clock
-// jump lands in the same bucket as a far event that jump must migrate
-// first. The checked-in corpus under testdata/fuzz seeds those shapes.
+// past offsets; arming the recurring tick; Step and RunLimit) runs on
+// Kernel and on refKernel, with every event scheduling children, and
+// sometimes arming the tick, from inside its callback, and the ticker
+// re-arming itself with TickNext until it stops. After every call both
+// must have fired the same events in the same order and agree on Now,
+// Steps, Pending, Clamped, TickArmed and the (cycle, seq) of the earliest
+// queued event. The outside pushes matter: a push right after a tick or a
+// far root moved the clock lands in the same bucket as the far events that
+// move had to migrate first. The checked-in corpus under testdata/fuzz
+// seeds those shapes.
 func FuzzKernelOrder(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 0, 1, 4, 2, 8, 3, 0, 5, 0, 6, 3, 7, 9})
+	f.Add(uint64(1), []byte{0, 0, 1, 4, 2, 8, 3, 0, 4, 0, 5, 3})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]

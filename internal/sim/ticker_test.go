@@ -69,85 +69,6 @@ func TestTickNextWhileArmedPanics(t *testing.T) {
 	k.TickNext()
 }
 
-// TickSkipTo must not jump past a pending event: that event may change
-// what the tick can do (in the simulator, injecting a packet).
-func TestTickSkipToClampsToHeapEvent(t *testing.T) {
-	var k Kernel
-	var tickAt []int64
-	k.SetTicker(func() {
-		tickAt = append(tickAt, k.Now())
-		if k.Now() < 100 {
-			k.TickSkipTo(100)
-		}
-	})
-	evtAt := int64(-1)
-	k.At(40, func() { evtAt = k.Now() })
-	k.TickSkipTo(100)
-	k.Run()
-	if evtAt != 40 {
-		t.Fatalf("event fired at %d, want 40", evtAt)
-	}
-	// The tick is pulled to the event's cycle, re-skips, then lands at 100.
-	want := []int64{40, 100}
-	if len(tickAt) != len(want) || tickAt[0] != want[0] || tickAt[1] != want[1] {
-		t.Fatalf("tick fired at %v, want %v", tickAt, want)
-	}
-	if k.Clamped() != 0 {
-		t.Fatalf("Clamped = %d, want 0", k.Clamped())
-	}
-}
-
-// Skipping to the past is a caller bug and must be counted like At's clamp,
-// with the tick landing on the next cycle so time still moves forward.
-func TestTickSkipToPastClamped(t *testing.T) {
-	var k Kernel
-	var tickAt []int64
-	k.SetTicker(func() {
-		tickAt = append(tickAt, k.Now())
-		if len(tickAt) == 1 {
-			k.TickSkipTo(k.Now() - 3)
-		}
-	})
-	k.At(10, func() {})
-	k.TickSkipTo(10)
-	k.Run()
-	if len(tickAt) != 2 || tickAt[0] != 10 || tickAt[1] != 11 {
-		t.Fatalf("tick fired at %v, want [10 11]", tickAt)
-	}
-	if k.Clamped() != 1 {
-		t.Fatalf("Clamped = %d, want 1", k.Clamped())
-	}
-}
-
-// RunUntil must execute an armed tick that falls inside the window, leave
-// one beyond the window armed, and still advance the clock to t exactly.
-func TestRunUntilWithArmedTick(t *testing.T) {
-	var k Kernel
-	var tickAt []int64
-	k.SetTicker(func() {
-		tickAt = append(tickAt, k.Now())
-		k.TickSkipTo(k.Now() + 50)
-	})
-	k.TickSkipTo(10)
-	k.RunUntil(30)
-	if len(tickAt) != 1 || tickAt[0] != 10 {
-		t.Fatalf("tick fired at %v inside RunUntil(30), want [10]", tickAt)
-	}
-	if k.Now() != 30 {
-		t.Fatalf("Now = %d after RunUntil(30), want 30", k.Now())
-	}
-	if !k.TickArmed() {
-		t.Fatal("tick beyond the window must stay armed")
-	}
-	if at, ok := k.NextEventAt(); !ok || at != 60 {
-		t.Fatalf("NextEventAt = %d,%v, want 60,true", at, ok)
-	}
-	k.RunUntil(60)
-	if len(tickAt) != 2 || tickAt[1] != 60 {
-		t.Fatalf("tick fired at %v, want second firing at 60", tickAt)
-	}
-}
-
 // RunLimit is the driver's livelock watchdog: recurring-slot ticks must
 // count against the budget exactly like queued events, or a spinning router
 // could starve the watchdog forever.
@@ -170,43 +91,15 @@ func TestRunLimitCountsSlotTicks(t *testing.T) {
 	}
 }
 
-func TestNextEventAt(t *testing.T) {
-	var k Kernel
-	if _, ok := k.NextEventAt(); ok {
-		t.Fatal("NextEventAt on empty kernel reported an event")
-	}
-	k.At(7, func() {})
-	if at, ok := k.NextEventAt(); !ok || at != 7 {
-		t.Fatalf("NextEventAt = %d,%v, want 7,true", at, ok)
-	}
-	k.SetTicker(func() {})
-	k.TickSkipTo(3)
-	if at, ok := k.NextEventAt(); !ok || at != 3 {
-		t.Fatalf("NextEventAt = %d,%v, want 3,true (armed tick is earlier)", at, ok)
-	}
-}
-
 // The exactness contract of the recurring-tick slot: a slot ticker that
-// skips provably idle cycles with TickSkipTo must produce the exact global
-// event order of a reference ticker that re-arms every cycle with
+// re-arms every cycle with TickNext must produce the exact global event
+// order of a reference ticker that re-arms every cycle with
 // After(1, tick) — including every equal-timestamp interleaving with queued
 // events, and with events scheduling further events mid-run. A quarter of
 // the spawns are one to three wheel spans ahead, so far-tier events migrate
-// into buckets the chain's per-cycle ticks and the slot's skips both reach.
+// into buckets that the per-cycle ticks reach.
 func TestSlotOrderingMatchesPerCycleChain(t *testing.T) {
 	const horizon = 4 * wheelSpan
-	// "Work" cycles are the ones where the tick does something observable;
-	// on all other cycles the tick is a no-op, which is what licenses the
-	// slot version to skip them.
-	work := func(c int64) bool { return c%7 == 0 || c%5 == 3 }
-	nextWork := func(c int64) int64 {
-		for t := c + 1; ; t++ {
-			if work(t) {
-				return t
-			}
-		}
-	}
-
 	run := func(slot bool) []int64 {
 		var k Kernel
 		var log []int64 // tick firings: +cycle; event firings: -(id+1)
@@ -214,18 +107,12 @@ func TestSlotOrderingMatchesPerCycleChain(t *testing.T) {
 		var tick func()
 		tick = func() {
 			now := k.Now()
-			if work(now) {
-				log = append(log, now)
-			}
+			log = append(log, now)
 			if now >= horizon {
 				return
 			}
 			if slot {
-				if nw := nextWork(now); nw <= horizon {
-					k.TickSkipTo(nw)
-				}
-				// No work cycle left inside the horizon: the chain would
-				// only tick no-ops from here, so the slot stops.
+				k.TickNext()
 			} else {
 				k.After(1, tick)
 			}
@@ -325,20 +212,6 @@ func BenchmarkRecurringTickChain(b *testing.B) {
 		}
 	}
 	k.After(1, tick)
-	k.Run()
-}
-
-// BenchmarkRunUntil measures windowed draining over a sparse schedule, the
-// driver's inner loop during sweeps.
-func BenchmarkRunUntil(b *testing.B) {
-	var k Kernel
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.AtArg(k.Now()+int64(i%128), noopArg, nil)
-		if k.Pending() >= 1024 {
-			k.RunUntil(k.Now() + 256)
-		}
-	}
 	k.Run()
 }
 
